@@ -651,10 +651,51 @@ fn read_ctx(r: &mut Reader<'_>) -> Result<TraceCtx, CodecError> {
     })
 }
 
+/// Upper bound on the encoded body of an encodable `msg`: every kind's
+/// fixed fields fit in 48 bytes (the widest, `Fetch`, takes 35), plus its
+/// variable-length payload. Sizes the output buffer once instead of
+/// letting a 4 KiB query double its way up from a few bytes.
+fn body_len_bound(msg: &Message) -> usize {
+    let payload = match msg {
+        Message::Join { rows, .. } => 8 * rows.len(),
+        Message::Route { key, .. } | Message::Get { key, .. } => 8 * key.len(),
+        Message::Publish { object, .. } => object_wire_len(object.centre.len()),
+        Message::Query { centre, .. } | Message::Fetch { centre, .. } => 8 * centre.len(),
+        Message::QueryAck { items, .. } => 16 * items.len(),
+        Message::GetAck { objects, .. } => objects
+            .iter()
+            .map(|o| object_wire_len(o.centre.len()))
+            .sum(),
+        Message::FetchAck { indices, .. } => 8 * indices.len(),
+        Message::MonitorAck { json } | Message::StatsAck { json } => json.len(),
+        Message::Put { item, .. } => 8 * item.len(),
+        _ => 0,
+    };
+    48 + payload
+}
+
 /// Encode a message body (kind byte + payload, no length prefix — the
 /// transport layer adds framing).
 pub fn encode_message(msg: &Message) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::with_capacity(16);
+    let mut out = Vec::new();
+    encode_message_into(&mut out, msg)?;
+    Ok(out)
+}
+
+/// Append the body [`encode_message`] would return to `out`, after
+/// whatever `out` already holds (the transport's frame header, say).
+/// On error `out` is left as it was.
+pub fn encode_message_into(out: &mut Vec<u8>, msg: &Message) -> Result<(), CodecError> {
+    let start = out.len();
+    out.reserve(body_len_bound(msg));
+    let res = write_message(out, msg);
+    if res.is_err() {
+        out.truncate(start);
+    }
+    res
+}
+
+fn write_message(out: &mut Vec<u8>, msg: &Message) -> Result<(), CodecError> {
     out.push(msg.kind());
     match msg {
         Message::Hello { peer } => out.extend_from_slice(&peer.to_le_bytes()),
@@ -664,7 +705,7 @@ pub fn encode_message(msg: &Message) -> Result<Vec<u8>, CodecError> {
             }
             out.extend_from_slice(&peer.to_le_bytes());
             out.extend_from_slice(&dim.to_le_bytes());
-            write_u32_count(&mut out, rows.len() / (*dim as usize), "rows")?;
+            write_u32_count(out, rows.len() / (*dim as usize), "rows")?;
             for &x in rows {
                 out.extend_from_slice(&x.to_le_bytes());
             }
@@ -675,7 +716,7 @@ pub fn encode_message(msg: &Message) -> Result<Vec<u8>, CodecError> {
         }
         Message::Route { level, key } => {
             out.extend_from_slice(&level.to_le_bytes());
-            write_vec_f64(&mut out, key)?;
+            write_vec_f64(out, key)?;
         }
         Message::RouteAck { level, owner } => {
             out.extend_from_slice(&level.to_le_bytes());
@@ -689,8 +730,8 @@ pub fn encode_message(msg: &Message) -> Result<Vec<u8>, CodecError> {
         } => {
             out.extend_from_slice(&level.to_le_bytes());
             out.push(u8::from(*replicate));
-            write_object(&mut out, object)?;
-            write_ctx(&mut out, *ctx);
+            write_object(out, object)?;
+            write_ctx(out, *ctx);
         }
         Message::PublishAck {
             level,
@@ -709,10 +750,10 @@ pub fn encode_message(msg: &Message) -> Result<Vec<u8>, CodecError> {
             budget,
             ctx,
         } => {
-            write_vec_f64(&mut out, centre)?;
+            write_vec_f64(out, centre)?;
             out.extend_from_slice(&eps.to_le_bytes());
             out.extend_from_slice(&budget.to_le_bytes());
-            write_ctx(&mut out, *ctx);
+            write_ctx(out, *ctx);
         }
         Message::QueryAck {
             items,
@@ -720,7 +761,7 @@ pub fn encode_message(msg: &Message) -> Result<Vec<u8>, CodecError> {
             messages,
             bytes,
         } => {
-            write_u32_count(&mut out, items.len(), "items")?;
+            write_u32_count(out, items.len(), "items")?;
             for &(p, i) in items {
                 out.extend_from_slice(&p.to_le_bytes());
                 out.extend_from_slice(&i.to_le_bytes());
@@ -731,13 +772,13 @@ pub fn encode_message(msg: &Message) -> Result<Vec<u8>, CodecError> {
         }
         Message::Get { level, key } => {
             out.extend_from_slice(&level.to_le_bytes());
-            write_vec_f64(&mut out, key)?;
+            write_vec_f64(out, key)?;
         }
         Message::GetAck { level, objects } => {
             out.extend_from_slice(&level.to_le_bytes());
-            write_u32_count(&mut out, objects.len(), "objects")?;
+            write_u32_count(out, objects.len(), "objects")?;
             for obj in objects {
-                write_object(&mut out, obj)?;
+                write_object(out, obj)?;
             }
         }
         Message::Fetch {
@@ -747,13 +788,13 @@ pub fn encode_message(msg: &Message) -> Result<Vec<u8>, CodecError> {
             ctx,
         } => {
             out.extend_from_slice(&peer.to_le_bytes());
-            write_vec_f64(&mut out, centre)?;
+            write_vec_f64(out, centre)?;
             out.extend_from_slice(&eps.to_le_bytes());
-            write_ctx(&mut out, *ctx);
+            write_ctx(out, *ctx);
         }
         Message::FetchAck { peer, indices } => {
             out.extend_from_slice(&peer.to_le_bytes());
-            write_u32_count(&mut out, indices.len(), "indices")?;
+            write_u32_count(out, indices.len(), "indices")?;
             for &i in indices {
                 out.extend_from_slice(&i.to_le_bytes());
             }
@@ -764,7 +805,7 @@ pub fn encode_message(msg: &Message) -> Result<Vec<u8>, CodecError> {
         }
         Message::Monitor | Message::Shutdown | Message::Stats => {}
         Message::MonitorAck { json } | Message::StatsAck { json } => {
-            write_u32_count(&mut out, json.len(), "json")?;
+            write_u32_count(out, json.len(), "json")?;
             out.extend_from_slice(json.as_bytes());
         }
         Message::Put {
@@ -773,7 +814,7 @@ pub fn encode_message(msg: &Message) -> Result<Vec<u8>, CodecError> {
             republish,
         } => {
             out.extend_from_slice(&peer.to_le_bytes());
-            write_vec_f64(&mut out, item)?;
+            write_vec_f64(out, item)?;
             out.push(u8::from(*republish));
         }
         Message::PutAck { peer, index } => {
@@ -784,7 +825,7 @@ pub fn encode_message(msg: &Message) -> Result<Vec<u8>, CodecError> {
             out.extend_from_slice(&seq.to_le_bytes());
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 fn read_bool(r: &mut Reader<'_>, field: &'static str) -> Result<bool, CodecError> {
@@ -1189,6 +1230,36 @@ mod tests {
             let back = decode_message(&bytes).unwrap();
             assert_eq!(back, msg, "{}", msg.kind_name());
         }
+    }
+
+    #[test]
+    fn encode_into_appends_the_same_body_after_any_prefix() {
+        for prefix in [&[][..], &[0xAA], &[0x55; 12], &[7; 100]] {
+            for msg in sample_messages() {
+                let body = encode_message(&msg).unwrap();
+                // One allocation: the bound covers the body.
+                assert!(body.len() <= body_len_bound(&msg), "{}", msg.kind_name());
+                let mut out = prefix.to_vec();
+                encode_message_into(&mut out, &msg).unwrap();
+                assert_eq!(out, [prefix, &body[..]].concat(), "{}", msg.kind_name());
+            }
+        }
+    }
+
+    #[test]
+    fn encode_into_leaves_the_prefix_alone_on_error() {
+        // The kind byte and level are already written when the oversized
+        // key is rejected; neither may stay behind the prefix.
+        let unencodable = Message::Route {
+            level: 1,
+            key: vec![0.0; u16::MAX as usize + 1],
+        };
+        let mut out = vec![1, 2, 3];
+        assert_eq!(
+            encode_message_into(&mut out, &unencodable).unwrap_err(),
+            CodecError::DimTooLarge(u16::MAX as usize + 1)
+        );
+        assert_eq!(out, [1, 2, 3]);
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub mod zone;
 pub mod zoneindex;
 
 pub use codec::{
-    decode_message, decode_object, decode_query, encode_message, encode_object, encode_query,
-    object_wire_len, query_wire_len, CodecError, Message,
+    decode_message, decode_object, decode_query, encode_message, encode_message_into,
+    encode_object, encode_query, object_wire_len, query_wire_len, CodecError, Message,
 };
 pub use keymap::KeyMap;
 pub use ops::{InsertOutcome, ObjectRef, RangeOutcome, StoredObject};

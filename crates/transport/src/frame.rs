@@ -20,7 +20,7 @@
 //!
 //! [`CodecError`]: hyperm_can::codec::CodecError
 
-use hyperm_can::codec::{decode_message, encode_message};
+use hyperm_can::codec::{decode_message, encode_message, encode_message_into};
 use hyperm_can::Message;
 
 use crate::TransportError;
@@ -37,24 +37,29 @@ pub const HEADER_LEN: usize = 4 + 8;
 
 /// Encode `msg` and write it as one length-prefixed frame tagged with
 /// `req_id` (`0` = untagged).
+///
+/// Header and body are assembled in one buffer and handed to `w` in a
+/// single `write_all`: on a socket, a frame split over several writes
+/// has its tail held back by Nagle's algorithm until the peer's delayed
+/// ACK (~40 ms) — per frame, so twice per round trip.
 pub fn write_frame<W: Write>(
     w: &mut W,
     req_id: u64,
     msg: &Message,
 ) -> Result<usize, TransportError> {
-    let body = encode_message(msg).map_err(TransportError::Codec)?;
-    if body.len() > MAX_FRAME {
-        return Err(TransportError::FrameTooLarge(body.len()));
+    let mut frame = vec![0u8; HEADER_LEN];
+    encode_message_into(&mut frame, msg).map_err(TransportError::Codec)?;
+    let body_len = frame.len() - HEADER_LEN;
+    if body_len > MAX_FRAME {
+        return Err(TransportError::FrameTooLarge(body_len));
     }
-    let len = u32::try_from(body.len()).map_err(|_| TransportError::FrameTooLarge(body.len()))?;
-    w.write_all(&len.to_le_bytes())
-        .map_err(|e| TransportError::Io(e.to_string()))?;
-    w.write_all(&req_id.to_le_bytes())
-        .map_err(|e| TransportError::Io(e.to_string()))?;
-    w.write_all(&body)
+    let len = u32::try_from(body_len).map_err(|_| TransportError::FrameTooLarge(body_len))?;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4..HEADER_LEN].copy_from_slice(&req_id.to_le_bytes());
+    w.write_all(&frame)
         .map_err(|e| TransportError::Io(e.to_string()))?;
     w.flush().map_err(|e| TransportError::Io(e.to_string()))?;
-    Ok(HEADER_LEN + body.len())
+    Ok(frame.len())
 }
 
 /// Read one length-prefixed frame and decode its body. Returns the
@@ -112,6 +117,77 @@ mod tests {
         let (req_id, back) = read_frame(&mut cursor).unwrap();
         assert_eq!(req_id, 0xFEED_F00D);
         assert_eq!(back, msg);
+    }
+
+    /// Records each `write` call; takes the whole buffer every time, so
+    /// `write_all` never loops on its own account.
+    #[derive(Default)]
+    struct CountingWriter {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_frame_is_one_write_in_the_documented_layout() {
+        let query = Message::Query {
+            centre: vec![0.25, 0.5],
+            eps: 0.125,
+            budget: 7,
+            ctx: hyperm_telemetry::TraceCtx {
+                trace_id: 5,
+                parent_span: 9,
+            },
+        };
+        // body: kind | dim u16 | centre f64.. | eps f64 | budget u32 | ctx 2 x u64
+        let mut query_body = vec![hyperm_can::codec::kind::QUERY];
+        query_body.extend_from_slice(&2u16.to_le_bytes());
+        query_body.extend_from_slice(&0.25f64.to_le_bytes());
+        query_body.extend_from_slice(&0.5f64.to_le_bytes());
+        query_body.extend_from_slice(&0.125f64.to_le_bytes());
+        query_body.extend_from_slice(&7u32.to_le_bytes());
+        query_body.extend_from_slice(&5u64.to_le_bytes());
+        query_body.extend_from_slice(&9u64.to_le_bytes());
+
+        let ack = Message::QueryAck {
+            items: vec![(1, 2)],
+            hops: 3,
+            messages: 4,
+            bytes: 5,
+        };
+        // body: kind | count u32 | (peer u64, index u64).. | hops | messages | bytes
+        let mut ack_body = vec![hyperm_can::codec::kind::QUERY_ACK];
+        ack_body.extend_from_slice(&1u32.to_le_bytes());
+        for word in [1u64, 2, 3, 4, 5] {
+            ack_body.extend_from_slice(&word.to_le_bytes());
+        }
+
+        for (msg, body, req_id) in [(query, query_body, 0xFEED_F00Du64), (ack, ack_body, 0)] {
+            let mut want = (body.len() as u32).to_le_bytes().to_vec();
+            want.extend_from_slice(&req_id.to_le_bytes());
+            want.extend_from_slice(&body);
+            let mut w = CountingWriter::default();
+            let n = write_frame(&mut w, req_id, &msg).unwrap();
+            assert_eq!(
+                w.calls,
+                1,
+                "{}: header and body must leave together",
+                msg.kind_name()
+            );
+            assert_eq!(w.bytes, want, "{}", msg.kind_name());
+            assert_eq!(n, want.len());
+        }
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! ([`crate::frame`]) into the endpoint's bounded inbox. The first frame
 //! on every connection must be [`Message::Hello`] naming the sender —
 //! that id stamps all subsequent envelopes from the connection, and
-//! registers its write half so replies can be addressed by peer id.
+//! registers the socket so replies can be addressed by peer id. A
+//! connection is one shared `TcpStream`: its reader thread and every
+//! sender borrow it, and it has `TCP_NODELAY` set, so each frame (one
+//! `write_all`, see [`crate::frame`]) leaves when it is written.
 //!
 //! Outbound connections open on demand: `send(to, …)` uses a registered
 //! route (`add_route`) when no connection to `to` exists yet, and sends
@@ -36,11 +39,18 @@ pub const DEFAULT_DIAL_ATTEMPTS: u32 = 3;
 /// Default wall-clock length of one backoff tick between dial attempts.
 pub const DEFAULT_DIAL_TICK: Duration = Duration::from_millis(25);
 
+/// How long an accepted connection may take to send its `Hello`. A
+/// dialer writes it straight after `connect`, so this only expires on a
+/// peer that is not speaking the protocol. Unbounded, such a connection
+/// would hold its reader thread and descriptor for good: before its
+/// `Hello` it is in no pool, so `close` cannot reach it.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
+
 struct Shared {
     id: PeerId,
     inbox: Mailbox<Envelope>,
-    /// Write halves of live connections, by announced peer id.
-    conns: Mutex<BTreeMap<PeerId, TcpStream>>,
+    /// Live connections, by announced peer id.
+    conns: Mutex<BTreeMap<PeerId, Arc<TcpStream>>>,
     /// Dial addresses for peers we may need to connect to.
     routes: Mutex<BTreeMap<PeerId, SocketAddr>>,
     /// Peers we held a connection to at some point: a fresh dial to one
@@ -52,7 +62,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn lock_conns(&self) -> std::sync::MutexGuard<'_, BTreeMap<PeerId, TcpStream>> {
+    fn lock_conns(&self) -> std::sync::MutexGuard<'_, BTreeMap<PeerId, Arc<TcpStream>>> {
         match self.conns.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
@@ -73,56 +83,45 @@ impl Shared {
         }
     }
 
-    /// Serve one accepted or dialed connection: handshake (inbound only),
-    /// then pump frames into the inbox until EOF/close.
-    fn run_reader(self: &Arc<Self>, stream: TcpStream, announced: Option<PeerId>) {
-        let peer = match announced {
-            Some(p) => p,
-            None => {
-                // Inbound connection: the first frame must be Hello.
-                let mut r = BufReader::new(match stream.try_clone() {
-                    Ok(s) => s,
-                    Err(_) => return,
-                });
-                match read_frame(&mut r) {
-                    Ok((_, Message::Hello { peer })) => {
-                        self.register(peer, &stream);
-                        self.pump(peer, r);
-                        return;
-                    }
-                    Ok(_) | Err(_) => {
-                        self.recorder.event(
-                            self.span,
-                            names::FRAME_DROP,
-                            vec![("reason", "no_hello".into())],
-                        );
-                        return;
-                    }
-                }
+    /// Serve one accepted connection: handshake, then pump frames into
+    /// the inbox until EOF/close.
+    fn run_reader(&self, stream: TcpStream) {
+        let stream = Arc::new(stream);
+        let mut r = BufReader::new(&*stream);
+        match handshake(&stream, &mut r) {
+            Ok(peer) => {
+                self.register(peer, &stream);
+                self.pump(peer, &stream, r);
             }
-        };
-        let r = BufReader::new(match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        });
-        self.register(peer, &stream);
-        self.pump(peer, r);
-    }
-
-    fn register(&self, peer: PeerId, stream: &TcpStream) {
-        if let Ok(write_half) = stream.try_clone() {
-            self.lock_conns().insert(peer, write_half);
-            let rejoined = !self.lock_known().insert(peer);
-            self.recorder
-                .event(self.span, names::CONNECT, vec![("peer", peer.into())]);
-            if rejoined {
-                self.recorder
-                    .event(self.span, names::RECONNECT, vec![("peer", peer.into())]);
+            Err(_) => {
+                self.recorder.event(
+                    self.span,
+                    names::FRAME_DROP,
+                    vec![("reason", "no_hello".into())],
+                );
             }
         }
     }
 
-    fn pump(&self, peer: PeerId, mut r: BufReader<TcpStream>) {
+    /// Pool a handshaken connection, dialed or accepted, under its peer
+    /// id. The one place a socket enters `conns`, so the one place
+    /// `TCP_NODELAY` is set: without it the tail segment of a frame
+    /// larger than one MSS waits for the peer's delayed ACK.
+    fn register(&self, peer: PeerId, stream: &Arc<TcpStream>) {
+        // Refused only on a socket that is already dead; the next write
+        // or read reports that.
+        let _ = stream.set_nodelay(true);
+        self.lock_conns().insert(peer, Arc::clone(stream));
+        let rejoined = !self.lock_known().insert(peer);
+        self.recorder
+            .event(self.span, names::CONNECT, vec![("peer", peer.into())]);
+        if rejoined {
+            self.recorder
+                .event(self.span, names::RECONNECT, vec![("peer", peer.into())]);
+        }
+    }
+
+    fn pump(&self, peer: PeerId, stream: &Arc<TcpStream>, mut r: BufReader<&TcpStream>) {
         loop {
             if self.closed.load(Ordering::SeqCst) {
                 break;
@@ -155,9 +154,34 @@ impl Shared {
                 Err(_) => break, // EOF or socket error
             }
         }
-        self.lock_conns().remove(&peer);
+        self.evict(peer, stream);
         self.recorder
             .event(self.span, names::DISCONNECT, vec![("peer", peer.into())]);
+    }
+
+    /// Drop `stream` from the pool — unless `peer` has been re-registered
+    /// on a newer connection since, which stays.
+    fn evict(&self, peer: PeerId, stream: &Arc<TcpStream>) {
+        let mut conns = self.lock_conns();
+        if conns.get(&peer).is_some_and(|s| Arc::ptr_eq(s, stream)) {
+            conns.remove(&peer);
+        }
+    }
+}
+
+/// Read the `Hello` that must open an accepted connection, waiting at
+/// most [`HANDSHAKE_TIMEOUT`] for it; the timeout is cleared again for
+/// the frames that follow.
+fn handshake(stream: &TcpStream, r: &mut BufReader<&TcpStream>) -> Result<PeerId, TransportError> {
+    let io = |e: std::io::Error| TransportError::Io(e.to_string());
+    stream
+        .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
+        .map_err(io)?;
+    let first = read_frame(r)?;
+    stream.set_read_timeout(None).map_err(io)?;
+    match first {
+        (_, Message::Hello { peer }) => Ok(peer),
+        _ => Err(TransportError::Rejected("first frame must be Hello")),
     }
 }
 
@@ -210,7 +234,7 @@ impl TcpEndpoint {
                 }
                 let Ok(stream) = stream else { continue };
                 let conn_shared = Arc::clone(&accept_shared);
-                std::thread::spawn(move || conn_shared.run_reader(stream, None));
+                std::thread::spawn(move || conn_shared.run_reader(stream));
             }
         });
         Ok(Self {
@@ -250,15 +274,13 @@ impl TcpEndpoint {
         Ok(())
     }
 
-    /// A live write half to `peer`: the pooled connection when one
-    /// exists, otherwise a fresh dial — retried up to `dial_attempts`
-    /// times with backoff, because an evicted connection usually means
-    /// the peer is restarting, not gone.
-    fn ensure_conn(&self, peer: PeerId) -> Result<TcpStream, TransportError> {
+    /// A live connection to `peer`: the pooled one when it exists,
+    /// otherwise a fresh dial — retried up to `dial_attempts` times with
+    /// backoff, because an evicted connection usually means the peer is
+    /// restarting, not gone.
+    fn ensure_conn(&self, peer: PeerId) -> Result<Arc<TcpStream>, TransportError> {
         if let Some(s) = self.shared.lock_conns().get(&peer) {
-            if let Ok(clone) = s.try_clone() {
-                return Ok(clone);
-            }
+            return Ok(Arc::clone(s));
         }
         let addr = self
             .shared
@@ -291,40 +313,25 @@ impl TcpEndpoint {
         Err(last)
     }
 
-    /// One dial + `Hello` handshake to `peer` at `addr`, registering the
-    /// pooled write half and its reader thread.
-    fn dial(&self, peer: PeerId, addr: SocketAddr) -> Result<TcpStream, TransportError> {
-        let mut stream = TcpStream::connect(addr).map_err(|e| TransportError::Io(e.to_string()))?;
+    /// One dial + `Hello` handshake to `peer` at `addr`, pooling the
+    /// connection and starting its reader thread.
+    fn dial(&self, peer: PeerId, addr: SocketAddr) -> Result<Arc<TcpStream>, TransportError> {
+        let stream = TcpStream::connect(addr).map_err(|e| TransportError::Io(e.to_string()))?;
         write_frame(
-            &mut stream,
+            &mut &stream,
             0,
             &Message::Hello {
                 peer: self.shared.id,
             },
         )?;
-        let reader_stream = stream
-            .try_clone()
-            .map_err(|e| TransportError::Io(e.to_string()))?;
+        let stream = Arc::new(stream);
+        self.shared.register(peer, &stream);
         let shared = Arc::clone(&self.shared);
-        std::thread::spawn(move || shared.run_reader(reader_stream, Some(peer)));
-        let clone = stream
-            .try_clone()
-            .map_err(|e| TransportError::Io(e.to_string()))?;
-        self.shared.lock_conns().insert(peer, stream);
-        let rejoined = !self.shared.lock_known().insert(peer);
-        self.shared.recorder.event(
-            self.shared.span,
-            names::CONNECT,
-            vec![("peer", peer.into())],
-        );
-        if rejoined {
-            self.shared.recorder.event(
-                self.shared.span,
-                names::RECONNECT,
-                vec![("peer", peer.into())],
-            );
-        }
-        Ok(clone)
+        let reader_stream = Arc::clone(&stream);
+        std::thread::spawn(move || {
+            shared.pump(peer, &reader_stream, BufReader::new(&*reader_stream));
+        });
+        Ok(stream)
     }
 }
 
@@ -342,8 +349,8 @@ impl Transport for TcpEndpoint {
         // backoff) before giving up.
         let mut last = TransportError::UnknownPeer(to);
         for _pass in 0..2 {
-            let mut stream = self.ensure_conn(to)?;
-            match write_frame(&mut stream, req_id, msg) {
+            let stream = self.ensure_conn(to)?;
+            match write_frame(&mut &*stream, req_id, msg) {
                 Ok(n) => {
                     self.shared.recorder.event(
                         self.shared.span,
@@ -355,7 +362,7 @@ impl Transport for TcpEndpoint {
                 Err(e) => {
                     // The pooled connection died; drop it so the retry
                     // (and any later send) redials.
-                    self.shared.lock_conns().remove(&to);
+                    self.shared.evict(to, &stream);
                     last = e;
                 }
             }
@@ -426,6 +433,57 @@ mod tests {
         assert_eq!(env.msg, Message::Ack { seq: 6, ok: false });
         a.close();
         b.close();
+    }
+
+    #[test]
+    fn both_ends_of_a_connection_have_nodelay_set() {
+        let a = TcpEndpoint::bind(1, "127.0.0.1:0").unwrap();
+        let b = TcpEndpoint::bind(2, "127.0.0.1:0").unwrap();
+        a.connect(2, b.local_addr()).unwrap();
+        // b registers the accepted socket before it pumps the first
+        // frame, so once that frame is out of b's inbox the pool has it.
+        a.send(2, &Message::Monitor).unwrap();
+        b.recv_timeout(Duration::from_secs(5)).unwrap();
+        let dialed = a.shared.lock_conns().get(&2).map(|s| s.nodelay().unwrap());
+        let accepted = b.shared.lock_conns().get(&1).map(|s| s.nodelay().unwrap());
+        assert_eq!((dialed, accepted), (Some(true), Some(true)));
+    }
+
+    #[test]
+    fn silent_dialer_is_dropped_after_the_handshake_timeout() {
+        use std::io::Read;
+        let (recorder, ring) = Recorder::ring(64);
+        let b = TcpEndpoint::bind_traced(2, "127.0.0.1:0", DEFAULT_INBOX, recorder).unwrap();
+        let started = std::time::Instant::now();
+        let mut silent = TcpStream::connect(b.local_addr()).unwrap();
+
+        // An honest client is served while the silent one is pending...
+        let a = TcpEndpoint::bind(1, "127.0.0.1:0").unwrap();
+        a.connect(2, b.local_addr()).unwrap();
+        a.send(2, &Message::Ping { seq: 1 }).unwrap();
+        let env = b.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((env.from, env.msg), (1, Message::Ping { seq: 1 }));
+
+        // ...the silent one sees EOF, not before the timeout and well
+        // before its own read gives up...
+        silent
+            .set_read_timeout(Some(HANDSHAKE_TIMEOUT * 5))
+            .unwrap();
+        assert_eq!(silent.read(&mut [0u8; 1]).unwrap(), 0, "b must hang up");
+        assert!(started.elapsed() >= HANDSHAKE_TIMEOUT);
+        let no_hello = ring
+            .events()
+            .iter()
+            .filter(|e| {
+                e.name == names::FRAME_DROP && e.field("reason") == Some(&"no_hello".into())
+            })
+            .count();
+        assert_eq!(no_hello, 1);
+
+        // ...and the honest client's connection outlives it.
+        a.send(2, &Message::Ping { seq: 2 }).unwrap();
+        let env = b.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((env.from, env.msg), (1, Message::Ping { seq: 2 }));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use hyperm_core::{HypermConfig, HypermNetwork};
 use hyperm_datagen::{generate_aloi_like, AloiConfig};
 use hyperm_transport::{Client, MemHub, NodeRuntime, Role, TcpEndpoint};
 use std::collections::BTreeSet;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const DIM: usize = 16;
 const ITEMS: usize = 20;
@@ -210,6 +210,40 @@ fn tcp_cluster_member_joins_after_failure_with_full_recall() {
     client.shutdown().unwrap();
     member.join().unwrap().unwrap();
     monitor.shutdown().unwrap();
+    head.join().unwrap().unwrap();
+}
+
+/// A small request/reply pair on one long-lived connection must cost
+/// what loopback costs (tens of µs), not a Nagle hold plus a delayed ACK
+/// each way (~88 ms a round trip when a frame left as three writes on a
+/// socket without `TCP_NODELAY`: 200 trips took ≈ 17 s, now ≈ 4 ms).
+#[test]
+fn tcp_round_trips_do_not_wait_on_delayed_acks() {
+    let data: Vec<Dataset> = (0..4).map(collection).collect();
+    let (net, _) = HypermNetwork::build(data, config()).unwrap();
+    let key = vec![0.5; net.overlay(0).dim()];
+
+    let head_ep = TcpEndpoint::bind(0, "127.0.0.1:0").unwrap();
+    let head_addr = head_ep.local_addr();
+    let mut head_rt = NodeRuntime::new(head_ep, Role::Head(Box::new(net)));
+    let head = std::thread::spawn(move || head_rt.serve_until_shutdown());
+
+    let client_ep = TcpEndpoint::bind(77, "127.0.0.1:0").unwrap();
+    client_ep.connect(0, head_addr).unwrap();
+    let client = Client::new(client_ep, 0);
+
+    let owner = client.route(0, &key).unwrap();
+    let started = Instant::now();
+    for _ in 0..200 {
+        assert_eq!(client.route(0, &key).unwrap(), owner);
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "200 round trips took {took:?}"
+    );
+
+    client.shutdown().unwrap();
     head.join().unwrap().unwrap();
 }
 
