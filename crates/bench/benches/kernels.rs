@@ -11,7 +11,7 @@ use hyperm_baton::{BatonConfig, BatonOverlay};
 use hyperm_can::{CanConfig, CanOverlay, ObjectRef};
 use hyperm_cluster::kmeans::kmeans;
 use hyperm_cluster::{Dataset, KMeansConfig};
-use hyperm_core::{HypermConfig, HypermNetwork, KnnOptions, QueryEngine};
+use hyperm_core::{HypermConfig, HypermNetwork, KnnOptions};
 use hyperm_datagen::{generate_markov, MarkovConfig};
 use hyperm_geometry::{intersection_fraction, solve_epsilon_for_k, ClusterView};
 use hyperm_sim::NodeId;
@@ -232,30 +232,16 @@ fn bench_query_engine(c: &mut Criterion) {
     let cfg = HypermConfig::new(64)
         .with_levels(4)
         .with_clusters_per_peer(10)
-        .with_seed(13)
-        .with_parallel_query(false);
-    let (serial_net, _) = HypermNetwork::build(peers.clone(), cfg).unwrap();
-    let mut parallel_net = serial_net.clone();
-    parallel_net.config.parallel_query = true;
+        .with_seed(13);
+    let (net, _) = HypermNetwork::build(peers.clone(), cfg).unwrap();
     let queries: Vec<Vec<f64>> = (0..32).map(|i| peers[i % 20].row(i).to_vec()).collect();
 
     group.bench_function("serial_32_range_queries", |b| {
         b.iter(|| {
             for q in &queries {
-                black_box(serial_net.range_query(0, black_box(q), 0.2, None));
+                black_box(net.range_query(0, black_box(q), 0.2, None));
             }
         })
-    });
-    group.bench_function("parallel_levels_32_range_queries", |b| {
-        b.iter(|| {
-            for q in &queries {
-                black_box(parallel_net.range_query(0, black_box(q), 0.2, None));
-            }
-        })
-    });
-    let engine = QueryEngine::new(&serial_net);
-    group.bench_function("engine_batch_32_range_queries", |b| {
-        b.iter(|| black_box(engine.range_batch(0, black_box(&queries), 0.2, None)))
     });
     group.finish();
 }

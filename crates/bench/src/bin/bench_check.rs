@@ -13,8 +13,6 @@
 //!
 //! Checked per file:
 //!
-//! * `BENCH_query.json` — throughput sections present with positive
-//!   qps, quantiles ordered, `recall >= 0.99`;
 //! * `BENCH_churn.json` — non-empty sweep, recalls in range, perfect
 //!   recall at `fail_frac = 0`, `recall_alive >= 0.95` in the repair
 //!   arm (the no-repair baseline is allowed to decay — that gap *is*
@@ -39,8 +37,7 @@ type Check = fn(&JsonValue, &mut Errors);
 
 fn main() -> ExitCode {
     let dir = std::env::args().nth(1).unwrap_or_else(|| ".".into());
-    let checks: [(&str, Check); 5] = [
-        ("BENCH_query.json", check_query),
+    let checks: [(&str, Check); 4] = [
         ("BENCH_churn.json", check_churn),
         ("BENCH_faults.json", check_faults),
         ("BENCH_load.json", check_load),
@@ -139,37 +136,6 @@ fn check_workload(v: &JsonValue, fields: &[&str], errs: &mut Errors) {
         }
         None => errs.push("missing \"workload\" object".into()),
     }
-}
-
-fn check_query(v: &JsonValue, errs: &mut Errors) {
-    check_workload(
-        v,
-        &["peers", "items_per_peer", "dim", "levels", "queries"],
-        errs,
-    );
-    for section in ["serial", "parallel_levels"] {
-        match v.get(section) {
-            Some(s) => {
-                let qps = need(s, "qps", section, errs);
-                errs.require(qps > 0.0, &format!("{section}.qps must be positive"));
-                let p50 = need(s, "p50_ms", section, errs);
-                let p99 = need(s, "p99_ms", section, errs);
-                errs.require(
-                    p50 > 0.0 && p99 >= p50,
-                    &format!("{section} latency quantiles must satisfy 0 < p50 <= p99"),
-                );
-            }
-            None => errs.push(format!("missing {section:?} section")),
-        }
-    }
-    errs.require(
-        v.get("batch")
-            .and_then(|b| num(b, "qps"))
-            .is_some_and(|x| x > 0.0),
-        "batch.qps must be positive",
-    );
-    let recall = need(v, "recall", "top level", errs);
-    errs.require(recall >= 0.99, "recall must be >= 0.99");
 }
 
 fn check_churn(v: &JsonValue, errs: &mut Errors) {

@@ -176,8 +176,7 @@ fn main() {
     let cfg = HypermConfig::new(dim)
         .with_levels(4)
         .with_clusters_per_peer(10)
-        .with_seed(113)
-        .with_parallel_query(false);
+        .with_seed(113);
     let (base, _) = HypermNetwork::build(peers, cfg.clone()).unwrap();
 
     // --- Sweep: fail fraction × repair on/off (paired victims/queries). ---

@@ -84,8 +84,7 @@ fn main() {
     let cfg = HypermConfig::new(DIM)
         .with_levels(LEVELS)
         .with_clusters_per_peer(4)
-        .with_seed(43)
-        .with_parallel_query(false); // serial => deterministic event order
+        .with_seed(43);
     let (mut net, report) = HypermNetwork::build_traced(peers.clone(), cfg, rec.clone()).unwrap();
     let build_events = ring.drain();
     println!(
@@ -267,8 +266,7 @@ fn cluster_replay() {
     let cfg = HypermConfig::new(DIM)
         .with_levels(LEVELS)
         .with_clusters_per_peer(4)
-        .with_seed(43)
-        .with_parallel_query(false);
+        .with_seed(43);
     let (head_rec, head_ring) = Recorder::ring(1 << 16);
     let (net, report) = HypermNetwork::build_traced(peers.clone(), cfg, head_rec.clone()).unwrap();
     println!(

@@ -51,11 +51,6 @@ pub struct HypermConfig {
     pub max_can_dim: usize,
     /// k-means iteration cap for peer summarisation.
     pub kmeans_max_iter: usize,
-    /// Execute the per-level overlay lookups of a query concurrently
-    /// (scoped threads, one per level). Results are bit-identical to the
-    /// serial path — levels are independent and their stats are merged in
-    /// level order — so this is purely a host wall-clock knob.
-    pub parallel_query: bool,
     /// Master seed: peers, levels and overlays derive their own from it.
     pub seed: u64,
     /// Which overlay substrate to build per subspace (CAN in the paper's
@@ -77,7 +72,6 @@ impl HypermConfig {
             score_policy: ScorePolicy::Min,
             max_can_dim: 8,
             kmeans_max_iter: 50,
-            parallel_query: true,
             seed: 0,
             overlay_backend: OverlayBackend::Can,
         }
@@ -116,12 +110,6 @@ impl HypermConfig {
     /// Select the overlay substrate.
     pub fn with_backend(mut self, backend: OverlayBackend) -> Self {
         self.overlay_backend = backend;
-        self
-    }
-
-    /// Toggle concurrent per-level query execution.
-    pub fn with_parallel_query(mut self, on: bool) -> Self {
-        self.parallel_query = on;
         self
     }
 

@@ -70,7 +70,6 @@ pub use overlay::{Overlay, OverlayBackend};
 pub use peer::Peer;
 pub use publish::{PublishReport, SphereRef};
 pub use query::cache::{LevelScores, SummaryCache};
-pub use query::engine::QueryEngine;
 pub use query::knn::{KnnOptions, KnnResult};
 pub use query::point::PointResult;
 pub use query::range::RangeResult;

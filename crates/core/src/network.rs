@@ -527,41 +527,6 @@ impl HypermNetwork {
         let coeffs = dec.subspace(self.subspaces[level]).expect("level exists");
         self.keymaps[level].to_key_slack(coeffs)
     }
-
-    /// Run `f(level)` for every published level and collect the results in
-    /// level order. With `parallel` set (and more than one level), each
-    /// level runs on its own scoped thread; results are written into
-    /// per-level slots, so the returned vector — and any stats merged from
-    /// it in level order — is bit-identical to the serial path.
-    pub(crate) fn run_levels<T, F>(&self, parallel: bool, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let levels = self.levels();
-        if !parallel || levels <= 1 {
-            return (0..levels).map(f).collect();
-        }
-        let mut slots: Vec<Option<T>> = (0..levels).map(|_| None).collect();
-        let f = &f;
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..levels)
-                .map(|l| scope.spawn(move |_| (l, f(l))))
-                .collect();
-            for h in handles {
-                // hyperm-lint: allow(panic-unwrap) — re-raising a worker panic on the coordinator thread is the intended propagation
-                let (l, v) = h.join().expect("level query thread panicked");
-                slots[l] = Some(v);
-            }
-        })
-        // hyperm-lint: allow(panic-unwrap) — crossbeam scope only errs when a child panicked; propagating is intended
-        .expect("crossbeam scope");
-        slots
-            .into_iter()
-            // hyperm-lint: allow(panic-unwrap) — the join loop above filled every slot or panicked
-            .map(|s| s.expect("every level produced a result"))
-            .collect()
-    }
 }
 
 /// Replay the publication schedule on the discrete-event scheduler: every
@@ -572,7 +537,6 @@ impl HypermNetwork {
 fn simulate_parallel_publication(per_peer_rounds: &[Vec<u64>]) -> u64 {
     // Payload: (peer, index of the insert that just *completed*).
     let mut sched: Scheduler<(usize, usize)> = Scheduler::new();
-    let mut makespan = 0u64;
     for (peer, rounds) in per_peer_rounds.iter().enumerate() {
         if let Some(&first) = rounds.first() {
             // An insert of zero rounds (local store only) completes at t=0.
@@ -585,8 +549,7 @@ fn simulate_parallel_publication(per_peer_rounds: &[Vec<u64>]) -> u64 {
             sched.schedule_in(next, NodeId(peer), (peer, idx + 1));
         }
     });
-    makespan = makespan.max(end.0);
-    makespan
+    end.0
 }
 
 /// Summarise all peers, in parallel when the corpus is large enough to pay
@@ -613,11 +576,11 @@ fn summarize_all(peers_data: Vec<Dataset>, config: &HypermConfig) -> Vec<Peer> {
         cs
     };
     let mut out: Vec<Peer> = Vec::new();
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .into_iter()
             .map(|chunk| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     chunk
                         .into_iter()
                         .map(|(id, items)| Peer::summarize(id, items, config))
@@ -629,10 +592,8 @@ fn summarize_all(peers_data: Vec<Dataset>, config: &HypermConfig) -> Vec<Peer> {
             // hyperm-lint: allow(panic-unwrap) — re-raising a worker panic on the coordinator thread is the intended propagation
             out.extend(h.join().expect("summarisation thread panicked"));
         }
-        out.sort_by_key(|p| p.id);
-    })
-    // hyperm-lint: allow(panic-unwrap) — crossbeam scope only errs when a child panicked; propagating is intended
-    .expect("crossbeam scope");
+    });
+    out.sort_by_key(|p| p.id);
     out
 }
 

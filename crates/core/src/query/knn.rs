@@ -27,7 +27,6 @@ use hyperm_geometry::vecmath::dist;
 use hyperm_geometry::{solve_epsilon_for_k, ClusterView};
 use hyperm_sim::{NodeId, OpStats};
 use hyperm_telemetry::{names, OpKind, SpanId};
-use hyperm_wavelet::Decomposition;
 
 /// Tuning of the k-nn heuristic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,16 +85,7 @@ impl HypermNetwork {
     /// Retrieve the `k` items nearest to `q` (original space), following
     /// the retrieveKnn algorithm of Figure 5.
     pub fn knn_query(&self, from_peer: usize, q: &[f64], k: usize, opts: KnnOptions) -> KnnResult {
-        let dec = self.decompose_query(q);
-        self.knn_query_with(
-            from_peer,
-            q,
-            k,
-            opts,
-            &dec,
-            self.config.parallel_query,
-            None,
-        )
+        self.knn_query_inner(from_peer, q, k, opts, None)
     }
 
     /// k-nn query with a failure-tolerance [`QueryBudget`]: unreachable
@@ -111,32 +101,21 @@ impl HypermNetwork {
         opts: KnnOptions,
         budget: QueryBudget,
     ) -> KnnResult {
-        let dec = self.decompose_query(q);
-        self.knn_query_with(
-            from_peer,
-            q,
-            k,
-            opts,
-            &dec,
-            self.config.parallel_query,
-            Some(budget),
-        )
+        self.knn_query_inner(from_peer, q, k, opts, Some(budget))
     }
 
-    /// Shared inner k-nn query (public API and [`crate::QueryEngine`]);
-    /// see [`HypermNetwork::range_query_with`] for the parameter contract.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn knn_query_with(
+    /// Both public entry points land here; `budget = None` keeps phase 2
+    /// on the legacy fetch loop, byte for byte.
+    fn knn_query_inner(
         &self,
         from_peer: usize,
         q: &[f64],
         k: usize,
         opts: KnnOptions,
-        dec: &Decomposition,
-        parallel: bool,
         budget: Option<QueryBudget>,
     ) -> KnnResult {
         assert!(k > 0, "k must be positive");
+        let dec = self.decompose_query(q);
         let tel = self.recorder();
         let traced = tel.is_enabled();
         // hyperm-lint: allow(det-wall-clock) — host-latency metric for the trace only; never feeds simulated results or routing decisions
@@ -156,9 +135,12 @@ impl HypermNetwork {
         } else {
             SpanId::NONE
         };
-        let level_out = self.run_levels(parallel, |l| {
+        let mut stats = OpStats::zero();
+        let mut epsilons = Vec::with_capacity(self.levels());
+        let mut per_level = Vec::with_capacity(self.levels());
+        for l in 0..self.levels() {
             let mut lstats = OpStats::zero();
-            let (key, slack) = self.query_key_with_slack(dec, l);
+            let (key, slack) = self.query_key_with_slack(&dec, l);
             let dim = self.overlay(l).dim() as u32;
             let diag = (dim as f64).sqrt();
             let ltel = self.overlay(l).recorder();
@@ -222,12 +204,6 @@ impl HypermNetwork {
                 );
                 ltel.record_op(OpKind::KnnQuery, Some(l), lstats);
             }
-            (lstats, eps_l, scores)
-        });
-        let mut stats = OpStats::zero();
-        let mut epsilons = Vec::with_capacity(level_out.len());
-        let mut per_level = Vec::with_capacity(level_out.len());
-        for (lstats, eps_l, scores) in level_out {
             stats += lstats;
             epsilons.push(eps_l);
             per_level.push(scores);

@@ -13,13 +13,10 @@
 //! * [`knn`] — the Figure-5 heuristic with the Eq. 8 radius estimation and
 //!   the `C` precision/recall knob;
 //! * [`point`] — exact-match lookups;
-//! * [`engine`] — batch execution over a query workload, amortising the
-//!   per-level radius translation and fanning queries out over threads;
 //! * [`cache`] — the popular-summary cache entry peers may consult before
 //!   a phase-1 overlay lookup (hot-spot relief; see `hyperm-load`).
 
 pub mod cache;
-pub mod engine;
 pub mod knn;
 pub mod point;
 pub mod range;

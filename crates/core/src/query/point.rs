@@ -13,7 +13,6 @@ use crate::network::HypermNetwork;
 use crate::query::{direct_fetch_cost, timed_out_fetch_cost, QueryBudget};
 use hyperm_sim::{NodeId, OpStats};
 use hyperm_telemetry::{names, OpKind, SpanId};
-use hyperm_wavelet::Decomposition;
 use std::collections::BTreeMap;
 
 /// Outcome of a point query.
@@ -33,8 +32,7 @@ pub struct PointResult {
 impl HypermNetwork {
     /// Find every peer holding an item exactly equal to `q`.
     pub fn point_query(&self, from_peer: usize, q: &[f64]) -> PointResult {
-        let dec = self.decompose_query(q);
-        self.point_query_with(from_peer, q, &dec, self.config.parallel_query, None)
+        self.point_query_inner(from_peer, q, None)
     }
 
     /// Point query with a failure-tolerance [`QueryBudget`]: probes to
@@ -48,20 +46,18 @@ impl HypermNetwork {
         q: &[f64],
         budget: QueryBudget,
     ) -> PointResult {
-        let dec = self.decompose_query(q);
-        self.point_query_with(from_peer, q, &dec, self.config.parallel_query, Some(budget))
+        self.point_query_inner(from_peer, q, Some(budget))
     }
 
-    /// Shared inner point query (public API and [`crate::QueryEngine`]);
-    /// see `HypermNetwork::range_query_with` for the parameter contract.
-    pub(crate) fn point_query_with(
+    /// Both public entry points land here; `budget = None` keeps the
+    /// legacy probe loop, byte for byte.
+    fn point_query_inner(
         &self,
         from_peer: usize,
         q: &[f64],
-        dec: &Decomposition,
-        parallel: bool,
         budget: Option<QueryBudget>,
     ) -> PointResult {
+        let dec = self.decompose_query(q);
         let tel = self.recorder();
         let traced = tel.is_enabled();
         // hyperm-lint: allow(det-wall-clock) — host-latency metric for the trace only; never feeds simulated results or routing decisions
@@ -78,8 +74,10 @@ impl HypermNetwork {
         };
 
         // Candidate = sphere containment per level, folded like scores.
-        let level_out = self.run_levels(parallel, |l| {
-            let key = self.query_key(dec, l);
+        let mut stats = OpStats::zero();
+        let mut per_level: Vec<BTreeMap<usize, f64>> = Vec::with_capacity(self.levels());
+        for l in 0..self.levels() {
+            let key = self.query_key(&dec, l);
             let ltel = self.overlay(l).recorder();
             let lspan = if ltel.is_enabled() {
                 let s = ltel.span(qspan, names::OVERLAY_LOOKUP, vec![]);
@@ -107,11 +105,6 @@ impl HypermNetwork {
                 );
                 ltel.record_op(OpKind::PointQuery, Some(l), op);
             }
-            (op, level)
-        });
-        let mut stats = OpStats::zero();
-        let mut per_level: Vec<BTreeMap<usize, f64>> = Vec::with_capacity(level_out.len());
-        for (op, level) in level_out {
             stats += op;
             per_level.push(level);
         }

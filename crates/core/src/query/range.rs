@@ -16,7 +16,6 @@ use crate::query::{direct_fetch_cost, timed_out_fetch_cost, QueryBudget};
 use crate::score::{aggregate, level_scores, PeerScore};
 use hyperm_sim::{NodeId, OpStats};
 use hyperm_telemetry::{names, OpKind, SpanId};
-use hyperm_wavelet::Decomposition;
 
 /// Outcome of a distributed range query.
 #[derive(Debug, Clone)]
@@ -45,18 +44,7 @@ impl HypermNetwork {
         eps: f64,
         peer_budget: Option<usize>,
     ) -> RangeResult {
-        assert!(eps >= 0.0, "negative radius {eps}");
-        let dec = self.decompose_query(q);
-        self.range_query_with(
-            from_peer,
-            q,
-            eps,
-            peer_budget,
-            &dec,
-            None,
-            self.config.parallel_query,
-            None,
-        )
+        self.range_query_inner(from_peer, q, eps, peer_budget, None)
     }
 
     /// Range query with a failure-tolerance [`QueryBudget`]: unanswered
@@ -73,40 +61,22 @@ impl HypermNetwork {
         peer_budget: Option<usize>,
         budget: QueryBudget,
     ) -> RangeResult {
-        assert!(eps >= 0.0, "negative radius {eps}");
-        let dec = self.decompose_query(q);
-        self.range_query_with(
-            from_peer,
-            q,
-            eps,
-            peer_budget,
-            &dec,
-            None,
-            self.config.parallel_query,
-            Some(budget),
-        )
+        self.range_query_inner(from_peer, q, eps, peer_budget, Some(budget))
     }
 
-    /// Shared inner range query: the public API and the batch
-    /// [`crate::QueryEngine`] both land here. `dec` is the query's (possibly
-    /// reused) wavelet decomposition; `base_radii` optionally supplies the
-    /// per-level key-space radii (the engine precomputes them once per
-    /// batch); `parallel` selects per-level scoped threads. All paths
-    /// produce bit-identical results: levels are independent and stats are
-    /// merged in level order. `budget = None` keeps phase 2 on the legacy
-    /// fetch loop, byte for byte.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn range_query_with(
+    /// Both public entry points land here. Levels run in order and their
+    /// stats are summed in that order. `budget = None` keeps phase 2 on
+    /// the legacy fetch loop, byte for byte.
+    fn range_query_inner(
         &self,
         from_peer: usize,
         q: &[f64],
         eps: f64,
         peer_budget: Option<usize>,
-        dec: &Decomposition,
-        base_radii: Option<&[f64]>,
-        parallel: bool,
         budget: Option<QueryBudget>,
     ) -> RangeResult {
+        assert!(eps >= 0.0, "negative radius {eps}");
+        let dec = self.decompose_query(q);
         let tel = self.recorder();
         let traced = tel.is_enabled();
         // hyperm-lint: allow(det-wall-clock) — host-latency metric for the trace only; never feeds simulated results or routing decisions
@@ -132,10 +102,11 @@ impl HypermNetwork {
         // coefficients fall outside the configured bounds (zero otherwise),
         // matching the publish-side widening — no false dismissals either
         // way.
-        let level_out = self.run_levels(parallel, |l| {
-            let (key, slack) = self.query_key_with_slack(dec, l);
-            let base = base_radii.map_or_else(|| self.query_key_radius(eps, l), |r| r[l]);
-            let key_eps = base + slack;
+        let mut stats = OpStats::zero();
+        let mut per_level = Vec::with_capacity(self.levels());
+        for l in 0..self.levels() {
+            let (key, slack) = self.query_key_with_slack(&dec, l);
+            let key_eps = self.query_key_radius(eps, l) + slack;
             let ltel = self.overlay(l).recorder();
             // Popular-summary cache (hot-spot relief): an identical
             // phase-1 lookup seen since the last overlay mutation is
@@ -151,7 +122,8 @@ impl HypermNetwork {
                             vec![("level", l.into()), ("peers", scores.len().into())],
                         );
                     }
-                    return (OpStats::zero(), scores);
+                    per_level.push(scores);
+                    continue;
                 }
             }
             let lspan = if ltel.is_enabled() {
@@ -190,12 +162,7 @@ impl HypermNetwork {
                     ltel.event(qspan, names::CACHE_MISS, vec![("level", l.into())]);
                 }
             }
-            (out.stats, scores)
-        });
-        let mut stats = OpStats::zero();
-        let mut per_level = Vec::with_capacity(level_out.len());
-        for (op, scores) in level_out {
-            stats += op;
+            stats += out.stats;
             per_level.push(scores);
         }
         let ranked = aggregate(&per_level, self.config.score_policy);

@@ -135,10 +135,10 @@ fn facade_fixture_workspace() {
 /// Acceptance criterion: a deliberately introduced `HashMap` iteration in
 /// a real `crates/core/src/query/` source is caught at the planted line.
 #[test]
-fn injected_hashmap_iteration_in_query_engine_is_caught() {
+fn injected_hashmap_iteration_in_query_source_is_caught() {
     let repo_root = workspace_root();
-    let rel = "crates/core/src/query/engine.rs";
-    let original = std::fs::read_to_string(repo_root.join(rel)).expect("read engine.rs");
+    let rel = "crates/core/src/query/range.rs";
+    let original = std::fs::read_to_string(repo_root.join(rel)).expect("read range.rs");
 
     // The pristine source must be det-clean (suppressions included).
     let (violations, _) = lint_source(rel, "core", &original);
@@ -148,7 +148,7 @@ fn injected_hashmap_iteration_in_query_engine_is_caught() {
         .collect();
     assert!(
         det.is_empty(),
-        "engine.rs already has det violations: {det:?}"
+        "range.rs already has det violations: {det:?}"
     );
 
     // Plant a HashMap iteration at a known line past the end.

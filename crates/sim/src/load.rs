@@ -17,9 +17,9 @@
 //! uninstrumented build (asserted by `tests/load_equivalence.rs`).
 //!
 //! Counters are relaxed atomics in the style of [`crate::NetStats`]: the
-//! ledger is shared behind an [`Arc`] and charged from the level-parallel
-//! query threads without locks. Exact cross-thread ordering is
-//! irrelevant — only the final sums are read.
+//! ledger is shared behind an [`Arc`] and charged from `&self` query
+//! paths without locks. Exact cross-thread ordering is irrelevant — only
+//! the final sums are read.
 
 use crate::energy::EnergyModel;
 use crate::stats::OpStats;

@@ -19,10 +19,8 @@
 //! span that overlay-internal events attach to. The per-level CAN
 //! overlays each own a scoped handle; the query layer points each level's
 //! scope at the current `overlay_lookup` span before calling into the
-//! overlay. Scope slots are per level, so the level-parallel query path
-//! stays race-free; tracing *concurrent queries on one network* (the
-//! batch engine with several workers) is not supported — trace one query
-//! at a time.
+//! overlay. A slot holds one span, so trace one query at a time per
+//! network.
 
 use crate::event::{Event, EventClass, Fields, SpanId};
 use crate::metrics::Metrics;

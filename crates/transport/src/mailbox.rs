@@ -1,9 +1,9 @@
 //! A bounded multi-producer mailbox: the per-peer inbox behind every
 //! transport endpoint.
 //!
-//! The workspace's vendored `crossbeam` stand-in only provides scoped
-//! threads, so the channel is hand-built on `Mutex` + two `Condvar`s.
-//! Capacity is a hard bound: a sender faced with a full mailbox *blocks*
+//! The channel is hand-built on `Mutex` + two `Condvar`s, because
+//! `std::sync::mpsc` cannot time out a send on a full queue. Capacity
+//! is a hard bound: a sender faced with a full mailbox *blocks*
 //! (up to its timeout) instead of growing the queue — this is the
 //! backpressure contract DESIGN.md's Transport section documents. Slow
 //! receivers therefore throttle their senders; on the TCP path the

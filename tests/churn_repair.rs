@@ -38,8 +38,7 @@ fn network(seed: u64, peers: usize) -> HypermNetwork {
     let cfg = HypermConfig::new(32)
         .with_levels(3)
         .with_clusters_per_peer(6)
-        .with_seed(seed)
-        .with_parallel_query(false);
+        .with_seed(seed);
     HypermNetwork::build(peer_data, cfg).unwrap().0
 }
 

@@ -52,7 +52,6 @@ fn config() -> HypermConfig {
         .with_levels(3)
         .with_clusters_per_peer(4)
         .with_seed(SEED)
-        .with_parallel_query(false)
 }
 
 fn sq_dist(a: &[f64], b: &[f64]) -> f64 {

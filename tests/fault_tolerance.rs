@@ -43,8 +43,7 @@ fn network(seed: u64, peers: usize) -> HypermNetwork {
     let cfg = HypermConfig::new(32)
         .with_levels(3)
         .with_clusters_per_peer(6)
-        .with_seed(seed)
-        .with_parallel_query(false);
+        .with_seed(seed);
     HypermNetwork::build(peer_data, cfg).unwrap().0
 }
 
@@ -317,8 +316,7 @@ fn fallback_events_and_counters_are_recorded() {
     let cfg = HypermConfig::new(32)
         .with_levels(3)
         .with_clusters_per_peer(6)
-        .with_seed(seed)
-        .with_parallel_query(false);
+        .with_seed(seed);
     let (rec, ring) = Recorder::ring(1 << 16);
     let (mut net, _) = HypermNetwork::build_traced(peer_data, cfg, rec.clone()).unwrap();
 

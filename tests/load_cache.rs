@@ -36,7 +36,6 @@ fn config(seed: u64) -> HypermConfig {
         .with_levels(LEVELS)
         .with_clusters_per_peer(4)
         .with_seed(seed)
-        .with_parallel_query(false)
 }
 
 fn build(seed: u64) -> HypermNetwork {

@@ -55,8 +55,7 @@ fn relayed_query_stitches_into_one_route_tree() {
     let cfg = HypermConfig::new(DIM)
         .with_levels(LEVELS)
         .with_clusters_per_peer(4)
-        .with_seed(SEED)
-        .with_parallel_query(false);
+        .with_seed(SEED);
     let (net, _) = HypermNetwork::build_traced(data.clone(), cfg, head_rec.clone()).unwrap();
     let head_ep = TcpEndpoint::bind(HEAD, "127.0.0.1:0").unwrap();
     let head_addr = head_ep.local_addr();

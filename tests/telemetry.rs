@@ -35,14 +35,13 @@ fn config(seed: u64) -> HypermConfig {
         .with_levels(LEVELS)
         .with_clusters_per_peer(4)
         .with_seed(seed)
-        .with_parallel_query(false) // serial => deterministic event order
 }
 
 /// Build a traced network and run one of each query kind, returning the
 /// captured event stream.
-fn traced_run(seed: u64) -> Vec<Event> {
+fn traced_run(seed: u64, cfg: HypermConfig) -> Vec<Event> {
     let (rec, ring) = Recorder::ring(1 << 16);
-    let (net, _) = HypermNetwork::build_traced(peers(seed), config(seed), rec).unwrap();
+    let (net, _) = HypermNetwork::build_traced(peers(seed), cfg, rec).unwrap();
     let q = peers(seed)[3].row(0).to_vec();
     net.range_query(0, &q, 0.2, None);
     net.knn_query(1, &q, 4, KnnOptions::default());
@@ -53,10 +52,26 @@ fn traced_run(seed: u64) -> Vec<Event> {
 
 #[test]
 fn same_seed_gives_identical_event_streams() {
-    let a = traced_run(7);
-    let b = traced_run(7);
+    let a = traced_run(7, config(7));
+    let b = traced_run(7, config(7));
     assert!(!a.is_empty());
     assert_eq!(a, b, "equal seeds must produce equal event streams");
+}
+
+#[test]
+fn default_config_gives_byte_equal_jsonl_streams() {
+    // The configuration exactly as shipped — only the seed is set — and
+    // the exported JSONL bytes, not just the in-memory events: nothing a
+    // default build does may reorder or renumber a traced query.
+    let jsonl = || -> String {
+        traced_run(31, HypermConfig::new(DIM).with_seed(31))
+            .iter()
+            .map(|e| format!("{}\n", e.to_json_line()))
+            .collect()
+    };
+    let (a, b) = (jsonl(), jsonl());
+    assert!(a.contains("\"query\""), "no query span in the trace");
+    assert_eq!(a, b, "default config must trace deterministically");
 }
 
 #[test]

@@ -45,7 +45,6 @@ fn config(seed: u64) -> HypermConfig {
         .with_levels(LEVELS)
         .with_clusters_per_peer(4)
         .with_seed(seed)
-        .with_parallel_query(false) // serial => deterministic event order
 }
 
 /// The shared workload: query points and the item inserted mid-run.
