@@ -16,7 +16,7 @@
 use crate::network::HypermNetwork;
 use crate::overlay::Overlay;
 use crate::peer::Peer;
-use hyperm_can::ObjectRef;
+use crate::publish::sphere_object;
 use hyperm_cluster::Dataset;
 use hyperm_sim::{NodeId, OpStats};
 use rand::rngs::StdRng;
@@ -134,22 +134,13 @@ impl HypermNetwork {
         let mut clusters_published = 0u64;
         for l in 0..self.levels() {
             for (c, sphere) in peer.summaries[l].iter().enumerate() {
-                // Clamp-slack widening, as in the build-time publication
-                // loop: keeps out-of-bounds centroids covered (zero for
-                // in-bounds data).
-                let (key, slack) = self.keymap(l).to_key_slack(&sphere.centroid);
-                let key_radius = self.keymap(l).to_key_radius(sphere.radius) + slack;
+                let (key, key_radius, payload) = sphere_object(self.keymap(l), peer_id, c, sphere);
                 let replicate = self.config.replicate;
-                let items_count = sphere.items as u32;
                 let out = self.overlay_mut(l).insert_sphere(
                     NodeId(peer_id),
                     key,
                     key_radius,
-                    ObjectRef {
-                        peer: peer_id,
-                        tag: c as u64,
-                        items: items_count,
-                    },
+                    payload,
                     replicate,
                 );
                 insertion += out.stats;

@@ -16,7 +16,7 @@
 //!   its count) and the updated sphere is re-published, at overlay cost.
 
 use crate::network::HypermNetwork;
-use hyperm_can::ObjectRef;
+use crate::publish::sphere_object;
 use hyperm_geometry::vecmath::dist;
 use hyperm_sim::{NodeId, OpStats};
 
@@ -71,30 +71,21 @@ impl HypermNetwork {
                 // Re-publish the updated sphere: first invalidate the old
                 // replicas (costed per replica), then insert the refreshed
                 // sphere — the overlay never accumulates stale versions.
-                let (key, key_radius, items) = {
-                    let sp = &self.peer(peer).summaries[l][best];
-                    // Clamp-slack widening, as in the build-time
-                    // publication loop.
-                    let (key, slack) = self.keymap(l).to_key_slack(&sp.centroid);
-                    (
-                        key,
-                        self.keymap(l).to_key_radius(sp.radius) + slack,
-                        sp.items as u32,
-                    )
-                };
+                let (key, key_radius, payload) = sphere_object(
+                    self.keymap(l),
+                    peer,
+                    best,
+                    &self.peer(peer).summaries[l][best],
+                );
                 let replicate = self.config.replicate;
-                if grew || items % 16 == 0 {
+                if grew || payload.items % 16 == 0 {
                     let (_, invalidation) = self.overlay_mut(l).remove_objects(peer, best as u64);
                     stats += invalidation;
                     let out = self.overlay_mut(l).insert_sphere(
                         NodeId(peer),
                         key,
                         key_radius,
-                        ObjectRef {
-                            peer,
-                            tag: best as u64,
-                            items,
-                        },
+                        payload,
                         replicate,
                     );
                     stats += out.stats;

@@ -12,9 +12,10 @@
 use crate::config::HypermConfig;
 use crate::overlay::Overlay;
 use crate::peer::Peer;
+use crate::publish::sphere_object;
 use crate::query::cache::SummaryCache;
 use crate::HypermError;
-use hyperm_can::{KeyMap, ObjectRef};
+use hyperm_can::KeyMap;
 use hyperm_cluster::Dataset;
 use hyperm_sim::{LoadLedger, LoadProbe, NodeId, OpStats, Scheduler};
 use hyperm_telemetry::{names, OpKind, Recorder, SpanId};
@@ -166,14 +167,7 @@ impl HypermNetwork {
         for peer in &peers {
             for (l, summary) in peer.summaries.iter().enumerate() {
                 for (c, sphere) in summary.iter().enumerate() {
-                    // Centroids outside the configured bounds get clamped
-                    // into key space; widening the published radius by the
-                    // clamp slack keeps the stored sphere covering the
-                    // images of all its items (no false dismissals). The
-                    // slack is exactly 0 for in-bounds centroids, so the
-                    // common path is bit-identical to the plain conversion.
-                    let (key, slack) = keymaps[l].to_key_slack(&sphere.centroid);
-                    let key_radius = keymaps[l].to_key_radius(sphere.radius) + slack;
+                    let (key, key_radius, payload) = sphere_object(&keymaps[l], peer.id, c, sphere);
                     let ltel = overlays[l].recorder();
                     let span = if ltel.is_enabled() {
                         let s = ltel.span(
@@ -190,11 +184,7 @@ impl HypermNetwork {
                         NodeId(peer.id),
                         key,
                         key_radius,
-                        ObjectRef {
-                            peer: peer.id,
-                            tag: c as u64,
-                            items: sphere.items as u32,
-                        },
+                        payload,
                         config.replicate,
                     );
                     if ltel.is_enabled() {

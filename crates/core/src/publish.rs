@@ -18,7 +18,8 @@
 
 // hyperm-lint: allow-file(panic-index) — per-level vectors are built with len == levels() and indexed by the same 0..levels() range
 use crate::network::HypermNetwork;
-use hyperm_can::ObjectRef;
+use hyperm_can::{KeyMap, ObjectRef};
+use hyperm_cluster::ClusterSphere;
 use hyperm_sim::{NodeId, OpStats};
 use hyperm_telemetry::{counters, names, OpKind, SpanId};
 
@@ -60,39 +61,50 @@ impl PublishReport {
     }
 }
 
+/// The publish rule (Figure 2, step *i3*): `peer`'s `cluster`-th sphere as
+/// the overlay object every publication path stores — centre and radius in
+/// key space, plus the payload lookups score by. A centroid outside the
+/// configured bounds is clamped into key space; widening the radius by the
+/// clamp slack keeps the stored sphere covering the images of all its
+/// items, so Theorem 4.1 keeps holding. The slack is exactly 0 for an
+/// in-bounds centroid.
+pub(crate) fn sphere_object(
+    keymap: &KeyMap,
+    peer: usize,
+    cluster: usize,
+    sphere: &ClusterSphere,
+) -> (Vec<f64>, f64, ObjectRef) {
+    let (key, slack) = keymap.to_key_slack(&sphere.centroid);
+    let payload = ObjectRef {
+        peer,
+        tag: cluster as u64,
+        items: sphere.items as u32,
+    };
+    (key, keymap.to_key_radius(sphere.radius) + slack, payload)
+}
+
 impl HypermNetwork {
     /// Publish (or re-publish) one cluster sphere through the fault-aware
-    /// path: invalidate old replicas, then `try_insert_sphere` with the
-    /// build-time clamp-slack widening. Returns whether the sphere reached
-    /// full replica coverage, plus the message cost (failed attempts
-    /// included).
+    /// path: invalidate old replicas, then `try_insert_sphere` the
+    /// `sphere_object`. Returns whether the sphere reached full replica
+    /// coverage, plus the message cost (failed attempts included).
     pub fn publish_sphere(&mut self, s: SphereRef) -> (bool, OpStats) {
         assert!(self.is_alive(s.peer), "dead peers cannot publish");
-        let (key, key_radius, items) = {
-            let sp = &self.peer(s.peer).summaries[s.level][s.cluster];
-            // Clamp-slack widening, as in the build-time publication loop.
-            let (key, slack) = self.keymap(s.level).to_key_slack(&sp.centroid);
-            (
-                key,
-                self.keymap(s.level).to_key_radius(sp.radius) + slack,
-                sp.items as u32,
-            )
-        };
+        let (key, key_radius, payload) = sphere_object(
+            self.keymap(s.level),
+            s.peer,
+            s.cluster,
+            &self.peer(s.peer).summaries[s.level][s.cluster],
+        );
         let replicate = self.config.replicate;
-        let mut stats = OpStats::zero();
-        let (_, invalidation) = self
+        let (_, mut stats) = self
             .overlay_mut(s.level)
             .remove_objects(s.peer, s.cluster as u64);
-        stats += invalidation;
         let delivered = match self.overlay_mut(s.level).try_insert_sphere(
             NodeId(s.peer),
             key,
             key_radius,
-            ObjectRef {
-                peer: s.peer,
-                tag: s.cluster as u64,
-                items,
-            },
+            payload,
             replicate,
         ) {
             Ok(out) => {
@@ -108,10 +120,9 @@ impl HypermNetwork {
     }
 
     /// Fault-aware soft-state republish of every cluster sphere `peer` has
-    /// published, with per-sphere delivery accounting. This is the
-    /// [`HypermNetwork::refresh_peer_summaries`] loop routed through the
-    /// fault injector: spheres that fail to route or land incompletely are
-    /// reported as deferred instead of silently assumed placed.
+    /// published, with per-sphere delivery accounting: spheres that fail
+    /// to route or land incompletely are reported as deferred instead of
+    /// silently assumed placed.
     pub fn refresh_peer_summaries_report(&mut self, peer: usize) -> PublishReport {
         assert!(self.is_alive(peer), "dead peers cannot refresh");
         let tel = self.recorder().clone();
@@ -121,60 +132,25 @@ impl HypermNetwork {
             SpanId::NONE
         };
         let mut report = PublishReport::default();
-        let replicate = self.config.replicate;
-        for l in 0..self.levels() {
-            self.overlay(l).set_scope(span);
+        for level in 0..self.levels() {
+            self.overlay(level).set_scope(span);
             let mut lstats = OpStats::zero();
-            let clusters = self.peer(peer).summaries[l].len();
-            for c in 0..clusters {
-                let (key, key_radius, items) = {
-                    let sp = &self.peer(peer).summaries[l][c];
-                    // Clamp-slack widening, as in the build-time
-                    // publication loop.
-                    let (key, slack) = self.keymap(l).to_key_slack(&sp.centroid);
-                    (
-                        key,
-                        self.keymap(l).to_key_radius(sp.radius) + slack,
-                        sp.items as u32,
-                    )
+            for cluster in 0..self.peer(peer).summaries[level].len() {
+                let sphere = SphereRef {
+                    peer,
+                    level,
+                    cluster,
                 };
-                let (_, invalidation) = self.overlay_mut(l).remove_objects(peer, c as u64);
-                lstats += invalidation;
-                match self.overlay_mut(l).try_insert_sphere(
-                    NodeId(peer),
-                    key,
-                    key_radius,
-                    ObjectRef {
-                        peer,
-                        tag: c as u64,
-                        items,
-                    },
-                    replicate,
-                ) {
-                    Ok(out) if out.complete() => {
-                        lstats += out.stats;
-                        report.delivered += 1;
-                    }
-                    Ok(out) => {
-                        lstats += out.stats;
-                        report.deferred.push(SphereRef {
-                            peer,
-                            level: l,
-                            cluster: c,
-                        });
-                    }
-                    Err(burnt) => {
-                        lstats += burnt;
-                        report.deferred.push(SphereRef {
-                            peer,
-                            level: l,
-                            cluster: c,
-                        });
-                    }
+                let (delivered, stats) = self.publish_sphere(sphere);
+                lstats += stats;
+                if delivered {
+                    report.delivered += 1;
+                } else {
+                    report.deferred.push(sphere);
                 }
             }
-            self.overlay(l).set_scope(SpanId::NONE);
-            tel.record_op(OpKind::Refresh, Some(l), lstats);
+            self.overlay(level).set_scope(SpanId::NONE);
+            tel.record_op(OpKind::Refresh, Some(level), lstats);
             report.stats += lstats;
         }
         // One refresh advances the popular-summary cache's TTL clock:

@@ -19,9 +19,9 @@
 //! overlay query (doubling radius until enough summarised items are in
 //! view), then run the estimation on what was found.
 
-// hyperm-lint: allow-file(panic-index) — per-level vectors are built with len == levels() and indexed by the same 0..levels() range
+// hyperm-lint: allow-file(panic-index) — the one slice is `ranked[..target]` with `target = p.min(ranked.len())`
 use crate::network::HypermNetwork;
-use crate::query::{direct_fetch_cost, timed_out_fetch_cost, QueryBudget};
+use crate::query::{QueryBudget, QueryRun, Reply};
 use crate::score::{aggregate, level_scores, peers_to_cover, PeerScore};
 use hyperm_geometry::vecmath::dist;
 use hyperm_geometry::{solve_epsilon_for_k, ClusterView};
@@ -104,8 +104,7 @@ impl HypermNetwork {
         self.knn_query_inner(from_peer, q, k, opts, Some(budget))
     }
 
-    /// Both public entry points land here; `budget = None` keeps phase 2
-    /// on the legacy fetch loop, byte for byte.
+    /// Both public entry points land here.
     fn knn_query_inner(
         &self,
         from_peer: usize,
@@ -116,26 +115,11 @@ impl HypermNetwork {
     ) -> KnnResult {
         assert!(k > 0, "k must be positive");
         let dec = self.decompose_query(q);
-        let tel = self.recorder();
-        let traced = tel.is_enabled();
-        // hyperm-lint: allow(det-wall-clock) — host-latency metric for the trace only; never feeds simulated results or routing decisions
-        let t0 = traced.then(std::time::Instant::now);
-        let qspan = if traced {
-            tel.span(
-                // Roots under the ambient scope (serve span when remote).
-                tel.scope(),
-                names::QUERY,
-                vec![
-                    ("kind", "knn".into()),
-                    ("from", from_peer.into()),
-                    ("k", k.into()),
-                    ("c", opts.c.into()),
-                ],
-            )
-        } else {
-            SpanId::NONE
-        };
-        let mut stats = OpStats::zero();
+        let kind = OpKind::KnnQuery;
+        let mut run = QueryRun::open(self, kind, "knn", from_peer, q.len(), budget, || {
+            vec![("k", k.into()), ("c", opts.c.into())]
+        });
+        let qspan = run.span;
         let mut epsilons = Vec::with_capacity(self.levels());
         let mut per_level = Vec::with_capacity(self.levels());
         for l in 0..self.levels() {
@@ -202,9 +186,9 @@ impl HypermNetwork {
                         ("peers", scores.len().into()),
                     ],
                 );
-                ltel.record_op(OpKind::KnnQuery, Some(l), lstats);
+                ltel.record_op(kind, Some(l), lstats);
             }
-            stats += lstats;
+            run.stats += lstats;
             epsilons.push(eps_l);
             per_level.push(scores);
         }
@@ -220,188 +204,53 @@ impl HypermNetwork {
         if let Some(budget) = opts.peer_budget {
             p = p.min(budget);
         }
-        let mut truncated = false;
-        let mut retrieved: Vec<((usize, usize), f64)> = Vec::new();
-        let q_bytes = 8 * (q.len() as u64 + 1) + 16;
-        let peers_contacted = match budget {
-            None => {
-                // Legacy fetch loop — byte-identical to the pre-budget path.
-                let selected = &ranked[..p.min(ranked.len())];
-                let sum: f64 = selected.iter().map(|s| s.score).sum();
-
-                // Steps 7–9: request a proportional share from each
-                // selected peer.
-                for ps in selected {
-                    if !self.is_alive(ps.peer) {
-                        stats += OpStats {
-                            hops: 1,
-                            messages: 1,
-                            bytes: q_bytes,
-                            ..OpStats::zero()
-                        };
-                        if traced {
-                            tel.event(
-                                qspan,
-                                names::FETCH,
-                                vec![
-                                    ("peer", ps.peer.into()),
-                                    ("alive", false.into()),
-                                    ("items", 0u64.into()),
-                                    ("bytes", q_bytes.into()),
-                                ],
-                            );
-                        }
-                        continue;
-                    }
-                    let share = if sum > 0.0 {
-                        ps.score / sum
-                    } else {
-                        1.0 / selected.len() as f64
-                    };
-                    let want = ((opts.c * k as f64 * share).ceil() as usize).max(1);
-                    let local = self.peer(ps.peer).local_knn(q, want);
-                    let resp_bytes = 8 * q.len() as u64 * local.len() as u64 + 16;
-                    stats += direct_fetch_cost(q_bytes, resp_bytes);
-                    // Exactly-once load attribution: the answering peer.
-                    if let Some(ledger) = self.load_ledger() {
-                        ledger.charge_fetch_answered(ps.peer, resp_bytes);
-                    }
-                    if traced {
-                        tel.event(
-                            qspan,
-                            names::FETCH,
-                            vec![
-                                ("peer", ps.peer.into()),
-                                ("alive", true.into()),
-                                ("want", want.into()),
-                                ("items", local.len().into()),
-                                ("bytes", (q_bytes + resp_bytes).into()),
-                            ],
-                        );
-                    }
-                    retrieved.extend(local.into_iter().map(|(i, d)| ((ps.peer, i), d)));
-                }
-                selected.len()
-            }
-            Some(b) => {
-                // Failure-aware selection, then fetch. Unreachable peers
-                // cost a timeout; with fallback the window slides so P
-                // reachable peers (when available) still split the k·C
-                // request mass by score.
-                let ticks = b.timeout_ticks();
-                let mut phase2_hops = 0u64;
-                let target = p.min(ranked.len());
-                let mut selected: Vec<&PeerScore> = Vec::with_capacity(target);
-                for (idx, ps) in ranked.iter().enumerate() {
-                    if selected.len() == target {
-                        break;
-                    }
-                    if !b.fallback && idx >= target {
-                        break;
-                    }
-                    if let Some(d) = b.deadline {
-                        if phase2_hops >= d {
-                            truncated = true;
-                            break;
-                        }
-                    }
-                    if !(self.is_alive(ps.peer) && self.peers_connected(from_peer, ps.peer)) {
-                        phase2_hops += ticks;
-                        stats += timed_out_fetch_cost(q_bytes, ticks);
-                        if traced {
-                            tel.event(
-                                qspan,
-                                names::FETCH_TIMEOUT,
-                                vec![
-                                    ("peer", ps.peer.into()),
-                                    ("ticks", ticks.into()),
-                                    ("bytes", q_bytes.into()),
-                                ],
-                            );
-                        }
-                        if let Some(m) = tel.metrics() {
-                            m.add(names::FETCH_TIMEOUT, 1);
-                        }
-                        continue;
-                    }
-                    if idx >= target {
-                        if traced {
-                            tel.event(
-                                qspan,
-                                names::FETCH_FALLBACK,
-                                vec![("peer", ps.peer.into()), ("rank", idx.into())],
-                            );
-                        }
-                        if let Some(m) = tel.metrics() {
-                            m.add(names::FETCH_FALLBACK, 1);
-                        }
-                    }
-                    selected.push(ps);
-                }
-                let sum: f64 = selected.iter().map(|s| s.score).sum();
-                let mut fetched = 0usize;
-                for ps in &selected {
-                    if let Some(d) = b.deadline {
-                        if phase2_hops >= d {
-                            truncated = true;
-                            break;
-                        }
-                    }
-                    let share = if sum > 0.0 {
-                        ps.score / sum
-                    } else {
-                        1.0 / selected.len() as f64
-                    };
-                    let want = ((opts.c * k as f64 * share).ceil() as usize).max(1);
-                    let local = self.peer(ps.peer).local_knn(q, want);
-                    let resp_bytes = 8 * q.len() as u64 * local.len() as u64 + 16;
-                    stats += direct_fetch_cost(q_bytes, resp_bytes);
-                    // Exactly-once load attribution: the answering peer.
-                    if let Some(ledger) = self.load_ledger() {
-                        ledger.charge_fetch_answered(ps.peer, resp_bytes);
-                    }
-                    phase2_hops += 2;
-                    if traced {
-                        tel.event(
-                            qspan,
-                            names::FETCH,
-                            vec![
-                                ("peer", ps.peer.into()),
-                                ("alive", true.into()),
-                                ("want", want.into()),
-                                ("items", local.len().into()),
-                                ("bytes", (q_bytes + resp_bytes).into()),
-                            ],
-                        );
-                    }
-                    retrieved.extend(local.into_iter().map(|(i, d)| ((ps.peer, i), d)));
-                    fetched += 1;
-                }
-                fetched
-            }
+        let target = p.min(ranked.len());
+        let none = Reply::Items { want: None, got: 0 };
+        // With a budget, first settle which peers will answer (timeouts
+        // and fallback happen here, nothing is fetched yet), so the C·k
+        // request mass is split among them by score; without one the top
+        // `target` are asked as ranked and a silent peer's share is lost.
+        let mut answering: Vec<PeerScore> = Vec::new();
+        let selected = if budget.is_some() {
+            answering.reserve(target);
+            run.walk(&ranked, target, none, |ps| {
+                answering.push(*ps);
+                None
+            });
+            answering.as_slice()
+        } else {
+            &ranked[..target]
         };
+        let sum: f64 = selected.iter().map(|s| s.score).sum();
+
+        // Steps 7–9: request a proportional share from each selected peer.
+        let mut retrieved: Vec<((usize, usize), f64)> = Vec::new();
+        let peers_contacted = run.walk(selected, selected.len(), none, |ps| {
+            let share = if sum > 0.0 {
+                ps.score / sum
+            } else {
+                1.0 / selected.len() as f64
+            };
+            let want = ((opts.c * k as f64 * share).ceil() as usize).max(1);
+            let local = self.peer(ps.peer).local_knn(q, want);
+            let got = local.len();
+            retrieved.extend(local.into_iter().map(|(i, d)| ((ps.peer, i), d)));
+            Some(Reply::Items {
+                want: Some(want),
+                got,
+            })
+        });
 
         // Step 10: sort and cut.
         // hyperm-lint: allow(panic-unwrap) — distances are finite (inputs validated, no NaN can reach the sort key)
         retrieved.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
         let topk = retrieved.iter().take(k).cloned().collect();
-        if traced {
-            tel.end(
-                qspan,
-                names::QUERY,
-                vec![
-                    ("hops", stats.hops.into()),
-                    ("messages", stats.messages.into()),
-                    ("bytes", stats.bytes.into()),
-                    ("retrieved", retrieved.len().into()),
-                    ("peers_contacted", peers_contacted.into()),
-                ],
-            );
-            tel.record_op(OpKind::KnnQuery, None, stats);
-            if let Some(t0) = t0 {
-                tel.record_latency_s(OpKind::KnnQuery, None, t0.elapsed().as_secs_f64());
-            }
-        }
+        let (stats, truncated) = run.close(|| {
+            vec![
+                ("retrieved", retrieved.len().into()),
+                ("peers_contacted", peers_contacted.into()),
+            ]
+        });
         KnnResult {
             retrieved,
             topk,

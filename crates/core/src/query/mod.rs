@@ -15,13 +15,30 @@
 //! * [`point`] — exact-match lookups;
 //! * [`cache`] — the popular-summary cache entry peers may consult before
 //!   a phase-1 overlay lookup (hot-spot relief; see `hyperm-load`).
+//!
+//! Phase 2 is one candidate walk (`QueryRun::walk`) for all three. A
+//! candidate that does not answer — dead, or severed by the active
+//! partition — is accounted one of two ways, chosen by whether the caller
+//! passed a [`QueryBudget`]; nothing else in the walk depends on it:
+//!
+//! | unanswered probe | no budget | budget |
+//! |---|---|---|
+//! | hops | 1 | `fetch_timeout` ticks |
+//! | messages, bytes | 1, request size | 1, request size |
+//! | failed routes | 0 | 1 |
+//! | counts toward `peers_contacted` | yes | no |
+//! | trace | `fetch{alive=false}` event | `fetch_timeout` event + counter |
+//! | contact window | fixed | slides to the next candidate if `fallback` |
 
 pub mod cache;
 pub mod knn;
 pub mod point;
 pub mod range;
 
+use crate::network::HypermNetwork;
+use crate::score::PeerScore;
 use hyperm_sim::OpStats;
+use hyperm_telemetry::{names, Fields, OpKind, SpanId};
 
 /// Failure-tolerance budget for the phase-2 direct fetch.
 ///
@@ -31,9 +48,8 @@ use hyperm_sim::OpStats;
 /// the contact window to the next-scored candidates so the intended number
 /// of peers still answers, and `deadline` caps the total phase-2 hop spend —
 /// when it runs out the query returns what it has with `truncated = true`.
-///
-/// Passing no budget (the legacy entry points) keeps phase 2 bit-identical
-/// to the original fetch loop.
+/// The module docs tabulate what an unanswered fetch costs with and without
+/// one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryBudget {
     /// Ticks (charged as hops) burnt waiting on an unanswered direct fetch
@@ -75,17 +91,12 @@ impl QueryBudget {
         self.fallback = on;
         self
     }
-
-    /// Effective per-probe tick charge (the configured timeout, ≥ 1).
-    pub(crate) fn timeout_ticks(&self) -> u64 {
-        self.fetch_timeout.max(1)
-    }
 }
 
 /// Cost of contacting a peer directly (request + response), in overlay
 /// message terms: the paper's phase-2 retrieval bypasses the overlay, so we
 /// charge one hop each way.
-pub(crate) fn direct_fetch_cost(query_bytes: u64, response_bytes: u64) -> OpStats {
+fn direct_fetch_cost(query_bytes: u64, response_bytes: u64) -> OpStats {
     OpStats {
         hops: 2,
         messages: 2,
@@ -96,12 +107,215 @@ pub(crate) fn direct_fetch_cost(query_bytes: u64, response_bytes: u64) -> OpStat
 
 /// Cost of a direct fetch that timed out: the request went out, `ticks`
 /// ticks were burnt waiting, no response came back.
-pub(crate) fn timed_out_fetch_cost(query_bytes: u64, ticks: u64) -> OpStats {
+fn timed_out_fetch_cost(query_bytes: u64, ticks: u64) -> OpStats {
     OpStats {
         hops: ticks,
         messages: 1,
         bytes: query_bytes,
         failed_routes: 1,
         ..OpStats::zero()
+    }
+}
+
+/// What a contacted peer sent back, as the walk's accounting and the
+/// `fetch` event need it.
+#[derive(Clone, Copy)]
+pub(super) enum Reply {
+    /// Range and k-nn: `got` items (`want` is the share a k-nn asked for).
+    Items { want: Option<usize>, got: usize },
+    /// Point: whether the peer holds the exact item.
+    Matched(bool),
+}
+
+impl Reply {
+    fn bytes(self, dim: u64) -> u64 {
+        match self {
+            Reply::Items { got, .. } => 8 * dim * got as u64 + 16,
+            Reply::Matched(_) => 24,
+        }
+    }
+
+    /// The `fetch` event of a probe to `peer` that moved `bytes` in total.
+    fn fetch_fields(self, peer: usize, alive: bool, bytes: u64) -> Fields {
+        let mut f: Fields = Vec::with_capacity(5);
+        f.extend([("peer", peer.into()), ("alive", alive.into())]);
+        match self {
+            Reply::Items { want, got } => {
+                f.extend(want.map(|w| ("want", w.into())));
+                f.push(("items", got.into()));
+                f.push(("bytes", bytes.into()));
+            }
+            Reply::Matched(hit) => f.push(("matched", hit.into())),
+        }
+        f
+    }
+}
+
+/// One query in flight: its trace span, the cost accumulated so far and the
+/// phase-2 hop spend a [`QueryBudget`] deadline is checked against.
+pub(super) struct QueryRun<'a> {
+    net: &'a HypermNetwork,
+    kind: OpKind,
+    from_peer: usize,
+    dim: u64,
+    budget: Option<QueryBudget>,
+    t0: Option<std::time::Instant>,
+    /// The `query` span (`NONE` untraced); phase-1 lookups parent here.
+    pub(super) span: SpanId,
+    /// Message cost so far; phase 1 adds its lookups directly.
+    pub(super) stats: OpStats,
+    phase2_hops: u64,
+    truncated: bool,
+}
+
+impl<'a> QueryRun<'a> {
+    /// Open the `query` span for a `dim`-dimensional query (`label` and
+    /// `extra` are its kind-specific attributes).
+    pub(super) fn open(
+        net: &'a HypermNetwork,
+        kind: OpKind,
+        label: &'static str,
+        from_peer: usize,
+        dim: usize,
+        budget: Option<QueryBudget>,
+        extra: impl FnOnce() -> Fields,
+    ) -> Self {
+        let tel = net.recorder();
+        let traced = tel.is_enabled();
+        // hyperm-lint: allow(det-wall-clock) — host-latency metric for the trace only; never feeds simulated results or routing decisions
+        let t0 = traced.then(std::time::Instant::now);
+        let span = if traced {
+            let mut fields: Fields = vec![("kind", label.into()), ("from", from_peer.into())];
+            fields.extend(extra());
+            // Roots under the recorder's ambient scope — NONE standalone,
+            // the serve span when a node runtime is dispatching us.
+            tel.span(tel.scope(), names::QUERY, fields)
+        } else {
+            SpanId::NONE
+        };
+        QueryRun {
+            net,
+            kind,
+            from_peer,
+            dim: dim as u64,
+            budget,
+            t0,
+            span,
+            stats: OpStats::zero(),
+            phase2_hops: 0,
+            truncated: false,
+        }
+    }
+
+    /// Phase 2: walk `ranked` in order until `target` peers have been
+    /// contacted, and return how many were. `ask` is what a reachable peer
+    /// does; its [`Reply`] is charged as an answered fetch (to the query,
+    /// and to the answering peer — and only it — on the load ledger).
+    /// Returning `None` defers the fetch: the peer counts, nothing is
+    /// charged. `silent` shapes the event of a probe nobody answers.
+    pub(super) fn walk(
+        &mut self,
+        ranked: &[PeerScore],
+        target: usize,
+        silent: Reply,
+        mut ask: impl FnMut(&PeerScore) -> Option<Reply>,
+    ) -> usize {
+        let net = self.net;
+        let tel = net.recorder();
+        let traced = tel.is_enabled();
+        let q_bytes = 8 * (self.dim + 1) + 16;
+        let fallback = self.budget.is_some_and(|b| b.fallback);
+        let deadline = self.budget.and_then(|b| b.deadline);
+        let mut contacted = 0;
+        for (idx, ps) in ranked.iter().enumerate() {
+            if contacted == target || (idx >= target && !fallback) {
+                break;
+            }
+            if deadline.is_some_and(|d| self.phase2_hops >= d) {
+                self.truncated = true;
+                break;
+            }
+            if !(net.is_alive(ps.peer) && net.peers_connected(self.from_peer, ps.peer)) {
+                // The two accountings of the module-doc table.
+                match self.budget {
+                    None => {
+                        self.stats += OpStats {
+                            failed_routes: 0,
+                            ..timed_out_fetch_cost(q_bytes, 1)
+                        };
+                        if traced {
+                            let fields = silent.fetch_fields(ps.peer, false, q_bytes);
+                            tel.event(self.span, names::FETCH, fields);
+                        }
+                        contacted += 1;
+                    }
+                    Some(b) => {
+                        let ticks = b.fetch_timeout.max(1);
+                        self.phase2_hops += ticks;
+                        self.stats += timed_out_fetch_cost(q_bytes, ticks);
+                        if traced {
+                            tel.event(
+                                self.span,
+                                names::FETCH_TIMEOUT,
+                                vec![
+                                    ("peer", ps.peer.into()),
+                                    ("ticks", ticks.into()),
+                                    ("bytes", q_bytes.into()),
+                                ],
+                            );
+                        }
+                        if let Some(m) = tel.metrics() {
+                            m.add(names::FETCH_TIMEOUT, 1);
+                        }
+                    }
+                }
+                continue;
+            }
+            if idx >= target {
+                if traced {
+                    tel.event(
+                        self.span,
+                        names::FETCH_FALLBACK,
+                        vec![("peer", ps.peer.into()), ("rank", idx.into())],
+                    );
+                }
+                if let Some(m) = tel.metrics() {
+                    m.add(names::FETCH_FALLBACK, 1);
+                }
+            }
+            contacted += 1;
+            let Some(reply) = ask(ps) else { continue };
+            let resp_bytes = reply.bytes(self.dim);
+            self.stats += direct_fetch_cost(q_bytes, resp_bytes);
+            if let Some(ledger) = net.load_ledger() {
+                ledger.charge_fetch_answered(ps.peer, resp_bytes);
+            }
+            self.phase2_hops += 2;
+            if traced {
+                let fields = reply.fetch_fields(ps.peer, true, q_bytes + resp_bytes);
+                tel.event(self.span, names::FETCH, fields);
+            }
+        }
+        contacted
+    }
+
+    /// Close the `query` span (`tail` is its kind-specific outcome) and
+    /// hand back the total cost and whether a deadline truncated phase 2.
+    pub(super) fn close(self, tail: impl FnOnce() -> Fields) -> (OpStats, bool) {
+        let tel = self.net.recorder();
+        if tel.is_enabled() {
+            let mut fields: Fields = vec![
+                ("hops", self.stats.hops.into()),
+                ("messages", self.stats.messages.into()),
+                ("bytes", self.stats.bytes.into()),
+            ];
+            fields.extend(tail());
+            tel.end(self.span, names::QUERY, fields);
+            tel.record_op(self.kind, None, self.stats);
+            if let Some(t0) = self.t0 {
+                tel.record_latency_s(self.kind, None, t0.elapsed().as_secs_f64());
+            }
+        }
+        (self.stats, self.truncated)
     }
 }

@@ -8,9 +8,8 @@
 //! the min-policy candidate set always contains the true holder — then a
 //! direct exact-match request settles it.
 
-use crate::config::ScorePolicy;
 use crate::network::HypermNetwork;
-use crate::query::{direct_fetch_cost, timed_out_fetch_cost, QueryBudget};
+use crate::query::{QueryBudget, QueryRun, Reply};
 use hyperm_sim::{NodeId, OpStats};
 use hyperm_telemetry::{names, OpKind, SpanId};
 use std::collections::BTreeMap;
@@ -49,8 +48,7 @@ impl HypermNetwork {
         self.point_query_inner(from_peer, q, Some(budget))
     }
 
-    /// Both public entry points land here; `budget = None` keeps the
-    /// legacy probe loop, byte for byte.
+    /// Both public entry points land here.
     fn point_query_inner(
         &self,
         from_peer: usize,
@@ -58,23 +56,11 @@ impl HypermNetwork {
         budget: Option<QueryBudget>,
     ) -> PointResult {
         let dec = self.decompose_query(q);
-        let tel = self.recorder();
-        let traced = tel.is_enabled();
-        // hyperm-lint: allow(det-wall-clock) — host-latency metric for the trace only; never feeds simulated results or routing decisions
-        let t0 = traced.then(std::time::Instant::now);
-        let qspan = if traced {
-            tel.span(
-                // Roots under the ambient scope (serve span when remote).
-                tel.scope(),
-                names::QUERY,
-                vec![("kind", "point".into()), ("from", from_peer.into())],
-            )
-        } else {
-            SpanId::NONE
-        };
+        let kind = OpKind::PointQuery;
+        let mut run = QueryRun::open(self, kind, "point", from_peer, q.len(), budget, Vec::new);
+        let qspan = run.span;
 
         // Candidate = sphere containment per level, folded like scores.
-        let mut stats = OpStats::zero();
         let mut per_level: Vec<BTreeMap<usize, f64>> = Vec::with_capacity(self.levels());
         for l in 0..self.levels() {
             let key = self.query_key(&dec, l);
@@ -103,134 +89,27 @@ impl HypermNetwork {
                         ("hits", hits.len().into()),
                     ],
                 );
-                ltel.record_op(OpKind::PointQuery, Some(l), op);
+                ltel.record_op(kind, Some(l), op);
             }
-            stats += op;
+            run.stats += op;
             per_level.push(level);
         }
         let ranked = crate::score::aggregate(&per_level, self.config.score_policy);
         let candidates: Vec<usize> = ranked.iter().map(|p| p.peer).collect();
 
-        // Direct exact-match probes.
-        let q_bytes = 8 * (q.len() as u64 + 1) + 16;
+        // Direct exact-match probes of every candidate.
         let mut matches = Vec::new();
-        let mut truncated = false;
-        match budget {
-            None => {
-                // Legacy probe loop — byte-identical to the pre-budget path.
-                for &peer in &candidates {
-                    if !self.is_alive(peer) {
-                        stats += OpStats {
-                            hops: 1,
-                            messages: 1,
-                            bytes: q_bytes,
-                            ..OpStats::zero()
-                        };
-                        if traced {
-                            tel.event(
-                                qspan,
-                                names::FETCH,
-                                vec![
-                                    ("peer", peer.into()),
-                                    ("alive", false.into()),
-                                    ("matched", false.into()),
-                                ],
-                            );
-                        }
-                        continue;
-                    }
-                    stats += direct_fetch_cost(q_bytes, 24);
-                    // Exactly-once load attribution: the answering peer.
-                    if let Some(ledger) = self.load_ledger() {
-                        ledger.charge_fetch_answered(peer, 24);
-                    }
-                    let hit = self.peer(peer).local_point(q);
-                    if traced {
-                        tel.event(
-                            qspan,
-                            names::FETCH,
-                            vec![
-                                ("peer", peer.into()),
-                                ("alive", true.into()),
-                                ("matched", hit.is_some().into()),
-                            ],
-                        );
-                    }
-                    if let Some(idx) = hit {
-                        matches.push((peer, idx));
-                    }
-                }
-            }
-            Some(b) => {
-                let ticks = b.timeout_ticks();
-                let mut phase2_hops = 0u64;
-                for &peer in &candidates {
-                    if let Some(d) = b.deadline {
-                        if phase2_hops >= d {
-                            truncated = true;
-                            break;
-                        }
-                    }
-                    if !(self.is_alive(peer) && self.peers_connected(from_peer, peer)) {
-                        phase2_hops += ticks;
-                        stats += timed_out_fetch_cost(q_bytes, ticks);
-                        if traced {
-                            tel.event(
-                                qspan,
-                                names::FETCH_TIMEOUT,
-                                vec![
-                                    ("peer", peer.into()),
-                                    ("ticks", ticks.into()),
-                                    ("bytes", q_bytes.into()),
-                                ],
-                            );
-                        }
-                        if let Some(m) = tel.metrics() {
-                            m.add(names::FETCH_TIMEOUT, 1);
-                        }
-                        continue;
-                    }
-                    stats += direct_fetch_cost(q_bytes, 24);
-                    // Exactly-once load attribution: the answering peer.
-                    if let Some(ledger) = self.load_ledger() {
-                        ledger.charge_fetch_answered(peer, 24);
-                    }
-                    phase2_hops += 2;
-                    let hit = self.peer(peer).local_point(q);
-                    if traced {
-                        tel.event(
-                            qspan,
-                            names::FETCH,
-                            vec![
-                                ("peer", peer.into()),
-                                ("alive", true.into()),
-                                ("matched", hit.is_some().into()),
-                            ],
-                        );
-                    }
-                    if let Some(idx) = hit {
-                        matches.push((peer, idx));
-                    }
-                }
-            }
-        }
-        if traced {
-            tel.end(
-                qspan,
-                names::QUERY,
-                vec![
-                    ("hops", stats.hops.into()),
-                    ("messages", stats.messages.into()),
-                    ("bytes", stats.bytes.into()),
-                    ("matches", matches.len().into()),
-                    ("candidates", candidates.len().into()),
-                ],
-            );
-            tel.record_op(OpKind::PointQuery, None, stats);
-            if let Some(t0) = t0 {
-                tel.record_latency_s(OpKind::PointQuery, None, t0.elapsed().as_secs_f64());
-            }
-        }
+        run.walk(&ranked, ranked.len(), Reply::Matched(false), |ps| {
+            let hit = self.peer(ps.peer).local_point(q);
+            matches.extend(hit.map(|idx| (ps.peer, idx)));
+            Some(Reply::Matched(hit.is_some()))
+        });
+        let (stats, truncated) = run.close(|| {
+            vec![
+                ("matches", matches.len().into()),
+                ("candidates", candidates.len().into()),
+            ]
+        });
         PointResult {
             matches,
             candidates,
@@ -239,10 +118,6 @@ impl HypermNetwork {
         }
     }
 }
-
-// Re-export for the doc-comment path used in lib.rs.
-#[allow(unused_imports)]
-use ScorePolicy as _;
 
 #[cfg(test)]
 mod tests {

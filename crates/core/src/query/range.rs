@@ -10,9 +10,8 @@
 //! only the top-scored ones, which is the recall-vs-peers trade-off the
 //! paper plots in Figure 10a.
 
-// hyperm-lint: allow-file(panic-index) — per-level vectors are built with len == levels() and indexed by the same 0..levels() range
 use crate::network::HypermNetwork;
-use crate::query::{direct_fetch_cost, timed_out_fetch_cost, QueryBudget};
+use crate::query::{QueryBudget, QueryRun, Reply};
 use crate::score::{aggregate, level_scores, PeerScore};
 use hyperm_sim::{NodeId, OpStats};
 use hyperm_telemetry::{names, OpKind, SpanId};
@@ -44,7 +43,7 @@ impl HypermNetwork {
         eps: f64,
         peer_budget: Option<usize>,
     ) -> RangeResult {
-        self.range_query_inner(from_peer, q, eps, peer_budget, None)
+        self.range_query_inner(from_peer, q, eps, None, |r| peer_budget.unwrap_or(r.len()))
     }
 
     /// Range query with a failure-tolerance [`QueryBudget`]: unanswered
@@ -61,48 +60,36 @@ impl HypermNetwork {
         peer_budget: Option<usize>,
         budget: QueryBudget,
     ) -> RangeResult {
-        self.range_query_inner(from_peer, q, eps, peer_budget, Some(budget))
+        self.range_query_inner(from_peer, q, eps, Some(budget), |r| {
+            peer_budget.unwrap_or(r.len())
+        })
     }
 
-    /// Both public entry points land here. Levels run in order and their
-    /// stats are summed in that order. `budget = None` keeps phase 2 on
-    /// the legacy fetch loop, byte for byte.
+    /// Every entry point lands here. Levels run in order and their stats
+    /// are summed in that order; `target_of` turns the phase-1 ranking into
+    /// the number of peers phase 2 should hear from.
     fn range_query_inner(
         &self,
         from_peer: usize,
         q: &[f64],
         eps: f64,
-        peer_budget: Option<usize>,
         budget: Option<QueryBudget>,
+        target_of: impl FnOnce(&[PeerScore]) -> usize,
     ) -> RangeResult {
         assert!(eps >= 0.0, "negative radius {eps}");
         let dec = self.decompose_query(q);
         let tel = self.recorder();
-        let traced = tel.is_enabled();
-        // hyperm-lint: allow(det-wall-clock) — host-latency metric for the trace only; never feeds simulated results or routing decisions
-        let t0 = traced.then(std::time::Instant::now);
-        let qspan = if traced {
-            tel.span(
-                // Roots under the recorder's ambient scope — NONE standalone,
-                // the serve span when a node runtime is dispatching us.
-                tel.scope(),
-                names::QUERY,
-                vec![
-                    ("kind", "range".into()),
-                    ("from", from_peer.into()),
-                    ("eps", eps.into()),
-                ],
-            )
-        } else {
-            SpanId::NONE
-        };
+        let kind = OpKind::RangeQuery;
+        let mut run = QueryRun::open(self, kind, "range", from_peer, q.len(), budget, || {
+            vec![("eps", eps.into())]
+        });
+        let qspan = run.span;
 
         // Phase 1: per-level overlay lookups + scoring. The clamp slack
         // widens the search radius for query points whose subspace
         // coefficients fall outside the configured bounds (zero otherwise),
         // matching the publish-side widening — no false dismissals either
         // way.
-        let mut stats = OpStats::zero();
         let mut per_level = Vec::with_capacity(self.levels());
         for l in 0..self.levels() {
             let (key, slack) = self.query_key_with_slack(&dec, l);
@@ -154,7 +141,7 @@ impl HypermNetwork {
                         ("peers", scores.len().into()),
                     ],
                 );
-                ltel.record_op(OpKind::RangeQuery, Some(l), out.stats);
+                ltel.record_op(kind, Some(l), out.stats);
             }
             if let Some(cache) = self.summary_cache() {
                 cache.insert(from_peer, l, &key, key_eps, &scores);
@@ -162,11 +149,11 @@ impl HypermNetwork {
                     ltel.event(qspan, names::CACHE_MISS, vec![("level", l.into())]);
                 }
             }
-            stats += out.stats;
+            run.stats += out.stats;
             per_level.push(scores);
         }
         let ranked = aggregate(&per_level, self.config.score_policy);
-        if traced {
+        if tel.is_enabled() {
             for ps in &ranked {
                 tel.event(
                     qspan,
@@ -177,156 +164,21 @@ impl HypermNetwork {
         }
 
         // Phase 2: contact the selected peers; they answer exactly.
-        let target = peer_budget.map_or(ranked.len(), |b| b.min(ranked.len()));
+        let target = target_of(&ranked);
         let mut items = Vec::new();
-        let mut truncated = false;
-        let mut contacted = 0usize;
-        let q_bytes = 8 * (q.len() as u64 + 1) + 16;
-        match budget {
-            None => {
-                // Legacy fetch loop — byte-identical to the pre-budget path.
-                for ps in &ranked[..target] {
-                    if !self.is_alive(ps.peer) {
-                        // Timed-out probe: one unanswered request.
-                        stats += hyperm_sim::OpStats {
-                            hops: 1,
-                            messages: 1,
-                            bytes: q_bytes,
-                            ..OpStats::zero()
-                        };
-                        if traced {
-                            tel.event(
-                                qspan,
-                                names::FETCH,
-                                vec![
-                                    ("peer", ps.peer.into()),
-                                    ("alive", false.into()),
-                                    ("items", 0u64.into()),
-                                    ("bytes", q_bytes.into()),
-                                ],
-                            );
-                        }
-                        continue;
-                    }
-                    let local = self.peer(ps.peer).local_range(q, eps);
-                    let resp_bytes = 8 * q.len() as u64 * local.len() as u64 + 16;
-                    stats += direct_fetch_cost(q_bytes, resp_bytes);
-                    // The answering peer (and only it) is charged for the
-                    // phase-2 fetch; timed-out probes charge no one.
-                    if let Some(ledger) = self.load_ledger() {
-                        ledger.charge_fetch_answered(ps.peer, resp_bytes);
-                    }
-                    if traced {
-                        tel.event(
-                            qspan,
-                            names::FETCH,
-                            vec![
-                                ("peer", ps.peer.into()),
-                                ("alive", true.into()),
-                                ("items", local.len().into()),
-                                ("bytes", (q_bytes + resp_bytes).into()),
-                            ],
-                        );
-                    }
-                    items.extend(local.into_iter().map(|i| (ps.peer, i)));
-                }
-                contacted = target;
-            }
-            Some(b) => {
-                // Failure-aware fetch: answered fetches count toward the
-                // target, unreachable peers cost a timeout, and (with
-                // fallback) the window slides to the next-scored candidate.
-                let ticks = b.timeout_ticks();
-                let mut phase2_hops = 0u64;
-                for (idx, ps) in ranked.iter().enumerate() {
-                    if contacted == target {
-                        break;
-                    }
-                    if !b.fallback && idx >= target {
-                        break;
-                    }
-                    if let Some(d) = b.deadline {
-                        if phase2_hops >= d {
-                            truncated = true;
-                            break;
-                        }
-                    }
-                    let reachable =
-                        self.is_alive(ps.peer) && self.peers_connected(from_peer, ps.peer);
-                    if !reachable {
-                        phase2_hops += ticks;
-                        stats += timed_out_fetch_cost(q_bytes, ticks);
-                        if traced {
-                            tel.event(
-                                qspan,
-                                names::FETCH_TIMEOUT,
-                                vec![
-                                    ("peer", ps.peer.into()),
-                                    ("ticks", ticks.into()),
-                                    ("bytes", q_bytes.into()),
-                                ],
-                            );
-                        }
-                        if let Some(m) = tel.metrics() {
-                            m.add(names::FETCH_TIMEOUT, 1);
-                        }
-                        continue;
-                    }
-                    if idx >= target {
-                        if traced {
-                            tel.event(
-                                qspan,
-                                names::FETCH_FALLBACK,
-                                vec![("peer", ps.peer.into()), ("rank", idx.into())],
-                            );
-                        }
-                        if let Some(m) = tel.metrics() {
-                            m.add(names::FETCH_FALLBACK, 1);
-                        }
-                    }
-                    let local = self.peer(ps.peer).local_range(q, eps);
-                    let resp_bytes = 8 * q.len() as u64 * local.len() as u64 + 16;
-                    stats += direct_fetch_cost(q_bytes, resp_bytes);
-                    // The answering peer (and only it) is charged for the
-                    // phase-2 fetch; timed-out probes charge no one.
-                    if let Some(ledger) = self.load_ledger() {
-                        ledger.charge_fetch_answered(ps.peer, resp_bytes);
-                    }
-                    phase2_hops += 2;
-                    if traced {
-                        tel.event(
-                            qspan,
-                            names::FETCH,
-                            vec![
-                                ("peer", ps.peer.into()),
-                                ("alive", true.into()),
-                                ("items", local.len().into()),
-                                ("bytes", (q_bytes + resp_bytes).into()),
-                            ],
-                        );
-                    }
-                    items.extend(local.into_iter().map(|i| (ps.peer, i)));
-                    contacted += 1;
-                }
-            }
-        }
-        if traced {
-            tel.end(
-                qspan,
-                names::QUERY,
-                vec![
-                    ("hops", stats.hops.into()),
-                    ("messages", stats.messages.into()),
-                    ("bytes", stats.bytes.into()),
-                    ("items", items.len().into()),
-                    ("peers_contacted", contacted.into()),
-                ],
-            );
-            tel.record_op(OpKind::RangeQuery, None, stats);
-            if let Some(t0) = t0 {
-                tel.record_latency_s(OpKind::RangeQuery, None, t0.elapsed().as_secs_f64());
-            }
-        }
+        let none = Reply::Items { want: None, got: 0 };
+        let contacted = run.walk(&ranked, target, none, |ps| {
+            let local = self.peer(ps.peer).local_range(q, eps);
+            let got = local.len();
+            items.extend(local.into_iter().map(|i| (ps.peer, i)));
+            Some(Reply::Items { want: None, got })
+        });
+        let (stats, truncated) = run.close(|| {
+            vec![
+                ("items", items.len().into()),
+                ("peers_contacted", contacted.into()),
+            ]
+        });
         RangeResult {
             items,
             ranked,
@@ -463,21 +315,19 @@ impl HypermNetwork {
             target_recall > 0.0 && target_recall <= 1.0,
             "target recall must be in (0, 1], got {target_recall}"
         );
-        // Phase 1 once, unbudgeted, to obtain the ranking.
-        let ranked = self.range_query(from_peer, q, eps, Some(0)).ranked;
-        let total: f64 = ranked.iter().map(|p| p.score).sum();
-        let mut budget = ranked.len();
-        if total > 0.0 && target_recall < 1.0 {
-            let mut acc = 0.0;
-            for (i, ps) in ranked.iter().enumerate() {
-                acc += ps.score;
-                if acc / total >= target_recall {
-                    budget = i + 1;
-                    break;
+        self.range_query_inner(from_peer, q, eps, None, |ranked| {
+            let total: f64 = ranked.iter().map(|p| p.score).sum();
+            if total > 0.0 && target_recall < 1.0 {
+                let mut acc = 0.0;
+                for (i, ps) in ranked.iter().enumerate() {
+                    acc += ps.score;
+                    if acc / total >= target_recall {
+                        return i + 1;
+                    }
                 }
             }
-        }
-        self.range_query(from_peer, q, eps, Some(budget))
+            ranked.len()
+        })
     }
 }
 
@@ -541,6 +391,42 @@ mod adaptive_tests {
                 / full.items.len() as f64;
             assert!(recall >= 0.3, "achieved recall {recall}");
         }
+    }
+
+    /// One adaptive call is one query: phase 1 runs once, and trace,
+    /// ledger and result are those of `range_query` at the budget it chose.
+    #[test]
+    fn adaptive_pays_phase_one_once() {
+        use hyperm_sim::LoadLedger;
+        use hyperm_telemetry::{names, EventClass, Recorder};
+        use std::sync::Arc;
+
+        let run = |adaptive: Option<usize>| {
+            let mut net = build(2);
+            let q = net.peer(5).items.row(1).to_vec();
+            let ledger = Arc::new(LoadLedger::new(net.len(), net.levels()));
+            net.set_load_ledger(Some(ledger.clone()));
+            let (rec, ring) = Recorder::ring(1 << 16);
+            net.set_recorder(rec);
+            let res = match adaptive {
+                None => net.range_query_adaptive(0, &q, 0.4, 0.5),
+                Some(budget) => net.range_query(0, &q, 0.4, Some(budget)),
+            };
+            let events = ring.events();
+            let starts = |name: &str| {
+                let opens = events.iter().filter(|e| e.class == EventClass::Start);
+                opens.filter(|e| e.name == name).count()
+            };
+            assert_eq!(starts(names::QUERY), 1);
+            assert_eq!(starts(names::OVERLAY_LOOKUP), net.levels());
+            (res, ledger.per_peer())
+        };
+        let (adaptive, adaptive_load) = run(None);
+        assert!(adaptive.peers_contacted < adaptive.ranked.len());
+        let (fixed, fixed_load) = run(Some(adaptive.peers_contacted));
+        assert_eq!(adaptive.items, fixed.items);
+        assert_eq!(adaptive.stats, fixed.stats);
+        assert_eq!(adaptive_load, fixed_load);
     }
 
     #[test]

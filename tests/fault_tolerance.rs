@@ -13,8 +13,8 @@
 use hyperm::datagen::{distribute_by_clusters, generate_aloi_like, AloiConfig, DistributeConfig};
 use hyperm::telemetry::Recorder;
 use hyperm::{
-    Backoff, FaultConfig, HypermConfig, HypermNetwork, PartitionPlan, QueryBudget, RepairConfig,
-    RepairEngine,
+    Backoff, FaultConfig, HypermConfig, HypermNetwork, KnnOptions, PartitionPlan, QueryBudget,
+    RepairConfig, RepairEngine,
 };
 
 fn network(seed: u64, peers: usize) -> HypermNetwork {
@@ -255,6 +255,48 @@ fn partition_heals_to_full_recall_within_bounded_rounds() {
             "peer {p}'s item not recalled after heal"
         );
     }
+}
+
+/// The cut severs direct fetches whether or not the caller passed a
+/// `QueryBudget`: mid-partition no query kind reads an item off a peer in
+/// the other component, and the unbudgeted range answer is the budgeted
+/// one; after the heal the unbudgeted query is back at recall 1.0.
+#[test]
+fn unbudgeted_fetch_does_not_cross_a_partition() {
+    let net = network(73, 14);
+    let n = net.len();
+    let cfg = RepairConfig::default()
+        .with_refresh_interval(25)
+        .with_partition_plan(PartitionPlan::halves(n, 30, 100));
+    let mut eng = RepairEngine::new(net, cfg);
+    let far = n - 1;
+    let q = eng.network().peer(far).items.row(0).to_vec();
+    let eps = nth_dist(eng.network(), &q, 25);
+
+    // Before the first refresh under the split, replicas published across
+    // the cut are still in place, so peer 2's floods rank severed peers.
+    eng.advance_to(40);
+    let net = eng.network();
+    let plain = net.range_query(2, &q, eps, None);
+    assert!(
+        plain.ranked.iter().any(|s| !net.peers_connected(2, s.peer)),
+        "need a severed peer among the candidates"
+    );
+    assert!(plain.items.iter().all(|&(p, _)| net.peers_connected(2, p)));
+    let budgeted = net.range_query_budgeted(2, &q, eps, None, QueryBudget::default());
+    assert_eq!(plain.items, budgeted.items);
+    let knn = net.knn_query(2, &q, 10, KnnOptions::default());
+    assert!(knn.retrieved.iter().all(|&((p, _), _)| p != far));
+    assert!(net.point_query(2, &q).matches.is_empty());
+
+    eng.advance_to(101);
+    let net = eng.network();
+    let mut got = net.range_query(2, &q, eps, None).items;
+    let mut truth = alive_truth(net, &q, eps);
+    got.sort_unstable();
+    truth.sort_unstable();
+    assert_eq!(got, truth);
+    assert!(net.point_query(2, &q).matches.contains(&(far, 0)));
 }
 
 /// A phase-2 deadline degrades gracefully: partial results, `truncated`
