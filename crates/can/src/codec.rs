@@ -611,6 +611,18 @@ impl Message {
         }
     }
 
+    /// The trace-context slot of the kinds that carry one (`Query`,
+    /// `Fetch`, `Publish`): read it to stitch a serve span under the
+    /// sender's, overwrite it to re-parent a relayed frame.
+    pub fn ctx_mut(&mut self) -> Option<&mut TraceCtx> {
+        match self {
+            Message::Query { ctx, .. }
+            | Message::Fetch { ctx, .. }
+            | Message::Publish { ctx, .. } => Some(ctx),
+            _ => None,
+        }
+    }
+
     /// The reply kind a request of kind `k` expects, if it expects one.
     pub fn reply_kind_of(k: u8) -> Option<u8> {
         match k {

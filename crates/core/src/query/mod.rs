@@ -254,7 +254,7 @@ impl<'a> QueryRun<'a> {
                         self.phase2_hops += ticks;
                         self.stats += timed_out_fetch_cost(q_bytes, ticks);
                         if traced {
-                            tel.event(
+                            tel.count_event(
                                 self.span,
                                 names::FETCH_TIMEOUT,
                                 vec![
@@ -264,24 +264,16 @@ impl<'a> QueryRun<'a> {
                                 ],
                             );
                         }
-                        if let Some(m) = tel.metrics() {
-                            m.add(names::FETCH_TIMEOUT, 1);
-                        }
                     }
                 }
                 continue;
             }
-            if idx >= target {
-                if traced {
-                    tel.event(
-                        self.span,
-                        names::FETCH_FALLBACK,
-                        vec![("peer", ps.peer.into()), ("rank", idx.into())],
-                    );
-                }
-                if let Some(m) = tel.metrics() {
-                    m.add(names::FETCH_FALLBACK, 1);
-                }
+            if idx >= target && traced {
+                tel.count_event(
+                    self.span,
+                    names::FETCH_FALLBACK,
+                    vec![("peer", ps.peer.into()), ("rank", idx.into())],
+                );
             }
             contacted += 1;
             let Some(reply) = ask(ps) else { continue };

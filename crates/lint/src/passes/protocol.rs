@@ -11,7 +11,7 @@
 //!
 //! Rules:
 //! * `proto-exhaustive` — every kind in `ALL` has a `Message::Variant`
-//!   dispatch arm in `runtime.rs`; a kind with no handler is a request
+//!   dispatch arm in `runtime/mod.rs`; a kind with no handler is a request
 //!   the node silently drops.
 //! * `proto-pairing` — kind bytes don't collide, the `kind` consts in
 //!   `codec.rs` source agree with `ALL` (names and values), every
@@ -35,7 +35,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 const CODEC: &str = "crates/can/src/codec.rs";
-const RUNTIME: &str = "crates/transport/src/runtime.rs";
+const RUNTIME: &str = "crates/transport/src/runtime/mod.rs";
 
 /// The protocol's sources of truth, decoupled from the linked crates so
 /// the checker is testable with synthetic tables.
@@ -80,7 +80,7 @@ pub fn run(root: &Path) -> Vec<Violation> {
 }
 
 /// Check `tables` for internal consistency and against the lexed
-/// `codec.rs` / `runtime.rs` sources.
+/// `codec.rs` / `runtime/mod.rs` sources.
 pub fn check(tables: &ProtoTables, codec_toks: &[Token], runtime_toks: &[Token]) -> Vec<Violation> {
     let mut out = Vec::new();
     let name_of = |b: u8| -> &str {
@@ -213,7 +213,7 @@ pub fn check(tables: &ProtoTables, codec_toks: &[Token], runtime_toks: &[Token])
                 rule: "proto-exhaustive",
                 message: format!(
                     "kind `{name}` ({b}) has no `Message::{name}` dispatch arm in \
-                     runtime.rs; the node would drop it on the floor"
+                     runtime/mod.rs; the node would drop it on the floor"
                 ),
             });
         }

@@ -18,6 +18,7 @@ use hyperm_telemetry::taxonomy::{is_canonical, is_canonical_counter};
 const SITES: &[(&str, usize, bool)] = &[
     ("span", 1, false),
     ("event", 1, false),
+    ("count_event", 1, false),
     ("end", 1, false),
     ("spans_named", 0, false),
     ("event_count", 0, false),

@@ -295,7 +295,7 @@ impl RepairEngine {
         self.partition_healed = true;
         let tel = self.net.recorder().clone();
         if tel.is_enabled() {
-            tel.event(
+            tel.count_event(
                 self.partition_span,
                 names::HEAL,
                 vec![("t", self.now.into())],
@@ -305,9 +305,6 @@ impl RepairEngine {
                 names::PARTITION,
                 vec![("healed_at", self.now.into())],
             );
-        }
-        if let Some(m) = tel.metrics() {
-            m.add(names::HEAL, 1);
         }
         if self.cfg.enabled {
             self.stats.repair += self.net.repair_overlays(self.cfg.max_repair_passes);
@@ -355,7 +352,7 @@ impl RepairEngine {
             }
             let tel = self.net.recorder().clone();
             if tel.is_enabled() {
-                tel.event(
+                tel.count_event(
                     SpanId::NONE,
                     names::PUBLISH_RETRY,
                     vec![
@@ -365,9 +362,6 @@ impl RepairEngine {
                         ("attempt", (attempts + 1).into()),
                     ],
                 );
-            }
-            if let Some(m) = tel.metrics() {
-                m.add(names::PUBLISH_RETRY, 1);
             }
             let (ok, stats) = self.net.publish_sphere(s);
             self.stats.refresh += stats;
@@ -391,7 +385,7 @@ impl RepairEngine {
             self.stats.publishes_abandoned += 1;
             let tel = self.net.recorder();
             if tel.is_enabled() {
-                tel.event(
+                tel.count_event(
                     SpanId::NONE,
                     names::PUBLISH_ABANDONED,
                     vec![
@@ -401,9 +395,6 @@ impl RepairEngine {
                         ("attempts", attempts.into()),
                     ],
                 );
-            }
-            if let Some(m) = tel.metrics() {
-                m.add(names::PUBLISH_ABANDONED, 1);
             }
             return;
         }

@@ -9,10 +9,10 @@
 //!
 //! Each logical hop is resolved through its own tiny [`EventQueue`]
 //! timeline: the first transmission fires at `t = 0`, every retransmission
-//! is scheduled one retry gap after the drop it answers — a fixed
-//! `retry_timeout` spacing by default, or an exponential [`Backoff`]
-//! schedule with deterministic seeded jitter when one is installed — and
-//! the returned tick count is the sim-time the hop occupied, so delays and
+//! is scheduled one retry gap after the drop it answers — the configured
+//! [`Backoff`] schedule: a fixed one-tick spacing by default, or an
+//! exponential one with deterministic seeded jitter — and the returned
+//! tick count is the sim-time the hop occupied, so delays and
 //! retries lengthen an operation's *rounds* (critical path) exactly like
 //! any other queued message in the scheduler model.
 //!
@@ -27,11 +27,11 @@ use crate::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Exponential retransmission backoff with deterministic seeded jitter.
+/// Retransmission backoff: fixed or exponential spacing with
+/// deterministic seeded jitter.
 ///
-/// Replaces the fixed `retry_timeout` spacing when installed via
-/// [`FaultConfig::with_backoff`]. The gap before retransmission `a + 1`
-/// (i.e. after attempt `a` dropped) is
+/// The gap before retransmission `a + 1` (i.e. after attempt `a`
+/// dropped) is
 ///
 /// ```text
 /// gap(a) = min(cap, base · factorᵃ + jitter(a))
@@ -69,7 +69,7 @@ impl Default for Backoff {
 }
 
 /// SplitMix64 finaliser: a cheap, well-mixed stateless hash.
-fn splitmix64(x: u64) -> u64 {
+pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -77,6 +77,16 @@ fn splitmix64(x: u64) -> u64 {
 }
 
 impl Backoff {
+    /// Fixed spacing: every gap is `ticks` (clamped to ≥ 1), no jitter.
+    pub fn fixed(ticks: u64) -> Self {
+        Self {
+            base: ticks,
+            factor: 1,
+            cap: ticks,
+            ..Self::default()
+        }
+    }
+
     /// Plain exponential schedule (`base · 2ᵃ`, capped, no jitter).
     pub fn exponential(base: u64, cap: u64) -> Self {
         Self {
@@ -141,13 +151,10 @@ pub struct FaultConfig {
     pub dead_prob: f64,
     /// Retransmissions allowed per hop before giving up.
     pub max_retries: u32,
-    /// Ticks between a drop and its retransmission (fixed spacing; at
-    /// least one tick is always burnt per retry gap). Superseded by
-    /// [`FaultConfig::backoff`] when one is installed.
-    pub retry_timeout: u64,
-    /// Exponential retransmission schedule; `None` keeps the fixed
-    /// `retry_timeout` spacing.
-    pub backoff: Option<Backoff>,
+    /// Ticks between a drop and its retransmission, per attempt (at
+    /// least one tick is always burnt per retry gap). Default
+    /// [`Backoff::fixed`]`(1)`.
+    pub backoff: Backoff,
     /// RNG seed for the fault rolls.
     pub seed: u64,
 }
@@ -160,8 +167,7 @@ impl Default for FaultConfig {
             max_delay: 4,
             dead_prob: 0.0,
             max_retries: 3,
-            retry_timeout: 1,
-            backoff: None,
+            backoff: Backoff::fixed(1),
             seed: 0,
         }
     }
@@ -199,10 +205,10 @@ impl FaultConfig {
         self
     }
 
-    /// Builder-style exponential backoff (replaces the fixed
-    /// `retry_timeout` spacing).
+    /// Builder-style retransmission schedule (replaces the fixed
+    /// one-tick spacing).
     pub fn with_backoff(mut self, backoff: Backoff) -> Self {
-        self.backoff = Some(backoff);
+        self.backoff = backoff;
         self
     }
 
@@ -283,18 +289,6 @@ impl FaultInjector {
         self.report
     }
 
-    /// The retry gap after dropped attempt `attempt`: the [`Backoff`]
-    /// schedule when installed, else the fixed `retry_timeout` spacing.
-    /// Clamped to ≥ 1 tick — the same gap is burnt whether the hop
-    /// retransmits or gives up, so `retry_timeout = 0` can no longer
-    /// under-count the sim time an abandoned hop occupied.
-    fn gap(&self, attempt: u32) -> u64 {
-        match self.cfg.backoff {
-            Some(b) => b.gap(attempt),
-            None => self.cfg.retry_timeout.max(1),
-        }
-    }
-
     /// Resolve one logical hop: play the transmission/retry timeline on an
     /// event queue and report how (and whether) the message got through.
     pub fn hop(&mut self) -> HopDelivery {
@@ -310,14 +304,14 @@ impl FaultInjector {
                 self.report.dead_hops += 1;
                 return HopDelivery::Unreachable {
                     attempts: attempt + 1,
-                    ticks: ev.time.0 + self.gap(attempt),
+                    ticks: ev.time.0 + self.cfg.backoff.gap(attempt),
                 };
             }
             if self.rng.gen::<f64>() < self.cfg.drop_prob {
                 self.report.drops += 1;
                 if attempt < self.cfg.max_retries {
                     queue.push(
-                        SimTime(ev.time.0 + self.gap(attempt)),
+                        SimTime(ev.time.0 + self.cfg.backoff.gap(attempt)),
                         NodeId(0),
                         attempt + 1,
                     );
@@ -326,7 +320,7 @@ impl FaultInjector {
                 self.report.exhausted += 1;
                 return HopDelivery::Unreachable {
                     attempts: attempt + 1,
-                    ticks: ev.time.0 + self.gap(attempt),
+                    ticks: ev.time.0 + self.cfg.backoff.gap(attempt),
                 };
             }
             let mut ticks = ev.time.0 + 1;
@@ -434,15 +428,15 @@ mod tests {
         assert_eq!(a.report(), b.report());
     }
 
-    /// Regression: with `retry_timeout = 0` the retransmissions were
+    /// Regression: with a zero-tick retry spacing the retransmissions were
     /// scheduled with a clamped (≥ 1 tick) gap but the `Unreachable`
     /// accounting used the raw value, under-counting burnt sim time by one
-    /// tick per hop. Both sides now share the clamped gap.
+    /// tick per hop. Both sides now share [`Backoff::gap`]'s clamp.
     #[test]
     fn zero_retry_timeout_still_burns_a_tick_per_gap() {
         let cfg = FaultConfig {
             drop_prob: 1.0,
-            retry_timeout: 0,
+            backoff: Backoff::fixed(0),
             ..FaultConfig::default()
         };
         let mut inj = FaultInjector::new(cfg);
@@ -457,7 +451,7 @@ mod tests {
         }
         let dead = FaultConfig {
             dead_prob: 1.0,
-            retry_timeout: 0,
+            backoff: Backoff::fixed(0),
             ..FaultConfig::default()
         };
         let mut inj = FaultInjector::new(dead);
@@ -483,6 +477,7 @@ mod tests {
             seed: 0,
         };
         assert_eq!(z.schedule(3), vec![1, 1, 1]);
+        assert_eq!(Backoff::fixed(3).schedule(4), vec![3, 3, 3, 3]);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod underlay;
 
 pub use energy::EnergyModel;
 pub use event::{Event, EventQueue, Scheduler, SimTime};
-pub use faults::{Backoff, FaultConfig, FaultInjector, FaultReport, HopDelivery};
+pub use faults::{splitmix64, Backoff, FaultConfig, FaultInjector, FaultReport, HopDelivery};
 pub use load::{LoadLedger, LoadProbe, PeerLoad};
 pub use stats::{LatencyStats, LatencySummary, NetStats, OpKind, OpStats};
 pub use underlay::{PartitionPlan, Underlay, UnderlayConfig};

@@ -314,6 +314,15 @@ impl Recorder {
         self.emit(EventClass::Instant, name, parent, parent, fields);
     }
 
+    /// Emit an instantaneous event under `parent` and bump the metrics
+    /// counter of the same name: the pair every countable occurrence
+    /// (`retry`, `gave_up`, `stale_reply`, …) is reported as.
+    pub fn count_event(&self, parent: SpanId, name: &'static str, fields: Fields) {
+        let Some(inner) = &self.inner else { return };
+        self.emit(EventClass::Instant, name, parent, parent, fields);
+        inner.metrics.add(name, 1);
+    }
+
     /// The metrics registry, when enabled.
     pub fn metrics(&self) -> Option<&Metrics> {
         self.inner.as_ref().map(|i| &i.metrics)

@@ -19,6 +19,7 @@
 
 use crate::{Envelope, PeerId, Transport, TransportError};
 use hyperm_can::Message;
+use hyperm_sim::splitmix64;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -166,18 +167,10 @@ impl<T: Transport> ChaosEndpoint<T> {
     }
 }
 
-/// The splitmix64 finalizer: a full-avalanche mix of one u64.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The decision word for frame `n` towards `to` under `seed`. Lane
 /// splits the word into independent sub-streams (drop/dup/delay).
 fn roll(seed: u64, to: PeerId, n: u64, lane: u64) -> u64 {
-    mix(mix(seed ^ mix(to)) ^ n.wrapping_mul(2).wrapping_add(lane))
+    splitmix64(splitmix64(seed ^ splitmix64(to)) ^ n.wrapping_mul(2).wrapping_add(lane))
 }
 
 impl<T: Transport> Transport for ChaosEndpoint<T> {

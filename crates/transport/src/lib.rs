@@ -46,7 +46,7 @@ pub mod tcp;
 pub use chaos::{ChaosConfig, ChaosEndpoint, ChaosStats};
 pub use frame::{frame_len, read_frame, write_frame, HEADER_LEN, MAX_FRAME};
 pub use mem::{MemEndpoint, MemHub};
-pub use runtime::{Client, ClientConfig, NodeRuntime, Role, ServeOutcome};
+pub use runtime::{Client, NodeRuntime, RequestPolicy, Role, ServeOutcome};
 pub use sim::{SimEndpoint, SimHub};
 pub use tcp::TcpEndpoint;
 

@@ -1,5 +1,7 @@
 //! The node runtime: serving the Hyper-M message protocol over any
-//! [`Transport`], plus the request/response [`Client`] the CLI bins use.
+//! [`Transport`] ([`NodeRuntime`], this file), the request/response
+//! [`Client`] the CLI bins use (`client.rs`), and the one correlated-
+//! request path both send through (`request.rs`).
 //!
 //! Deployment shape (the chordht-style node/client/monitor split): one
 //! **head** node owns the [`HypermNetwork`] — the overlay state the
@@ -19,24 +21,24 @@
 //! matching, peers alive) before touching the network — a remote frame
 //! must never be able to panic a node.
 
+mod client;
+pub(crate) mod request;
+
+pub use client::Client;
+pub use request::{RequestPolicy, MIN_TIMEOUT};
+
 use crate::{Envelope, PeerId, Transport, TransportError};
 use hyperm_can::codec::kind;
-use hyperm_can::{Message, StoredObject};
+use hyperm_can::Message;
 use hyperm_cluster::Dataset;
 use hyperm_core::{HypermNetwork, InsertPolicy};
 use hyperm_sim::{Backoff, OpStats};
 use hyperm_telemetry::{
     counters, names, JsonObj, Recorder, SpanId, TraceCtx, Window, WindowConfig,
 };
+use request::request;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// Smallest effective reply timeout. A literal `Duration::ZERO` would
-/// make the deadline check fail before the first receive even when the
-/// reply is already queued; clamping to one tick keeps zero-timeout
-/// configs live (mirrors the `FaultInjector` `retry_timeout = 0` clamp).
-pub const MIN_TIMEOUT: Duration = Duration::from_millis(10);
 
 /// Request kinds safe to resend after a timeout (idempotent at the
 /// head). Reads, scrapes and heartbeats always are; `Join` is because
@@ -58,10 +60,6 @@ pub const RESENDABLE_KINDS: &[u8] = &[
     kind::PING,
     kind::JOIN,
 ];
-
-fn is_resendable(k: u8) -> bool {
-    RESENDABLE_KINDS.contains(&k)
-}
 
 /// Liveness bookkeeping for one peer, maintained by [`NodeRuntime`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -125,16 +123,9 @@ pub struct NodeRuntime<T: Transport> {
     /// joined, so a crash-restarted member's repeat `Join` resyncs to
     /// its existing overlay id instead of admitting a duplicate.
     joined: BTreeMap<PeerId, u64>,
-    /// How long a member waits for the head to answer a forwarded
-    /// request before retrying or failing the client ([`MIN_TIMEOUT`]-
-    /// clamped).
-    pub forward_timeout: Duration,
-    /// Attempts a member makes per resendable forwarded request.
-    pub forward_attempts: u32,
-    /// Backoff schedule (in ticks) between forward attempts.
-    pub forward_backoff: Backoff,
-    /// Wall-clock length of one backoff tick.
-    pub retry_tick: Duration,
+    /// Member-side: timeout and retry policy of a request forwarded to
+    /// the head, after which the client is failed.
+    pub forward: RequestPolicy,
     /// Member-side: consecutive unanswered pings before the head is
     /// declared down and the runtime reports itself degraded.
     pub missed_ping_threshold: u32,
@@ -164,10 +155,11 @@ impl<T: Transport> NodeRuntime<T> {
             liveness: BTreeMap::new(),
             degraded: false,
             joined: BTreeMap::new(),
-            forward_timeout: Duration::from_secs(30),
-            forward_attempts: 2,
-            forward_backoff: Backoff::exponential(1, 4),
-            retry_tick: Duration::from_millis(25),
+            forward: RequestPolicy {
+                attempts: 2,
+                backoff: Backoff::exponential(1, 4),
+                ..RequestPolicy::default()
+            },
             missed_ping_threshold: 3,
         }
     }
@@ -237,19 +229,19 @@ impl<T: Transport> NodeRuntime<T> {
         for i in 0..items.len() {
             rows.extend_from_slice(items.row(i));
         }
-        self.req_seq += 1;
-        let req_id = self.req_seq;
-        self.transport.send_tagged(
-            head,
-            req_id,
-            &Message::Join {
-                peer: self.transport.local(),
-                dim,
-                rows,
-            },
-        )?;
-        let reply = self.await_reply(head, kind::JOIN_ACK, req_id, timeout)?;
-        match reply {
+        let join = Message::Join {
+            peer: self.transport.local(),
+            dim,
+            rows,
+        };
+        // One attempt, on the caller's clock: the caller decides whether
+        // a bootstrap that timed out is worth repeating.
+        let policy = RequestPolicy {
+            timeout,
+            attempts: 1,
+            ..self.forward
+        };
+        match self.request_head(head, &join, policy, self.span)? {
             Message::JoinAck { peer, .. } => {
                 if let Role::Member { peer: slot, .. } = &mut self.role {
                     *slot = Some(peer);
@@ -260,51 +252,27 @@ impl<T: Transport> NodeRuntime<T> {
         }
     }
 
-    /// Wait for a `want`-kind (or failure-`Ack`) message from `from`
-    /// carrying the request-correlation tag `req_id`, parking unrelated
-    /// traffic in the backlog for the serve loop. Replies from `from`
-    /// with the right shape but a *stale* tag — answers to an attempt
-    /// that already timed out — are discarded (never backlogged: the
-    /// backlog would replay them into the next await and mis-correlate).
-    fn await_reply(
+    /// One [`request`] to the head on this runtime's tag counter, with
+    /// unrelated traffic parked in the backlog for the serve loop.
+    fn request_head(
         &mut self,
-        from: PeerId,
-        want: u8,
-        req_id: u64,
-        timeout: Duration,
+        head: PeerId,
+        msg: &Message,
+        policy: RequestPolicy,
+        span: SpanId,
     ) -> Result<Message, TransportError> {
-        let deadline = Instant::now() + timeout.max(MIN_TIMEOUT);
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(TransportError::Timeout);
-            }
-            let env = self.transport.recv_timeout(deadline - now)?;
-            let is_reply = env.from == from
-                && (env.msg.kind() == want || matches!(env.msg, Message::Ack { ok: false, .. }));
-            if !is_reply {
-                self.backlog.push_back(env);
-                continue;
-            }
-            if env.req_id != req_id {
-                self.recorder.event(
-                    self.span,
-                    names::STALE_REPLY,
-                    vec![
-                        ("from", env.from.into()),
-                        ("kind", env.msg.kind_name().into()),
-                    ],
-                );
-                if let Some(m) = self.recorder.metrics() {
-                    m.add(names::STALE_REPLY, 1);
-                }
-                continue;
-            }
-            if let Message::Ack { ok: false, .. } = env.msg {
-                return Err(TransportError::Rejected("request refused by peer"));
-            }
-            return Ok(env.msg);
-        }
+        request(
+            &self.transport,
+            head,
+            msg,
+            &policy,
+            || {
+                self.req_seq += 1;
+                self.req_seq
+            },
+            (&self.recorder, span),
+            |env| self.backlog.push_back(env),
+        )
     }
 
     /// Serve until a `Shutdown` request arrives or the transport closes.
@@ -321,7 +289,7 @@ impl<T: Transport> NodeRuntime<T> {
 
     /// Handle at most one inbound message (backlogged traffic first).
     pub fn serve_one(&mut self, timeout: Duration) -> Result<ServeOutcome, TransportError> {
-        let env = match self.backlog.pop_front() {
+        let mut env = match self.backlog.pop_front() {
             Some(env) => env,
             None => match self.transport.recv_timeout(timeout) {
                 Ok(env) => env,
@@ -338,7 +306,7 @@ impl<T: Transport> NodeRuntime<T> {
         self.window.advance(self.frames);
         self.recorder.set_time(self.frames);
         self.note_heard(env.from);
-        let ctx = msg_ctx(&env.msg);
+        let ctx = env.msg.ctx_mut().map_or(TraceCtx::NONE, |ctx| *ctx);
         let mut fields = vec![
             ("from", env.from.into()),
             ("kind", env.msg.kind_name().into()),
@@ -368,10 +336,7 @@ impl<T: Transport> NodeRuntime<T> {
             if from == *head && self.degraded {
                 self.degraded = false;
                 self.recorder
-                    .event(self.span, names::REJOIN, vec![("peer", from.into())]);
-                if let Some(m) = self.recorder.metrics() {
-                    m.add(names::REJOIN, 1);
-                }
+                    .count_event(self.span, names::REJOIN, vec![("peer", from.into())]);
             }
         }
     }
@@ -398,14 +363,11 @@ impl<T: Transport> NodeRuntime<T> {
         let missed = live.outstanding_pings;
         if missed > threshold && !self.degraded {
             self.degraded = true;
-            self.recorder.event(
+            self.recorder.count_event(
                 self.span,
                 names::PEER_DOWN,
                 vec![("peer", head.into()), ("missed", u64::from(missed).into())],
             );
-            if let Some(m) = self.recorder.metrics() {
-                m.add(names::PEER_DOWN, 1);
-            }
         }
     }
 
@@ -414,21 +376,22 @@ impl<T: Transport> NodeRuntime<T> {
         env: Envelope,
         serve_span: SpanId,
     ) -> Result<ServeOutcome, TransportError> {
-        let Envelope { from, req_id, msg } = env;
+        let Envelope {
+            from,
+            req_id,
+            mut msg,
+        } = env;
         if matches!(msg, Message::Hello { .. }) {
             return Ok(ServeOutcome::Handled);
         }
         if let Message::Ping { seq } = msg {
             // Wire heartbeat: every role answers, echoing the
             // requester's correlation tag.
-            self.recorder.event(
+            self.recorder.count_event(
                 serve_span,
                 names::PING,
                 vec![("from", from.into()), ("seq", seq.into())],
             );
-            if let Some(m) = self.recorder.metrics() {
-                m.add(names::PING, 1);
-            }
             let _ = self
                 .transport
                 .send_tagged(from, req_id, &Message::Pong { seq });
@@ -437,14 +400,11 @@ impl<T: Transport> NodeRuntime<T> {
         if let Message::Pong { seq } = msg {
             // Liveness bookkeeping already happened in `serve_one` (any
             // frame from a peer proves it alive); just make it visible.
-            self.recorder.event(
+            self.recorder.count_event(
                 serve_span,
                 names::PONG,
                 vec![("from", from.into()), ("seq", seq.into())],
             );
-            if let Some(m) = self.recorder.metrics() {
-                m.add(names::PONG, 1);
-            }
             return Ok(ServeOutcome::Handled);
         }
         if matches!(msg, Message::Shutdown) {
@@ -508,7 +468,7 @@ impl<T: Transport> NodeRuntime<T> {
                                     let stats = net.refresh_peer_summaries(p);
                                     self.window.record_op(&stats, elapsed_us(t0));
                                 }
-                                self.recorder.event(
+                                self.recorder.count_event(
                                     serve_span,
                                     names::REJOIN,
                                     vec![
@@ -516,9 +476,6 @@ impl<T: Transport> NodeRuntime<T> {
                                         ("overlay_peer", overlay.into()),
                                     ],
                                 );
-                                if let Some(m) = self.recorder.metrics() {
-                                    m.add(names::REJOIN, 1);
-                                }
                                 let _ = self.transport.send_tagged(
                                     from,
                                     req_id,
@@ -553,10 +510,7 @@ impl<T: Transport> NodeRuntime<T> {
                             }
                             None => {
                                 self.window.record_rejected();
-                                Message::Ack {
-                                    seq: u64::from(expected),
-                                    ok: false,
-                                }
+                                refusal(expected)
                             }
                         };
                         if let (Some(wire), Message::JoinAck { peer, .. }) =
@@ -594,14 +548,7 @@ impl<T: Transport> NodeRuntime<T> {
                             // rather than stall each client request for
                             // a full forward timeout.
                             self.window.record_rejected();
-                            let _ = self.transport.send_tagged(
-                                from,
-                                req_id,
-                                &Message::Ack {
-                                    seq: u64::from(expected),
-                                    ok: false,
-                                },
-                            );
+                            let _ = self.transport.send_tagged(from, req_id, &refusal(expected));
                             return Ok(ServeOutcome::Handled);
                         }
                         // Re-parent the frame's trace context under this
@@ -610,74 +557,15 @@ impl<T: Transport> NodeRuntime<T> {
                         // byte-identical to what they received, which is
                         // what keeps the transported bit-identity test
                         // honest with TraceCtx on the wire.
-                        let msg = if self.recorder.is_enabled() {
-                            reparent_ctx(msg, serve_span)
-                        } else {
-                            msg
-                        };
-                        let attempts = if is_resendable(request_kind) {
-                            self.forward_attempts.max(1)
-                        } else {
-                            1
-                        };
+                        if self.recorder.is_enabled() {
+                            if let Some(ctx) = msg.ctx_mut() {
+                                *ctx = ctx.reparent(serve_span);
+                            }
+                        }
                         let t0 = Instant::now();
-                        let mut reply = None;
-                        for attempt in 0..attempts {
-                            if attempt > 0 {
-                                let gap = self.forward_backoff.gap(attempt - 1);
-                                std::thread::sleep(
-                                    self.retry_tick
-                                        .saturating_mul(u32::try_from(gap).unwrap_or(u32::MAX)),
-                                );
-                                self.recorder.event(
-                                    serve_span,
-                                    names::RETRY,
-                                    vec![
-                                        ("attempt", u64::from(attempt).into()),
-                                        ("kind", msg.kind_name().into()),
-                                    ],
-                                );
-                                if let Some(m) = self.recorder.metrics() {
-                                    m.add(names::RETRY, 1);
-                                }
-                            }
-                            // Fresh tag per attempt: a late answer to an
-                            // earlier attempt must not satisfy this one.
-                            self.req_seq += 1;
-                            let fwd_id = self.req_seq;
-                            match self
-                                .transport
-                                .send_tagged(head, fwd_id, &msg)
-                                .and_then(|()| {
-                                    self.await_reply(head, expected, fwd_id, self.forward_timeout)
-                                }) {
-                                Ok(m) => {
-                                    reply = Some(m);
-                                    break;
-                                }
-                                // The head answered and refused:
-                                // authoritative, do not resend.
-                                Err(TransportError::Rejected(_)) => break,
-                                Err(_) => {}
-                            }
-                        }
-                        if reply.is_none() && attempts > 1 {
-                            self.recorder.event(
-                                serve_span,
-                                names::GAVE_UP,
-                                vec![
-                                    ("kind", msg.kind_name().into()),
-                                    ("attempts", u64::from(attempts).into()),
-                                ],
-                            );
-                            if let Some(m) = self.recorder.metrics() {
-                                m.add(names::GAVE_UP, 1);
-                            }
-                        }
-                        let reply = reply.unwrap_or(Message::Ack {
-                            seq: u64::from(expected),
-                            ok: false,
-                        });
+                        let reply = self
+                            .request_head(head, &msg, self.forward, serve_span)
+                            .unwrap_or_else(|_| refusal(expected));
                         record_reply(&self.window, &reply, elapsed_us(t0));
                         let _ = self.transport.send_tagged(from, req_id, &reply);
                     }
@@ -811,54 +699,11 @@ impl<T: Transport> NodeRuntime<T> {
     }
 }
 
-/// The trace context a frame carries, if its kind does.
-fn msg_ctx(msg: &Message) -> TraceCtx {
-    match msg {
-        Message::Query { ctx, .. } | Message::Fetch { ctx, .. } | Message::Publish { ctx, .. } => {
-            *ctx
-        }
-        _ => TraceCtx::NONE,
-    }
-}
-
-/// The frame with its trace context re-parented under `span` (relay
-/// stitching). Frames without a context slot pass through unchanged.
-fn reparent_ctx(msg: Message, span: SpanId) -> Message {
-    match msg {
-        Message::Query {
-            centre,
-            eps,
-            budget,
-            ctx,
-        } => Message::Query {
-            centre,
-            eps,
-            budget,
-            ctx: ctx.reparent(span),
-        },
-        Message::Fetch {
-            peer,
-            centre,
-            eps,
-            ctx,
-        } => Message::Fetch {
-            peer,
-            centre,
-            eps,
-            ctx: ctx.reparent(span),
-        },
-        Message::Publish {
-            level,
-            replicate,
-            object,
-            ctx,
-        } => Message::Publish {
-            level,
-            replicate,
-            object,
-            ctx: ctx.reparent(span),
-        },
-        other => other,
+/// The failure reply to a request whose reply kind is `expected`.
+fn refusal(expected: u8) -> Message {
+    Message::Ack {
+        seq: u64::from(expected),
+        ok: false,
     }
 }
 
@@ -1066,314 +911,5 @@ fn handle_on_network(net: &mut HypermNetwork, msg: Message) -> Option<(Message, 
         // Hello/Monitor/Stats/Shutdown are handled before dispatch;
         // replies have no reply_kind and never reach here.
         _ => None,
-    }
-}
-
-/// Retry and timeout policy for a [`Client`].
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Per-attempt reply timeout ([`MIN_TIMEOUT`]-clamped at use).
-    pub timeout: Duration,
-    /// Total attempts for resendable (idempotent) request kinds.
-    /// Non-resendable kinds (`Put`, `Publish`, `Shutdown`) always get
-    /// exactly one attempt regardless.
-    pub attempts: u32,
-    /// Backoff schedule between attempts, in ticks.
-    pub backoff: Backoff,
-    /// Wall-clock length of one backoff tick.
-    pub retry_tick: Duration,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        Self {
-            timeout: Duration::from_secs(30),
-            attempts: 3,
-            backoff: Backoff::exponential(1, 8),
-            retry_tick: Duration::from_millis(25),
-        }
-    }
-}
-
-/// Request/response wrapper over a [`Transport`]: what `hyperm-client`
-/// and `hyperm-monitor` (and the integration tests) speak.
-///
-/// Every attempt is stamped with a fresh non-zero request-correlation
-/// tag, and only a reply echoing the *current* attempt's tag is
-/// returned: an answer to an attempt that already timed out is discarded
-/// (`stale_reply` telemetry), never mis-returned to a later request.
-/// Resendable kinds are retried under the configured [`Backoff`];
-/// exhausting the budget emits `gave_up` and surfaces the last error.
-pub struct Client<T: Transport> {
-    transport: T,
-    node: PeerId,
-    /// Timeout/retry policy.
-    pub config: ClientConfig,
-    /// Trace context stamped into query/fetch/publish frames. Default
-    /// [`TraceCtx::NONE`] (untraced — frames carry zeroes); set a
-    /// non-zero `trace_id` to tag a distributed operation so the nodes'
-    /// streams stitch into one tree.
-    pub trace: TraceCtx,
-    recorder: Recorder,
-    req_seq: AtomicU64,
-}
-
-impl<T: Transport> Client<T> {
-    /// A client whose requests go to transport peer `node`.
-    pub fn new(transport: T, node: PeerId) -> Self {
-        Self {
-            transport,
-            node,
-            config: ClientConfig::default(),
-            trace: TraceCtx::NONE,
-            recorder: Recorder::disabled(),
-            req_seq: AtomicU64::new(0),
-        }
-    }
-
-    /// This client with `trace` stamped into every traceable request.
-    pub fn with_trace(mut self, trace: TraceCtx) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// This client with a timeout/retry policy.
-    pub fn with_config(mut self, config: ClientConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// This client with a telemetry recorder: retries, exhausted retry
-    /// budgets and discarded stale replies become `retry` / `gave_up` /
-    /// `stale_reply` events and metrics counters.
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// The underlying transport endpoint.
-    pub fn transport(&self) -> &T {
-        &self.transport
-    }
-
-    fn request(&self, msg: &Message) -> Result<Message, TransportError> {
-        let expected = Message::reply_kind_of(msg.kind())
-            .ok_or(TransportError::Rejected("not a request message"))?;
-        let attempts = if is_resendable(msg.kind()) {
-            self.config.attempts.max(1)
-        } else {
-            1
-        };
-        let mut last = TransportError::Timeout;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let gap = self.config.backoff.gap(attempt - 1);
-                std::thread::sleep(
-                    self.config
-                        .retry_tick
-                        .saturating_mul(u32::try_from(gap).unwrap_or(u32::MAX)),
-                );
-                self.recorder.event(
-                    SpanId::NONE,
-                    names::RETRY,
-                    vec![
-                        ("attempt", u64::from(attempt).into()),
-                        ("kind", msg.kind_name().into()),
-                    ],
-                );
-                if let Some(m) = self.recorder.metrics() {
-                    m.add(names::RETRY, 1);
-                }
-            }
-            // Fresh non-zero tag per attempt: the transport may deliver
-            // a late reply to an earlier attempt, and it must not be
-            // mistaken for this one's.
-            let req_id = self.req_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            if let Err(e) = self.transport.send_tagged(self.node, req_id, msg) {
-                match e {
-                    TransportError::Closed => return Err(e),
-                    _ => {
-                        last = e;
-                        continue;
-                    }
-                }
-            }
-            match self.await_reply(req_id, expected) {
-                Ok(reply) => return Ok(reply),
-                // An explicit refusal is authoritative, and a closed
-                // endpoint cannot recover by resending.
-                Err(e @ (TransportError::Rejected(_) | TransportError::Closed)) => return Err(e),
-                Err(e) => last = e,
-            }
-        }
-        if attempts > 1 {
-            self.recorder.event(
-                SpanId::NONE,
-                names::GAVE_UP,
-                vec![
-                    ("kind", msg.kind_name().into()),
-                    ("attempts", u64::from(attempts).into()),
-                ],
-            );
-            if let Some(m) = self.recorder.metrics() {
-                m.add(names::GAVE_UP, 1);
-            }
-        }
-        Err(last)
-    }
-
-    fn await_reply(&self, req_id: u64, expected: u8) -> Result<Message, TransportError> {
-        let deadline = Instant::now() + self.config.timeout.max(MIN_TIMEOUT);
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(TransportError::Timeout);
-            }
-            let env = self.transport.recv_timeout(deadline - now)?;
-            if env.from != self.node {
-                continue;
-            }
-            let is_failure = matches!(env.msg, Message::Ack { ok: false, .. });
-            if env.msg.kind() != expected && !is_failure {
-                continue;
-            }
-            if env.req_id != req_id {
-                // A reply to an attempt that already timed out:
-                // returning it would answer the wrong request.
-                self.recorder.event(
-                    SpanId::NONE,
-                    names::STALE_REPLY,
-                    vec![
-                        ("from", env.from.into()),
-                        ("kind", env.msg.kind_name().into()),
-                    ],
-                );
-                if let Some(m) = self.recorder.metrics() {
-                    m.add(names::STALE_REPLY, 1);
-                }
-                continue;
-            }
-            if is_failure {
-                return Err(TransportError::Rejected("request refused by node"));
-            }
-            return Ok(env.msg);
-        }
-    }
-
-    /// Insert `item` into peer `peer`'s collection. Returns the item's
-    /// new local index.
-    pub fn put(&self, peer: u64, item: &[f64], republish: bool) -> Result<u64, TransportError> {
-        match self.request(&Message::Put {
-            peer,
-            item: item.to_vec(),
-            republish,
-        })? {
-            Message::PutAck { index, .. } => Ok(index),
-            _ => Err(TransportError::Rejected("unexpected reply")),
-        }
-    }
-
-    /// Stored summary spheres covering `key` in the level-`level` overlay.
-    pub fn get(&self, level: u16, key: &[f64]) -> Result<Vec<StoredObject>, TransportError> {
-        match self.request(&Message::Get {
-            level,
-            key: key.to_vec(),
-        })? {
-            Message::GetAck { objects, .. } => Ok(objects),
-            _ => Err(TransportError::Rejected("unexpected reply")),
-        }
-    }
-
-    /// Range query: items within `eps` of `centre`, as
-    /// `(peer, local index)` pairs, plus `(hops, messages, bytes)` cost.
-    #[allow(clippy::type_complexity)]
-    pub fn query(
-        &self,
-        centre: &[f64],
-        eps: f64,
-        budget: Option<u32>,
-    ) -> Result<(Vec<(u64, u64)>, (u64, u64, u64)), TransportError> {
-        match self.request(&Message::Query {
-            centre: centre.to_vec(),
-            eps,
-            budget: budget.unwrap_or(u32::MAX),
-            ctx: self.trace,
-        })? {
-            Message::QueryAck {
-                items,
-                hops,
-                messages,
-                bytes,
-            } => Ok((items, (hops, messages, bytes))),
-            _ => Err(TransportError::Rejected("unexpected reply")),
-        }
-    }
-
-    /// Who owns `key` at overlay level `level`.
-    pub fn route(&self, level: u16, key: &[f64]) -> Result<u64, TransportError> {
-        match self.request(&Message::Route {
-            level,
-            key: key.to_vec(),
-        })? {
-            Message::RouteAck { owner, .. } => Ok(owner),
-            _ => Err(TransportError::Rejected("unexpected reply")),
-        }
-    }
-
-    /// Publish a raw sphere object. Returns `(replicas, targets)`.
-    pub fn publish(
-        &self,
-        level: u16,
-        object: StoredObject,
-        replicate: bool,
-    ) -> Result<(u32, u32), TransportError> {
-        match self.request(&Message::Publish {
-            level,
-            replicate,
-            object,
-            ctx: self.trace,
-        })? {
-            Message::PublishAck {
-                replicas, targets, ..
-            } => Ok((replicas, targets)),
-            _ => Err(TransportError::Rejected("unexpected reply")),
-        }
-    }
-
-    /// Direct phase-2 fetch from one peer's collection.
-    pub fn fetch(&self, peer: u64, centre: &[f64], eps: f64) -> Result<Vec<u64>, TransportError> {
-        match self.request(&Message::Fetch {
-            peer,
-            centre: centre.to_vec(),
-            eps,
-            ctx: self.trace,
-        })? {
-            Message::FetchAck { indices, .. } => Ok(indices),
-            _ => Err(TransportError::Rejected("unexpected reply")),
-        }
-    }
-
-    /// The node's live overlay state as JSON.
-    pub fn monitor(&self) -> Result<String, TransportError> {
-        match self.request(&Message::Monitor)? {
-            Message::MonitorAck { json } => Ok(json),
-            _ => Err(TransportError::Rejected("unexpected reply")),
-        }
-    }
-
-    /// The node's sliding-window metrics snapshot as JSON.
-    pub fn stats(&self) -> Result<String, TransportError> {
-        match self.request(&Message::Stats)? {
-            Message::StatsAck { json } => Ok(json),
-            _ => Err(TransportError::Rejected("unexpected reply")),
-        }
-    }
-
-    /// Ask the node to shut down; waits for its ack.
-    pub fn shutdown(&self) -> Result<(), TransportError> {
-        match self.request(&Message::Shutdown)? {
-            Message::Ack { ok: true, .. } => Ok(()),
-            _ => Err(TransportError::Rejected("shutdown refused")),
-        }
     }
 }

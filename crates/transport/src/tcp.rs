@@ -19,6 +19,7 @@
 
 use crate::frame::{read_frame, write_frame};
 use crate::mailbox::{Mailbox, RecvError};
+use crate::runtime::request::{retry, Attempt};
 use crate::{Envelope, PeerId, Transport, TransportError};
 use hyperm_can::Message;
 use hyperm_sim::Backoff;
@@ -33,10 +34,11 @@ use std::time::Duration;
 /// Default inbox bound (frames, not bytes).
 pub const DEFAULT_INBOX: usize = 256;
 
-/// Default dial attempts per `ensure_conn` (first try + redials).
+/// Dial attempts per `ensure_conn` (first try + redials), spaced by
+/// `Backoff::exponential(1, 8)` gaps of [`DEFAULT_DIAL_TICK`] each.
 pub const DEFAULT_DIAL_ATTEMPTS: u32 = 3;
 
-/// Default wall-clock length of one backoff tick between dial attempts.
+/// Wall-clock length of one backoff tick between dial attempts.
 pub const DEFAULT_DIAL_TICK: Duration = Duration::from_millis(25);
 
 /// How long an accepted connection may take to send its `Hello`. A
@@ -189,12 +191,6 @@ fn handshake(stream: &TcpStream, r: &mut BufReader<&TcpStream>) -> Result<PeerId
 pub struct TcpEndpoint {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    /// Dial attempts per [`TcpEndpoint::connect`]/`send` (≥ 1).
-    dial_attempts: u32,
-    /// Gap schedule (in ticks) between dial attempts.
-    dial_backoff: Backoff,
-    /// Wall-clock length of one backoff tick.
-    dial_tick: Duration,
 }
 
 impl TcpEndpoint {
@@ -237,23 +233,7 @@ impl TcpEndpoint {
                 std::thread::spawn(move || conn_shared.run_reader(stream));
             }
         });
-        Ok(Self {
-            shared,
-            local_addr,
-            dial_attempts: DEFAULT_DIAL_ATTEMPTS,
-            dial_backoff: Backoff::exponential(1, 8),
-            dial_tick: DEFAULT_DIAL_TICK,
-        })
-    }
-
-    /// Override the dial-retry policy: `attempts` total tries per
-    /// connection establishment (clamped to ≥ 1), spaced by `backoff`
-    /// gaps of `tick` each. `attempts = 1` restores fail-fast dialing.
-    pub fn with_dial_retry(mut self, attempts: u32, backoff: Backoff, tick: Duration) -> Self {
-        self.dial_attempts = attempts.max(1);
-        self.dial_backoff = backoff;
-        self.dial_tick = tick;
-        self
+        Ok(Self { shared, local_addr })
     }
 
     /// The bound address (useful with port 0).
@@ -275,9 +255,9 @@ impl TcpEndpoint {
     }
 
     /// A live connection to `peer`: the pooled one when it exists,
-    /// otherwise a fresh dial — retried up to `dial_attempts` times with
-    /// backoff, because an evicted connection usually means the peer is
-    /// restarting, not gone.
+    /// otherwise a fresh dial — retried up to [`DEFAULT_DIAL_ATTEMPTS`]
+    /// times with backoff, because an evicted connection usually means
+    /// the peer is restarting, not gone.
     fn ensure_conn(&self, peer: PeerId) -> Result<Arc<TcpStream>, TransportError> {
         if let Some(s) = self.shared.lock_conns().get(&peer) {
             return Ok(Arc::clone(s));
@@ -288,14 +268,11 @@ impl TcpEndpoint {
             .get(&peer)
             .copied()
             .ok_or(TransportError::UnknownPeer(peer))?;
-        let mut last = TransportError::UnknownPeer(peer);
-        for attempt in 0..self.dial_attempts.max(1) {
-            if self.shared.closed.load(Ordering::SeqCst) {
-                return Err(TransportError::Closed);
-            }
-            if attempt > 0 {
-                let gap = u32::try_from(self.dial_backoff.gap(attempt - 1)).unwrap_or(u32::MAX);
-                std::thread::sleep(self.dial_tick.saturating_mul(gap));
+        let outcome = retry(
+            DEFAULT_DIAL_ATTEMPTS,
+            &Backoff::exponential(1, 8),
+            DEFAULT_DIAL_TICK,
+            |attempt| {
                 self.shared.recorder.event(
                     self.shared.span,
                     names::RETRY,
@@ -304,13 +281,21 @@ impl TcpEndpoint {
                         ("attempt", u64::from(attempt).into()),
                     ],
                 );
-            }
-            match self.dial(peer, addr) {
-                Ok(stream) => return Ok(stream),
-                Err(e) => last = e,
-            }
+            },
+            || {
+                if self.shared.closed.load(Ordering::SeqCst) {
+                    return Attempt::Fatal(TransportError::Closed);
+                }
+                match self.dial(peer, addr) {
+                    Ok(stream) => Attempt::Done(stream),
+                    Err(e) => Attempt::Again(e),
+                }
+            },
+        );
+        match outcome {
+            Attempt::Done(stream) => Ok(stream),
+            Attempt::Fatal(e) | Attempt::Again(e) => Err(e),
         }
-        Err(last)
     }
 
     /// One dial + `Hello` handshake to `peer` at `addr`, pooling the

@@ -24,7 +24,7 @@
 //! rounds (0 = run until interrupted), which is how CI bounds the loop.
 
 use hyperm::telemetry::{JsonObj, JsonValue, SloReport, SloRule, WindowSnapshot};
-use hyperm::transport::{Client, ClientConfig, TcpEndpoint};
+use hyperm::transport::{Client, RequestPolicy, TcpEndpoint};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -115,9 +115,9 @@ fn connect(node: &str) -> Result<Client<TcpEndpoint>, String> {
         .map_err(|e| format!("cannot reach node at {node}: {e}"))?;
     // Scrapes are cheap and periodic: keep per-attempt waits short so a
     // dead node costs a watch round fractions of the default timeout.
-    Ok(Client::new(endpoint, 0).with_config(ClientConfig {
+    Ok(Client::new(endpoint, 0).with_config(RequestPolicy {
         timeout: Duration::from_secs(5),
-        ..ClientConfig::default()
+        ..RequestPolicy::default()
     }))
 }
 

@@ -81,8 +81,8 @@ pub use hyperm_telemetry::{
     MetricsSnapshot, Recorder, SloReport, SpanId, Trace, TraceCtx, WindowSnapshot,
 };
 pub use hyperm_transport::{
-    ChaosConfig, ChaosEndpoint, ChaosStats, Client, ClientConfig, Envelope, MemEndpoint, MemHub,
-    NodeRuntime, PeerId, Role, ServeOutcome, SimEndpoint, SimHub, TcpEndpoint, Transport,
+    ChaosConfig, ChaosEndpoint, ChaosStats, Client, Envelope, MemEndpoint, MemHub, NodeRuntime,
+    PeerId, RequestPolicy, Role, ServeOutcome, SimEndpoint, SimHub, TcpEndpoint, Transport,
     TransportError,
 };
 pub use hyperm_wavelet::{Decomposition, Normalization, Subspace, WaveletError};

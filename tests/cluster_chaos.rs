@@ -25,8 +25,8 @@ use hyperm::datagen::{generate_aloi_like, AloiConfig};
 use hyperm::telemetry::{names, Recorder, TraceCtx};
 use hyperm::transport::{MemEndpoint, ServeOutcome, Transport, TransportError};
 use hyperm::{
-    Backoff, ChaosConfig, ChaosEndpoint, Client, ClientConfig, Dataset, HypermConfig,
-    HypermNetwork, MemHub, Message, NodeRuntime, Role,
+    Backoff, ChaosConfig, ChaosEndpoint, Client, Dataset, HypermConfig, HypermNetwork, MemHub,
+    Message, NodeRuntime, RequestPolicy, Role,
 };
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -89,7 +89,7 @@ fn chaos_client(
     rec: Recorder,
 ) -> Client<ChaosEndpoint<MemEndpoint>> {
     Client::new(transport, 0)
-        .with_config(ClientConfig {
+        .with_config(RequestPolicy {
             timeout: Duration::from_millis(150),
             attempts: 6,
             backoff: Backoff::exponential(1, 4),
@@ -286,7 +286,7 @@ fn stale_reply_probe() -> (u64, u64) {
     let node = hub.endpoint(0);
     let (rec, _ring) = Recorder::ring(1 << 10);
     let client = Client::new(hub.endpoint(77), 0)
-        .with_config(ClientConfig {
+        .with_config(RequestPolicy {
             timeout: Duration::from_millis(60),
             attempts: 3,
             backoff: Backoff::exponential(1, 1),
@@ -301,28 +301,10 @@ fn stale_reply_probe() -> (u64, u64) {
         let second = node.recv_timeout(Duration::from_secs(5)).unwrap();
         // Now answer attempt ONE (late — the client gave up on it), with
         // a poisoned payload, then attempt two with the real one.
-        node.send_tagged(
-            77,
-            first.req_id,
-            &Message::QueryAck {
-                items: vec![(9, 9)],
-                hops: 1,
-                messages: 1,
-                bytes: 1,
-            },
-        )
-        .unwrap();
-        node.send_tagged(
-            77,
-            second.req_id,
-            &Message::QueryAck {
-                items: vec![(1, 1)],
-                hops: 1,
-                messages: 1,
-                bytes: 1,
-            },
-        )
-        .unwrap();
+        node.send_tagged(77, first.req_id, &query_ack(POISON))
+            .unwrap();
+        node.send_tagged(77, second.req_id, &query_ack(REAL))
+            .unwrap();
         (first.req_id, second.req_id, first.msg, second.msg)
     });
 
@@ -333,10 +315,10 @@ fn stale_reply_probe() -> (u64, u64) {
     assert_ne!(id1, id2, "each attempt must get a fresh req_id");
     assert_eq!(msg1, msg2, "a resend is the identical idempotent request");
 
-    let stale_returned = u64::from(items == vec![(9, 9)]);
+    let stale_returned = u64::from(items == vec![POISON]);
     assert_eq!(
         items,
-        vec![(1, 1)],
+        vec![REAL],
         "the late reply to a timed-out attempt must never be returned"
     );
     let metrics = rec.metrics().unwrap();
@@ -389,17 +371,300 @@ fn late_reply_to_timed_out_request_is_discarded() {
     assert_eq!(returned, 0);
 }
 
-/// Satellite regression: a `ClientConfig::timeout` of zero is clamped to
+/// What the scripted head does with the nth frame of a request.
+#[derive(Clone, Copy)]
+enum On {
+    /// Nothing: the attempt times out.
+    Silent,
+    /// Answers this frame's tag with the real payload.
+    Answer,
+    /// Answers this frame's tag with a failure ack.
+    Refuse,
+    /// Answers the *previous* frame's tag with a poisoned payload (a late
+    /// reply to an attempt that already timed out), then this frame's
+    /// with the real one.
+    LateThenAnswer,
+}
+
+/// One row of the request-path table.
+struct Row {
+    name: &'static str,
+    /// Send a `Put` (one attempt whatever the policy) instead of a
+    /// resendable `Query`.
+    put: bool,
+    /// The scripted head's reaction to each frame, in arrival order; it
+    /// must receive exactly this many.
+    script: &'static [On],
+    /// What the client sees, asked directly and through a member: the
+    /// real payload, or the error kind. A member turns every failed
+    /// forward into a refusal ack, so its client sees `rejected`.
+    seen: [Result<(), &'static str>; 2],
+    retry: u64,
+    stale: bool,
+    gave_up: u64,
+}
+
+const ATTEMPTS: u32 = 3;
+const REAL: (u64, u64) = (1, 1);
+const POISON: (u64, u64) = (9, 9);
+
+fn query_ack(item: (u64, u64)) -> Message {
+    Message::QueryAck {
+        items: vec![item],
+        hops: 1,
+        messages: 1,
+        bytes: 1,
+    }
+}
+
+/// Play `row` against a scripted head on a raw endpoint — directly, or
+/// through a traced `NodeRuntime` member — and check what the client
+/// saw, the frames the head received and the telemetry of whichever side
+/// did the waiting.
+fn play(row: &Row, relayed: bool) {
+    let ctx = format!(
+        "{} ({})",
+        row.name,
+        ["direct", "relayed"][usize::from(relayed)]
+    );
+    let hub = MemHub::new(64);
+    let head_ep = hub.endpoint(0);
+    let (rec, _ring) = Recorder::ring(1 << 10);
+    let waiting = RequestPolicy {
+        timeout: Duration::from_millis(150),
+        attempts: ATTEMPTS,
+        backoff: Backoff::exponential(1, 1),
+        retry_tick: Duration::from_millis(1),
+    };
+    let (client, member) = if relayed {
+        let mut member = NodeRuntime::new(
+            hub.endpoint(1),
+            Role::Member {
+                head: 0,
+                peer: Some(4),
+            },
+        )
+        .with_recorder(rec.clone());
+        member.forward = waiting;
+        // The client behind the member only waits: one patient attempt.
+        let client = Client::new(hub.endpoint(7), 1).with_config(RequestPolicy {
+            attempts: 1,
+            ..RequestPolicy::default()
+        });
+        let served = std::thread::spawn(move || member.serve_one(Duration::from_secs(10)));
+        (client, Some(served))
+    } else {
+        let client = Client::new(hub.endpoint(7), 0)
+            .with_config(waiting)
+            .with_recorder(rec.clone());
+        (client, None)
+    };
+
+    let script = row.script;
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+    let head = std::thread::spawn(move || {
+        let mut frames: Vec<(u64, Message)> = Vec::new();
+        for on in script {
+            let env = head_ep.recv_timeout(Duration::from_secs(10)).unwrap();
+            let reply = |tag, msg: &Message| head_ep.send_tagged(env.from, tag, msg).unwrap();
+            match on {
+                On::Silent => {}
+                On::Answer => reply(env.req_id, &query_ack(REAL)),
+                On::Refuse => reply(env.req_id, &Message::Ack { seq: 0, ok: false }),
+                On::LateThenAnswer => {
+                    reply(frames.last().unwrap().0, &query_ack(POISON));
+                    reply(env.req_id, &query_ack(REAL));
+                }
+            }
+            frames.push((env.req_id, env.msg));
+        }
+        // The request is over once the client has its answer: anything
+        // it sent is already queued here, so the drain is exact.
+        done_rx.recv().unwrap();
+        while let Ok(env) = head_ep.recv_timeout(Duration::from_millis(10)) {
+            frames.push((env.req_id, env.msg));
+        }
+        frames
+    });
+
+    let seen = if row.put {
+        client.put(4, &[0.5; 4], false).map(|_| vec![])
+    } else {
+        client.query(&[0.5; 4], 0.1, None).map(|(items, _)| items)
+    };
+    if let Some(served) = member {
+        assert_eq!(served.join().unwrap().unwrap(), ServeOutcome::Handled);
+    }
+    done_tx.send(()).unwrap();
+    let frames = head.join().unwrap();
+
+    let want = row.seen[usize::from(relayed)].map(|()| vec![REAL]);
+    assert_eq!(
+        seen.map_err(|e| e.kind_name()),
+        want,
+        "{ctx}: client outcome"
+    );
+    let tags: Vec<u64> = frames.iter().map(|f| f.0).collect();
+    assert_eq!(
+        tags.len(),
+        script.len(),
+        "{ctx}: frames at the head {tags:?}"
+    );
+    assert_eq!(tags[0], 1, "{ctx}: a fresh requester's first tag is 1");
+    assert!(
+        tags.windows(2).all(|w| w[0] < w[1]),
+        "{ctx}: every attempt carries a fresh tag {tags:?}"
+    );
+    assert!(
+        frames.iter().all(|f| f.1 == frames[0].1),
+        "{ctx}: a resend is the identical request"
+    );
+    let metrics = rec.metrics().unwrap();
+    assert_eq!(metrics.counter(names::RETRY), row.retry, "{ctx}: retry");
+    assert_eq!(
+        metrics.counter(names::GAVE_UP),
+        row.gave_up,
+        "{ctx}: gave_up"
+    );
+    let stale = metrics.counter(names::STALE_REPLY);
+    assert_eq!(stale >= 1, row.stale, "{ctx}: stale_reply {stale}");
+}
+
+/// The one request path through both of its callers: every row runs
+/// `Client` → scripted head and `Client` → member → scripted head.
+#[test]
+fn request_path_table_holds_for_client_and_member_forward() {
+    let table = [
+        Row {
+            name: "answered first try",
+            put: false,
+            script: &[On::Answer],
+            seen: [Ok(()), Ok(())],
+            retry: 0,
+            stale: false,
+            gave_up: 0,
+        },
+        Row {
+            name: "silent once then answered",
+            put: false,
+            script: &[On::Silent, On::Answer],
+            seen: [Ok(()), Ok(())],
+            retry: 1,
+            stale: false,
+            gave_up: 0,
+        },
+        Row {
+            name: "late answer to attempt 1 during attempt 2",
+            put: false,
+            script: &[On::Silent, On::LateThenAnswer],
+            seen: [Ok(()), Ok(())],
+            retry: 1,
+            stale: true,
+            gave_up: 0,
+        },
+        Row {
+            name: "refused",
+            put: false,
+            script: &[On::Refuse],
+            seen: [Err("rejected"), Err("rejected")],
+            retry: 0,
+            stale: false,
+            gave_up: 0,
+        },
+        Row {
+            name: "silent throughout a resendable kind",
+            put: false,
+            script: &[On::Silent; ATTEMPTS as usize],
+            seen: [Err("timeout"), Err("rejected")],
+            retry: u64::from(ATTEMPTS) - 1,
+            stale: false,
+            gave_up: 1,
+        },
+        Row {
+            name: "silent throughout Put",
+            put: true,
+            script: &[On::Silent],
+            seen: [Err("timeout"), Err("rejected")],
+            retry: 0,
+            stale: false,
+            gave_up: 0,
+        },
+    ];
+    for row in &table {
+        play(row, false);
+        play(row, true);
+    }
+}
+
+/// Bugfix regression: a refusal is not a give-up. A traced member relays
+/// a wrong-dimension `Query` to a real head, which refuses it on the
+/// first attempt; the member passes the refusal on without resending and
+/// without reporting an exhausted retry budget.
+#[test]
+fn refusal_relayed_by_a_member_is_not_a_give_up() {
+    let data: Vec<Dataset> = (0..4).map(collection).collect();
+    let (net, _) = HypermNetwork::build(data, config()).unwrap();
+    let hub = MemHub::new(64);
+    let mut head_rt = NodeRuntime::new(hub.endpoint(0), Role::Head(Box::new(net)));
+    let head = std::thread::spawn(move || head_rt.serve_until_shutdown());
+    let (rec, _ring) = Recorder::ring(1 << 10);
+    let mut member = NodeRuntime::new(
+        hub.endpoint(1),
+        Role::Member {
+            head: 0,
+            peer: Some(4),
+        },
+    )
+    .with_recorder(rec.clone());
+
+    let client_ep = hub.endpoint(7);
+    client_ep
+        .send_tagged(
+            1,
+            99,
+            &Message::Query {
+                centre: vec![0.0; DIM + 1],
+                eps: 0.1,
+                budget: u32::MAX,
+                ctx: TraceCtx::NONE,
+            },
+        )
+        .unwrap();
+    assert_eq!(
+        member.serve_one(Duration::from_secs(5)).unwrap(),
+        ServeOutcome::Handled
+    );
+    let env = client_ep.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert_eq!(env.req_id, 99, "the refusal echoes the client's tag");
+    assert!(
+        matches!(env.msg, Message::Ack { ok: false, .. }),
+        "a wrong-dimension query is refused: {:?}",
+        env.msg
+    );
+    let metrics = rec.metrics().unwrap();
+    assert_eq!(metrics.counter(names::RETRY), 0, "a refusal is not resent");
+    assert_eq!(
+        metrics.counter(names::GAVE_UP),
+        0,
+        "the head answered on the first attempt: nothing was given up"
+    );
+    assert_eq!(member.window().snapshot(1, 0).rejected, 1);
+
+    Client::new(hub.endpoint(60), 0).shutdown().unwrap();
+    head.join().unwrap().unwrap();
+}
+
+/// Satellite regression: a `RequestPolicy::timeout` of zero is clamped to
 /// a minimum tick — a reply that is already queued must still be
 /// returned, not refused by an instantly-expired deadline.
 #[test]
 fn zero_client_timeout_is_clamped_to_a_live_tick() {
     let hub = MemHub::new(16);
     let node = hub.endpoint(0);
-    let client = Client::new(hub.endpoint(9), 0).with_config(ClientConfig {
+    let client = Client::new(hub.endpoint(9), 0).with_config(RequestPolicy {
         timeout: Duration::ZERO,
         attempts: 1,
-        ..ClientConfig::default()
+        ..RequestPolicy::default()
     });
     // A fresh client's first attempt is req_id 1: pre-queue its answer.
     node.send_tagged(9, 1, &Message::StatsAck { json: "{}".into() })
@@ -411,7 +676,7 @@ fn zero_client_timeout_is_clamped_to_a_live_tick() {
     );
 }
 
-/// Satellite regression: same clamp on the member's `forward_timeout`.
+/// Satellite regression: same clamp on the member's `forward.timeout`.
 #[test]
 fn zero_forward_timeout_is_clamped_to_a_live_tick() {
     let hub = MemHub::new(64);
@@ -424,7 +689,7 @@ fn zero_forward_timeout_is_clamped_to_a_live_tick() {
             peer: Some(4),
         },
     );
-    member.forward_timeout = Duration::ZERO;
+    member.forward.timeout = Duration::ZERO;
     // The client's request arrives first; the head's answer (for the
     // member's first forward tag, 1) is already queued behind it.
     client_ep
@@ -465,7 +730,7 @@ fn zero_forward_timeout_is_clamped_to_a_live_tick() {
             messages: 1,
             bytes: 1,
         },
-        "zero forward_timeout must still relay the queued head answer"
+        "zero forward timeout must still relay the queued head answer"
     );
 }
 
