@@ -167,6 +167,41 @@ fn bench_local_index(c: &mut Criterion) {
     });
 }
 
+/// One peer's phase-2 range scan at the shape the harness measures
+/// (`range_wide`: 1000 × 512-d Markov rows, eps 0.5): the wavelet
+/// filter-and-refine `Peer` runs, against the kd-tree it replaced and a
+/// plain linear scan.
+fn bench_local_range(c: &mut Criterion) {
+    use hyperm_cluster::KdTree;
+    use hyperm_core::Peer;
+    use hyperm_geometry::vecmath::sq_dist;
+    let data = generate_markov(&MarkovConfig {
+        count: 1000,
+        dim: 512,
+        seed: 9,
+        ..MarkovConfig::default()
+    });
+    let q: Vec<f64> = data.row(17).to_vec();
+    let eps = 0.5;
+    let peer = Peer::summarize(0, data, &HypermConfig::new(512).with_seed(9));
+    let data = &peer.items;
+    let tree = KdTree::build(data);
+    c.bench_function("local_range_wavelet_filter_1000x512", |b| {
+        b.iter(|| peer.local_range(black_box(&q), eps))
+    });
+    c.bench_function("local_range_kdtree_1000x512", |b| {
+        b.iter(|| tree.range(data, black_box(&q), eps))
+    });
+    c.bench_function("local_range_linear_1000x512", |b| {
+        b.iter(|| {
+            let rows = data.rows().enumerate();
+            rows.filter(|(_, row)| sq_dist(row, black_box(&q)) <= eps * eps + 1e-12)
+                .map(|(i, _)| i)
+                .collect::<Vec<usize>>()
+        })
+    });
+}
+
 fn bench_wavelet_variants(c: &mut Criterion) {
     let v: Vec<f64> = (0..512).map(|i| (i as f64 * 0.11).sin()).collect();
     c.bench_function("cdf53_decompose_512", |b| {
@@ -254,6 +289,7 @@ criterion_group!(
     bench_can,
     bench_alternative_substrates,
     bench_local_index,
+    bench_local_range,
     bench_wavelet_variants,
     bench_end_to_end,
     bench_query_engine

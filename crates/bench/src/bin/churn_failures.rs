@@ -27,6 +27,7 @@
 use hyperm_bench::{f1, f3, print_table, RetrievalWorkload, Scale};
 use hyperm_cluster::Dataset;
 use hyperm_core::{HypermConfig, HypermNetwork, QueryBudget};
+use hyperm_geometry::vecmath::sq_dist;
 use hyperm_repair::{ChurnSchedule, RepairConfig, RepairEngine};
 use hyperm_sim::{Backoff, FaultConfig, PartitionPlan};
 use hyperm_telemetry::JsonObj;
@@ -79,7 +80,12 @@ fn draw_queries(net: &HypermNetwork, seed: u64) -> Vec<QuerySpec> {
             let mut truth_all = 0usize;
             let mut truth_alive = 0usize;
             for pp in 0..net.len() {
-                let hits = net.peer(pp).local_range(&q, eps).len();
+                // A plain scan, not `Peer::local_range`: the truth must
+                // not come from the code the recall columns measure.
+                let rows = net.peer(pp).items.rows();
+                let hits = rows
+                    .filter(|row| sq_dist(row, &q) <= eps * eps + 1e-12)
+                    .count();
                 truth_all += hits;
                 if net.is_alive(pp) {
                     truth_alive += hits;

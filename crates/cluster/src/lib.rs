@@ -18,8 +18,12 @@
 //!   derive sphere sets from a clustering;
 //! * [`quality`] — cohesion, separation, their ratio (the "goodness" measure
 //!   plotted in Figure 11), SSE and silhouette scores;
-//! * [`kdtree`] — a static kd-tree for the peers' exact local scans
-//!   (main-index + delta-buffer; the paper's phase-2 retrieval).
+//! * [`kdtree`] — a static kd-tree over a dataset's rows. No library
+//!   caller: peers answer phase 2 by wavelet filter-and-refine
+//!   (`hyperm_core::Peer`), which at 512 dimensions prunes where a kd-tree
+//!   cannot. Kept for the benchmark harness's
+//!   `cluster.kdtree_build_ms_per_peer` row and the `kernels` bench's
+//!   comparison rows.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

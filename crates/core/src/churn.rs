@@ -284,6 +284,7 @@ mod tests {
     use crate::network::HypermNetwork;
     use crate::query::knn::KnnOptions;
     use hyperm_cluster::Dataset;
+    use hyperm_geometry::vecmath::sq_dist;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -349,8 +350,12 @@ mod tests {
             if !net.is_alive(p) {
                 continue;
             }
-            for i in net.peer(p).local_range(&q, eps) {
-                alive_truth.push((p, i));
+            // A plain scan, not `Peer::local_range`: the oracle must not
+            // be the code under test.
+            for (i, row) in net.peer(p).items.rows().enumerate() {
+                if sq_dist(row, &q) <= eps * eps + 1e-12 {
+                    alive_truth.push((p, i));
+                }
             }
         }
         let res = net.range_query(1, &q, eps, None);

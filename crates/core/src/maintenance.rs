@@ -40,15 +40,7 @@ impl HypermNetwork {
         let mut stats = OpStats::zero();
 
         // Always: the item joins the peer's local collection and views.
-        {
-            let subspaces: Vec<_> = (0..levels).map(|l| self.subspace(l)).collect();
-            let p = self.peer_mut(peer);
-            p.items.push_row(item);
-            for (l, &s) in subspaces.iter().enumerate() {
-                let coeffs = dec.subspace(s).expect("level exists");
-                p.level_views[l].push_row(coeffs);
-            }
-        }
+        self.peer_mut(peer).push_item(item, &dec);
 
         if policy == InsertPolicy::Republish {
             for l in 0..levels {
@@ -135,7 +127,7 @@ mod tests {
         let cost = net.insert_item(2, &item, InsertPolicy::StaleSummaries);
         assert_eq!(cost, OpStats::zero());
         assert_eq!(net.peer(2).len(), before + 1);
-        assert_eq!(net.peer(2).level_views[0].len(), before + 1);
+        assert_eq!(net.peer(2).level_views()[0].len(), before + 1);
     }
 
     #[test]

@@ -6,29 +6,55 @@
 //! does not add to the overall time complexity"), the coefficients of each
 //! published subspace are collected into a per-level dataset, and k-means
 //! summarises each level into `K_p` cluster spheres.
+//!
+//! The same per-level coefficients are the peer's only index. A local
+//! range, k-nn or point lookup (step *s3*) is one filter-and-refine scan:
+//! walk the published subspaces coarse to fine, carry each item's running
+//! lower bound `Σ_l c_l²·‖coeff_l(item) − coeff_l(q)‖² ≤ ‖item − q‖²`
+//! (`hyperm_wavelet::theory::sq_radius_contraction` has the argument),
+//! drop the item once the bound passes what the query can still accept,
+//! and pay the full-dimensional `sq_dist` only for the survivors. The
+//! refine test decides membership, so answers are those of a linear scan;
+//! the filter's threshold is widened by
+//! `hyperm_wavelet::theory::lower_bound_limit`, so rounding never
+//! dismisses a row the refine test would accept.
 
 use crate::config::HypermConfig;
 use hyperm_cluster::kmeans::kmeans;
-use hyperm_cluster::{spheres_from_clustering, ClusterSphere, Dataset, KMeansConfig, KdTree};
+use hyperm_cluster::{spheres_from_clustering, ClusterSphere, Dataset, KMeansConfig};
 use hyperm_geometry::vecmath::sq_dist;
-use hyperm_wavelet::decompose;
+use hyperm_wavelet::{
+    decompose, lower_bound_limit, sq_radius_contraction, Decomposition, Normalization, Subspace,
+};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One device and its local collection.
 #[derive(Debug, Clone)]
 pub struct Peer {
     /// Peer index (also its CAN node id in every overlay).
     pub id: usize,
-    /// Original-space items (rows).
+    /// Original-space items (rows). Append through [`Peer::push_item`]
+    /// only: the local scans are sound while row *i* of every level view
+    /// is item *i*.
     pub items: Dataset,
     /// Per published subspace: the items' coefficients in that subspace
     /// (row i ↔ item i).
-    pub level_views: Vec<Dataset>,
+    level_views: Vec<Dataset>,
     /// Per published subspace: the cluster-sphere summaries (step *i2*).
     pub summaries: Vec<Vec<ClusterSphere>>,
-    /// kd-tree over the items present at summarisation time; items appended
-    /// later (maintenance inserts) live past `index.indexed_len()` and are
-    /// scanned linearly (main-index + delta-buffer).
-    index: KdTree,
+    /// The published subspaces and the convention they were computed in —
+    /// what it takes to decompose a query the way the items were.
+    subspaces: Vec<Subspace>,
+    normalization: Normalization,
+    /// Largest `|coordinate|` over all items: the scale of the
+    /// coefficients' rounding error (see `lower_bound_limit`).
+    peak: f64,
+}
+
+/// Largest `|coordinate|` of a vector.
+fn peak(v: &[f64]) -> f64 {
+    v.iter().fold(0.0, |m, x| m.max(x.abs()))
 }
 
 impl Peer {
@@ -47,11 +73,13 @@ impl Peer {
             .iter()
             .map(|s| Dataset::with_capacity(s.dim(), items.len()))
             .collect();
+        let mut peak_seen = 0.0f64;
         for row in items.rows() {
             let dec = decompose(row, config.normalization).expect("power-of-two dim");
             for (view, &s) in level_views.iter_mut().zip(&subspaces) {
                 view.push_row(dec.subspace(s).expect("subspace exists"));
             }
+            peak_seen = peak_seen.max(peak(row));
         }
 
         // Cluster each level independently.
@@ -75,13 +103,14 @@ impl Peer {
             })
             .collect();
 
-        let index = KdTree::build(&items);
         Peer {
             id,
             items,
             level_views,
             summaries,
-            index,
+            subspaces,
+            normalization: config.normalization,
+            peak: peak_seen,
         }
     }
 
@@ -95,39 +124,173 @@ impl Peer {
         self.items.is_empty()
     }
 
-    /// Exact local range scan in the **original** space: indices of items
-    /// within `eps` of `q`. This is the "retrieve the actual data items"
-    /// step (s3) — precision is 100% because the peer filters by true
-    /// distance. Indexed items go through the kd-tree; the post-build delta
-    /// is scanned linearly.
-    pub fn local_range(&self, q: &[f64], eps: f64) -> Vec<usize> {
-        let mut out = self.index.range(&self.items, q, eps);
-        let e2 = eps * eps;
-        for i in self.index.indexed_len()..self.items.len() {
-            if sq_dist(self.items.row(i), q) <= e2 + 1e-12 {
-                out.push(i);
-            }
+    /// Per published subspace: the items' coefficients in that subspace
+    /// (row i ↔ item i).
+    pub fn level_views(&self) -> &[Dataset] {
+        &self.level_views
+    }
+
+    /// Append `item`, whose decomposition is `dec`, to the collection and
+    /// to every level view — the one place a peer grows, so the rows stay
+    /// aligned. Summaries are the caller's business (see `maintenance`).
+    pub fn push_item(&mut self, item: &[f64], dec: &Decomposition) {
+        assert_eq!(item.len(), self.items.dim(), "item dimension mismatch");
+        self.check_decomposition(dec);
+        self.items.push_row(item);
+        for (view, &s) in self.level_views.iter_mut().zip(&self.subspaces) {
+            view.push_row(dec.subspace(s).expect("subspace exists"));
         }
-        out.sort_unstable();
-        out
+        self.peak = self.peak.max(peak(item));
+    }
+
+    /// Exact local range scan in the **original** space: indices of items
+    /// within `eps` of `q`, ascending. This is the "retrieve the actual
+    /// data items" step (s3) — precision is 100% because the peer decides
+    /// by true distance; the wavelet filter only spares it most of them.
+    pub fn local_range(&self, q: &[f64], eps: f64) -> Vec<usize> {
+        self.local_range_with(q, &self.decompose(q), eps)
     }
 
     /// Exact local k-nn in the original space: `(local index, distance)`
-    /// pairs, closest first (kd-tree over the indexed prefix merged with a
-    /// linear scan of the delta).
+    /// pairs, the `k` smallest by `(distance, index)`, closest first.
     pub fn local_knn(&self, q: &[f64], k: usize) -> Vec<(usize, f64)> {
-        let mut all = self.index.knn(&self.items, q, k);
-        for i in self.index.indexed_len()..self.items.len() {
-            all.push((i, sq_dist(self.items.row(i), q).sqrt()));
-        }
-        all.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-        all.truncate(k);
-        all
+        self.local_knn_with(q, &self.decompose(q), k)
     }
 
-    /// Exact-match local lookup.
+    /// Exact-match local lookup: the first item equal to `q`.
     pub fn local_point(&self, q: &[f64]) -> Option<usize> {
-        self.items.rows().position(|row| sq_dist(row, q) < 1e-18)
+        self.local_point_with(q, &self.decompose(q))
+    }
+
+    /// [`Peer::local_range`] for a query whose decomposition `dec` the
+    /// caller already holds.
+    pub(crate) fn local_range_with(&self, q: &[f64], dec: &Decomposition, eps: f64) -> Vec<usize> {
+        let accept = eps * eps + 1e-12;
+        self.filter(dec, self.limit(accept, self.magnitude(q)))
+            .into_iter()
+            .map(|(i, _)| i)
+            .filter(|&i| sq_dist(self.items.row(i), q) <= accept)
+            .collect()
+    }
+
+    /// [`Peer::local_knn`] for an already decomposed query. Items are
+    /// refined in ascending lower-bound order until the bound rules out
+    /// beating the k-th best found.
+    pub(crate) fn local_knn_with(
+        &self,
+        q: &[f64],
+        dec: &Decomposition,
+        k: usize,
+    ) -> Vec<(usize, f64)> {
+        if k == 0 {
+            return Vec::new();
+        }
+        let magnitude = self.magnitude(q);
+        // Both heaps order `f64`s by their bits: for non-negative floats
+        // that is numeric order. `nearest` hands out items by ascending
+        // lower bound (heapified in O(n); only the few that get refined
+        // are popped); `best` keeps the k smallest `(distance, index)`
+        // with the k-th on top.
+        let mut nearest: BinaryHeap<Reverse<(u64, usize)>> = self
+            .filter(dec, f64::INFINITY)
+            .into_iter()
+            .map(|(i, bound)| Reverse((bound.to_bits(), i)))
+            .collect();
+        let mut best: BinaryHeap<(u64, usize)> =
+            BinaryHeap::with_capacity(k.min(nearest.len()) + 1);
+        let mut stop = f64::INFINITY;
+        while let Some(Reverse((bound, i))) = nearest.pop() {
+            if f64::from_bits(bound) > stop {
+                break;
+            }
+            let d = sq_dist(self.items.row(i), q).sqrt();
+            best.push((d.to_bits(), i));
+            if best.len() > k {
+                best.pop();
+            }
+            if let (true, Some(&(kth, _))) = (best.len() == k, best.peek()) {
+                let kth = f64::from_bits(kth);
+                stop = self.limit(kth * kth, magnitude);
+            }
+        }
+        best.into_sorted_vec()
+            .into_iter()
+            .map(|(bits, i)| (i, f64::from_bits(bits)))
+            .collect()
+    }
+
+    /// [`Peer::local_point`] for an already decomposed query.
+    pub(crate) fn local_point_with(&self, q: &[f64], dec: &Decomposition) -> Option<usize> {
+        const SAME: f64 = 1e-18;
+        self.filter(dec, self.limit(SAME, self.magnitude(q)))
+            .into_iter()
+            .map(|(i, _)| i)
+            .find(|&i| sq_dist(self.items.row(i), q) < SAME)
+    }
+
+    /// Decompose a query the way the items were.
+    fn decompose(&self, q: &[f64]) -> Decomposition {
+        assert_eq!(q.len(), self.items.dim(), "query dimension mismatch");
+        decompose(q, self.normalization).expect("power-of-two dim")
+    }
+
+    fn check_decomposition(&self, dec: &Decomposition) {
+        assert_eq!(dec.dim(), self.items.dim(), "decomposition dimension");
+        assert_eq!(
+            dec.normalization(),
+            self.normalization,
+            "decomposition convention"
+        );
+    }
+
+    /// `max|itemᵢ| + max|qᵢ|`: what the coefficients' rounding error
+    /// scales with.
+    fn magnitude(&self, q: &[f64]) -> f64 {
+        self.peak + peak(q)
+    }
+
+    /// The filter threshold under which no item with `sq_dist(item, q) ≤
+    /// sq_accept` is dismissed.
+    fn limit(&self, sq_accept: f64, magnitude: f64) -> f64 {
+        lower_bound_limit(sq_accept, self.items.dim(), self.subspaces.len(), magnitude)
+    }
+
+    /// The filter pass: `(index, lower bound)` of every item whose bound,
+    /// summed over the published subspaces coarse to fine, never passed
+    /// `limit` — in index order.
+    fn filter(&self, dec: &Decomposition, limit: f64) -> Vec<(usize, f64)> {
+        self.check_decomposition(dec);
+        debug_assert!(
+            self.level_views.iter().all(|v| v.len() == self.items.len()),
+            "peer {}: a level view is out of step with the items",
+            self.id
+        );
+        // Per level: the view, the query's coefficients there, and `c_l²`.
+        let dim = self.items.dim();
+        let mut levels = self
+            .level_views
+            .iter()
+            .zip(&self.subspaces)
+            .map(|(view, &s)| {
+                let weight = sq_radius_contraction(dim, s, self.normalization);
+                (view, dec.subspace(s).expect("subspace exists"), weight)
+            });
+        let Some((view, coeffs, w)) = levels.next() else {
+            return Vec::new();
+        };
+        let mut alive: Vec<(usize, f64)> = view
+            .rows()
+            .map(|row| w * sq_dist(row, coeffs))
+            .enumerate()
+            .filter(|&(_, bound)| bound <= limit)
+            .collect();
+        for (view, coeffs, w) in levels {
+            alive.retain_mut(|(i, bound)| {
+                *bound += w * sq_dist(view.row(*i), coeffs);
+                *bound <= limit
+            });
+        }
+        alive
     }
 
     /// Total wire bytes of all published summaries (what dissemination
@@ -144,6 +307,9 @@ impl Peer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maintenance::InsertPolicy;
+    use crate::network::HypermNetwork;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -169,12 +335,12 @@ mod tests {
     #[test]
     fn summarize_produces_per_level_structures() {
         let peer = Peer::summarize(0, items(50, 16, 1), &config());
-        assert_eq!(peer.level_views.len(), 3);
+        assert_eq!(peer.level_views().len(), 3);
         assert_eq!(peer.summaries.len(), 3);
-        assert_eq!(peer.level_views[0].dim(), 1); // A
-        assert_eq!(peer.level_views[1].dim(), 1); // D0
-        assert_eq!(peer.level_views[2].dim(), 2); // D1
-        for (views, summary) in peer.level_views.iter().zip(&peer.summaries) {
+        assert_eq!(peer.level_views()[0].dim(), 1); // A
+        assert_eq!(peer.level_views()[1].dim(), 1); // D0
+        assert_eq!(peer.level_views()[2].dim(), 2); // D1
+        for (views, summary) in peer.level_views().iter().zip(&peer.summaries) {
             assert_eq!(views.len(), 50);
             assert!(summary.len() <= 4);
             assert_eq!(summary.iter().map(|s| s.items).sum::<usize>(), 50);
@@ -184,7 +350,7 @@ mod tests {
     #[test]
     fn summaries_cover_their_level_views() {
         let peer = Peer::summarize(3, items(40, 16, 2), &config());
-        for (view, summary) in peer.level_views.iter().zip(&peer.summaries) {
+        for (view, summary) in peer.level_views().iter().zip(&peer.summaries) {
             for row in view.rows() {
                 assert!(
                     summary.iter().any(|s| s.contains(row)),
@@ -206,6 +372,135 @@ mod tests {
         assert_eq!(knn[1].0, 1);
         assert_eq!(peer.local_point(&[0.5; 16]), Some(1));
         assert_eq!(peer.local_point(&[0.4; 16]), None);
+    }
+
+    /// What a linear scan of the rows answers: the oracle of the scan's
+    /// property test, sharing nothing with the filter.
+    fn linear_range(items: &Dataset, q: &[f64], eps: f64) -> Vec<usize> {
+        let rows = items.rows().enumerate();
+        rows.filter(|(_, row)| sq_dist(row, q) <= eps * eps + 1e-12)
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    /// `(index, distance bits)` of the `k` smallest by `(distance, index)`.
+    fn linear_knn(items: &Dataset, q: &[f64], k: usize) -> Vec<(usize, u64)> {
+        let mut all: Vec<(usize, f64)> = items
+            .rows()
+            .map(|row| sq_dist(row, q).sqrt())
+            .enumerate()
+            .collect();
+        all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        all.truncate(k);
+        all.into_iter().map(|(i, d)| (i, d.to_bits())).collect()
+    }
+
+    /// The next `f64` below a positive one.
+    fn one_ulp_below(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() - 1)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Range, k-nn and point scans answer exactly what a linear scan
+        /// does — on tight clusters at magnitudes up to 10⁶ (where the
+        /// coefficients' rounding error is far larger than the query
+        /// radius), with duplicated rows, with rows appended after
+        /// `summarize`, at radii sitting exactly on an item's distance.
+        #[test]
+        fn scans_answer_what_a_linear_scan_does(
+            log_dim in 3u32..10,
+            levels in 1usize..5,
+            orthonormal in any::<bool>(),
+            exponent in 0i32..7,
+            spread_exponent in 0i32..13,
+            republish in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let dim = 1usize << log_dim;
+            let magnitude = 10f64.powi(exponent);
+            let spread = magnitude * 10f64.powi(-spread_exponent);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut cfg = HypermConfig::new(dim)
+                .with_levels(levels)
+                .with_clusters_per_peer(3)
+                .with_seed(seed);
+            cfg.data_bounds = (-magnitude, magnitude);
+            if orthonormal {
+                cfg.normalization = Normalization::Orthonormal;
+            }
+
+            // Rows scattered `spread` around a centre of size `magnitude`.
+            let centre: Vec<f64> =
+                (0..dim).map(|_| (rng.gen::<f64>() * 2.0 - 1.0) * magnitude).collect();
+            let mut near_centre = |rng: &mut StdRng| -> Vec<f64> {
+                centre
+                    .iter()
+                    .map(|c| (c + (rng.gen::<f64>() - 0.5) * spread).clamp(-magnitude, magnitude))
+                    .collect()
+            };
+            let mut ds = Dataset::new(dim);
+            for _ in 0..rng.gen_range(1..30usize) {
+                ds.push_row(&near_centre(&mut rng));
+            }
+            let duplicate = ds.row(0).to_vec();
+            ds.push_row(&duplicate);
+            let other = Dataset::from_rows(&[near_centre(&mut rng)]);
+            let (mut net, _) = HypermNetwork::build(vec![ds, other], cfg).unwrap();
+
+            // Post-build rows: a fresh one, one more copy of row 0, and
+            // row 0 moved by a constant. A query half-way along that move
+            // differs from both ends in the approximation only, where the
+            // lower bound is the distance itself: nothing but the slack
+            // keeps them, and which is nearer is a matter of rounding.
+            let policy =
+                if republish { InsertPolicy::Republish } else { InsertPolicy::StaleSummaries };
+            let copy = net.peer(0).items.row(0).to_vec();
+            let shift = (rng.gen::<f64>() - 0.5) * spread;
+            let shifted: Vec<f64> = copy.iter().map(|x| x + shift).collect();
+            let mirrored: Vec<f64> = shifted.iter().map(|x| x + shift).collect();
+            for item in [near_centre(&mut rng), copy.clone(), mirrored] {
+                net.insert_item(0, &item, policy);
+            }
+            let peer = net.peer(0);
+            let n = peer.len();
+            prop_assert!(peer.level_views().iter().all(|v| v.len() == n));
+
+            for q in [copy, shifted, near_centre(&mut rng)] {
+                let truth = linear_knn(&peer.items, &q, n);
+                let mut radii = vec![0.0, magnitude * 4.0 * (dim as f64).sqrt()];
+                for &(_, bits) in [truth.first(), truth.get(n / 2), truth.last()]
+                    .into_iter()
+                    .flatten()
+                {
+                    let d = f64::from_bits(bits);
+                    radii.push(d);
+                    if d > 0.0 {
+                        radii.push(one_ulp_below(d));
+                    }
+                }
+                for eps in radii {
+                    prop_assert_eq!(
+                        peer.local_range(&q, eps),
+                        linear_range(&peer.items, &q, eps),
+                        "eps {}", eps
+                    );
+                }
+                for k in [0, 1, 2, 4, n, n + 5] {
+                    let got: Vec<(usize, u64)> = peer
+                        .local_knn(&q, k)
+                        .into_iter()
+                        .map(|(i, d)| (i, d.to_bits()))
+                        .collect();
+                    prop_assert_eq!(&got[..], &truth[..k.min(n)], "k {}", k);
+                }
+                prop_assert_eq!(
+                    peer.local_point(&q),
+                    peer.items.rows().position(|row| sq_dist(row, &q) < 1e-18)
+                );
+            }
+        }
     }
 
     #[test]

@@ -232,7 +232,7 @@ impl HypermNetwork {
                 1.0 / selected.len() as f64
             };
             let want = ((opts.c * k as f64 * share).ceil() as usize).max(1);
-            let local = self.peer(ps.peer).local_knn(q, want);
+            let local = self.peer(ps.peer).local_knn_with(q, &dec, want);
             let got = local.len();
             retrieved.extend(local.into_iter().map(|(i, d)| ((ps.peer, i), d)));
             Some(Reply::Items {

@@ -100,7 +100,7 @@ impl HypermNetwork {
         // Direct exact-match probes of every candidate.
         let mut matches = Vec::new();
         run.walk(&ranked, ranked.len(), Reply::Matched(false), |ps| {
-            let hit = self.peer(ps.peer).local_point(q);
+            let hit = self.peer(ps.peer).local_point_with(q, &dec);
             matches.extend(hit.map(|idx| (ps.peer, idx)));
             Some(Reply::Matched(hit.is_some()))
         });

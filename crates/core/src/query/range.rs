@@ -168,7 +168,7 @@ impl HypermNetwork {
         let mut items = Vec::new();
         let none = Reply::Items { want: None, got: 0 };
         let contacted = run.walk(&ranked, target, none, |ps| {
-            let local = self.peer(ps.peer).local_range(q, eps);
+            let local = self.peer(ps.peer).local_range_with(q, &dec, eps);
             let got = local.len();
             items.extend(local.into_iter().map(|i| (ps.peer, i)));
             Some(Reply::Items { want: None, got })

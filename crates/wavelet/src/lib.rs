@@ -46,4 +46,4 @@ pub use decomposition::{
 };
 pub use haar::{haar_inverse_step, haar_step, Normalization};
 pub use image2d::{dwt2_pyramid, dwt2_pyramid_inverse, dwt2_step, Image};
-pub use theory::{radius_contraction, scaled_radius};
+pub use theory::{lower_bound_limit, radius_contraction, scaled_radius, sq_radius_contraction};

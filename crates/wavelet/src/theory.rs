@@ -23,6 +23,24 @@ use crate::haar::Normalization;
 /// `PaperAverage`: `√(dim / subspace.dim())` — Theorem 3.1.
 /// `Orthonormal`: `1` (norm-preserving transform).
 pub fn radius_contraction(dim: usize, subspace: Subspace, norm: Normalization) -> f64 {
+    sq_radius_contraction(dim, subspace, norm).sqrt()
+}
+
+/// [`radius_contraction`] squared, exactly: `dim / subspace.dim()` is a
+/// ratio of powers of two, so multiplying by it never rounds.
+///
+/// It is the weight `c²` under which the subspaces' squared distances add
+/// up to a lower bound of the original one. `c ×` (a subspace's
+/// coefficients) are the coordinates of `x` along an orthonormal set of
+/// Haar vectors, and the sets of different subspaces are orthogonal to each
+/// other, so by Pythagoras
+///
+/// ```text
+/// Σ_s c_s² · ‖coeff_s(x) − coeff_s(y)‖²  ≤  ‖x − y‖²
+/// ```
+///
+/// over any choice of subspaces — Theorem 3.1 is the one-subspace case.
+pub fn sq_radius_contraction(dim: usize, subspace: Subspace, norm: Normalization) -> f64 {
     assert!(
         dim.is_power_of_two() && dim >= 1,
         "dim must be a power of two"
@@ -30,9 +48,41 @@ pub fn radius_contraction(dim: usize, subspace: Subspace, norm: Normalization) -
     let m = subspace.dim();
     assert!(m <= dim, "subspace dim {m} exceeds data dim {dim}");
     match norm {
-        Normalization::PaperAverage => (dim as f64 / m as f64).sqrt(),
+        Normalization::PaperAverage => dim as f64 / m as f64,
         Normalization::Orthonormal => 1.0,
     }
+}
+
+/// The largest value the **computed** weighted sum of
+/// [`sq_radius_contraction`]'s inequality can take, over `levels`
+/// subspaces of a `dim`-dimensional [`decompose`](crate::decompose), for a
+/// pair whose computed squared distance (summed left to right, as
+/// `vecmath::sq_dist` does) is at most `sq_dist`. `magnitude` is
+/// `max|xᵢ| + max|yᵢ|`.
+///
+/// In exact arithmetic the answer is `sq_dist`. In `f64` two things move:
+///
+/// * each Haar step rounds at most three times (the sum, the `√2`
+///   constant, the division), so after `log₂ dim` steps a coefficient is
+///   off by at most `γ·Σ|xᵢ|/divisor^steps` with `γ < 3·log₂ dim·ε`; taken
+///   as a vector and weighted by `c`, one subspace's coefficients are
+///   within `γ·√dim·max|xᵢ|` of the exact ones, all `levels` of them
+///   within `√levels` times that. This error is **absolute** — it scales
+///   with the data, not with the distance — so it is added to the radius;
+/// * summing squares rounds once per term: at most `(dim + 2)·ε/2`
+///   relative on the 512-d side, less on the coefficient side. `8·dim·ε`
+///   covers both, the square of the first, and a `sqrt` taken on either
+///   side of the comparison.
+///
+/// Both constants carry a factor ≥ 2 over the worst case, so rounding in
+/// this function itself does not matter. At `dim` 512, four levels and
+/// data in `[0, 1]` the radius grows by 5·10⁻¹³ and the bound by a factor
+/// `1 + 9·10⁻¹³`.
+pub fn lower_bound_limit(sq_dist: f64, dim: usize, levels: usize, magnitude: f64) -> f64 {
+    let steps = f64::from(dim.trailing_zeros());
+    let coefficient_error = 3.0 * steps * f64::EPSILON * ((levels * dim) as f64).sqrt() * magnitude;
+    let radius = sq_dist.sqrt() + coefficient_error;
+    radius * radius * (1.0 + 8.0 * dim as f64 * f64::EPSILON)
 }
 
 /// Radius of the image of a radius-`r` sphere in `subspace`

@@ -11,6 +11,7 @@
 //!   `truncated` flag set, instead of hanging the critical path.
 
 use hyperm::datagen::{distribute_by_clusters, generate_aloi_like, AloiConfig, DistributeConfig};
+use hyperm::geometry::vecmath::sq_dist;
 use hyperm::telemetry::Recorder;
 use hyperm::{
     Backoff, FaultConfig, HypermConfig, HypermNetwork, KnnOptions, PartitionPlan, QueryBudget,
@@ -47,16 +48,16 @@ fn network(seed: u64, peers: usize) -> HypermNetwork {
     HypermNetwork::build(peer_data, cfg).unwrap().0
 }
 
-/// `eps`-ball truth over the alive peers: every `(peer, item)` an exact
-/// scan finds within `eps` of `q`.
+/// `eps`-ball truth over the alive peers: every `(peer, item)` a plain
+/// scan of the rows finds within `eps` of `q` (not `Peer::local_range` —
+/// the oracle must not be the code under test).
 fn alive_truth(net: &HypermNetwork, q: &[f64], eps: f64) -> Vec<(usize, usize)> {
     (0..net.len())
         .filter(|&p| net.is_alive(p))
         .flat_map(|p| {
-            net.peer(p)
-                .local_range(q, eps)
-                .into_iter()
-                .map(move |i| (p, i))
+            let rows = net.peer(p).items.rows().enumerate();
+            rows.filter(|(_, row)| sq_dist(row, q) <= eps * eps + 1e-12)
+                .map(move |(i, _)| (p, i))
         })
         .collect()
 }

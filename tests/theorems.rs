@@ -1,7 +1,10 @@
 //! The paper's theorems, verified across the full stack (not just on the
 //! wavelet crate in isolation).
 
-use hyperm::wavelet::{decompose, scaled_radius, Normalization, Subspace};
+use hyperm::geometry::vecmath::sq_dist;
+use hyperm::wavelet::{
+    decompose, lower_bound_limit, scaled_radius, sq_radius_contraction, Normalization, Subspace,
+};
 use hyperm::{Dataset, HypermConfig, HypermNetwork};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -93,6 +96,59 @@ proptest! {
                 let bound = scaled_radius(radius, dim, s, Normalization::PaperAverage);
                 prop_assert!(d <= bound + 1e-9, "{s:?}: {d} > {bound}");
             }
+        }
+    }
+
+    /// What the peers' local scan rests on: the published subspaces are
+    /// orthogonal, so their Theorem-3.1 bounds add —
+    /// `Σ_l c_l²·‖Δcoeff_l‖² ≤ ‖x − y‖²` — under both conventions. In
+    /// `f64` the sum can overshoot by the coefficients' rounding error,
+    /// which scales with the data and not with the distance; pairs far
+    /// closer than they are large show that `lower_bound_limit` covers it,
+    /// i.e. the filter never drops a row the exact test would accept.
+    #[test]
+    fn subspace_bounds_add_up_to_a_lower_bound(
+        log_dim in 2u32..10,
+        levels in 1usize..5,
+        exponent in 0i32..7,
+        closeness in 0i32..13,
+        seed in any::<u64>(),
+    ) {
+        let dim = 1usize << log_dim;
+        let subspaces = Subspace::first(levels.min(log_dim as usize + 1));
+        let magnitude = 10f64.powi(exponent);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x: Vec<f64> = (0..dim).map(|_| (rng.gen::<f64>() * 2.0 - 1.0) * magnitude).collect();
+        let far: Vec<f64> = (0..dim).map(|_| (rng.gen::<f64>() * 2.0 - 1.0) * magnitude).collect();
+        // Close pairs, the second one apart in the approximation only —
+        // there the bound is the distance itself.
+        let step = magnitude * 10f64.powi(-closeness);
+        let near: Vec<f64> = x.iter().map(|v| v + (rng.gen::<f64>() - 0.5) * step).collect();
+        let shifted: Vec<f64> = x.iter().map(|v| v + step).collect();
+        for norm in [Normalization::PaperAverage, Normalization::Orthonormal] {
+            let dx = decompose(&x, norm).unwrap();
+            let summed = |y: &[f64]| -> f64 {
+                let dy = decompose(y, norm).unwrap();
+                subspaces
+                    .iter()
+                    .map(|&s| {
+                        sq_radius_contraction(dim, s, norm)
+                            * sq_dist(dx.subspace(s).unwrap(), dy.subspace(s).unwrap())
+                    })
+                    .sum()
+            };
+            let exact = sq_dist(&x, &far);
+            prop_assert!(summed(&far) <= exact * (1.0 + 1e-12), "{norm:?}: {} > {exact}", summed(&far));
+            for y in [&far, &near, &shifted] {
+                let exact = sq_dist(&x, y);
+                let peak = |v: &[f64]| v.iter().fold(0.0f64, |m, c| m.max(c.abs()));
+                let limit = lower_bound_limit(exact, dim, subspaces.len(), peak(&x) + peak(y));
+                prop_assert!(summed(y) <= limit, "{norm:?}: {} > {limit} (exact {exact})", summed(y));
+            }
+            // … and costs next to nothing where the pair is not close.
+            let exact = sq_dist(&x, &far);
+            let peak = magnitude * 2.0;
+            prop_assert!(lower_bound_limit(exact, dim, subspaces.len(), peak) <= exact * (1.0 + 1e-9));
         }
     }
 
