@@ -290,103 +290,13 @@ pub fn decode_query(buf: &[u8]) -> Result<(Vec<f64>, f64), CodecError> {
 // The full message enum framed by `hyperm-transport`.
 // ---------------------------------------------------------------------------
 
-/// Message kind bytes (the first byte of every encoded message).
-pub mod kind {
-    /// [`super::Message::Hello`].
-    pub const HELLO: u8 = 0;
-    /// [`super::Message::Join`].
-    pub const JOIN: u8 = 1;
-    /// [`super::Message::JoinAck`].
-    pub const JOIN_ACK: u8 = 2;
-    /// [`super::Message::Route`].
-    pub const ROUTE: u8 = 3;
-    /// [`super::Message::RouteAck`].
-    pub const ROUTE_ACK: u8 = 4;
-    /// [`super::Message::Publish`].
-    pub const PUBLISH: u8 = 5;
-    /// [`super::Message::PublishAck`].
-    pub const PUBLISH_ACK: u8 = 6;
-    /// [`super::Message::Query`].
-    pub const QUERY: u8 = 7;
-    /// [`super::Message::QueryAck`].
-    pub const QUERY_ACK: u8 = 8;
-    /// [`super::Message::Get`].
-    pub const GET: u8 = 9;
-    /// [`super::Message::GetAck`].
-    pub const GET_ACK: u8 = 10;
-    /// [`super::Message::Fetch`].
-    pub const FETCH: u8 = 11;
-    /// [`super::Message::FetchAck`].
-    pub const FETCH_ACK: u8 = 12;
-    /// [`super::Message::Ack`].
-    pub const ACK: u8 = 13;
-    /// [`super::Message::Monitor`].
-    pub const MONITOR: u8 = 14;
-    /// [`super::Message::MonitorAck`].
-    pub const MONITOR_ACK: u8 = 15;
-    /// [`super::Message::Shutdown`].
-    pub const SHUTDOWN: u8 = 16;
-    /// [`super::Message::Put`].
-    pub const PUT: u8 = 17;
-    /// [`super::Message::PutAck`].
-    pub const PUT_ACK: u8 = 18;
-    /// [`super::Message::Stats`].
-    pub const STATS: u8 = 19;
-    /// [`super::Message::StatsAck`].
-    pub const STATS_ACK: u8 = 20;
-    /// [`super::Message::Ping`].
-    pub const PING: u8 = 21;
-    /// [`super::Message::Pong`].
-    pub const PONG: u8 = 22;
-
-    /// Every kind byte paired with its [`super::Message`] variant name.
-    /// This is the protocol's source of truth for exhaustiveness
-    /// checks: `hyperm-lint`'s protocol-consistency pass cross-checks
-    /// it against the constants above, the reply pairing table, and the
-    /// `NodeRuntime` dispatch at build time. Adding a kind without
-    /// extending this table fails the lint.
-    pub const ALL: &[(u8, &str)] = &[
-        (HELLO, "Hello"),
-        (JOIN, "Join"),
-        (JOIN_ACK, "JoinAck"),
-        (ROUTE, "Route"),
-        (ROUTE_ACK, "RouteAck"),
-        (PUBLISH, "Publish"),
-        (PUBLISH_ACK, "PublishAck"),
-        (QUERY, "Query"),
-        (QUERY_ACK, "QueryAck"),
-        (GET, "Get"),
-        (GET_ACK, "GetAck"),
-        (FETCH, "Fetch"),
-        (FETCH_ACK, "FetchAck"),
-        (ACK, "Ack"),
-        (MONITOR, "Monitor"),
-        (MONITOR_ACK, "MonitorAck"),
-        (SHUTDOWN, "Shutdown"),
-        (PUT, "Put"),
-        (PUT_ACK, "PutAck"),
-        (STATS, "Stats"),
-        (STATS_ACK, "StatsAck"),
-        (PING, "Ping"),
-        (PONG, "Pong"),
-    ];
-
-    /// Request kinds whose effect is idempotent at the receiver: a
-    /// duplicate delivery (from a resend racing a slow reply) is
-    /// indistinguishable from a single one. The transport's retry set
-    /// must be a subset of this list — enforced by `hyperm-lint`'s
-    /// `proto-retry-set` rule. `PUT`/`PUBLISH` mutate and `SHUTDOWN`
-    /// races its own effect, so they are deliberately absent.
-    pub const IDEMPOTENT: &[u8] = &[JOIN, ROUTE, QUERY, GET, FETCH, MONITOR, STATS, PING];
-}
-
 /// Every message the transport layer frames between peers.
 ///
-/// Requests and replies pair up: `Join`→`JoinAck`, `Route`→`RouteAck`,
-/// `Publish`→`PublishAck`, `Query`→`QueryAck`, `Get`→`GetAck`,
-/// `Fetch`→`FetchAck`, `Monitor`→`MonitorAck`. `Ack { seq, ok: false }`
-/// is the generic failure reply, with `seq` echoing the *expected* reply
-/// kind so forwarding nodes can route it back to the right requester.
+/// Requests and replies pair up as the `protocol!` list below this enum
+/// states (`REQUEST => REPLY`; [`Message::reply_kind_of`] reads it).
+/// `Ack { seq, ok: false }` is the generic failure reply, with `seq`
+/// echoing the *expected* reply kind so forwarding nodes can route it
+/// back to the right requester.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Transport-level introduction: the first frame on every connection,
@@ -552,65 +462,138 @@ pub enum Message {
     },
 }
 
+/// The wire protocol, stated once: one row per message kind —
+///
+/// ```text
+/// byte  kind:: const  Message:: variant  wire name  [=> reply kind [idempotent]];
+/// ```
+///
+/// — from which this macro emits the [`kind`] module (a `u8` const per
+/// row, `ALL`, `IDEMPOTENT`), the `REPLIES` pairing table and
+/// `Message::{kind, kind_name}`. A row without `=>` is not a request, and
+/// the grammar has no place for `idempotent` on it. The compiler carries
+/// the rest: a reply that names no row does not resolve, a variant
+/// without a row (or a row without a variant) fails the `match`es here,
+/// in [`write_message`] and in the transport's dispatch, and the `const`
+/// assertions after the list check bytes and pairing.
+macro_rules! protocol {
+    (@reply) => { None };
+    (@reply $REPLY:ident) => { Some(kind::$REPLY) };
+    (@idempotent idempotent $KIND:ident) => { $KIND };
+    ($($byte:literal $KIND:ident $Variant:ident $name:literal
+        $(=> $REPLY:ident $($idempotent:ident)?)?;)*) => {
+        /// Message kind bytes (the first byte of every encoded message).
+        pub mod kind {
+            $(
+                #[doc = concat!("[`super::Message::", stringify!($Variant), "`].")]
+                pub const $KIND: u8 = $byte;
+            )*
+
+            /// Every kind byte paired with its [`super::Message`] variant
+            /// name, in byte order.
+            pub const ALL: &[(u8, &str)] = &[$(($KIND, stringify!($Variant))),*];
+
+            /// Request kinds whose effect is idempotent at the receiver: a
+            /// duplicate delivery (from a resend racing a slow reply) is
+            /// indistinguishable from a single one, so the transport may
+            /// resend them after a timeout.
+            pub const IDEMPOTENT: &[u8] =
+                &[$($($(protocol!(@idempotent $idempotent $KIND),)?)?)*];
+        }
+
+        /// The reply kind each kind expects, indexed by kind byte.
+        const REPLIES: [Option<u8>; kind::ALL.len()] = [$(protocol!(@reply $($REPLY)?)),*];
+
+        impl Message {
+            /// The kind byte this message encodes with (see [`kind`]).
+            pub fn kind(&self) -> u8 {
+                match self {
+                    $(Message::$Variant { .. } => kind::$KIND,)*
+                }
+            }
+
+            /// Human-readable kind name (for logs and monitor output).
+            pub fn kind_name(&self) -> &'static str {
+                match self {
+                    $(Message::$Variant { .. } => $name,)*
+                }
+            }
+        }
+    };
+}
+
+// Reads, scrapes and heartbeats are idempotent; `Join` is because the
+// head's rejoin map resolves a duplicate join to the peer's existing
+// overlay id. `Put`/`Publish` mutate (a resend whose first copy landed
+// would double-apply) and `Shutdown` races its own effect, so they get
+// exactly one attempt.
+protocol! {
+     0  HELLO        Hello       "hello";
+     1  JOIN         Join        "join"         => JOIN_ACK     idempotent;
+     2  JOIN_ACK     JoinAck     "join_ack";
+     3  ROUTE        Route       "route"        => ROUTE_ACK    idempotent;
+     4  ROUTE_ACK    RouteAck    "route_ack";
+     5  PUBLISH      Publish     "publish"      => PUBLISH_ACK;
+     6  PUBLISH_ACK  PublishAck  "publish_ack";
+     7  QUERY        Query       "query"        => QUERY_ACK    idempotent;
+     8  QUERY_ACK    QueryAck    "query_ack";
+     9  GET          Get         "get"          => GET_ACK      idempotent;
+    10  GET_ACK      GetAck      "get_ack";
+    11  FETCH        Fetch       "fetch"        => FETCH_ACK    idempotent;
+    12  FETCH_ACK    FetchAck    "fetch_ack";
+    13  ACK          Ack         "ack";
+    14  MONITOR      Monitor     "monitor"      => MONITOR_ACK  idempotent;
+    15  MONITOR_ACK  MonitorAck  "monitor_ack";
+    16  SHUTDOWN     Shutdown    "shutdown"     => ACK;
+    17  PUT          Put         "put"          => PUT_ACK;
+    18  PUT_ACK      PutAck      "put_ack";
+    19  STATS        Stats       "stats"        => STATS_ACK    idempotent;
+    20  STATS_ACK    StatsAck    "stats_ack";
+    21  PING         Ping        "ping"         => PONG         idempotent;
+    22  PONG         Pong        "pong";
+}
+
+// Kind bytes count up from 0 in list order, so they are unique and
+// `REPLIES` can be indexed by byte.
+const _: () = {
+    let mut k = 0;
+    while k < kind::ALL.len() {
+        assert!(
+            kind::ALL[k].0 as usize == k,
+            "kind bytes must be 0, 1, 2, … in list order"
+        );
+        k += 1;
+    }
+};
+
+// Pairing is one level deep, and every kind is a request, some request's
+// reply, or the `HELLO` handshake.
+const _: () = {
+    let mut k = 0;
+    while k < REPLIES.len() {
+        match REPLIES[k] {
+            Some(reply) => assert!(
+                REPLIES[reply as usize].is_none(),
+                "a reply kind cannot expect a reply of its own"
+            ),
+            None => {
+                let mut answers_a_request = false;
+                let mut q = 0;
+                while q < REPLIES.len() {
+                    answers_a_request |= matches!(REPLIES[q], Some(reply) if reply as usize == k);
+                    q += 1;
+                }
+                assert!(
+                    answers_a_request || k == kind::HELLO as usize,
+                    "every kind is a request, a request's reply, or HELLO"
+                );
+            }
+        }
+        k += 1;
+    }
+};
+
 impl Message {
-    /// The kind byte this message encodes with (see [`kind`]).
-    pub fn kind(&self) -> u8 {
-        match self {
-            Message::Hello { .. } => kind::HELLO,
-            Message::Join { .. } => kind::JOIN,
-            Message::JoinAck { .. } => kind::JOIN_ACK,
-            Message::Route { .. } => kind::ROUTE,
-            Message::RouteAck { .. } => kind::ROUTE_ACK,
-            Message::Publish { .. } => kind::PUBLISH,
-            Message::PublishAck { .. } => kind::PUBLISH_ACK,
-            Message::Query { .. } => kind::QUERY,
-            Message::QueryAck { .. } => kind::QUERY_ACK,
-            Message::Get { .. } => kind::GET,
-            Message::GetAck { .. } => kind::GET_ACK,
-            Message::Fetch { .. } => kind::FETCH,
-            Message::FetchAck { .. } => kind::FETCH_ACK,
-            Message::Ack { .. } => kind::ACK,
-            Message::Monitor => kind::MONITOR,
-            Message::MonitorAck { .. } => kind::MONITOR_ACK,
-            Message::Shutdown => kind::SHUTDOWN,
-            Message::Put { .. } => kind::PUT,
-            Message::PutAck { .. } => kind::PUT_ACK,
-            Message::Stats => kind::STATS,
-            Message::StatsAck { .. } => kind::STATS_ACK,
-            Message::Ping { .. } => kind::PING,
-            Message::Pong { .. } => kind::PONG,
-        }
-    }
-
-    /// Human-readable kind name (for logs and monitor output).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Message::Hello { .. } => "hello",
-            Message::Join { .. } => "join",
-            Message::JoinAck { .. } => "join_ack",
-            Message::Route { .. } => "route",
-            Message::RouteAck { .. } => "route_ack",
-            Message::Publish { .. } => "publish",
-            Message::PublishAck { .. } => "publish_ack",
-            Message::Query { .. } => "query",
-            Message::QueryAck { .. } => "query_ack",
-            Message::Get { .. } => "get",
-            Message::GetAck { .. } => "get_ack",
-            Message::Fetch { .. } => "fetch",
-            Message::FetchAck { .. } => "fetch_ack",
-            Message::Ack { .. } => "ack",
-            Message::Monitor => "monitor",
-            Message::MonitorAck { .. } => "monitor_ack",
-            Message::Shutdown => "shutdown",
-            Message::Put { .. } => "put",
-            Message::PutAck { .. } => "put_ack",
-            Message::Stats => "stats",
-            Message::StatsAck { .. } => "stats_ack",
-            Message::Ping { .. } => "ping",
-            Message::Pong { .. } => "pong",
-        }
-    }
-
     /// The trace-context slot of the kinds that carry one (`Query`,
     /// `Fetch`, `Publish`): read it to stitch a serve span under the
     /// sender's, overwrite it to re-parent a relayed frame.
@@ -625,20 +608,13 @@ impl Message {
 
     /// The reply kind a request of kind `k` expects, if it expects one.
     pub fn reply_kind_of(k: u8) -> Option<u8> {
-        match k {
-            kind::JOIN => Some(kind::JOIN_ACK),
-            kind::ROUTE => Some(kind::ROUTE_ACK),
-            kind::PUBLISH => Some(kind::PUBLISH_ACK),
-            kind::QUERY => Some(kind::QUERY_ACK),
-            kind::GET => Some(kind::GET_ACK),
-            kind::FETCH => Some(kind::FETCH_ACK),
-            kind::MONITOR => Some(kind::MONITOR_ACK),
-            kind::SHUTDOWN => Some(kind::ACK),
-            kind::PUT => Some(kind::PUT_ACK),
-            kind::STATS => Some(kind::STATS_ACK),
-            kind::PING => Some(kind::PONG),
-            _ => None,
-        }
+        REPLIES.get(usize::from(k)).copied().flatten()
+    }
+
+    /// Whether this is a request the receiver can safely see twice (see
+    /// [`kind::IDEMPOTENT`]).
+    pub fn is_idempotent(&self) -> bool {
+        kind::IDEMPOTENT.contains(&self.kind())
     }
 }
 
@@ -848,6 +824,15 @@ fn read_bool(r: &mut Reader<'_>, field: &'static str) -> Result<bool, CodecError
     }
 }
 
+/// A `u32`-length-prefixed UTF-8 string.
+fn read_string(r: &mut Reader<'_>, field: &'static str) -> Result<String, CodecError> {
+    let len = r.u32()? as usize;
+    let bytes = r.take(len)?;
+    std::str::from_utf8(bytes)
+        .map(str::to_string)
+        .map_err(|_| CodecError::CorruptField(field))
+}
+
 /// Decode one message body (as produced by [`encode_message`]). Every
 /// count is validated against the remaining bytes before allocation, and
 /// any leftover bytes are a [`CodecError::TrailingBytes`] error.
@@ -983,14 +968,9 @@ pub fn decode_message(buf: &[u8]) -> Result<Message, CodecError> {
             ok: read_bool(&mut r, "ok")?,
         },
         kind::MONITOR => Message::Monitor,
-        kind::MONITOR_ACK => {
-            let len = r.u32()? as usize;
-            let bytes = r.take(len)?;
-            let json = std::str::from_utf8(bytes)
-                .map_err(|_| CodecError::CorruptField("json"))?
-                .to_string();
-            Message::MonitorAck { json }
-        }
+        kind::MONITOR_ACK => Message::MonitorAck {
+            json: read_string(&mut r, "json")?,
+        },
         kind::SHUTDOWN => Message::Shutdown,
         kind::PUT => Message::Put {
             peer: r.u64()?,
@@ -1004,14 +984,9 @@ pub fn decode_message(buf: &[u8]) -> Result<Message, CodecError> {
         kind::PING => Message::Ping { seq: r.u64()? },
         kind::PONG => Message::Pong { seq: r.u64()? },
         kind::STATS => Message::Stats,
-        kind::STATS_ACK => {
-            let len = r.u32()? as usize;
-            let bytes = r.take(len)?;
-            let json = std::str::from_utf8(bytes)
-                .map_err(|_| CodecError::CorruptField("json"))?
-                .to_string();
-            Message::StatsAck { json }
-        }
+        kind::STATS_ACK => Message::StatsAck {
+            json: read_string(&mut r, "json")?,
+        },
         other => return Err(CodecError::UnknownKind(other)),
     };
     r.finish()?;
@@ -1233,14 +1208,61 @@ mod tests {
     #[test]
     fn message_roundtrip_every_kind() {
         let msgs = sample_messages();
-        // Every kind byte appears exactly once.
-        let kinds: std::collections::BTreeSet<u8> = msgs.iter().map(Message::kind).collect();
-        assert_eq!(kinds.len(), msgs.len());
+        // One sample per row of the protocol list, in list order: a new
+        // kind fails here until it has a sample.
+        let sampled: Vec<u8> = msgs.iter().map(Message::kind).collect();
+        let listed: Vec<u8> = kind::ALL.iter().map(|&(b, _)| b).collect();
+        assert_eq!(sampled, listed);
         for msg in msgs {
             let bytes = encode_message(&msg).unwrap();
             assert_eq!(bytes[0], msg.kind());
             let back = decode_message(&bytes).unwrap();
             assert_eq!(back, msg, "{}", msg.kind_name());
+        }
+    }
+
+    /// The wire, pinned: `sample_messages()` encoded by the code as it
+    /// stood before the kind tables were folded into `protocol!`. Any
+    /// change to a kind byte or a field layout shows up here as a diff in
+    /// committed bytes, not as a round trip that still agrees with itself.
+    #[test]
+    fn wire_bytes_of_every_kind_are_pinned() {
+        #[rustfmt::skip]
+        const GOLDEN: &[(&str, &str)] = &[
+            ("hello", "000900000000000000"),
+            ("join", "0103000000000000000200020000009a9999999999b93f9a9999999999c93f333333333333d33f9a9999999999d93f"),
+            ("join_ack", "020c000000000000000d00000000000000"),
+            ("route", "0301000200000000000000e03f000000000000d03f"),
+            ("route_ack", "0401000400000000000000"),
+            ("publish", "05000001efbeadde000000000400000000000000f0bf000000000000ecbf000000000000e8bf000000000000e4bf000000000000d83f2a000000000000000700000000000000d2040000ab000000000000000300000000000000"),
+            ("publish_ack", "0600004d000000000000000300000003000000"),
+            ("query", "0708009a9999999999d93f9a9999999999d93f9a9999999999d93f9a9999999999d93f9a9999999999d93f9a9999999999d93f9a9999999999d93f9a9999999999d93f000000000000c03fffffffffffffffffffffffff0100000000000000"),
+            ("query_ack", "08020000000000000000000000050000000000000002000000000000000900000000000000110000000000000015000000000000000010000000000000"),
+            ("get", "0902000100000000000000e83f"),
+            ("get_ack", "0a020002000000efbeadde000000000100000000000000f0bf000000000000d83f2a000000000000000700000000000000d2040000efbeadde000000000300000000000000f0bf000000000000ecbf000000000000e8bf000000000000d83f2a000000000000000700000000000000d2040000"),
+            ("fetch", "0b06000000000000000200cdccccccccccec3f9a9999999999b93f000000000000000000000000000000000000000000000000"),
+            ("fetch_ack", "0c060000000000000003000000000000000000000004000000000000000900000000000000"),
+            ("ack", "0d080000000000000000"),
+            ("monitor", "0e"),
+            ("monitor_ack", "0f0c0000007b227a6f6e6573223a20347d"),
+            ("shutdown", "10"),
+            ("put", "1102000000000000000300000000000000d03f000000000000e03f000000000000e83f01"),
+            ("put_ack", "1202000000000000001400000000000000"),
+            ("stats", "13"),
+            ("stats_ack", "140a0000007b226f7073223a20397d"),
+            ("ping", "150b00000000000000"),
+            ("pong", "160b00000000000000"),
+        ];
+        let msgs = sample_messages();
+        assert_eq!(msgs.len(), GOLDEN.len());
+        for (msg, &(name, hex)) in msgs.iter().zip(GOLDEN) {
+            assert_eq!(msg.kind_name(), name);
+            let got: String = encode_message(msg)
+                .unwrap()
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(got, hex, "{name}");
         }
     }
 
@@ -1276,9 +1298,9 @@ mod tests {
 
     #[test]
     fn kind_table_is_total_and_collision_free() {
-        // `kind::ALL` is the protocol's source of truth (the lint's
-        // protocol pass builds on it): it must cover every sample
-        // message's kind byte exactly once, with no byte collisions.
+        // `kind::ALL` is generated from the `protocol!` list: no byte
+        // collisions, and each row's variant, wire name and byte belong
+        // to the same message.
         let mut bytes: Vec<u8> = kind::ALL.iter().map(|&(b, _)| b).collect();
         bytes.sort_unstable();
         let n = bytes.len();
@@ -1300,7 +1322,12 @@ mod tests {
 
     #[test]
     fn idempotent_kinds_are_requests() {
-        for &k in kind::IDEMPOTENT {
+        use kind::*;
+        assert_eq!(
+            IDEMPOTENT,
+            [JOIN, ROUTE, QUERY, GET, FETCH, MONITOR, STATS, PING]
+        );
+        for &k in IDEMPOTENT {
             assert!(
                 Message::reply_kind_of(k).is_some(),
                 "kind::IDEMPOTENT lists {k}, which is not a request kind"

@@ -5,6 +5,7 @@
 //! These are the frames a hostile or buggy peer can put on a TCP socket;
 //! the decoder is the trust boundary.
 
+use hyperm_can::codec::kind;
 use hyperm_can::{
     decode_message, decode_object, decode_query, encode_message, encode_object, encode_query,
     Message, ObjectRef, StoredObject,
@@ -25,8 +26,7 @@ fn obj(dim: usize) -> StoredObject {
     }
 }
 
-/// One instance of every message kind — the same coverage the unit
-/// round-trip test asserts is exhaustive.
+/// One instance of every message kind (`samples_cover_every_kind`).
 fn sample_messages() -> Vec<Message> {
     vec![
         Message::Hello { peer: 9 },
@@ -108,7 +108,18 @@ fn sample_messages() -> Vec<Message> {
         Message::StatsAck {
             json: "{\"ops\": 9}".to_string(),
         },
+        Message::Ping { seq: 11 },
+        Message::Pong { seq: 11 },
     ]
+}
+
+/// The fuzz properties pick from `sample_messages()`, so a kind without
+/// a sample is a kind they never truncate, corrupt or oversize.
+#[test]
+fn samples_cover_every_kind() {
+    let sampled: Vec<u8> = sample_messages().iter().map(Message::kind).collect();
+    let listed: Vec<u8> = kind::ALL.iter().map(|&(b, _)| b).collect();
+    assert_eq!(sampled, listed);
 }
 
 proptest! {

@@ -18,8 +18,7 @@ pub enum Tok {
     Str(String),
     /// Character or byte literal (content ignored by the passes).
     Char,
-    /// Numeric literal, raw digits as written (`0x1F`, `1_000`, `2.5`) —
-    /// the protocol pass reads kind-const values out of these.
+    /// Numeric literal, raw digits as written (`0x1F`, `1_000`, `2.5`).
     Num(String),
     /// Lifetime such as `'a` (passes ignore these, but they must not be
     /// confused with char literals).

@@ -31,11 +31,11 @@
 //!   crossing `spawn`/closure boundaries (`conc-guard-across-spawn`);
 //! * **wire-taint** ([`passes::wiretaint`]) — frame-derived values
 //!   reaching allocations, indexes or unchecked casts without
-//!   validation in the wire-decode files (`wire-taint`);
-//! * **protocol** ([`passes::protocol`]) — kind table, reply pairing,
-//!   dispatch and retry set must agree (`proto-exhaustive`,
-//!   `proto-pairing`, `proto-retry-set`), checked against the real
-//!   `hyperm-can`/`hyperm-transport` constants linked in at build time.
+//!   validation in the wire-decode files (`wire-taint`).
+//!
+//! Protocol consistency is not a pass: the wire protocol is one
+//! `protocol!` list in `hyperm_can::codec`, and the compiler checks it
+//! (DESIGN.md, "Protocol consistency").
 //!
 //! Suppressions: `// hyperm-lint: allow(<rule>) — <reason>` on the
 //! flagged line or the line above; `allow-file(<rule>) — <reason>`
@@ -72,9 +72,6 @@ pub const RULES: &[&str] = &[
     "conc-blocking-hold",
     "conc-guard-across-spawn",
     "wire-taint",
-    "proto-exhaustive",
-    "proto-pairing",
-    "proto-retry-set",
     "lint-directive",
 ];
 
@@ -86,7 +83,6 @@ pub const PASSES: &[&str] = &[
     "concurrency",
     "wiretaint",
     "facade",
-    "protocol",
 ];
 
 /// Per-pass wall-time accumulator (the lint itself is not a
@@ -210,9 +206,8 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<PathBuf>) {
 /// edges; cycle detection then runs once over the merged graph so
 /// inversions *between* files are caught, and each cycle violation is
 /// attributed (and suppressible) at its acquisition site. The
-/// workspace-level passes (facade, protocol) append after suppression —
-/// their findings are structural and are fixed at the source of truth,
-/// not allowed away.
+/// workspace-level facade pass appends after suppression — its findings
+/// are structural and are fixed at the source of truth, not allowed away.
 pub fn run_workspace(root: &Path) -> Report {
     let mut report = Report::default();
     let mut clock = PassClock::default();
@@ -249,9 +244,6 @@ pub fn run_workspace(root: &Path) -> Report {
     report
         .violations
         .extend(clock.time("facade", || passes::facade::run(root)));
-    report
-        .violations
-        .extend(clock.time("protocol", || passes::protocol::run(root)));
     report.violations.sort();
     report.timings_ms = clock.timings();
     report

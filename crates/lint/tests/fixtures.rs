@@ -298,85 +298,6 @@ fn wire_taint_pass_is_scoped_to_wire_files() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Protocol-consistency: synthetic tables against doctored sources.
-// ---------------------------------------------------------------------------
-
-fn proto_tables() -> passes::protocol::ProtoTables {
-    passes::protocol::ProtoTables {
-        all: vec![
-            (0, "Hello".into()),
-            (1, "Join".into()),
-            (2, "JoinAck".into()),
-        ],
-        idempotent: vec![1],
-        resendable: vec![1],
-        reply: vec![(1, 2)],
-        unpaired_ok: vec![0],
-    }
-}
-
-fn toks(src: &str) -> Vec<hyperm_lint::lexer::Token> {
-    hyperm_lint::lexer::lex(src).tokens
-}
-
-const GOOD_CODEC: &str = "pub mod kind {\n    pub const HELLO: u8 = 0;\n    pub const JOIN: u8 = 1;\n    pub const JOIN_ACK: u8 = 2;\n}\n";
-const GOOD_RUNTIME: &str = "pub const RESENDABLE_KINDS: &[u8] = &[1];\nfn serve() {\n    match msg {\n        Message::Hello { .. } => {}\n        Message::Join { .. } => {}\n        Message::JoinAck { .. } => {}\n    }\n}\n";
-
-#[test]
-fn proto_consistent_tables_are_clean() {
-    let v = passes::protocol::check(&proto_tables(), &toks(GOOD_CODEC), &toks(GOOD_RUNTIME));
-    assert!(v.is_empty(), "{v:?}");
-}
-
-#[test]
-fn proto_pairing_catches_const_drift() {
-    // Source says JOIN = 9, the linked table says 1.
-    let drifted = GOOD_CODEC.replace("JOIN: u8 = 1", "JOIN: u8 = 9");
-    let v = passes::protocol::check(&proto_tables(), &toks(&drifted), &toks(GOOD_RUNTIME));
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, "proto-pairing");
-    assert_eq!(v[0].line, 3, "must point at the drifted const");
-}
-
-#[test]
-fn proto_pairing_catches_byte_collision() {
-    let mut t = proto_tables();
-    t.all.push((2, "Rogue".into()));
-    t.reply.push((2, 2));
-    let v = passes::protocol::check(&t, &toks(GOOD_CODEC), &toks(GOOD_RUNTIME));
-    assert!(
-        v.iter()
-            .any(|v| v.rule == "proto-pairing" && v.message.contains("claimed by")),
-        "{v:?}"
-    );
-}
-
-#[test]
-fn proto_exhaustive_catches_missing_dispatch_arm() {
-    let gutted = GOOD_RUNTIME.replace("        Message::JoinAck { .. } => {}\n", "");
-    let v = passes::protocol::check(&proto_tables(), &toks(GOOD_CODEC), &toks(&gutted));
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, "proto-exhaustive");
-    assert!(v[0].message.contains("JoinAck"), "{v:?}");
-}
-
-#[test]
-fn proto_retry_set_must_be_subset_of_idempotent() {
-    let mut t = proto_tables();
-    t.resendable = vec![1, 2];
-    let v = passes::protocol::check(&t, &toks(GOOD_CODEC), &toks(GOOD_RUNTIME));
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, "proto-retry-set");
-    assert_eq!(v[0].line, 1, "must point at the RESENDABLE_KINDS const");
-}
-
-#[test]
-fn proto_real_workspace_tables_are_consistent() {
-    let v = passes::protocol::run(&workspace_root());
-    assert!(v.is_empty(), "protocol drift in the real workspace: {v:?}");
-}
-
 /// Acceptance criterion: a lock-order inversion planted into the real
 /// TCP pool source is caught at the planted lines, and the pristine
 /// source carries no concurrency findings.

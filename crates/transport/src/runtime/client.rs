@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// tag, and only a reply echoing the *current* attempt's tag is
 /// returned: an answer to an attempt that already timed out is discarded
 /// (`stale_reply` telemetry), never mis-returned to a later request.
-/// Resendable kinds are retried under the configured
+/// Idempotent kinds are retried under the configured
 /// [`RequestPolicy`]; exhausting the budget emits `gave_up` and
 /// surfaces the last error.
 pub struct Client<T: Transport> {

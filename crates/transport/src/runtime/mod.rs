@@ -40,27 +40,6 @@ use request::request;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
-/// Request kinds safe to resend after a timeout (idempotent at the
-/// head). Reads, scrapes and heartbeats always are; `Join` is because
-/// the head's rejoin map resolves a duplicate join to the peer's
-/// existing overlay id. `Put` and `Publish` mutate (a resend whose
-/// first copy actually landed would double-apply) and `Shutdown` races
-/// its own effect, so those get exactly one attempt.
-///
-/// `hyperm-lint`'s `proto-retry-set` rule asserts this stays a subset
-/// of [`kind::IDEMPOTENT`]: growing the retry set requires declaring
-/// the kind idempotent at the protocol layer first.
-pub const RESENDABLE_KINDS: &[u8] = &[
-    kind::QUERY,
-    kind::GET,
-    kind::ROUTE,
-    kind::FETCH,
-    kind::MONITOR,
-    kind::STATS,
-    kind::PING,
-    kind::JOIN,
-];
-
 /// Liveness bookkeeping for one peer, maintained by [`NodeRuntime`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeerLiveness {
@@ -376,207 +355,219 @@ impl<T: Transport> NodeRuntime<T> {
         env: Envelope,
         serve_span: SpanId,
     ) -> Result<ServeOutcome, TransportError> {
-        let Envelope {
-            from,
-            req_id,
-            mut msg,
-        } = env;
-        if matches!(msg, Message::Hello { .. }) {
-            return Ok(ServeOutcome::Handled);
-        }
-        if let Message::Ping { seq } = msg {
-            // Wire heartbeat: every role answers, echoing the
-            // requester's correlation tag.
-            self.recorder.count_event(
-                serve_span,
-                names::PING,
-                vec![("from", from.into()), ("seq", seq.into())],
-            );
-            let _ = self
-                .transport
-                .send_tagged(from, req_id, &Message::Pong { seq });
-            return Ok(ServeOutcome::Handled);
-        }
-        if let Message::Pong { seq } = msg {
-            // Liveness bookkeeping already happened in `serve_one` (any
-            // frame from a peer proves it alive); just make it visible.
-            self.recorder.count_event(
-                serve_span,
-                names::PONG,
-                vec![("from", from.into()), ("seq", seq.into())],
-            );
-            return Ok(ServeOutcome::Handled);
-        }
-        if matches!(msg, Message::Shutdown) {
-            let _ = self.transport.send_tagged(
-                from,
-                req_id,
-                &Message::Ack {
-                    seq: u64::from(kind::SHUTDOWN),
-                    ok: true,
-                },
-            );
-            self.transport.close();
-            return Ok(ServeOutcome::Shutdown);
-        }
-        if matches!(msg, Message::Monitor) {
-            self.scrape_seq += 1;
-            let json = self.monitor_json();
-            let _ = self
-                .transport
-                .send_tagged(from, req_id, &Message::MonitorAck { json });
-            return Ok(ServeOutcome::Handled);
-        }
-        if matches!(msg, Message::Stats) {
-            // Both roles serve their own window: the monitor scrapes every
-            // node and merges, it does not ask the head about members.
-            self.scrape_seq += 1;
-            let json = self.stats_json();
-            if let Some(m) = self.recorder.metrics() {
-                m.add(counters::STATS_SERVED, 1);
+        let Envelope { from, req_id, msg } = env;
+        match msg {
+            Message::Hello { .. } => Ok(ServeOutcome::Handled),
+            Message::Ping { seq } => {
+                // Wire heartbeat: every role answers, echoing the
+                // requester's correlation tag.
+                self.recorder.count_event(
+                    serve_span,
+                    names::PING,
+                    vec![("from", from.into()), ("seq", seq.into())],
+                );
+                let _ = self
+                    .transport
+                    .send_tagged(from, req_id, &Message::Pong { seq });
+                Ok(ServeOutcome::Handled)
             }
-            self.recorder.event(
-                serve_span,
-                names::STATS,
-                vec![("seq", self.scrape_seq.into())],
-            );
-            let _ = self
-                .transport
-                .send_tagged(from, req_id, &Message::StatsAck { json });
-            return Ok(ServeOutcome::Handled);
+            Message::Pong { seq } => {
+                // Liveness bookkeeping already happened in `serve_one` (any
+                // frame from a peer proves it alive); just make it visible.
+                self.recorder.count_event(
+                    serve_span,
+                    names::PONG,
+                    vec![("from", from.into()), ("seq", seq.into())],
+                );
+                Ok(ServeOutcome::Handled)
+            }
+            Message::Shutdown => {
+                let _ = self.transport.send_tagged(
+                    from,
+                    req_id,
+                    &Message::Ack {
+                        seq: u64::from(kind::SHUTDOWN),
+                        ok: true,
+                    },
+                );
+                self.transport.close();
+                Ok(ServeOutcome::Shutdown)
+            }
+            Message::Monitor => {
+                self.scrape_seq += 1;
+                let json = self.monitor_json();
+                let _ = self
+                    .transport
+                    .send_tagged(from, req_id, &Message::MonitorAck { json });
+                Ok(ServeOutcome::Handled)
+            }
+            Message::Stats => {
+                // Both roles serve their own window: the monitor scrapes every
+                // node and merges, it does not ask the head about members.
+                self.scrape_seq += 1;
+                let json = self.stats_json();
+                if let Some(m) = self.recorder.metrics() {
+                    m.add(counters::STATS_SERVED, 1);
+                }
+                self.recorder.event(
+                    serve_span,
+                    names::STATS,
+                    vec![("seq", self.scrape_seq.into())],
+                );
+                let _ = self
+                    .transport
+                    .send_tagged(from, req_id, &Message::StatsAck { json });
+                Ok(ServeOutcome::Handled)
+            }
+            // Requests against the network: the head serves them, a
+            // member relays them head-ward.
+            request @ (Message::Join { .. }
+            | Message::Route { .. }
+            | Message::Publish { .. }
+            | Message::Query { .. }
+            | Message::Get { .. }
+            | Message::Fetch { .. }
+            | Message::Put { .. }) => self.serve_request(from, req_id, request, serve_span),
+            // A reply or unsolicited ack landed outside a request's wait:
+            // nothing awaits it, drop it visibly.
+            reply @ (Message::JoinAck { .. }
+            | Message::RouteAck { .. }
+            | Message::PublishAck { .. }
+            | Message::QueryAck { .. }
+            | Message::GetAck { .. }
+            | Message::FetchAck { .. }
+            | Message::Ack { .. }
+            | Message::MonitorAck { .. }
+            | Message::PutAck { .. }
+            | Message::StatsAck { .. }) => {
+                self.drop_frame(from, &reply);
+                Ok(ServeOutcome::Handled)
+            }
         }
-        let request_kind = msg.kind();
+    }
+
+    /// A frame nothing here awaits or serves: say so in the trace.
+    fn drop_frame(&self, from: PeerId, msg: &Message) {
+        self.recorder.event(
+            self.span,
+            names::FRAME_DROP,
+            vec![("from", from.into()), ("kind", msg.kind_name().into())],
+        );
+    }
+
+    /// Serve (head) or relay (member) one request against the network.
+    fn serve_request(
+        &mut self,
+        from: PeerId,
+        req_id: u64,
+        mut msg: Message,
+        serve_span: SpanId,
+    ) -> Result<ServeOutcome, TransportError> {
+        // `dispatch` sends only request kinds here; each has a reply row.
+        let Some(expected) = Message::reply_kind_of(msg.kind()) else {
+            self.drop_frame(from, &msg);
+            return Ok(ServeOutcome::Handled);
+        };
         match &mut self.role {
             Role::Head(net) => {
-                match Message::reply_kind_of(request_kind) {
-                    Some(expected) => {
-                        // Crash-rejoin: a transport peer that already
-                        // joined presents `Join` again after restarting.
-                        // The head owns every item, so rejoining is pure
-                        // resync — answer with the peer's existing
-                        // overlay id and republish its summaries instead
-                        // of admitting a duplicate member.
-                        if let Message::Join {
-                            peer: wire_peer, ..
-                        } = &msg
-                        {
-                            if let Some(&overlay) = self.joined.get(wire_peer) {
-                                let t0 = Instant::now();
-                                if let Some(p) =
-                                    usize::try_from(overlay).ok().filter(|&p| p < net.len())
-                                {
-                                    let stats = net.refresh_peer_summaries(p);
-                                    self.window.record_op(&stats, elapsed_us(t0));
-                                }
-                                self.recorder.count_event(
-                                    serve_span,
-                                    names::REJOIN,
-                                    vec![
-                                        ("peer", (*wire_peer).into()),
-                                        ("overlay_peer", overlay.into()),
-                                    ],
-                                );
-                                let _ = self.transport.send_tagged(
-                                    from,
-                                    req_id,
-                                    &Message::JoinAck {
-                                        peer: overlay,
-                                        members: net.len() as u64,
-                                    },
-                                );
-                                return Ok(ServeOutcome::Handled);
-                            }
-                        }
-                        let join_wire_peer = match &msg {
-                            Message::Join { peer, .. } => Some(*peer),
-                            _ => None,
-                        };
-                        record_heat(&self.window, &msg, net.levels());
-                        let t0 = Instant::now();
-                        // Scope the network's recorder to this serve span
-                        // for the duration of the call: query/publish root
-                        // spans parent under it, joining transport and
-                        // overlay into one tree. When the runtime recorder
-                        // is disabled `serve_span` is NONE, so the scope
-                        // stays at its default and streams are untouched.
-                        net.recorder().set_scope(serve_span);
-                        let out = handle_on_network(net, msg);
-                        net.recorder().set_scope(SpanId::NONE);
-                        let latency_us = elapsed_us(t0);
-                        let reply = match out {
-                            Some((reply, stats)) => {
-                                self.window.record_op(&stats, latency_us);
-                                reply
-                            }
-                            None => {
-                                self.window.record_rejected();
-                                refusal(expected)
-                            }
-                        };
-                        if let (Some(wire), Message::JoinAck { peer, .. }) =
-                            (join_wire_peer, &reply)
-                        {
-                            self.joined.insert(wire, *peer);
-                        }
-                        let _ = self.transport.send_tagged(from, req_id, &reply);
+                // Crash-rejoin: a transport peer that already joined
+                // presents `Join` again after restarting. The head owns
+                // every item, so rejoining is pure resync — answer with
+                // the peer's existing overlay id and republish its
+                // summaries instead of admitting a duplicate member.
+                let join_wire_peer = if let Message::Join { peer, .. } = &msg {
+                    Some(*peer)
+                } else {
+                    None
+                };
+                if let Some((wire_peer, &overlay)) =
+                    join_wire_peer.and_then(|wire| Some((wire, self.joined.get(&wire)?)))
+                {
+                    let t0 = Instant::now();
+                    if let Some(p) = usize::try_from(overlay).ok().filter(|&p| p < net.len()) {
+                        let stats = net.refresh_peer_summaries(p);
+                        self.window.record_op(&stats, elapsed_us(t0));
                     }
-                    // A reply or unsolicited ack landed at the head:
-                    // nothing awaits it, drop it visibly.
-                    None => {
-                        self.recorder.event(
-                            self.span,
-                            names::FRAME_DROP,
-                            vec![("from", from.into()), ("kind", msg.kind_name().into())],
-                        );
-                    }
+                    self.recorder.count_event(
+                        serve_span,
+                        names::REJOIN,
+                        vec![("peer", wire_peer.into()), ("overlay_peer", overlay.into())],
+                    );
+                    let _ = self.transport.send_tagged(
+                        from,
+                        req_id,
+                        &Message::JoinAck {
+                            peer: overlay,
+                            members: net.len() as u64,
+                        },
+                    );
+                    return Ok(ServeOutcome::Handled);
                 }
+                record_heat(&self.window, &msg, net.levels());
+                let t0 = Instant::now();
+                // Scope the network's recorder to this serve span for the
+                // duration of the call: query/publish root spans parent
+                // under it, joining transport and overlay into one tree.
+                // When the runtime recorder is disabled `serve_span` is
+                // NONE, so the scope stays at its default and streams are
+                // untouched.
+                net.recorder().set_scope(serve_span);
+                let out = handle_on_network(net, msg);
+                net.recorder().set_scope(SpanId::NONE);
+                let latency_us = elapsed_us(t0);
+                let reply = match out {
+                    Some((reply, stats)) => {
+                        self.window.record_op(&stats, latency_us);
+                        reply
+                    }
+                    None => {
+                        self.window.record_rejected();
+                        refusal(expected)
+                    }
+                };
+                if let (Some(wire), Message::JoinAck { peer, .. }) = (join_wire_peer, &reply) {
+                    self.joined.insert(wire, *peer);
+                }
+                let _ = self.transport.send_tagged(from, req_id, &reply);
                 Ok(ServeOutcome::Handled)
             }
             Role::Member { head, .. } => {
                 let head = *head;
-                match Message::reply_kind_of(request_kind) {
-                    Some(expected) if from != head => {
-                        // A client request: relay head-ward and pipe the
-                        // answer back.
-                        self.recorder.event(
-                            serve_span,
-                            names::FORWARD,
-                            vec![("from", from.into()), ("kind", msg.kind_name().into())],
-                        );
-                        if self.degraded {
-                            // The head is presumed dead: fail fast
-                            // rather than stall each client request for
-                            // a full forward timeout.
-                            self.window.record_rejected();
-                            let _ = self.transport.send_tagged(from, req_id, &refusal(expected));
-                            return Ok(ServeOutcome::Handled);
-                        }
-                        // Re-parent the frame's trace context under this
-                        // relay's serve span — but ONLY when this runtime
-                        // is tracing. Untraced relays forward the frame
-                        // byte-identical to what they received, which is
-                        // what keeps the transported bit-identity test
-                        // honest with TraceCtx on the wire.
-                        if self.recorder.is_enabled() {
-                            if let Some(ctx) = msg.ctx_mut() {
-                                *ctx = ctx.reparent(serve_span);
-                            }
-                        }
-                        let t0 = Instant::now();
-                        let reply = self
-                            .request_head(head, &msg, self.forward, serve_span)
-                            .unwrap_or_else(|_| refusal(expected));
-                        record_reply(&self.window, &reply, elapsed_us(t0));
-                        let _ = self.transport.send_tagged(from, req_id, &reply);
-                    }
-                    _ => {
-                        self.recorder.event(
-                            self.span,
-                            names::FRAME_DROP,
-                            vec![("from", from.into()), ("kind", msg.kind_name().into())],
-                        );
+                if from == head {
+                    // The head does not send requests to its members.
+                    self.drop_frame(from, &msg);
+                    return Ok(ServeOutcome::Handled);
+                }
+                // A client request: relay head-ward and pipe the answer
+                // back.
+                self.recorder.event(
+                    serve_span,
+                    names::FORWARD,
+                    vec![("from", from.into()), ("kind", msg.kind_name().into())],
+                );
+                if self.degraded {
+                    // The head is presumed dead: fail fast rather than
+                    // stall each client request for a full forward timeout.
+                    self.window.record_rejected();
+                    let _ = self.transport.send_tagged(from, req_id, &refusal(expected));
+                    return Ok(ServeOutcome::Handled);
+                }
+                // Re-parent the frame's trace context under this relay's
+                // serve span — but ONLY when this runtime is tracing.
+                // Untraced relays forward the frame byte-identical to what
+                // they received, which is what keeps the transported
+                // bit-identity test honest with TraceCtx on the wire.
+                if self.recorder.is_enabled() {
+                    if let Some(ctx) = msg.ctx_mut() {
+                        *ctx = ctx.reparent(serve_span);
                     }
                 }
+                let t0 = Instant::now();
+                let reply = self
+                    .request_head(head, &msg, self.forward, serve_span)
+                    .unwrap_or_else(|_| refusal(expected));
+                record_reply(&self.window, &reply, elapsed_us(t0));
+                let _ = self.transport.send_tagged(from, req_id, &reply);
                 Ok(ServeOutcome::Handled)
             }
         }
@@ -908,8 +899,23 @@ fn handle_on_network(net: &mut HypermNetwork, msg: Message) -> Option<(Message, 
                 .collect();
             Some((Message::FetchAck { peer, indices }, OpStats::zero()))
         }
-        // Hello/Monitor/Stats/Shutdown are handled before dispatch;
-        // replies have no reply_kind and never reach here.
-        _ => None,
+        // `dispatch` serves these itself and drops replies; none of them
+        // is a request against the network.
+        Message::Hello { .. }
+        | Message::Ping { .. }
+        | Message::Pong { .. }
+        | Message::Shutdown
+        | Message::Monitor
+        | Message::Stats
+        | Message::JoinAck { .. }
+        | Message::RouteAck { .. }
+        | Message::PublishAck { .. }
+        | Message::QueryAck { .. }
+        | Message::GetAck { .. }
+        | Message::FetchAck { .. }
+        | Message::Ack { .. }
+        | Message::MonitorAck { .. }
+        | Message::PutAck { .. }
+        | Message::StatsAck { .. } => None,
     }
 }

@@ -5,7 +5,6 @@
 //! reuses [`retry`], so this is the only place in the crate that sleeps
 //! out a [`Backoff`] gap.
 
-use super::RESENDABLE_KINDS;
 use crate::{Envelope, PeerId, Transport, TransportError};
 use hyperm_can::Message;
 use hyperm_sim::Backoff;
@@ -26,9 +25,8 @@ pub const MIN_TIMEOUT: Duration = Duration::from_millis(10);
 pub struct RequestPolicy {
     /// Per-attempt reply timeout ([`MIN_TIMEOUT`]-clamped at use).
     pub timeout: Duration,
-    /// Total attempts for resendable (idempotent) request kinds.
-    /// Non-resendable kinds (`Put`, `Publish`, `Shutdown`) always get
-    /// exactly one attempt regardless.
+    /// Total attempts for idempotent request kinds. The others (`Put`,
+    /// `Publish`, `Shutdown`) always get exactly one attempt regardless.
     pub attempts: u32,
     /// Backoff schedule between attempts, in ticks.
     pub backoff: Backoff,
@@ -87,9 +85,10 @@ pub(crate) fn retry<T>(
 /// Every attempt is stamped with a fresh non-zero correlation tag from
 /// `next_tag`, and only a reply echoing the *current* attempt's tag is
 /// returned: a late answer to an attempt that already timed out must not
-/// satisfy a later one. [`RESENDABLE_KINDS`] are resent under `policy`
-/// (`retry` telemetry per resend, `gave_up` once the budget is spent);
-/// everything else gets one attempt. A refusal is the peer's
+/// satisfy a later one. Requests the protocol declares idempotent
+/// ([`Message::is_idempotent`]) are resent under `policy` (`retry`
+/// telemetry per resend, `gave_up` once the budget is spent); everything
+/// else gets one attempt. A refusal is the peer's
 /// authoritative answer and a closed endpoint cannot recover by
 /// resending, so both end the request at once. `tel` is where the
 /// telemetry goes; `park` receives every envelope that arrives
@@ -105,7 +104,7 @@ pub(crate) fn request<T: Transport>(
 ) -> Result<Message, TransportError> {
     let want = Message::reply_kind_of(msg.kind())
         .ok_or(TransportError::Rejected("not a request message"))?;
-    let attempts = if RESENDABLE_KINDS.contains(&msg.kind()) {
+    let attempts = if msg.is_idempotent() {
         policy.attempts.max(1)
     } else {
         1

@@ -7,10 +7,13 @@
 //! range queries served over frames have recall 1.0 against brute-force
 //! ground truth computed from the same seeded collections.
 
+use hyperm_can::codec::kind;
 use hyperm_cluster::Dataset;
 use hyperm_core::{HypermConfig, HypermNetwork};
 use hyperm_datagen::{generate_aloi_like, AloiConfig};
-use hyperm_transport::{Client, MemHub, NodeRuntime, Role, TcpEndpoint};
+use hyperm_transport::{
+    Client, MemHub, NodeRuntime, RequestPolicy, Role, TcpEndpoint, Transport, TransportError,
+};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -246,18 +249,31 @@ fn tcp_round_trips_do_not_wait_on_delayed_acks() {
     head.join().unwrap().unwrap();
 }
 
+/// Which requests the client resends is the protocol's call
+/// (`kind::IDEMPOTENT`): against a peer that never answers, a `Get`
+/// leaves `policy.attempts` times, a `Put` — whose first copy may have
+/// landed — exactly once.
 #[test]
-fn retry_set_is_subset_of_idempotent_kinds() {
-    // The protocol layer declares which requests tolerate duplicate
-    // delivery; the client may only auto-resend those. hyperm-lint's
-    // proto-retry-set rule enforces this statically — this is the
-    // runtime twin so a local `cargo test` catches the drift too.
-    use hyperm_can::codec::kind;
-    for &k in hyperm_transport::runtime::RESENDABLE_KINDS {
-        assert!(
-            kind::IDEMPOTENT.contains(&k),
-            "RESENDABLE_KINDS contains non-idempotent kind {k}"
-        );
-    }
-    assert!(!hyperm_transport::runtime::RESENDABLE_KINDS.is_empty());
+fn only_idempotent_requests_are_resent_to_a_silent_peer() {
+    let hub = MemHub::new(16);
+    let silent = hub.endpoint(0);
+    let policy = RequestPolicy {
+        timeout: Duration::from_millis(20),
+        attempts: 3,
+        retry_tick: Duration::from_millis(1),
+        ..RequestPolicy::default()
+    };
+    let client = Client::new(hub.endpoint(7), 0).with_config(policy);
+    let arrivals = || {
+        let mut kinds = Vec::new();
+        while let Ok(env) = silent.recv_timeout(Duration::from_millis(1)) {
+            kinds.push(env.msg.kind());
+        }
+        kinds
+    };
+
+    assert_eq!(client.get(0, &[0.5]), Err(TransportError::Timeout));
+    assert_eq!(arrivals(), [kind::GET; 3]);
+    assert_eq!(client.put(0, &[0.5], true), Err(TransportError::Timeout));
+    assert_eq!(arrivals(), [kind::PUT]);
 }
