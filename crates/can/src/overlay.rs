@@ -15,6 +15,7 @@
 use crate::ops::StoredObject;
 use crate::zone::Zone;
 use crate::zoneindex::ZoneIndex;
+use hyperm_sim::underlay::map_connected;
 use hyperm_sim::{FaultConfig, FaultInjector, FaultReport, LoadProbe, NodeId, OpStats};
 use hyperm_telemetry::{names, Recorder};
 use rand::rngs::StdRng;
@@ -170,7 +171,8 @@ pub struct CanOverlay {
     index: ZoneIndex,
     /// Number of dead slots in `nodes`.
     dead: usize,
-    /// Optional message-level fault injection (queries only).
+    /// Optional message-level fault injection (queries and fallible
+    /// publishes).
     faults: FaultSlot,
     /// Active network partition, as a dense node → component map (see
     /// `hyperm_sim::PartitionPlan::component_map`). While installed,
@@ -303,10 +305,10 @@ impl CanOverlay {
         self.try_owner_of(point).expect("zones tile the space")
     }
 
-    /// Install (or clear) message-level fault injection for query routing
-    /// and flooding. Publishes and control traffic stay reliable: the
-    /// soft-state model assumes republishes eventually succeed, faults
-    /// model the per-query radio losses.
+    /// Install (or clear) message-level fault injection. Query routing and
+    /// flooding roll it, and so does the fallible publish path
+    /// ([`CanOverlay::try_insert_sphere`]). Join traffic and the plain
+    /// [`CanOverlay::insert_sphere`] stay reliable (acknowledged).
     pub fn set_faults(&mut self, cfg: Option<FaultConfig>) {
         self.faults = FaultSlot(cfg.map(|c| Mutex::new(FaultInjector::new(c))));
     }
@@ -327,16 +329,7 @@ impl CanOverlay {
     /// Whether `a` and `b` can exchange messages under the active
     /// partition (always true when none is installed).
     pub(crate) fn reachable(&self, a: NodeId, b: NodeId) -> bool {
-        match &self.partition {
-            None => true,
-            Some(map) => {
-                a == b
-                    || matches!(
-                        (map.get(a.0), map.get(b.0)),
-                        (Some(ca), Some(cb)) if ca == cb
-                    )
-            }
-        }
+        map_connected(self.partition.as_deref(), a.0, b.0)
     }
 
     /// Install a tracing/metrics handle (usually one scoped per wavelet

@@ -33,8 +33,11 @@
 
 // hyperm-lint: allow-file(panic-index) — node indices come from the dense live-node table this module maintains
 use crate::network::HypermNetwork;
+use crate::op::Op;
+use crate::overlay::Overlay;
+use hyperm_can::RepairOutcome;
 use hyperm_sim::{FaultConfig, FaultReport, NodeId, OpStats};
-use hyperm_telemetry::{names, OpKind, SpanId};
+use hyperm_telemetry::{names, Fields, OpKind, SpanId};
 
 /// Cost record of an overlay-level membership change, summed over the
 /// per-level overlays.
@@ -66,53 +69,25 @@ impl HypermNetwork {
         assert!(peer < self.len(), "no such peer {peer}");
         assert!(self.is_alive(peer), "peer {peer} already failed");
         self.failed_mut()[peer] = true;
-        let tel = self.recorder().clone();
-        let span = if tel.is_enabled() {
-            tel.span(
-                SpanId::NONE,
-                names::REPAIR_STEP,
-                vec![
-                    ("kind", "crash".into()),
-                    ("peer", peer.into()),
-                    ("repair", repair.into()),
-                ],
-            )
-        } else {
-            SpanId::NONE
-        };
-        let mut out = ChurnOutcome {
-            stats: OpStats::zero(),
-            takeover_rounds: 0,
-            adoptions: 0,
-        };
-        for l in 0..self.levels() {
-            self.overlay(l).set_scope(span);
-            let lstats = if repair {
-                let r = self.overlay_mut(l).fail_node(NodeId(peer));
-                out.takeover_rounds = out.takeover_rounds.max(r.takeover_rounds);
-                out.adoptions += r.adopters.len();
-                r.stats
+        let op = self.repair_op(|| {
+            vec![
+                ("kind", "crash".into()),
+                ("peer", peer.into()),
+                ("repair", repair.into()),
+            ]
+        });
+        self.hand_over(op, peer, |overlay, id| {
+            if repair {
+                overlay.fail_node(id)
             } else {
-                self.overlay_mut(l).fail_no_takeover(NodeId(peer))
-            };
-            self.overlay(l).set_scope(SpanId::NONE);
-            tel.record_op(OpKind::Repair, Some(l), lstats);
-            out.stats += lstats;
-        }
-        if tel.is_enabled() {
-            tel.end(
-                span,
-                names::REPAIR_STEP,
-                vec![
-                    ("messages", out.stats.messages.into()),
-                    ("bytes", out.stats.bytes.into()),
-                    ("rounds", out.takeover_rounds.into()),
-                    ("adoptions", out.adoptions.into()),
-                ],
-            );
-            tel.record_op(OpKind::Repair, None, out.stats);
-        }
-        out
+                RepairOutcome {
+                    adopters: Vec::new(),
+                    stats: overlay.fail_no_takeover(id),
+                    takeover_rounds: 0,
+                    fully_merged: false,
+                }
+            }
+        })
     }
 
     /// Graceful departure: the peer unpublishes its summaries, hands every
@@ -121,89 +96,72 @@ impl HypermNetwork {
     pub fn depart_peer(&mut self, peer: usize) -> ChurnOutcome {
         assert!(peer < self.len(), "no such peer {peer}");
         assert!(self.is_alive(peer), "peer {peer} already gone");
-        let tel = self.recorder().clone();
-        let span = if tel.is_enabled() {
-            tel.span(
-                SpanId::NONE,
-                names::REPAIR_STEP,
-                vec![("kind", "depart".into()), ("peer", peer.into())],
-            )
-        } else {
-            SpanId::NONE
-        };
-        let mut out = ChurnOutcome {
-            stats: OpStats::zero(),
-            takeover_rounds: 0,
-            adoptions: 0,
-        };
+        let mut op = self.repair_op(|| vec![("kind", "depart".into()), ("peer", peer.into())]);
         // The departing peer's own data leaves with it: invalidate its
         // published spheres before the zone handoff.
         for l in 0..self.levels() {
-            let clusters = self.peer(peer).summaries[l].len();
-            for c in 0..clusters {
+            for c in 0..self.peer(peer).summaries[l].len() {
                 let (_, invalidation) = self.overlay_mut(l).remove_objects(peer, c as u64);
-                out.stats += invalidation;
+                op.stats += invalidation;
             }
         }
         self.failed_mut()[peer] = true;
-        for l in 0..self.levels() {
-            self.overlay(l).set_scope(span);
-            let r = self.overlay_mut(l).leave(NodeId(peer));
-            self.overlay(l).set_scope(SpanId::NONE);
-            tel.record_op(OpKind::Repair, Some(l), r.stats);
-            out.stats += r.stats;
-            out.takeover_rounds = out.takeover_rounds.max(r.takeover_rounds);
-            out.adoptions += r.adopters.len();
-        }
-        if tel.is_enabled() {
-            tel.end(
-                span,
-                names::REPAIR_STEP,
-                vec![
-                    ("messages", out.stats.messages.into()),
-                    ("bytes", out.stats.bytes.into()),
-                    ("rounds", out.takeover_rounds.into()),
-                    ("adoptions", out.adoptions.into()),
-                ],
-            );
-            tel.record_op(OpKind::Repair, None, out.stats);
-        }
-        out
+        self.hand_over(op, peer, Overlay::leave)
     }
 
     /// Run the background fragment-merge loop on every level until
     /// quiescence; returns the total repair message cost.
     pub fn repair_overlays(&mut self, max_passes: usize) -> OpStats {
-        let tel = self.recorder().clone();
-        let span = if tel.is_enabled() {
-            tel.span(
-                SpanId::NONE,
-                names::REPAIR_STEP,
-                vec![("kind", "merge".into())],
-            )
-        } else {
-            SpanId::NONE
-        };
-        let mut stats = OpStats::zero();
+        let mut op = self.repair_op(|| vec![("kind", "merge".into())]);
         for l in 0..self.levels() {
-            self.overlay(l).set_scope(span);
-            let lstats = self.overlay_mut(l).repair_to_quiescence(max_passes);
-            self.overlay(l).set_scope(SpanId::NONE);
-            tel.record_op(OpKind::Repair, Some(l), lstats);
-            stats += lstats;
+            op.level(l, &self.overlay(l).recorder(), None, |lv| {
+                lv.stats += self.overlay_mut(l).repair_to_quiescence(max_passes);
+            });
         }
-        if tel.is_enabled() {
-            tel.end(
-                span,
-                names::REPAIR_STEP,
-                vec![
-                    ("messages", stats.messages.into()),
-                    ("bytes", stats.bytes.into()),
-                ],
-            );
-            tel.record_op(OpKind::Repair, None, stats);
+        op.close(|s| vec![("messages", s.messages.into()), ("bytes", s.bytes.into())])
+    }
+
+    /// A `repair_step` op: a crash, a departure or a merge pass.
+    fn repair_op(&self, fields: impl FnOnce() -> Fields) -> Op {
+        Op::open(
+            self.recorder(),
+            SpanId::NONE,
+            OpKind::Repair,
+            names::REPAIR_STEP,
+            fields,
+        )
+    }
+
+    /// Run `step` (a crash or a departure) on `peer`'s node at every level
+    /// as `op`'s levels, then close `op` with the takeover it caused.
+    fn hand_over(
+        &mut self,
+        mut op: Op,
+        peer: usize,
+        step: impl Fn(&mut Overlay, NodeId) -> RepairOutcome,
+    ) -> ChurnOutcome {
+        let (mut takeover_rounds, mut adoptions) = (0, 0);
+        for l in 0..self.levels() {
+            op.level(l, &self.overlay(l).recorder(), None, |lv| {
+                let r = step(self.overlay_mut(l), NodeId(peer));
+                lv.stats += r.stats;
+                takeover_rounds = takeover_rounds.max(r.takeover_rounds);
+                adoptions += r.adopters.len();
+            });
         }
-        stats
+        let stats = op.close(|s| {
+            vec![
+                ("messages", s.messages.into()),
+                ("bytes", s.bytes.into()),
+                ("rounds", takeover_rounds.into()),
+                ("adoptions", adoptions.into()),
+            ]
+        });
+        ChurnOutcome {
+            stats,
+            takeover_rounds,
+            adoptions,
+        }
     }
 
     /// Zone fragments still awaiting background merge, over all levels.

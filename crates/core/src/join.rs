@@ -16,7 +16,6 @@
 use crate::network::HypermNetwork;
 use crate::overlay::Overlay;
 use crate::peer::Peer;
-use crate::publish::sphere_object;
 use hyperm_cluster::Dataset;
 use hyperm_sim::{NodeId, OpStats};
 use rand::rngs::StdRng;
@@ -129,26 +128,17 @@ impl HypermNetwork {
             };
         }
 
+        self.push_peer(peer);
         // Publish the newcomer's summaries (step i3 of Figure 2).
         let mut insertion = OpStats::zero();
         let mut clusters_published = 0u64;
-        for l in 0..self.levels() {
-            for (c, sphere) in peer.summaries[l].iter().enumerate() {
-                let (key, key_radius, payload) = sphere_object(self.keymap(l), peer_id, c, sphere);
-                let replicate = self.config.replicate;
-                let out = self.overlay_mut(l).insert_sphere(
-                    NodeId(peer_id),
-                    key,
-                    key_radius,
-                    payload,
-                    replicate,
-                );
+        for level in 0..self.levels() {
+            for cluster in 0..self.peer(peer_id).summaries[level].len() {
+                let out = self.place_sphere(peer_id, level, cluster);
                 insertion += out.stats;
                 clusters_published += 1;
             }
         }
-
-        self.push_peer(peer);
         Ok(JoinReport {
             peer: peer_id,
             join,
@@ -207,6 +197,26 @@ mod tests {
             net.overlay(l).check_invariants();
             assert_eq!(net.overlay(l).len(), 7);
         }
+    }
+
+    #[test]
+    fn latecomer_publishes_are_accounted_like_builds() {
+        use hyperm_sim::OpKind;
+        use hyperm_telemetry::{names, EventClass, Recorder};
+        let mut net = build(OverlayBackend::Can);
+        let (rec, ring) = Recorder::ring(1 << 16);
+        net.set_recorder(rec.clone());
+        let report = net.join_peer(data(99, 30)).unwrap();
+        let spans = ring
+            .events()
+            .into_iter()
+            .filter(|e| e.name == names::PUBLISH);
+        let starts = spans.filter(|e| e.class == EventClass::Start).count();
+        assert_eq!(starts as u64, report.clusters_published);
+        let snap = rec.metrics().unwrap().snapshot();
+        let whole = snap.cell(OpKind::Publish, None).unwrap();
+        assert_eq!(whole.ops, report.clusters_published);
+        assert_eq!(whole.hops.sum, report.insertion.hops);
     }
 
     #[test]

@@ -54,6 +54,7 @@ pub mod eval;
 pub mod join;
 pub mod maintenance;
 pub mod network;
+mod op;
 pub mod overlay;
 pub mod peer;
 pub mod publish;

@@ -16,9 +16,8 @@
 //!   its count) and the updated sphere is re-published, at overlay cost.
 
 use crate::network::HypermNetwork;
-use crate::publish::sphere_object;
 use hyperm_geometry::vecmath::dist;
-use hyperm_sim::{NodeId, OpStats};
+use hyperm_sim::OpStats;
 
 /// How a post-creation item is integrated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -61,26 +60,12 @@ impl HypermNetwork {
                     (best, sphere.radius > old_radius)
                 };
                 // Re-publish the updated sphere: first invalidate the old
-                // replicas (costed per replica), then insert the refreshed
+                // replicas (costed per replica), then place the refreshed
                 // sphere — the overlay never accumulates stale versions.
-                let (key, key_radius, payload) = sphere_object(
-                    self.keymap(l),
-                    peer,
-                    best,
-                    &self.peer(peer).summaries[l][best],
-                );
-                let replicate = self.config.replicate;
-                if grew || payload.items % 16 == 0 {
+                if grew || self.peer(peer).summaries[l][best].items.is_multiple_of(16) {
                     let (_, invalidation) = self.overlay_mut(l).remove_objects(peer, best as u64);
                     stats += invalidation;
-                    let out = self.overlay_mut(l).insert_sphere(
-                        NodeId(peer),
-                        key,
-                        key_radius,
-                        payload,
-                        replicate,
-                    );
-                    stats += out.stats;
+                    stats += self.place_sphere(peer, l, best).stats;
                 }
             }
         }

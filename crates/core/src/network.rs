@@ -12,13 +12,13 @@
 use crate::config::HypermConfig;
 use crate::overlay::Overlay;
 use crate::peer::Peer;
-use crate::publish::sphere_object;
 use crate::query::cache::SummaryCache;
 use crate::HypermError;
 use hyperm_can::KeyMap;
 use hyperm_cluster::Dataset;
+use hyperm_sim::underlay::map_connected;
 use hyperm_sim::{LoadLedger, LoadProbe, NodeId, OpStats, Scheduler};
-use hyperm_telemetry::{names, OpKind, Recorder, SpanId};
+use hyperm_telemetry::Recorder;
 use hyperm_wavelet::{decompose, radius_contraction, Decomposition, Subspace};
 use std::sync::Arc;
 
@@ -154,95 +154,51 @@ impl HypermNetwork {
             contractions.push(radius_contraction(config.data_dim, s, config.normalization));
             overlays.push(overlay);
         }
-        for (l, overlay) in overlays.iter_mut().enumerate() {
-            overlay.set_recorder(recorder.scoped(l));
-        }
+        let mut net = HypermNetwork {
+            config,
+            peers,
+            overlays,
+            keymaps,
+            subspaces,
+            contractions,
+            failed: vec![false; n],
+            partition: None,
+            recorder: Recorder::disabled(),
+            cache: None,
+            load: None,
+        };
+        net.set_recorder(recorder);
 
         // ---- Publication phase (step i3). ----
-        let mut per_level = vec![OpStats::zero(); subspaces.len()];
+        let mut per_level = vec![OpStats::zero(); net.levels()];
         let mut per_peer_hops = vec![0u64; n];
         let mut per_peer_insert_rounds: Vec<Vec<u64>> = vec![Vec::new(); n];
         let mut clusters_published = 0u64;
         let mut replicas = 0u64;
-        for peer in &peers {
-            for (l, summary) in peer.summaries.iter().enumerate() {
-                for (c, sphere) in summary.iter().enumerate() {
-                    let (key, key_radius, payload) = sphere_object(&keymaps[l], peer.id, c, sphere);
-                    let ltel = overlays[l].recorder();
-                    let span = if ltel.is_enabled() {
-                        let s = ltel.span(
-                            SpanId::NONE,
-                            names::PUBLISH,
-                            vec![("peer", peer.id.into()), ("cluster", c.into())],
-                        );
-                        ltel.set_scope(s);
-                        s
-                    } else {
-                        SpanId::NONE
-                    };
-                    let out = overlays[l].insert_sphere(
-                        NodeId(peer.id),
-                        key,
-                        key_radius,
-                        payload,
-                        config.replicate,
-                    );
-                    if ltel.is_enabled() {
-                        ltel.set_scope(SpanId::NONE);
-                        ltel.end(
-                            span,
-                            names::PUBLISH,
-                            vec![
-                                ("hops", out.stats.hops.into()),
-                                ("messages", out.stats.messages.into()),
-                                ("bytes", out.stats.bytes.into()),
-                                ("replicas", out.replicas.into()),
-                                ("rounds", out.rounds.into()),
-                            ],
-                        );
-                        ltel.record_op(OpKind::Publish, Some(l), out.stats);
-                        ltel.record_op(OpKind::Publish, None, out.stats);
-                    }
-                    per_level[l] += out.stats;
-                    per_peer_hops[peer.id] += out.stats.hops;
-                    per_peer_insert_rounds[peer.id].push(out.rounds);
+        for peer in 0..n {
+            for (level, level_stats) in per_level.iter_mut().enumerate() {
+                for cluster in 0..net.peer(peer).summaries[level].len() {
+                    let out = net.place_sphere(peer, level, cluster);
+                    *level_stats += out.stats;
+                    per_peer_hops[peer] += out.stats.hops;
+                    per_peer_insert_rounds[peer].push(out.rounds);
                     clusters_published += 1;
                     replicas += out.replicas as u64;
                 }
             }
         }
 
-        let insertion: OpStats = per_level.iter().copied().sum();
-        let items_total = peers.iter().map(|p| p.len() as u64).sum();
-        let makespan_hops = per_peer_hops.iter().copied().max().unwrap_or(0);
-        let makespan_rounds = simulate_parallel_publication(&per_peer_insert_rounds);
         let report = BuildReport {
-            insertion,
+            insertion: per_level.iter().copied().sum(),
             per_level,
             bootstrap,
             clusters_published,
             replicas,
-            items_total,
-            makespan_hops,
-            makespan_rounds,
+            items_total: net.peers().map(|p| p.len() as u64).sum(),
+            makespan_hops: per_peer_hops.iter().copied().max().unwrap_or(0),
+            makespan_rounds: simulate_parallel_publication(&per_peer_insert_rounds),
         };
-        let failed = vec![false; n];
-        Ok((
-            HypermNetwork {
-                config,
-                peers,
-                overlays,
-                keymaps,
-                subspaces,
-                contractions,
-                failed,
-                partition: None,
-                recorder,
-                cache: None,
-                load: None,
-            },
-            report,
-        ))
+        Ok((net, report))
     }
 
     /// Install a telemetry recorder on a built network: every level's
@@ -311,16 +267,7 @@ impl HypermNetwork {
     /// active partition (always true when none is installed). Peers
     /// outside the component map are severed from everyone but themselves.
     pub fn peers_connected(&self, a: usize, b: usize) -> bool {
-        match &self.partition {
-            None => true,
-            Some(map) => {
-                a == b
-                    || matches!(
-                        (map.get(a), map.get(b)),
-                        (Some(ca), Some(cb)) if ca == cb
-                    )
-            }
-        }
+        map_connected(self.partition.as_deref(), a, b)
     }
 
     /// Mutable fail-stop flags (churn module).

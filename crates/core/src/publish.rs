@@ -14,12 +14,13 @@
 //!
 //! With no fault injector and no partition installed, every path here is
 //! bit-identical to the legacy unconditional republish — asserted by the
-//! `tests/telemetry.rs` equivalence suite.
+//! `tests/telemetry.rs` equivalence suite. Build, live joins and
+//! republishing inserts use the reliable path, `place_sphere`.
 
 // hyperm-lint: allow-file(panic-index) — per-level vectors are built with len == levels() and indexed by the same 0..levels() range
 use crate::network::HypermNetwork;
-use hyperm_can::{KeyMap, ObjectRef};
-use hyperm_cluster::ClusterSphere;
+use crate::op::{cost_fields, Op};
+use hyperm_can::{InsertOutcome, ObjectRef};
 use hyperm_sim::{NodeId, OpStats};
 use hyperm_telemetry::{counters, names, OpKind, SpanId};
 
@@ -61,41 +62,57 @@ impl PublishReport {
     }
 }
 
-/// The publish rule (Figure 2, step *i3*): `peer`'s `cluster`-th sphere as
-/// the overlay object every publication path stores — centre and radius in
-/// key space, plus the payload lookups score by. A centroid outside the
-/// configured bounds is clamped into key space; widening the radius by the
-/// clamp slack keeps the stored sphere covering the images of all its
-/// items, so Theorem 4.1 keeps holding. The slack is exactly 0 for an
-/// in-bounds centroid.
-pub(crate) fn sphere_object(
-    keymap: &KeyMap,
-    peer: usize,
-    cluster: usize,
-    sphere: &ClusterSphere,
-) -> (Vec<f64>, f64, ObjectRef) {
-    let (key, slack) = keymap.to_key_slack(&sphere.centroid);
-    let payload = ObjectRef {
-        peer,
-        tag: cluster as u64,
-        items: sphere.items as u32,
-    };
-    (key, keymap.to_key_radius(sphere.radius) + slack, payload)
-}
-
 impl HypermNetwork {
+    /// The publish rule (Figure 2, step *i3*): `peer`'s `c`-th sphere at
+    /// level `l` as the overlay object every publication path stores —
+    /// centre and radius in key space, plus the payload lookups score by. A
+    /// centroid outside the configured bounds is clamped into key space;
+    /// widening the radius by the clamp slack keeps the stored sphere
+    /// covering the images of all its items, so Theorem 4.1 keeps holding.
+    /// The slack is exactly 0 for an in-bounds centroid.
+    fn sphere_object(&self, peer: usize, l: usize, c: usize) -> (Vec<f64>, f64, ObjectRef) {
+        let keymap = self.keymap(l);
+        let sphere = &self.peer(peer).summaries[l][c];
+        let (key, slack) = keymap.to_key_slack(&sphere.centroid);
+        let payload = ObjectRef {
+            peer,
+            tag: c as u64,
+            items: sphere.items as u32,
+        };
+        (key, keymap.to_key_radius(sphere.radius) + slack, payload)
+    }
+
+    /// Place `peer`'s `c`-th sphere at level `l`: its `sphere_object`,
+    /// inserted into the level's overlay as one `publish` op. Build, live
+    /// joins and republishing inserts all place spheres here.
+    pub(crate) fn place_sphere(&mut self, peer: usize, l: usize, c: usize) -> InsertOutcome {
+        let (key, key_radius, payload) = self.sphere_object(peer, l, c);
+        let replicate = self.config.replicate;
+        let ltel = self.overlay(l).recorder();
+        let mut op = Op::open(&ltel, SpanId::NONE, OpKind::Publish, names::PUBLISH, || {
+            vec![("peer", peer.into()), ("cluster", c.into())]
+        });
+        let out = op.level(l, &ltel, None, |lv| {
+            let overlay = self.overlay_mut(l);
+            let out = overlay.insert_sphere(NodeId(peer), key, key_radius, payload, replicate);
+            lv.stats += out.stats;
+            out
+        });
+        let (replicas, rounds) = (out.replicas, out.rounds);
+        op.close(|s| {
+            let tail = vec![("replicas", replicas.into()), ("rounds", rounds.into())];
+            [cost_fields(s), tail].concat()
+        });
+        out
+    }
+
     /// Publish (or re-publish) one cluster sphere through the fault-aware
     /// path: invalidate old replicas, then `try_insert_sphere` the
     /// `sphere_object`. Returns whether the sphere reached full replica
     /// coverage, plus the message cost (failed attempts included).
     pub fn publish_sphere(&mut self, s: SphereRef) -> (bool, OpStats) {
         assert!(self.is_alive(s.peer), "dead peers cannot publish");
-        let (key, key_radius, payload) = sphere_object(
-            self.keymap(s.level),
-            s.peer,
-            s.cluster,
-            &self.peer(s.peer).summaries[s.level][s.cluster],
-        );
+        let (key, key_radius, payload) = self.sphere_object(s.peer, s.level, s.cluster);
         let replicate = self.config.replicate;
         let (_, mut stats) = self
             .overlay_mut(s.level)
@@ -125,33 +142,31 @@ impl HypermNetwork {
     /// silently assumed placed.
     pub fn refresh_peer_summaries_report(&mut self, peer: usize) -> PublishReport {
         assert!(self.is_alive(peer), "dead peers cannot refresh");
-        let tel = self.recorder().clone();
-        let span = if tel.is_enabled() {
-            tel.span(SpanId::NONE, names::REFRESH, vec![("peer", peer.into())])
-        } else {
-            SpanId::NONE
-        };
+        let mut op = Op::open(
+            self.recorder(),
+            SpanId::NONE,
+            OpKind::Refresh,
+            names::REFRESH,
+            || vec![("peer", peer.into())],
+        );
         let mut report = PublishReport::default();
         for level in 0..self.levels() {
-            self.overlay(level).set_scope(span);
-            let mut lstats = OpStats::zero();
-            for cluster in 0..self.peer(peer).summaries[level].len() {
-                let sphere = SphereRef {
-                    peer,
-                    level,
-                    cluster,
-                };
-                let (delivered, stats) = self.publish_sphere(sphere);
-                lstats += stats;
-                if delivered {
-                    report.delivered += 1;
-                } else {
-                    report.deferred.push(sphere);
+            op.level(level, &self.overlay(level).recorder(), None, |lv| {
+                for cluster in 0..self.peer(peer).summaries[level].len() {
+                    let sphere = SphereRef {
+                        peer,
+                        level,
+                        cluster,
+                    };
+                    let (delivered, stats) = self.publish_sphere(sphere);
+                    lv.stats += stats;
+                    if delivered {
+                        report.delivered += 1;
+                    } else {
+                        report.deferred.push(sphere);
+                    }
                 }
-            }
-            self.overlay(level).set_scope(SpanId::NONE);
-            tel.record_op(OpKind::Refresh, Some(level), lstats);
-            report.stats += lstats;
+            });
         }
         // One refresh advances the popular-summary cache's TTL clock:
         // entries older than the configured number of rounds are swept
@@ -160,26 +175,17 @@ impl HypermNetwork {
         if let Some(cache) = self.summary_cache() {
             let evicted = cache.advance_round();
             if evicted > 0 {
+                let tel = self.recorder();
                 if tel.is_enabled() {
-                    tel.event(span, names::CACHE_EVICT, vec![("evicted", evicted.into())]);
+                    let fields = vec![("evicted", evicted.into())];
+                    tel.event(op.span, names::CACHE_EVICT, fields);
                 }
                 if let Some(m) = tel.metrics() {
                     m.add(counters::CACHE_EVICTIONS, evicted);
                 }
             }
         }
-        if tel.is_enabled() {
-            tel.end(
-                span,
-                names::REFRESH,
-                vec![
-                    ("hops", report.stats.hops.into()),
-                    ("messages", report.stats.messages.into()),
-                    ("bytes", report.stats.bytes.into()),
-                ],
-            );
-            tel.record_op(OpKind::Refresh, None, report.stats);
-        }
+        report.stats = op.close(cost_fields);
         report
     }
 }

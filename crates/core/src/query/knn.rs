@@ -26,7 +26,7 @@ use crate::score::{aggregate, level_scores, peers_to_cover, PeerScore};
 use hyperm_geometry::vecmath::dist;
 use hyperm_geometry::{solve_epsilon_for_k, ClusterView};
 use hyperm_sim::{NodeId, OpStats};
-use hyperm_telemetry::{names, OpKind, SpanId};
+use hyperm_telemetry::{names, OpKind};
 
 /// Tuning of the k-nn heuristic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,76 +119,54 @@ impl HypermNetwork {
         let mut run = QueryRun::open(self, kind, "knn", from_peer, q.len(), budget, || {
             vec![("k", k.into()), ("c", opts.c.into())]
         });
-        let qspan = run.span;
         let mut epsilons = Vec::with_capacity(self.levels());
         let mut per_level = Vec::with_capacity(self.levels());
         for l in 0..self.levels() {
-            let mut lstats = OpStats::zero();
             let (key, slack) = self.query_key_with_slack(&dec, l);
             let dim = self.overlay(l).dim() as u32;
             let diag = (dim as f64).sqrt();
             let ltel = self.overlay(l).recorder();
-            let lspan = if ltel.is_enabled() {
-                let s = ltel.span(qspan, names::OVERLAY_LOOKUP, vec![]);
-                ltel.set_scope(s);
-                s
-            } else {
-                SpanId::NONE
-            };
-
-            // Step 2 (adapted): discover candidate clusters by expanding
-            // ring, then invert Eq. 8 on them.
-            let mut probe = (opts.probe_start * diag).max(1e-6);
-            let mut clusters;
-            loop {
-                let out = self.overlay(l).range_query(NodeId(from_peer), &key, probe);
-                lstats += out.stats;
-                let in_view: f64 = out.matches.iter().map(|o| o.payload.items as f64).sum();
-                clusters = out.matches;
-                if ltel.is_enabled() {
-                    ltel.event(
-                        lspan,
-                        names::PROBE,
-                        vec![("radius", probe.into()), ("in_view", in_view.into())],
-                    );
+            let (eps_l, scores) = run.op.level(l, &ltel, Some(&Vec::new), |lv| {
+                // Step 2 (adapted): discover candidate clusters by
+                // expanding ring, then invert Eq. 8 on them.
+                let mut probe = (opts.probe_start * diag).max(1e-6);
+                let mut clusters;
+                loop {
+                    let out = self.overlay(l).range_query(NodeId(from_peer), &key, probe);
+                    lv.stats += out.stats;
+                    let in_view: f64 = out.matches.iter().map(|o| o.payload.items as f64).sum();
+                    clusters = out.matches;
+                    if ltel.is_enabled() {
+                        ltel.event(
+                            ltel.scope(),
+                            names::PROBE,
+                            vec![("radius", probe.into()), ("in_view", in_view.into())],
+                        );
+                    }
+                    if in_view >= 2.0 * k as f64 || probe >= diag {
+                        break;
+                    }
+                    probe *= 2.0;
                 }
-                if in_view >= 2.0 * k as f64 || probe >= diag {
-                    break;
-                }
-                probe *= 2.0;
-            }
-            let views: Vec<ClusterView> = clusters
-                .iter()
-                .map(|o| ClusterView {
-                    centre_dist: dist(&o.centre, &key),
-                    radius: o.radius,
-                    items: o.payload.items as f64,
-                })
-                .collect();
-            let eps_l = solve_epsilon_for_k(dim, &views, k as f64, 1e-6);
+                let views: Vec<ClusterView> = clusters
+                    .iter()
+                    .map(|o| ClusterView {
+                        centre_dist: dist(&o.centre, &key),
+                        radius: o.radius,
+                        items: o.payload.items as f64,
+                    })
+                    .collect();
+                let eps_l = solve_epsilon_for_k(dim, &views, k as f64, 1e-6);
 
-            // Step 3: the level's range query at the estimated radius,
-            // clamp-slack widened (zero for in-bounds queries).
-            let search = eps_l + slack;
-            let out = self.overlay(l).range_query(NodeId(from_peer), &key, search);
-            lstats += out.stats;
-            let scores = level_scores(&out.matches, &key, search, dim);
-            if ltel.is_enabled() {
-                ltel.set_scope(SpanId::NONE);
-                ltel.end(
-                    lspan,
-                    names::OVERLAY_LOOKUP,
-                    vec![
-                        ("hops", lstats.hops.into()),
-                        ("messages", lstats.messages.into()),
-                        ("bytes", lstats.bytes.into()),
-                        ("eps_l", eps_l.into()),
-                        ("peers", scores.len().into()),
-                    ],
-                );
-                ltel.record_op(kind, Some(l), lstats);
-            }
-            run.stats += lstats;
+                // Step 3: the level's range query at the estimated radius,
+                // clamp-slack widened (zero for in-bounds queries).
+                let search = eps_l + slack;
+                let out = self.overlay(l).range_query(NodeId(from_peer), &key, search);
+                lv.stats += out.stats;
+                let scores = level_scores(&out.matches, &key, search, dim);
+                lv.tail(|| vec![("eps_l", eps_l.into()), ("peers", scores.len().into())]);
+                (eps_l, scores)
+            });
             epsilons.push(eps_l);
             per_level.push(scores);
         }

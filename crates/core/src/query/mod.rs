@@ -36,9 +36,10 @@ pub mod point;
 pub mod range;
 
 use crate::network::HypermNetwork;
+use crate::op::{cost_fields, Op};
 use crate::score::PeerScore;
 use hyperm_sim::OpStats;
-use hyperm_telemetry::{names, Fields, OpKind, SpanId};
+use hyperm_telemetry::{names, Fields, OpKind};
 
 /// Failure-tolerance budget for the phase-2 direct fetch.
 ///
@@ -151,25 +152,23 @@ impl Reply {
     }
 }
 
-/// One query in flight: its trace span, the cost accumulated so far and the
-/// phase-2 hop spend a [`QueryBudget`] deadline is checked against.
+/// One query in flight: its `query` op, the phase-2 hop spend a
+/// [`QueryBudget`] deadline is checked against, and the host clock its
+/// latency is measured by.
 pub(super) struct QueryRun<'a> {
     net: &'a HypermNetwork,
-    kind: OpKind,
     from_peer: usize,
     dim: u64,
     budget: Option<QueryBudget>,
     t0: Option<std::time::Instant>,
-    /// The `query` span (`NONE` untraced); phase-1 lookups parent here.
-    pub(super) span: SpanId,
-    /// Message cost so far; phase 1 adds its lookups directly.
-    pub(super) stats: OpStats,
+    /// Phase 1 runs its levels, phase 2 adds its fetches.
+    pub(super) op: Op,
     phase2_hops: u64,
     truncated: bool,
 }
 
 impl<'a> QueryRun<'a> {
-    /// Open the `query` span for a `dim`-dimensional query (`label` and
+    /// Open the `query` op for a `dim`-dimensional query (`label` and
     /// `extra` are its kind-specific attributes).
     pub(super) fn open(
         net: &'a HypermNetwork,
@@ -181,27 +180,21 @@ impl<'a> QueryRun<'a> {
         extra: impl FnOnce() -> Fields,
     ) -> Self {
         let tel = net.recorder();
-        let traced = tel.is_enabled();
         // hyperm-lint: allow(det-wall-clock) — host-latency metric for the trace only; never feeds simulated results or routing decisions
-        let t0 = traced.then(std::time::Instant::now);
-        let span = if traced {
-            let mut fields: Fields = vec![("kind", label.into()), ("from", from_peer.into())];
-            fields.extend(extra());
-            // Roots under the recorder's ambient scope — NONE standalone,
-            // the serve span when a node runtime is dispatching us.
-            tel.span(tel.scope(), names::QUERY, fields)
-        } else {
-            SpanId::NONE
-        };
+        let t0 = tel.is_enabled().then(std::time::Instant::now);
+        // Roots under the recorder's ambient scope — NONE standalone, the
+        // serve span when a node runtime is dispatching us.
+        let op = Op::open(tel, tel.scope(), kind, names::QUERY, || {
+            let head = vec![("kind", label.into()), ("from", from_peer.into())];
+            [head, extra()].concat()
+        });
         QueryRun {
             net,
-            kind,
             from_peer,
             dim: dim as u64,
             budget,
             t0,
-            span,
-            stats: OpStats::zero(),
+            op,
             phase2_hops: 0,
             truncated: false,
         }
@@ -239,23 +232,23 @@ impl<'a> QueryRun<'a> {
                 // The two accountings of the module-doc table.
                 match self.budget {
                     None => {
-                        self.stats += OpStats {
+                        self.op.stats += OpStats {
                             failed_routes: 0,
                             ..timed_out_fetch_cost(q_bytes, 1)
                         };
                         if traced {
                             let fields = silent.fetch_fields(ps.peer, false, q_bytes);
-                            tel.event(self.span, names::FETCH, fields);
+                            tel.event(self.op.span, names::FETCH, fields);
                         }
                         contacted += 1;
                     }
                     Some(b) => {
                         let ticks = b.fetch_timeout.max(1);
                         self.phase2_hops += ticks;
-                        self.stats += timed_out_fetch_cost(q_bytes, ticks);
+                        self.op.stats += timed_out_fetch_cost(q_bytes, ticks);
                         if traced {
                             tel.count_event(
-                                self.span,
+                                self.op.span,
                                 names::FETCH_TIMEOUT,
                                 vec![
                                     ("peer", ps.peer.into()),
@@ -270,7 +263,7 @@ impl<'a> QueryRun<'a> {
             }
             if idx >= target && traced {
                 tel.count_event(
-                    self.span,
+                    self.op.span,
                     names::FETCH_FALLBACK,
                     vec![("peer", ps.peer.into()), ("rank", idx.into())],
                 );
@@ -278,36 +271,27 @@ impl<'a> QueryRun<'a> {
             contacted += 1;
             let Some(reply) = ask(ps) else { continue };
             let resp_bytes = reply.bytes(self.dim);
-            self.stats += direct_fetch_cost(q_bytes, resp_bytes);
+            self.op.stats += direct_fetch_cost(q_bytes, resp_bytes);
             if let Some(ledger) = net.load_ledger() {
                 ledger.charge_fetch_answered(ps.peer, resp_bytes);
             }
             self.phase2_hops += 2;
             if traced {
                 let fields = reply.fetch_fields(ps.peer, true, q_bytes + resp_bytes);
-                tel.event(self.span, names::FETCH, fields);
+                tel.event(self.op.span, names::FETCH, fields);
             }
         }
         contacted
     }
 
-    /// Close the `query` span (`tail` is its kind-specific outcome) and
-    /// hand back the total cost and whether a deadline truncated phase 2.
+    /// Close the `query` op (`tail` is its kind-specific outcome) and hand
+    /// back the total cost and whether a deadline truncated phase 2.
     pub(super) fn close(self, tail: impl FnOnce() -> Fields) -> (OpStats, bool) {
-        let tel = self.net.recorder();
-        if tel.is_enabled() {
-            let mut fields: Fields = vec![
-                ("hops", self.stats.hops.into()),
-                ("messages", self.stats.messages.into()),
-                ("bytes", self.stats.bytes.into()),
-            ];
-            fields.extend(tail());
-            tel.end(self.span, names::QUERY, fields);
-            tel.record_op(self.kind, None, self.stats);
-            if let Some(t0) = self.t0 {
-                tel.record_latency_s(self.kind, None, t0.elapsed().as_secs_f64());
-            }
+        if let Some(t0) = self.t0 {
+            let tel = self.net.recorder();
+            tel.record_latency_s(self.op.kind, None, t0.elapsed().as_secs_f64());
         }
-        (self.stats, self.truncated)
+        let stats = self.op.close(|s| [cost_fields(s), tail()].concat());
+        (stats, self.truncated)
     }
 }

@@ -11,7 +11,7 @@
 use crate::network::HypermNetwork;
 use crate::query::{QueryBudget, QueryRun, Reply};
 use hyperm_sim::{NodeId, OpStats};
-use hyperm_telemetry::{names, OpKind, SpanId};
+use hyperm_telemetry::OpKind;
 use std::collections::BTreeMap;
 
 /// Outcome of a point query.
@@ -58,41 +58,22 @@ impl HypermNetwork {
         let dec = self.decompose_query(q);
         let kind = OpKind::PointQuery;
         let mut run = QueryRun::open(self, kind, "point", from_peer, q.len(), budget, Vec::new);
-        let qspan = run.span;
 
         // Candidate = sphere containment per level, folded like scores.
         let mut per_level: Vec<BTreeMap<usize, f64>> = Vec::with_capacity(self.levels());
         for l in 0..self.levels() {
             let key = self.query_key(&dec, l);
             let ltel = self.overlay(l).recorder();
-            let lspan = if ltel.is_enabled() {
-                let s = ltel.span(qspan, names::OVERLAY_LOOKUP, vec![]);
-                ltel.set_scope(s);
-                s
-            } else {
-                SpanId::NONE
-            };
-            let (hits, op) = self.overlay(l).point_lookup(NodeId(from_peer), &key);
-            let mut level: BTreeMap<usize, f64> = BTreeMap::new();
-            for obj in &hits {
-                *level.entry(obj.payload.peer).or_insert(0.0) += obj.payload.items as f64;
-            }
-            if ltel.is_enabled() {
-                ltel.set_scope(SpanId::NONE);
-                ltel.end(
-                    lspan,
-                    names::OVERLAY_LOOKUP,
-                    vec![
-                        ("hops", op.hops.into()),
-                        ("messages", op.messages.into()),
-                        ("bytes", op.bytes.into()),
-                        ("hits", hits.len().into()),
-                    ],
-                );
-                ltel.record_op(kind, Some(l), op);
-            }
-            run.stats += op;
-            per_level.push(level);
+            per_level.push(run.op.level(l, &ltel, Some(&Vec::new), |lv| {
+                let (hits, op) = self.overlay(l).point_lookup(NodeId(from_peer), &key);
+                lv.stats += op;
+                let mut level: BTreeMap<usize, f64> = BTreeMap::new();
+                for obj in &hits {
+                    *level.entry(obj.payload.peer).or_insert(0.0) += obj.payload.items as f64;
+                }
+                lv.tail(|| vec![("hits", hits.len().into())]);
+                level
+            }));
         }
         let ranked = crate::score::aggregate(&per_level, self.config.score_policy);
         let candidates: Vec<usize> = ranked.iter().map(|p| p.peer).collect();

@@ -14,7 +14,7 @@ use crate::network::HypermNetwork;
 use crate::query::{QueryBudget, QueryRun, Reply};
 use crate::score::{aggregate, level_scores, PeerScore};
 use hyperm_sim::{NodeId, OpStats};
-use hyperm_telemetry::{names, OpKind, SpanId};
+use hyperm_telemetry::{names, OpKind};
 
 /// Outcome of a distributed range query.
 #[derive(Debug, Clone)]
@@ -83,7 +83,7 @@ impl HypermNetwork {
         let mut run = QueryRun::open(self, kind, "range", from_peer, q.len(), budget, || {
             vec![("eps", eps.into())]
         });
-        let qspan = run.span;
+        let qspan = run.op.span;
 
         // Phase 1: per-level overlay lookups + scoring. The clamp slack
         // widens the search radius for query points whose subspace
@@ -113,43 +113,22 @@ impl HypermNetwork {
                     continue;
                 }
             }
-            let lspan = if ltel.is_enabled() {
-                let s = ltel.span(
-                    qspan,
-                    names::OVERLAY_LOOKUP,
-                    vec![("key_eps", key_eps.into())],
-                );
-                ltel.set_scope(s);
-                s
-            } else {
-                SpanId::NONE
-            };
-            let out = self
-                .overlay(l)
-                .range_query(NodeId(from_peer), &key, key_eps);
-            let scores = level_scores(&out.matches, &key, key_eps, self.overlay(l).dim() as u32);
-            if ltel.is_enabled() {
-                ltel.set_scope(SpanId::NONE);
-                ltel.end(
-                    lspan,
-                    names::OVERLAY_LOOKUP,
-                    vec![
-                        ("hops", out.stats.hops.into()),
-                        ("messages", out.stats.messages.into()),
-                        ("bytes", out.stats.bytes.into()),
-                        ("matches", out.matches.len().into()),
-                        ("peers", scores.len().into()),
-                    ],
-                );
-                ltel.record_op(kind, Some(l), out.stats);
-            }
+            let lookup = || vec![("key_eps", key_eps.into())];
+            let scores = run.op.level(l, &ltel, Some(&lookup), |lv| {
+                let overlay = self.overlay(l);
+                let out = overlay.range_query(NodeId(from_peer), &key, key_eps);
+                lv.stats += out.stats;
+                let scores = level_scores(&out.matches, &key, key_eps, overlay.dim() as u32);
+                let (matches, peers) = (out.matches.len(), scores.len());
+                lv.tail(|| vec![("matches", matches.into()), ("peers", peers.into())]);
+                scores
+            });
             if let Some(cache) = self.summary_cache() {
                 cache.insert(from_peer, l, &key, key_eps, &scores);
                 if ltel.is_enabled() {
                     ltel.event(qspan, names::CACHE_MISS, vec![("level", l.into())]);
                 }
             }
-            run.stats += out.stats;
             per_level.push(scores);
         }
         let ranked = aggregate(&per_level, self.config.score_policy);

@@ -1,5 +1,6 @@
 //! Telemetry-taxonomy pass: every event/span name reaching a `Recorder`
-//! emit site (`.span` / `.event` / `.end`), a forensics matcher
+//! emit site (`.span` / `.event` / `.end`, or `Op::open` in
+//! `hyperm-core`, which opens the span for its caller), a forensics matcher
 //! (`.spans_named` / `.event_count`) or a metrics counter (`.add` /
 //! `.counter`) must be canonical — either a string literal present in
 //! `hyperm_telemetry::names::ALL` (counters may also use
@@ -13,9 +14,11 @@ use crate::lexer::Tok;
 use crate::report::Violation;
 use hyperm_telemetry::taxonomy::{is_canonical, is_canonical_counter};
 
-/// Emit-site methods: (method name, 0-based index of the name argument,
-/// counter namespace allowed).
+/// Emit-site methods, called as `.method(…)` or `Type::method(…)`:
+/// (method name, 0-based index of the name argument, counter namespace
+/// allowed).
 const SITES: &[(&str, usize, bool)] = &[
+    ("open", 3, false),
     ("span", 1, false),
     ("event", 1, false),
     ("count_event", 1, false),
@@ -34,7 +37,7 @@ pub fn run(ctx: &FileCtx<'_>) -> Vec<Violation> {
         if ctx.in_test[ix] {
             continue;
         }
-        if !ctx.punct(ix, '.') {
+        if !(ctx.punct(ix, '.') || (ix > 0 && ctx.path_sep(ix - 1))) {
             continue;
         }
         let Some(method) = ctx.ident(ix + 1) else {

@@ -16,11 +16,9 @@
 //! retries lengthen an operation's *rounds* (critical path) exactly like
 //! any other queued message in the scheduler model.
 //!
-//! The injector is deterministic: a seeded [`StdRng`] drives all rolls, so
-//! a single-threaded run with the same seed replays the same fault
-//! sequence. (Under parallel per-level querying the interleaving of hops —
-//! and hence the fault assignment — depends on thread timing; experiments
-//! that need bitwise reproducibility run with parallel querying off.)
+//! The injector is deterministic: a seeded [`StdRng`] drives all rolls, and
+//! queries run their levels serially, so the same seed replays the same
+//! fault sequence.
 
 use crate::event::{EventQueue, SimTime};
 use crate::NodeId;

@@ -42,7 +42,7 @@ pub use energy::EnergyModel;
 pub use event::{Event, EventQueue, Scheduler, SimTime};
 pub use faults::{splitmix64, Backoff, FaultConfig, FaultInjector, FaultReport, HopDelivery};
 pub use load::{LoadLedger, LoadProbe, PeerLoad};
-pub use stats::{LatencyStats, LatencySummary, NetStats, OpKind, OpStats};
+pub use stats::{NetStats, OpKind, OpStats};
 pub use underlay::{PartitionPlan, Underlay, UnderlayConfig};
 
 /// Identifier of a simulated node. Nodes are dense indices into the

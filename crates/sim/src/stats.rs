@@ -6,7 +6,6 @@
 //! thread-safe whole-network accumulator used when many peers insert in
 //! parallel.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The kind of network operation a cost record belongs to.
@@ -238,128 +237,6 @@ impl NetStats {
     }
 }
 
-/// Wall-clock latency samples with percentile extraction.
-///
-/// Host-side timing for the benchmark harness: each recorded
-/// [`std::time::Duration`] is one query's end-to-end latency. Percentiles
-/// use the nearest-rank method on a sorted snapshot, so p50/p99 are actual
-/// observed samples, not interpolations. The sorted snapshot is computed
-/// lazily on first use and cached until the next [`LatencyStats::record`],
-/// so a bench loop asking for p50, p99 and mean pays one O(n log n) sort,
-/// not one per statistic. (The cache makes this type `!Sync`; recording is
-/// `&mut self` anyway, so share per thread.)
-#[derive(Debug, Clone, Default)]
-pub struct LatencyStats {
-    samples_s: Vec<f64>,
-    sorted: RefCell<Option<Vec<f64>>>,
-}
-
-impl LatencyStats {
-    /// An empty sample set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one latency sample (invalidates the sorted snapshot).
-    pub fn record(&mut self, d: std::time::Duration) {
-        self.samples_s.push(d.as_secs_f64());
-        *self.sorted.get_mut() = None;
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> usize {
-        self.samples_s.len()
-    }
-
-    /// Sum of all samples in seconds.
-    pub fn total_s(&self) -> f64 {
-        self.samples_s.iter().sum()
-    }
-
-    /// Mean latency in seconds (0 when empty).
-    pub fn mean_s(&self) -> f64 {
-        if self.samples_s.is_empty() {
-            0.0
-        } else {
-            self.total_s() / self.samples_s.len() as f64
-        }
-    }
-
-    /// Run `f` against the cached sorted snapshot, building it if stale.
-    fn with_sorted<R>(&self, f: impl FnOnce(&[f64]) -> R) -> R {
-        let mut cache = self.sorted.borrow_mut();
-        let sorted = cache.get_or_insert_with(|| {
-            let mut v = self.samples_s.clone();
-            v.sort_by(|a, b| a.total_cmp(b));
-            v
-        });
-        f(sorted)
-    }
-
-    /// Nearest-rank percentile in seconds, `p` in `[0, 100]` (0 when empty).
-    pub fn percentile_s(&self, p: f64) -> f64 {
-        if self.samples_s.is_empty() {
-            return 0.0;
-        }
-        self.with_sorted(|sorted| {
-            let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-            sorted[rank.clamp(1, sorted.len()) - 1]
-        })
-    }
-
-    /// Median latency in seconds.
-    pub fn p50_s(&self) -> f64 {
-        self.percentile_s(50.0)
-    }
-
-    /// 99th-percentile latency in seconds.
-    pub fn p99_s(&self) -> f64 {
-        self.percentile_s(99.0)
-    }
-
-    /// All the usual statistics in one pass over one sorted snapshot.
-    pub fn summary(&self) -> LatencySummary {
-        if self.samples_s.is_empty() {
-            return LatencySummary::default();
-        }
-        let total_s = self.total_s();
-        self.with_sorted(|sorted| {
-            let pick = |p: f64| {
-                let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-                sorted[rank.clamp(1, sorted.len()) - 1]
-            };
-            LatencySummary {
-                count: sorted.len(),
-                total_s,
-                mean_s: total_s / sorted.len() as f64,
-                min_s: sorted[0],
-                p50_s: pick(50.0),
-                p99_s: pick(99.0),
-                max_s: sorted[sorted.len() - 1],
-            }
-        })
-    }
-}
-
-/// One-shot summary of a [`LatencyStats`] sample set (all in seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LatencySummary {
-    /// Number of samples.
-    pub count: usize,
-    /// Sum of all samples.
-    pub total_s: f64,
-    /// Mean (0 when empty).
-    pub mean_s: f64,
-    /// Smallest sample (0 when empty).
-    pub min_s: f64,
-    /// Nearest-rank median (0 when empty).
-    pub p50_s: f64,
-    /// Nearest-rank 99th percentile (0 when empty).
-    pub p99_s: f64,
-    /// Largest sample (0 when empty).
-    pub max_s: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,71 +367,6 @@ mod tests {
             assert_eq!(k.index(), i);
             assert!(!k.name().is_empty());
         }
-    }
-
-    #[test]
-    fn latency_percentiles_nearest_rank() {
-        use std::time::Duration;
-        let mut lat = LatencyStats::new();
-        // 1..=100 ms inserted out of order.
-        for ms in (1..=100u64).rev() {
-            lat.record(Duration::from_millis(ms));
-        }
-        assert_eq!(lat.count(), 100);
-        assert!((lat.p50_s() - 0.050).abs() < 1e-12);
-        assert!((lat.p99_s() - 0.099).abs() < 1e-12);
-        assert!((lat.percentile_s(100.0) - 0.100).abs() < 1e-12);
-        assert!((lat.percentile_s(0.0) - 0.001).abs() < 1e-12);
-        assert!((lat.mean_s() - 0.0505).abs() < 1e-12);
-        assert!((lat.total_s() - 5.050).abs() < 1e-9);
-    }
-
-    #[test]
-    fn latency_empty_is_zero() {
-        let lat = LatencyStats::new();
-        assert_eq!(lat.count(), 0);
-        assert_eq!(lat.mean_s(), 0.0);
-        assert_eq!(lat.p50_s(), 0.0);
-        assert_eq!(lat.p99_s(), 0.0);
-    }
-
-    #[test]
-    fn latency_single_sample() {
-        let mut lat = LatencyStats::new();
-        lat.record(std::time::Duration::from_millis(7));
-        for p in [0.0, 50.0, 99.0, 100.0] {
-            assert!((lat.percentile_s(p) - 0.007).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn latency_cache_invalidated_by_record() {
-        use std::time::Duration;
-        let mut lat = LatencyStats::new();
-        lat.record(Duration::from_millis(10));
-        // Prime the sorted cache, then record a smaller sample: the next
-        // percentile must see it (stale-cache regression test).
-        assert!((lat.p50_s() - 0.010).abs() < 1e-12);
-        lat.record(Duration::from_millis(2));
-        assert!((lat.percentile_s(0.0) - 0.002).abs() < 1e-12);
-        assert!((lat.p50_s() - 0.002).abs() < 1e-12);
-    }
-
-    #[test]
-    fn latency_summary_matches_point_queries() {
-        use std::time::Duration;
-        let mut lat = LatencyStats::new();
-        for ms in (1..=100u64).rev() {
-            lat.record(Duration::from_millis(ms));
-        }
-        let s = lat.summary();
-        assert_eq!(s.count, 100);
-        assert!((s.p50_s - lat.p50_s()).abs() < 1e-15);
-        assert!((s.p99_s - lat.p99_s()).abs() < 1e-15);
-        assert!((s.mean_s - lat.mean_s()).abs() < 1e-15);
-        assert!((s.min_s - 0.001).abs() < 1e-12);
-        assert!((s.max_s - 0.100).abs() < 1e-12);
-        assert_eq!(LatencyStats::new().summary(), LatencySummary::default());
     }
 
     #[test]

@@ -125,6 +125,17 @@ impl PartitionPlan {
     }
 }
 
+/// Whether nodes `a` and `b` can exchange messages under `map`, a
+/// [`PartitionPlan::component_map`] (`None` = no partition in force).
+/// Nodes beyond the map are severed from everyone but themselves.
+#[inline]
+pub fn map_connected(map: Option<&[u32]>, a: usize, b: usize) -> bool {
+    match map {
+        None => true,
+        Some(map) => a == b || matches!((map.get(a), map.get(b)), (Some(ca), Some(cb)) if ca == cb),
+    }
+}
+
 /// The physical network: positions, adjacency and all-pairs hop counts.
 #[derive(Debug, Clone)]
 pub struct Underlay {

@@ -74,8 +74,8 @@ pub use hyperm_repair::{
     ScheduleReport,
 };
 pub use hyperm_sim::{
-    Backoff, EnergyModel, FaultConfig, FaultReport, LatencySummary, LoadLedger, NetStats, NodeId,
-    OpKind, OpStats, PartitionPlan, PeerLoad,
+    Backoff, EnergyModel, FaultConfig, FaultReport, LoadLedger, NetStats, NodeId, OpKind, OpStats,
+    PartitionPlan, PeerLoad,
 };
 pub use hyperm_telemetry::{
     MetricsSnapshot, Recorder, SloReport, SpanId, Trace, TraceCtx, WindowSnapshot,
