@@ -15,7 +15,7 @@ use hyperm_core::{HypermConfig, HypermNetwork, KnnOptions};
 use hyperm_datagen::{generate_markov, MarkovConfig};
 use hyperm_geometry::{intersection_fraction, solve_epsilon_for_k, ClusterView};
 use hyperm_sim::NodeId;
-use hyperm_wavelet::{decompose, Normalization};
+use hyperm_wavelet::{decompose, haar_pyramid, Normalization, Subspace};
 use std::hint::black_box;
 
 fn bench_dwt(c: &mut Criterion) {
@@ -26,6 +26,22 @@ fn bench_dwt(c: &mut Criterion) {
             b.iter(|| decompose(black_box(v), Normalization::PaperAverage).unwrap())
         });
     }
+    // What `Peer::summarize` runs per item: the four published subspaces
+    // only, in a reused scratch buffer.
+    let v: Vec<f64> = (0..512).map(|i| (i as f64 * 0.37).sin()).collect();
+    let published = Subspace::first(4);
+    let mut scratch = Vec::new();
+    group.bench_function("published_512", |b| {
+        b.iter(|| {
+            let coeffs = haar_pyramid(
+                black_box(&v),
+                Normalization::PaperAverage,
+                &published,
+                &mut scratch,
+            );
+            black_box(coeffs.unwrap()[0])
+        })
+    });
     group.finish();
 }
 
@@ -33,7 +49,7 @@ fn bench_kmeans(c: &mut Criterion) {
     let mut group = c.benchmark_group("kmeans_peer_level");
     group.sample_size(20);
     // A peer's level view: 1000 items in low-dimensional subspaces.
-    for dim in [1usize, 4] {
+    for dim in [1usize, 2, 4] {
         let data = generate_markov(&MarkovConfig {
             count: 1000,
             dim: 64,
@@ -49,6 +65,27 @@ fn bench_kmeans(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// One peer's whole summarisation at the harness's shape (1000 × 512-d
+/// Markov rows, the paper's four levels and ten clusters per peer): the
+/// published-subspace pyramid per item, then k-means and spheres per level.
+fn bench_summarize(c: &mut Criterion) {
+    use hyperm_core::Peer;
+    let data = generate_markov(&MarkovConfig {
+        count: 1000,
+        dim: 512,
+        seed: 9,
+        ..MarkovConfig::default()
+    });
+    let cfg = HypermConfig::new(512).with_seed(9);
+    c.bench_function("summarize_peer_1000x512", |b| {
+        b.iter_batched(
+            || data.clone(),
+            |items| Peer::summarize(0, items, &cfg),
+            criterion::BatchSize::LargeInput,
+        )
+    });
 }
 
 fn bench_geometry(c: &mut Criterion) {
@@ -285,6 +322,7 @@ criterion_group!(
     benches,
     bench_dwt,
     bench_kmeans,
+    bench_summarize,
     bench_geometry,
     bench_can,
     bench_alternative_substrates,

@@ -8,7 +8,7 @@
 //! `k` distinct points.
 
 use crate::dataset::Dataset;
-use hyperm_geometry::vecmath::sq_dist;
+use hyperm_geometry::vecmath::{add_assign, scale, sq_dist};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -121,31 +121,26 @@ pub fn kmeans(data: &Dataset, config: &KMeansConfig) -> KMeansResult {
         InitMethod::PlusPlus => init_plusplus(data, k, &mut rng),
     };
 
+    let dim = data.dim();
     let mut assignment = vec![0u32; n];
+    let mut sums = vec![0.0; k * dim];
+    let mut counts = vec![0usize; k];
     let mut iterations = 0;
     let mut converged = false;
 
     for iter in 0..config.max_iter {
         iterations = iter + 1;
-        // Assignment step.
-        for (i, row) in data.rows().enumerate() {
-            assignment[i] = nearest_centroid(row, &centroids).0 as u32;
-        }
-        // Update step.
-        let mut sums = vec![0.0; k * data.dim()];
-        let mut counts = vec![0usize; k];
-        for (i, row) in data.rows().enumerate() {
-            let c = assignment[i] as usize;
-            counts[c] += 1;
-            for (s, &x) in sums[c * data.dim()..(c + 1) * data.dim()]
-                .iter_mut()
-                .zip(row)
-            {
-                *s += x;
-            }
-        }
-        // Empty-cluster repair: reseat an empty centroid on the point
-        // farthest from its current centroid.
+        // Assignment step, tallying each cluster's members as it goes.
+        sums.fill(0.0);
+        counts.fill(0);
+        assign(
+            data,
+            &centroids,
+            &mut assignment,
+            Some((&mut sums, &mut counts)),
+        );
+        // Update step. Empty-cluster repair first: reseat an empty
+        // centroid on the point farthest from its current centroid.
         for c in 0..k {
             if counts[c] == 0 {
                 let (far_idx, _) = data
@@ -154,21 +149,18 @@ pub fn kmeans(data: &Dataset, config: &KMeansConfig) -> KMeansResult {
                     .map(|(i, row)| (i, sq_dist(row, centroids.row(assignment[i] as usize))))
                     .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
                     .expect("non-empty dataset");
-                sums[c * data.dim()..(c + 1) * data.dim()].copy_from_slice(data.row(far_idx));
+                sums[c * dim..(c + 1) * dim].copy_from_slice(data.row(far_idx));
                 counts[c] = 1;
                 // Steal the point so its old cluster loses it next round.
                 assignment[far_idx] = c as u32;
             }
         }
+        // The means, scaled in place in `sums`.
         let mut max_shift = 0.0f64;
-        for c in 0..k {
-            let inv = 1.0 / counts[c] as f64;
-            let new: Vec<f64> = sums[c * data.dim()..(c + 1) * data.dim()]
-                .iter()
-                .map(|s| s * inv)
-                .collect();
-            max_shift = max_shift.max(sq_dist(&new, centroids.row(c)));
-            centroids.row_mut(c).copy_from_slice(&new);
+        for (c, new) in sums.chunks_exact_mut(dim).enumerate() {
+            scale(new, 1.0 / counts[c] as f64);
+            max_shift = max_shift.max(sq_dist(new, centroids.row(c)));
+            centroids.row_mut(c).copy_from_slice(new);
         }
         if max_shift <= config.tol {
             converged = true;
@@ -177,12 +169,7 @@ pub fn kmeans(data: &Dataset, config: &KMeansConfig) -> KMeansResult {
     }
 
     // Final assignment against the final centroids, and inertia.
-    let mut inertia = 0.0;
-    for (i, row) in data.rows().enumerate() {
-        let (c, d2) = nearest_centroid(row, &centroids);
-        assignment[i] = c as u32;
-        inertia += d2;
-    }
+    let inertia = assign(data, &centroids, &mut assignment, None);
 
     KMeansResult {
         centroids,
@@ -195,8 +182,62 @@ pub fn kmeans(data: &Dataset, config: &KMeansConfig) -> KMeansResult {
 
 /// Index and squared distance of the centroid nearest to `row`.
 pub fn nearest_centroid(row: &[f64], centroids: &Dataset) -> (usize, f64) {
+    nearest(row, centroids.as_flat(), centroids.dim())
+}
+
+/// The assignment kernel of the Lloyd loop and of the final pass: the
+/// nearest centroid of every row into `assignment`, returning the sum of
+/// the rows' squared distances to it, in row order (the inertia). With a
+/// `tally`, each row is also counted and added to its cluster's sum, in
+/// row order, as the update step needs.
+///
+/// The widths Hyper-M's published subspaces have (1, 2, 4 and 8) get an
+/// instantiation of [`assign_rows`] with the width a constant, so the
+/// distance loop unrolls; any other width runs the same function with the
+/// width read at run time. All compute exactly [`nearest_centroid`].
+fn assign(data: &Dataset, centroids: &Dataset, assignment: &mut [u32], tally: Tally<'_>) -> f64 {
+    match data.dim() {
+        1 => assign_rows::<1>(data, centroids, assignment, tally),
+        2 => assign_rows::<2>(data, centroids, assignment, tally),
+        4 => assign_rows::<4>(data, centroids, assignment, tally),
+        8 => assign_rows::<8>(data, centroids, assignment, tally),
+        _ => assign_rows::<0>(data, centroids, assignment, tally),
+    }
+}
+
+/// Per-cluster coordinate sums (`k × dim`, row-major) and member counts.
+type Tally<'a> = Option<(&'a mut [f64], &'a mut [usize])>;
+
+/// [`assign`] at width `D`, or at `data.dim()` when `D` is 0.
+#[inline(always)]
+fn assign_rows<const D: usize>(
+    data: &Dataset,
+    centroids: &Dataset,
+    assignment: &mut [u32],
+    mut tally: Tally<'_>,
+) -> f64 {
+    let dim = if D == 0 { data.dim() } else { D };
+    debug_assert_eq!(dim, data.dim(), "assign_rows: width");
+    let mut inertia = 0.0;
+    for (row, a) in data.as_flat().chunks_exact(dim).zip(assignment) {
+        let (c, d2) = nearest(row, centroids.as_flat(), dim);
+        *a = c as u32;
+        inertia += d2;
+        if let Some((sums, counts)) = &mut tally {
+            counts[c] += 1;
+            add_assign(&mut sums[c * dim..(c + 1) * dim], row);
+        }
+    }
+    inertia
+}
+
+/// The nearest of the `dim`-wide rows of `centroids` to `row`: distances
+/// accumulate `d·d` from coordinate 0 ([`sq_dist`]), and a tie keeps the
+/// lower index (strict `<`).
+#[inline(always)]
+fn nearest(row: &[f64], centroids: &[f64], dim: usize) -> (usize, f64) {
     let mut best = (0usize, f64::INFINITY);
-    for (c, cent) in centroids.rows().enumerate() {
+    for (c, cent) in centroids.chunks_exact(dim).enumerate() {
         let d2 = sq_dist(row, cent);
         if d2 < best.1 {
             best = (c, d2);

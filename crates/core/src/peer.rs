@@ -7,6 +7,23 @@
 //! published subspace are collected into a per-level dataset, and k-means
 //! summarises each level into `K_p` cluster spheres.
 //!
+//! Summarising costs only the arithmetic its output needs, and every
+//! sphere and level view is bit-identical to the plain per-item
+//! `decompose` followed by the textbook Lloyd loop:
+//!
+//! * the DWT is `hyperm_wavelet::haar_pyramid` over one scratch buffer per
+//!   peer, asked for the published subspaces only. For a 512-d item and
+//!   four levels it computes 511 pair averages but only the 7 differences
+//!   of `D_0..D_2`, and allocates nothing. The kernel is compiled once per
+//!   convention, so the paper's `/ 2` is a constant division, which the
+//!   compiler may lower to `* 0.5`: the same value, since halving is exact
+//!   and both round the one exact quotient alike, subnormals included;
+//! * k-means assigns rows with one kernel for the Lloyd loop and the final
+//!   pass, instantiated at the published widths 1, 2, 4 and 8. Distances
+//!   accumulate `d·d` from coordinate 0, a tie goes to the lower centroid
+//!   index (strict `<`), each cluster's sum is taken in row order, and the
+//!   RNG draws are those of the seeding alone.
+//!
 //! The same per-level coefficients are the peer's only index. A local
 //! range, k-nn or point lookup (step *s3*) is one filter-and-refine scan:
 //! walk the published subspaces coarse to fine, carry each item's running
@@ -24,7 +41,8 @@ use hyperm_cluster::kmeans::kmeans;
 use hyperm_cluster::{spheres_from_clustering, ClusterSphere, Dataset, KMeansConfig};
 use hyperm_geometry::vecmath::sq_dist;
 use hyperm_wavelet::{
-    decompose, lower_bound_limit, sq_radius_contraction, Decomposition, Normalization, Subspace,
+    decompose, haar_pyramid, lower_bound_limit, sq_radius_contraction, Decomposition,
+    Normalization, Subspace,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -52,9 +70,31 @@ pub struct Peer {
     peak: f64,
 }
 
-/// Largest `|coordinate|` of a vector.
+/// Largest `|coordinate|` of a vector: 0 when empty, NaNs skipped — the
+/// value of `v.iter().fold(0.0, |m, x| m.max(x.abs()))`, bit for bit.
+///
+/// Every operand is a non-negative magnitude or a NaN, which never
+/// compares larger, so the maximum does not depend on the order it is
+/// taken in. That lets four lanes fold independently, each step one
+/// compare-and-keep instead of `f64::max`'s NaN-checking sequence.
 fn peak(v: &[f64]) -> f64 {
-    v.iter().fold(0.0, |m, x| m.max(x.abs()))
+    fn larger(m: f64, x: &f64) -> f64 {
+        let a = x.abs();
+        if a > m {
+            a
+        } else {
+            m
+        }
+    }
+    let mut lanes = [0.0f64; 4];
+    let quads = v.chunks_exact(4);
+    let rest = quads.remainder();
+    for quad in quads {
+        for (m, x) in lanes.iter_mut().zip(quad) {
+            *m = larger(*m, x);
+        }
+    }
+    lanes.iter().chain(rest).fold(0.0, larger)
 }
 
 impl Peer {
@@ -67,17 +107,19 @@ impl Peer {
         assert_eq!(items.dim(), config.data_dim, "peer {id} dimension mismatch");
         let subspaces = config.subspaces();
 
-        // Decompose every item once; scatter coefficients into per-level
-        // datasets.
+        // Run the pyramid once per item, computing the published subspaces
+        // only, in one scratch buffer; scatter them into per-level datasets.
         let mut level_views: Vec<Dataset> = subspaces
             .iter()
             .map(|s| Dataset::with_capacity(s.dim(), items.len()))
             .collect();
+        let mut scratch = Vec::new();
         let mut peak_seen = 0.0f64;
         for row in items.rows() {
-            let dec = decompose(row, config.normalization).expect("power-of-two dim");
+            let coeffs = haar_pyramid(row, config.normalization, &subspaces, &mut scratch)
+                .expect("power-of-two dim");
             for (view, &s) in level_views.iter_mut().zip(&subspaces) {
-                view.push_row(dec.subspace(s).expect("subspace exists"));
+                view.push_row(&coeffs[s.range()]);
             }
             peak_seen = peak_seen.max(peak(row));
         }
@@ -499,6 +541,38 @@ mod tests {
                     peer.local_point(&q),
                     peer.items.rows().position(|row| sq_dist(row, &q) < 1e-18)
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn peak_is_the_left_fold_bit_for_bit() {
+        let special = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 8.0,
+            -f64::MAX,
+            1.0,
+            -1.0,
+        ];
+        let mut rng = StdRng::seed_from_u64(5);
+        for len in (0..=12).chain([511, 512]) {
+            for _ in 0..200 {
+                let v: Vec<f64> = (0..len)
+                    .map(|_| {
+                        if rng.gen_range(0..3) == 0 {
+                            special[rng.gen_range(0..special.len())]
+                        } else {
+                            (rng.gen::<f64>() - 0.5) * 10f64.powi(rng.gen_range(-5..5))
+                        }
+                    })
+                    .collect();
+                let fold = v.iter().fold(0.0, |m: f64, x| m.max(x.abs()));
+                assert_eq!(peak(&v).to_bits(), fold.to_bits(), "{v:?}");
             }
         }
     }

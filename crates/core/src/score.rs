@@ -13,8 +13,8 @@
 
 use crate::config::ScorePolicy;
 use hyperm_can::StoredObject;
-use hyperm_geometry::intersection_fraction;
 use hyperm_geometry::vecmath::dist;
+use hyperm_geometry::IntersectionFraction;
 use std::collections::BTreeMap;
 
 /// A peer and its aggregated relevance score.
@@ -36,6 +36,7 @@ pub fn level_scores(
     dim: u32,
 ) -> BTreeMap<usize, f64> {
     let mut scores: BTreeMap<usize, f64> = BTreeMap::new();
+    let lens = IntersectionFraction::new(dim);
     for obj in matches {
         let b = dist(&obj.centre, q_key);
         // A zero-radius query degenerates to containment: the volume
@@ -47,7 +48,7 @@ pub fn level_scores(
                 0.0
             }
         } else {
-            intersection_fraction(dim, obj.radius.max(0.0), eps_key, b)
+            lens.eval(obj.radius.max(0.0), eps_key, b)
         };
         if frac > 0.0 {
             *scores.entry(obj.payload.peer).or_insert(0.0) += frac * obj.payload.items as f64;

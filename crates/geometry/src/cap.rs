@@ -22,7 +22,7 @@
 //!    reflected for obtuse angles. This is the default ([`cap_fraction`])
 //!    because it keeps relative accuracy for tiny caps.
 
-use crate::special::{factorial, reg_inc_beta, sin_power_integral};
+use crate::special::{factorial, reg_inc_beta, sin_power_integral, IncBeta};
 use std::f64::consts::PI;
 
 /// Fraction of a d-ball's volume contained in a cap of half-angle `alpha`.
@@ -84,12 +84,50 @@ pub fn cap_fraction_even_series(d: u32, alpha: f64) -> f64 {
 /// `F(α) = 1 − F(π − α)` for obtuse `α`.
 pub fn cap_fraction_beta(d: u32, alpha: f64) -> f64 {
     assert!(d >= 1, "dimension must be >= 1");
+    beta_form(alpha, |x| reg_inc_beta(beta_a(d), 0.5, x))
+}
+
+/// [`cap_fraction`] in one fixed dimension, with the incomplete beta's
+/// `lnΓ` terms computed once ([`IncBeta`]); `eval` returns
+/// `cap_fraction(d, alpha)` bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct CapFraction {
+    beta: IncBeta,
+}
+
+impl CapFraction {
+    /// Precompute for dimension `d ≥ 1`.
+    pub(crate) fn new(d: u32) -> Self {
+        assert!(d >= 1, "dimension must be >= 1");
+        Self {
+            beta: IncBeta::new(beta_a(d), 0.5),
+        }
+    }
+
+    /// Fraction of the ball in a cap of half-angle `alpha`.
+    pub(crate) fn eval(&self, alpha: f64) -> f64 {
+        beta_form(alpha, |x| self.beta.eval(x))
+    }
+}
+
+/// The beta form's first shape parameter, `(d + 1)/2`.
+fn beta_a(d: u32) -> f64 {
+    (d as f64 + 1.0) / 2.0
+}
+
+/// `½ I_{sin²α}((d+1)/2, ½)`, reflected for obtuse `α`; `ibeta` is
+/// `x ↦ I_x((d+1)/2, ½)`.
+fn beta_form(alpha: f64, ibeta: impl Fn(f64) -> f64) -> f64 {
     let alpha = alpha.clamp(0.0, PI);
-    if alpha <= PI / 2.0 {
+    let acute = |alpha: f64| {
         let s = alpha.sin();
-        0.5 * reg_inc_beta((d as f64 + 1.0) / 2.0, 0.5, s * s)
+        0.5 * ibeta(s * s)
+    };
+    if alpha <= PI / 2.0 {
+        acute(alpha)
     } else {
-        1.0 - cap_fraction_beta(d, PI - alpha)
+        // `PI − alpha` is exact here (Sterbenz) and lies in [0, π/2).
+        1.0 - acute(PI - alpha)
     }
 }
 
@@ -164,6 +202,21 @@ mod tests {
             for i in 0..=20 {
                 let a = PI * i as f64 / 20.0;
                 close(cap_fraction_beta(d, a), cap_fraction_recurrence(d, a), 1e-9);
+            }
+        }
+    }
+
+    #[test]
+    fn precomputed_form_is_bit_identical() {
+        for d in (1u32..40).chain([63, 64, 127, 255, 511, 512]) {
+            let cap = CapFraction::new(d);
+            for i in 0..=64 {
+                let a = PI * i as f64 / 64.0 + 1e-3 * (i % 7) as f64;
+                assert_eq!(
+                    cap.eval(a).to_bits(),
+                    cap_fraction(d, a).to_bits(),
+                    "d {d}, α {a}"
+                );
             }
         }
     }

@@ -12,7 +12,7 @@
 //! the geometrically consistent form and is validated against Monte-Carlo
 //! integration in `tests/montecarlo.rs`.
 
-use crate::cap::cap_fraction;
+use crate::cap::{cap_fraction, CapFraction};
 use crate::volume::volume_ratio;
 
 /// Classification of the relative position of two balls.
@@ -56,6 +56,38 @@ pub fn sphere_overlap(r: f64, eps: f64, b: f64) -> Overlap {
 /// * query ball inside data ball → `(ε/r)^d` (uniform-density assumption);
 /// * otherwise the lens = data-side cap + `(ε/r)^d ·` query-side cap.
 pub fn intersection_fraction(d: u32, r: f64, eps: f64, b: f64) -> f64 {
+    lens_fraction(d, r, eps, b, |alpha| cap_fraction(d, alpha))
+}
+
+/// [`intersection_fraction`] in one fixed dimension, for callers that
+/// evaluate many spheres in the same space (Eq. 1 over one level's matches,
+/// Eq. 8 inside the radius solver): the cap fraction's `lnΓ` terms are
+/// computed once. `eval` returns `intersection_fraction(d, r, eps, b)` bit
+/// for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IntersectionFraction {
+    d: u32,
+    cap: CapFraction,
+}
+
+impl IntersectionFraction {
+    /// Precompute for dimension `d ≥ 1`.
+    pub fn new(d: u32) -> Self {
+        Self {
+            d,
+            cap: CapFraction::new(d),
+        }
+    }
+
+    /// `Vol(B(c,r) ∩ B(q,ε)) / Vol(B(c,r))` with `b = ‖c−q‖`.
+    pub fn eval(&self, r: f64, eps: f64, b: f64) -> f64 {
+        lens_fraction(self.d, r, eps, b, |alpha| self.cap.eval(alpha))
+    }
+}
+
+/// The body of [`intersection_fraction`], with `cap` the dimension's cap
+/// fraction.
+fn lens_fraction(d: u32, r: f64, eps: f64, b: f64, cap: impl Fn(f64) -> f64) -> f64 {
     if eps == 0.0 {
         // A zero-radius query has zero volume: the *fraction of the data
         // ball* it covers is 0. (Point-query semantics — "is q inside the
@@ -99,8 +131,8 @@ pub fn intersection_fraction(d: u32, r: f64, eps: f64, b: f64) -> f64 {
             // against floating-point drift at tangency.
             let cos_a = (t_data / r).clamp(-1.0, 1.0);
             let cos_b = (t_query / eps).clamp(-1.0, 1.0);
-            let frac_data = cap_fraction(d, cos_a.acos());
-            let frac_query = cap_fraction(d, cos_b.acos());
+            let frac_data = cap(cos_a.acos());
+            let frac_query = cap(cos_b.acos());
             (frac_data + volume_ratio(d, eps, r) * frac_query).clamp(0.0, 1.0)
         }
     }

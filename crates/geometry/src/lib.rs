@@ -38,7 +38,9 @@ pub mod vecmath;
 pub mod volume;
 
 pub use cap::{cap_fraction, cap_fraction_beta, cap_fraction_even_series, cap_fraction_recurrence};
-pub use intersect::{intersection_fraction, intersection_volume, sphere_overlap, Overlap};
+pub use intersect::{
+    intersection_fraction, intersection_volume, sphere_overlap, IntersectionFraction, Overlap,
+};
 pub use solve::{invert_monotone, solve_epsilon_for_k, ClusterView, SolveError};
 pub use vecmath::{dist, sq_dist};
 pub use volume::{ball_volume, ln_ball_volume, unit_ball_volume};

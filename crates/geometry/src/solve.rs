@@ -13,7 +13,7 @@
 //! method)"; the bracket makes the iteration unconditionally convergent even
 //! at the flat spots where `g'(ε) = 0` (query far from every cluster).
 
-use crate::intersect::intersection_fraction;
+use crate::intersect::{intersection_fraction, IntersectionFraction};
 
 /// A cluster as seen by the radius solver: its distance from the query
 /// centre, its radius, and how many items it summarises.
@@ -57,9 +57,20 @@ impl std::error::Error for SolveError {}
 
 /// Expected number of retrieved items for query radius `eps` (Eq. 8).
 pub fn expected_items(d: u32, clusters: &[ClusterView], eps: f64) -> f64 {
+    expected_items_with(clusters, eps, |r, eps, b| {
+        intersection_fraction(d, r, eps, b)
+    })
+}
+
+/// [`expected_items`] with the dimension's intersection fraction given.
+fn expected_items_with(
+    clusters: &[ClusterView],
+    eps: f64,
+    fraction: impl Fn(f64, f64, f64) -> f64,
+) -> f64 {
     clusters
         .iter()
-        .map(|c| intersection_fraction(d, c.radius.max(0.0), eps, c.centre_dist) * c.items)
+        .map(|c| fraction(c.radius.max(0.0), eps, c.centre_dist) * c.items)
         .sum()
 }
 
@@ -130,6 +141,10 @@ pub fn invert_monotone<F: Fn(f64) -> f64>(
 /// that cannot reach `k` (fewer than `k` items are reachable) the widest
 /// radius is returned rather than an error, matching the paper's behaviour of
 /// simply retrieving everything reachable.
+///
+/// Every evaluation of `g` shares one [`IntersectionFraction`] for `d`, so
+/// the cap fraction's `lnΓ` terms are computed once per solve; the result
+/// is bit-identical to inverting [`expected_items`].
 pub fn solve_epsilon_for_k(d: u32, clusters: &[ClusterView], k: f64, tol: f64) -> f64 {
     if clusters.is_empty() || k <= 0.0 {
         return 0.0;
@@ -139,7 +154,9 @@ pub fn solve_epsilon_for_k(d: u32, clusters: &[ClusterView], k: f64, tol: f64) -
         .map(|c| c.centre_dist + c.radius)
         .fold(0.0f64, f64::max)
         .max(tol);
-    match invert_monotone(|e| expected_items(d, clusters, e), k, 0.0, hi, tol) {
+    let lens = IntersectionFraction::new(d);
+    let g = |e| expected_items_with(clusters, e, |r, eps, b| lens.eval(r, eps, b));
+    match invert_monotone(g, k, 0.0, hi, tol) {
         Ok(eps) => eps,
         Err(SolveError::TargetUnreachable { .. }) => hi,
         Err(SolveError::BadBracket) => hi,

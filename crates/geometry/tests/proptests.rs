@@ -2,7 +2,8 @@
 
 use hyperm_geometry::solve::expected_items;
 use hyperm_geometry::{
-    cap_fraction, cap_fraction_beta, intersection_fraction, solve_epsilon_for_k, ClusterView,
+    cap_fraction, cap_fraction_beta, intersection_fraction, invert_monotone, solve_epsilon_for_k,
+    ClusterView, IntersectionFraction,
 };
 use proptest::prelude::*;
 
@@ -134,5 +135,46 @@ proptest! {
         // Local continuity: halving b moves the result only slightly.
         let f_half = intersection_fraction(d, r, eps, b / 2.0);
         prop_assert!((f - f_half).abs() <= tol, "f(b)={f} f(b/2)={f_half}");
+    }
+
+    /// `IntersectionFraction`, whose `lnΓ` terms are computed once, equals
+    /// the per-call `intersection_fraction` bit for bit in every overlap
+    /// regime (the lens branch takes acute and obtuse caps).
+    #[test]
+    fn precomputed_intersection_is_bit_identical(
+        d in 1u32..600,
+        r in 0.0..3.0f64,
+        eps in 0.0..3.0f64,
+        b in 0.0..6.0f64,
+    ) {
+        prop_assert_eq!(
+            IntersectionFraction::new(d).eval(r, eps, b).to_bits(),
+            intersection_fraction(d, r, eps, b).to_bits()
+        );
+    }
+
+    /// `solve_epsilon_for_k` returns, bit for bit, what inverting the
+    /// per-call `expected_items` returns.
+    #[test]
+    fn solver_is_bit_identical_to_inverting_expected_items(
+        d in 1u32..16,
+        clusters in prop::collection::vec((0.0..4.0f64, 0.0..2.0f64, 1.0..200.0f64), 1..12),
+        frac in 0.0..1.2f64,
+    ) {
+        let clusters: Vec<ClusterView> = clusters
+            .into_iter()
+            .map(|(centre_dist, radius, items)| ClusterView { centre_dist, radius, items })
+            .collect();
+        let k = frac * clusters.iter().map(|c| c.items).sum::<f64>();
+        let tol = 1e-6;
+        let hi = clusters
+            .iter()
+            .map(|c| c.centre_dist + c.radius)
+            .fold(0.0f64, f64::max)
+            .max(tol);
+        let want = invert_monotone(|e| expected_items(d, &clusters, e), k, 0.0, hi, tol)
+            .unwrap_or(hi);
+        let got = solve_epsilon_for_k(d, &clusters, k, tol);
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "k {}", k);
     }
 }

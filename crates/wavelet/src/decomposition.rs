@@ -12,8 +12,19 @@
 //! detail `D_0` both live in 1-d spaces but are *different* projections of
 //! the data. "Hyper-M used four layers of network overlay" means publishing
 //! the subspaces `{A, D_0, D_1, D_2}`.
+//!
+//! Coefficients are laid out flat in that order ("standard layout"): `A`
+//! at index 0 and `D_l` at `2^l .. 2^{l+1}` ([`Subspace::range`]), so the
+//! published prefix `{A, D_0, …, D_{m−2}}` is the first `2^{m−1}` entries.
+//!
+//! [`haar_pyramid`] is the one multi-level kernel. It reads the input once,
+//! keeps the running approximation in a caller's scratch buffer and
+//! computes only the detail spaces the caller asks for: a peer that
+//! publishes four levels of a 512-d vector pays for 511 averages and 7
+//! differences, not 511 of each, and allocates nothing per item.
 
-use crate::haar::{haar_inverse_step, haar_step, Normalization};
+use crate::haar::{haar_inverse_step, step_into, Convention, Halve, Normalization, RootTwo};
+use std::ops::Range;
 
 /// Errors produced by the decomposition routines.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,23 +94,30 @@ impl Subspace {
         let depth = dim.trailing_zeros();
         Self::first(depth as usize + 1)
     }
+
+    /// Where this subspace's coefficients sit in the standard layout:
+    /// `A` at `0..1`, `D_l` at `2^l .. 2^{l+1}`.
+    pub fn range(self) -> Range<usize> {
+        match self {
+            Subspace::Approx => 0..1,
+            Subspace::Detail(l) => (1 << l)..(2 << l),
+        }
+    }
 }
 
 /// A full multi-resolution Haar decomposition of one vector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decomposition {
-    dim: usize,
     norm: Normalization,
-    /// Final approximation, length 1.
-    approx: Vec<f64>,
-    /// `details[l]` is `D_l`, length `2^l`.
-    details: Vec<Vec<f64>>,
+    /// Every coefficient in the standard layout ([`Subspace::range`]); as
+    /// long as the original vector.
+    coeffs: Vec<f64>,
 }
 
 impl Decomposition {
     /// Dimensionality of the original vector.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.coeffs.len()
     }
 
     /// Normalisation convention used.
@@ -109,57 +127,127 @@ impl Decomposition {
 
     /// Number of detail levels (`log₂ dim`).
     pub fn depth(&self) -> usize {
-        self.details.len()
+        self.dim().trailing_zeros() as usize
     }
 
     /// Coefficients of one subspace.
     pub fn subspace(&self, s: Subspace) -> Result<&[f64], WaveletError> {
         match s {
-            Subspace::Approx => Ok(&self.approx),
-            Subspace::Detail(l) => self.details.get(l as usize).map(Vec::as_slice).ok_or(
-                WaveletError::NoSuchSubspace {
+            Subspace::Detail(l) if l as usize >= self.depth() => {
+                Err(WaveletError::NoSuchSubspace {
                     requested: s,
-                    dim: self.dim,
-                },
-            ),
+                    dim: self.dim(),
+                })
+            }
+            _ => Ok(&self.coeffs[s.range()]),
         }
     }
 
     /// Convenience: the approximation coefficient (scalar for full depth).
     pub fn approx(&self) -> &[f64] {
-        &self.approx
+        &self.coeffs[..1]
+    }
+
+    /// `D_0, D_1, …` in order, finest last.
+    fn details(&self) -> impl Iterator<Item = &[f64]> {
+        (0..self.depth() as u32).map(|l| &self.coeffs[Subspace::Detail(l).range()])
     }
 }
 
 /// Fully decompose `v` (power-of-two length) down to a length-1
-/// approximation.
+/// approximation: [`haar_pyramid`] keeping every subspace.
 pub fn decompose(v: &[f64], norm: Normalization) -> Result<Decomposition, WaveletError> {
-    let dim = v.len();
-    if dim == 0 || !dim.is_power_of_two() {
-        return Err(WaveletError::NotPowerOfTwo(dim));
+    let dim = power_of_two(v)?;
+    // One allocation: the coefficients, then the pyramid's working half,
+    // which `truncate` drops.
+    let mut coeffs = Vec::with_capacity(2 * dim);
+    let width = pyramid(v, norm, dim - 1, &mut coeffs);
+    coeffs.truncate(width);
+    Ok(Decomposition { norm, coeffs })
+}
+
+/// The Haar pyramid of `v` (power-of-two length), computing only what the
+/// subspaces in `keep` need.
+///
+/// Returns the standard-layout prefix that covers `keep`: each kept
+/// subspace's coefficients sit at [`Subspace::range`], `A` is always
+/// filled, and entries of subspaces not kept are unspecified. Every
+/// coefficient is bit-identical to a chain of [`crate::haar_step`] calls
+/// (and hence to [`decompose`]): each step evaluates the same pair
+/// expressions in the same order, and the detail differences of a level
+/// nobody keeps are skipped.
+///
+/// `scratch` holds the result and the running approximation. It is resized
+/// to `width + v.len()` (`width` the returned length) and can be reused
+/// across calls, so a caller decomposing many vectors allocates once.
+pub fn haar_pyramid<'a>(
+    v: &[f64],
+    norm: Normalization,
+    keep: &[Subspace],
+    scratch: &'a mut Vec<f64>,
+) -> Result<&'a [f64], WaveletError> {
+    let dim = power_of_two(v)?;
+    // `D_l` has `2^l` coefficients; bit `2^l` of `details` marks it kept.
+    let mut details = 0usize;
+    for &s in keep {
+        if let Subspace::Detail(l) = s {
+            if l >= dim.trailing_zeros() {
+                return Err(WaveletError::NoSuchSubspace { requested: s, dim });
+            }
+            details |= 1 << l;
+        }
     }
-    let depth = dim.trailing_zeros() as usize;
-    let mut details: Vec<Vec<f64>> = (0..depth).map(|_| Vec::new()).collect();
-    let mut current = v.to_vec();
-    // Each step halves `current`; the detail of the step that produces a
-    // length-m approximation is D_{log2 m}.
-    for level in (0..depth).rev() {
-        let mut next = Vec::new();
-        haar_step(&current, norm, &mut next, &mut details[level]);
-        current = next;
+    let width = pyramid(v, norm, details, scratch);
+    Ok(&scratch[..width])
+}
+
+fn power_of_two(v: &[f64]) -> Result<usize, WaveletError> {
+    match v.len() {
+        dim if dim.is_power_of_two() => Ok(dim),
+        dim => Err(WaveletError::NotPowerOfTwo(dim)),
     }
-    Ok(Decomposition {
-        dim,
-        norm,
-        approx: current,
-        details,
-    })
+}
+
+/// [`haar_pyramid`] past its checks: `details` has bit `2^l` set for each
+/// `D_l` to compute. Returns the width of the standard-layout prefix
+/// written to the front of `scratch`.
+fn pyramid(v: &[f64], norm: Normalization, details: usize, scratch: &mut Vec<f64>) -> usize {
+    let width = (details + 1).next_power_of_two();
+    scratch.resize(width + v.len(), 0.0);
+    let (out, work) = scratch.split_at_mut(width);
+    match norm {
+        Normalization::PaperAverage => steps::<Halve>(v, details, out, work),
+        Normalization::Orthonormal => steps::<RootTwo>(v, details, out, work),
+    }
+    width
+}
+
+/// The pyramid's steps. The first reads `v`; the rest alternate between
+/// the two halves of `work`, so every step reads one buffer and writes
+/// another. The step that leaves `h` averages produces `D_{log₂ h}`.
+fn steps<C: Convention>(v: &[f64], details: usize, out: &mut [f64], work: &mut [f64]) {
+    fn kept(out: &mut [f64], details: usize, h: usize) -> Option<&mut [f64]> {
+        (details & h != 0).then(|| &mut out[h..2 * h])
+    }
+    let mut h = v.len() / 2;
+    if h == 0 {
+        out[0] = v[0];
+        return;
+    }
+    let (mut src, mut dst) = work.split_at_mut(h);
+    step_into::<C>(v, src, kept(out, details, h));
+    while h > 1 {
+        h /= 2;
+        step_into::<C>(&src[..2 * h], &mut dst[..h], kept(out, details, h));
+        std::mem::swap(&mut src, &mut dst);
+    }
+    out[0] = src[0];
 }
 
 /// Exact inverse of [`decompose`].
 pub fn reconstruct(dec: &Decomposition) -> Vec<f64> {
-    let mut current = dec.approx.clone();
-    for detail in &dec.details {
+    let mut current = dec.approx().to_vec();
+    for detail in dec.details() {
         current = haar_inverse_step(&current, detail, dec.norm);
     }
     current
@@ -171,8 +259,8 @@ pub fn reconstruct(dec: &Decomposition) -> Vec<f64> {
 /// from the published summaries alone.
 pub fn reconstruct_partial(dec: &Decomposition, levels: usize) -> Vec<f64> {
     assert!(levels >= 1, "need at least the approximation level");
-    let mut current = dec.approx.clone();
-    for (l, detail) in dec.details.iter().enumerate() {
+    let mut current = dec.approx().to_vec();
+    for (l, detail) in dec.details().enumerate() {
         if l + 2 <= levels {
             current = haar_inverse_step(current.as_slice(), detail, dec.norm);
         } else {

@@ -40,11 +40,63 @@ impl Normalization {
     }
 }
 
+/// A [`Normalization`] fixed at compile time, so the pyramid kernel
+/// ([`crate::decomposition::haar_pyramid`]) divides by a constant.
+/// `PaperAverage`'s `/ 2.0` may then compile to `* 0.5`, which is the same
+/// value: halving is exact, so both round the one exact quotient the same
+/// way, subnormals included. `Orthonormal` keeps its true division by `√2`.
+pub(crate) trait Convention {
+    const DIV: f64;
+}
+
+/// [`Normalization::PaperAverage`] as a type.
+pub(crate) struct Halve;
+
+impl Convention for Halve {
+    const DIV: f64 = 2.0;
+}
+
+/// [`Normalization::Orthonormal`] as a type.
+pub(crate) struct RootTwo;
+
+impl Convention for RootTwo {
+    const DIV: f64 = std::f64::consts::SQRT_2;
+}
+
+/// One analysis step into disjoint buffers, pair by pair with
+/// [`haar_step`]'s expressions: `approx[i] = (x₀ + x₁) / div` and, only when
+/// a detail buffer is given, `detail[i] = (x₀ − x₁) / div`.
+#[inline(always)]
+pub(crate) fn step_into<C: Convention>(
+    input: &[f64],
+    approx: &mut [f64],
+    detail: Option<&mut [f64]>,
+) {
+    debug_assert_eq!(input.len(), 2 * approx.len(), "step_into: approx length");
+    let pairs = input.chunks_exact(2).zip(approx);
+    match detail {
+        Some(detail) => {
+            debug_assert_eq!(input.len(), 2 * detail.len(), "step_into: detail length");
+            for ((pair, a), d) in pairs.zip(detail) {
+                *a = (pair[0] + pair[1]) / C::DIV;
+                *d = (pair[0] - pair[1]) / C::DIV;
+            }
+        }
+        None => {
+            for (pair, a) in pairs {
+                *a = (pair[0] + pair[1]) / C::DIV;
+            }
+        }
+    }
+}
+
 /// One Haar analysis step: split `input` (even length) into approximation
 /// and detail halves, appended to `approx`/`detail`.
 ///
-/// Writing into caller-provided buffers keeps the multi-level decomposition
-/// allocation-free beyond its output vectors.
+/// This is the reference form of the step, with the divisor read at run
+/// time; it grows the caller's vectors. The multi-level decomposition runs
+/// [`crate::decomposition::haar_pyramid`] instead, which computes the same
+/// values without allocating.
 pub fn haar_step(input: &[f64], norm: Normalization, approx: &mut Vec<f64>, detail: &mut Vec<f64>) {
     assert!(
         input.len() >= 2 && input.len().is_multiple_of(2),

@@ -10,9 +10,10 @@
 //!   convention (`a = (x₁+x₂)/2`, the convention Theorem 3.1 is stated in)
 //!   and in the orthonormal convention (`÷√2`), selectable via
 //!   [`Normalization`];
-//! * [`decomposition`] — full multi-resolution decomposition, the
-//!   [`Subspace`] addressing scheme (`A`, `D_l`), reconstruction and partial
-//!   reconstruction;
+//! * [`decomposition`] — the multi-resolution pyramid ([`haar_pyramid`],
+//!   which computes only the subspaces asked for, into a reusable buffer),
+//!   full decomposition, the [`Subspace`] addressing scheme (`A`, `D_l`),
+//!   reconstruction and partial reconstruction;
 //! * [`daubechies`] — a Daubechies-4 transform with periodic boundary
 //!   handling. The paper proves its results for Haar and notes "similar,
 //!   though more laborious proofs can be done for other wavelets"; D4 is
@@ -41,8 +42,8 @@ pub mod theory;
 pub use cdf53::{cdf53_decompose, cdf53_frame_bounds, cdf53_reconstruct};
 pub use daubechies::{d4_decompose, d4_reconstruct};
 pub use decomposition::{
-    decompose, pad_to_power_of_two, reconstruct, reconstruct_partial, Decomposition, Subspace,
-    WaveletError,
+    decompose, haar_pyramid, pad_to_power_of_two, reconstruct, reconstruct_partial, Decomposition,
+    Subspace, WaveletError,
 };
 pub use haar::{haar_inverse_step, haar_step, Normalization};
 pub use image2d::{dwt2_pyramid, dwt2_pyramid_inverse, dwt2_step, Image};
