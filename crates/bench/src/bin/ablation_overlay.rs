@@ -2,10 +2,11 @@
 //! "could be implemented on top of BATON, VBI-tree, CAN or any peer-to-peer
 //! overlay").
 //!
-//! Builds the same network on both substrates and compares dissemination
-//! cost, query cost, and retrieval quality. Answers are expected to be
-//! identical (the substrate only changes routing); costs differ by each
-//! overlay's routing geometry (CAN: O(d·n^{1/d}); BATON: O(log n)).
+//! Builds the same network on all three substrates and compares
+//! dissemination cost, query cost, and retrieval quality. Costs differ by
+//! each overlay's routing geometry (CAN: O(d·n^{1/d}); BATON: O(log n));
+//! answers must not, so the run asserts range recall exactly 1.0 on every
+//! substrate and one k-nn recall for all three.
 
 use hyperm_bench::{f1, f3, print_table, RetrievalWorkload, Scale};
 use hyperm_core::{EvalHarness, HypermConfig, HypermNetwork, KnnOptions, OverlayBackend};
@@ -20,6 +21,7 @@ fn main() {
     let peers = w.build_peers(101);
 
     let mut rows = Vec::new();
+    let mut recalls = Vec::new();
     for (name, backend) in [
         ("CAN (paper)", OverlayBackend::Can),
         ("BATON + Z-order", OverlayBackend::Baton),
@@ -48,6 +50,7 @@ fn main() {
             knn_msgs += e.stats.messages as f64;
         }
         let n = queries.len() as f64;
+        recalls.push((name, range_recall / n, knn_recall / n));
         rows.push(vec![
             name.into(),
             f3(report.avg_hops_per_item()),
@@ -71,6 +74,11 @@ fn main() {
         ],
         &rows,
     );
+    // Overlay independence: the substrate changes routing, never answers.
+    for &(name, range, knn) in &recalls {
+        assert_eq!(range, 1.0, "{name}: range recall below 1.0");
+        assert_eq!(knn, recalls[0].2, "{name}: k-nn recall differs from CAN's");
+    }
     println!(
         "\nExpected shape: recall identical across substrates (overlay-independence);\n\
          BATON's O(log n) routing typically undercuts CAN's O(d·n^(1/d)) for the\n\

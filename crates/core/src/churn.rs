@@ -34,8 +34,7 @@
 // hyperm-lint: allow-file(panic-index) — node indices come from the dense live-node table this module maintains
 use crate::network::HypermNetwork;
 use crate::op::Op;
-use crate::overlay::Overlay;
-use hyperm_can::RepairOutcome;
+use hyperm_can::{CanOverlay, RepairOutcome};
 use hyperm_sim::{FaultConfig, FaultReport, NodeId, OpStats};
 use hyperm_telemetry::{names, Fields, OpKind, SpanId};
 
@@ -76,13 +75,13 @@ impl HypermNetwork {
                 ("repair", repair.into()),
             ]
         });
-        self.hand_over(op, peer, |overlay, id| {
+        self.hand_over(op, peer, |can, id| {
             if repair {
-                overlay.fail_node(id)
+                can.fail(id)
             } else {
                 RepairOutcome {
                     adopters: Vec::new(),
-                    stats: overlay.fail_no_takeover(id),
+                    stats: can.fail_no_takeover(id),
                     takeover_rounds: 0,
                     fully_merged: false,
                 }
@@ -106,7 +105,7 @@ impl HypermNetwork {
             }
         }
         self.failed_mut()[peer] = true;
-        self.hand_over(op, peer, Overlay::leave)
+        self.hand_over(op, peer, CanOverlay::leave)
     }
 
     /// Run the background fragment-merge loop on every level until
@@ -114,8 +113,9 @@ impl HypermNetwork {
     pub fn repair_overlays(&mut self, max_passes: usize) -> OpStats {
         let mut op = self.repair_op(|| vec![("kind", "merge".into())]);
         for l in 0..self.levels() {
-            op.level(l, &self.overlay(l).recorder(), None, |lv| {
-                lv.stats += self.overlay_mut(l).repair_to_quiescence(max_passes);
+            op.level(l, &self.level_recorder(l), None, |lv| {
+                let can = self.overlay_mut(l).can_mut("a merge pass");
+                lv.stats += can.repair_to_quiescence(max_passes);
             });
         }
         op.close(|s| vec![("messages", s.messages.into()), ("bytes", s.bytes.into())])
@@ -132,18 +132,20 @@ impl HypermNetwork {
         )
     }
 
-    /// Run `step` (a crash or a departure) on `peer`'s node at every level
-    /// as `op`'s levels, then close `op` with the takeover it caused.
+    /// Run `step` (a crash or a departure) on `peer`'s node at every
+    /// level's CAN as `op`'s levels, then close `op` with the takeover it
+    /// caused.
     fn hand_over(
         &mut self,
         mut op: Op,
         peer: usize,
-        step: impl Fn(&mut Overlay, NodeId) -> RepairOutcome,
+        step: impl Fn(&mut CanOverlay, NodeId) -> RepairOutcome,
     ) -> ChurnOutcome {
         let (mut takeover_rounds, mut adoptions) = (0, 0);
         for l in 0..self.levels() {
-            op.level(l, &self.overlay(l).recorder(), None, |lv| {
-                let r = step(self.overlay_mut(l), NodeId(peer));
+            op.level(l, &self.level_recorder(l), None, |lv| {
+                let can = self.overlay_mut(l).can_mut("a crash or departure");
+                let r = step(can, NodeId(peer));
                 lv.stats += r.stats;
                 takeover_rounds = takeover_rounds.max(r.takeover_rounds);
                 adoptions += r.adopters.len();
@@ -164,11 +166,10 @@ impl HypermNetwork {
         }
     }
 
-    /// Zone fragments still awaiting background merge, over all levels.
+    /// Zone fragments still awaiting background merge, over all levels
+    /// (0 on a tree-backed network, which has no takeover).
     pub fn fragment_count(&self) -> usize {
-        (0..self.levels())
-            .map(|l| self.overlay(l).fragment_count())
-            .sum()
+        self.cans().map(CanOverlay::fragment_count).sum()
     }
 
     /// Soft-state republish: re-insert every cluster sphere `peer` has
@@ -186,27 +187,28 @@ impl HypermNetwork {
     }
 
     /// Install (or clear) message-level fault injection on every level's
-    /// query traffic. Per-level injectors get decorrelated seeds.
+    /// CAN traffic. Per-level injectors get decorrelated seeds. Installing
+    /// a plan on a tree-backed network panics.
     pub fn set_fault_plan(&mut self, cfg: Option<FaultConfig>) {
-        for l in 0..self.levels() {
-            self.overlay_mut(l)
-                .set_faults(cfg.map(|c| c.with_seed(c.seed.wrapping_add(l as u64))));
+        for (l, can) in self.cans_mut("a fault plan", cfg.is_some()) {
+            can.set_faults(cfg.map(|c| c.with_seed(c.seed.wrapping_add(l as u64))));
         }
         // The popular-summary cache sits out fault injection: a hit skips
         // the injector's per-hop RNG draws, which would desynchronise the
-        // fault timeline of every later query. (The `overlay_mut` calls
-        // above already invalidated its entries.)
+        // fault timeline of every later query. Entries cached before the
+        // change are stale either way.
         if let Some(cache) = self.summary_cache() {
+            cache.bump_epoch();
             cache.set_active(cfg.is_none());
         }
     }
 
     /// Fault counters summed over all levels (`None` when injection is
-    /// off everywhere).
+    /// off everywhere, as on a tree-backed network).
     pub fn fault_report(&self) -> Option<FaultReport> {
         let mut merged: Option<FaultReport> = None;
-        for l in 0..self.levels() {
-            if let Some(r) = self.overlay(l).fault_report() {
+        for can in self.cans() {
+            if let Some(r) = can.fault_report() {
                 let m = merged.get_or_insert_with(FaultReport::default);
                 m.attempts += r.attempts;
                 m.drops += r.drops;

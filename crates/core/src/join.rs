@@ -9,12 +9,12 @@
 //! incrementally at no penalty to anyone else.
 //!
 //! Supported on the CAN substrate (whose join protocol the original paper
-//! defines); the static BATON build would need the tree-rotation join
-//! protocol of the BATON paper, which is out of scope — joins on a
-//! BATON-backed network return [`JoinError::UnsupportedBackend`].
+//! defines). The static tree builds would need the tree-rotation join of
+//! the BATON paper or the VBI-tree's own, which are out of scope — joins
+//! on a BATON- or VBI-backed network return
+//! [`JoinError::UnsupportedBackend`].
 
 use crate::network::HypermNetwork;
-use crate::overlay::Overlay;
 use crate::peer::Peer;
 use hyperm_cluster::Dataset;
 use hyperm_sim::{NodeId, OpStats};
@@ -33,7 +33,7 @@ pub enum JoinError {
     },
     /// The peer brought no items.
     EmptyCollection,
-    /// The overlay substrate has no dynamic join (BATON here).
+    /// The overlay substrate has no dynamic join (BATON and VBI here).
     UnsupportedBackend,
 }
 
@@ -82,10 +82,8 @@ impl HypermNetwork {
                 expected: self.config.data_dim,
             });
         }
-        for l in 0..self.levels() {
-            if !matches!(self.overlay(l), Overlay::Can(_)) {
-                return Err(JoinError::UnsupportedBackend);
-            }
+        if self.overlay(0).as_can().is_none() {
+            return Err(JoinError::UnsupportedBackend);
         }
 
         let peer_id = self.len();
@@ -101,19 +99,16 @@ impl HypermNetwork {
         // equal `peer_id`, which holds because nodes are appended densely.
         let mut join = OpStats::zero();
         for l in 0..self.levels() {
-            let dim = self.overlay(l).dim();
-            let point: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>()).collect();
+            let can = self.overlay_mut(l).can_mut("a live join");
+            let point: Vec<f64> = (0..can.dim()).map(|_| rng.gen::<f64>()).collect();
             // Entry node: resample until an alive node comes up (under
             // churn, dead slots stay in the table; with everyone alive the
             // RNG stream — and thus the whole join — is unchanged).
             let entry = loop {
-                let e = NodeId(rng.gen_range(0..self.overlay(l).len()));
-                if self.overlay(l).is_node_alive(e) {
+                let e = NodeId(rng.gen_range(0..can.len()));
+                if can.is_alive(e) {
                     break e;
                 }
-            };
-            let Overlay::Can(can) = self.overlay_mut(l) else {
-                unreachable!("checked above")
             };
             let before = can.bootstrap_stats();
             let new_node = can.join(entry, &point);

@@ -1,4 +1,4 @@
-//! The Hyper-M network: N peers, one CAN overlay per wavelet subspace.
+//! The Hyper-M network: N peers, one overlay per wavelet subspace.
 //!
 //! [`HypermNetwork::build`] performs the paper's Figure-2 insertion
 //! pipeline for every peer: summarisation (offline, parallelised across
@@ -10,11 +10,11 @@
 
 // hyperm-lint: allow-file(panic-index) — level indices iterate 0..levels() and peer ids index the dense peer table built at construction
 use crate::config::HypermConfig;
-use crate::overlay::Overlay;
+use crate::overlay::{Overlay, OverlayBackend};
 use crate::peer::Peer;
 use crate::query::cache::SummaryCache;
 use crate::HypermError;
-use hyperm_can::KeyMap;
+use hyperm_can::{CanOverlay, KeyMap};
 use hyperm_cluster::Dataset;
 use hyperm_sim::underlay::map_connected;
 use hyperm_sim::{LoadLedger, LoadProbe, NodeId, OpStats, Scheduler};
@@ -201,13 +201,13 @@ impl HypermNetwork {
         Ok((net, report))
     }
 
-    /// Install a telemetry recorder on a built network: every level's
-    /// overlay gets a level-scoped clone, and query/churn spans are emitted
-    /// through the base handle. Pass [`Recorder::disabled`] to turn
-    /// tracing off again.
+    /// Install a telemetry recorder on a built network: every level's CAN
+    /// gets a level-scoped clone, and query/churn spans are emitted
+    /// through the base handle (a tree's overlay work stays untraced).
+    /// Pass [`Recorder::disabled`] to turn tracing off again.
     pub fn set_recorder(&mut self, recorder: Recorder) {
-        for (l, overlay) in self.overlays.iter_mut().enumerate() {
-            overlay.set_recorder(recorder.scoped(l));
+        for (l, can) in self.cans_mut("overlay tracing", false) {
+            can.set_recorder(recorder.scoped(l));
         }
         self.recorder = recorder;
     }
@@ -216,6 +216,34 @@ impl HypermNetwork {
     /// [`HypermNetwork::set_recorder`] or [`HypermNetwork::build_traced`]).
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
+    }
+
+    /// Level `level`'s overlay recorder: the level-scoped clone
+    /// [`HypermNetwork::set_recorder`] installed on a CAN, disabled on a
+    /// tree.
+    pub(crate) fn level_recorder(&self, level: usize) -> Recorder {
+        let can = self.overlay(level).as_can();
+        can.map_or_else(Recorder::disabled, |c| c.recorder().clone())
+    }
+
+    /// Every level's CAN (none on a tree-backed network).
+    pub(crate) fn cans(&self) -> impl Iterator<Item = &CanOverlay> {
+        self.overlays.iter().filter_map(Overlay::as_can)
+    }
+
+    /// Every level's CAN with its level, to set a CAN-only `what` on. A
+    /// tree-backed network yields none, unless `required` (installing a
+    /// `Some`), which panics there with "`what` requires the CAN
+    /// substrate".
+    pub(crate) fn cans_mut(
+        &mut self,
+        what: &'static str,
+        required: bool,
+    ) -> impl Iterator<Item = (usize, &mut CanOverlay)> {
+        let on_can = self.config.overlay_backend == OverlayBackend::Can;
+        let levels = if on_can || required { self.levels() } else { 0 };
+        let overlays = self.overlays.iter_mut().take(levels);
+        overlays.map(move |o| o.can_mut(what)).enumerate()
     }
 
     /// Number of peers.
@@ -244,11 +272,12 @@ impl HypermNetwork {
     }
 
     /// Install (or clear) a network partition: the component map is pushed
-    /// into every level's overlay (severing routing and flood links across
+    /// into every level's CAN (severing routing and flood links across
     /// components) and kept here for phase-2 direct-fetch reachability.
+    /// Installing one on a tree-backed network panics.
     pub fn set_partition(&mut self, map: Option<Vec<u32>>) {
-        for overlay in self.overlays.iter_mut() {
-            overlay.set_partition(map.clone());
+        for (_, can) in self.cans_mut("a partition", map.is_some()) {
+            can.set_partition(map.clone());
         }
         // Partition install *and* heal change which candidates a flood can
         // reach — cached phase-1 answers are stale either way.
@@ -334,17 +363,17 @@ impl HypermNetwork {
         self.cache.as_ref()
     }
 
-    /// Install (or clear) the per-peer load ledger: each level's overlay
-    /// gets a level-scoped [`LoadProbe`] so floods, served lookups and
-    /// retries are attributed exactly once; phase-2 direct fetches are
-    /// charged by the query path. `None` (the default) charges nothing
-    /// and keeps the hot path free.
+    /// Install (or clear) the per-peer load ledger: each level's CAN gets
+    /// a level-scoped [`LoadProbe`] so floods, served lookups and retries
+    /// are attributed exactly once; phase-2 direct fetches are charged by
+    /// the query path. `None` (the default) charges nothing and keeps the
+    /// hot path free. Installing one on a tree-backed network panics.
     pub fn set_load_ledger(&mut self, ledger: Option<Arc<LoadLedger>>) {
-        for (l, overlay) in self.overlays.iter_mut().enumerate() {
+        for (l, can) in self.cans_mut("a load ledger", ledger.is_some()) {
             let probe = ledger
                 .as_ref()
                 .map_or_else(LoadProbe::disabled, |lg| LoadProbe::new(lg.clone(), l));
-            overlay.set_load_probe(probe);
+            can.set_load_probe(probe);
         }
         self.load = ledger;
     }
@@ -357,21 +386,22 @@ impl HypermNetwork {
     /// Load-balancing hook: split the level-`level` zone covering `point`
     /// and grant the half containing it to `to_peer` (replicas are
     /// *copied*, so the candidate set only grows — Theorem 4.1 holds).
-    /// `None` when the substrate is not CAN, the point is unowned, the
-    /// beneficiary is dead, or the zone is too thin to split. The overlay
-    /// mutation invalidates the summary cache like any other.
+    /// `None` when the point is unowned, the beneficiary is dead, or the
+    /// zone is too thin to split; panics on a tree-backed network. The
+    /// overlay mutation invalidates the summary cache like any other.
     pub fn split_zone(&mut self, level: usize, point: &[f64], to_peer: usize) -> Option<OpStats> {
         if level >= self.levels() || to_peer >= self.len() {
             return None;
         }
-        self.overlay_mut(level).split_adopt(point, NodeId(to_peer))
+        let can = self.overlay_mut(level).can_mut("a zone split");
+        can.split_adopt(point, NodeId(to_peer))
     }
 
     /// Load-balancing hook: migrate the largest zone fragment adopted by
     /// `from_peer` in the level-`level` overlay to `to_peer`, reusing the
-    /// leave/takeover handoff (replicas copied first). `None` when the
-    /// substrate is not CAN, either peer is dead, or `from_peer` holds no
-    /// fragments.
+    /// leave/takeover handoff (replicas copied first). `None` when either
+    /// peer is dead or `from_peer` holds no fragments; panics on a
+    /// tree-backed network.
     pub fn migrate_zone(
         &mut self,
         level: usize,
@@ -381,8 +411,8 @@ impl HypermNetwork {
         if level >= self.levels() || from_peer >= self.len() || to_peer >= self.len() {
             return None;
         }
-        self.overlay_mut(level)
-            .migrate_fragment(NodeId(from_peer), NodeId(to_peer))
+        let can = self.overlay_mut(level).can_mut("a zone migration");
+        can.migrate_fragment(NodeId(from_peer), NodeId(to_peer))
             .map(|(_, stats)| stats)
     }
 

@@ -1,22 +1,21 @@
-//! Overlay-substrate abstraction.
+//! Overlay-substrate abstraction: each wavelet subspace gets one
+//! [`Overlay`] of the configured [`OverlayBackend`], which forwards only
+//! what CAN, BATON and VBI all perform. CAN-only entry points reach CAN
+//! through [`Overlay::as_can`] or the crate's panicking `can_mut`, so the
+//! trees (comparison substrates for the insert/query claim) refuse them:
 //!
-//! The paper: "Our method has been designed independent of the underlying
-//! peer-to-peer overlays, and it could be implemented on top of BATON,
-//! VBI-tree, CAN or any peer-to-peer overlays … so long as they can
-//! support multi-dimensional indexing." This module delivers that
-//! independence: every per-subspace overlay is an [`Overlay`] — either a
-//! CAN ([`hyperm_can::CanOverlay`]), a BATON tree with Z-order key mapping
-//! ([`hyperm_baton::BatonOverlay`]), or a VBI-tree
-//! ([`hyperm_vbi::VbiOverlay`]) — selected by [`OverlayBackend`] in the
-//! network configuration. All three overlays the paper names are therefore
-//! actually runnable.
+//! | operation | CAN | BATON | VBI |
+//! |---|---|---|---|
+//! | build, insert, refresh, range, k-nn, point | yes | yes | yes |
+//! | join | yes | `JoinError::UnsupportedBackend` | `JoinError::UnsupportedBackend` |
+//! | crash, depart, merge, split, migrate | yes | panics | panics |
+//! | install a fault plan, partition or load ledger | yes | panics | panics |
+//! | clear one (`None`) | yes | no-op | no-op |
+//! | overlay tracing | yes | untraced | untraced |
 
 use hyperm_baton::{BatonConfig, BatonOverlay};
-use hyperm_can::{
-    CanConfig, CanOverlay, InsertOutcome, ObjectRef, RangeOutcome, RepairOutcome, StoredObject,
-};
-use hyperm_sim::{FaultConfig, FaultReport, NodeId, OpStats};
-use hyperm_telemetry::{Recorder, SpanId};
+use hyperm_can::{CanConfig, CanOverlay, InsertOutcome, ObjectRef, RangeOutcome, StoredObject};
+use hyperm_sim::{NodeId, OpStats};
 use hyperm_vbi::{VbiConfig, VbiOverlay};
 
 /// Which overlay substrate to build per wavelet subspace.
@@ -31,11 +30,8 @@ pub enum OverlayBackend {
     Vbi,
 }
 
-/// A per-subspace overlay of either substrate.
-// The CAN variant dominates the footprint (fault injector slot +
-// partition map), but networks hold a handful of overlays, never
-// collections of them, so per-variant boxing would only add indirection.
-#[allow(clippy::large_enum_variant)]
+/// A per-subspace overlay of any of the three substrates.
+#[allow(clippy::large_enum_variant)] // one per level: boxing CAN buys nothing
 #[derive(Debug, Clone)]
 pub enum Overlay {
     /// CAN substrate.
@@ -44,6 +40,17 @@ pub enum Overlay {
     Baton(BatonOverlay),
     /// VBI-tree substrate.
     Vbi(VbiOverlay),
+}
+
+/// Evaluate `$call` on whichever substrate `$overlay` holds, bound as `$o`.
+macro_rules! each {
+    ($overlay:expr, $o:ident => $call:expr) => {
+        match $overlay {
+            Overlay::Can($o) => $call,
+            Overlay::Baton($o) => $call,
+            Overlay::Vbi($o) => $call,
+        }
+    };
 }
 
 impl Overlay {
@@ -67,20 +74,12 @@ impl Overlay {
 
     /// Key-space dimensionality.
     pub fn dim(&self) -> usize {
-        match self {
-            Overlay::Can(o) => o.dim(),
-            Overlay::Baton(o) => o.dim(),
-            Overlay::Vbi(o) => o.dim(),
-        }
+        each!(self, o => o.dim())
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        match self {
-            Overlay::Can(o) => o.len(),
-            Overlay::Baton(o) => o.len(),
-            Overlay::Vbi(o) => o.len(),
-        }
+        each!(self, o => o.len())
     }
 
     /// Whether the overlay has no nodes (never true post-bootstrap).
@@ -90,15 +89,10 @@ impl Overlay {
 
     /// Construction (join) cost.
     pub fn bootstrap_stats(&self) -> OpStats {
-        match self {
-            Overlay::Can(o) => o.bootstrap_stats(),
-            Overlay::Baton(o) => o.bootstrap_stats(),
-            Overlay::Vbi(o) => o.bootstrap_stats(),
-        }
+        each!(self, o => o.bootstrap_stats())
     }
 
-    /// Insert a sphere object (see the substrate docs for replication
-    /// semantics).
+    /// Insert a sphere object (replication semantics: see the substrate).
     pub fn insert_sphere(
         &mut self,
         from: NodeId,
@@ -107,18 +101,10 @@ impl Overlay {
         payload: ObjectRef,
         replicate: bool,
     ) -> InsertOutcome {
-        match self {
-            Overlay::Can(o) => o.insert_sphere(from, centre, radius, payload, replicate),
-            Overlay::Baton(o) => o.insert_sphere(from, centre, radius, payload, replicate),
-            Overlay::Vbi(o) => o.insert_sphere(from, centre, radius, payload, replicate),
-        }
+        each!(self, o => o.insert_sphere(from, centre, radius, payload, replicate))
     }
 
-    /// Fallible, fault-aware sphere insertion: the reliable-publish data
-    /// path (see [`hyperm_can::CanOverlay::try_insert_sphere`]). On the
-    /// tree substrates — which carry no fault injection, matching the
-    /// paper's evaluation substrate — this is the plain insert and always
-    /// succeeds.
+    /// [`CanOverlay::try_insert_sphere`]; the plain insert on a tree.
     pub fn try_insert_sphere(
         &mut self,
         from: NodeId,
@@ -129,212 +115,55 @@ impl Overlay {
     ) -> Result<InsertOutcome, OpStats> {
         match self {
             Overlay::Can(o) => o.try_insert_sphere(from, centre, radius, payload, replicate),
-            Overlay::Baton(o) => Ok(o.insert_sphere(from, centre, radius, payload, replicate)),
-            Overlay::Vbi(o) => Ok(o.insert_sphere(from, centre, radius, payload, replicate)),
+            Overlay::Baton(_) | Overlay::Vbi(_) => {
+                Ok(self.insert_sphere(from, centre, radius, payload, replicate))
+            }
         }
     }
 
     /// Flooding range query.
     pub fn range_query(&self, from: NodeId, centre: &[f64], radius: f64) -> RangeOutcome {
-        match self {
-            Overlay::Can(o) => o.range_query(from, centre, radius),
-            Overlay::Baton(o) => o.range_query(from, centre, radius),
-            Overlay::Vbi(o) => o.range_query(from, centre, radius),
-        }
+        each!(self, o => o.range_query(from, centre, radius))
     }
 
     /// Point lookup: stored spheres containing the point.
     pub fn point_lookup(&self, from: NodeId, point: &[f64]) -> (Vec<StoredObject>, OpStats) {
-        match self {
-            Overlay::Can(o) => o.point_lookup(from, point),
-            Overlay::Baton(o) => o.point_lookup(from, point),
-            Overlay::Vbi(o) => o.point_lookup(from, point),
-        }
+        each!(self, o => o.point_lookup(from, point))
     }
 
-    /// Remove all replicas/versions of the object `peer` published under
-    /// `tag` (summary invalidation); returns (removed, cost).
+    /// Remove every replica/version `peer` published under `tag`.
     pub fn remove_objects(&mut self, peer: usize, tag: u64) -> (usize, OpStats) {
-        match self {
-            Overlay::Can(o) => o.remove_objects(peer, tag),
-            Overlay::Baton(o) => o.remove_objects(peer, tag),
-            Overlay::Vbi(o) => o.remove_objects(peer, tag),
-        }
+        each!(self, o => o.remove_objects(peer, tag))
     }
 
     /// Stored objects per node (replicas counted everywhere).
     pub fn store_sizes(&self) -> Vec<usize> {
-        match self {
-            Overlay::Can(o) => o.store_sizes(),
-            Overlay::Baton(o) => o.store_sizes(),
-            Overlay::Vbi(o) => o.store_sizes(),
-        }
+        each!(self, o => o.store_sizes())
     }
 
     /// Summarised item mass per node.
     pub fn stored_items_per_node(&self) -> Vec<u64> {
-        match self {
-            Overlay::Can(o) => o.stored_items_per_node(),
-            Overlay::Baton(o) => o.stored_items_per_node(),
-            Overlay::Vbi(o) => o.stored_items_per_node(),
-        }
+        each!(self, o => o.stored_items_per_node())
     }
 
     /// Structural invariant checks (test support).
     pub fn check_invariants(&self) {
-        match self {
-            Overlay::Can(o) => o.check_invariants(),
-            Overlay::Baton(o) => o.check_invariants(),
-            Overlay::Vbi(o) => o.check_invariants(),
-        }
+        each!(self, o => o.check_invariants())
     }
 
     /// The CAN overlay inside, if this is the CAN substrate.
     pub fn as_can(&self) -> Option<&CanOverlay> {
         match self {
             Overlay::Can(o) => Some(o),
-            _ => None,
+            Overlay::Baton(_) | Overlay::Vbi(_) => None,
         }
     }
 
-    /// Whether the repair subsystem (leave/fail/takeover) is available —
-    /// the CAN substrate only; BATON/VBI tree repair is a different
-    /// protocol family, out of scope exactly as in the paper.
-    pub fn supports_repair(&self) -> bool {
-        matches!(self, Overlay::Can(_))
-    }
-
-    fn can_mut(&mut self, what: &str) -> &mut CanOverlay {
+    /// The CAN inside, for a CAN-only `what`; a tree panics instead.
+    pub(crate) fn can_mut(&mut self, what: &str) -> &mut CanOverlay {
         match self {
             Overlay::Can(o) => o,
-            _ => panic!("{what} requires the CAN substrate"),
-        }
-    }
-
-    /// Whether a node participates in the overlay (always true on
-    /// substrates without a departure protocol).
-    pub fn is_node_alive(&self, id: NodeId) -> bool {
-        match self {
-            Overlay::Can(o) => o.is_alive(id),
-            _ => true,
-        }
-    }
-
-    /// Graceful departure with zone + replica handoff (CAN only; panics on
-    /// other substrates — gate on [`Overlay::supports_repair`]).
-    pub fn leave(&mut self, id: NodeId) -> RepairOutcome {
-        self.can_mut("leave").leave(id)
-    }
-
-    /// Crash-stop failure with neighbour takeover (CAN only).
-    pub fn fail_node(&mut self, id: NodeId) -> RepairOutcome {
-        self.can_mut("fail").fail(id)
-    }
-
-    /// Crash-stop failure with **no** takeover — the repair-off baseline
-    /// (CAN only). The zone becomes a routing hole.
-    pub fn fail_no_takeover(&mut self, id: NodeId) -> OpStats {
-        self.can_mut("fail_no_takeover").fail_no_takeover(id)
-    }
-
-    /// Run background fragment merges until quiescence (CAN only; a no-op
-    /// cost on substrates without fragments).
-    pub fn repair_to_quiescence(&mut self, max_passes: usize) -> OpStats {
-        match self {
-            Overlay::Can(o) => o.repair_to_quiescence(max_passes),
-            _ => OpStats::zero(),
-        }
-    }
-
-    /// Zone fragments awaiting background merge (0 on non-CAN substrates).
-    pub fn fragment_count(&self) -> usize {
-        match self {
-            Overlay::Can(o) => o.fragment_count(),
-            _ => 0,
-        }
-    }
-
-    /// Install the per-peer load probe (CAN only; the tree substrates are
-    /// not instrumented, like fault injection and telemetry).
-    pub fn set_load_probe(&mut self, probe: hyperm_sim::LoadProbe) {
-        if let Overlay::Can(o) = self {
-            o.set_load_probe(probe);
-        }
-    }
-
-    /// Load-balancing split: halve the zone covering `point` and grant the
-    /// half containing it to `to` (CAN only; `None` elsewhere). Replicas
-    /// are copied, never moved — the candidate set only grows.
-    pub fn split_adopt(&mut self, point: &[f64], to: NodeId) -> Option<OpStats> {
-        match self {
-            Overlay::Can(o) => o.split_adopt(point, to),
-            _ => None,
-        }
-    }
-
-    /// Load-balancing migration: hand `from`'s largest adopted zone
-    /// fragment to `to` via the leave/takeover handoff (CAN only; `None`
-    /// elsewhere or when `from` holds no fragments).
-    pub fn migrate_fragment(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-    ) -> Option<(hyperm_can::Zone, OpStats)> {
-        match self {
-            Overlay::Can(o) => o.migrate_fragment(from, to),
-            _ => None,
-        }
-    }
-
-    /// Install (or clear) message-level fault injection on query traffic
-    /// (CAN only; ignored elsewhere).
-    pub fn set_faults(&mut self, cfg: Option<FaultConfig>) {
-        if let Overlay::Can(o) = self {
-            o.set_faults(cfg);
-        }
-    }
-
-    /// Install (or clear) a network partition component map on overlay
-    /// traffic (CAN only; ignored elsewhere, like fault injection).
-    pub fn set_partition(&mut self, map: Option<Vec<u32>>) {
-        if let Overlay::Can(o) = self {
-            o.set_partition(map);
-        }
-    }
-
-    /// Fault counters accumulated so far (`None` when injection is off or
-    /// the substrate has none).
-    pub fn fault_report(&self) -> Option<FaultReport> {
-        match self {
-            Overlay::Can(o) => o.fault_report(),
-            _ => None,
-        }
-    }
-
-    /// Install a telemetry recorder (CAN only; the tree substrates are not
-    /// instrumented — like fault injection, tracing follows the paper's
-    /// evaluation substrate).
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        if let Overlay::Can(o) = self {
-            o.set_recorder(rec);
-        }
-    }
-
-    /// The overlay's recorder handle (a cheap clone; disabled on non-CAN
-    /// substrates).
-    pub fn recorder(&self) -> Recorder {
-        match self {
-            Overlay::Can(o) => o.recorder().clone(),
-            _ => Recorder::disabled(),
-        }
-    }
-
-    /// Point the overlay's trace scope at `span`: overlay-internal events
-    /// (route hops, floods, takeovers) attach there. No-op on non-CAN
-    /// substrates or when tracing is off.
-    pub fn set_scope(&self, span: SpanId) {
-        if let Overlay::Can(o) = self {
-            o.recorder().set_scope(span);
+            Overlay::Baton(_) | Overlay::Vbi(_) => panic!("{what} requires the CAN substrate"),
         }
     }
 }

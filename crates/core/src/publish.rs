@@ -88,7 +88,7 @@ impl HypermNetwork {
     pub(crate) fn place_sphere(&mut self, peer: usize, l: usize, c: usize) -> InsertOutcome {
         let (key, key_radius, payload) = self.sphere_object(peer, l, c);
         let replicate = self.config.replicate;
-        let ltel = self.overlay(l).recorder();
+        let ltel = self.level_recorder(l);
         let mut op = Op::open(&ltel, SpanId::NONE, OpKind::Publish, names::PUBLISH, || {
             vec![("peer", peer.into()), ("cluster", c.into())]
         });
@@ -151,7 +151,7 @@ impl HypermNetwork {
         );
         let mut report = PublishReport::default();
         for level in 0..self.levels() {
-            op.level(level, &self.overlay(level).recorder(), None, |lv| {
+            op.level(level, &self.level_recorder(level), None, |lv| {
                 for cluster in 0..self.peer(peer).summaries[level].len() {
                     let sphere = SphereRef {
                         peer,

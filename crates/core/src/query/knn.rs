@@ -125,7 +125,7 @@ impl HypermNetwork {
             let (key, slack) = self.query_key_with_slack(&dec, l);
             let dim = self.overlay(l).dim() as u32;
             let diag = (dim as f64).sqrt();
-            let ltel = self.overlay(l).recorder();
+            let ltel = self.level_recorder(l);
             let (eps_l, scores) = run.op.level(l, &ltel, Some(&Vec::new), |lv| {
                 // Step 2 (adapted): discover candidate clusters by
                 // expanding ring, then invert Eq. 8 on them.

@@ -63,7 +63,7 @@ impl HypermNetwork {
         let mut per_level: Vec<BTreeMap<usize, f64>> = Vec::with_capacity(self.levels());
         for l in 0..self.levels() {
             let key = self.query_key(&dec, l);
-            let ltel = self.overlay(l).recorder();
+            let ltel = self.level_recorder(l);
             per_level.push(run.op.level(l, &ltel, Some(&Vec::new), |lv| {
                 let (hits, op) = self.overlay(l).point_lookup(NodeId(from_peer), &key);
                 lv.stats += op;

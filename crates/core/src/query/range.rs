@@ -94,7 +94,7 @@ impl HypermNetwork {
         for l in 0..self.levels() {
             let (key, slack) = self.query_key_with_slack(&dec, l);
             let key_eps = self.query_key_radius(eps, l) + slack;
-            let ltel = self.overlay(l).recorder();
+            let ltel = self.level_recorder(l);
             // Popular-summary cache (hot-spot relief): an identical
             // phase-1 lookup seen since the last overlay mutation is
             // answered from the entry peer's cache — the exact score map

@@ -180,7 +180,7 @@ fn poisson_schedule_with_arrivals_stays_sound() {
         // fragments (a merge can stay blocked until further churn; see
         // `hyperm_can::repair`): the partition is complete either way.
         assert!(
-            net.overlay(l).fragment_count() <= 2,
+            net.overlay(l).as_can().unwrap().fragment_count() <= 2,
             "repair did not converge on level {l}"
         );
     }

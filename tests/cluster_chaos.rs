@@ -22,7 +22,7 @@
 //! (validated by `bench_check`).
 
 use hyperm::datagen::{generate_aloi_like, AloiConfig};
-use hyperm::telemetry::{names, Recorder, TraceCtx};
+use hyperm::telemetry::{names, JsonObj, Recorder, TraceCtx};
 use hyperm::transport::{MemEndpoint, ServeOutcome, Transport, TransportError};
 use hyperm::{
     Backoff, ChaosConfig, ChaosEndpoint, Client, Dataset, HypermConfig, HypermNetwork, MemHub,
@@ -346,21 +346,29 @@ fn chaos_scenarios_recover_full_recall_and_emit_bench() {
             "scenario {} must recover full recall",
             s.name
         );
-        let extra = if s.name == "disconnect_storm" {
-            format!(", \"disconnects\": {disconnects}")
-        } else {
-            String::new()
-        };
-        scenarios.push(format!(
-            "    {{\"name\": \"{}\", \"recall_final\": {:.4}, \"queries\": {}, \"retries\": {}, \"gave_up\": {}{}}}",
-            s.name, s.recall_final, s.queries, s.retries, s.gave_up, extra
-        ));
+        let mut row = JsonObj::new()
+            .s("name", s.name)
+            .f("recall_final", s.recall_final, 4)
+            .u("queries", s.queries)
+            .u("retries", s.retries)
+            .u("gave_up", s.gave_up);
+        if s.name == "disconnect_storm" {
+            row = row.u("disconnects", disconnects);
+        }
+        scenarios.push(row.render());
     }
-    let json = format!(
-        "{{\n  \"workload\": {{\"nodes\": 4, \"dim\": {DIM}, \"items_per_peer\": {ITEMS}, \"seed\": {SEED}, \"transport\": \"mem+chaos\"}},\n  \"scenarios\": [\n{}\n  ],\n  \"stale_replies_discarded\": {stale_discarded},\n  \"stale_replies_returned\": {stale_returned}\n}}\n",
-        scenarios.join(",\n")
-    );
-    std::fs::write("BENCH_chaos.json", json).unwrap();
+    let workload = JsonObj::new()
+        .u("nodes", 4)
+        .u("dim", DIM as u64)
+        .u("items_per_peer", ITEMS as u64)
+        .u("seed", SEED)
+        .s("transport", "mem+chaos");
+    let json = JsonObj::new()
+        .obj("workload", workload)
+        .arr("scenarios", &scenarios)
+        .u("stale_replies_discarded", stale_discarded)
+        .u("stale_replies_returned", stale_returned);
+    std::fs::write("BENCH_chaos.json", json.render_pretty()).unwrap();
 }
 
 /// Satellite regression: the reply mis-correlation race in isolation.
