@@ -13,7 +13,9 @@ use hyperm_cluster::kmeans::kmeans;
 use hyperm_cluster::{Dataset, KMeansConfig};
 use hyperm_core::{HypermConfig, HypermNetwork, KnnOptions};
 use hyperm_datagen::{generate_markov, MarkovConfig};
-use hyperm_geometry::{intersection_fraction, solve_epsilon_for_k, ClusterView};
+use hyperm_geometry::{
+    cap_fraction, cap_fraction_beta, intersection_fraction, solve_epsilon_for_k, ClusterView,
+};
 use hyperm_sim::NodeId;
 use hyperm_wavelet::{decompose, haar_pyramid, Normalization, Subspace};
 use std::hint::black_box;
@@ -89,6 +91,18 @@ fn bench_summarize(c: &mut Criterion) {
 }
 
 fn bench_geometry(c: &mut Criterion) {
+    // The cap kernel on the overlay key dimensions (odd polynomial, Eq. 5
+    // twice), beside the incomplete beta it replaced.
+    let mut group = c.benchmark_group("cap_fraction");
+    for d in [1u32, 2, 4] {
+        group.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, &d| {
+            b.iter(|| cap_fraction(black_box(d), black_box(1.1)))
+        });
+    }
+    group.bench_function("beta_4", |b| {
+        b.iter(|| cap_fraction_beta(black_box(4), black_box(1.1)))
+    });
+    group.finish();
     c.bench_function("intersection_fraction_d4", |b| {
         b.iter(|| {
             intersection_fraction(
@@ -108,6 +122,18 @@ fn bench_geometry(c: &mut Criterion) {
         .collect();
     c.bench_function("solve_epsilon_for_k", |b| {
         b.iter(|| solve_epsilon_for_k(black_box(4), black_box(&clusters), black_box(100.0), 1e-6))
+    });
+    // A level-3 view at paper scale: ≈ 800 of the level's 1000 spheres
+    // (100 peers × 10 clusters, 100 items each) in 4-d key space, k = 10.
+    let level3: Vec<ClusterView> = (0..800)
+        .map(|i| ClusterView {
+            centre_dist: 0.01 + i as f64 * 0.001,
+            radius: 0.02 + (i % 11) as f64 * 0.005,
+            items: 100.0,
+        })
+        .collect();
+    c.bench_function("solve_epsilon_for_k_800_d4", |b| {
+        b.iter(|| solve_epsilon_for_k(black_box(4), black_box(&level3), black_box(10.0), 1e-6))
     });
 }
 
@@ -236,6 +262,24 @@ fn bench_local_range(c: &mut Criterion) {
                 .map(|(i, _)| i)
                 .collect::<Vec<usize>>()
         })
+    });
+    // The phase-2 k-nn of a peer that ranks for its coarse coefficients but
+    // is far in 512-d, as in the slowest `knn` queries: row 17 plus square
+    // waves at the 64- and 32-sample scales, which the published subspaces
+    // do not see. The published bound rules out few rows, so without the
+    // refine guard the scan reads hundreds of them (≈ 5× slower).
+    let shifted: Vec<f64> = peer
+        .items
+        .row(17)
+        .iter()
+        .enumerate()
+        .map(|(i, x)| {
+            x + if (i / 32) % 2 == 0 { 0.2 } else { -0.2 }
+                + if (i / 16) % 2 == 0 { 0.2 } else { -0.2 }
+        })
+        .collect();
+    c.bench_function("local_knn_coarse_match_k1_1000x512", |b| {
+        b.iter(|| peer.local_knn(black_box(&shifted), 1))
     });
 }
 

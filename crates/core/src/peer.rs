@@ -12,9 +12,9 @@
 //! `decompose` followed by the textbook Lloyd loop:
 //!
 //! * the DWT is `hyperm_wavelet::haar_pyramid` over one scratch buffer per
-//!   peer, asked for the published subspaces only. For a 512-d item and
-//!   four levels it computes 511 pair averages but only the 7 differences
-//!   of `D_0..D_2`, and allocates nothing. The kernel is compiled once per
+//!   peer, asked for the kept subspaces only (below). For a 512-d item and
+//!   four levels it computes 511 pair averages but only the 31 differences
+//!   of `D_0..D_4`, and allocates nothing. The kernel is compiled once per
 //!   convention, so the paper's `/ 2` is a constant division, which the
 //!   compiler may lower to `* 0.5`: the same value, since halving is exact
 //!   and both round the one exact quotient alike, subnormals included;
@@ -35,6 +35,16 @@
 //! the filter's threshold is widened by
 //! `hyperm_wavelet::theory::lower_bound_limit`, so rounding never
 //! dismisses a row the refine test would accept.
+//!
+//! Before each refine, a **guard** extends the item's bound with the next
+//! finer subspaces, which the peer keeps but does not publish (`D_3` and
+//! `D_4` at four levels, so 32 coefficients per item in all). An item the
+//! longer sum already rules out is skipped: its refine could not have
+//! accepted it, so answers do not change, but its 512-d row is not read.
+//! The guard is checked per refine and not folded into the filter pass,
+//! because a k-nn scan bounds every item and refines only a few: a peer far
+//! from the query refines hundreds of rows for one answer, and the guard
+//! skips most of them for the cost of reading 24 coefficients each.
 
 use crate::config::HypermConfig;
 use hyperm_cluster::kmeans::kmeans;
@@ -47,23 +57,31 @@ use hyperm_wavelet::{
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// Wavelet coefficients per item the local scans may read: the published
+/// subspaces, then as many whole finer subspaces as fit (the refine guard).
+const SCAN_COEFFS: usize = 32;
+
 /// One device and its local collection.
 #[derive(Debug, Clone)]
 pub struct Peer {
     /// Peer index (also its CAN node id in every overlay).
     pub id: usize,
     /// Original-space items (rows). Append through [`Peer::push_item`]
-    /// only: the local scans are sound while row *i* of every level view
-    /// is item *i*.
+    /// only: the local scans are sound while row *i* of every view is
+    /// item *i*.
     pub items: Dataset,
-    /// Per published subspace: the items' coefficients in that subspace
-    /// (row i ↔ item i).
-    level_views: Vec<Dataset>,
+    /// Per kept subspace: the items' coefficients in that subspace (row
+    /// i ↔ item i). The first `published` are the level views; the rest
+    /// are the refine guard's.
+    views: Vec<Dataset>,
     /// Per published subspace: the cluster-sphere summaries (step *i2*).
     pub summaries: Vec<Vec<ClusterSphere>>,
-    /// The published subspaces and the convention they were computed in —
-    /// what it takes to decompose a query the way the items were.
+    /// The kept subspaces, coarse to fine, and the convention they were
+    /// computed in — what it takes to decompose a query the way the items
+    /// were.
     subspaces: Vec<Subspace>,
+    /// How many of `subspaces` are published.
+    published: usize,
     normalization: Normalization,
     /// Largest `|coordinate|` over all items: the scale of the
     /// coefficients' rounding error (see `lower_bound_limit`).
@@ -97,6 +115,36 @@ fn peak(v: &[f64]) -> f64 {
     lanes.iter().chain(rest).fold(0.0, larger)
 }
 
+/// The published subspaces, then the finer ones the refine guard keeps:
+/// whole subspaces while the first `SCAN_COEFFS` coefficients hold them
+/// and the data has them.
+fn kept_subspaces(config: &HypermConfig) -> Vec<Subspace> {
+    let mut kept = config.subspaces();
+    while kept.len() < config.max_levels() {
+        let next = Subspace::Detail(kept.len() as u32 - 1);
+        if next.range().end > SCAN_COEFFS {
+            break;
+        }
+        kept.push(next);
+    }
+    kept
+}
+
+/// The refine guard of one scan: per guard subspace, its view, the query's
+/// coefficients there and `c_l²`.
+struct Guard<'a>(Vec<(&'a Dataset, &'a [f64], f64)>);
+
+impl Guard<'_> {
+    /// Whether item `i`, whose filter bound is `bound`, may still be within
+    /// `limit` (a [`Peer::guard_limit`]) once the guard subspaces are added.
+    fn admits(&self, i: usize, bound: f64, limit: f64) -> bool {
+        let total = self.0.iter().fold(bound, |acc, &(view, coeffs, w)| {
+            acc + w * sq_dist(view.row(i), coeffs)
+        });
+        total <= limit
+    }
+}
+
 impl Peer {
     /// Decompose and summarise `items` according to `config`.
     ///
@@ -105,11 +153,11 @@ impl Peer {
     pub fn summarize(id: usize, items: Dataset, config: &HypermConfig) -> Peer {
         assert!(!items.is_empty(), "peer {id} has no items");
         assert_eq!(items.dim(), config.data_dim, "peer {id} dimension mismatch");
-        let subspaces = config.subspaces();
+        let subspaces = kept_subspaces(config);
 
-        // Run the pyramid once per item, computing the published subspaces
-        // only, in one scratch buffer; scatter them into per-level datasets.
-        let mut level_views: Vec<Dataset> = subspaces
+        // Run the pyramid once per item, computing the kept subspaces only,
+        // in one scratch buffer; scatter them into per-subspace datasets.
+        let mut views: Vec<Dataset> = subspaces
             .iter()
             .map(|s| Dataset::with_capacity(s.dim(), items.len()))
             .collect();
@@ -118,14 +166,15 @@ impl Peer {
         for row in items.rows() {
             let coeffs = haar_pyramid(row, config.normalization, &subspaces, &mut scratch)
                 .expect("power-of-two dim");
-            for (view, &s) in level_views.iter_mut().zip(&subspaces) {
+            for (view, &s) in views.iter_mut().zip(&subspaces) {
                 view.push_row(&coeffs[s.range()]);
             }
             peak_seen = peak_seen.max(peak(row));
         }
 
-        // Cluster each level independently.
-        let summaries: Vec<Vec<ClusterSphere>> = level_views
+        // Cluster each published level independently.
+        let published = config.levels;
+        let summaries: Vec<Vec<ClusterSphere>> = views[..published]
             .iter()
             .enumerate()
             .map(|(l, view)| {
@@ -148,9 +197,10 @@ impl Peer {
         Peer {
             id,
             items,
-            level_views,
+            views,
             summaries,
             subspaces,
+            published,
             normalization: config.normalization,
             peak: peak_seen,
         }
@@ -169,17 +219,17 @@ impl Peer {
     /// Per published subspace: the items' coefficients in that subspace
     /// (row i ↔ item i).
     pub fn level_views(&self) -> &[Dataset] {
-        &self.level_views
+        &self.views[..self.published]
     }
 
     /// Append `item`, whose decomposition is `dec`, to the collection and
-    /// to every level view — the one place a peer grows, so the rows stay
+    /// to every view — the one place a peer grows, so the rows stay
     /// aligned. Summaries are the caller's business (see `maintenance`).
     pub fn push_item(&mut self, item: &[f64], dec: &Decomposition) {
         assert_eq!(item.len(), self.items.dim(), "item dimension mismatch");
         self.check_decomposition(dec);
         self.items.push_row(item);
-        for (view, &s) in self.level_views.iter_mut().zip(&self.subspaces) {
+        for (view, &s) in self.views.iter_mut().zip(&self.subspaces) {
             view.push_row(dec.subspace(s).expect("subspace exists"));
         }
         self.peak = self.peak.max(peak(item));
@@ -208,8 +258,12 @@ impl Peer {
     /// caller already holds.
     pub(crate) fn local_range_with(&self, q: &[f64], dec: &Decomposition, eps: f64) -> Vec<usize> {
         let accept = eps * eps + 1e-12;
-        self.filter(dec, self.limit(accept, self.magnitude(q)))
+        let magnitude = self.magnitude(q);
+        let guard = self.guard(dec);
+        let guard_limit = self.guard_limit(accept, magnitude);
+        self.filter(dec, self.limit(accept, magnitude))
             .into_iter()
+            .filter(|&(i, bound)| guard.admits(i, bound, guard_limit))
             .map(|(i, _)| i)
             .filter(|&i| sq_dist(self.items.row(i), q) <= accept)
             .collect()
@@ -217,7 +271,8 @@ impl Peer {
 
     /// [`Peer::local_knn`] for an already decomposed query. Items are
     /// refined in ascending lower-bound order until the bound rules out
-    /// beating the k-th best found.
+    /// beating the k-th best found; the guard skips those it rules out
+    /// on the way.
     pub(crate) fn local_knn_with(
         &self,
         q: &[f64],
@@ -240,10 +295,18 @@ impl Peer {
             .collect();
         let mut best: BinaryHeap<(u64, usize)> =
             BinaryHeap::with_capacity(k.min(nearest.len()) + 1);
-        let mut stop = f64::INFINITY;
+        // A skipped item is worse than the k-th best, so it would have
+        // left `best` as it was: the refined sequence, and with it `stop`,
+        // is the unguarded one.
+        let guard = self.guard(dec);
+        let (mut stop, mut guard_stop) = (f64::INFINITY, f64::INFINITY);
         while let Some(Reverse((bound, i))) = nearest.pop() {
-            if f64::from_bits(bound) > stop {
+            let bound = f64::from_bits(bound);
+            if bound > stop {
                 break;
+            }
+            if !guard.admits(i, bound, guard_stop) {
+                continue;
             }
             let d = sq_dist(self.items.row(i), q).sqrt();
             best.push((d.to_bits(), i));
@@ -253,6 +316,7 @@ impl Peer {
             if let (true, Some(&(kth, _))) = (best.len() == k, best.peek()) {
                 let kth = f64::from_bits(kth);
                 stop = self.limit(kth * kth, magnitude);
+                guard_stop = self.guard_limit(kth * kth, magnitude);
             }
         }
         best.into_sorted_vec()
@@ -264,8 +328,12 @@ impl Peer {
     /// [`Peer::local_point`] for an already decomposed query.
     pub(crate) fn local_point_with(&self, q: &[f64], dec: &Decomposition) -> Option<usize> {
         const SAME: f64 = 1e-18;
-        self.filter(dec, self.limit(SAME, self.magnitude(q)))
+        let magnitude = self.magnitude(q);
+        let guard = self.guard(dec);
+        let guard_limit = self.guard_limit(SAME, magnitude);
+        self.filter(dec, self.limit(SAME, magnitude))
             .into_iter()
+            .filter(|&(i, bound)| guard.admits(i, bound, guard_limit))
             .map(|(i, _)| i)
             .find(|&i| sq_dist(self.items.row(i), q) < SAME)
     }
@@ -294,7 +362,37 @@ impl Peer {
     /// The filter threshold under which no item with `sq_dist(item, q) ≤
     /// sq_accept` is dismissed.
     fn limit(&self, sq_accept: f64, magnitude: f64) -> f64 {
+        lower_bound_limit(sq_accept, self.items.dim(), self.published, magnitude)
+    }
+
+    /// [`Peer::limit`] for a bound summed over every kept subspace.
+    fn guard_limit(&self, sq_accept: f64, magnitude: f64) -> f64 {
         lower_bound_limit(sq_accept, self.items.dim(), self.subspaces.len(), magnitude)
+    }
+
+    /// Per kept subspace in `range`: its view, the query's coefficients
+    /// there, and `c_l²`.
+    fn levels<'a>(
+        &'a self,
+        dec: &'a Decomposition,
+        range: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = (&'a Dataset, &'a [f64], f64)> {
+        let dim = self.items.dim();
+        self.views[range.clone()]
+            .iter()
+            .zip(&self.subspaces[range])
+            .map(move |(view, &s)| {
+                let weight = sq_radius_contraction(dim, s, self.normalization);
+                (view, dec.subspace(s).expect("subspace exists"), weight)
+            })
+    }
+
+    /// The refine guard for the query `dec`.
+    fn guard<'a>(&'a self, dec: &'a Decomposition) -> Guard<'a> {
+        Guard(
+            self.levels(dec, self.published..self.subspaces.len())
+                .collect(),
+        )
     }
 
     /// The filter pass: `(index, lower bound)` of every item whose bound,
@@ -303,20 +401,11 @@ impl Peer {
     fn filter(&self, dec: &Decomposition, limit: f64) -> Vec<(usize, f64)> {
         self.check_decomposition(dec);
         debug_assert!(
-            self.level_views.iter().all(|v| v.len() == self.items.len()),
-            "peer {}: a level view is out of step with the items",
+            self.views.iter().all(|v| v.len() == self.items.len()),
+            "peer {}: a view is out of step with the items",
             self.id
         );
-        // Per level: the view, the query's coefficients there, and `c_l²`.
-        let dim = self.items.dim();
-        let mut levels = self
-            .level_views
-            .iter()
-            .zip(&self.subspaces)
-            .map(|(view, &s)| {
-                let weight = sq_radius_contraction(dim, s, self.normalization);
-                (view, dec.subspace(s).expect("subspace exists"), weight)
-            });
+        let mut levels = self.levels(dec, 0..self.published);
         let Some((view, coeffs, w)) = levels.next() else {
             return Vec::new();
         };

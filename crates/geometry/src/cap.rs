@@ -3,45 +3,72 @@
 //! A *cap* of a d-ball is the region cut off by a hyperplane; it is
 //! parameterised here by the half-angle `α` subtended at the ball's centre
 //! (`α = 0` → empty cap, `α = π/2` → half the ball, `α = π` → whole ball).
+//! Its fraction of the ball is `F(α) = ∫₀^α sinᵈθ dθ / ∫₀^π sinᵈθ dθ` (Li
+//! (2011), "Concise formulas for the area and volume of a hyperspherical
+//! cap").
 //!
-//! The paper gives a series for even `d` (Eq. 5):
+//! # The kernel
 //!
-//! ```text
-//! Vol_cap/Vol_sphere = (1/π)(α − cosα · Σ_{i=0}^{(d−2)/2} 2^{2i}(i!)²/(2i+1)! · sin^{2i+1}α)
-//! ```
+//! Every cap Hyper-M evaluates — Eq. 1 scoring, the Eq. 8 solver and the
+//! public free functions — goes through one kernel, [`CapFraction`], which
+//! takes `c = cos α`. The lens formula (Eq. 6) already holds that cosine, and
+//! `s² = sin²α = (1 − c)(1 + c)` follows from it without a `sin`.
 //!
-//! and omits the odd case. We implement three independent evaluations and
-//! cross-check them in tests:
+//! * **Odd `d = 2m + 1 ≤ 7`**, the case the paper omits. With `u = 1 − c`,
+//!   substituting `t = cos θ` gives
+//!   `F = ½ Σ_j C(m,j)·2^{m−j}·(−u)^j·u^{m+1}/(m+j+1) / N_m`, where
+//!   `N_m = (2m)!!/(2m+1)!!`: a polynomial with no transcendental call. For
+//!   `c ≥ 0` (`u ≤ 1`) its terms cancel by less than a factor 5 and
+//!   `u = 1 − c` is exact, so tiny caps keep relative accuracy; obtuse caps
+//!   use `F(c) = 1 − F(−c)`.
+//! * **Even `d = 2m + 2 ≤ 8`**: the paper's Eq. 5,
+//!   `F = (α − c·Σ_{i=0}^{m} w_i·s^{2i+1})/π` with `w_i = 4^i (i!)²/(2i+1)!`
+//!   precomputed, one `acos` and one `sqrt`. For small `α` the two terms
+//!   cancel (`F ~ α^{d+1}` while each term is `~ α`), so caps with
+//!   `α < d/8` rad keep the incomplete beta below. The cut keeps Eq. 5
+//!   within ≈ 2e-14 relative of it, and there the continued fraction
+//!   converges in a few steps.
+//! * **`d > 8`** and the small even caps: `½ I_{s²}((d+1)/2, ½)`, reflected
+//!   for `c < 0`, via the Lentz continued fraction ([`crate::special`]).
+//!   8 is the default `max_can_dim`, which bounds every overlay key
+//!   dimension, so the query path never reaches this form except for small
+//!   even caps.
 //!
-//! 1. [`cap_fraction_recurrence`] — general, any `d ≥ 1`, via the sine-power
-//!    integral `F(α) = ∫₀^α sinᵈθ dθ / ∫₀^π sinᵈθ dθ` (this is the
-//!    definition of the cap fraction; see e.g. Li (2011), "Concise formulas
-//!    for the area and volume of a hyperspherical cap");
+//! Near `α = π/2` the closed forms are also the more accurate: the beta
+//! form's `1 − x = c²` is rounded there, which costs it up to ≈ 5e-13.
+//!
+//! # Oracles
+//!
+//! Three independent evaluations stay public and check the kernel in
+//! `tests/cap_closed_form.rs`:
+//!
+//! 1. [`cap_fraction_recurrence`] — any `d ≥ 1`, via the sine-power
+//!    integral; absolutely accurate;
 //! 2. [`cap_fraction_even_series`] — the paper's Eq. 5 verbatim (even `d`);
-//! 3. [`cap_fraction_beta`] — `½ I_{sin²α}((d+1)/2, ½)` for `α ≤ π/2`,
-//!    reflected for obtuse angles. This is the default ([`cap_fraction`])
-//!    because it keeps relative accuracy for tiny caps.
+//! 3. [`cap_fraction_beta`] — `½ I_{sin²α}((d+1)/2, ½)` from the angle,
+//!    reflected for obtuse angles; relatively accurate for tiny caps.
 
 use crate::special::{factorial, reg_inc_beta, sin_power_integral, IncBeta};
 use std::f64::consts::PI;
 
+/// Largest dimension with a closed-form kernel.
+const CLOSED_FORM_MAX_D: u32 = 8;
+
 /// Fraction of a d-ball's volume contained in a cap of half-angle `alpha`.
 ///
-/// Valid for all `d ≥ 1` and `alpha ∈ [0, π]`. This is the default
-/// evaluation used throughout Hyper-M; it delegates to the incomplete-beta
-/// form because that form keeps *relative* accuracy for tiny caps — the
-/// sine-power recurrence cancels catastrophically at small angles, and the
-/// lens formula (Eq. 6) multiplies small caps by `(ε/r)^d`, which can exceed
-/// `10^18`, so relative accuracy is essential.
+/// Valid for all `d ≥ 1` and `alpha ∈ [0, π]`. This is the kernel
+/// ([`CapFraction`]) evaluated at `cos alpha`; it keeps *relative* accuracy
+/// for tiny caps, which matters because the lens formula (Eq. 6) multiplies
+/// small caps by `(ε/r)^d`, which can exceed `10^18`.
 pub fn cap_fraction(d: u32, alpha: f64) -> f64 {
-    cap_fraction_beta(d, alpha)
+    CapFraction::new(d).eval(alpha)
 }
 
 /// Cap fraction via the `∫₀^α sinᵈθ dθ` recurrence.
 ///
 /// Absolutely accurate but loses relative accuracy for tiny caps; retained
-/// as an independent cross-check of [`cap_fraction_beta`] and for callers
-/// that only need absolute error.
+/// as an independent cross-check of [`cap_fraction`] and for callers that
+/// only need absolute error.
 pub fn cap_fraction_recurrence(d: u32, alpha: f64) -> f64 {
     assert!(d >= 1, "dimension must be >= 1");
     let alpha = alpha.clamp(0.0, PI);
@@ -70,12 +97,16 @@ pub fn cap_fraction_even_series(d: u32, alpha: f64) -> f64 {
     // Σ_{i=0}^{(d−2)/2} 2^{2i} (i!)² / (2i+1)! · sin^{2i+1}α
     let mut sin_pow = s; // sin^{2i+1}, starts at i = 0
     for i in 0..=(d - 2) / 2 {
-        let i64v = i as u64;
-        let coef = 4f64.powi(i as i32) * factorial(i64v).powi(2) / factorial(2 * i64v + 1);
-        series += coef * sin_pow;
+        series += eq5_weight(i) * sin_pow;
         sin_pow *= s * s;
     }
     (alpha - c * series) / PI
+}
+
+/// Eq. 5's weight `2^{2i} (i!)² / (2i+1)!`.
+fn eq5_weight(i: u32) -> f64 {
+    let i64v = u64::from(i);
+    4f64.powi(i as i32) * factorial(i64v).powi(2) / factorial(2 * i64v + 1)
 }
 
 /// Cap fraction via the regularized incomplete beta function.
@@ -84,44 +115,10 @@ pub fn cap_fraction_even_series(d: u32, alpha: f64) -> f64 {
 /// `F(α) = 1 − F(π − α)` for obtuse `α`.
 pub fn cap_fraction_beta(d: u32, alpha: f64) -> f64 {
     assert!(d >= 1, "dimension must be >= 1");
-    beta_form(alpha, |x| reg_inc_beta(beta_a(d), 0.5, x))
-}
-
-/// [`cap_fraction`] in one fixed dimension, with the incomplete beta's
-/// `lnΓ` terms computed once ([`IncBeta`]); `eval` returns
-/// `cap_fraction(d, alpha)` bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct CapFraction {
-    beta: IncBeta,
-}
-
-impl CapFraction {
-    /// Precompute for dimension `d ≥ 1`.
-    pub(crate) fn new(d: u32) -> Self {
-        assert!(d >= 1, "dimension must be >= 1");
-        Self {
-            beta: IncBeta::new(beta_a(d), 0.5),
-        }
-    }
-
-    /// Fraction of the ball in a cap of half-angle `alpha`.
-    pub(crate) fn eval(&self, alpha: f64) -> f64 {
-        beta_form(alpha, |x| self.beta.eval(x))
-    }
-}
-
-/// The beta form's first shape parameter, `(d + 1)/2`.
-fn beta_a(d: u32) -> f64 {
-    (d as f64 + 1.0) / 2.0
-}
-
-/// `½ I_{sin²α}((d+1)/2, ½)`, reflected for obtuse `α`; `ibeta` is
-/// `x ↦ I_x((d+1)/2, ½)`.
-fn beta_form(alpha: f64, ibeta: impl Fn(f64) -> f64) -> f64 {
     let alpha = alpha.clamp(0.0, PI);
     let acute = |alpha: f64| {
         let s = alpha.sin();
-        0.5 * ibeta(s * s)
+        0.5 * reg_inc_beta(beta_a(d), 0.5, s * s)
     };
     if alpha <= PI / 2.0 {
         acute(alpha)
@@ -131,14 +128,126 @@ fn beta_form(alpha: f64, ibeta: impl Fn(f64) -> f64) -> f64 {
     }
 }
 
+/// The beta form's first shape parameter, `(d + 1)/2`.
+fn beta_a(d: u32) -> f64 {
+    (d as f64 + 1.0) / 2.0
+}
+
+/// The cap kernel for one dimension, evaluated from `cos α` (see the module
+/// docs for which form runs where). [`cap_fraction`] and the lens formula
+/// both evaluate it, so they agree bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct CapFraction {
+    form: Form,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Form {
+    /// Odd `d = 2m + 1 ≤ 7`: `u^{m+1}·Σ_j coef[j]·u^j` with `u = 1 − c`,
+    /// for `c ≥ 0`; `coef` is zero past `j = m`.
+    Odd { m: i32, coef: [f64; 4] },
+    /// Even `d ≤ 8`: Eq. 5 with `w[i] = 4^i (i!)²/(2i+1)!` (zero past
+    /// `i = (d−2)/2`), except for caps with `c > small_cos`, which take
+    /// `beta`.
+    Even {
+        w: [f64; 4],
+        small_cos: f64,
+        beta: IncBeta,
+    },
+    /// `d > 8`: `½ I_{s²}((d+1)/2, ½)`.
+    Beta(IncBeta),
+}
+
+impl CapFraction {
+    /// Precompute for dimension `d ≥ 1`.
+    pub(crate) fn new(d: u32) -> Self {
+        assert!(d >= 1, "dimension must be >= 1");
+        let form = if d > CLOSED_FORM_MAX_D {
+            Form::Beta(IncBeta::new(beta_a(d), 0.5))
+        } else if !d.is_multiple_of(2) {
+            let m = (d - 1) / 2;
+            // ½ C(m,j) 2^{m−j} (−1)^j / (m+j+1) / N_m, with
+            // 1/N_m = (2m+1)!!/(2m)!!, as one ratio of integers.
+            let odd_over_even: (u64, u64) =
+                (1..=u64::from(m)).fold((1, 1), |(o, e), k| (o * (2 * k + 1), e * 2 * k));
+            let mut coef = [0.0; 4];
+            let mut binom = 1u64;
+            for j in 0..=m {
+                let j64 = u64::from(j);
+                let num = binom * (1u64 << (m - j)) * odd_over_even.0;
+                let den = 2 * (u64::from(m) + j64 + 1) * odd_over_even.1;
+                let sign = if j % 2 == 0 { 1.0 } else { -1.0 };
+                coef[j as usize] = sign * num as f64 / den as f64;
+                binom = binom * (u64::from(m) - j64) / (j64 + 1);
+            }
+            Form::Odd { m: m as i32, coef }
+        } else {
+            let mut w = [0.0; 4];
+            for i in 0..=(d - 2) / 2 {
+                w[i as usize] = eq5_weight(i);
+            }
+            Form::Even {
+                w,
+                small_cos: (f64::from(d) / 8.0).cos(),
+                beta: IncBeta::new(beta_a(d), 0.5),
+            }
+        };
+        Self { form }
+    }
+
+    /// Fraction of the ball in a cap of half-angle `alpha`.
+    pub(crate) fn eval(&self, alpha: f64) -> f64 {
+        self.eval_cos(alpha.clamp(0.0, PI).cos())
+    }
+
+    /// Fraction of the ball in a cap whose half-angle has cosine
+    /// `c ∈ [−1, 1]`.
+    pub(crate) fn eval_cos(&self, c: f64) -> f64 {
+        match self.form {
+            Form::Odd { m, coef } => {
+                let acute = |c: f64| {
+                    let u = 1.0 - c;
+                    u.powi(m + 1) * horner(&coef, u)
+                };
+                if c >= 0.0 {
+                    acute(c)
+                } else {
+                    1.0 - acute(-c)
+                }
+            }
+            Form::Even { w, small_cos, beta } => {
+                let s2 = (1.0 - c) * (1.0 + c);
+                if c > small_cos {
+                    0.5 * beta.eval(s2, c * c)
+                } else {
+                    (c.acos() - c * s2.sqrt() * horner(&w, s2)) / PI
+                }
+            }
+            Form::Beta(beta) => {
+                let half = 0.5 * beta.eval((1.0 - c) * (1.0 + c), c * c);
+                if c >= 0.0 {
+                    half
+                } else {
+                    1.0 - half
+                }
+            }
+        }
+    }
+}
+
+/// `Σ_i p[i]·x^i` by Horner's rule.
+fn horner(p: &[f64; 4], x: f64) -> f64 {
+    p.iter().rev().fold(0.0, |acc, &k| acc * x + k)
+}
+
 /// Cap fraction parameterised by the signed distance `t ∈ [−r, r]` from the
 /// ball centre to the cutting hyperplane (cap lies on the far side).
 ///
-/// `t = r` → empty cap, `t = −r` → whole ball, `t = 0` → half.
+/// `t = r` → empty cap, `t = −r` → whole ball, `t = 0` → half. `t/r` is the
+/// cap's `cos α`, which goes to the kernel as it is.
 pub fn cap_fraction_by_plane(d: u32, r: f64, t: f64) -> f64 {
     assert!(r > 0.0, "radius must be positive");
-    let x = (t / r).clamp(-1.0, 1.0);
-    cap_fraction(d, x.acos())
+    CapFraction::new(d).eval_cos((t / r).clamp(-1.0, 1.0))
 }
 
 #[cfg(test)]

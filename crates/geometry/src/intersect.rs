@@ -4,7 +4,12 @@
 //! `Vol(sphere_c ∩ sphere_q) / Vol(sphere_c)` — the fraction of the *data
 //! cluster's* volume covered by the query sphere. The generic lens of two
 //! intersecting balls decomposes into two caps, one from each ball, cut by
-//! the radical hyperplane; each cap fraction comes from [`crate::cap`].
+//! the radical hyperplane. The cosines of the two caps' half-angles fall
+//! out of the radical-plane offsets, and each cap fraction comes from the
+//! cap kernel ([`crate::cap`]) evaluated at that cosine — no `acos` on the
+//! odd-`d` path, one per cap on the even one. [`intersection_fraction`] and
+//! [`IntersectionFraction`] run the same body with the same kernel, so they
+//! agree bit for bit; the free function builds the kernel only for a lens.
 //!
 //! The paper's printed expansion (Eq. 7) omits the `(ε/r)^d` volume-ratio
 //! scaling of the query-side cap in some terms (a typographical slip — the
@@ -12,7 +17,7 @@
 //! the geometrically consistent form and is validated against Monte-Carlo
 //! integration in `tests/montecarlo.rs`.
 
-use crate::cap::{cap_fraction, CapFraction};
+use crate::cap::CapFraction;
 use crate::volume::volume_ratio;
 
 /// Classification of the relative position of two balls.
@@ -56,14 +61,14 @@ pub fn sphere_overlap(r: f64, eps: f64, b: f64) -> Overlap {
 /// * query ball inside data ball → `(ε/r)^d` (uniform-density assumption);
 /// * otherwise the lens = data-side cap + `(ε/r)^d ·` query-side cap.
 pub fn intersection_fraction(d: u32, r: f64, eps: f64, b: f64) -> f64 {
-    lens_fraction(d, r, eps, b, |alpha| cap_fraction(d, alpha))
+    lens_fraction(d, r, eps, b, || CapFraction::new(d))
 }
 
 /// [`intersection_fraction`] in one fixed dimension, for callers that
 /// evaluate many spheres in the same space (Eq. 1 over one level's matches,
-/// Eq. 8 inside the radius solver): the cap fraction's `lnΓ` terms are
-/// computed once. `eval` returns `intersection_fraction(d, r, eps, b)` bit
-/// for bit.
+/// Eq. 8 inside the radius solver): the cap kernel (Eq. 5's weights, the
+/// odd-`d` coefficients, the incomplete beta's `lnΓ` terms) is built once.
+/// `eval` returns `intersection_fraction(d, r, eps, b)` bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntersectionFraction {
     d: u32,
@@ -81,13 +86,13 @@ impl IntersectionFraction {
 
     /// `Vol(B(c,r) ∩ B(q,ε)) / Vol(B(c,r))` with `b = ‖c−q‖`.
     pub fn eval(&self, r: f64, eps: f64, b: f64) -> f64 {
-        lens_fraction(self.d, r, eps, b, |alpha| self.cap.eval(alpha))
+        lens_fraction(self.d, r, eps, b, || self.cap)
     }
 }
 
-/// The body of [`intersection_fraction`], with `cap` the dimension's cap
-/// fraction.
-fn lens_fraction(d: u32, r: f64, eps: f64, b: f64, cap: impl Fn(f64) -> f64) -> f64 {
+/// The body of [`intersection_fraction`]; `cap` gives the dimension's cap
+/// kernel and is only called for a lens.
+fn lens_fraction(d: u32, r: f64, eps: f64, b: f64, cap: impl FnOnce() -> CapFraction) -> f64 {
     if eps == 0.0 {
         // A zero-radius query has zero volume: the *fraction of the data
         // ball* it covers is 0. (Point-query semantics — "is q inside the
@@ -131,8 +136,9 @@ fn lens_fraction(d: u32, r: f64, eps: f64, b: f64, cap: impl Fn(f64) -> f64) -> 
             // against floating-point drift at tangency.
             let cos_a = (t_data / r).clamp(-1.0, 1.0);
             let cos_b = (t_query / eps).clamp(-1.0, 1.0);
-            let frac_data = cap(cos_a.acos());
-            let frac_query = cap(cos_b.acos());
+            let cap = cap();
+            let frac_data = cap.eval_cos(cos_a);
+            let frac_query = cap.eval_cos(cos_b);
             (frac_data + volume_ratio(d, eps, r) * frac_query).clamp(0.0, 1.0)
         }
     }

@@ -143,8 +143,8 @@ pub fn invert_monotone<F: Fn(f64) -> f64>(
 /// simply retrieving everything reachable.
 ///
 /// Every evaluation of `g` shares one [`IntersectionFraction`] for `d`, so
-/// the cap fraction's `lnΓ` terms are computed once per solve; the result
-/// is bit-identical to inverting [`expected_items`].
+/// the cap kernel is built once per solve; the result is bit-identical to
+/// inverting [`expected_items`].
 pub fn solve_epsilon_for_k(d: u32, clusters: &[ClusterView], k: f64, tol: f64) -> f64 {
     if clusters.is_empty() || k <= 0.0 {
         return 0.0;

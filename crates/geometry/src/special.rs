@@ -63,13 +63,13 @@ pub fn factorial(n: u64) -> f64 {
 /// `betacf`), using the symmetry `I_x(a,b) = 1 − I_{1−x}(b,a)` to stay in the
 /// rapidly convergent region.
 pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> f64 {
-    reg_inc_beta_with(a, b, x, || [ln_gamma(a + b), ln_gamma(a), ln_gamma(b)])
+    reg_inc_beta_with(a, b, x, 1.0 - x, || {
+        [ln_gamma(a + b), ln_gamma(a), ln_gamma(b)]
+    })
 }
 
 /// [`reg_inc_beta`] for one fixed `(a, b)`, with its three `lnΓ` terms
-/// computed once instead of on every call. [`IncBeta::eval`] returns
-/// `reg_inc_beta(a, b, x)` bit for bit: the terms are the same values,
-/// combined in the same order.
+/// computed once instead of on every call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct IncBeta {
     a: f64,
@@ -89,15 +89,18 @@ impl IncBeta {
         }
     }
 
-    /// `I_x(a, b)`.
-    pub(crate) fn eval(&self, x: f64) -> f64 {
-        reg_inc_beta_with(self.a, self.b, x, || self.ln_gammas)
+    /// `I_x(a, b)`, given `x` and its complement `y = 1 − x`, each to full
+    /// precision: a caller that holds `y` more accurately than `1.0 − x`
+    /// rounds it (`cos²α` beside `sin²α`) keeps that accuracy near `x = 1`.
+    pub(crate) fn eval(&self, x: f64, y: f64) -> f64 {
+        reg_inc_beta_with(self.a, self.b, x, y, || self.ln_gammas)
     }
 }
 
-/// The body of [`reg_inc_beta`], taking `[lnΓ(a+b), lnΓ(a), lnΓ(b)]` from
-/// `ln_gammas`, which is only called once `x` is inside `(0, 1)`.
-fn reg_inc_beta_with(a: f64, b: f64, x: f64, ln_gammas: impl FnOnce() -> [f64; 3]) -> f64 {
+/// The body of [`reg_inc_beta`], with `y = 1 − x` given and
+/// `[lnΓ(a+b), lnΓ(a), lnΓ(b)]` taken from `ln_gammas`, which is only
+/// called once `x` is inside `(0, 1)`.
+fn reg_inc_beta_with(a: f64, b: f64, x: f64, y: f64, ln_gammas: impl FnOnce() -> [f64; 3]) -> f64 {
     assert!(a > 0.0 && b > 0.0, "reg_inc_beta: a,b must be positive");
     assert!(
         (0.0..=1.0).contains(&x),
@@ -106,16 +109,16 @@ fn reg_inc_beta_with(a: f64, b: f64, x: f64, ln_gammas: impl FnOnce() -> [f64; 3
     if x == 0.0 {
         return 0.0;
     }
-    if x == 1.0 {
+    if y == 0.0 {
         return 1.0;
     }
     // ln of the prefactor x^a (1-x)^b / (a B(a,b)).
     let [ln_gamma_ab, ln_gamma_a, ln_gamma_b] = ln_gammas();
-    let ln_front = a * x.ln() + b * (1.0 - x).ln() + ln_gamma_ab - ln_gamma_a - ln_gamma_b;
+    let ln_front = a * x.ln() + b * y.ln() + ln_gamma_ab - ln_gamma_a - ln_gamma_b;
     if x < (a + 1.0) / (a + b + 2.0) {
         (ln_front.exp() / a) * beta_cf(a, b, x)
     } else {
-        1.0 - (ln_front.exp() / b) * beta_cf(b, a, 1.0 - x)
+        1.0 - (ln_front.exp() / b) * beta_cf(b, a, y)
     }
 }
 

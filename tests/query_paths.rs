@@ -7,8 +7,14 @@
 //! the traced JSONL stream into one FNV-1a digest. The table was measured
 //! before the six fetch loops were folded into one walk; a refactor of the
 //! query path must leave it unchanged.
+//!
+//! Beside it, a float-free digest of each cell folds the same answers and
+//! counts plus the ranked peer order, with every float dropped: the k-nn
+//! distances and each event's float-valued fields (`score`, `eps_l`, …).
+//! A change that only rounds the geometry differently moves the first
+//! table and must leave the second alone.
 
-use hyperm::telemetry::Recorder;
+use hyperm::telemetry::{Event, Recorder, Value};
 use hyperm::{Dataset, HypermConfig, HypermNetwork, KnnOptions, OpStats, QueryBudget};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,6 +37,46 @@ impl Fnv {
         for v in [s.hops, s.messages, s.bytes, s.retries, s.failed_routes] {
             self.u(v);
         }
+    }
+}
+
+/// A cell's two digests: `raw` as pinned in `EXPECTED`, `free` without
+/// floats as pinned in `FLOAT_FREE`.
+struct Digests {
+    raw: Fnv,
+    free: Fnv,
+}
+
+impl Digests {
+    fn new() -> Self {
+        Digests {
+            raw: Fnv::new(),
+            free: Fnv::new(),
+        }
+    }
+    /// An integer both digests fold.
+    fn u(&mut self, v: u64) {
+        self.raw.u(v);
+        self.free.u(v);
+    }
+    fn stats(&mut self, s: OpStats) {
+        self.raw.stats(s);
+        self.free.stats(s);
+    }
+    fn event(&mut self, e: &Event) {
+        self.raw.bytes(e.to_json_line().as_bytes());
+        self.raw.bytes(b"\n");
+        let ints = Event {
+            fields: e
+                .fields
+                .iter()
+                .filter(|(_, v)| !matches!(v, Value::F64(_)))
+                .cloned()
+                .collect(),
+            ..e.clone()
+        };
+        self.free.bytes(ints.to_json_line().as_bytes());
+        self.free.bytes(b"\n");
     }
 }
 
@@ -76,15 +122,15 @@ const EPS: f64 = 0.45;
 const K: usize = 10;
 
 /// Run one query; fold its answer and accounting into `h` and return the
-/// ranked candidate peers.
+/// ranked candidate peers (whose order only the float-free digest folds).
 fn run(
     net: &HypermNetwork,
     kind: Kind,
     q: &[f64],
     budget: Option<QueryBudget>,
-    h: &mut Fnv,
+    h: &mut Digests,
 ) -> Vec<usize> {
-    match kind {
+    let ranked: Vec<usize> = match kind {
         Kind::Range | Kind::RangeTop3 => {
             let cap = matches!(kind, Kind::RangeTop3).then_some(3);
             let r = match budget {
@@ -113,7 +159,7 @@ fn run(
             for &((p, i), d) in &r.retrieved {
                 h.u(p as u64);
                 h.u(i as u64);
-                h.u(d.to_bits());
+                h.raw.u(d.to_bits());
             }
             h.stats(r.stats);
             h.u(r.peers_contacted as u64);
@@ -134,7 +180,11 @@ fn run(
             h.u(u64::from(r.truncated));
             r.candidates
         }
+    };
+    for &p in &ranked {
+        h.free.u(p as u64);
     }
+    ranked
 }
 
 fn cell(
@@ -143,10 +193,10 @@ fn cell(
     kind: Kind,
     budget: Option<QueryBudget>,
     kill: bool,
-) -> u64 {
+) -> (u64, u64) {
     let mut net = base.clone();
     if kill {
-        let ranked = run(&net, kind, q, None, &mut Fnv::new());
+        let ranked = run(&net, kind, q, None, &mut Digests::new());
         assert!(
             ranked.len() > 3,
             "need live candidates behind the dead ones"
@@ -157,35 +207,38 @@ fn cell(
     }
     let (rec, ring) = Recorder::ring(1 << 16);
     net.set_recorder(rec);
-    let mut h = Fnv::new();
+    let mut h = Digests::new();
     run(&net, kind, q, budget, &mut h);
     assert_eq!(ring.dropped(), 0);
     for e in ring.events() {
-        h.bytes(e.to_json_line().as_bytes());
-        h.bytes(b"\n");
+        h.event(&e);
     }
-    h.0
+    (h.raw.0, h.free.0)
 }
 
 /// `[kind][budget][alive, two dead]`, in the order of `KINDS` × `budgets()`.
-const EXPECTED: [[[u64; 2]; 4]; 4] = [
+/// The range and k-nn rows were re-pinned when the cap fraction moved from
+/// the incomplete beta to closed forms (Eq. 5 and its odd-`d`
+/// counterpart): their events' float fields round differently, while
+/// `FLOAT_FREE` and the point rows did not move.
+const EXPECTED: Table = [
     [
-        [0x62ca_af41_38cb_c96f, 0x6195_e669_dd72_4cdc],
-        [0x62ca_af41_38cb_c96f, 0xdd76_9844_5522_64db],
-        [0x62ca_af41_38cb_c96f, 0xdd76_9844_5522_64db],
-        [0x7a48_656f_68ba_cf69, 0x8e1b_9b01_4451_dc55],
+        [0x211d_c56b_d630_bf54, 0x486b_7741_bc31_0e17],
+        [0x211d_c56b_d630_bf54, 0x97d1_c3b4_fe3e_acea],
+        [0x211d_c56b_d630_bf54, 0x97d1_c3b4_fe3e_acea],
+        [0x8726_0371_b12c_5ba0, 0x62f1_ea2b_9ff7_d8d4],
     ],
     [
-        [0x6437_aa26_55a0_9462, 0x4ada_34b8_a66e_3634],
-        [0x6437_aa26_55a0_9462, 0x1f90_dae4_2942_f798],
-        [0x6437_aa26_55a0_9462, 0xaefb_64b0_9258_d4f0],
-        [0x7a48_656f_68ba_cf69, 0x8e1b_9b01_4451_dc55],
+        [0xa922_c56f_2e0b_d289, 0x0d6a_dc71_8f8c_25dd],
+        [0xa922_c56f_2e0b_d289, 0x7a84_64d0_6ef4_f4b7],
+        [0xa922_c56f_2e0b_d289, 0xf68a_beab_54c1_c849],
+        [0x8726_0371_b12c_5ba0, 0x62f1_ea2b_9ff7_d8d4],
     ],
     [
-        [0x2261_18e9_3028_2616, 0x96d3_4e98_74a9_6294],
-        [0x2261_18e9_3028_2616, 0xad54_0fba_22b0_e687],
-        [0x2261_18e9_3028_2616, 0xcb61_5668_1349_4dd7],
-        [0xff4c_dbf0_d4f8_f280, 0x66c3_bd26_209a_89b8],
+        [0x3325_0c1b_1dd3_a88e, 0x530a_247a_afe9_7dc8],
+        [0x3325_0c1b_1dd3_a88e, 0x0f40_7458_113b_673f],
+        [0x3325_0c1b_1dd3_a88e, 0xb098_67f2_fc1b_01a3],
+        [0x975d_50cf_7b64_ab48, 0xccc9_3e77_bddb_7590],
     ],
     [
         [0xee2f_861a_a91c_79ef, 0x6578_891e_20db_249c],
@@ -212,49 +265,93 @@ fn budgets() -> [(Option<QueryBudget>, &'static str); 4] {
     ]
 }
 
-#[test]
-fn every_phase2_path_matches_its_pinned_digest() {
-    let (base, q) = network();
-    let mut got = [[[0u64; 2]; 4]; 4];
-    for (k, &(kind, _)) in KINDS.iter().enumerate() {
-        for (b, &(budget, _)) in budgets().iter().enumerate() {
-            got[k][b] = [
-                cell(&base, &q, kind, budget, false),
-                cell(&base, &q, kind, budget, true),
-            ];
-        }
-    }
-    if got != EXPECTED {
-        for (k, (_, kind)) in KINDS.iter().enumerate() {
-            for (b, (_, budget)) in budgets().iter().enumerate() {
-                for (d, state) in ["alive", "two dead"].iter().enumerate() {
-                    let (g, e) = (got[k][b][d], EXPECTED[k][b][d]);
-                    if g != e {
-                        eprintln!("{kind} / {budget} / {state}: {g:#018x}, pinned {e:#018x}");
-                    }
+/// The float-free digest of each cell, in the layout of `EXPECTED`,
+/// measured before the cap kernel moved to closed forms.
+const FLOAT_FREE: Table = [
+    [
+        [0xb4d2_1fe2_5253_30c1, 0xf5d0_b75b_53e7_bbde],
+        [0xb4d2_1fe2_5253_30c1, 0xd546_b002_1dd2_1d91],
+        [0xb4d2_1fe2_5253_30c1, 0xd546_b002_1dd2_1d91],
+        [0x61ae_27d9_211d_baa9, 0x3255_aafc_c55e_a5d5],
+    ],
+    [
+        [0xc195_a07c_dc6b_dc4c, 0x331b_98a4_6acc_e066],
+        [0xc195_a07c_dc6b_dc4c, 0x7b15_4d14_236c_01ba],
+        [0xc195_a07c_dc6b_dc4c, 0x6c79_1c51_f0ec_cd3e],
+        [0x61ae_27d9_211d_baa9, 0x3255_aafc_c55e_a5d5],
+    ],
+    [
+        [0x7af1_c661_550e_4f86, 0x5de3_07c5_2ab2_16ff],
+        [0x7af1_c661_550e_4f86, 0x8f28_c39d_ca95_8f02],
+        [0x7af1_c661_550e_4f86, 0xb117_dd1f_24f7_82ab],
+        [0x06a1_bb2c_f6d4_7e6d, 0x93c3_d44a_73ee_ee3f],
+    ],
+    [
+        [0x42a3_ba4e_8c55_066c, 0xfed7_96dc_c999_0379],
+        [0x42a3_ba4e_8c55_066c, 0x2a44_c129_bbfc_ff8d],
+        [0x42a3_ba4e_8c55_066c, 0x2a44_c129_bbfc_ff8d],
+        [0xd45e_8c84_de41_cd33, 0xefae_09ff_0d08_640e],
+    ],
+];
+
+type Table = [[[u64; 2]; 4]; 4];
+
+/// Print each cell of `got` that differs from `pinned`; true if any did.
+fn report(table: &str, got: &Table, pinned: &Table) -> bool {
+    for (k, (_, kind)) in KINDS.iter().enumerate() {
+        for (b, (_, budget)) in budgets().iter().enumerate() {
+            for (d, state) in ["alive", "two dead"].iter().enumerate() {
+                let (g, e) = (got[k][b][d], pinned[k][b][d]);
+                if g != e {
+                    eprintln!("{table}: {kind} / {budget} / {state}: {g:#018x}, pinned {e:#018x}");
                 }
             }
         }
-        panic!("phase-2 digests moved; measured table:\n{got:#018x?}");
     }
+    got != pinned
+}
+
+#[test]
+fn every_phase2_path_matches_its_pinned_digest() {
+    let (base, q) = network();
+    let mut raw = [[[0u64; 2]; 4]; 4];
+    let mut free = [[[0u64; 2]; 4]; 4];
+    for (k, &(kind, _)) in KINDS.iter().enumerate() {
+        for (b, &(budget, _)) in budgets().iter().enumerate() {
+            for (d, kill) in [false, true].into_iter().enumerate() {
+                (raw[k][b][d], free[k][b][d]) = cell(&base, &q, kind, budget, kill);
+            }
+        }
+    }
+    let raw_moved = report("raw", &raw, &EXPECTED);
+    let free_moved = report("float-free", &free, &FLOAT_FREE);
+    assert!(
+        !free_moved,
+        "answers, counts or events moved; measured float-free table:\n{free:#018x?}"
+    );
+    assert!(
+        !raw_moved,
+        "phase-2 digests moved; measured table:\n{raw:#018x?}"
+    );
 }
 
 /// The matrix is only a pin if its cells exercise different paths: dead
 /// candidates, the fallback window and the deadline must each move the
-/// digest of every kind they apply to.
+/// digest of every kind they apply to, in both tables.
 #[test]
 fn matrix_cells_are_distinct_where_the_paths_differ() {
-    let e = &EXPECTED;
-    for (k, (_, kind)) in KINDS.iter().enumerate() {
-        for [alive, dead] in e[k] {
-            assert_ne!(alive, dead, "{kind}: dead candidates unseen");
+    for e in [&EXPECTED, &FLOAT_FREE] {
+        for (k, (_, kind)) in KINDS.iter().enumerate() {
+            for [alive, dead] in e[k] {
+                assert_ne!(alive, dead, "{kind}: dead candidates unseen");
+            }
+            assert_ne!(e[k][0][1], e[k][1][1], "{kind}: budget accounting unseen");
+            assert_ne!(e[k][1][0], e[k][3][0], "{kind}: deadline unseen");
         }
-        assert_ne!(e[k][0][1], e[k][1][1], "{kind}: budget accounting unseen");
-        assert_ne!(e[k][1][0], e[k][3][0], "{kind}: deadline unseen");
-    }
-    // Fallback applies where a target smaller than the candidate list
-    // exists: capped range and k-nn.
-    for k in [1, 2] {
-        assert_ne!(e[k][1][1], e[k][2][1], "{}: fallback unseen", KINDS[k].1);
+        // Fallback applies where a target smaller than the candidate list
+        // exists: capped range and k-nn.
+        for k in [1, 2] {
+            assert_ne!(e[k][1][1], e[k][2][1], "{}: fallback unseen", KINDS[k].1);
+        }
     }
 }
