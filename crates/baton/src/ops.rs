@@ -11,19 +11,14 @@
 //! match can be missed.
 
 use crate::tree::BatonOverlay;
+use hyperm_can::ops::SeenIds;
 use hyperm_can::{InsertOutcome, ObjectRef, RangeOutcome, StoredObject};
+use hyperm_geometry::vecmath::dist;
 use hyperm_sim::{NodeId, OpStats};
+use std::ops::Range;
 
 fn query_bytes(dim: usize) -> u64 {
     8 * (dim as u64 + 1) + 16
-}
-
-fn euclid(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt()
 }
 
 impl BatonOverlay {
@@ -116,14 +111,15 @@ impl BatonOverlay {
     }
 
     /// Remove every stored object (all replicas, all versions) published by
-    /// `peer` under `tag`; one invalidation message per removed replica.
-    pub fn remove_objects(&mut self, peer: usize, tag: u64) -> (usize, OpStats) {
+    /// `peer` under a tag in `tags`, in one pass; one invalidation message
+    /// per removed replica.
+    pub fn remove_objects(&mut self, peer: usize, tags: Range<u64>) -> (usize, OpStats) {
         let mut removed = 0usize;
         for idx in 0..self.len() {
             let node = self.node_mut(NodeId(idx));
             let before = node.store.len();
             node.store
-                .retain(|o| !(o.payload.peer == peer && o.payload.tag == tag));
+                .retain(|o| !(o.payload.peer == peer && tags.contains(&o.payload.tag)));
             removed += before - node.store.len();
         }
         let stats = OpStats {
@@ -145,7 +141,7 @@ impl BatonOverlay {
             .node(owner)
             .store
             .iter()
-            .filter(|o| euclid(&o.centre, point) <= o.radius + 1e-12)
+            .filter(|o| dist(&o.centre, point) <= o.radius + 1e-12)
             .cloned()
             .collect();
         let resp_bytes: u64 = matches
@@ -157,9 +153,32 @@ impl BatonOverlay {
         (matches, stats)
     }
 
-    /// Flooding range query over the query ball's Z-interval; candidates
-    /// filtered by the exact sphere-intersection test, deduplicated by id.
+    /// Flooding range query over the query ball's Z-interval:
+    /// [`BatonOverlay::range_visit`] with a collector that clones each
+    /// match.
     pub fn range_query(&self, from: NodeId, centre: &[f64], radius: f64) -> RangeOutcome {
+        let mut matches = Vec::new();
+        let (nodes_visited, stats) =
+            self.range_visit(from, centre, radius, |obj, _| matches.push(obj.clone()));
+        RangeOutcome {
+            matches,
+            nodes_visited,
+            stats,
+        }
+    }
+
+    /// The range flood: walk the query ball's Z-interval and hand every
+    /// candidate passing the exact sphere-intersection test to `visit` as
+    /// `(object, b)`, once per object id in walk order, where `b` is
+    /// [`dist`] from the object's centre to `centre`. Returns the nodes
+    /// visited and the total message cost.
+    pub fn range_visit(
+        &self,
+        from: NodeId,
+        centre: &[f64],
+        radius: f64,
+        mut visit: impl FnMut(&StoredObject, f64),
+    ) -> (usize, OpStats) {
         assert_eq!(centre.len(), self.dim(), "centre dimension mismatch");
         assert!(radius >= 0.0, "negative radius {radius}");
         let qb = query_bytes(self.dim());
@@ -188,16 +207,15 @@ impl BatonOverlay {
             cur = next;
         }
 
-        let mut seen = std::collections::HashSet::new();
-        let mut matches = Vec::new();
+        let mut seen = SeenIds::default();
         let mut resp_bytes = 0u64;
         for &n in &visited {
             let mut local = 0u64;
             for obj in &self.node(n).store {
-                if euclid(&obj.centre, centre) <= obj.radius + radius + 1e-12 && seen.insert(obj.id)
-                {
+                let b = dist(&obj.centre, centre);
+                if b <= obj.radius + radius + 1e-12 && seen.insert(obj.id) {
                     local += obj.wire_bytes();
-                    matches.push(obj.clone());
+                    visit(obj, b);
                 }
             }
             resp_bytes += local.max(16);
@@ -209,11 +227,7 @@ impl BatonOverlay {
             bytes: resp_bytes,
             ..OpStats::zero()
         };
-        RangeOutcome {
-            matches,
-            nodes_visited: nv,
-            stats,
-        }
+        (nv, stats)
     }
 }
 
@@ -275,7 +289,7 @@ mod tests {
             let res = overlay.range_query(NodeId(1), &q, qr);
             let expected = truth
                 .iter()
-                .filter(|(c, r)| euclid(c, &q) <= r + qr + 1e-12)
+                .filter(|(c, r)| dist(c, &q) <= r + qr + 1e-12)
                 .count();
             assert_eq!(res.matches.len(), expected, "q = {q:?}, qr = {qr}");
         }

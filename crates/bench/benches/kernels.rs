@@ -169,6 +169,46 @@ fn bench_can(c: &mut Criterion) {
     });
 }
 
+/// Phase 1 of one level at the harness's shape: a 100-node 4-d CAN holding
+/// 1000 replicated spheres (100 peers × 10 clusters), flooded by a query
+/// ball that matches 316 of them — collected by `range_query` (one clone
+/// per match), and visited by reference; then Eq. 1 on those matches.
+fn bench_flood(c: &mut Criterion) {
+    use hyperm_core::score::level_scores;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut overlay = CanOverlay::bootstrap(CanConfig::new(4).with_seed(5), 100);
+    let mut rng = StdRng::seed_from_u64(5);
+    for i in 0..1000 {
+        let centre: Vec<f64> = (0..4).map(|_| rng.gen()).collect();
+        let payload = ObjectRef {
+            peer: i / 10,
+            tag: (i % 10) as u64,
+            items: 100,
+        };
+        let radius = 0.05 + rng.gen::<f64>() * 0.1;
+        overlay.insert_sphere(NodeId(i / 10), centre, radius, payload, true);
+    }
+    let (q, eps) = ([0.5; 4], 0.4);
+    let matches = overlay.range_query(NodeId(7), &q, eps).matches;
+    let mut group = c.benchmark_group("can_range_flood_100n_4d_1000");
+    group.bench_function("range_query", |b| {
+        b.iter(|| overlay.range_query(NodeId(7), black_box(&q), eps))
+    });
+    group.bench_function("range_visit", |b| {
+        b.iter(|| {
+            let mut sum = 0.0;
+            let out = overlay.range_visit(NodeId(7), black_box(&q), eps, |_, d| sum += d);
+            (out, black_box(sum))
+        })
+    });
+    group.finish();
+    assert_eq!(matches.len(), 316, "the flood this row is named for");
+    c.bench_function("level_scores_316_d4", |b| {
+        b.iter(|| level_scores(black_box(&matches), &q, eps, 4))
+    });
+}
+
 fn bench_alternative_substrates(c: &mut Criterion) {
     let baton = BatonOverlay::bootstrap(BatonConfig::new(1), 100);
     c.bench_function("baton_route_100n_1d", |b| {
@@ -369,6 +409,7 @@ criterion_group!(
     bench_summarize,
     bench_geometry,
     bench_can,
+    bench_flood,
     bench_alternative_substrates,
     bench_local_index,
     bench_local_range,

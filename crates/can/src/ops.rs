@@ -10,13 +10,23 @@
 //! Both floods are costed as idealised multicast trees: one message per
 //! newly reached node (real gossip would add duplicate-suppression traffic,
 //! which affects constants, not shapes).
+//!
+//! The range flood is [`CanOverlay::range_visit`]: it hands each newly
+//! matched object to a visitor by reference, with the centre distance it
+//! has just computed, so a caller that only folds the matches (Eq. 1
+//! scoring) copies nothing. [`CanOverlay::range_query`] is that flood with
+//! a cloning collector. BATON and VBI floods follow the same contract and
+//! share [`SeenIds`] and [`dist`].
 
 // hyperm-lint: allow-file(panic-index) — flood slot indices are binary_search hits into the candidate list built in the same scope
 use crate::overlay::CanOverlay;
 use crate::zone::Zone;
+use hyperm_geometry::vecmath::dist;
 use hyperm_sim::{NodeId, OpStats};
 use hyperm_telemetry::{names, SpanId};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// Render a zone's box for trace events (`[0.000,0.250)x[0.500,1.000)`).
 fn zone_str(z: &Zone) -> String {
@@ -95,6 +105,42 @@ pub struct RangeOutcome {
     pub nodes_visited: usize,
     /// Total message cost (routing + flood + responses).
     pub stats: OpStats,
+}
+
+/// A range flood's duplicate filter: the ids of the objects it has matched.
+/// Replicas share their object's id, so each object reaches the visitor
+/// once. Memory grows with the objects a flood matches, never with the id
+/// values, which keep growing as summaries are republished.
+#[derive(Debug, Default)]
+pub struct SeenIds(HashSet<u64, BuildHasherDefault<IdHasher>>);
+
+impl SeenIds {
+    /// Record `id`; `true` the first time it is seen.
+    pub fn insert(&mut self, id: u64) -> bool {
+        self.0.insert(id)
+    }
+}
+
+/// Multiplicative (Fibonacci) hash of an object id. Ids are assigned by
+/// the overlay itself, never taken from a frame, so no sender can choose
+/// keys that collide, and SipHash's protection buys nothing here.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(26);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Size of a range-query packet: centre + radius + header.
@@ -304,16 +350,17 @@ impl CanOverlay {
     }
 
     /// Remove every stored object (all replicas, all versions) published by
-    /// `peer` under `tag` — the invalidation step of a summary re-publish.
+    /// `peer` under a tag in `tags` — the invalidation step of a summary
+    /// re-publish, in one pass over the stores however many tags it covers.
     ///
     /// Cost model: one invalidation message per removed replica (the
     /// publisher re-floods the same tree that placed them).
-    pub fn remove_objects(&mut self, peer: usize, tag: u64) -> (usize, OpStats) {
+    pub fn remove_objects(&mut self, peer: usize, tags: Range<u64>) -> (usize, OpStats) {
         let mut removed = 0usize;
         for node in self.nodes_mut() {
             let before = node.store.len();
             node.store
-                .retain(|o| !(o.payload.peer == peer && o.payload.tag == tag));
+                .retain(|o| !(o.payload.peer == peer && tags.contains(&o.payload.tag)));
             removed += before - node.store.len();
         }
         let stats = OpStats {
@@ -360,16 +407,7 @@ impl CanOverlay {
             .node(owner)
             .store
             .iter()
-            .filter(|o| {
-                let d: f64 = o
-                    .centre
-                    .iter()
-                    .zip(point)
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f64>()
-                    .sqrt();
-                d <= o.radius + 1e-12
-            })
+            .filter(|o| dist(&o.centre, point) <= o.radius + 1e-12)
             .cloned()
             .collect();
         // One response message carrying the matches.
@@ -386,17 +424,42 @@ impl CanOverlay {
     /// Flooding range query: find every stored object whose sphere
     /// intersects the query ball `(centre, radius)` (key space).
     ///
-    /// Routes to the centre's owner, floods every node whose zone overlaps
-    /// the query ball, and collects intersecting objects (deduplicated by
-    /// id). Thanks to replication this visits exactly the zones that can
-    /// hold a match, so the result is complete — the overlay-level
-    /// precondition for Theorem 4.1's no-false-dismissal guarantee.
-    /// Like [`CanOverlay::point_lookup`], the query is total under damage
-    /// and faults: a dead-ended route yields an empty result (with
-    /// `failed_routes` ticked), and with fault injection active every
-    /// flood edge may be retried or lost — a lost edge leaves the
-    /// neighbour to be reached via another branch of the flood, if any.
+    /// [`CanOverlay::range_visit`] with a collector that clones each match,
+    /// deduplicated by id, in the order the flood reached them.
     pub fn range_query(&self, from: NodeId, centre: &[f64], radius: f64) -> RangeOutcome {
+        let mut matches = Vec::new();
+        let (nodes_visited, stats) =
+            self.range_visit(from, centre, radius, |obj, _| matches.push(obj.clone()));
+        RangeOutcome {
+            matches,
+            nodes_visited,
+            stats,
+        }
+    }
+
+    /// The range flood: hand every stored object whose sphere intersects
+    /// the query ball `(centre, radius)` (key space) to `visit` as
+    /// `(object, b)`, once per object id and in first-seen BFS order, where
+    /// `b` is [`dist`] from the object's centre to `centre`. Returns the
+    /// nodes visited and the total message cost (routing + flood +
+    /// responses).
+    ///
+    /// Routes to the centre's owner, then floods every node whose zone
+    /// overlaps the query ball. Thanks to replication this visits exactly
+    /// the zones that can hold a match, so the result is complete — the
+    /// overlay-level precondition for Theorem 4.1's no-false-dismissal
+    /// guarantee. Like [`CanOverlay::point_lookup`], the query is total
+    /// under damage and faults: a dead-ended route visits nothing (with
+    /// `failed_routes` ticked), and with fault injection active every flood
+    /// edge may be retried or lost — a lost edge leaves the neighbour to be
+    /// reached via another branch of the flood, if any.
+    pub fn range_visit(
+        &self,
+        from: NodeId,
+        centre: &[f64],
+        radius: f64,
+        mut visit: impl FnMut(&StoredObject, f64),
+    ) -> (usize, OpStats) {
         assert_eq!(centre.len(), self.dim(), "centre dimension mismatch");
         assert!(radius >= 0.0, "negative radius {radius}");
         let qb = query_bytes(self.dim());
@@ -404,11 +467,7 @@ impl CanOverlay {
         let traced = tel.is_enabled();
         let res = self.route_result(from, centre, qb);
         if res.outcome != crate::overlay::RouteOutcome::Delivered {
-            return RangeOutcome {
-                matches: Vec::new(),
-                nodes_visited: 0,
-                stats: res.stats,
-            };
+            return (0, res.stats);
         }
         let (owner, mut stats) = (res.node, res.stats);
         // Load attribution: the owner admits the query (exactly one
@@ -439,8 +498,8 @@ impl CanOverlay {
         // hyperm-lint: allow(panic-unwrap) — route postcondition: the owner's zone contains the query centre, so it is in candidates
         visited[slot_of(owner).expect("owner zone contains the query centre")] = true;
         queue.push_back(owner);
-        let mut seen_ids = std::collections::HashSet::new();
-        let mut matches = Vec::new();
+        let mut seen = SeenIds::default();
+        let mut matches = 0usize;
         let mut nodes_visited = 0usize;
         let mut resp_bytes = 0u64;
 
@@ -448,18 +507,13 @@ impl CanOverlay {
             nodes_visited += 1;
             let node = self.node(n);
             let mut local_bytes = 0u64;
-            let before = matches.len();
+            let before = matches;
             for obj in &node.store {
-                let d: f64 = obj
-                    .centre
-                    .iter()
-                    .zip(centre)
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f64>()
-                    .sqrt();
-                if d <= obj.radius + radius + 1e-12 && seen_ids.insert(obj.id) {
+                let b = dist(&obj.centre, centre);
+                if b <= obj.radius + radius + 1e-12 && seen.insert(obj.id) {
                     local_bytes += obj.wire_bytes();
-                    matches.push(obj.clone());
+                    matches += 1;
+                    visit(obj, b);
                 }
             }
             resp_bytes += local_bytes.max(16); // every visited node replies
@@ -472,7 +526,7 @@ impl CanOverlay {
                     names::VISIT,
                     vec![
                         ("node", n.0.into()),
-                        ("matched", (matches.len() - before).into()),
+                        ("matched", (matches - before).into()),
                         ("zone", zone_str(&node.zone).into()),
                     ],
                 );
@@ -536,15 +590,11 @@ impl CanOverlay {
             names::FLOOD,
             vec![
                 ("visited", nodes_visited.into()),
-                ("matches", matches.len().into()),
+                ("matches", matches.into()),
                 ("resp_bytes", resp_bytes.into()),
             ],
         );
-        RangeOutcome {
-            matches,
-            nodes_visited,
-            stats,
-        }
+        (nodes_visited, stats)
     }
 }
 
@@ -658,6 +708,36 @@ mod tests {
         let res = overlay.range_query(NodeId(0), &[0.5, 0.5], 0.5);
         assert_eq!(res.matches.len(), 1);
         assert!(res.nodes_visited > 1);
+    }
+
+    /// The flood's dedupe is sized by the objects it matches, not by their
+    /// ids: with ids near `u64::MAX` (a long-lived overlay that has
+    /// republished for ages) a flood still answers, where a bitset indexed
+    /// by id would try to allocate exabytes.
+    #[test]
+    fn range_query_dedupes_ids_near_the_top_of_u64() {
+        let mut overlay = overlay_2d(32, 12);
+        overlay.next_object_id = u64::MAX - 1_000;
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut truth = Vec::new();
+        for i in 0..60 {
+            let centre = vec![rng.gen::<f64>(), rng.gen::<f64>()];
+            let radius = rng.gen::<f64>() * 0.2;
+            overlay.insert_sphere(NodeId(i % 32), centre.clone(), radius, payload(i), true);
+            truth.push((centre, radius));
+        }
+        for _ in 0..10 {
+            let q = [rng.gen::<f64>(), rng.gen::<f64>()];
+            let res = overlay.range_query(NodeId(4), &q, 0.15);
+            let mut ids: Vec<u64> = res.matches.iter().map(|o| o.id).collect();
+            ids.sort_unstable();
+            let expected: Vec<u64> = (0u64..)
+                .zip(&truth)
+                .filter(|(_, (c, r))| dist(c, &q) <= r + 0.15 + 1e-12)
+                .map(|(i, _)| u64::MAX - 1_000 + i)
+                .collect();
+            assert_eq!(ids, expected, "query {q:?}");
+        }
     }
 
     #[test]

@@ -99,10 +99,9 @@ impl HypermNetwork {
         // The departing peer's own data leaves with it: invalidate its
         // published spheres before the zone handoff.
         for l in 0..self.levels() {
-            for c in 0..self.peer(peer).summaries[l].len() {
-                let (_, invalidation) = self.overlay_mut(l).remove_objects(peer, c as u64);
-                op.stats += invalidation;
-            }
+            let clusters = self.peer(peer).summaries[l].len() as u64;
+            let (_, invalidation) = self.overlay_mut(l).remove_objects(peer, 0..clusters);
+            op.stats += invalidation;
         }
         self.failed_mut()[peer] = true;
         self.hand_over(op, peer, CanOverlay::leave)

@@ -63,7 +63,9 @@ impl HypermNetwork {
                 // replicas (costed per replica), then place the refreshed
                 // sphere — the overlay never accumulates stale versions.
                 if grew || self.peer(peer).summaries[l][best].items.is_multiple_of(16) {
-                    let (_, invalidation) = self.overlay_mut(l).remove_objects(peer, best as u64);
+                    let tag = best as u64;
+                    let overlay = self.overlay_mut(l);
+                    let (_, invalidation) = overlay.remove_objects(peer, tag..tag + 1);
                     stats += invalidation;
                     stats += self.place_sphere(peer, l, best).stats;
                 }

@@ -1,12 +1,14 @@
 //! Overlay-substrate abstraction: each wavelet subspace gets one
 //! [`Overlay`] of the configured [`OverlayBackend`], which forwards only
-//! what CAN, BATON and VBI all perform. CAN-only entry points reach CAN
-//! through [`Overlay::as_can`] or the crate's panicking `can_mut`, so the
-//! trees (comparison substrates for the insert/query claim) refuse them:
+//! the 14 operations CAN, BATON and VBI all perform (a range flood either
+//! collects its matches, `range_query`, or visits them, `range_visit`).
+//! CAN-only entry points reach CAN through [`Overlay::as_can`] or the
+//! crate's panicking `can_mut`, so the trees (comparison substrates for the
+//! insert/query claim) refuse them:
 //!
 //! | operation | CAN | BATON | VBI |
 //! |---|---|---|---|
-//! | build, insert, refresh, range, k-nn, point | yes | yes | yes |
+//! | build, insert, refresh, range (collected or visited), k-nn, point | yes | yes | yes |
 //! | join | yes | `JoinError::UnsupportedBackend` | `JoinError::UnsupportedBackend` |
 //! | crash, depart, merge, split, migrate | yes | panics | panics |
 //! | install a fault plan, partition or load ledger | yes | panics | panics |
@@ -17,6 +19,7 @@ use hyperm_baton::{BatonConfig, BatonOverlay};
 use hyperm_can::{CanConfig, CanOverlay, InsertOutcome, ObjectRef, RangeOutcome, StoredObject};
 use hyperm_sim::{NodeId, OpStats};
 use hyperm_vbi::{VbiConfig, VbiOverlay};
+use std::ops::Range;
 
 /// Which overlay substrate to build per wavelet subspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -126,14 +129,28 @@ impl Overlay {
         each!(self, o => o.range_query(from, centre, radius))
     }
 
+    /// The range flood without the copies: each match goes to `visit` as
+    /// `(object, centre distance)`, in the order [`Overlay::range_query`]
+    /// would list it. Returns the nodes visited and the message cost.
+    pub fn range_visit(
+        &self,
+        from: NodeId,
+        centre: &[f64],
+        radius: f64,
+        visit: impl FnMut(&StoredObject, f64),
+    ) -> (usize, OpStats) {
+        each!(self, o => o.range_visit(from, centre, radius, visit))
+    }
+
     /// Point lookup: stored spheres containing the point.
     pub fn point_lookup(&self, from: NodeId, point: &[f64]) -> (Vec<StoredObject>, OpStats) {
         each!(self, o => o.point_lookup(from, point))
     }
 
-    /// Remove every replica/version `peer` published under `tag`.
-    pub fn remove_objects(&mut self, peer: usize, tag: u64) -> (usize, OpStats) {
-        each!(self, o => o.remove_objects(peer, tag))
+    /// Remove every replica/version `peer` published under a tag in
+    /// `tags`, in one pass over the stores.
+    pub fn remove_objects(&mut self, peer: usize, tags: Range<u64>) -> (usize, OpStats) {
+        each!(self, o => o.remove_objects(peer, tags))
     }
 
     /// Stored objects per node (replicas counted everywhere).

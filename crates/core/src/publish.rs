@@ -112,28 +112,24 @@ impl HypermNetwork {
     /// coverage, plus the message cost (failed attempts included).
     pub fn publish_sphere(&mut self, s: SphereRef) -> (bool, OpStats) {
         assert!(self.is_alive(s.peer), "dead peers cannot publish");
+        let tag = s.cluster as u64;
+        let (_, invalidation) = self
+            .overlay_mut(s.level)
+            .remove_objects(s.peer, tag..tag + 1);
+        let (delivered, stats) = self.try_place_sphere(s);
+        (delivered, invalidation + stats)
+    }
+
+    /// The insert half of [`HypermNetwork::publish_sphere`], once the old
+    /// replicas are gone.
+    fn try_place_sphere(&mut self, s: SphereRef) -> (bool, OpStats) {
         let (key, key_radius, payload) = self.sphere_object(s.peer, s.level, s.cluster);
         let replicate = self.config.replicate;
-        let (_, mut stats) = self
-            .overlay_mut(s.level)
-            .remove_objects(s.peer, s.cluster as u64);
-        let delivered = match self.overlay_mut(s.level).try_insert_sphere(
-            NodeId(s.peer),
-            key,
-            key_radius,
-            payload,
-            replicate,
-        ) {
-            Ok(out) => {
-                stats += out.stats;
-                out.complete()
-            }
-            Err(burnt) => {
-                stats += burnt;
-                false
-            }
-        };
-        (delivered, stats)
+        let overlay = self.overlay_mut(s.level);
+        match overlay.try_insert_sphere(NodeId(s.peer), key, key_radius, payload, replicate) {
+            Ok(out) => (out.complete(), out.stats),
+            Err(burnt) => (false, burnt),
+        }
     }
 
     /// Fault-aware soft-state republish of every cluster sphere `peer` has
@@ -152,13 +148,21 @@ impl HypermNetwork {
         let mut report = PublishReport::default();
         for level in 0..self.levels() {
             op.level(level, &self.level_recorder(level), None, |lv| {
-                for cluster in 0..self.peer(peer).summaries[level].len() {
+                // One invalidation pass for the whole level, then the
+                // inserts in cluster order: removal neither routes nor
+                // rolls the fault injector, so the stores and costs are
+                // those of one `publish_sphere` per cluster.
+                let clusters = self.peer(peer).summaries[level].len();
+                let overlay = self.overlay_mut(level);
+                let (_, invalidation) = overlay.remove_objects(peer, 0..clusters as u64);
+                lv.stats += invalidation;
+                for cluster in 0..clusters {
                     let sphere = SphereRef {
                         peer,
                         level,
                         cluster,
                     };
-                    let (delivered, stats) = self.publish_sphere(sphere);
+                    let (delivered, stats) = self.try_place_sphere(sphere);
                     lv.stats += stats;
                     if delivered {
                         report.delivered += 1;

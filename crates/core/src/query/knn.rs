@@ -22,8 +22,7 @@
 // hyperm-lint: allow-file(panic-index) — the one slice is `ranked[..target]` with `target = p.min(ranked.len())`
 use crate::network::HypermNetwork;
 use crate::query::{QueryBudget, QueryRun, Reply};
-use crate::score::{aggregate, level_scores, peers_to_cover, PeerScore};
-use hyperm_geometry::vecmath::dist;
+use crate::score::{aggregate, peers_to_cover, LevelScorer, PeerScore};
 use hyperm_geometry::{solve_epsilon_for_k, ClusterView};
 use hyperm_sim::{NodeId, OpStats};
 use hyperm_telemetry::{names, OpKind};
@@ -127,15 +126,23 @@ impl HypermNetwork {
             let diag = (dim as f64).sqrt();
             let ltel = self.level_recorder(l);
             let (eps_l, scores) = run.op.level(l, &ltel, Some(&Vec::new), |lv| {
+                let overlay = self.overlay(l);
+                let from = NodeId(from_peer);
                 // Step 2 (adapted): discover candidate clusters by
                 // expanding ring, then invert Eq. 8 on them.
                 let mut probe = (opts.probe_start * diag).max(1e-6);
-                let mut clusters;
+                let mut views: Vec<ClusterView> = Vec::new();
                 loop {
-                    let out = self.overlay(l).range_query(NodeId(from_peer), &key, probe);
-                    lv.stats += out.stats;
-                    let in_view: f64 = out.matches.iter().map(|o| o.payload.items as f64).sum();
-                    clusters = out.matches;
+                    views.clear();
+                    let (_, stats) = overlay.range_visit(from, &key, probe, |o, b| {
+                        views.push(ClusterView {
+                            centre_dist: b,
+                            radius: o.radius,
+                            items: o.payload.items as f64,
+                        })
+                    });
+                    lv.stats += stats;
+                    let in_view: f64 = views.iter().map(|v| v.items).sum();
                     if ltel.is_enabled() {
                         ltel.event(
                             ltel.scope(),
@@ -148,22 +155,15 @@ impl HypermNetwork {
                     }
                     probe *= 2.0;
                 }
-                let views: Vec<ClusterView> = clusters
-                    .iter()
-                    .map(|o| ClusterView {
-                        centre_dist: dist(&o.centre, &key),
-                        radius: o.radius,
-                        items: o.payload.items as f64,
-                    })
-                    .collect();
                 let eps_l = solve_epsilon_for_k(dim, &views, k as f64, 1e-6);
 
                 // Step 3: the level's range query at the estimated radius,
                 // clamp-slack widened (zero for in-bounds queries).
                 let search = eps_l + slack;
-                let out = self.overlay(l).range_query(NodeId(from_peer), &key, search);
-                lv.stats += out.stats;
-                let scores = level_scores(&out.matches, &key, search, dim);
+                let mut scores = LevelScorer::new(search, dim);
+                let (_, stats) = overlay.range_visit(from, &key, search, |o, b| scores.add(o, b));
+                lv.stats += stats;
+                let scores = scores.finish();
                 lv.tail(|| vec![("eps_l", eps_l.into()), ("peers", scores.len().into())]);
                 (eps_l, scores)
             });

@@ -12,7 +12,7 @@
 
 use crate::network::HypermNetwork;
 use crate::query::{QueryBudget, QueryRun, Reply};
-use crate::score::{aggregate, level_scores, PeerScore};
+use crate::score::{aggregate, LevelScorer, PeerScore};
 use hyperm_sim::{NodeId, OpStats};
 use hyperm_telemetry::{names, OpKind};
 
@@ -116,10 +116,15 @@ impl HypermNetwork {
             let lookup = || vec![("key_eps", key_eps.into())];
             let scores = run.op.level(l, &ltel, Some(&lookup), |lv| {
                 let overlay = self.overlay(l);
-                let out = overlay.range_query(NodeId(from_peer), &key, key_eps);
-                lv.stats += out.stats;
-                let scores = level_scores(&out.matches, &key, key_eps, overlay.dim() as u32);
-                let (matches, peers) = (out.matches.len(), scores.len());
+                let mut scores = LevelScorer::new(key_eps, overlay.dim() as u32);
+                let mut matches = 0usize;
+                let (_, stats) = overlay.range_visit(NodeId(from_peer), &key, key_eps, |obj, b| {
+                    matches += 1;
+                    scores.add(obj, b);
+                });
+                lv.stats += stats;
+                let scores = scores.finish();
+                let peers = scores.len();
                 lv.tail(|| vec![("matches", matches.into()), ("peers", peers.into())]);
                 scores
             });

@@ -35,26 +35,64 @@ pub fn level_scores(
     eps_key: f64,
     dim: u32,
 ) -> BTreeMap<usize, f64> {
-    let mut scores: BTreeMap<usize, f64> = BTreeMap::new();
-    let lens = IntersectionFraction::new(dim);
+    let mut scores = LevelScorer::new(eps_key, dim);
     for obj in matches {
-        let b = dist(&obj.centre, q_key);
+        scores.add(obj, dist(&obj.centre, q_key));
+    }
+    scores.finish()
+}
+
+/// Eq. 1 for one level, fed one matched sphere at a time — straight from
+/// an overlay flood's visitor, so no match is copied. Per peer, terms are
+/// summed in the order they are added.
+#[derive(Debug)]
+pub struct LevelScorer {
+    lens: IntersectionFraction,
+    eps_key: f64,
+    /// Running score per peer id; `None` until the peer's first positive
+    /// term.
+    sums: Vec<Option<f64>>,
+}
+
+impl LevelScorer {
+    /// An empty fold for a query ball of radius `eps_key` in a
+    /// `dim`-dimensional key space.
+    pub fn new(eps_key: f64, dim: u32) -> Self {
+        LevelScorer {
+            lens: IntersectionFraction::new(dim),
+            eps_key,
+            sums: Vec::new(),
+        }
+    }
+
+    /// Add one matched sphere whose centre lies `b` from the query centre.
+    pub fn add(&mut self, obj: &StoredObject, b: f64) {
         // A zero-radius query degenerates to containment: the volume
         // fraction is 0 but a cluster holding the point is fully relevant.
-        let frac = if eps_key == 0.0 {
+        let frac = if self.eps_key == 0.0 {
             if b <= obj.radius + 1e-12 {
                 1.0
             } else {
                 0.0
             }
         } else {
-            lens.eval(obj.radius.max(0.0), eps_key, b)
+            self.lens.eval(obj.radius.max(0.0), self.eps_key, b)
         };
         if frac > 0.0 {
-            *scores.entry(obj.payload.peer).or_insert(0.0) += frac * obj.payload.items as f64;
+            let peer = obj.payload.peer;
+            if peer >= self.sums.len() {
+                self.sums.resize(peer + 1, None);
+            }
+            *self.sums[peer].get_or_insert(0.0) += frac * obj.payload.items as f64;
         }
     }
-    scores
+
+    /// The per-peer scores, ascending by peer id; a peer with no positive
+    /// term is absent.
+    pub fn finish(self) -> BTreeMap<usize, f64> {
+        let scored = self.sums.into_iter().enumerate();
+        scored.filter_map(|(peer, s)| Some((peer, s?))).collect()
+    }
 }
 
 /// Fold per-level score maps into one ranked list.

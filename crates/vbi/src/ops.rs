@@ -7,19 +7,14 @@
 //! every candidate leaf — and therefore every replica — is visited.
 
 use crate::tree::VbiOverlay;
+use hyperm_can::ops::SeenIds;
 use hyperm_can::{InsertOutcome, ObjectRef, RangeOutcome, StoredObject};
+use hyperm_geometry::vecmath::dist;
 use hyperm_sim::{NodeId, OpStats};
+use std::ops::Range;
 
 fn query_bytes(dim: usize) -> u64 {
     8 * (dim as u64 + 1) + 16
-}
-
-fn euclid(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt()
 }
 
 impl VbiOverlay {
@@ -89,12 +84,13 @@ impl VbiOverlay {
     }
 
     /// Remove every stored object (all replicas, all versions) published by
-    /// `peer` under `tag`; one invalidation message per removed replica.
-    pub fn remove_objects(&mut self, peer: usize, tag: u64) -> (usize, OpStats) {
+    /// `peer` under a tag in `tags`, in one pass; one invalidation message
+    /// per removed replica.
+    pub fn remove_objects(&mut self, peer: usize, tags: Range<u64>) -> (usize, OpStats) {
         let mut removed = 0usize;
         for store in self.stores.iter_mut() {
             let before = store.len();
-            store.retain(|o| !(o.payload.peer == peer && o.payload.tag == tag));
+            store.retain(|o| !(o.payload.peer == peer && tags.contains(&o.payload.tag)));
             removed += before - store.len();
         }
         let stats = OpStats {
@@ -113,7 +109,7 @@ impl VbiOverlay {
         let (owner, mut stats) = self.route_point(from, point, query_bytes(self.dim()));
         let matches: Vec<StoredObject> = self.stores[owner.0]
             .iter()
-            .filter(|o| euclid(&o.centre, point) <= o.radius + 1e-12)
+            .filter(|o| dist(&o.centre, point) <= o.radius + 1e-12)
             .cloned()
             .collect();
         let resp_bytes: u64 = matches
@@ -125,15 +121,38 @@ impl VbiOverlay {
         (matches, stats)
     }
 
-    /// Tree-descent range query, deduplicated by object id.
+    /// Tree-descent range query: [`VbiOverlay::range_visit`] with a
+    /// collector that clones each match.
     pub fn range_query(&self, from: NodeId, centre: &[f64], radius: f64) -> RangeOutcome {
+        let mut matches = Vec::new();
+        let (nodes_visited, stats) =
+            self.range_visit(from, centre, radius, |obj, _| matches.push(obj.clone()));
+        RangeOutcome {
+            matches,
+            nodes_visited,
+            stats,
+        }
+    }
+
+    /// The range flood: descend into the leaves intersecting the query
+    /// ball and hand every stored object passing the exact
+    /// sphere-intersection test to `visit` as `(object, b)`, once per
+    /// object id in leaf order, where `b` is [`dist`] from the object's
+    /// centre to `centre`. Returns the leaves visited and the total
+    /// message cost.
+    pub fn range_visit(
+        &self,
+        from: NodeId,
+        centre: &[f64],
+        radius: f64,
+        mut visit: impl FnMut(&StoredObject, f64),
+    ) -> (usize, OpStats) {
         assert_eq!(centre.len(), self.dim(), "centre dimension mismatch");
         assert!(radius >= 0.0, "negative radius {radius}");
         let qb = query_bytes(self.dim());
         let (leaves, mut stats) = self.leaves_intersecting(self.leaf_of(from), centre, radius, qb);
 
-        let mut seen = std::collections::HashSet::new();
-        let mut matches = Vec::new();
+        let mut seen = SeenIds::default();
         let mut resp_bytes = 0u64;
         for leaf in &leaves {
             let crate::tree::VbiNodeKind::Leaf { peer } = self.node(*leaf).kind else {
@@ -141,10 +160,10 @@ impl VbiOverlay {
             };
             let mut local = 0u64;
             for obj in &self.stores[peer.0] {
-                if euclid(&obj.centre, centre) <= obj.radius + radius + 1e-12 && seen.insert(obj.id)
-                {
+                let b = dist(&obj.centre, centre);
+                if b <= obj.radius + radius + 1e-12 && seen.insert(obj.id) {
                     local += obj.wire_bytes();
-                    matches.push(obj.clone());
+                    visit(obj, b);
                 }
             }
             resp_bytes += local.max(16);
@@ -156,11 +175,7 @@ impl VbiOverlay {
             bytes: resp_bytes,
             ..OpStats::zero()
         };
-        RangeOutcome {
-            matches,
-            nodes_visited: nv,
-            stats,
-        }
+        (nv, stats)
     }
 }
 
@@ -223,7 +238,7 @@ mod tests {
             let res = overlay.range_query(NodeId(4), &q, qr);
             let expected = truth
                 .iter()
-                .filter(|(c, r)| euclid(c, &q) <= r + qr + 1e-12)
+                .filter(|(c, r)| dist(c, &q) <= r + qr + 1e-12)
                 .count();
             assert_eq!(res.matches.len(), expected, "q = {q:?}, qr = {qr}");
         }
