@@ -24,7 +24,7 @@
 //! with partition injection/healing, self-asserts the recovery bounds
 //! (the CI chaos smoke), and emits `BENCH_faults.json`.
 
-use hyperm_bench::{f1, f3, print_table, RetrievalWorkload, Scale};
+use hyperm_bench::{f1, f3, RetrievalWorkload, Scale, Table};
 use hyperm_cluster::Dataset;
 use hyperm_core::{HypermConfig, HypermNetwork, QueryBudget};
 use hyperm_geometry::vecmath::sq_dist;
@@ -225,7 +225,7 @@ fn main() {
                 .render(),
         );
     }
-    print_table(
+    Table::new(
         "range recall under crash-stop churn (25 queries, paired)",
         &[
             "failed",
@@ -237,8 +237,9 @@ fn main() {
             "repair msgs",
             "takeover rounds",
         ],
-        &rows,
-    );
+        rows,
+    )
+    .print();
     println!(
         "\nExpected shape: recall-vs-all tracks the surviving fraction in both\n\
          modes (dead items are gone); recall-vs-alive stays 1.000 with repair on\n\
@@ -466,7 +467,7 @@ fn main() {
             );
         }
     }
-    print_table(
+    Table::new(
         "data-plane fault tolerance: drop × partition (budgeted queries, paired)",
         &[
             "drop",
@@ -479,8 +480,9 @@ fn main() {
             "deferred",
             "drain rounds",
         ],
-        &fault_rows,
-    );
+        fault_rows,
+    )
+    .print();
     println!(
         "\nExpected shape: mid-window recall dips only in partition cells (the far\n\
          half is dark); after the heal round and bounded deferred retries every\n\

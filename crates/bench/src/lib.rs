@@ -1,8 +1,9 @@
 //! Shared infrastructure for the experiment binaries.
 //!
-//! Every figure/table of the paper has a binary in `src/bin/` that prints
-//! the same series the paper plots (see DESIGN.md's experiment index).
-//! Binaries run at a laptop-friendly **quick** scale by default; set
+//! Every figure/table of the paper is a function in [`figures`] that
+//! returns the same series the paper plots (see DESIGN.md's experiment
+//! index); the `figures` binary runs them and writes `FIGURES.json`.
+//! Experiments run at a laptop-friendly **quick** scale by default; set
 //! `HYPERM_SCALE=full` to reproduce the paper's full workload sizes
 //! (100 nodes × 1000 items × 512-d for dissemination; 12,000 histograms
 //! over 50 nodes for retrieval).
@@ -10,11 +11,15 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod figures;
+
 use hyperm_cluster::Dataset;
 use hyperm_datagen::{
     distribute_by_clusters, generate_aloi_like, generate_markov, AloiConfig, DistributeConfig,
     MarkovConfig,
 };
+use hyperm_telemetry::json::{escape, JsonObj};
+use std::fmt;
 
 /// Experiment scale, controlled by the `HYPERM_SCALE` env var.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,31 +162,70 @@ fn backfill_empty_peers(peers: &mut [Dataset]) {
     }
 }
 
-/// Print an aligned table: header row then data rows (also valid CSV when
-/// pasted, commas included).
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
+/// A titled table of printed cells. Its text form is an aligned header
+/// row then data rows (also valid CSV when pasted, commas included); its
+/// JSON form holds the same strings.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Table {
+    /// Printed as `== title ==` above the header row.
+    pub title: String,
+    /// Column names.
+    pub headers: Vec<String>,
+    /// Cells, one `Vec` per row, as printed.
+    pub rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// A table from borrowed headers.
+    pub fn new(title: impl Into<String>, headers: &[&str], rows: Vec<Vec<String>>) -> Self {
+        Self {
+            title: title.into(),
+            headers: headers.iter().map(|h| h.to_string()).collect(),
+            rows,
         }
     }
-    let fmt_row = |cells: &[String]| {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:>width$}", c, width = widths[i]))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    println!(
-        "{}",
-        fmt_row(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
-    for row in rows {
-        println!("{}", fmt_row(row));
+
+    /// Print the text form to stdout.
+    pub fn print(&self) {
+        print!("{self}");
     }
+
+    /// One-line JSON object: `{"title": …, "headers": […], "rows": [[…], …]}`.
+    pub fn json(&self) -> String {
+        let rows: Vec<String> = self.rows.iter().map(|r| json_strings(r)).collect();
+        JsonObj::new()
+            .s("title", &self.title)
+            .raw("headers", json_strings(&self.headers))
+            .raw("rows", format!("[{}]", rows.join(", ")))
+            .render()
+    }
+}
+
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "\n== {} ==", self.title)?;
+        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
+        for row in &self.rows {
+            for (i, cell) in row.iter().enumerate() {
+                widths[i] = widths[i].max(cell.len());
+            }
+        }
+        for cells in std::iter::once(&self.headers).chain(&self.rows) {
+            let line: Vec<String> = cells
+                .iter()
+                .enumerate()
+                .map(|(i, c)| format!("{:>width$}", c, width = widths[i]))
+                .collect();
+            writeln!(f, "{}", line.join(", "))?;
+        }
+        Ok(())
+    }
+}
+
+/// A JSON array of strings, inline.
+fn json_strings(items: &[String]) -> String {
+    let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
+    format!("[{}]", quoted.join(", "))
 }
 
 /// Format a float with 3 decimals.
@@ -221,6 +265,26 @@ mod tests {
         let peers = w.build_peers(2);
         assert_eq!(peers.len(), 8);
         assert!(peers.iter().all(|p| !p.is_empty()));
+    }
+
+    #[test]
+    fn table_text_aligns_columns_and_json_keeps_cells() {
+        let t = Table::new(
+            "t \"q\"",
+            &["name", "v"],
+            vec![
+                vec!["a".into(), "1.000".into()],
+                vec!["long".into(), "2".into()],
+            ],
+        );
+        assert_eq!(
+            t.to_string(),
+            "\n== t \"q\" ==\nname,     v\n   a, 1.000\nlong,     2\n"
+        );
+        assert_eq!(
+            t.json(),
+            r#"{"title": "t \"q\"", "headers": ["name", "v"], "rows": [["a", "1.000"], ["long", "2"]]}"#
+        );
     }
 
     #[test]
