@@ -135,6 +135,27 @@ fn bench_geometry(c: &mut Criterion) {
     c.bench_function("solve_epsilon_for_k_800_d4", |b| {
         b.iter(|| solve_epsilon_for_k(black_box(4), black_box(&level3), black_box(10.0), 1e-6))
     });
+    // Shaped like a captured D_2 level of the paper-scale k-nn workload:
+    // ≈ 780 spheres of 100 items, k = 10, and at the solved radius about
+    // half the spheres hold the query ball, 44 % are disjoint from it and
+    // 8 % are lenses.
+    let inside: Vec<ClusterView> = (0..780)
+        .map(|i| {
+            let (centre_dist, radius) = match i % 25 {
+                0..=11 => (0.05 + (i % 11) as f64 * 0.02, 0.6 + (i % 7) as f64 * 0.05),
+                12..=22 => (1.0 + (i % 13) as f64 * 0.05, 0.05 + (i % 5) as f64 * 0.01),
+                _ => (0.3 + (i % 3) as f64 * 0.02, 0.3),
+            };
+            ClusterView {
+                centre_dist,
+                radius,
+                items: 100.0,
+            }
+        })
+        .collect();
+    c.bench_function("solve_epsilon_for_k_780_d4_inside", |b| {
+        b.iter(|| solve_epsilon_for_k(black_box(4), black_box(&inside), black_box(10.0), 1e-6))
+    });
 }
 
 fn bench_can(c: &mut Criterion) {

@@ -7,11 +7,26 @@
 //! g(ε) = Σ_c  Vol(sphere_c ∩ sphere_q(ε)) / Vol(sphere_c) · items_c     (Eq. 8)
 //! ```
 //!
-//! is continuous and monotonically non-decreasing in ε, so `g(ε) = k` is
-//! solved by a safeguarded Newton iteration that always keeps a bisection
-//! bracket — the paper suggests "numerical methods (e.g., the Newton
-//! method)"; the bracket makes the iteration unconditionally convergent even
-//! at the flat spots where `g'(ε) = 0` (query far from every cluster).
+//! is continuous and monotonically non-decreasing in ε (a singleton cluster,
+//! `r = 0`, adds a step), so `g(ε) = k` is solved by a safeguarded Newton
+//! iteration that always keeps a bisection bracket — the paper suggests
+//! "numerical methods (e.g., the Newton method)"; the bracket makes the
+//! iteration unconditionally convergent even at the flat spots where
+//! `g'(ε) = 0` (query far from every cluster).
+//!
+//! Three choices keep the solve short and its answer well defined:
+//!
+//! * **Start near the root.** The first iterate is ε₀ = (k / Σ items_c /
+//!   r_c^d)^{1/d} over the spheres that hold the query centre: each adds
+//!   `items_c·(ε/r_c)^d` (Eq. 6's query-inside branch), so ε₀ is where those
+//!   spheres alone yield `k`. With no such sphere, or a bracket already
+//!   narrower than `tol`, the iteration starts at the bracket midpoint.
+//! * **Halving rule** (`rtsafe`, Press et al., *Numerical Recipes* §9.4): a
+//!   Newton point is taken only if it lies inside the bracket and moves at
+//!   most half the previous step; otherwise the bracket is bisected.
+//! * **Collapse lands on the reaching side.** Once the bracket is narrower
+//!   than `tol`, the iterate is returned if it reaches the target, else the
+//!   bracket's upper end — on a singleton's step the radius retrieves ≥ `k`.
 
 use crate::intersect::{intersection_fraction, IntersectionFraction};
 
@@ -77,16 +92,20 @@ fn expected_items_with(
 /// Invert a monotone non-decreasing function: find `x ∈ [lo, hi]` with
 /// `f(x) ≈ target`.
 ///
-/// Uses Newton steps with a finite-difference derivative, clipped to the
-/// shrinking bisection bracket; falls back to pure bisection whenever the
-/// Newton step escapes the bracket or the derivative vanishes. Returns an
-/// `x` with `|f(x) − target| ≤ tol` (or the bracket midpoint once the
-/// bracket itself has collapsed below `tol`).
+/// Starts at `start` when it lies strictly inside `(lo, hi)` and the bracket
+/// is wider than `tol`, else at the bracket midpoint. Takes Newton steps with
+/// a finite-difference derivative while they stay inside the shrinking
+/// bisection bracket and move at most half the previous step; bisects
+/// otherwise (or when the derivative vanishes). Returns an `x` with
+/// `|f(x) − target| ≤ tol`, or — once the bracket has collapsed below `tol` —
+/// the iterate if `f(x) ≥ target`, else the bracket's upper end, whose `f`
+/// reaches the target.
 pub fn invert_monotone<F: Fn(f64) -> f64>(
     f: F,
     target: f64,
     lo: f64,
     hi: f64,
+    start: f64,
     tol: f64,
 ) -> Result<f64, SolveError> {
     if lo >= hi {
@@ -106,11 +125,21 @@ pub fn invert_monotone<F: Fn(f64) -> f64>(
 
     let mut a = lo;
     let mut b = hi;
-    let mut x = 0.5 * (a + b);
+    let mid = 0.5 * (a + b);
+    let collapsed = |a: f64, b: f64, x: f64| b - a <= tol * (1.0 + x.abs());
+    let mut x = if start > lo && start < hi && !collapsed(lo, hi, mid) {
+        start
+    } else {
+        mid
+    };
+    let mut last_step = hi - lo;
     for _ in 0..200 {
         let fx = f(x);
-        if (fx - target).abs() <= tol || (b - a) <= tol * (1.0 + x.abs()) {
+        if (fx - target).abs() <= tol {
             return Ok(x);
+        }
+        if collapsed(a, b, x) {
+            return Ok(if fx >= target { x } else { b });
         }
         if fx < target {
             a = x;
@@ -125,13 +154,33 @@ pub fn invert_monotone<F: Fn(f64) -> f64>(
         } else {
             f64::NAN
         };
-        x = if newton.is_finite() && newton > a && newton < b {
+        let next = if newton.is_finite()
+            && newton > a
+            && newton < b
+            && (newton - x).abs() <= 0.5 * last_step
+        {
             newton
         } else {
             0.5 * (a + b)
         };
+        last_step = (next - x).abs();
+        x = next;
     }
     Ok(0.5 * (a + b))
+}
+
+/// The solver's first iterate for Eq. 8: ε₀ = (k / Σ items_c / r_c^d)^{1/d}
+/// over the spheres with `r_c > 0` that hold the query centre (`b_c < r_c`).
+/// Below every such sphere's `r_c − b_c` they contribute `items_c·(ε/r_c)^d`,
+/// so ε₀ is where they alone yield `k`. Without such a sphere the sum is 0
+/// and ε₀ is `+∞`, which [`invert_monotone`] replaces by the midpoint.
+pub fn start_radius(d: u32, clusters: &[ClusterView], k: f64) -> f64 {
+    let density: f64 = clusters
+        .iter()
+        .filter(|c| c.radius > 0.0 && c.centre_dist < c.radius)
+        .map(|c| c.items / c.radius.powi(d as i32))
+        .sum();
+    (k / density).powf(1.0 / f64::from(d))
 }
 
 /// Solve Eq. 8: the query radius ε whose expected retrieval is `k` items.
@@ -142,9 +191,10 @@ pub fn invert_monotone<F: Fn(f64) -> f64>(
 /// radius is returned rather than an error, matching the paper's behaviour of
 /// simply retrieving everything reachable.
 ///
-/// Every evaluation of `g` shares one [`IntersectionFraction`] for `d`, so
-/// the cap kernel is built once per solve; the result is bit-identical to
-/// inverting [`expected_items`].
+/// The iteration starts at [`start_radius`]. Every evaluation of `g` shares
+/// one [`IntersectionFraction`] for `d`, so the cap kernel is built once per
+/// solve; the result is bit-identical to inverting [`expected_items`] from the
+/// same start.
 pub fn solve_epsilon_for_k(d: u32, clusters: &[ClusterView], k: f64, tol: f64) -> f64 {
     if clusters.is_empty() || k <= 0.0 {
         return 0.0;
@@ -156,7 +206,7 @@ pub fn solve_epsilon_for_k(d: u32, clusters: &[ClusterView], k: f64, tol: f64) -
         .max(tol);
     let lens = IntersectionFraction::new(d);
     let g = |e| expected_items_with(clusters, e, |r, eps, b| lens.eval(r, eps, b));
-    match invert_monotone(g, k, 0.0, hi, tol) {
+    match invert_monotone(g, k, 0.0, hi, start_radius(d, clusters, k), tol) {
         Ok(eps) => eps,
         Err(SolveError::TargetUnreachable { .. }) => hi,
         Err(SolveError::BadBracket) => hi,
@@ -173,13 +223,13 @@ mod tests {
 
     #[test]
     fn invert_linear_function() {
-        let x = invert_monotone(|x| 2.0 * x, 1.0, 0.0, 10.0, 1e-12).unwrap();
+        let x = invert_monotone(|x| 2.0 * x, 1.0, 0.0, 10.0, 0.4, 1e-12).unwrap();
         close(x, 0.5, 1e-9);
     }
 
     #[test]
     fn invert_cubic() {
-        let x = invert_monotone(|x| x * x * x, 27.0, 0.0, 10.0, 1e-12).unwrap();
+        let x = invert_monotone(|x| x * x * x, 27.0, 0.0, 10.0, 2.0, 1e-12).unwrap();
         close(x, 3.0, 1e-7);
     }
 
@@ -187,25 +237,25 @@ mod tests {
     fn invert_step_like_function() {
         // Flat then steep — Newton alone would die on the plateau.
         let f = |x: f64| if x < 5.0 { 0.0 } else { (x - 5.0) * 10.0 };
-        let x = invert_monotone(f, 1.0, 0.0, 10.0, 1e-9).unwrap();
+        let x = invert_monotone(f, 1.0, 0.0, 10.0, 5.0, 1e-9).unwrap();
         close(x, 5.1, 1e-6);
     }
 
     #[test]
     fn invert_reports_unreachable() {
-        let err = invert_monotone(|x| x, 100.0, 0.0, 1.0, 1e-9).unwrap_err();
+        let err = invert_monotone(|x| x, 100.0, 0.0, 1.0, 0.5, 1e-9).unwrap_err();
         assert!(matches!(err, SolveError::TargetUnreachable { .. }));
     }
 
     #[test]
     fn invert_rejects_bad_bracket() {
-        let err = invert_monotone(|x| x, 0.5, 1.0, 1.0, 1e-9).unwrap_err();
+        let err = invert_monotone(|x| x, 0.5, 1.0, 1.0, 1.0, 1e-9).unwrap_err();
         assert_eq!(err, SolveError::BadBracket);
     }
 
     #[test]
     fn invert_target_already_met_at_lo() {
-        let x = invert_monotone(|x| x + 10.0, 5.0, 0.0, 1.0, 1e-9).unwrap();
+        let x = invert_monotone(|x| x + 10.0, 5.0, 0.0, 1.0, 0.5, 1e-9).unwrap();
         assert_eq!(x, 0.0);
     }
 
@@ -295,5 +345,77 @@ mod tests {
             items: 10.0,
         }];
         assert_eq!(solve_epsilon_for_k(3, &clusters, 0.0, 1e-9), 0.0);
+    }
+
+    /// A d = 5 level with two singletons (r = 0), the first of whose steps
+    /// jumps over the target: the Newton point crawls toward the step from
+    /// below unless the halving rule bisects, and the collapsed bracket must
+    /// return the step's reaching side.
+    #[test]
+    fn singleton_step_converges_on_its_reaching_side() {
+        let views = [
+            (0.7341889317737107, 0.0, 124.0),
+            (0.15641874923166466, 1.8996820701539083, 46.0),
+            (3.3257169537535303, 0.9830238689975566, 59.0),
+            (2.0528948869234016, 0.2747580233162352, 109.0),
+            (1.6123496911058717, 1.2808624424912889, 74.0),
+            (0.34041425014957927, 0.7726582792906533, 167.0),
+            (3.217945197417132, 1.260878111018214, 165.0),
+            (1.9772439834476483, 0.680051901766408, 178.0),
+            (0.4214148508445379, 0.0, 70.0),
+        ];
+        let clusters: Vec<ClusterView> = views
+            .iter()
+            .map(|&(centre_dist, radius, items)| ClusterView {
+                centre_dist,
+                radius,
+                items,
+            })
+            .collect();
+        let (d, k, tol) = (5, 156.91307654068603, 1e-10);
+        let hi = clusters
+            .iter()
+            .map(|c| c.centre_dist + c.radius)
+            .fold(0.0f64, f64::max);
+        let g = |e| expected_items(d, &clusters, e);
+        let evals = std::cell::Cell::new(0u32);
+        let counted = |e| {
+            evals.set(evals.get() + 1);
+            g(e)
+        };
+        let start = start_radius(d, &clusters, k);
+        let eps = invert_monotone(counted, k, 0.0, hi, start, tol).unwrap();
+        assert_eq!(eps, solve_epsilon_for_k(d, &clusters, k, tol));
+        assert!(evals.get() <= 100, "{} evaluations of g", evals.get());
+        // No radius meets k within tol: ε sits on the step's reaching side,
+        // within the collapse width above it.
+        let step = 0.7341889317737107;
+        assert!(g(eps) >= k, "g({eps}) = {} < {k}", g(eps));
+        assert!(g(eps - 2.0 * tol * (1.0 + eps)) < k + tol);
+        assert!(
+            (step..=step + 2.0 * tol * (1.0 + step)).contains(&eps),
+            "{eps}"
+        );
+    }
+
+    /// Every view within 1e-17 of the query, as on a 1-d `A` level of
+    /// normalised histograms: the bracket `[0, tol]` has collapsed before
+    /// the first step, so the solver returns its midpoint — not the start
+    /// estimate, which lies inside the bracket but would cover only part of
+    /// the level.
+    #[test]
+    fn degenerate_level_returns_the_bracket_midpoint() {
+        let clusters: Vec<ClusterView> = (0..20)
+            .map(|i| ClusterView {
+                centre_dist: (i % 4) as f64 * 2e-18,
+                radius: if i % 3 == 0 { 0.0 } else { 1e-17 },
+                items: 10.0,
+            })
+            .collect();
+        let (k, tol) = (10.0, 1e-6);
+        let start = start_radius(1, &clusters, k);
+        assert!(start > 0.0 && start < tol, "{start}");
+        let eps = solve_epsilon_for_k(1, &clusters, k, tol);
+        assert_eq!(eps.to_bits(), 0.5e-6f64.to_bits());
     }
 }

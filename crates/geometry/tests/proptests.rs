@@ -1,6 +1,6 @@
 //! Property-based tests for the geometric invariants Hyper-M relies on.
 
-use hyperm_geometry::solve::expected_items;
+use hyperm_geometry::solve::{expected_items, start_radius};
 use hyperm_geometry::{
     cap_fraction, cap_fraction_beta, intersection_fraction, invert_monotone, solve_epsilon_for_k,
     ClusterView, IntersectionFraction,
@@ -172,9 +172,71 @@ proptest! {
             .map(|c| c.centre_dist + c.radius)
             .fold(0.0f64, f64::max)
             .max(tol);
-        let want = invert_monotone(|e| expected_items(d, &clusters, e), k, 0.0, hi, tol)
+        let start = start_radius(d, &clusters, k);
+        let want = invert_monotone(|e| expected_items(d, &clusters, e), k, 0.0, hi, start, tol)
             .unwrap_or(hi);
         let got = solve_epsilon_for_k(d, &clusters, k, tol);
         prop_assert_eq!(got.to_bits(), want.to_bits(), "k {}", k);
+    }
+}
+
+/// The solver's contract for `ε = solve_epsilon_for_k(d, clusters, k, tol)`
+/// with `hi = max(b + r)`: ε meets the target within `tol`; or ε is `hi` and
+/// even `hi` cannot reach `k`; or ε reaches `k` and a radius `2·tol·(1 + ε)`
+/// below it does not (ε sits just above a step of `g`).
+fn meets_contract(g: impl Fn(f64) -> f64, k: f64, hi: f64, eps: f64, tol: f64) -> bool {
+    let at = g(eps);
+    (at - k).abs() <= tol
+        || (eps == hi && g(hi) < k)
+        || (at >= k && g(eps - 2.0 * tol * (1.0 + eps)) < k + tol)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Whatever the level looks like — singletons (r = 0) put steps in
+    /// `g`, an unreachable `k` saturates — the solved radius meets the
+    /// contract, well inside the iteration cap.
+    #[test]
+    fn solver_meets_its_contract(
+        d in 1u32..16,
+        clusters in prop::collection::vec(
+            (0.0..4.0f64, 0.0..2.0f64, 1.0..200.0f64, 0.0..1.0f64),
+            1..13,
+        ),
+        frac in 0.0..1.2f64,
+        fine in any::<bool>(),
+    ) {
+        let clusters: Vec<ClusterView> = clusters
+            .into_iter()
+            .map(|(centre_dist, radius, items, singleton)| ClusterView {
+                centre_dist,
+                radius: if singleton < 0.15 { 0.0 } else { radius },
+                items,
+            })
+            .collect();
+        let k = frac * clusters.iter().map(|c| c.items).sum::<f64>();
+        prop_assume!(k > 0.0);
+        let tol = if fine { 1e-10 } else { 1e-6 };
+        let hi = clusters
+            .iter()
+            .map(|c| c.centre_dist + c.radius)
+            .fold(0.0f64, f64::max)
+            .max(tol);
+        let g = |e| expected_items(d, &clusters, e);
+        let evals = std::cell::Cell::new(0u32);
+        let counted = |e| {
+            evals.set(evals.get() + 1);
+            g(e)
+        };
+        let eps = invert_monotone(counted, k, 0.0, hi, start_radius(d, &clusters, k), tol)
+            .unwrap_or(hi);
+        prop_assert_eq!(eps.to_bits(), solve_epsilon_for_k(d, &clusters, k, tol).to_bits());
+        prop_assert!(
+            meets_contract(g, k, hi, eps, tol),
+            "d {d} k {k} tol {tol} eps {eps} g {} clusters {clusters:?}",
+            g(eps)
+        );
+        prop_assert!(evals.get() <= 100, "{} evaluations of g", evals.get());
     }
 }

@@ -200,8 +200,10 @@ fn scenario() -> (u64, u64, u64) {
 /// forms (Eq. 5 and its odd-`d` counterpart): 30 of 2395 events changed,
 /// all in float fields — the Eq. 1 `score`s and the k-nn Eq. 8 radius
 /// (`eps_l`, the flood `radius`) in their last digits — as `FLOAT_FREE`
-/// shows.
-const EVENTS: u64 = 0xd3c9_1cee_7f12_2226;
+/// shows. Re-pinned when the Eq. 8 solver started near its root instead of
+/// at the bracket midpoint: 8 of 2394 events changed, the four k-nn
+/// levels' `eps_l` and flood `radius` (last digits; float-free unmoved).
+const EVENTS: u64 = 0xf76b_2528_a008_8a96;
 const METRICS: u64 = 0xf721_1854_0c72_1450;
 /// Measured before the cap kernel moved to closed forms.
 const FLOAT_FREE: u64 = 0x67f4_6852_7f7c_4861;

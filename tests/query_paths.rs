@@ -220,7 +220,10 @@ fn cell(
 /// The range and k-nn rows were re-pinned when the cap fraction moved from
 /// the incomplete beta to closed forms (Eq. 5 and its odd-`d`
 /// counterpart): their events' float fields round differently, while
-/// `FLOAT_FREE` and the point rows did not move.
+/// `FLOAT_FREE` and the point rows did not move. The k-nn row was re-pinned
+/// again when the Eq. 8 solver started near its root instead of at the
+/// bracket midpoint: only each level's `eps_l` and flood `radius` moved, in
+/// their last digits.
 const EXPECTED: Table = [
     [
         [0x211d_c56b_d630_bf54, 0x486b_7741_bc31_0e17],
@@ -235,10 +238,10 @@ const EXPECTED: Table = [
         [0x8726_0371_b12c_5ba0, 0x62f1_ea2b_9ff7_d8d4],
     ],
     [
-        [0x3325_0c1b_1dd3_a88e, 0x530a_247a_afe9_7dc8],
-        [0x3325_0c1b_1dd3_a88e, 0x0f40_7458_113b_673f],
-        [0x3325_0c1b_1dd3_a88e, 0xb098_67f2_fc1b_01a3],
-        [0x975d_50cf_7b64_ab48, 0xccc9_3e77_bddb_7590],
+        [0xe3b6_1552_600d_073e, 0xe51c_328c_8767_2064],
+        [0xe3b6_1552_600d_073e, 0x76d0_d076_02df_f127],
+        [0xe3b6_1552_600d_073e, 0xe238_3582_7eb4_2017],
+        [0xcf33_4f95_53d0_2138, 0x6f67_f0ea_7297_5df8],
     ],
     [
         [0xee2f_861a_a91c_79ef, 0x6578_891e_20db_249c],
