@@ -29,7 +29,7 @@
 use hyperm_cluster::Dataset;
 use hyperm_core::{HypermConfig, HypermNetwork, KnnOptions, QueryBudget};
 use hyperm_telemetry::{
-    merge_streams, names, parse_jsonl, Event, EventClass, JsonlSink, OpKind, Recorder, RingHandle,
+    merge_streams, parse_jsonl, Event, EventClass, JsonlSink, Name, OpKind, Recorder, RingHandle,
     TeeSink, Trace, TraceCtx,
 };
 use hyperm_transport::{Client, NodeRuntime, Role, TcpEndpoint};
@@ -145,7 +145,7 @@ fn main() {
     assert!(!events.is_empty(), "query must emit trace events");
     let trace = Trace::from_events(&events);
     assert_eq!(
-        trace.spans_named(names::OVERLAY_LOOKUP).len(),
+        trace.spans_named(Name::OverlayLookup).len(),
         LEVELS,
         "one overlay_lookup span per wavelet level"
     );
@@ -238,18 +238,18 @@ fn main() {
     println!("== degraded route tree ({} events) ==", degraded.len());
     print!("{}", dtrace.render());
     assert!(
-        dtrace.event_count(names::FETCH_TIMEOUT) >= 1,
+        dtrace.event_count(Name::FetchTimeout) >= 1,
         "crashed peer must surface as a fetch_timeout in the route tree"
     );
     if matches!(expect_kind, OpKind::RangeQuery | OpKind::KnnQuery) {
         assert!(
-            dtrace.event_count(names::FETCH_FALLBACK) >= 1,
+            dtrace.event_count(Name::FetchFallback) >= 1,
             "the contact window must slide past the crashed peer"
         );
     }
     let m = rec.metrics().expect("recorder enabled");
     assert!(
-        m.counter(names::FETCH_TIMEOUT) >= 1,
+        m.counter(Name::FetchTimeout) >= 1,
         "fetch_timeout must be counted in the metrics registry"
     );
 }
@@ -372,14 +372,14 @@ fn cluster_replay() {
         "the relayed query must stitch into ONE route tree"
     );
     let root = &stitched.spans[stitched.roots[0]];
-    assert_eq!(root.name, names::SERVE, "root is the member's serve span");
+    assert_eq!(root.name, Name::Serve, "root is the member's serve span");
     assert_eq!(root.start.u64_field("node"), Some(MEMBER));
     assert_eq!(root.start.u64_field("ctx_trace"), Some(TRACE_ID));
     let head_serve = root
         .children
         .iter()
         .map(|&c| &stitched.spans[c])
-        .find(|s| s.name == names::SERVE)
+        .find(|s| s.name == Name::Serve)
         .expect("head serve span nested under the member's");
     assert_eq!(head_serve.start.u64_field("node"), Some(HEAD));
     assert_eq!(head_serve.start.u64_field("ctx_trace"), Some(TRACE_ID));
@@ -387,7 +387,7 @@ fn cluster_replay() {
         head_serve
             .children
             .iter()
-            .any(|&c| stitched.spans[c].name == names::QUERY),
+            .any(|&c| stitched.spans[c].name == Name::Query),
         "overlay query span parents under the head's serve span"
     );
     println!(
@@ -406,7 +406,7 @@ fn wait_for_serve_end(ring: &RingHandle) -> Vec<Event> {
         let events = ring.events();
         if events
             .iter()
-            .any(|e| e.class == EventClass::End && e.name == names::SERVE)
+            .any(|e| e.class == EventClass::End && e.name == Name::Serve)
         {
             return events;
         }

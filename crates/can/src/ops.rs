@@ -23,7 +23,7 @@ use crate::overlay::CanOverlay;
 use crate::zone::Zone;
 use hyperm_geometry::vecmath::dist;
 use hyperm_sim::{NodeId, OpStats};
-use hyperm_telemetry::{names, SpanId};
+use hyperm_telemetry::{Name, SpanId};
 use std::collections::{HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
@@ -222,7 +222,7 @@ impl CanOverlay {
         let flood_span = if traced {
             tel.span(
                 tel.scope(),
-                names::FLOOD,
+                Name::Flood,
                 vec![
                     ("kind", "publish".into()),
                     ("owner", owner.0.into()),
@@ -261,7 +261,7 @@ impl CanOverlay {
                 if traced {
                     tel.event(
                         flood_span,
-                        names::REPLICA,
+                        Name::Replica,
                         vec![("node", n.0.into()), ("depth", depth.into())],
                     );
                 }
@@ -280,7 +280,7 @@ impl CanOverlay {
                             if traced && attempts > 1 {
                                 tel.event(
                                     flood_span,
-                                    names::RETRY,
+                                    Name::Retry,
                                     vec![
                                         ("from", n.0.into()),
                                         ("to", nb.0.into()),
@@ -294,7 +294,7 @@ impl CanOverlay {
                                 if traced {
                                     tel.event(
                                         flood_span,
-                                        names::FLOOD_EDGE,
+                                        Name::FloodEdge,
                                         vec![
                                             ("from", n.0.into()),
                                             ("to", nb.0.into()),
@@ -306,7 +306,7 @@ impl CanOverlay {
                             } else if traced {
                                 tel.event(
                                     flood_span,
-                                    names::DROP,
+                                    Name::Drop,
                                     vec![("from", n.0.into()), ("to", nb.0.into())],
                                 );
                             }
@@ -320,14 +320,14 @@ impl CanOverlay {
             if traced {
                 tel.event(
                     flood_span,
-                    names::REPLICA,
+                    Name::Replica,
                     vec![("node", owner.0.into()), ("depth", 0u64.into())],
                 );
             }
         }
         tel.end(
             flood_span,
-            names::FLOOD,
+            Name::Flood,
             vec![("replicas", replicas.into()), ("depth", flood_depth.into())],
         );
         Ok(InsertOutcome {
@@ -396,7 +396,7 @@ impl CanOverlay {
         if tel.is_enabled() {
             tel.event(
                 tel.scope(),
-                names::VISIT,
+                Name::Visit,
                 vec![
                     ("node", owner.0.into()),
                     ("zone", zone_str(&self.node(owner).zone).into()),
@@ -476,7 +476,7 @@ impl CanOverlay {
         let flood_span = if traced {
             tel.span(
                 tel.scope(),
-                names::FLOOD,
+                Name::Flood,
                 vec![
                     ("kind", "range".into()),
                     ("owner", owner.0.into()),
@@ -523,7 +523,7 @@ impl CanOverlay {
             if traced {
                 tel.event(
                     flood_span,
-                    names::VISIT,
+                    Name::Visit,
                     vec![
                         ("node", n.0.into()),
                         ("matched", (matches - before).into()),
@@ -548,7 +548,7 @@ impl CanOverlay {
                         if traced && attempts > 1 {
                             tel.event(
                                 flood_span,
-                                names::RETRY,
+                                Name::Retry,
                                 vec![
                                     ("from", n.0.into()),
                                     ("to", nb.0.into()),
@@ -562,7 +562,7 @@ impl CanOverlay {
                             if traced {
                                 tel.event(
                                     flood_span,
-                                    names::FLOOD_EDGE,
+                                    Name::FloodEdge,
                                     vec![("from", n.0.into()), ("to", nb.0.into())],
                                 );
                             }
@@ -570,7 +570,7 @@ impl CanOverlay {
                         } else if traced {
                             tel.event(
                                 flood_span,
-                                names::DROP,
+                                Name::Drop,
                                 vec![("from", n.0.into()), ("to", nb.0.into())],
                             );
                         }
@@ -587,7 +587,7 @@ impl CanOverlay {
         };
         tel.end(
             flood_span,
-            names::FLOOD,
+            Name::Flood,
             vec![
                 ("visited", nodes_visited.into()),
                 ("matches", matches.into()),

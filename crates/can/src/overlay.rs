@@ -17,7 +17,7 @@ use crate::zone::Zone;
 use crate::zoneindex::ZoneIndex;
 use hyperm_sim::underlay::map_connected;
 use hyperm_sim::{FaultConfig, FaultInjector, FaultReport, LoadProbe, NodeId, OpStats};
-use hyperm_telemetry::{names, Recorder};
+use hyperm_telemetry::{Name, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
@@ -353,11 +353,6 @@ impl CanOverlay {
         self.load = probe;
     }
 
-    /// The overlay's load probe (disabled by default).
-    pub fn load_probe(&self) -> &LoadProbe {
-        &self.load
-    }
-
     /// Fault counters accumulated so far (`None` when injection is off).
     pub fn fault_report(&self) -> Option<FaultReport> {
         self.faults
@@ -424,7 +419,7 @@ impl CanOverlay {
             if traced {
                 tel.event(
                     tel.scope(),
-                    names::DEAD_END,
+                    Name::DeadEnd,
                     vec![("at", from.0.into()), ("reason", "origin_dead".into())],
                 );
             }
@@ -478,7 +473,7 @@ impl CanOverlay {
                         if traced {
                             tel.event(
                                 tel.scope(),
-                                names::ROUTE_HOP,
+                                Name::RouteHop,
                                 vec![
                                     ("from", current.0.into()),
                                     ("to", owner.0.into()),
@@ -498,7 +493,7 @@ impl CanOverlay {
                 if traced {
                     tel.event(
                         tel.scope(),
-                        names::DEAD_END,
+                        Name::DeadEnd,
                         vec![("at", current.0.into()), ("reason", "no_neighbour".into())],
                     );
                 }
@@ -524,7 +519,7 @@ impl CanOverlay {
             if traced && attempts > 1 {
                 tel.event(
                     tel.scope(),
-                    names::RETRY,
+                    Name::Retry,
                     vec![
                         ("from", current.0.into()),
                         ("to", next.0.into()),
@@ -538,7 +533,7 @@ impl CanOverlay {
                 if traced {
                     tel.event(
                         tel.scope(),
-                        names::DROP,
+                        Name::Drop,
                         vec![("from", current.0.into()), ("to", next.0.into())],
                     );
                 }
@@ -549,7 +544,7 @@ impl CanOverlay {
             if traced {
                 tel.event(
                     tel.scope(),
-                    names::ROUTE_HOP,
+                    Name::RouteHop,
                     vec![("from", current.0.into()), ("to", next.0.into())],
                 );
             }
@@ -560,7 +555,7 @@ impl CanOverlay {
         if traced {
             tel.event(
                 tel.scope(),
-                names::DEAD_END,
+                Name::DeadEnd,
                 vec![("at", current.0.into()), ("reason", "hop_limit".into())],
             );
         }

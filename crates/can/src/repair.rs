@@ -29,7 +29,7 @@
 use crate::overlay::CanOverlay;
 use crate::zone::Zone;
 use hyperm_sim::{NodeId, OpStats};
-use hyperm_telemetry::names;
+use hyperm_telemetry::Name;
 
 /// Heartbeat rounds a neighbour waits before declaring a node dead.
 pub const DETECT_TICKS: u64 = 3;
@@ -102,7 +102,7 @@ impl CanOverlay {
         if tel.is_enabled() {
             tel.event(
                 tel.scope(),
-                names::TAKEOVER,
+                Name::Takeover,
                 vec![
                     ("node", id.0.into()),
                     ("kind", kind.into()),
@@ -502,7 +502,7 @@ impl CanOverlay {
         if tel.is_enabled() {
             tel.event(
                 tel.scope(),
-                names::ZONE_SPLIT,
+                Name::ZoneSplit,
                 vec![
                     ("from", owner.0.into()),
                     ("to", to.0.into()),
@@ -515,7 +515,7 @@ impl CanOverlay {
                 // and folded straight into its primary.
                 tel.event(
                     tel.scope(),
-                    names::ZONE_MERGE,
+                    Name::ZoneMerge,
                     vec![("node", to.0.into()), ("axis", axis.into())],
                 );
             }
@@ -562,7 +562,7 @@ impl CanOverlay {
         if tel.is_enabled() {
             tel.event(
                 tel.scope(),
-                names::VNODE_MIGRATE,
+                Name::VnodeMigrate,
                 vec![
                     ("from", from.0.into()),
                     ("to", to.0.into()),
@@ -570,7 +570,7 @@ impl CanOverlay {
                 ],
             );
             if merged {
-                tel.event(tel.scope(), names::ZONE_MERGE, vec![("node", to.0.into())]);
+                tel.event(tel.scope(), Name::ZoneMerge, vec![("node", to.0.into())]);
             }
         }
         Some((frag, stats))

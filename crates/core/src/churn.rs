@@ -36,7 +36,7 @@ use crate::network::HypermNetwork;
 use crate::op::Op;
 use hyperm_can::{CanOverlay, RepairOutcome};
 use hyperm_sim::{FaultConfig, FaultReport, NodeId, OpStats};
-use hyperm_telemetry::{names, Fields, OpKind, SpanId};
+use hyperm_telemetry::{Fields, Name, OpKind, SpanId};
 
 /// Cost record of an overlay-level membership change, summed over the
 /// per-level overlays.
@@ -126,7 +126,7 @@ impl HypermNetwork {
             self.recorder(),
             SpanId::NONE,
             OpKind::Repair,
-            names::REPAIR_STEP,
+            Name::RepairStep,
             fields,
         )
     }

@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn latecomer_publishes_are_accounted_like_builds() {
         use hyperm_sim::OpKind;
-        use hyperm_telemetry::{names, EventClass, Recorder};
+        use hyperm_telemetry::{EventClass, Name, Recorder};
         let mut net = build(OverlayBackend::Can);
         let (rec, ring) = Recorder::ring(1 << 16);
         net.set_recorder(rec.clone());
@@ -205,7 +205,7 @@ mod tests {
         let spans = ring
             .events()
             .into_iter()
-            .filter(|e| e.name == names::PUBLISH);
+            .filter(|e| e.name == Name::Publish);
         let starts = spans.filter(|e| e.class == EventClass::Start).count();
         assert_eq!(starts as u64, report.clusters_published);
         let snap = rec.metrics().unwrap().snapshot();

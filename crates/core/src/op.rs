@@ -4,7 +4,7 @@
 //! built by closures that never run, so nothing is allocated.
 
 use hyperm_sim::{OpKind, OpStats};
-use hyperm_telemetry::{names, Fields, Recorder, SpanId};
+use hyperm_telemetry::{Fields, Name, Recorder, SpanId};
 
 /// The `hops`, `messages` and `bytes` fields most spans end with.
 pub(crate) fn cost_fields(s: &OpStats) -> Fields {
@@ -18,7 +18,7 @@ pub(crate) fn cost_fields(s: &OpStats) -> Fields {
 /// An operation in flight: its span and the cost accumulated so far.
 pub(crate) struct Op {
     rec: Recorder,
-    name: &'static str,
+    name: Name,
     pub(crate) kind: OpKind,
     /// The op's span (`NONE` untraced).
     pub(crate) span: SpanId,
@@ -50,7 +50,7 @@ impl Op {
         rec: &Recorder,
         parent: SpanId,
         kind: OpKind,
-        name: &'static str,
+        name: Name,
         fields: impl FnOnce() -> Fields,
     ) -> Op {
         let span = rec.is_enabled().then(|| rec.span(parent, name, fields()));
@@ -76,7 +76,7 @@ impl Op {
     ) -> T {
         let traced = overlay.is_enabled();
         let span = match lookup {
-            Some(fields) if traced => overlay.span(self.span, names::OVERLAY_LOOKUP, fields()),
+            Some(fields) if traced => overlay.span(self.span, Name::OverlayLookup, fields()),
             _ => self.span,
         };
         let mut lv = Level {
@@ -88,7 +88,7 @@ impl Op {
         overlay.set_scope(SpanId::NONE);
         if let Some(tail) = lv.tail {
             let fields = [cost_fields(&lv.stats), tail].concat();
-            overlay.end(span, names::OVERLAY_LOOKUP, fields);
+            overlay.end(span, Name::OverlayLookup, fields);
         }
         let cell = if lookup.is_some() { overlay } else { &self.rec };
         cell.record_op(self.kind, Some(l), lv.stats);

@@ -22,7 +22,7 @@ use crate::network::HypermNetwork;
 use crate::op::{cost_fields, Op};
 use hyperm_can::{InsertOutcome, ObjectRef};
 use hyperm_sim::{NodeId, OpStats};
-use hyperm_telemetry::{counters, names, OpKind, SpanId};
+use hyperm_telemetry::{Counter, Name, OpKind, SpanId};
 
 /// A published cluster sphere, by position: `peer`'s cluster `cluster` at
 /// wavelet level `level`. The unit of delivery accounting.
@@ -89,7 +89,7 @@ impl HypermNetwork {
         let (key, key_radius, payload) = self.sphere_object(peer, l, c);
         let replicate = self.config.replicate;
         let ltel = self.level_recorder(l);
-        let mut op = Op::open(&ltel, SpanId::NONE, OpKind::Publish, names::PUBLISH, || {
+        let mut op = Op::open(&ltel, SpanId::NONE, OpKind::Publish, Name::Publish, || {
             vec![("peer", peer.into()), ("cluster", c.into())]
         });
         let out = op.level(l, &ltel, None, |lv| {
@@ -142,7 +142,7 @@ impl HypermNetwork {
             self.recorder(),
             SpanId::NONE,
             OpKind::Refresh,
-            names::REFRESH,
+            Name::Refresh,
             || vec![("peer", peer.into())],
         );
         let mut report = PublishReport::default();
@@ -182,10 +182,10 @@ impl HypermNetwork {
                 let tel = self.recorder();
                 if tel.is_enabled() {
                     let fields = vec![("evicted", evicted.into())];
-                    tel.event(op.span, names::CACHE_EVICT, fields);
+                    tel.event(op.span, Name::CacheEvict, fields);
                 }
                 if let Some(m) = tel.metrics() {
-                    m.add(counters::CACHE_EVICTIONS, evicted);
+                    m.add(Counter::CacheEvictions, evicted);
                 }
             }
         }

@@ -25,7 +25,7 @@ use crate::query::{QueryBudget, QueryRun, Reply};
 use crate::score::{aggregate, peers_to_cover, LevelScorer, PeerScore};
 use hyperm_geometry::{solve_epsilon_for_k, ClusterView};
 use hyperm_sim::{NodeId, OpStats};
-use hyperm_telemetry::{names, OpKind};
+use hyperm_telemetry::{Name, OpKind};
 
 /// Tuning of the k-nn heuristic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -146,7 +146,7 @@ impl HypermNetwork {
                     if ltel.is_enabled() {
                         ltel.event(
                             ltel.scope(),
-                            names::PROBE,
+                            Name::Probe,
                             vec![("radius", probe.into()), ("in_view", in_view.into())],
                         );
                     }

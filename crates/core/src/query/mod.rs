@@ -39,7 +39,7 @@ use crate::network::HypermNetwork;
 use crate::op::{cost_fields, Op};
 use crate::score::PeerScore;
 use hyperm_sim::OpStats;
-use hyperm_telemetry::{names, Fields, OpKind};
+use hyperm_telemetry::{Fields, Name, OpKind};
 
 /// Failure-tolerance budget for the phase-2 direct fetch.
 ///
@@ -75,12 +75,6 @@ impl Default for QueryBudget {
 }
 
 impl QueryBudget {
-    /// Builder-style timeout override.
-    pub fn with_fetch_timeout(mut self, ticks: u64) -> Self {
-        self.fetch_timeout = ticks;
-        self
-    }
-
     /// Builder-style deadline override.
     pub fn with_deadline(mut self, hops: u64) -> Self {
         self.deadline = Some(hops);
@@ -184,7 +178,7 @@ impl<'a> QueryRun<'a> {
         let t0 = tel.is_enabled().then(std::time::Instant::now);
         // Roots under the recorder's ambient scope — NONE standalone, the
         // serve span when a node runtime is dispatching us.
-        let op = Op::open(tel, tel.scope(), kind, names::QUERY, || {
+        let op = Op::open(tel, tel.scope(), kind, Name::Query, || {
             let head = vec![("kind", label.into()), ("from", from_peer.into())];
             [head, extra()].concat()
         });
@@ -238,7 +232,7 @@ impl<'a> QueryRun<'a> {
                         };
                         if traced {
                             let fields = silent.fetch_fields(ps.peer, false, q_bytes);
-                            tel.event(self.op.span, names::FETCH, fields);
+                            tel.event(self.op.span, Name::Fetch, fields);
                         }
                         contacted += 1;
                     }
@@ -249,7 +243,7 @@ impl<'a> QueryRun<'a> {
                         if traced {
                             tel.count_event(
                                 self.op.span,
-                                names::FETCH_TIMEOUT,
+                                Name::FetchTimeout,
                                 vec![
                                     ("peer", ps.peer.into()),
                                     ("ticks", ticks.into()),
@@ -264,7 +258,7 @@ impl<'a> QueryRun<'a> {
             if idx >= target && traced {
                 tel.count_event(
                     self.op.span,
-                    names::FETCH_FALLBACK,
+                    Name::FetchFallback,
                     vec![("peer", ps.peer.into()), ("rank", idx.into())],
                 );
             }
@@ -278,7 +272,7 @@ impl<'a> QueryRun<'a> {
             self.phase2_hops += 2;
             if traced {
                 let fields = reply.fetch_fields(ps.peer, true, q_bytes + resp_bytes);
-                tel.event(self.op.span, names::FETCH, fields);
+                tel.event(self.op.span, Name::Fetch, fields);
             }
         }
         contacted

@@ -14,7 +14,7 @@ use crate::network::HypermNetwork;
 use crate::query::{QueryBudget, QueryRun, Reply};
 use crate::score::{aggregate, LevelScorer, PeerScore};
 use hyperm_sim::{NodeId, OpStats};
-use hyperm_telemetry::{names, OpKind};
+use hyperm_telemetry::{Name, OpKind};
 
 /// Outcome of a distributed range query.
 #[derive(Debug, Clone)]
@@ -105,7 +105,7 @@ impl HypermNetwork {
                     if ltel.is_enabled() {
                         ltel.event(
                             qspan,
-                            names::CACHE_HIT,
+                            Name::CacheHit,
                             vec![("level", l.into()), ("peers", scores.len().into())],
                         );
                     }
@@ -131,7 +131,7 @@ impl HypermNetwork {
             if let Some(cache) = self.summary_cache() {
                 cache.insert(from_peer, l, &key, key_eps, &scores);
                 if ltel.is_enabled() {
-                    ltel.event(qspan, names::CACHE_MISS, vec![("level", l.into())]);
+                    ltel.event(qspan, Name::CacheMiss, vec![("level", l.into())]);
                 }
             }
             per_level.push(scores);
@@ -141,7 +141,7 @@ impl HypermNetwork {
             for ps in &ranked {
                 tel.event(
                     qspan,
-                    names::SCORE,
+                    Name::Score,
                     vec![("peer", ps.peer.into()), ("score", ps.score.into())],
                 );
             }
@@ -382,7 +382,7 @@ mod adaptive_tests {
     #[test]
     fn adaptive_pays_phase_one_once() {
         use hyperm_sim::LoadLedger;
-        use hyperm_telemetry::{names, EventClass, Recorder};
+        use hyperm_telemetry::{EventClass, Name, Recorder};
         use std::sync::Arc;
 
         let run = |adaptive: Option<usize>| {
@@ -397,12 +397,12 @@ mod adaptive_tests {
                 Some(budget) => net.range_query(0, &q, 0.4, Some(budget)),
             };
             let events = ring.events();
-            let starts = |name: &str| {
+            let starts = |name: Name| {
                 let opens = events.iter().filter(|e| e.class == EventClass::Start);
                 opens.filter(|e| e.name == name).count()
             };
-            assert_eq!(starts(names::QUERY), 1);
-            assert_eq!(starts(names::OVERLAY_LOOKUP), net.levels());
+            assert_eq!(starts(Name::Query), 1);
+            assert_eq!(starts(Name::OverlayLookup), net.levels());
             (res, ledger.per_peer())
         };
         let (adaptive, adaptive_load) = run(None);

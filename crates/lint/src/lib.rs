@@ -4,9 +4,8 @@
 //! serial and faults-off == legacy acceptance suites, byte-equal
 //! telemetry streams) rests on **bit-identical replay**. Nothing in the
 //! type system stops a future change from iterating a `HashMap` into a
-//! result, reading the wall clock on a scoring path, or inventing a
-//! telemetry event name the forensics tooling has never heard of — so
-//! this crate machine-checks those project invariants the way mature
+//! result or reading the wall clock on a scoring path — so this crate
+//! machine-checks those project invariants the way mature
 //! systems repos encode review folklore as custom lints. Dep-free (the
 //! workspace builds offline) and token-level: a small lexer
 //! ([`lexer`]), not a full parser.
@@ -20,8 +19,6 @@
 //!   (`panic-unwrap`), `panic!`-family macros (`panic-explicit`) and
 //!   direct indexing (`panic-index`) on the query/publish/repair hot
 //!   paths;
-//! * **telemetry taxonomy** ([`passes::taxonomy`]) — emit-site names
-//!   must come from `hyperm_telemetry::names::ALL` (`tel-taxonomy`);
 //! * **facade** ([`passes::facade`]) — root public types of core crates
 //!   are re-exported from `hyperm` or excluded in
 //!   `crates/lint/facade.allow` (`facade-export`);
@@ -35,7 +32,9 @@
 //!
 //! Protocol consistency is not a pass: the wire protocol is one
 //! `protocol!` list in `hyperm_can::codec`, and the compiler checks it
-//! (DESIGN.md, "Protocol consistency").
+//! (DESIGN.md, "Protocol consistency"). Nor is the telemetry taxonomy:
+//! event and counter names are the `hyperm_telemetry::{Name, Counter}`
+//! enums, so an unknown name does not compile.
 //!
 //! Suppressions: `// hyperm-lint: allow(<rule>) — <reason>` on the
 //! flagged line or the line above; `allow-file(<rule>) — <reason>`
@@ -66,7 +65,6 @@ pub const RULES: &[&str] = &[
     "panic-unwrap",
     "panic-explicit",
     "panic-index",
-    "tel-taxonomy",
     "facade-export",
     "conc-lock-order",
     "conc-blocking-hold",
@@ -79,7 +77,6 @@ pub const RULES: &[&str] = &[
 pub const PASSES: &[&str] = &[
     "determinism",
     "panics",
-    "taxonomy",
     "concurrency",
     "wiretaint",
     "facade",
@@ -127,7 +124,6 @@ fn analyze(ctx: &FileCtx<'_>, clock: &mut PassClock) -> (Vec<Violation>, Vec<Loc
     let mut raw = Vec::new();
     raw.extend(clock.time("determinism", || passes::determinism::run(ctx)));
     raw.extend(clock.time("panics", || passes::panics::run(ctx)));
-    raw.extend(clock.time("taxonomy", || passes::taxonomy::run(ctx)));
     let (conc, edges) = clock.time("concurrency", || passes::concurrency::run(ctx));
     raw.extend(conc);
     raw.extend(clock.time("wiretaint", || passes::wiretaint::run(ctx)));

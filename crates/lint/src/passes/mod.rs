@@ -5,7 +5,6 @@ pub mod concurrency;
 pub mod determinism;
 pub mod facade;
 pub mod panics;
-pub mod taxonomy;
 pub mod wiretaint;
 
 use crate::lexer::{Tok, Token};

@@ -64,11 +64,6 @@ fn panic_index_fixture() {
 }
 
 #[test]
-fn tel_taxonomy_fixture() {
-    assert_single("tel_taxonomy.rs", "tel-taxonomy", 3);
-}
-
-#[test]
 fn lint_directive_fixture() {
     assert_single("lint_directive.rs", "lint-directive", 2);
 }

@@ -4,7 +4,7 @@
 use crate::{LoadConfig, LoadSnapshot};
 use hyperm_core::{HypermNetwork, SummaryCache};
 use hyperm_sim::{LoadLedger, NodeId, OpStats};
-use hyperm_telemetry::{counters, names, SpanId};
+use hyperm_telemetry::{Counter, Name, SpanId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -36,7 +36,6 @@ pub struct LoadBalancer {
     cfg: LoadConfig,
     ledger: Arc<LoadLedger>,
     cache: Option<Arc<SummaryCache>>,
-    placement: OpStats,
     rng: StdRng,
     /// Per-peer event totals at the end of the previous relieve round:
     /// decisions act on the load *since then*, not on all history — a
@@ -72,7 +71,6 @@ impl LoadBalancer {
             cfg,
             ledger,
             cache,
-            placement: OpStats::zero(),
             rng,
             last_events,
             last_heat,
@@ -106,11 +104,6 @@ impl LoadBalancer {
         self.cache.as_ref()
     }
 
-    /// Control-message cost of the join-time virtual-node placement.
-    pub fn placement_cost(&self) -> OpStats {
-        self.placement
-    }
-
     /// Current load distribution over `net`'s alive peers.
     pub fn snapshot(&self, net: &HypermNetwork) -> LoadSnapshot {
         LoadSnapshot::compute(&self.ledger, |p| net.is_alive(p))
@@ -138,8 +131,7 @@ impl LoadBalancer {
                 let point: Vec<f64> = (0..dim).map(|_| self.rng.gen()).collect();
                 let to = alive[grantee % alive.len()];
                 grantee += 1;
-                if let Some(stats) = net.split_zone(l, &point, to) {
-                    self.placement += stats;
+                if net.split_zone(l, &point, to).is_some() {
                     placed += 1;
                 }
             }
@@ -254,7 +246,7 @@ impl LoadBalancer {
                             report.stats += stats;
                             used.insert(cold);
                             if let Some(m) = net.recorder().metrics() {
-                                m.add(counters::VNODE_MIGRATIONS, 1);
+                                m.add(Counter::VnodeMigrations, 1);
                             }
                             break;
                         }
@@ -295,7 +287,7 @@ impl LoadBalancer {
                 if report.merges > 0 && tel.is_enabled() {
                     tel.event(
                         SpanId::NONE,
-                        names::ZONE_MERGE,
+                        Name::ZoneMerge,
                         vec![("merged", report.merges.into())],
                     );
                 }

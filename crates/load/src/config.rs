@@ -81,20 +81,9 @@ impl LoadConfig {
         self
     }
 
-    /// Override the cache capacity.
-    pub fn with_cache_capacity(mut self, entries: usize) -> Self {
-        self.cache_max_entries = entries;
-        self
-    }
-
     /// Override the placement seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Whether any relief mechanism (beyond measurement) is enabled.
-    pub fn any_relief(&self) -> bool {
-        self.virtual_nodes > 0 || self.rebalance || self.splits || self.cache
     }
 }

@@ -30,7 +30,7 @@
 use hyperm_cluster::Dataset;
 use hyperm_core::{ChurnOutcome, HypermNetwork, JoinError, SphereRef};
 use hyperm_sim::{FaultConfig, OpStats, PartitionPlan};
-use hyperm_telemetry::{counters, names, SpanId};
+use hyperm_telemetry::{Counter, Name, SpanId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -188,12 +188,6 @@ impl RepairEngine {
         &self.net
     }
 
-    /// Mutable access to the wrapped network (e.g. for queries that need
-    /// `&mut`, or manual maintenance).
-    pub fn network_mut(&mut self) -> &mut HypermNetwork {
-        &mut self.net
-    }
-
     /// Current sim time.
     pub fn now(&self) -> u64 {
         self.now
@@ -273,7 +267,7 @@ impl RepairEngine {
         if tel.is_enabled() {
             self.partition_span = tel.span(
                 SpanId::NONE,
-                names::PARTITION,
+                Name::Partition,
                 vec![
                     ("components", components.into()),
                     ("start", start.into()),
@@ -282,7 +276,7 @@ impl RepairEngine {
             );
         }
         if let Some(m) = tel.metrics() {
-            m.add(names::PARTITION, 1);
+            m.add(Name::Partition, 1);
         }
     }
 
@@ -297,12 +291,12 @@ impl RepairEngine {
         if tel.is_enabled() {
             tel.count_event(
                 self.partition_span,
-                names::HEAL,
+                Name::Heal,
                 vec![("t", self.now.into())],
             );
             tel.end(
                 self.partition_span,
-                names::PARTITION,
+                Name::Partition,
                 vec![("healed_at", self.now.into())],
             );
         }
@@ -354,7 +348,7 @@ impl RepairEngine {
             if tel.is_enabled() {
                 tel.count_event(
                     SpanId::NONE,
-                    names::PUBLISH_RETRY,
+                    Name::PublishRetry,
                     vec![
                         ("peer", s.peer.into()),
                         ("level", s.level.into()),
@@ -387,7 +381,7 @@ impl RepairEngine {
             if tel.is_enabled() {
                 tel.count_event(
                     SpanId::NONE,
-                    names::PUBLISH_ABANDONED,
+                    Name::PublishAbandoned,
                     vec![
                         ("peer", s.peer.into()),
                         ("level", s.level.into()),
@@ -404,7 +398,7 @@ impl RepairEngine {
             self.deferred.push((s, attempts));
             self.stats.publishes_deferred += 1;
             if let Some(m) = self.net.recorder().metrics() {
-                m.add(counters::PUBLISH_DEFERRED, 1);
+                m.add(Counter::PublishDeferred, 1);
             }
         }
     }
@@ -455,7 +449,7 @@ impl RepairEngine {
         if tel.is_enabled() {
             tel.event(
                 hyperm_telemetry::SpanId::NONE,
-                names::JOIN,
+                Name::Join,
                 vec![("peer", report.peer.into())],
             );
         }

@@ -7,9 +7,9 @@
 //! retry budget), **delayed** (extra ticks on the critical path), or hit a
 //! **dead recipient** (no retry helps; the sender must reroute around it).
 //!
-//! Each logical hop is resolved through its own tiny [`EventQueue`]
-//! timeline: the first transmission fires at `t = 0`, every retransmission
-//! is scheduled one retry gap after the drop it answers — the configured
+//! Each logical hop is resolved by an attempt loop over its own timeline:
+//! the first transmission fires at `t = 0`, every retransmission fires
+//! one retry gap after the drop it answers — the configured
 //! [`Backoff`] schedule: a fixed one-tick spacing by default, or an
 //! exponential one with deterministic seeded jitter — and the returned
 //! tick count is the sim-time the hop occupied, so delays and
@@ -20,8 +20,6 @@
 //! queries run their levels serially, so the same seed replays the same
 //! fault sequence.
 
-use crate::event::{EventQueue, SimTime};
-use crate::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -287,14 +285,12 @@ impl FaultInjector {
         self.report
     }
 
-    /// Resolve one logical hop: play the transmission/retry timeline on an
-    /// event queue and report how (and whether) the message got through.
+    /// Resolve one logical hop: play the transmission/retry timeline and
+    /// report how (and whether) the message got through.
     pub fn hop(&mut self) -> HopDelivery {
-        // Payload = attempt number; each retransmission is a later event.
-        let mut queue: EventQueue<u32> = EventQueue::new();
-        queue.push(SimTime(0), NodeId(0), 0);
-        while let Some(ev) = queue.pop() {
-            let attempt = ev.payload;
+        // `t` is the send time of transmission `attempt`.
+        let (mut attempt, mut t) = (0u32, 0u64);
+        loop {
             self.report.attempts += 1;
             if self.rng.gen::<f64>() < self.cfg.dead_prob {
                 // Recipient is down: retrying cannot help, but the sender
@@ -302,26 +298,23 @@ impl FaultInjector {
                 self.report.dead_hops += 1;
                 return HopDelivery::Unreachable {
                     attempts: attempt + 1,
-                    ticks: ev.time.0 + self.cfg.backoff.gap(attempt),
+                    ticks: t + self.cfg.backoff.gap(attempt),
                 };
             }
             if self.rng.gen::<f64>() < self.cfg.drop_prob {
                 self.report.drops += 1;
                 if attempt < self.cfg.max_retries {
-                    queue.push(
-                        SimTime(ev.time.0 + self.cfg.backoff.gap(attempt)),
-                        NodeId(0),
-                        attempt + 1,
-                    );
+                    t += self.cfg.backoff.gap(attempt);
+                    attempt += 1;
                     continue;
                 }
                 self.report.exhausted += 1;
                 return HopDelivery::Unreachable {
                     attempts: attempt + 1,
-                    ticks: ev.time.0 + self.cfg.backoff.gap(attempt),
+                    ticks: t + self.cfg.backoff.gap(attempt),
                 };
             }
-            let mut ticks = ev.time.0 + 1;
+            let mut ticks = t + 1;
             if self.rng.gen::<f64>() < self.cfg.delay_prob {
                 self.report.delays += 1;
                 ticks += self.rng.gen_range(1..=self.cfg.max_delay.max(1));
@@ -331,7 +324,6 @@ impl FaultInjector {
                 ticks,
             };
         }
-        unreachable!("the first transmission is always queued")
     }
 }
 
@@ -506,5 +498,89 @@ mod tests {
             }
             other => panic!("expected exhaustion, got {other:?}"),
         }
+    }
+
+    impl FaultInjector {
+        /// The event-queue timeline `hop` replaced, kept verbatim as the
+        /// reference the attempt loop must reproduce draw for draw.
+        fn hop_via_queue(&mut self) -> HopDelivery {
+            use crate::event::{EventQueue, SimTime};
+            use crate::NodeId;
+            // Payload = attempt number; each retransmission is a later event.
+            let mut queue: EventQueue<u32> = EventQueue::new();
+            queue.push(SimTime(0), NodeId(0), 0);
+            while let Some(ev) = queue.pop() {
+                let attempt = ev.payload;
+                self.report.attempts += 1;
+                if self.rng.gen::<f64>() < self.cfg.dead_prob {
+                    // Recipient is down: retrying cannot help, but the sender
+                    // still waits out one ack gap before concluding that.
+                    self.report.dead_hops += 1;
+                    return HopDelivery::Unreachable {
+                        attempts: attempt + 1,
+                        ticks: ev.time.0 + self.cfg.backoff.gap(attempt),
+                    };
+                }
+                if self.rng.gen::<f64>() < self.cfg.drop_prob {
+                    self.report.drops += 1;
+                    if attempt < self.cfg.max_retries {
+                        queue.push(
+                            SimTime(ev.time.0 + self.cfg.backoff.gap(attempt)),
+                            NodeId(0),
+                            attempt + 1,
+                        );
+                        continue;
+                    }
+                    self.report.exhausted += 1;
+                    return HopDelivery::Unreachable {
+                        attempts: attempt + 1,
+                        ticks: ev.time.0 + self.cfg.backoff.gap(attempt),
+                    };
+                }
+                let mut ticks = ev.time.0 + 1;
+                if self.rng.gen::<f64>() < self.cfg.delay_prob {
+                    self.report.delays += 1;
+                    ticks += self.rng.gen_range(1..=self.cfg.max_delay.max(1));
+                }
+                return HopDelivery::Delivered {
+                    attempts: attempt + 1,
+                    ticks,
+                };
+            }
+            unreachable!("the first transmission is always queued")
+        }
+    }
+
+    #[test]
+    fn attempt_loop_replays_the_event_queue_timeline() {
+        let backoffs = [
+            Backoff::default(),
+            Backoff::fixed(3),
+            Backoff::exponential(2, 100),
+            Backoff::exponential(1, 64).with_jitter(3, 42),
+        ];
+        let mut hops = 0;
+        for seed in 0..8u64 {
+            for &drop in &[0.0, 0.2, 0.6, 1.0] {
+                for &dead in &[0.0, 0.05, 0.5] {
+                    for (b, &backoff) in backoffs.iter().enumerate() {
+                        let cfg = FaultConfig::lossy(drop)
+                            .with_seed(seed)
+                            .with_dead_prob(dead)
+                            .with_delay(0.3, 4)
+                            .with_max_retries(b as u32)
+                            .with_backoff(backoff);
+                        let (mut fast, mut reference) =
+                            (FaultInjector::new(cfg), FaultInjector::new(cfg));
+                        for _ in 0..40 {
+                            assert_eq!(fast.hop(), reference.hop_via_queue(), "{cfg:?}");
+                            assert_eq!(fast.report(), reference.report(), "{cfg:?}");
+                            hops += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(hops, 8 * 4 * 3 * 4 * 40);
     }
 }

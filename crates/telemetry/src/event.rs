@@ -8,6 +8,7 @@
 //! same seed produce identical streams.
 
 use crate::json::JsonObj;
+use crate::taxonomy::Name;
 
 /// Identifier of a span. `SpanId::NONE` (0) means "no span" — used both
 /// as the parent of root spans and as the return value of
@@ -207,7 +208,7 @@ pub struct Event {
     pub class: EventClass,
     /// Event name from the taxonomy (`query`, `overlay_lookup`,
     /// `route_hop`, `drop`, …).
-    pub name: &'static str,
+    pub name: Name,
     /// Span this record belongs to (its own id for Start/End).
     pub span: SpanId,
     /// Parent span (meaningful on Start and Instant records).
@@ -235,7 +236,7 @@ impl Event {
             .u("seq", self.seq)
             .u("t", self.t)
             .s("ev", self.class.name())
-            .s("name", self.name)
+            .s("name", self.name.as_str())
             .u("span", self.span.0)
             .u("parent", self.parent.0);
         if let Some(l) = self.level {
@@ -264,7 +265,7 @@ mod tests {
             seq: 3,
             t: 17,
             class: EventClass::Instant,
-            name: "route_hop",
+            name: Name::RouteHop,
             span: SpanId(5),
             parent: SpanId(2),
             level: Some(1),
@@ -287,7 +288,7 @@ mod tests {
             seq: 0,
             t: 0,
             class: EventClass::Start,
-            name: "query",
+            name: Name::Query,
             span: SpanId(1),
             parent: SpanId::NONE,
             level: None,

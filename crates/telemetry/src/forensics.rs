@@ -17,7 +17,7 @@
 
 use crate::event::{Event, EventClass, SpanId, Value};
 use crate::json::JsonValue;
-use crate::taxonomy;
+use crate::taxonomy::Name;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -28,7 +28,7 @@ pub struct SpanNode {
     /// Span id.
     pub id: SpanId,
     /// Span name (from the start record).
-    pub name: &'static str,
+    pub name: Name,
     /// Level tag of the emitting handle, if any.
     pub level: Option<u8>,
     /// The opening record (carries the input fields).
@@ -58,7 +58,7 @@ pub struct Trace {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseTotal {
     /// Span or event name.
-    pub name: &'static str,
+    pub name: Name,
     /// Number of spans (counted at end) or instant events.
     pub count: u64,
     /// Sum per numeric field name, over end-record fields (spans) or
@@ -109,9 +109,10 @@ impl Trace {
 
     /// Aggregate spans and events by name: the per-phase cost breakdown.
     pub fn phase_totals(&self) -> Vec<PhaseTotal> {
+        // Keyed by wire string: rows come out in name order.
         let mut totals: BTreeMap<&'static str, PhaseTotal> = BTreeMap::new();
-        let mut fold = |name: &'static str, fields: &[(&'static str, Value)]| {
-            let row = totals.entry(name).or_insert_with(|| PhaseTotal {
+        let mut fold = |name: Name, fields: &[(&'static str, Value)]| {
+            let row = totals.entry(name.as_str()).or_insert_with(|| PhaseTotal {
                 name,
                 count: 0,
                 fields: BTreeMap::new(),
@@ -194,12 +195,12 @@ impl Trace {
     }
 
     /// All spans named `name`, in start order.
-    pub fn spans_named(&self, name: &str) -> Vec<&SpanNode> {
+    pub fn spans_named(&self, name: Name) -> Vec<&SpanNode> {
         self.spans.iter().filter(|s| s.name == name).collect()
     }
 
     /// Count of instant events named `name` anywhere in the trace.
-    pub fn event_count(&self, name: &str) -> usize {
+    pub fn event_count(&self, name: Name) -> usize {
         self.spans
             .iter()
             .flat_map(|s| s.events.iter())
@@ -209,23 +210,14 @@ impl Trace {
     }
 }
 
-/// Intern a string so it can live in [`Event::name`] / field keys
-/// (`&'static str`). Canonical taxonomy names resolve without leaking;
-/// anything else leaks once per distinct string, bounded by the
+/// Field keys interned by [`intern`].
+static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+
+/// Intern a field key so it can live in [`Event::fields`]
+/// (`&'static str`). Each distinct key leaks once, bounded by the
 /// vocabulary of the parsed streams.
 fn intern(s: &str) -> &'static str {
-    for &n in taxonomy::names::ALL {
-        if n == s {
-            return n;
-        }
-    }
-    for &n in taxonomy::counters::ALL {
-        if n == s {
-            return n;
-        }
-    }
-    static CACHE: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut cache = match CACHE.lock() {
+    let mut cache = match INTERNED.lock() {
         Ok(g) => g,
         Err(p) => p.into_inner(),
     };
@@ -237,9 +229,10 @@ fn intern(s: &str) -> &'static str {
     leaked
 }
 
-/// Decode one JSONL line (as written by [`Event::to_json_line`]) back
-/// into an [`Event`]. `None` when required keys are missing/ill-typed.
-fn event_from_json(v: &JsonValue) -> Option<Event> {
+/// Decode one JSONL line (as written by [`Event::to_json_line`]) whose
+/// `name` is `name` back into an [`Event`]. `None` when required keys
+/// are missing/ill-typed.
+fn event_from_json(v: &JsonValue, name: Name) -> Option<Event> {
     let fields_in = v.as_obj()?;
     let u = |key: &str| v.get(key).and_then(JsonValue::as_u64);
     let class = match v.get("ev")?.as_str()? {
@@ -256,7 +249,7 @@ fn event_from_json(v: &JsonValue) -> Option<Event> {
         seq: u("seq")?,
         t: u("t")?,
         class,
-        name: intern(v.get("name")?.as_str()?),
+        name,
         span: SpanId(u("span")?),
         parent: SpanId(u("parent")?),
         level,
@@ -288,15 +281,24 @@ fn event_from_json(v: &JsonValue) -> Option<Event> {
 }
 
 /// Parse a JSONL sink's contents back into events. Blank lines are
-/// skipped; a malformed line is an error naming its line number.
+/// skipped; a malformed line, or one whose name is not a [`Name`], is an
+/// error naming its line number.
 pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let v = JsonValue::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        out.push(event_from_json(&v).ok_or_else(|| format!("line {}: not an event", i + 1))?);
+        let n = i + 1;
+        let v = JsonValue::parse(line).map_err(|e| format!("line {n}: {e}"))?;
+        let not_event = || format!("line {n}: not an event");
+        let name = v
+            .get("name")
+            .and_then(JsonValue::as_str)
+            .ok_or_else(not_event)?;
+        let name =
+            Name::parse(name).ok_or_else(|| format!("line {n}: unknown event name {name:?}"))?;
+        out.push(event_from_json(&v, name).ok_or_else(not_event)?);
     }
     Ok(out)
 }
@@ -423,47 +425,50 @@ mod tests {
     #[test]
     fn tree_reconstruction_and_breakdown() {
         let (rec, ring) = Recorder::ring(64);
-        let q = rec.span(SpanId::NONE, "query", vec![("eps", 0.2f64.into())]);
+        let q = rec.span(SpanId::NONE, Name::Query, vec![("eps", 0.2f64.into())]);
         let l0 = rec.scoped(0);
-        let look = l0.span(q, "overlay_lookup", vec![]);
+        let look = l0.span(q, Name::OverlayLookup, vec![]);
         l0.event(
             look,
-            "route_hop",
+            Name::RouteHop,
             vec![("from", 0u64.into()), ("to", 2u64.into())],
         );
         l0.event(
             look,
-            "route_hop",
+            Name::RouteHop,
             vec![("from", 2u64.into()), ("to", 5u64.into())],
         );
-        l0.end(look, "overlay_lookup", vec![("hops", 2u64.into())]);
+        l0.end(look, Name::OverlayLookup, vec![("hops", 2u64.into())]);
         rec.event(
             q,
-            "fetch",
+            Name::Fetch,
             vec![("peer", 5u64.into()), ("bytes", 128u64.into())],
         );
-        rec.end(q, "query", vec![("hops", 4u64.into())]);
+        rec.end(q, Name::Query, vec![("hops", 4u64.into())]);
         let trace = Trace::from_events(&ring.events());
 
         assert_eq!(trace.roots.len(), 1);
         let root = &trace.spans[trace.roots[0]];
-        assert_eq!(root.name, "query");
+        assert_eq!(root.name, Name::Query);
         assert_eq!(root.children.len(), 1);
         assert_eq!(root.events.len(), 1);
         let child = &trace.spans[root.children[0]];
-        assert_eq!(child.name, "overlay_lookup");
+        assert_eq!(child.name, Name::OverlayLookup);
         assert_eq!(child.level, Some(0));
         assert_eq!(child.events.len(), 2);
         assert!(child.end.is_some());
         assert!(trace.orphans.is_empty());
 
         let totals = trace.phase_totals();
-        let hops_row = totals.iter().find(|t| t.name == "route_hop").unwrap();
+        let hops_row = totals.iter().find(|t| t.name == Name::RouteHop).unwrap();
         assert_eq!(hops_row.count, 2);
-        let lookup_row = totals.iter().find(|t| t.name == "overlay_lookup").unwrap();
+        let lookup_row = totals
+            .iter()
+            .find(|t| t.name == Name::OverlayLookup)
+            .unwrap();
         assert_eq!(lookup_row.fields.get("hops"), Some(&2.0));
-        assert_eq!(trace.event_count("route_hop"), 2);
-        assert_eq!(trace.spans_named("overlay_lookup").len(), 1);
+        assert_eq!(trace.event_count(Name::RouteHop), 2);
+        assert_eq!(trace.spans_named(Name::OverlayLookup).len(), 1);
 
         let text = trace.render();
         assert!(text.starts_with("query eps=0.2"));
@@ -475,10 +480,10 @@ mod tests {
     #[test]
     fn orphans_are_kept() {
         let (rec, ring) = Recorder::ring(8);
-        rec.event(SpanId(99), "drop", vec![]);
+        rec.event(SpanId(99), Name::Drop, vec![]);
         let trace = Trace::from_events(&ring.events());
         assert_eq!(trace.orphans.len(), 1);
-        assert_eq!(trace.event_count("drop"), 1);
+        assert_eq!(trace.event_count(Name::Drop), 1);
         assert!(trace.render().contains("(unparented)"));
     }
 
@@ -486,11 +491,11 @@ mod tests {
     fn jsonl_roundtrips_through_parser() {
         let (rec, ring) = Recorder::ring(16);
         rec.set_time(5);
-        let q = rec.span(SpanId::NONE, "query", vec![("eps", 0.25f64.into())]);
+        let q = rec.span(SpanId::NONE, Name::Query, vec![("eps", 0.25f64.into())]);
         let l1 = rec.scoped(1);
         l1.event(
             q,
-            "route_hop",
+            Name::RouteHop,
             vec![
                 ("from", 2u64.into()),
                 ("ok", true.into()),
@@ -498,7 +503,7 @@ mod tests {
                 ("bias", (-3i64).into()),
             ],
         );
-        rec.end(q, "query", vec![("hops", 1u64.into())]);
+        rec.end(q, Name::Query, vec![("hops", 1u64.into())]);
         let events = ring.events();
         let text: String = events
             .iter()
@@ -506,12 +511,23 @@ mod tests {
             .collect();
         let parsed = parse_jsonl(&text).unwrap();
         assert_eq!(parsed, events);
-        // Interning is stable: parsing twice yields pointer-equal names.
+        // Interning is stable: parsing twice yields pointer-equal keys.
         let again = parse_jsonl(&text).unwrap();
-        assert!(std::ptr::eq(parsed[0].name, again[0].name));
+        assert!(std::ptr::eq(parsed[0].fields[0].0, again[0].fields[0].0));
         assert!(parse_jsonl("{\"seq\": 1}\n").is_err());
         assert!(parse_jsonl("not json\n").is_err());
         assert!(parse_jsonl("\n\n").unwrap().is_empty());
+    }
+
+    #[test]
+    fn unknown_name_is_an_error_and_is_not_interned() {
+        let good = r#"{"seq": 0, "t": 0, "ev": "event", "name": "drop", "span": 0, "parent": 0}"#;
+        let bad = r#"{"seq": 1, "t": 0, "ev": "event", "name": "mystery_event", "span": 0, "parent": 0, "mystery_key": 1}"#;
+        let err = parse_jsonl(&format!("{good}\n\n{bad}\n")).unwrap_err();
+        assert_eq!(err, "line 3: unknown event name \"mystery_event\"");
+        let interned = INTERNED.lock().unwrap_or_else(|p| p.into_inner());
+        assert!(!interned.contains(&"mystery_event"));
+        assert!(!interned.contains(&"mystery_key"));
     }
 
     #[test]
@@ -520,11 +536,11 @@ mod tests {
         let (mrec, mring) = Recorder::ring(16);
         let mserve = mrec.span(
             SpanId::NONE,
-            "serve",
+            Name::Serve,
             vec![("from", 99u64.into()), ("kind", "query".into())],
         );
-        mrec.event(mserve, "forward", vec![("kind", "query".into())]);
-        mrec.end(mserve, "serve", vec![]);
+        mrec.event(mserve, Name::Forward, vec![("kind", "query".into())]);
+        mrec.end(mserve, Name::Serve, vec![]);
 
         // Head node 10: its serve span carries the member's trace context
         // (ctx_span = member serve span id, from = member's peer id), and
@@ -532,7 +548,7 @@ mod tests {
         let (hrec, hring) = Recorder::ring(16);
         let hserve = hrec.span(
             SpanId::NONE,
-            "serve",
+            Name::Serve,
             vec![
                 ("from", 20u64.into()),
                 ("kind", "query".into()),
@@ -540,9 +556,9 @@ mod tests {
                 ("ctx_span", mserve.0.into()),
             ],
         );
-        let q = hrec.span(hserve, "query", vec![("eps", 0.2f64.into())]);
-        hrec.end(q, "query", vec![("hops", 3u64.into())]);
-        hrec.end(hserve, "serve", vec![]);
+        let q = hrec.span(hserve, Name::Query, vec![("eps", 0.2f64.into())]);
+        hrec.end(q, Name::Query, vec![("hops", 3u64.into())]);
+        hrec.end(hserve, Name::Serve, vec![]);
 
         // Head stream listed FIRST: linking must not depend on order.
         let trace = merge_streams(&[(10, hring.events()), (20, mring.events())]);
@@ -553,16 +569,16 @@ mod tests {
             trace.render()
         );
         let root = &trace.spans[trace.roots[0]];
-        assert_eq!(root.name, "serve");
+        assert_eq!(root.name, Name::Serve);
         assert_eq!(root.start.u64_field("node"), Some(20));
         assert_eq!(root.children.len(), 1);
         let head_serve = &trace.spans[root.children[0]];
-        assert_eq!(head_serve.name, "serve");
+        assert_eq!(head_serve.name, Name::Serve);
         assert_eq!(head_serve.start.u64_field("node"), Some(10));
         assert_eq!(head_serve.start.u64_field("ctx_trace"), Some(42));
         assert_eq!(head_serve.children.len(), 1);
         let query = &trace.spans[head_serve.children[0]];
-        assert_eq!(query.name, "query");
+        assert_eq!(query.name, Name::Query);
         assert!(query.end.is_some());
         assert!(trace.orphans.is_empty());
         // Remapped ids are unique.
@@ -574,13 +590,13 @@ mod tests {
 
     #[test]
     fn merge_without_ctx_keeps_streams_as_separate_roots() {
-        let mk = |name: &'static str| {
+        let mk = |name: Name| {
             let (rec, ring) = Recorder::ring(8);
             let s = rec.span(SpanId::NONE, name, vec![]);
             rec.end(s, name, vec![]);
             ring.events()
         };
-        let trace = merge_streams(&[(1, mk("query")), (2, mk("publish"))]);
+        let trace = merge_streams(&[(1, mk(Name::Query)), (2, mk(Name::Publish))]);
         assert_eq!(trace.roots.len(), 2);
         assert_eq!(trace.spans.len(), 2);
     }

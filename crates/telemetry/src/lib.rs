@@ -31,8 +31,10 @@
 //!   bounded-depth reader) shared with the bench bins (the workspace has
 //!   no serde).
 //!
-//! Event taxonomy and span hierarchy are documented in DESIGN.md
-//! ("Observability"); sink formats in EXPERIMENTS.md.
+//! Event and counter names are the [`Name`] and [`Counter`] enums
+//! ([`taxonomy`]), so the compiler checks every emit site. The span
+//! hierarchy is documented in DESIGN.md ("Observability"); sink formats
+//! in EXPERIMENTS.md.
 //!
 //! No external dependencies: like the rest of the workspace this builds
 //! offline (see `vendor/`).
@@ -55,7 +57,7 @@ pub use json::{JsonError, JsonObj, JsonValue};
 pub use metrics::{CellSnapshot, HistSnapshot, Log2Hist, Metrics, MetricsSnapshot};
 pub use recorder::{JsonlSink, Recorder, RingHandle, Sink, TeeSink};
 pub use slo::{CmpOp, SloCheck, SloReport, SloRule};
-pub use taxonomy::{counters, names};
+pub use taxonomy::{Counter, Name};
 pub use window::{Window, WindowConfig, WindowSnapshot};
 
 // Re-exported so downstream crates can key metrics without an extra

@@ -11,6 +11,7 @@
 //! to the whole-op row, which additionally counts fetch traffic.
 
 use crate::json::JsonObj;
+use crate::taxonomy::Counter;
 use hyperm_sim::{OpKind, OpStats};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -122,7 +123,8 @@ fn level_key(level: Option<usize>) -> LevelKey {
 #[derive(Debug, Default)]
 pub struct Metrics {
     cells: Mutex<BTreeMap<(usize, LevelKey), Cell>>,
-    counters: Mutex<BTreeMap<String, u64>>,
+    /// Keyed by wire string, so snapshots list counters in name order.
+    counters: Mutex<BTreeMap<&'static str, u64>>,
 }
 
 impl Metrics {
@@ -153,17 +155,17 @@ impl Metrics {
     }
 
     /// Bump a named counter by `v`.
-    pub fn add(&self, name: &str, v: u64) {
+    pub fn add(&self, counter: impl Into<Counter>, v: u64) {
         let mut counters = self.counters.lock().expect("metrics poisoned");
-        *counters.entry(name.to_string()).or_insert(0) += v;
+        *counters.entry(counter.into().as_str()).or_insert(0) += v;
     }
 
     /// Read a named counter (0 when never bumped).
-    pub fn counter(&self, name: &str) -> u64 {
+    pub fn counter(&self, counter: impl Into<Counter>) -> u64 {
         self.counters
             .lock()
             .expect("metrics poisoned")
-            .get(name)
+            .get(counter.into().as_str())
             .copied()
             .unwrap_or(0)
     }
@@ -173,7 +175,7 @@ impl Metrics {
         let cells = self.cells.lock().expect("metrics poisoned");
         let counters = self.counters.lock().expect("metrics poisoned");
         MetricsSnapshot {
-            counters: counters.iter().map(|(k, &v)| (k.clone(), v)).collect(),
+            counters: counters.iter().map(|(k, &v)| (k.to_string(), v)).collect(),
             cells: cells
                 .iter()
                 .map(|(&(kind_idx, lvl), cell)| CellSnapshot {
@@ -355,8 +357,8 @@ mod tests {
         m.record_op(OpKind::RangeQuery, None, op);
         m.record_op(OpKind::Publish, Some(0), op);
         m.record_latency_s(OpKind::RangeQuery, None, 0.0025);
-        m.add("queries", 1);
-        m.add("queries", 2);
+        m.add(Counter::Queries, 1);
+        m.add(Counter::Queries, 2);
         let snap = m.snapshot();
         assert_eq!(snap.cells.len(), 4);
         assert_eq!(snap.counters, vec![("queries".to_string(), 3)]);

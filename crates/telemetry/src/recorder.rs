@@ -24,6 +24,7 @@
 
 use crate::event::{Event, EventClass, Fields, SpanId};
 use crate::metrics::Metrics;
+use crate::taxonomy::Name;
 use hyperm_sim::{OpKind, OpStats};
 use std::collections::VecDeque;
 use std::fmt;
@@ -264,14 +265,7 @@ impl Recorder {
             .unwrap_or(0)
     }
 
-    fn emit(
-        &self,
-        class: EventClass,
-        name: &'static str,
-        span: SpanId,
-        parent: SpanId,
-        fields: Fields,
-    ) {
+    fn emit(&self, class: EventClass, name: Name, span: SpanId, parent: SpanId, fields: Fields) {
         let Some(inner) = &self.inner else { return };
         let ev = Event {
             seq: inner.seq.fetch_add(1, Ordering::Relaxed),
@@ -288,7 +282,7 @@ impl Recorder {
 
     /// Open a span under `parent` (use [`SpanId::NONE`] for a root).
     /// Returns [`SpanId::NONE`] when disabled.
-    pub fn span(&self, parent: SpanId, name: &'static str, fields: Fields) -> SpanId {
+    pub fn span(&self, parent: SpanId, name: Name, fields: Fields) -> SpanId {
         let Some(inner) = &self.inner else {
             return SpanId::NONE;
         };
@@ -299,7 +293,7 @@ impl Recorder {
 
     /// Close `span`; `fields` carry its outcome. No-op when disabled or
     /// `span` is [`SpanId::NONE`].
-    pub fn end(&self, span: SpanId, name: &'static str, fields: Fields) {
+    pub fn end(&self, span: SpanId, name: Name, fields: Fields) {
         if span.is_none() {
             return;
         }
@@ -307,7 +301,22 @@ impl Recorder {
     }
 
     /// Emit an instantaneous event under `parent`.
-    pub fn event(&self, parent: SpanId, name: &'static str, fields: Fields) {
+    ///
+    /// The name is a [`Name`], so only taxonomy rows compile: a string
+    /// literal does not,
+    ///
+    /// ```compile_fail
+    /// # use hyperm_telemetry::{Recorder, SpanId};
+    /// Recorder::disabled().event(SpanId::NONE, "mystery_event", vec![]);
+    /// ```
+    ///
+    /// and neither does a counter-only aggregate:
+    ///
+    /// ```compile_fail
+    /// # use hyperm_telemetry::{Counter, Recorder, SpanId};
+    /// Recorder::disabled().event(SpanId::NONE, Counter::Queries, vec![]);
+    /// ```
+    pub fn event(&self, parent: SpanId, name: Name, fields: Fields) {
         if self.inner.is_none() {
             return;
         }
@@ -317,7 +326,7 @@ impl Recorder {
     /// Emit an instantaneous event under `parent` and bump the metrics
     /// counter of the same name: the pair every countable occurrence
     /// (`retry`, `gave_up`, `stale_reply`, …) is reported as.
-    pub fn count_event(&self, parent: SpanId, name: &'static str, fields: Fields) {
+    pub fn count_event(&self, parent: SpanId, name: Name, fields: Fields) {
         let Some(inner) = &self.inner else { return };
         self.emit(EventClass::Instant, name, parent, parent, fields);
         inner.metrics.add(name, 1);
@@ -360,10 +369,10 @@ mod tests {
     fn disabled_recorder_is_inert() {
         let rec = Recorder::disabled();
         assert!(!rec.is_enabled());
-        let s = rec.span(SpanId::NONE, "query", vec![]);
+        let s = rec.span(SpanId::NONE, Name::Query, vec![]);
         assert!(s.is_none());
-        rec.event(s, "route_hop", vec![("from", 1u64.into())]);
-        rec.end(s, "query", vec![]);
+        rec.event(s, Name::RouteHop, vec![("from", 1u64.into())]);
+        rec.end(s, Name::Query, vec![]);
         rec.record_op(OpKind::RangeQuery, None, OpStats::one_hop(8));
         rec.set_time(42);
         assert_eq!(rec.time(), 0);
@@ -374,22 +383,22 @@ mod tests {
     fn ring_captures_span_tree_and_clock() {
         let (rec, ring) = Recorder::ring(16);
         rec.set_time(7);
-        let q = rec.span(SpanId::NONE, "query", vec![("eps", 0.1f64.into())]);
+        let q = rec.span(SpanId::NONE, Name::Query, vec![("eps", 0.1f64.into())]);
         let lrec = rec.scoped(2);
         lrec.set_scope(q);
         lrec.event(
             lrec.scope(),
-            "route_hop",
+            Name::RouteHop,
             vec![("from", 0u64.into()), ("to", 3u64.into())],
         );
         rec.set_time(9);
-        rec.end(q, "query", vec![("hops", 1u64.into())]);
+        rec.end(q, Name::Query, vec![("hops", 1u64.into())]);
         let evs = ring.events();
         assert_eq!(evs.len(), 3);
         assert_eq!(evs[0].class, EventClass::Start);
         assert_eq!(evs[0].span, q);
         assert_eq!(evs[0].t, 7);
-        assert_eq!(evs[1].name, "route_hop");
+        assert_eq!(evs[1].name, Name::RouteHop);
         assert_eq!(evs[1].parent, q);
         assert_eq!(evs[1].level, Some(2));
         assert_eq!(evs[2].class, EventClass::End);
@@ -403,7 +412,7 @@ mod tests {
     fn ring_evicts_oldest_when_full() {
         let (rec, ring) = Recorder::ring(2);
         for _ in 0..5 {
-            rec.event(SpanId::NONE, "tick", vec![]);
+            rec.event(SpanId::NONE, Name::RouteHop, vec![]);
         }
         assert_eq!(ring.events().len(), 2);
         assert_eq!(ring.dropped(), 3);
@@ -416,8 +425,8 @@ mod tests {
         let (rec, ring) = Recorder::ring(16);
         let a = rec.scoped(0);
         let b = rec.scoped(1);
-        let sa = a.span(SpanId::NONE, "overlay_lookup", vec![]);
-        let sb = b.span(SpanId::NONE, "overlay_lookup", vec![]);
+        let sa = a.span(SpanId::NONE, Name::OverlayLookup, vec![]);
+        let sb = b.span(SpanId::NONE, Name::OverlayLookup, vec![]);
         assert_ne!(sa, sb, "span ids must be globally unique");
         a.set_scope(sa);
         b.set_scope(sb);
@@ -436,9 +445,9 @@ mod tests {
         let path = dir.join("events.jsonl");
         {
             let rec = Recorder::jsonl(&path).unwrap();
-            let s = rec.span(SpanId::NONE, "query", vec![]);
-            rec.event(s, "route_hop", vec![("from", 1u64.into())]);
-            rec.end(s, "query", vec![]);
+            let s = rec.span(SpanId::NONE, Name::Query, vec![]);
+            rec.event(s, Name::RouteHop, vec![("from", 1u64.into())]);
+            rec.end(s, Name::Query, vec![]);
             rec.flush();
         }
         let text = std::fs::read_to_string(&path).unwrap();

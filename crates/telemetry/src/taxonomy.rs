@@ -1,252 +1,245 @@
-//! The canonical event-name taxonomy.
+//! The canonical event-name taxonomy, as types.
 //!
-//! Every span or instant name passed to a [`crate::Recorder`] emit site
-//! (`span` / `event` / `end`) and every name the forensics matchers
-//! (`spans_named` / `event_count`) look for must come from this module —
-//! it is the single source of truth that keeps producers (overlay, query,
-//! publish, repair code) and consumers (`trace_query`, metrics dashboards,
-//! the integration tests) from drifting apart. `hyperm-lint`'s
-//! telemetry-taxonomy pass enforces this statically: a string literal at
-//! an emit site that is not in [`names::ALL`] is a lint violation.
-//!
-//! Naming convention (relied on by the lint's const resolution): each
-//! const is the SCREAMING_SNAKE_CASE spelling of its lowercase value,
-//! e.g. `names::OVERLAY_LOOKUP == "overlay_lookup"`. The
-//! `taxonomy_consts_match_values` test enforces the convention.
+//! Every span or instant a [`crate::Recorder`] emits (`span` / `event` /
+//! `end` / `count_event`) and every name the forensics matchers
+//! (`spans_named` / `event_count`) look for is a [`Name`]; every metrics
+//! counter is a [`Counter`] — an event's own [`Name`] or one of the
+//! counter-only aggregates. Producers (overlay, query, publish, repair,
+//! transport code) and consumers (`trace_query`, metrics dashboards, the
+//! integration tests) cannot drift apart: a name that is not a row here
+//! does not compile. Each row carries its doc line and its wire string —
+//! the exact bytes JSONL lines and metrics counter keys have always
+//! carried.
 
-/// Canonical span and instant-event names.
-pub mod names {
-    // ---- spans ----------------------------------------------------------
+use std::fmt;
 
-    /// Root span of one range/knn/point query.
-    pub const QUERY: &str = "query";
-    /// Per-level overlay range/point lookup inside a query.
-    pub const OVERLAY_LOOKUP: &str = "overlay_lookup";
-    /// Replica flood of one summary sphere (publish or lookup side).
-    pub const FLOOD: &str = "flood";
-    /// One peer publishing its per-level summaries.
-    pub const PUBLISH: &str = "publish";
-    /// One soft-state TTL refresh round.
-    pub const REFRESH: &str = "refresh";
-    /// One overlay repair step (merge/handoff/relocation round).
-    pub const REPAIR_STEP: &str = "repair_step";
-    /// Lifetime of an injected underlay partition (ends at heal).
-    pub const PARTITION: &str = "partition";
-    /// Lifetime of one transport endpoint (bind → close).
-    pub const TRANSPORT: &str = "transport";
-    /// One request served by a node runtime (recv → reply sent).
-    pub const SERVE: &str = "serve";
+/// One enum per row list: the variants, `as_str` (row → wire string),
+/// `parse` (wire string → row) and `Display` (the wire string). A
+/// `wraps Variant(Inner)` header adds a variant carrying every row of
+/// another such enum.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident $(wraps $wrap:ident($inner:ident) $wrap_doc:literal)? {
+            $( $(#[$attr:meta])* $var:ident = $wire:literal, )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $ty {
+            $( #[doc = $wrap_doc] $wrap($inner), )?
+            $( $(#[$attr])* $var, )*
+        }
 
-    // ---- instants -------------------------------------------------------
+        impl $ty {
+            /// The wire string (JSONL `name`, metrics counter key).
+            pub const fn as_str(self) -> &'static str {
+                match self {
+                    $( $ty::$wrap(inner) => inner.as_str(), )?
+                    $( $ty::$var => $wire, )*
+                }
+            }
 
-    /// One greedy CAN routing hop.
-    pub const ROUTE_HOP: &str = "route_hop";
-    /// A lossy hop was retried.
-    pub const RETRY: &str = "retry";
-    /// A message was dropped by fault injection.
-    pub const DROP: &str = "drop";
-    /// Routing reached a dead end (no live neighbour closer to target).
-    pub const DEAD_END: &str = "dead_end";
-    /// A node was visited during a flood walk.
-    pub const VISIT: &str = "visit";
-    /// A flood edge was traversed.
-    pub const FLOOD_EDGE: &str = "flood_edge";
-    /// A replica of a summary sphere was stored.
-    pub const REPLICA: &str = "replica";
-    /// A k-nn probe radius was evaluated at some level.
-    pub const PROBE: &str = "probe";
-    /// Per-level score aggregation finished.
-    pub const SCORE: &str = "score";
-    /// Items fetched from a candidate peer.
-    pub const FETCH: &str = "fetch";
-    /// A fetch timed out on an unreachable peer.
-    pub const FETCH_TIMEOUT: &str = "fetch_timeout";
-    /// The fetch window slid past unreachable peers to a fallback.
-    pub const FETCH_FALLBACK: &str = "fetch_fallback";
-    /// A dead node's zone was taken over during repair.
-    pub const TAKEOVER: &str = "takeover";
-    /// A peer joined the network (engine-driven arrival).
-    pub const JOIN: &str = "join";
-    /// An injected partition healed.
-    pub const HEAL: &str = "heal";
-    /// An unacked publish was re-queued for the next refresh round.
-    pub const PUBLISH_RETRY: &str = "publish_retry";
-    /// A publish exceeded its attempt budget and was abandoned.
-    pub const PUBLISH_ABANDONED: &str = "publish_abandoned";
-    /// A frame was sent by a transport endpoint.
-    pub const FRAME_TX: &str = "frame_tx";
-    /// A frame was received by a transport endpoint.
-    pub const FRAME_RX: &str = "frame_rx";
-    /// A frame was rejected (undecodable, oversized, or unroutable).
-    pub const FRAME_DROP: &str = "frame_drop";
-    /// A bounded inbox blocked or refused a sender (backpressure).
-    pub const BACKPRESSURE: &str = "backpressure";
-    /// A transport connection was established.
-    pub const CONNECT: &str = "connect";
-    /// A transport connection closed.
-    pub const DISCONNECT: &str = "disconnect";
-    /// A node runtime relayed a request/reply on behalf of another peer.
-    pub const FORWARD: &str = "forward";
-    /// A phase-1 level lookup was answered from the popular-summary cache.
-    pub const CACHE_HIT: &str = "cache_hit";
-    /// A phase-1 level lookup missed the popular-summary cache.
-    pub const CACHE_MISS: &str = "cache_miss";
-    /// Cached summaries were evicted (TTL expiry on a refresh round).
-    pub const CACHE_EVICT: &str = "cache_evict";
-    /// A hot zone was split and half granted to a colder host.
-    pub const ZONE_SPLIT: &str = "zone_split";
-    /// Zone fragments were merged back (load-triggered quiescence pass).
-    pub const ZONE_MERGE: &str = "zone_merge";
-    /// A virtual zone migrated off an overloaded host.
-    pub const VNODE_MIGRATE: &str = "vnode_migrate";
-    /// A node runtime served a window-stats scrape request.
-    pub const STATS: &str = "stats";
-    /// A wire heartbeat request was served.
-    pub const PING: &str = "ping";
-    /// A wire heartbeat answer was received.
-    pub const PONG: &str = "pong";
-    /// A peer exceeded its missed-ping threshold and was marked dead.
-    pub const PEER_DOWN: &str = "peer_down";
-    /// A previously-joined peer re-joined (crash-restart resync) or a
-    /// degraded link to the head recovered.
-    pub const REJOIN: &str = "rejoin";
-    /// A reply to an already-timed-out request arrived and was discarded.
-    pub const STALE_REPLY: &str = "stale_reply";
-    /// A dropped transport connection was re-established.
-    pub const RECONNECT: &str = "reconnect";
-    /// A request exhausted its retry budget and failed for good.
-    pub const GAVE_UP: &str = "gave_up";
+            /// The row whose wire string is `s`, if any.
+            pub fn parse(s: &str) -> Option<Self> {
+                $( if let Some(inner) = $inner::parse(s) {
+                    return Some($ty::$wrap(inner));
+                } )?
+                match s {
+                    $( $wire => Some($ty::$var), )*
+                    _ => None,
+                }
+            }
 
-    /// Every canonical name. `hyperm-lint` loads this slice at run time,
-    /// so an emit site can only name events listed here.
-    pub const ALL: &[&str] = &[
-        QUERY,
-        OVERLAY_LOOKUP,
-        FLOOD,
-        PUBLISH,
-        REFRESH,
-        REPAIR_STEP,
-        PARTITION,
-        ROUTE_HOP,
-        RETRY,
-        DROP,
-        DEAD_END,
-        VISIT,
-        FLOOD_EDGE,
-        REPLICA,
-        PROBE,
-        SCORE,
-        FETCH,
-        FETCH_TIMEOUT,
-        FETCH_FALLBACK,
-        TAKEOVER,
-        JOIN,
-        HEAL,
-        PUBLISH_RETRY,
-        PUBLISH_ABANDONED,
-        TRANSPORT,
-        SERVE,
-        FRAME_TX,
-        FRAME_RX,
-        FRAME_DROP,
-        BACKPRESSURE,
-        CONNECT,
-        DISCONNECT,
-        FORWARD,
-        CACHE_HIT,
-        CACHE_MISS,
-        CACHE_EVICT,
-        ZONE_SPLIT,
-        ZONE_MERGE,
-        VNODE_MIGRATE,
-        STATS,
-        PING,
-        PONG,
-        PEER_DOWN,
-        REJOIN,
-        STALE_REPLY,
-        RECONNECT,
-        GAVE_UP,
-    ];
+            /// Every row of this list (a wrapped enum's rows excluded).
+            #[cfg(test)]
+            const ROWS: &'static [$ty] = &[$( $ty::$var, )*];
+        }
 
-    /// The span subset of [`ALL`] (everything else is an instant).
-    pub const SPANS: &[&str] = &[
-        QUERY,
-        OVERLAY_LOOKUP,
-        FLOOD,
-        PUBLISH,
-        REFRESH,
-        REPAIR_STEP,
-        PARTITION,
-        TRANSPORT,
-        SERVE,
-    ];
+        impl fmt::Display for $ty {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(self.as_str())
+            }
+        }
+    };
 }
 
-/// Names of metrics-registry counters that are not also event names.
-/// Counters named after an event (e.g. `fetch_timeout`) reuse the
-/// [`names`] const; only counter-only aggregates live here.
-pub mod counters {
-    /// Publishes deferred to the next refresh round (unacked spheres).
-    pub const PUBLISH_DEFERRED: &str = "publish_deferred";
-    /// Queries executed (whole-op counter).
-    pub const QUERIES: &str = "queries";
-    /// Summaries evicted from the popular-summary cache (aggregate).
-    pub const CACHE_EVICTIONS: &str = "cache_evictions";
-    /// Virtual-zone migrations executed by the load balancer.
-    pub const VNODE_MIGRATIONS: &str = "vnode_migrations";
-    /// Window-stats scrapes served by a node runtime (aggregate).
-    pub const STATS_SERVED: &str = "stats_served";
+wire_enum! {
+    /// A canonical span or instant-event name.
+    pub enum Name {
+        // ---- spans ------------------------------------------------------
 
-    /// Every counter-only name.
-    pub const ALL: &[&str] = &[
-        PUBLISH_DEFERRED,
-        QUERIES,
-        CACHE_EVICTIONS,
-        VNODE_MIGRATIONS,
-        STATS_SERVED,
-    ];
+        /// Root span of one range/knn/point query.
+        Query = "query",
+        /// Per-level overlay range/point lookup inside a query.
+        OverlayLookup = "overlay_lookup",
+        /// Replica flood of one summary sphere (publish or lookup side).
+        Flood = "flood",
+        /// One peer publishing its per-level summaries.
+        Publish = "publish",
+        /// One soft-state TTL refresh round.
+        Refresh = "refresh",
+        /// One overlay repair step (merge/handoff/relocation round).
+        RepairStep = "repair_step",
+        /// Lifetime of an injected underlay partition (ends at heal).
+        Partition = "partition",
+        /// Lifetime of one transport endpoint (bind → close).
+        Transport = "transport",
+        /// One request served by a node runtime (recv → reply sent).
+        Serve = "serve",
+
+        // ---- instants ---------------------------------------------------
+
+        /// One greedy CAN routing hop.
+        RouteHop = "route_hop",
+        /// A lossy hop was retried.
+        Retry = "retry",
+        /// A message was dropped by fault injection.
+        Drop = "drop",
+        /// Routing reached a dead end (no live neighbour closer to target).
+        DeadEnd = "dead_end",
+        /// A node was visited during a flood walk.
+        Visit = "visit",
+        /// A flood edge was traversed.
+        FloodEdge = "flood_edge",
+        /// A replica of a summary sphere was stored.
+        Replica = "replica",
+        /// A k-nn probe radius was evaluated at some level.
+        Probe = "probe",
+        /// Per-level score aggregation finished.
+        Score = "score",
+        /// Items fetched from a candidate peer.
+        Fetch = "fetch",
+        /// A fetch timed out on an unreachable peer.
+        FetchTimeout = "fetch_timeout",
+        /// The fetch window slid past unreachable peers to a fallback.
+        FetchFallback = "fetch_fallback",
+        /// A dead node's zone was taken over during repair.
+        Takeover = "takeover",
+        /// A peer joined the network (engine-driven arrival).
+        Join = "join",
+        /// An injected partition healed.
+        Heal = "heal",
+        /// An unacked publish was re-queued for the next refresh round.
+        PublishRetry = "publish_retry",
+        /// A publish exceeded its attempt budget and was abandoned.
+        PublishAbandoned = "publish_abandoned",
+        /// A frame was sent by a transport endpoint.
+        FrameTx = "frame_tx",
+        /// A frame was received by a transport endpoint.
+        FrameRx = "frame_rx",
+        /// A frame was rejected (undecodable, oversized, or unroutable).
+        FrameDrop = "frame_drop",
+        /// A bounded inbox blocked or refused a sender (backpressure).
+        Backpressure = "backpressure",
+        /// A transport connection was established.
+        Connect = "connect",
+        /// A transport connection closed.
+        Disconnect = "disconnect",
+        /// A node runtime relayed a request/reply on behalf of another peer.
+        Forward = "forward",
+        /// A phase-1 level lookup was answered from the popular-summary cache.
+        CacheHit = "cache_hit",
+        /// A phase-1 level lookup missed the popular-summary cache.
+        CacheMiss = "cache_miss",
+        /// Cached summaries were evicted (TTL expiry on a refresh round).
+        CacheEvict = "cache_evict",
+        /// A hot zone was split and half granted to a colder host.
+        ZoneSplit = "zone_split",
+        /// Zone fragments were merged back (load-triggered quiescence pass).
+        ZoneMerge = "zone_merge",
+        /// A virtual zone migrated off an overloaded host.
+        VnodeMigrate = "vnode_migrate",
+        /// A node runtime served a window-stats scrape request.
+        Stats = "stats",
+        /// A wire heartbeat request was served.
+        Ping = "ping",
+        /// A wire heartbeat answer was received.
+        Pong = "pong",
+        /// A peer exceeded its missed-ping threshold and was marked dead.
+        PeerDown = "peer_down",
+        /// A previously-joined peer re-joined (crash-restart resync) or a
+        /// degraded link to the head recovered.
+        Rejoin = "rejoin",
+        /// A reply to an already-timed-out request arrived and was discarded.
+        StaleReply = "stale_reply",
+        /// A dropped transport connection was re-established.
+        Reconnect = "reconnect",
+        /// A request exhausted its retry budget and failed for good.
+        GaveUp = "gave_up",
+    }
 }
 
-/// Whether `name` is a canonical event/span name.
-pub fn is_canonical(name: &str) -> bool {
-    names::ALL.contains(&name)
+wire_enum! {
+    /// A metrics-registry counter: an event's own [`Name`] (e.g.
+    /// `fetch_timeout`, via `Counter::from`) or a counter-only aggregate.
+    pub enum Counter wraps Event(Name) "A counter named after the event it counts." {
+        /// Publishes deferred to the next refresh round (unacked spheres).
+        PublishDeferred = "publish_deferred",
+        /// Queries executed (whole-op counter).
+        Queries = "queries",
+        /// Summaries evicted from the popular-summary cache (aggregate).
+        CacheEvictions = "cache_evictions",
+        /// Virtual-zone migrations executed by the load balancer.
+        VnodeMigrations = "vnode_migrations",
+        /// Window-stats scrapes served by a node runtime (aggregate).
+        StatsServed = "stats_served",
+    }
 }
 
-/// Whether `name` is valid as a metrics counter: either a canonical
-/// event name or a counter-only aggregate.
-pub fn is_canonical_counter(name: &str) -> bool {
-    is_canonical(name) || counters::ALL.contains(&name)
+impl From<Name> for Counter {
+    fn from(name: Name) -> Self {
+        Counter::Event(name)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn taxonomy_is_duplicate_free_and_lowercase() {
-        let mut seen = std::collections::BTreeSet::new();
-        for &n in names::ALL {
-            assert!(
-                n.chars().all(|c| c.is_ascii_lowercase() || c == '_'),
-                "name {n:?} must be lowercase_snake"
-            );
-            assert!(seen.insert(n), "duplicate taxonomy entry {n:?}");
-        }
-        for &s in names::SPANS {
-            assert!(is_canonical(s), "span {s:?} missing from ALL");
-        }
+    fn every_counter() -> impl Iterator<Item = Counter> {
+        Name::ROWS
+            .iter()
+            .map(|&n| Counter::from(n))
+            .chain(Counter::ROWS.iter().copied())
     }
 
     #[test]
-    fn taxonomy_consts_match_values() {
-        // The lint resolves `names::IDENT` by lowercasing the ident; this
-        // pins the convention for every const referenced from ALL.
-        for &n in names::ALL {
-            assert_eq!(n, n.to_ascii_lowercase());
+    fn taxonomy_is_duplicate_free_and_lowercase() {
+        let mut seen = std::collections::BTreeSet::new();
+        for c in every_counter() {
+            let s = c.as_str();
+            assert!(
+                !s.is_empty()
+                    && !s.starts_with('_')
+                    && !s.ends_with('_')
+                    && !s.contains("__")
+                    && s.chars().all(|ch| ch.is_ascii_lowercase() || ch == '_'),
+                "wire string {s:?} must be lowercase snake_case"
+            );
+            assert!(seen.insert(s), "duplicate wire string {s:?}");
         }
-        assert_eq!(names::OVERLAY_LOOKUP, "overlay_lookup");
-        assert_eq!(names::PUBLISH_ABANDONED, "publish_abandoned");
-        assert_eq!(names::ALL.len(), 47);
+        assert_eq!(Name::ROWS.len(), 47);
+        assert_eq!(seen.len(), 47 + 5);
+    }
+
+    #[test]
+    fn every_row_round_trips_through_its_wire_string() {
+        for &n in Name::ROWS {
+            assert_eq!(Name::parse(n.as_str()), Some(n));
+            assert_eq!(n.to_string(), n.as_str());
+        }
+        for c in every_counter() {
+            assert_eq!(Counter::parse(c.as_str()), Some(c));
+            assert_eq!(c.to_string(), c.as_str());
+        }
+        assert_eq!(Name::OverlayLookup.as_str(), "overlay_lookup");
+        assert_eq!(Counter::from(Name::GaveUp).as_str(), "gave_up");
+        assert_eq!(
+            Name::parse("queries"),
+            None,
+            "aggregates are not event names"
+        );
+        assert_eq!(Counter::parse("mystery_event"), None);
     }
 }

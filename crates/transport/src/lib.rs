@@ -8,11 +8,11 @@
 //!
 //! * [`SimHub`]/[`SimEndpoint`] — the existing simulation underlay as a
 //!   `Transport`: deterministic, instant, single-threaded delivery that
-//!   charges [`hyperm_sim::OpStats`] per frame (hops from an optional
-//!   [`hyperm_sim::Underlay`] hop table). The `transport_equivalence`
-//!   integration test asserts that driving the network through this
-//!   implementation is **bit-identical** to calling it directly —
-//!   results, `OpStats`, and telemetry event streams.
+//!   charges [`hyperm_sim::OpStats`] per frame (one message, one hop).
+//!   The `transport_equivalence` integration test asserts that driving
+//!   the network through this implementation is **bit-identical** to
+//!   calling it directly — results, `OpStats`, and telemetry event
+//!   streams.
 //! * [`MemHub`]/[`MemEndpoint`] — peers as long-lived threads exchanging
 //!   messages over bounded in-memory mailboxes; full backpressure, no
 //!   sockets. The unit-test transport.

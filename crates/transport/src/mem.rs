@@ -11,7 +11,7 @@ use crate::mailbox::{Mailbox, RecvError, SendError};
 use crate::{Envelope, PeerId, Transport, TransportError};
 use hyperm_can::codec::{decode_message, encode_message};
 use hyperm_can::Message;
-use hyperm_telemetry::{names, Recorder, SpanId};
+use hyperm_telemetry::{Name, Recorder, SpanId};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -72,7 +72,7 @@ impl MemHub {
     pub fn endpoint_traced(&self, id: PeerId, recorder: Recorder) -> MemEndpoint {
         let inbox = Mailbox::bounded(self.inbox_capacity);
         self.lock().inboxes.insert(id, inbox.clone());
-        let span = recorder.span(SpanId::NONE, names::TRANSPORT, vec![("peer", id.into())]);
+        let span = recorder.span(SpanId::NONE, Name::Transport, vec![("peer", id.into())]);
         MemEndpoint {
             hub: self.clone(),
             id,
@@ -90,13 +90,6 @@ pub struct MemEndpoint {
     inbox: Mailbox<Envelope>,
     recorder: Recorder,
     span: SpanId,
-}
-
-impl MemEndpoint {
-    /// The telemetry span covering this endpoint's lifetime.
-    pub fn telemetry_span(&self) -> SpanId {
-        self.span
-    }
 }
 
 impl Transport for MemEndpoint {
@@ -129,7 +122,7 @@ impl Transport for MemEndpoint {
             Ok(()) => {
                 self.recorder.event(
                     self.span,
-                    names::FRAME_TX,
+                    Name::FrameTx,
                     vec![
                         ("to", to.into()),
                         (
@@ -143,7 +136,7 @@ impl Transport for MemEndpoint {
             Err(SendError::Closed) => Err(TransportError::Closed),
             Err(SendError::Full) => {
                 self.recorder
-                    .event(self.span, names::BACKPRESSURE, vec![("to", to.into())]);
+                    .event(self.span, Name::Backpressure, vec![("to", to.into())]);
                 Err(TransportError::Backpressure)
             }
         }
@@ -153,7 +146,7 @@ impl Transport for MemEndpoint {
         match self.inbox.recv_timeout(timeout) {
             Ok(env) => {
                 self.recorder
-                    .event(self.span, names::FRAME_RX, vec![("from", env.from.into())]);
+                    .event(self.span, Name::FrameRx, vec![("from", env.from.into())]);
                 Ok(env)
             }
             Err(RecvError::Timeout) => Err(TransportError::Timeout),
@@ -174,7 +167,7 @@ impl Transport for MemEndpoint {
     fn close(&self) {
         self.inbox.close();
         self.hub.lock().inboxes.remove(&self.id);
-        self.recorder.end(self.span, names::TRANSPORT, vec![]);
+        self.recorder.end(self.span, Name::Transport, vec![]);
     }
 }
 

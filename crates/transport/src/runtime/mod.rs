@@ -33,9 +33,7 @@ use hyperm_can::Message;
 use hyperm_cluster::Dataset;
 use hyperm_core::{HypermNetwork, InsertPolicy};
 use hyperm_sim::{Backoff, OpStats};
-use hyperm_telemetry::{
-    counters, names, JsonObj, Recorder, SpanId, TraceCtx, Window, WindowConfig,
-};
+use hyperm_telemetry::{Counter, JsonObj, Name, Recorder, SpanId, TraceCtx, Window, WindowConfig};
 use request::request;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -183,14 +181,6 @@ impl<T: Transport> NodeRuntime<T> {
         &self.transport
     }
 
-    /// The overlay peer id this member joined as (members only).
-    pub fn member_peer(&self) -> Option<u64> {
-        match &self.role {
-            Role::Head(_) => None,
-            Role::Member { peer, .. } => *peer,
-        }
-    }
-
     /// Member bootstrap: ship `items` to the head in a `Join` frame and
     /// record the overlay peer id it assigns.
     pub fn join_network(
@@ -297,9 +287,9 @@ impl<T: Transport> NodeRuntime<T> {
             fields.push(("ctx_trace", ctx.trace_id.into()));
             fields.push(("ctx_span", ctx.parent_span.into()));
         }
-        let span = self.recorder.span(self.span, names::SERVE, fields);
+        let span = self.recorder.span(self.span, Name::Serve, fields);
         let outcome = self.dispatch(env, span);
-        self.recorder.end(span, names::SERVE, vec![]);
+        self.recorder.end(span, Name::Serve, vec![]);
         outcome
     }
 
@@ -315,7 +305,7 @@ impl<T: Transport> NodeRuntime<T> {
             if from == *head && self.degraded {
                 self.degraded = false;
                 self.recorder
-                    .count_event(self.span, names::REJOIN, vec![("peer", from.into())]);
+                    .count_event(self.span, Name::Rejoin, vec![("peer", from.into())]);
             }
         }
     }
@@ -344,7 +334,7 @@ impl<T: Transport> NodeRuntime<T> {
             self.degraded = true;
             self.recorder.count_event(
                 self.span,
-                names::PEER_DOWN,
+                Name::PeerDown,
                 vec![("peer", head.into()), ("missed", u64::from(missed).into())],
             );
         }
@@ -363,7 +353,7 @@ impl<T: Transport> NodeRuntime<T> {
                 // requester's correlation tag.
                 self.recorder.count_event(
                     serve_span,
-                    names::PING,
+                    Name::Ping,
                     vec![("from", from.into()), ("seq", seq.into())],
                 );
                 let _ = self
@@ -376,7 +366,7 @@ impl<T: Transport> NodeRuntime<T> {
                 // frame from a peer proves it alive); just make it visible.
                 self.recorder.count_event(
                     serve_span,
-                    names::PONG,
+                    Name::Pong,
                     vec![("from", from.into()), ("seq", seq.into())],
                 );
                 Ok(ServeOutcome::Handled)
@@ -407,11 +397,11 @@ impl<T: Transport> NodeRuntime<T> {
                 self.scrape_seq += 1;
                 let json = self.stats_json();
                 if let Some(m) = self.recorder.metrics() {
-                    m.add(counters::STATS_SERVED, 1);
+                    m.add(Counter::StatsServed, 1);
                 }
                 self.recorder.event(
                     serve_span,
-                    names::STATS,
+                    Name::Stats,
                     vec![("seq", self.scrape_seq.into())],
                 );
                 let _ = self
@@ -450,7 +440,7 @@ impl<T: Transport> NodeRuntime<T> {
     fn drop_frame(&self, from: PeerId, msg: &Message) {
         self.recorder.event(
             self.span,
-            names::FRAME_DROP,
+            Name::FrameDrop,
             vec![("from", from.into()), ("kind", msg.kind_name().into())],
         );
     }
@@ -490,7 +480,7 @@ impl<T: Transport> NodeRuntime<T> {
                     }
                     self.recorder.count_event(
                         serve_span,
-                        names::REJOIN,
+                        Name::Rejoin,
                         vec![("peer", wire_peer.into()), ("overlay_peer", overlay.into())],
                     );
                     let _ = self.transport.send_tagged(
@@ -542,7 +532,7 @@ impl<T: Transport> NodeRuntime<T> {
                 // back.
                 self.recorder.event(
                     serve_span,
-                    names::FORWARD,
+                    Name::Forward,
                     vec![("from", from.into()), ("kind", msg.kind_name().into())],
                 );
                 if self.degraded {

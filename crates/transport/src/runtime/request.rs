@@ -8,7 +8,7 @@
 use crate::{Envelope, PeerId, Transport, TransportError};
 use hyperm_can::Message;
 use hyperm_sim::Backoff;
-use hyperm_telemetry::{names, Recorder, SpanId};
+use hyperm_telemetry::{Name, Recorder, SpanId};
 use std::time::{Duration, Instant};
 
 /// Smallest effective reply timeout. A literal `Duration::ZERO` would
@@ -117,7 +117,7 @@ pub(crate) fn request<T: Transport>(
         |attempt| {
             recorder.count_event(
                 span,
-                names::RETRY,
+                Name::Retry,
                 vec![
                     ("attempt", u64::from(attempt).into()),
                     ("kind", msg.kind_name().into()),
@@ -145,7 +145,7 @@ pub(crate) fn request<T: Transport>(
             if attempts > 1 {
                 recorder.count_event(
                     span,
-                    names::GAVE_UP,
+                    Name::GaveUp,
                     vec![
                         ("kind", msg.kind_name().into()),
                         ("attempts", u64::from(attempts).into()),
@@ -188,7 +188,7 @@ fn await_reply<T: Transport>(
         if env.req_id != req_id {
             recorder.count_event(
                 span,
-                names::STALE_REPLY,
+                Name::StaleReply,
                 vec![
                     ("from", env.from.into()),
                     ("kind", env.msg.kind_name().into()),

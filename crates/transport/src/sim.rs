@@ -10,23 +10,21 @@
 //! cannot make a message appear).
 //!
 //! Cost accounting mirrors the simulator's: every delivered frame
-//! charges one message, its encoded frame length in bytes, and a hop
-//! count taken from an optional [`hyperm_sim::Underlay`] BFS hop table
-//! (1 without one). [`SimHub::stats`] exposes the accumulated
-//! [`OpStats`], so a runtime driven over this transport reports the same
-//! cost vocabulary as the in-process simulation.
+//! charges one message, its encoded frame length in bytes, and one hop.
+//! [`SimHub::stats`] exposes the accumulated [`OpStats`], so a runtime
+//! driven over this transport reports the same cost vocabulary as the
+//! in-process simulation.
 
 use crate::{Envelope, PeerId, Transport, TransportError};
 use hyperm_can::codec::{decode_message, encode_message};
 use hyperm_can::Message;
-use hyperm_sim::{NodeId, OpStats, Underlay};
+use hyperm_sim::OpStats;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 struct SimState {
     inboxes: BTreeMap<PeerId, VecDeque<Envelope>>,
-    underlay: Option<Underlay>,
     stats: OpStats,
 }
 
@@ -43,19 +41,10 @@ impl SimHub {
         Self {
             state: Arc::new(Mutex::new(SimState {
                 inboxes: BTreeMap::new(),
-                underlay: None,
                 stats: OpStats::zero(),
             })),
             inbox_capacity,
         }
-    }
-
-    /// Attach a MANET underlay: frames between peers `a` and `b` charge
-    /// `underlay.hops(a, b)` hops instead of 1. Peer ids beyond the
-    /// underlay's node count charge 1.
-    pub fn with_underlay(self, underlay: Underlay) -> Self {
-        self.lock().underlay = Some(underlay);
-        self
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SimState> {
@@ -95,12 +84,6 @@ impl Transport for SimEndpoint {
         let body = encode_message(msg).map_err(TransportError::Codec)?;
         let msg = decode_message(&body).map_err(TransportError::Codec)?;
         let mut state = self.hub.lock();
-        let hops = match &state.underlay {
-            Some(u) if (self.id as usize) < u.len() && (to as usize) < u.len() && self.id != to => {
-                u64::from(u.hops(NodeId(self.id as usize), NodeId(to as usize)))
-            }
-            _ => 1,
-        };
         let cap = self.hub.inbox_capacity;
         let inbox = state
             .inboxes
@@ -118,7 +101,7 @@ impl Transport for SimEndpoint {
         });
         state.stats.messages += 1;
         state.stats.bytes += crate::frame::HEADER_LEN as u64 + body.len() as u64;
-        state.stats.hops += hops;
+        state.stats.hops += 1;
         Ok(())
     }
 

@@ -23,7 +23,7 @@ use crate::runtime::request::{retry, Attempt};
 use crate::{Envelope, PeerId, Transport, TransportError};
 use hyperm_can::Message;
 use hyperm_sim::Backoff;
-use hyperm_telemetry::{names, Recorder, SpanId};
+use hyperm_telemetry::{Name, Recorder, SpanId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -98,7 +98,7 @@ impl Shared {
             Err(_) => {
                 self.recorder.event(
                     self.span,
-                    names::FRAME_DROP,
+                    Name::FrameDrop,
                     vec![("reason", "no_hello".into())],
                 );
             }
@@ -116,10 +116,10 @@ impl Shared {
         self.lock_conns().insert(peer, Arc::clone(stream));
         let rejoined = !self.lock_known().insert(peer);
         self.recorder
-            .event(self.span, names::CONNECT, vec![("peer", peer.into())]);
+            .event(self.span, Name::Connect, vec![("peer", peer.into())]);
         if rejoined {
             self.recorder
-                .event(self.span, names::RECONNECT, vec![("peer", peer.into())]);
+                .event(self.span, Name::Reconnect, vec![("peer", peer.into())]);
         }
     }
 
@@ -131,7 +131,7 @@ impl Shared {
             match read_frame(&mut r) {
                 Ok((req_id, msg)) => {
                     self.recorder
-                        .event(self.span, names::FRAME_RX, vec![("from", peer.into())]);
+                        .event(self.span, Name::FrameRx, vec![("from", peer.into())]);
                     // Blocking push: a full inbox stops this reader, the
                     // socket buffer fills, and TCP flow control pushes
                     // back on the remote writer.
@@ -150,7 +150,7 @@ impl Shared {
                 Err(TransportError::Codec(_)) | Err(TransportError::FrameTooLarge(_)) => {
                     // Undecodable peer: drop the connection, not the node.
                     self.recorder
-                        .event(self.span, names::FRAME_DROP, vec![("from", peer.into())]);
+                        .event(self.span, Name::FrameDrop, vec![("from", peer.into())]);
                     break;
                 }
                 Err(_) => break, // EOF or socket error
@@ -158,7 +158,7 @@ impl Shared {
         }
         self.evict(peer, stream);
         self.recorder
-            .event(self.span, names::DISCONNECT, vec![("peer", peer.into())]);
+            .event(self.span, Name::Disconnect, vec![("peer", peer.into())]);
     }
 
     /// Drop `stream` from the pool — unless `peer` has been re-registered
@@ -211,7 +211,7 @@ impl TcpEndpoint {
         let local_addr = listener
             .local_addr()
             .map_err(|e| TransportError::Io(e.to_string()))?;
-        let span = recorder.span(SpanId::NONE, names::TRANSPORT, vec![("peer", id.into())]);
+        let span = recorder.span(SpanId::NONE, Name::Transport, vec![("peer", id.into())]);
         let shared = Arc::new(Shared {
             id,
             inbox: Mailbox::bounded(inbox_capacity),
@@ -275,7 +275,7 @@ impl TcpEndpoint {
             |attempt| {
                 self.shared.recorder.event(
                     self.shared.span,
-                    names::RETRY,
+                    Name::Retry,
                     vec![
                         ("peer", peer.into()),
                         ("attempt", u64::from(attempt).into()),
@@ -339,7 +339,7 @@ impl Transport for TcpEndpoint {
                 Ok(n) => {
                     self.shared.recorder.event(
                         self.shared.span,
-                        names::FRAME_TX,
+                        Name::FrameTx,
                         vec![("to", to.into()), ("bytes", (n as u64).into())],
                     );
                     return Ok(());
@@ -388,7 +388,7 @@ impl Transport for TcpEndpoint {
         let _ = TcpStream::connect(self.local_addr);
         self.shared
             .recorder
-            .end(self.shared.span, names::TRANSPORT, vec![]);
+            .end(self.shared.span, Name::Transport, vec![]);
     }
 }
 
@@ -459,9 +459,7 @@ mod tests {
         let no_hello = ring
             .events()
             .iter()
-            .filter(|e| {
-                e.name == names::FRAME_DROP && e.field("reason") == Some(&"no_hello".into())
-            })
+            .filter(|e| e.name == Name::FrameDrop && e.field("reason") == Some(&"no_hello".into()))
             .count();
         assert_eq!(no_hello, 1);
 

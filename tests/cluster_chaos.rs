@@ -22,7 +22,7 @@
 //! (validated by `bench_check`).
 
 use hyperm::datagen::{generate_aloi_like, AloiConfig};
-use hyperm::telemetry::{names, JsonObj, Recorder, TraceCtx};
+use hyperm::telemetry::{JsonObj, Name, Recorder, TraceCtx};
 use hyperm::transport::{MemEndpoint, ServeOutcome, Transport, TransportError};
 use hyperm::{
     Backoff, ChaosConfig, ChaosEndpoint, Client, Dataset, HypermConfig, HypermNetwork, MemHub,
@@ -135,8 +135,8 @@ fn scenario_head_drops() -> ScenarioOutcome {
         total_recall += recall(&items, &truth(&refs, &q, EPS));
     }
     let metrics = rec.metrics().unwrap();
-    let retries = metrics.counter(names::RETRY);
-    let gave_up = metrics.counter(names::GAVE_UP);
+    let retries = metrics.counter(Name::Retry);
+    let gave_up = metrics.counter(Name::GaveUp);
     assert!(
         retries > 0,
         "a 40% seeded drop rate over {} requests must force at least one retry",
@@ -261,7 +261,7 @@ fn scenario_disconnect_storm() -> (ScenarioOutcome, u64) {
     let disconnects = client.transport().stats().disconnects;
     assert!(disconnects > 0, "the storm must actually fire");
     let metrics = rec.metrics().unwrap();
-    let retries = metrics.counter(names::RETRY);
+    let retries = metrics.counter(Name::Retry);
     assert!(retries > 0, "disconnected sends must be retried");
 
     Client::new(hub.endpoint(60), 0).shutdown().unwrap();
@@ -272,7 +272,7 @@ fn scenario_disconnect_storm() -> (ScenarioOutcome, u64) {
             recall_final: total_recall / probes.len() as f64,
             queries: probes.len() as u64,
             retries,
-            gave_up: metrics.counter(names::GAVE_UP),
+            gave_up: metrics.counter(Name::GaveUp),
         },
         disconnects,
     )
@@ -323,11 +323,11 @@ fn stale_reply_probe() -> (u64, u64) {
     );
     let metrics = rec.metrics().unwrap();
     assert!(
-        metrics.counter(names::STALE_REPLY) >= 1,
+        metrics.counter(Name::StaleReply) >= 1,
         "the discarded late reply must be counted as stale_reply"
     );
-    assert_eq!(metrics.counter(names::RETRY), 1, "exactly one resend");
-    (metrics.counter(names::STALE_REPLY), stale_returned)
+    assert_eq!(metrics.counter(Name::Retry), 1, "exactly one resend");
+    (metrics.counter(Name::StaleReply), stale_returned)
 }
 
 /// The three chaos scenarios, plus the stale-reply probe, emitted as the
@@ -528,13 +528,9 @@ fn play(row: &Row, relayed: bool) {
         "{ctx}: a resend is the identical request"
     );
     let metrics = rec.metrics().unwrap();
-    assert_eq!(metrics.counter(names::RETRY), row.retry, "{ctx}: retry");
-    assert_eq!(
-        metrics.counter(names::GAVE_UP),
-        row.gave_up,
-        "{ctx}: gave_up"
-    );
-    let stale = metrics.counter(names::STALE_REPLY);
+    assert_eq!(metrics.counter(Name::Retry), row.retry, "{ctx}: retry");
+    assert_eq!(metrics.counter(Name::GaveUp), row.gave_up, "{ctx}: gave_up");
+    let stale = metrics.counter(Name::StaleReply);
     assert_eq!(stale >= 1, row.stale, "{ctx}: stale_reply {stale}");
 }
 
@@ -650,9 +646,9 @@ fn refusal_relayed_by_a_member_is_not_a_give_up() {
         env.msg
     );
     let metrics = rec.metrics().unwrap();
-    assert_eq!(metrics.counter(names::RETRY), 0, "a refusal is not resent");
+    assert_eq!(metrics.counter(Name::Retry), 0, "a refusal is not resent");
     assert_eq!(
-        metrics.counter(names::GAVE_UP),
+        metrics.counter(Name::GaveUp),
         0,
         "the head answered on the first attempt: nothing was given up"
     );
@@ -773,7 +769,7 @@ fn member_detects_dead_head_degrades_and_recovers() {
         member.stats_json()
     );
     let metrics = rec.metrics().unwrap();
-    assert_eq!(metrics.counter(names::PEER_DOWN), 1);
+    assert_eq!(metrics.counter(Name::PeerDown), 1);
 
     // A client request against a degraded member fails fast with a
     // refusal ack instead of stalling a forward timeout.
@@ -813,7 +809,7 @@ fn member_detects_dead_head_degrades_and_recovers() {
     );
     assert!(!member.degraded(), "hearing the head heals the member");
     assert!(member.stats_json().contains("\"degraded\":false"));
-    assert_eq!(metrics.counter(names::REJOIN), 1, "recovery is visible");
+    assert_eq!(metrics.counter(Name::Rejoin), 1, "recovery is visible");
     assert!(
         member.monitor_json().contains("\"liveness\""),
         "monitor exposes the liveness table"

@@ -12,7 +12,7 @@
 
 use hyperm::datagen::{distribute_by_clusters, generate_aloi_like, AloiConfig, DistributeConfig};
 use hyperm::geometry::vecmath::sq_dist;
-use hyperm::telemetry::Recorder;
+use hyperm::telemetry::{Name, Recorder};
 use hyperm::{
     Backoff, FaultConfig, HypermConfig, HypermNetwork, KnnOptions, PartitionPlan, QueryBudget,
     RepairConfig, RepairEngine,
@@ -374,11 +374,17 @@ fn fallback_events_and_counters_are_recorded() {
     let w = probe.ranked.len() - 1; // leave one candidate to slide onto
     net.range_query_budgeted(0, &q, eps, Some(w), QueryBudget::default());
     let events = ring.events();
-    let timeouts = events.iter().filter(|e| e.name == "fetch_timeout").count();
-    let fallbacks = events.iter().filter(|e| e.name == "fetch_fallback").count();
+    let timeouts = events
+        .iter()
+        .filter(|e| e.name == Name::FetchTimeout)
+        .count();
+    let fallbacks = events
+        .iter()
+        .filter(|e| e.name == Name::FetchFallback)
+        .count();
     assert!(timeouts >= 1, "dead peer must emit fetch_timeout");
     assert!(fallbacks >= 1, "window must slide onto a fallback peer");
     let m = rec.metrics().expect("recorder enabled");
-    assert!(m.counter("fetch_timeout") >= 1);
-    assert!(m.counter("fetch_fallback") >= 1);
+    assert!(m.counter(Name::FetchTimeout) >= 1);
+    assert!(m.counter(Name::FetchFallback) >= 1);
 }

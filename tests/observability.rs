@@ -6,7 +6,7 @@
 
 use hyperm::datagen::{generate_aloi_like, AloiConfig};
 use hyperm::telemetry::{
-    merge_streams, names, parse_jsonl, Event, EventClass, JsonValue, Recorder, RingHandle,
+    merge_streams, parse_jsonl, Event, EventClass, JsonValue, Name, Recorder, RingHandle,
     SloReport, SloRule, TraceCtx, WindowSnapshot,
 };
 use hyperm::transport::{Client, NodeRuntime, Role, TcpEndpoint};
@@ -38,7 +38,7 @@ fn await_serve_end(ring: &RingHandle) -> Vec<Event> {
         let events = ring.events();
         if events
             .iter()
-            .any(|e| e.class == EventClass::End && e.name == names::SERVE)
+            .any(|e| e.class == EventClass::End && e.name == Name::Serve)
         {
             return events;
         }
@@ -158,14 +158,14 @@ fn relayed_query_stitches_into_one_route_tree() {
         stitched.render()
     );
     let root = query_roots[0];
-    assert_eq!(root.name, names::SERVE);
+    assert_eq!(root.name, Name::Serve);
     assert_eq!(root.start.u64_field("node"), Some(MEMBER));
     assert_eq!(root.start.u64_field("ctx_trace"), Some(TRACE_ID));
     let head_serve = root
         .children
         .iter()
         .map(|&c| &stitched.spans[c])
-        .find(|s| s.name == names::SERVE)
+        .find(|s| s.name == Name::Serve)
         .expect("head serve span nested under the member's serve span");
     assert_eq!(head_serve.start.u64_field("node"), Some(HEAD));
     assert_eq!(head_serve.start.u64_field("ctx_trace"), Some(TRACE_ID));
@@ -173,7 +173,7 @@ fn relayed_query_stitches_into_one_route_tree() {
         head_serve
             .children
             .iter()
-            .any(|&c| stitched.spans[c].name == names::QUERY),
+            .any(|&c| stitched.spans[c].name == Name::Query),
         "overlay query span parents under the head's serve span:\n{}",
         stitched.render()
     );

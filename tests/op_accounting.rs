@@ -160,7 +160,10 @@ fn scenario() -> (u64, u64, u64) {
         "refresh",
         "repair_step",
     ] {
-        assert!(stream.iter().any(|e| e.name == name), "no {name} event");
+        assert!(
+            stream.iter().any(|e| e.name.as_str() == name),
+            "no {name} event"
+        );
     }
     let mut events = Fnv::new();
     for e in stream {

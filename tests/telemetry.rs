@@ -4,7 +4,7 @@
 //! tracing is off, on, or the recorder was never installed.
 
 use hyperm::datagen::{generate_aloi_like, AloiConfig};
-use hyperm::telemetry::{Event, Recorder, RingHandle, Trace};
+use hyperm::telemetry::{Event, Name, Recorder, RingHandle, Trace};
 use hyperm::{Dataset, HypermConfig, HypermNetwork, KnnOptions, OpKind, QueryBudget};
 
 const DIM: usize = 32;
@@ -268,9 +268,9 @@ fn route_tree_covers_every_level() {
         trace.orphans.is_empty(),
         "every event must parent somewhere"
     );
-    let queries = trace.spans_named("query");
+    let queries = trace.spans_named(Name::Query);
     assert_eq!(queries.len(), 1);
-    let lookups = trace.spans_named("overlay_lookup");
+    let lookups = trace.spans_named(Name::OverlayLookup);
     assert_eq!(lookups.len(), LEVELS, "one lookup span per wavelet level");
     let mut levels: Vec<_> = lookups.iter().map(|s| s.level.unwrap()).collect();
     levels.sort_unstable();
@@ -281,7 +281,7 @@ fn route_tree_covers_every_level() {
     }
     // The phase breakdown folds the whole-op cost back out of the tree.
     let totals = trace.phase_totals();
-    let qt = totals.iter().find(|p| p.name == "query").unwrap();
+    let qt = totals.iter().find(|p| p.name == Name::Query).unwrap();
     assert_eq!(qt.fields["hops"], res.stats.hops as f64);
     assert_eq!(qt.fields["messages"], res.stats.messages as f64);
     assert_eq!(qt.fields["bytes"], res.stats.bytes as f64);
@@ -297,11 +297,11 @@ fn ring_handle_reusable_across_phases() {
     let rec = Recorder::with_sink(ring.sink());
     let (net, _) = HypermNetwork::build_traced(peers(seed), config(seed), rec).unwrap();
     let build = ring.drain();
-    assert!(build.iter().any(|e| e.name == "publish"));
-    assert!(build.iter().all(|e| e.name != "query"));
+    assert!(build.iter().any(|e| e.name == Name::Publish));
+    assert!(build.iter().all(|e| e.name != Name::Query));
     let q = peers(seed)[2].row(0).to_vec();
     net.range_query(0, &q, 0.2, None);
     let query = ring.events();
-    assert!(query.iter().any(|e| e.name == "query"));
-    assert!(query.iter().all(|e| e.name != "publish"));
+    assert!(query.iter().any(|e| e.name == Name::Query));
+    assert!(query.iter().all(|e| e.name != Name::Publish));
 }
