@@ -18,13 +18,30 @@
 //! a cloning collector. BATON and VBI floods follow the same contract and
 //! share [`SeenIds`] and [`dist`].
 
-// hyperm-lint: allow-file(panic-index) — flood slot indices are binary_search hits into the candidate list built in the same scope
+// Panic-free hot path: no unwrap/expect, panic!/unreachable! or
+// unchecked indexing outside tests without a written reason.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "flood slot indices are binary_search hits into the candidate list built in the same scope"
+)]
 use crate::overlay::CanOverlay;
 use crate::zone::Zone;
 use hyperm_geometry::vecmath::dist;
 use hyperm_sim::{NodeId, OpStats};
 use hyperm_telemetry::{Name, SpanId};
-use std::collections::{HashSet, VecDeque};
+#[expect(
+    clippy::disallowed_types,
+    reason = "SeenIds only inserts and tests membership: its order never reaches a result"
+)]
+use std::collections::HashSet;
+use std::collections::VecDeque;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
@@ -112,6 +129,10 @@ pub struct RangeOutcome {
 /// once. Memory grows with the objects a flood matches, never with the id
 /// values, which keep growing as summaries are republished.
 #[derive(Debug, Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "SeenIds only inserts and tests membership: its order never reaches a result"
+)]
 pub struct SeenIds(HashSet<u64, BuildHasherDefault<IdHasher>>);
 
 impl SeenIds {
@@ -165,7 +186,10 @@ impl CanOverlay {
     ) -> InsertOutcome {
         match self.insert_sphere_impl(from, centre, radius, payload, replicate, false) {
             Ok(out) => out,
-            // hyperm-lint: allow(panic-explicit) — infallible entry point by contract: callers on this path run on repaired topologies (see doc comment); fault-aware callers use try_insert_sphere
+            #[expect(
+                clippy::panic,
+                reason = "infallible entry point by contract: callers on this path run on repaired topologies (see doc comment); fault-aware callers use try_insert_sphere"
+            )]
             Err(_) => panic!("publish route failed on the reliable path"),
         }
     }
@@ -251,8 +275,12 @@ impl CanOverlay {
             let slot_of = |id: NodeId| candidates.binary_search(&(id.0 as u32)).ok();
             let mut visited = vec![false; candidates.len()];
             let mut queue = VecDeque::new();
-            // hyperm-lint: allow(panic-unwrap) — owner's zone overlaps the object it stores, so owner is always in candidates
-            visited[slot_of(owner).expect("owner zone overlaps its own object")] = true;
+            #[expect(
+                clippy::expect_used,
+                reason = "owner's zone overlaps the object it stores, so owner is always in candidates"
+            )]
+            let start = slot_of(owner).expect("owner zone overlaps its own object");
+            visited[start] = true;
             queue.push_back((owner, 0u64));
             while let Some((n, depth)) = queue.pop_front() {
                 flood_depth = flood_depth.max(depth);
@@ -495,8 +523,12 @@ impl CanOverlay {
         let slot_of = |id: NodeId| candidates.binary_search(&(id.0 as u32)).ok();
         let mut visited = vec![false; candidates.len()];
         let mut queue = VecDeque::new();
-        // hyperm-lint: allow(panic-unwrap) — route postcondition: the owner's zone contains the query centre, so it is in candidates
-        visited[slot_of(owner).expect("owner zone contains the query centre")] = true;
+        #[expect(
+            clippy::expect_used,
+            reason = "route postcondition: the owner's zone contains the query centre, so it is in candidates"
+        )]
+        let start = slot_of(owner).expect("owner zone contains the query centre");
+        visited[start] = true;
         queue.push_back(owner);
         let mut seen = SeenIds::default();
         let mut matches = 0usize;

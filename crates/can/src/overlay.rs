@@ -11,7 +11,19 @@
 //! split node itself, so each join touches only the local neighbourhood —
 //! no global recomputation.
 
-// hyperm-lint: allow-file(panic-index) — node ids are dense indices into self.nodes by construction, and zone/neighbour offsets come from checked position() hits
+// Panic-free hot path: no unwrap/expect, panic!/unreachable! or
+// unchecked indexing outside tests without a written reason.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "node ids are dense indices into self.nodes by construction, and zone/neighbour offsets come from checked position() hits"
+)]
 use crate::ops::StoredObject;
 use crate::zone::Zone;
 use crate::zoneindex::ZoneIndex;
@@ -117,11 +129,14 @@ impl CanNode {
 pub(crate) struct FaultSlot(Option<Mutex<FaultInjector>>);
 
 impl Clone for FaultSlot {
+    #[expect(
+        clippy::expect_used,
+        reason = "mutex poison only follows a panic elsewhere; propagating it is correct"
+    )]
     fn clone(&self) -> Self {
         FaultSlot(
             self.0
                 .as_ref()
-                // hyperm-lint: allow(panic-unwrap) — mutex poison only follows a panic elsewhere; propagating it is correct
                 .map(|m| Mutex::new(m.lock().expect("fault injector poisoned").clone())),
         )
     }
@@ -300,8 +315,11 @@ impl CanOverlay {
     /// The node whose zone contains `point`, by direct scan (ground truth
     /// for tests; real lookups go through [`CanOverlay::route`]). Panics on
     /// unrepaired holes — use [`CanOverlay::try_owner_of`] under damage.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: infallible owner_of requires tiled zones; damage-aware callers use try_owner_of"
+    )]
     pub fn owner_of(&self, point: &[f64]) -> NodeId {
-        // hyperm-lint: allow(panic-unwrap) — documented contract: infallible owner_of requires tiled zones; damage-aware callers use try_owner_of
         self.try_owner_of(point).expect("zones tile the space")
     }
 
@@ -354,11 +372,14 @@ impl CanOverlay {
     }
 
     /// Fault counters accumulated so far (`None` when injection is off).
+    #[expect(
+        clippy::expect_used,
+        reason = "mutex poison only follows a panic elsewhere; propagating it is correct"
+    )]
     pub fn fault_report(&self) -> Option<FaultReport> {
         self.faults
             .0
             .as_ref()
-            // hyperm-lint: allow(panic-unwrap) — mutex poison only follows a panic elsewhere; propagating it is correct
             .map(|m| m.lock().expect("fault injector poisoned").report())
     }
 
@@ -368,7 +389,10 @@ impl CanOverlay {
         match &self.faults.0 {
             None => (true, 1, 1),
             Some(m) => {
-                // hyperm-lint: allow(panic-unwrap) — mutex poison only follows a panic elsewhere; propagating it is correct
+                #[expect(
+                    clippy::expect_used,
+                    reason = "mutex poison only follows a panic elsewhere; propagating it is correct"
+                )]
                 let mut inj = m.lock().expect("fault injector poisoned");
                 match inj.hop() {
                     hyperm_sim::HopDelivery::Delivered { attempts, ticks } => {
@@ -578,11 +602,14 @@ impl CanOverlay {
         let out = self.route_result_with(from, target, msg_bytes, false);
         match out.outcome {
             RouteOutcome::Delivered => (out.node, out.stats),
+            #[expect(
+                clippy::panic,
+                reason = "documented contract: infallible route() is only for repaired topologies; fallible callers use route_result"
+            )]
             RouteOutcome::DeadEnd => {
-                // hyperm-lint: allow(panic-explicit) — documented contract: infallible route() is only for repaired topologies; fallible callers use route_result
                 panic!("route to owner failed: dead end at {}", out.node)
             }
-            // hyperm-lint: allow(panic-explicit) — same contract as the dead-end arm above
+            #[expect(clippy::panic, reason = "same contract as the dead-end arm above")]
             RouteOutcome::HopLimit => panic!(
                 "routing exceeded {} hops — broken overlay topology",
                 self.config.max_route_hops
@@ -609,6 +636,10 @@ impl CanOverlay {
         let new_id = NodeId(self.nodes.len());
         // Which of the owner's zones holds the point? Usually the primary;
         // an adopted fragment only while a repair is still in flight.
+        #[expect(
+            clippy::expect_used,
+            reason = "owner_of postcondition: the owner covers the join point in primary or an adopted zone"
+        )]
         let split_adopted = if self.nodes[owner.0].zone.contains(point) {
             None
         } else {
@@ -617,7 +648,6 @@ impl CanOverlay {
                     .adopted
                     .iter()
                     .position(|z| z.contains(point))
-                    // hyperm-lint: allow(panic-unwrap) — owner_of postcondition: the owner covers the join point in primary or an adopted zone
                     .expect("owner covers the join point"),
             )
         };
@@ -688,11 +718,14 @@ impl CanOverlay {
                 if let Some(pos) = list.iter().position(|&x| x == owner) {
                     if !still {
                         list.swap_remove(pos);
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "neighbour lists are kept symmetric by every mutation in this module"
+                        )]
                         let pos2 = self.nodes[owner.0]
                             .neighbours
                             .iter()
                             .position(|&x| x == c)
-                            // hyperm-lint: allow(panic-unwrap) — neighbour lists are kept symmetric by every mutation in this module
                             .expect("symmetric neighbour lists");
                         self.nodes[owner.0].neighbours.swap_remove(pos2);
                     }
@@ -798,11 +831,14 @@ impl CanOverlay {
     /// index.
     pub(crate) fn drop_fragment(&mut self, id: NodeId, zone: &Zone) {
         self.index.remove(id.0 as u32, zone);
+        #[expect(
+            clippy::expect_used,
+            reason = "caller verified the fragment is adopted by this node before dropping it"
+        )]
         let pos = self.nodes[id.0]
             .adopted
             .iter()
             .position(|z| z.same_box(zone))
-            // hyperm-lint: allow(panic-unwrap) — caller verified the fragment is adopted by this node before dropping it
             .expect("fragment present");
         self.nodes[id.0].adopted.swap_remove(pos);
     }

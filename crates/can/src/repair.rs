@@ -26,6 +26,15 @@
 //! neighbour lists are exact and symmetric, and the spatial index is
 //! current.
 
+// Panic-free hot path: no unwrap/expect, panic!/unreachable! or
+// unchecked indexing outside tests without a written reason.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
 use crate::overlay::CanOverlay;
 use crate::zone::Zone;
 use hyperm_sim::{NodeId, OpStats};
@@ -151,6 +160,10 @@ impl CanOverlay {
             let before = remaining.len();
             let mut deferred = Vec::new();
             for z in remaining {
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "zone volumes are finite positive products of box extents; partial_cmp cannot see NaN"
+                )]
                 let Some(adopter) = self
                     .zone_abutters(&z)
                     .into_iter()
@@ -158,7 +171,6 @@ impl CanOverlay {
                     .min_by(|&a, &b| {
                         let va = self.node(a).total_volume();
                         let vb = self.node(b).total_volume();
-                        // hyperm-lint: allow(panic-unwrap) — zone volumes are finite positive products of box extents; partial_cmp cannot see NaN
                         va.partial_cmp(&vb).unwrap().then(a.cmp(&b))
                     })
                 else {
@@ -312,7 +324,10 @@ impl CanOverlay {
             .find(|w| !w.same_box(v) && v.try_merge(w).is_some())
             .cloned();
         if let Some(w) = partner {
-            // hyperm-lint: allow(panic-unwrap) — the find() predicate just checked try_merge(w).is_some() for this partner
+            #[expect(
+                clippy::expect_used,
+                reason = "the find() predicate just checked try_merge(w).is_some() for this partner"
+            )]
             let parent = v.try_merge(&w).expect("checked");
             self.drop_fragment(y, v);
             self.drop_fragment(y, &w);
@@ -325,7 +340,10 @@ impl CanOverlay {
         // 3. The sibling is somebody's exact primary: hand the fragment
         //    over and let them merge up.
         if let Some(w) = self.primary_owner_of(&sib) {
-            // hyperm-lint: allow(panic-unwrap) — a sibling exists, so the zone is not the root and has a parent
+            #[expect(
+                clippy::expect_used,
+                reason = "a sibling exists, so the zone is not the root and has a parent"
+            )]
             let parent = v.parent().expect("sibling exists, so parent does");
             *stats += self.transfer_replicas(y, w, v);
             self.drop_fragment(y, v);
@@ -356,7 +374,10 @@ impl CanOverlay {
         if w1 == z2 {
             return false;
         }
-        // hyperm-lint: allow(panic-unwrap) — sibling_of returned Some, so z2's zone is not the root and has a parent
+        #[expect(
+            clippy::expect_used,
+            reason = "sibling_of returned Some, so z2's zone is not the root and has a parent"
+        )]
         let parent2 = z2_zone.parent().expect("sibling exists");
         // W1 absorbs Z2's zone (and takes over its replicas)…
         *stats += self.transfer_replicas(z2, w1, &z2_zone);
@@ -389,6 +410,10 @@ impl CanOverlay {
     /// The deepest (smallest-volume) alive node whose primary lies inside
     /// `region` and which holds no fragments of its own; ties break toward
     /// the lower id. `None` if the region is covered only by fragments.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "zone volumes are finite positive products of box extents; partial_cmp cannot see NaN"
+    )]
     fn deepest_primary_inside(&self, region: &Zone) -> Option<NodeId> {
         self.box_candidates_around(region)
             .into_iter()
@@ -399,7 +424,6 @@ impl CanOverlay {
             .min_by(|&a, &b| {
                 let va = self.node(a).zone.volume();
                 let vb = self.node(b).zone.volume();
-                // hyperm-lint: allow(panic-unwrap) — zone volumes are finite positive products of box extents; partial_cmp cannot see NaN
                 va.partial_cmp(&vb).unwrap().then(a.cmp(&b))
             })
     }
@@ -466,7 +490,10 @@ impl CanOverlay {
             .find(|z| z.contains(point))?
             .clone();
         let axis = zone.longest_dim();
-        // hyperm-lint: allow(panic-index) — longest_dim returns an in-bounds axis of this zone
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "longest_dim returns an in-bounds axis of this zone"
+        )]
         if zone.hi()[axis] - zone.lo()[axis] < MIN_SPLIT_EXTENT {
             return None;
         }
@@ -536,14 +563,15 @@ impl CanOverlay {
         if from == to || !self.node(from).alive || !self.node(to).alive {
             return None;
         }
+        #[expect(
+            clippy::unwrap_used,
+            reason = "zone volumes are finite positive products of box extents; partial_cmp cannot see NaN"
+        )]
         let frag = self
             .node(from)
             .adopted
             .iter()
-            .max_by(|a, b| {
-                // hyperm-lint: allow(panic-unwrap) — zone volumes are finite positive products of box extents; partial_cmp cannot see NaN
-                a.volume().partial_cmp(&b.volume()).unwrap()
-            })?
+            .max_by(|a, b| a.volume().partial_cmp(&b.volume()).unwrap())?
             .clone();
         let mut stats = self.transfer_replicas(from, to, &frag);
         self.drop_fragment(from, &frag);

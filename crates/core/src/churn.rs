@@ -31,7 +31,19 @@
 //!   become routing holes and queries degrade, which is the baseline the
 //!   `churn_failures` experiment quantifies.
 
-// hyperm-lint: allow-file(panic-index) — node indices come from the dense live-node table this module maintains
+// Panic-free hot path: no unwrap/expect, panic!/unreachable! or
+// unchecked indexing outside tests without a written reason.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "node indices come from the dense live-node table this module maintains"
+)]
 use crate::network::HypermNetwork;
 use crate::op::Op;
 use hyperm_can::{CanOverlay, RepairOutcome};
@@ -318,7 +330,7 @@ mod tests {
             }
         }
         let res = net.range_query(1, &q, eps, None);
-        let got: std::collections::HashSet<_> = res.items.iter().copied().collect();
+        let got: std::collections::BTreeSet<_> = res.items.iter().copied().collect();
         for t in &alive_truth {
             assert!(got.contains(t), "alive item {t:?} missed under churn");
         }

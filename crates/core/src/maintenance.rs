@@ -195,8 +195,8 @@ mod invalidation_tests {
         // Count distinct ids per (peer, tag) in every overlay: replicas of
         // one version share an id, so the id set per tag must have size 1.
         for l in 0..net.levels() {
-            let mut ids: std::collections::HashMap<(usize, u64), std::collections::HashSet<u64>> =
-                std::collections::HashMap::new();
+            let mut ids: std::collections::BTreeMap<(usize, u64), std::collections::BTreeSet<u64>> =
+                std::collections::BTreeMap::new();
             let overlay = net.overlay(l);
             // Walk all stores via stored_items_per_node length and the
             // public store accessors per backend (Can here).

@@ -8,7 +8,19 @@
 //! "parallel execution" view of dissemination time, while total hops is its
 //! Figure-8 metric.
 
-// hyperm-lint: allow-file(panic-index) — level indices iterate 0..levels() and peer ids index the dense peer table built at construction
+// Panic-free hot path: no unwrap/expect, panic!/unreachable! or
+// unchecked indexing outside tests without a written reason.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "level indices iterate 0..levels() and peer ids index the dense peer table built at construction"
+)]
 use crate::config::HypermConfig;
 use crate::overlay::{Overlay, OverlayBackend};
 use crate::peer::Peer;
@@ -465,15 +477,21 @@ impl HypermNetwork {
     }
 
     /// Decompose a query vector once for all levels.
+    #[expect(
+        clippy::expect_used,
+        reason = "config builder asserts data_dim is a power of two at construction"
+    )]
     pub fn decompose_query(&self, q: &[f64]) -> Decomposition {
         assert_eq!(q.len(), self.config.data_dim, "query dimension mismatch");
-        // hyperm-lint: allow(panic-unwrap) — config builder asserts data_dim is a power of two at construction
         decompose(q, self.config.normalization).expect("power-of-two dim")
     }
 
     /// The query's coefficients in a level's subspace, as a key-space point.
     pub fn query_key(&self, dec: &Decomposition, level: usize) -> Vec<f64> {
-        // hyperm-lint: allow(panic-unwrap) — level index comes from 0..self.levels(), which indexes self.subspaces
+        #[expect(
+            clippy::expect_used,
+            reason = "level index comes from 0..self.levels(), which indexes self.subspaces"
+        )]
         let coeffs = dec.subspace(self.subspaces[level]).expect("level exists");
         self.keymaps[level].to_key(coeffs)
     }
@@ -490,7 +508,10 @@ impl HypermNetwork {
     /// widening the key-space search radius by the returned slack restores
     /// the covering property. Slack is 0 for in-bounds queries.
     pub fn query_key_with_slack(&self, dec: &Decomposition, level: usize) -> (Vec<f64>, f64) {
-        // hyperm-lint: allow(panic-unwrap) — level index comes from 0..self.levels(), which indexes self.subspaces
+        #[expect(
+            clippy::expect_used,
+            reason = "level index comes from 0..self.levels(), which indexes self.subspaces"
+        )]
         let coeffs = dec.subspace(self.subspaces[level]).expect("level exists");
         self.keymaps[level].to_key_slack(coeffs)
     }
@@ -556,7 +577,10 @@ fn summarize_all(peers_data: Vec<Dataset>, config: &HypermConfig) -> Vec<Peer> {
             })
             .collect();
         for h in handles {
-            // hyperm-lint: allow(panic-unwrap) — re-raising a worker panic on the coordinator thread is the intended propagation
+            #[expect(
+                clippy::expect_used,
+                reason = "re-raising a worker panic on the coordinator thread is the intended propagation"
+            )]
             out.extend(h.join().expect("summarisation thread panicked"));
         }
     });

@@ -34,7 +34,10 @@ pub enum OverlayBackend {
 }
 
 /// A per-subspace overlay of any of the three substrates.
-#[allow(clippy::large_enum_variant)] // one per level: boxing CAN buys nothing
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one per level: boxing CAN buys nothing"
+)]
 #[derive(Debug, Clone)]
 pub enum Overlay {
     /// CAN substrate.

@@ -17,7 +17,19 @@
 //! `tests/telemetry.rs` equivalence suite. Build, live joins and
 //! republishing inserts use the reliable path, `place_sphere`.
 
-// hyperm-lint: allow-file(panic-index) — per-level vectors are built with len == levels() and indexed by the same 0..levels() range
+// Panic-free hot path: no unwrap/expect, panic!/unreachable! or
+// unchecked indexing outside tests without a written reason.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "per-level vectors are built with len == levels() and indexed by the same 0..levels() range"
+)]
 use crate::network::HypermNetwork;
 use crate::op::{cost_fields, Op};
 use hyperm_can::{InsertOutcome, ObjectRef};

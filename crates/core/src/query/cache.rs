@@ -97,8 +97,11 @@ impl SummaryCache {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "cache operations cannot panic while holding the lock, so it is never poisoned"
+    )]
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // hyperm-lint: allow(panic-unwrap) — cache operations cannot panic while holding the lock, so it is never poisoned
         self.inner.lock().expect("summary cache lock poisoned")
     }
 

@@ -19,7 +19,10 @@
 //! overlay query (doubling radius until enough summarised items are in
 //! view), then run the estimation on what was found.
 
-// hyperm-lint: allow-file(panic-index) — the one slice is `ranked[..target]` with `target = p.min(ranked.len())`
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the one slice is `ranked[..target]` with `target = p.min(ranked.len())`"
+)]
 use crate::network::HypermNetwork;
 use crate::query::{QueryBudget, QueryRun, Reply};
 use crate::score::{aggregate, peers_to_cover, LevelScorer, PeerScore};
@@ -220,7 +223,10 @@ impl HypermNetwork {
         });
 
         // Step 10: sort and cut.
-        // hyperm-lint: allow(panic-unwrap) — distances are finite (inputs validated, no NaN can reach the sort key)
+        #[expect(
+            clippy::unwrap_used,
+            reason = "distances are finite (inputs validated, no NaN can reach the sort key)"
+        )]
         retrieved.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
         let topk = retrieved.iter().take(k).cloned().collect();
         let (stats, truncated) = run.close(|| {

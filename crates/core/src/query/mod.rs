@@ -30,6 +30,16 @@
 //! | trace | `fetch{alive=false}` event | `fetch_timeout` event + counter |
 //! | contact window | fixed | slides to the next candidate if `fallback` |
 
+// Panic-free hot path, here and in the query/ submodules: no
+// unwrap/expect, panic!/unreachable! or unchecked indexing outside tests
+// without a written reason.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
 pub mod cache;
 pub mod knn;
 pub mod point;
@@ -174,7 +184,10 @@ impl<'a> QueryRun<'a> {
         extra: impl FnOnce() -> Fields,
     ) -> Self {
         let tel = net.recorder();
-        // hyperm-lint: allow(det-wall-clock) — host-latency metric for the trace only; never feeds simulated results or routing decisions
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "host-latency metric for the trace only; never feeds simulated results or routing decisions"
+        )]
         let t0 = tel.is_enabled().then(std::time::Instant::now);
         // Roots under the recorder's ambient scope — NONE standalone, the
         // serve span when a node runtime is dispatching us.

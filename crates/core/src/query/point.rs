@@ -170,7 +170,7 @@ mod tests {
             .with_seed(4);
         let (net, _) = HypermNetwork::build(peers, cfg).unwrap();
         let res = net.point_query(0, &shared);
-        let holders: std::collections::HashSet<usize> =
+        let holders: std::collections::BTreeSet<usize> =
             res.matches.iter().map(|&(p, _)| p).collect();
         assert_eq!(holders.len(), 4, "all four holders should be found");
     }

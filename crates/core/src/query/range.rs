@@ -222,7 +222,7 @@ mod tests {
             let eps = 0.3;
             let truth = flat.range(&q, eps);
             let got = net.range_query(0, &q, eps, None);
-            let got_set: std::collections::HashSet<_> = got.items.iter().copied().collect();
+            let got_set: std::collections::BTreeSet<_> = got.items.iter().copied().collect();
             for t in &truth {
                 assert!(got_set.contains(t), "missed {t:?} — false dismissal!");
             }
@@ -267,7 +267,7 @@ mod tests {
         let q = peers[5].row(0).to_vec();
         let truth = flat.range(&q, 0.25);
         let got = net.range_query(1, &q, 0.25, None);
-        let candidate_peers: std::collections::HashSet<usize> =
+        let candidate_peers: std::collections::BTreeSet<usize> =
             got.ranked.iter().map(|p| p.peer).collect();
         for (peer, _) in truth {
             assert!(
@@ -370,7 +370,7 @@ mod adaptive_tests {
         // The achieved recall (vs the full answer) should be near or above
         // the requested mass fraction on this well-clustered data.
         if !full.items.is_empty() {
-            let got: std::collections::HashSet<_> = half.items.iter().collect();
+            let got: std::collections::BTreeSet<_> = half.items.iter().collect();
             let recall = full.items.iter().filter(|i| got.contains(i)).count() as f64
                 / full.items.len() as f64;
             assert!(recall >= 0.3, "achieved recall {recall}");

@@ -29,6 +29,13 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Seeded replay: no wall-clock read and no hash-ordered container
+// (clippy.toml lists them) in a result-affecting crate.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::iter_over_hash_type
+)]
 
 pub mod cap;
 pub mod intersect;

@@ -1,34 +1,27 @@
-//! `hyperm-lint` — in-tree static analysis for the Hyper-M workspace.
+//! `hyperm-lint` — the workspace checks that neither clippy nor a type
+//! can carry.
 //!
 //! The correctness story of this repo (Theorems 3.1/4.1, the parallel ==
 //! serial and faults-off == legacy acceptance suites, byte-equal
-//! telemetry streams) rests on **bit-identical replay**. Nothing in the
-//! type system stops a future change from iterating a `HashMap` into a
-//! result or reading the wall clock on a scoring path — so this crate
-//! machine-checks those project invariants the way mature
-//! systems repos encode review folklore as custom lints. Dep-free (the
-//! workspace builds offline) and token-level: a small lexer
-//! ([`lexer`]), not a full parser.
+//! telemetry streams) rests on **bit-identical replay** and on hot paths
+//! that cannot panic. Those rules live where the compiler enforces them
+//! (DESIGN.md, "Static analysis & invariants"): `clippy.toml` plus a
+//! `#![deny]` in each result crate's `lib.rs` bans wall-clock reads and
+//! hash-ordered containers; a `#![deny]` header on each hot-path module
+//! bans unwrap/expect/panic/indexing; the codec's checked `Reader` is the
+//! one place a wire count sizes an allocation. What is left here has no
+//! clippy lint: lock order across files, and the facade. Dep-free (the
+//! workspace builds offline) and token-level: a small lexer ([`lexer`]),
+//! not a full parser.
 //!
 //! Passes (rule slugs in parentheses):
-//! * **determinism** ([`passes::determinism`]) — unordered-container
-//!   iteration (`det-unordered-iter`), wall-clock reads
-//!   (`det-wall-clock`) and unseeded RNG (`det-unseeded-rng`) in
-//!   result-affecting crates;
-//! * **panic-path** ([`passes::panics`]) — `unwrap`/`expect`
-//!   (`panic-unwrap`), `panic!`-family macros (`panic-explicit`) and
-//!   direct indexing (`panic-index`) on the query/publish/repair hot
-//!   paths;
-//! * **facade** ([`passes::facade`]) — root public types of core crates
-//!   are re-exported from `hyperm` or excluded in
-//!   `crates/lint/facade.allow` (`facade-export`);
 //! * **concurrency** ([`passes::concurrency`]) — lock-acquisition-order
 //!   cycles over a workspace-wide graph (`conc-lock-order`), blocking
 //!   calls while a guard is live (`conc-blocking-hold`), and guards
 //!   crossing `spawn`/closure boundaries (`conc-guard-across-spawn`);
-//! * **wire-taint** ([`passes::wiretaint`]) — frame-derived values
-//!   reaching allocations, indexes or unchecked casts without
-//!   validation in the wire-decode files (`wire-taint`).
+//! * **facade** ([`passes::facade`]) — root public types of core crates
+//!   are re-exported from `hyperm` or excluded in
+//!   `crates/lint/facade.allow` (`facade-export`).
 //!
 //! Protocol consistency is not a pass: the wire protocol is one
 //! `protocol!` list in `hyperm_can::codec`, and the compiler checks it
@@ -59,28 +52,15 @@ use std::time::{Duration, Instant};
 
 /// Every rule slug the tool can emit, in stable report order.
 pub const RULES: &[&str] = &[
-    "det-unordered-iter",
-    "det-wall-clock",
-    "det-unseeded-rng",
-    "panic-unwrap",
-    "panic-explicit",
-    "panic-index",
     "facade-export",
     "conc-lock-order",
     "conc-blocking-hold",
     "conc-guard-across-spawn",
-    "wire-taint",
     "lint-directive",
 ];
 
 /// Pass names, in the order `timings_ms` reports them.
-pub const PASSES: &[&str] = &[
-    "determinism",
-    "panics",
-    "concurrency",
-    "wiretaint",
-    "facade",
-];
+pub const PASSES: &[&str] = &["concurrency", "facade"];
 
 /// Per-pass wall-time accumulator (the lint itself is not a
 /// result-affecting crate, so `Instant` is fair game here).
@@ -116,53 +96,24 @@ impl PassClock {
 /// test code (integration tests may do anything), and lint fixtures.
 const SKIP_DIRS: &[&str] = &["target", "vendor", "tests", "benches", "fixtures", ".git"];
 
-/// Run the per-file passes over one prepared token stream: raw
-/// violations plus the file's lock-order edges. Shared by
-/// [`lint_source`] (which resolves cycles locally) and
-/// [`run_workspace`] (which resolves them globally, once).
-fn analyze(ctx: &FileCtx<'_>, clock: &mut PassClock) -> (Vec<Violation>, Vec<LockEdge>) {
-    let mut raw = Vec::new();
-    raw.extend(clock.time("determinism", || passes::determinism::run(ctx)));
-    raw.extend(clock.time("panics", || passes::panics::run(ctx)));
-    let (conc, edges) = clock.time("concurrency", || passes::concurrency::run(ctx));
-    raw.extend(conc);
-    raw.extend(clock.time("wiretaint", || passes::wiretaint::run(ctx)));
-    (raw, edges)
-}
-
-/// Lint one source text as if it lived at `rel_path` in crate
-/// `crate_name`. Returns surviving violations and applied suppressions.
+/// Lint one source text as if it lived at `rel_path`. Returns surviving
+/// violations and applied suppressions.
 /// This is the unit the fixture tests drive. Lock-order cycles are
 /// resolved over this file's edges alone; the workspace driver merges
 /// edges across files instead, so cross-file inversions surface there.
-pub fn lint_source(
-    rel_path: &str,
-    crate_name: &str,
-    src: &str,
-) -> (Vec<Violation>, Vec<Suppressed>) {
+pub fn lint_source(rel_path: &str, src: &str) -> (Vec<Violation>, Vec<Suppressed>) {
     let lexed = lexer::lex(src);
     let mask = lexer::test_module_mask(&lexed.tokens);
     let ctx = FileCtx {
         path: rel_path,
-        crate_name,
         tokens: &lexed.tokens,
         in_test: &mask,
     };
-    let mut clock = PassClock::default();
-    let (mut raw, edges) = analyze(&ctx, &mut clock);
+    let (mut raw, edges) = passes::concurrency::run(&ctx);
     raw.extend(passes::concurrency::order_cycles(&edges));
     raw.sort();
     let directives = parse_directives(&lexed.comments);
     apply_suppressions(rel_path, raw, &directives)
-}
-
-/// Crate name for a workspace-relative path: `crates/<name>/…` maps to
-/// `<name>`, everything else (root `src/`, `examples/`) to `hyperm`.
-pub fn crate_of(rel_path: &str) -> &str {
-    rel_path
-        .strip_prefix("crates/")
-        .and_then(|rest| rest.split('/').next())
-        .unwrap_or("hyperm")
 }
 
 /// Scannable Rust sources under `root`, workspace-relative, sorted (the
@@ -219,11 +170,10 @@ pub fn run_workspace(root: &Path) -> Report {
         let mask = lexer::test_module_mask(&lexed.tokens);
         let ctx = FileCtx {
             path: &rel_str,
-            crate_name: crate_of(&rel_str),
             tokens: &lexed.tokens,
             in_test: &mask,
         };
-        let (raw, mut file_edges) = analyze(&ctx, &mut clock);
+        let (raw, mut file_edges) = clock.time("concurrency", || passes::concurrency::run(&ctx));
         edges.append(&mut file_edges);
         pending.push((rel_str, raw, parse_directives(&lexed.comments)));
     }
@@ -243,16 +193,4 @@ pub fn run_workspace(root: &Path) -> Report {
     report.violations.sort();
     report.timings_ms = clock.timings();
     report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn crate_of_maps_paths() {
-        assert_eq!(crate_of("crates/core/src/query/range.rs"), "core");
-        assert_eq!(crate_of("src/lib.rs"), "hyperm");
-        assert_eq!(crate_of("examples/quickstart.rs"), "hyperm");
-    }
 }

@@ -232,7 +232,10 @@ pub fn run(ctx: &FileCtx<'_>) -> (Vec<Violation>, Vec<LockEdge>) {
 /// Handle one acquisition of `lock_id` at token `ix` (the method ident):
 /// emit order edges against live guards, detect re-entry, and start
 /// tracking the new guard.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one acquisition needs the file context, the lock, the guard table and the edge sink at once"
+)]
 fn record_acquisition(
     ctx: &FileCtx<'_>,
     ix: usize,

@@ -2,10 +2,7 @@
 //! reports raw violations (suppressions are applied by the driver).
 
 pub mod concurrency;
-pub mod determinism;
 pub mod facade;
-pub mod panics;
-pub mod wiretaint;
 
 use crate::lexer::{Tok, Token};
 use crate::report::Violation;
@@ -14,9 +11,6 @@ use crate::report::Violation;
 pub struct FileCtx<'a> {
     /// Workspace-relative path (diagnostics key).
     pub path: &'a str,
-    /// Crate the file belongs to: the directory name under `crates/`
-    /// (`core`, `can`, …), or `hyperm` for the root crate's `src/`.
-    pub crate_name: &'a str,
     /// Token stream.
     pub tokens: &'a [Token],
     /// Per-token `#[cfg(test)] mod` mask (same length as `tokens`).

@@ -10,7 +10,7 @@ pub struct Violation {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule slug (e.g. `det-unordered-iter`).
+    /// Rule slug (e.g. `conc-lock-order`).
     pub rule: &'static str,
     /// Human message.
     pub message: String,
@@ -263,26 +263,26 @@ mod tests {
     fn line_allow_suppresses_same_and_next_line() {
         let d = parse_directives(&[comment(
             9,
-            " hyperm-lint: allow(panic-unwrap) — bounded by invariant",
+            " hyperm-lint: allow(conc-blocking-hold) — bounded by invariant",
         )]);
-        let (rest, supp) = apply_suppressions("f.rs", vec![viol(10, "panic-unwrap")], &d);
+        let (rest, supp) = apply_suppressions("f.rs", vec![viol(10, "conc-blocking-hold")], &d);
         assert!(rest.is_empty());
         assert_eq!(supp.len(), 1);
         assert_eq!(supp[0].reason, "bounded by invariant");
 
-        let (rest, supp) = apply_suppressions("f.rs", vec![viol(9, "panic-unwrap")], &d);
+        let (rest, supp) = apply_suppressions("f.rs", vec![viol(9, "conc-blocking-hold")], &d);
         assert!(rest.is_empty());
         assert_eq!(supp.len(), 1);
     }
 
     #[test]
     fn missing_reason_and_unused_allow_are_violations() {
-        let d = parse_directives(&[comment(1, "hyperm-lint: allow(det-wall-clock)")]);
+        let d = parse_directives(&[comment(1, "hyperm-lint: allow(conc-lock-order)")]);
         let (rest, _) = apply_suppressions("f.rs", vec![], &d);
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].rule, "lint-directive");
 
-        let d = parse_directives(&[comment(1, "hyperm-lint: allow(det-wall-clock) — why not")]);
+        let d = parse_directives(&[comment(1, "hyperm-lint: allow(conc-lock-order) — why not")]);
         let (rest, _) = apply_suppressions("f.rs", vec![], &d);
         assert_eq!(rest.len(), 1, "unused allow must surface");
         assert!(rest[0].message.contains("unused"));
@@ -292,11 +292,14 @@ mod tests {
     fn file_allow_covers_whole_file_without_unused_tracking() {
         let d = parse_directives(&[comment(
             2,
-            "hyperm-lint: allow-file(panic-index) — slot ids are invariant-checked",
+            "hyperm-lint: allow-file(conc-guard-across-spawn) — slot ids are invariant-checked",
         )]);
         let (rest, supp) = apply_suppressions(
             "f.rs",
-            vec![viol(50, "panic-index"), viol(90, "panic-index")],
+            vec![
+                viol(50, "conc-guard-across-spawn"),
+                viol(90, "conc-guard-across-spawn"),
+            ],
             &d,
         );
         assert!(rest.is_empty());
@@ -307,11 +310,11 @@ mod tests {
     fn multi_rule_allow() {
         let d = parse_directives(&[comment(
             4,
-            "hyperm-lint: allow(det-wall-clock, panic-unwrap) — host-only metric",
+            "hyperm-lint: allow(conc-lock-order, conc-blocking-hold) — host-only metric",
         )]);
         let (rest, supp) = apply_suppressions(
             "f.rs",
-            vec![viol(5, "det-wall-clock"), viol(5, "panic-unwrap")],
+            vec![viol(5, "conc-lock-order"), viol(5, "conc-blocking-hold")],
             &d,
         );
         assert!(rest.is_empty());

@@ -1,8 +1,9 @@
 //! Fixture tests: one deliberately bad snippet per rule, asserted at the
-//! exact line; a clean fixture; a justified-suppression fixture; a facade
-//! fixture workspace; injection tests that plant a `HashMap` iteration
-//! into a real hot-path source and a lock-order inversion into the real
-//! TCP pool; and a self-run asserting the workspace itself is lint-clean.
+//! exact line; clean fixtures; justified-suppression fixtures; a facade
+//! fixture workspace; an injection test that plants a lock-order
+//! inversion into the real TCP pool; a check that the clippy deny headers
+//! carrying the replay and panic-path rules are in place; and a self-run
+//! asserting the workspace itself is lint-clean.
 
 use hyperm_lint::{lint_source, passes, run_workspace};
 use std::path::{Path, PathBuf};
@@ -14,16 +15,16 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// Lint a fixture as if it lived on a hot path of a result-affecting
-/// crate, so every pass is active.
-fn lint_hot(name: &str) -> (Vec<hyperm_lint::report::Violation>, usize) {
+/// Lint a fixture as if it lived in the TCP transport (the passes are
+/// path-agnostic).
+fn lint_fixture(name: &str) -> (Vec<hyperm_lint::report::Violation>, usize) {
     let src = fixture(name);
-    let (violations, suppressed) = lint_source("crates/core/src/query/fixture.rs", "core", &src);
+    let (violations, suppressed) = lint_source("crates/transport/src/fixture.rs", &src);
     (violations, suppressed.len())
 }
 
 fn assert_single(name: &str, rule: &str, line: u32) {
-    let (violations, _) = lint_hot(name);
+    let (violations, _) = lint_fixture(name);
     assert_eq!(
         violations.len(),
         1,
@@ -34,43 +35,13 @@ fn assert_single(name: &str, rule: &str, line: u32) {
 }
 
 #[test]
-fn det_unordered_iter_fixture() {
-    assert_single("det_unordered_iter.rs", "det-unordered-iter", 7);
-}
-
-#[test]
-fn det_wall_clock_fixture() {
-    assert_single("det_wall_clock.rs", "det-wall-clock", 5);
-}
-
-#[test]
-fn det_unseeded_rng_fixture() {
-    assert_single("det_unseeded_rng.rs", "det-unseeded-rng", 3);
-}
-
-#[test]
-fn panic_unwrap_fixture() {
-    assert_single("panic_unwrap.rs", "panic-unwrap", 3);
-}
-
-#[test]
-fn panic_explicit_fixture() {
-    assert_single("panic_explicit.rs", "panic-explicit", 3);
-}
-
-#[test]
-fn panic_index_fixture() {
-    assert_single("panic_index.rs", "panic-index", 3);
-}
-
-#[test]
 fn lint_directive_fixture() {
     assert_single("lint_directive.rs", "lint-directive", 2);
 }
 
 #[test]
 fn clean_fixture_is_clean() {
-    let (violations, suppressed) = lint_hot("clean.rs");
+    let (violations, suppressed) = lint_fixture("clean.rs");
     assert!(
         violations.is_empty(),
         "clean fixture flagged: {violations:?}"
@@ -80,33 +51,12 @@ fn clean_fixture_is_clean() {
 
 #[test]
 fn justified_suppression_is_honoured() {
-    let (violations, suppressed) = lint_hot("suppressed.rs");
+    let (violations, suppressed) = lint_fixture("suppressed.rs");
     assert!(
         violations.is_empty(),
         "suppressed fixture flagged: {violations:?}"
     );
     assert_eq!(suppressed, 1, "the suppression must be recorded as used");
-}
-
-#[test]
-fn determinism_pass_is_scoped_to_result_crates() {
-    // The same bad source in a non-result crate (datagen) is not flagged.
-    let src = fixture("det_unordered_iter.rs");
-    let (violations, _) = lint_source("crates/datagen/src/lib.rs", "datagen", &src);
-    assert!(
-        violations.is_empty(),
-        "datagen is not a result crate: {violations:?}"
-    );
-}
-
-#[test]
-fn panic_pass_is_scoped_to_hot_paths() {
-    let src = fixture("panic_unwrap.rs");
-    let (violations, _) = lint_source("crates/core/src/score.rs", "core", &src);
-    assert!(
-        violations.is_empty(),
-        "score.rs is not a hot path: {violations:?}"
-    );
 }
 
 #[test]
@@ -127,66 +77,11 @@ fn facade_fixture_workspace() {
     assert_eq!(violations[1].line, 2);
 }
 
-/// Acceptance criterion: a deliberately introduced `HashMap` iteration in
-/// a real `crates/core/src/query/` source is caught at the planted line.
-#[test]
-fn injected_hashmap_iteration_in_query_source_is_caught() {
-    let repo_root = workspace_root();
-    let rel = "crates/core/src/query/range.rs";
-    let original = std::fs::read_to_string(repo_root.join(rel)).expect("read range.rs");
-
-    // The pristine source must be det-clean (suppressions included).
-    let (violations, _) = lint_source(rel, "core", &original);
-    let det: Vec<_> = violations
-        .iter()
-        .filter(|v| v.rule.starts_with("det-"))
-        .collect();
-    assert!(
-        det.is_empty(),
-        "range.rs already has det violations: {det:?}"
-    );
-
-    // Plant a HashMap iteration at a known line past the end.
-    let planted = format!(
-        "{original}\nfn planted() -> f64 {{\n    let m: std::collections::HashMap<u32, f64> = \
-         std::collections::HashMap::new();\n    let mut acc = 0.0;\n    for (_k, v) in m.iter() \
-         {{\n        acc += *v;\n    }}\n    acc\n}}\n"
-    );
-    let loop_line = planted
-        .lines()
-        .position(|l| l.contains("for (_k, v) in m.iter()"))
-        .expect("planted loop present") as u32
-        + 1;
-    let (violations, _) = lint_source(rel, "core", &planted);
-    let det: Vec<_> = violations
-        .iter()
-        .filter(|v| v.rule == "det-unordered-iter")
-        .collect();
-    assert_eq!(det.len(), 1, "planted iteration not caught: {violations:?}");
-    assert_eq!(det[0].line, loop_line, "wrong line for the planted loop");
-}
-
-/// Lint a fixture at an arbitrary path (the concurrency pass is
-/// path-agnostic; the wire-taint pass keys on the wire files).
-fn lint_at(
-    path: &str,
-    crate_name: &str,
-    name: &str,
-) -> (Vec<hyperm_lint::report::Violation>, usize) {
-    let src = fixture(name);
-    let (violations, suppressed) = lint_source(path, crate_name, &src);
-    (violations, suppressed.len())
-}
-
 #[test]
 fn conc_lock_order_fixture() {
     // Both halves of the inversion are reported, each at its inner
     // acquisition line.
-    let (violations, _) = lint_at(
-        "crates/transport/src/fixture.rs",
-        "transport",
-        "conc_lock_order.rs",
-    );
+    let (violations, _) = lint_fixture("conc_lock_order.rs");
     assert_eq!(violations.len(), 2, "{violations:?}");
     assert!(
         violations.iter().all(|v| v.rule == "conc-lock-order"),
@@ -198,11 +93,7 @@ fn conc_lock_order_fixture() {
 
 #[test]
 fn conc_blocking_hold_fixture() {
-    let (violations, _) = lint_at(
-        "crates/transport/src/fixture.rs",
-        "transport",
-        "conc_blocking_hold.rs",
-    );
+    let (violations, _) = lint_fixture("conc_blocking_hold.rs");
     assert_eq!(violations.len(), 1, "{violations:?}");
     assert_eq!(violations[0].rule, "conc-blocking-hold");
     assert_eq!(violations[0].line, 11);
@@ -210,11 +101,7 @@ fn conc_blocking_hold_fixture() {
 
 #[test]
 fn conc_guard_across_spawn_fixture() {
-    let (violations, _) = lint_at(
-        "crates/transport/src/fixture.rs",
-        "transport",
-        "conc_guard_across_spawn.rs",
-    );
+    let (violations, _) = lint_fixture("conc_guard_across_spawn.rs");
     assert!(!violations.is_empty(), "spawn capture not caught");
     assert!(
         violations
@@ -226,11 +113,7 @@ fn conc_guard_across_spawn_fixture() {
 
 #[test]
 fn conc_clean_fixture_is_clean() {
-    let (violations, suppressed) = lint_at(
-        "crates/transport/src/fixture.rs",
-        "transport",
-        "conc_clean.rs",
-    );
+    let (violations, suppressed) = lint_fixture("conc_clean.rs");
     assert!(
         violations.is_empty(),
         "clean conc fixture flagged: {violations:?}"
@@ -240,56 +123,11 @@ fn conc_clean_fixture_is_clean() {
 
 #[test]
 fn conc_suppression_is_honoured() {
-    let (violations, suppressed) = lint_at(
-        "crates/transport/src/fixture.rs",
-        "transport",
-        "conc_suppressed.rs",
-    );
+    let (violations, suppressed) = lint_fixture("conc_suppressed.rs");
     assert!(violations.is_empty(), "{violations:?}");
     assert_eq!(
         suppressed, 1,
         "the conc suppression must be recorded as used"
-    );
-}
-
-#[test]
-fn wire_taint_fixture() {
-    // Linted as the real codec path so the pass is active: the
-    // unvalidated `with_capacity` and the wide `as usize` cast.
-    let (violations, _) = lint_at("crates/can/src/codec.rs", "can", "wire_taint.rs");
-    assert_eq!(violations.len(), 2, "{violations:?}");
-    assert!(
-        violations.iter().all(|v| v.rule == "wire-taint"),
-        "{violations:?}"
-    );
-    assert_eq!(violations[0].line, 3, "with_capacity sink line");
-    assert_eq!(violations[1].line, 10, "wide-cast line");
-}
-
-#[test]
-fn wire_clean_fixture_is_clean() {
-    let (violations, suppressed) = lint_at("crates/can/src/codec.rs", "can", "wire_clean.rs");
-    assert!(
-        violations.is_empty(),
-        "validated decode flagged: {violations:?}"
-    );
-    assert_eq!(suppressed, 0);
-}
-
-#[test]
-fn wire_suppression_is_honoured() {
-    let (violations, suppressed) = lint_at("crates/can/src/codec.rs", "can", "wire_suppressed.rs");
-    assert!(violations.is_empty(), "{violations:?}");
-    assert_eq!(suppressed, 1);
-}
-
-#[test]
-fn wire_taint_pass_is_scoped_to_wire_files() {
-    // The same tainted source anywhere else is not the wire boundary.
-    let (violations, _) = lint_at("crates/core/src/score.rs", "core", "wire_taint.rs");
-    assert!(
-        violations.is_empty(),
-        "wire-taint leaked off the wire files: {violations:?}"
     );
 }
 
@@ -302,7 +140,7 @@ fn injected_lock_order_inversion_in_tcp_pool_is_caught() {
     let rel = "crates/transport/src/tcp.rs";
     let original = std::fs::read_to_string(repo_root.join(rel)).expect("read tcp.rs");
 
-    let (violations, _) = lint_source(rel, "transport", &original);
+    let (violations, _) = lint_source(rel, &original);
     let conc: Vec<_> = violations
         .iter()
         .filter(|v| v.rule.starts_with("conc-"))
@@ -328,7 +166,7 @@ fn injected_lock_order_inversion_in_tcp_pool_is_caught() {
             .expect("marker present") as u32
             + 1
     };
-    let (violations, _) = lint_source(rel, "transport", &planted);
+    let (violations, _) = lint_source(rel, &planted);
     let conc: Vec<_> = violations
         .iter()
         .filter(|v| v.rule == "conc-lock-order")
@@ -340,6 +178,74 @@ fn injected_lock_order_inversion_in_tcp_pool_is_caught() {
     );
     assert_eq!(conc[0].line, line_of("planted-inner-forward"));
     assert_eq!(conc[1].line, line_of("planted-inner-backward"));
+}
+
+/// The replay and panic-path rules are clippy lints, denied by a header
+/// in each file they cover (`clippy.toml` configures the disallowed
+/// paths). `cargo clippy` cannot notice a header that goes missing, so
+/// this checks that every covered file still carries its deny.
+#[test]
+fn clippy_deny_headers_are_in_place() {
+    const REPLAY: &[&str] = &[
+        "disallowed_methods",
+        "disallowed_types",
+        "iter_over_hash_type",
+    ];
+    const PANIC_PATH: &[&str] = &[
+        "unwrap_used",
+        "expect_used",
+        "panic",
+        "unreachable",
+        "indexing_slicing",
+    ];
+    const WIRE: &[&str] = &["unwrap_used", "expect_used", "cast_possible_truncation"];
+    let mut scopes: Vec<(String, &[&str])> = [
+        "core", "can", "repair", "cluster", "wavelet", "geometry", "vbi", "baton",
+    ]
+    .iter()
+    .map(|c| (format!("crates/{c}/src/lib.rs"), REPLAY))
+    .collect();
+    for hot in [
+        "crates/core/src/query/mod.rs",
+        "crates/core/src/publish.rs",
+        "crates/core/src/network.rs",
+        "crates/core/src/churn.rs",
+        "crates/can/src/ops.rs",
+        "crates/can/src/overlay.rs",
+        "crates/can/src/repair.rs",
+        "crates/repair/src/lib.rs",
+    ] {
+        scopes.push((hot.to_string(), PANIC_PATH));
+    }
+    for wire in ["crates/can/src/codec.rs", "crates/transport/src/frame.rs"] {
+        scopes.push((wire.to_string(), WIRE));
+    }
+    let root = workspace_root();
+    for (rel, lints) in scopes {
+        let src = std::fs::read_to_string(root.join(&rel)).expect("read scoped file");
+        let denied: Vec<&str> = src
+            .split("#![deny(")
+            .skip(1)
+            .filter_map(|rest| rest.split(")]").next())
+            .collect();
+        for lint in lints {
+            assert!(
+                denied
+                    .iter()
+                    .any(|d| d.contains(&format!("clippy::{lint}"))),
+                "{rel} no longer denies clippy::{lint}"
+            );
+        }
+    }
+    let config = std::fs::read_to_string(root.join("clippy.toml")).expect("read clippy.toml");
+    for path in [
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+    ] {
+        assert!(config.contains(path), "clippy.toml no longer lists {path}");
+    }
 }
 
 /// The workspace itself must be lint-clean — the same invariant CI

@@ -1,6 +1,8 @@
-// Fixture: deterministic, panic-free, canonically named — lint-clean.
-use std::collections::BTreeMap;
+// Fixture: one lock, released before the blocking call — lint-clean.
+use std::sync::Mutex;
+use std::time::Duration;
 
-pub fn tally(scores: &BTreeMap<usize, f64>) -> f64 {
-    scores.values().sum()
+pub fn settle(state: &Mutex<u64>) {
+    let pause = *state.lock().unwrap();
+    std::thread::sleep(Duration::from_millis(pause));
 }

@@ -1,3 +1,3 @@
 // Fixture: a suppression without a justification (lint-directive).
-// hyperm-lint: allow(panic-unwrap)
+// hyperm-lint: allow(conc-blocking-hold)
 pub fn fine() {}

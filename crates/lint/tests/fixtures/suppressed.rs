@@ -1,5 +1,8 @@
 // Fixture: a justified suppression silences the violation.
-pub fn first(v: &[u64]) -> u64 {
-    // hyperm-lint: allow(panic-unwrap) — fixture demonstrating a justified suppression
-    *v.first().unwrap()
+use std::sync::Mutex;
+
+pub fn reader(state: &Mutex<u32>) -> impl FnOnce() -> u32 + '_ {
+    let g = state.lock().unwrap();
+    // hyperm-lint: allow(conc-guard-across-spawn) — fixture demonstrating a justified suppression
+    move || *g
 }

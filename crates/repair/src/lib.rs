@@ -25,8 +25,27 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Seeded replay: no wall-clock read and no hash-ordered container
+// (clippy.toml lists them) in a result-affecting crate.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::iter_over_hash_type
+)]
+// Panic-free hot path: no unwrap/expect, panic!/unreachable! or
+// unchecked indexing outside tests without a written reason.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "overlay and node indices are dense and validated by the repair planner before use"
+)]
 
-// hyperm-lint: allow-file(panic-index) — overlay and node indices are dense and validated by the repair planner before use
 use hyperm_cluster::Dataset;
 use hyperm_core::{ChurnOutcome, HypermNetwork, JoinError, SphereRef};
 use hyperm_sim::{FaultConfig, OpStats, PartitionPlan};
@@ -256,7 +275,10 @@ impl RepairEngine {
     /// Install the configured partition on the network: links across
     /// components are severed in every overlay and for phase-2 fetches.
     fn apply_partition(&mut self) {
-        // hyperm-lint: allow(panic-unwrap) — apply_partition is only called after the caller checked partition_plan.is_some()
+        #[expect(
+            clippy::expect_used,
+            reason = "apply_partition is only called after the caller checked partition_plan.is_some()"
+        )]
         let plan = self.cfg.partition_plan.as_ref().expect("no partition plan");
         let map = plan.component_map(self.net.len());
         let components = plan.components.len();

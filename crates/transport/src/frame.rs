@@ -20,6 +20,13 @@
 //!
 //! [`CodecError`]: hyperm_can::codec::CodecError
 
+// The frame header is wire-derived: no unwrap and no truncating cast.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation
+)]
+
 use hyperm_can::codec::{decode_message, encode_message, encode_message_into};
 use hyperm_can::Message;
 
@@ -174,7 +181,7 @@ mod tests {
         }
 
         for (msg, body, req_id) in [(query, query_body, 0xFEED_F00Du64), (ack, ack_body, 0)] {
-            let mut want = (body.len() as u32).to_le_bytes().to_vec();
+            let mut want = u32::try_from(body.len()).unwrap().to_le_bytes().to_vec();
             want.extend_from_slice(&req_id.to_le_bytes());
             want.extend_from_slice(&body);
             let mut w = CountingWriter::default();

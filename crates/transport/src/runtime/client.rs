@@ -109,7 +109,10 @@ impl<T: Transport> Client<T> {
 
     /// Range query: items within `eps` of `centre`, as
     /// `(peer, local index)` pairs, plus `(hops, messages, bytes)` cost.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "the (items, (hops, messages, bytes)) pair mirrors the QueryAck frame field for field"
+    )]
     pub fn query(
         &self,
         centre: &[f64],

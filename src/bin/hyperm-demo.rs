@@ -164,9 +164,10 @@ fn query(opts: &HashMap<String, String>) {
         }
         other => {
             eprintln!("unknown query kind {other:?} (use range|knn|point)");
-            // CLI usage error in a binary's top-level dispatch — the one
-            // place an explicit exit code is the right tool.
-            #[allow(clippy::exit)]
+            #[expect(
+                clippy::exit,
+                reason = "CLI usage error in a binary's top-level dispatch — the one place an explicit exit code is the right tool"
+            )]
             std::process::exit(2);
         }
     }
