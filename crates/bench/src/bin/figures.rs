@@ -6,7 +6,8 @@
 //! * `figures fig10a sec61 …` prints only the named figures and writes
 //!   nothing; an unknown name exits with code 2.
 //!
-//! `HYPERM_SCALE=full` selects the paper's workload sizes.
+//! `HYPERM_SCALE=full` selects the paper's workload sizes (`quick`, the
+//! default, or `full`, in any case; any other value exits with code 2).
 
 use hyperm_bench::figures::{report, ALL};
 use hyperm_bench::Scale;
@@ -19,7 +20,13 @@ fn main() -> ExitCode {
         eprintln!("unknown figure {bad:?}; known figures: {known}");
         return ExitCode::from(2);
     }
-    let scale = Scale::from_env();
+    let scale = match Scale::from_env() {
+        Ok(scale) => scale,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
     let mut done = Vec::new();
     for &(id, run) in ALL {
         if names.is_empty() || names.iter().any(|n| n == id) {

@@ -1,10 +1,11 @@
 //! Shared infrastructure for the experiment binaries.
 //!
-//! Every figure/table of the paper is a function in [`figures`] that
-//! returns the same series the paper plots (see DESIGN.md's experiment
-//! index); the `figures` binary runs them and writes `FIGURES.json`.
-//! Experiments run at a laptop-friendly **quick** scale by default; set
-//! `HYPERM_SCALE=full` to reproduce the paper's full workload sizes
+//! Every figure/table of the paper, and every extension experiment, is a
+//! function in [`figures`] that returns the series it plots (see
+//! DESIGN.md's experiment index); the `figures` binary runs them and
+//! writes `FIGURES.json`. Experiments run at a laptop-friendly **quick**
+//! scale by default; set `HYPERM_SCALE=full` to reproduce the paper's
+//! full workload sizes
 //! (100 nodes × 1000 items × 512-d for dissemination; 12,000 histograms
 //! over 50 nodes for retrieval).
 
@@ -24,19 +25,31 @@ use std::fmt;
 /// Experiment scale, controlled by the `HYPERM_SCALE` env var.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Reduced sizes; every binary finishes in seconds.
+    /// Reduced sizes; every experiment finishes in seconds.
     Quick,
     /// The paper's workload sizes.
     Full,
 }
 
 impl Scale {
-    /// Read `HYPERM_SCALE` (default quick).
-    pub fn from_env() -> Scale {
-        match std::env::var("HYPERM_SCALE").as_deref() {
-            Ok("full") | Ok("FULL") => Scale::Full,
-            _ => Scale::Quick,
+    /// Parse a `HYPERM_SCALE` value: unset is quick, `quick` and `full`
+    /// are accepted in any case, and anything else is an error naming the
+    /// accepted values.
+    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            None => Ok(Scale::Quick),
+            Some(v) if v.eq_ignore_ascii_case("quick") => Ok(Scale::Quick),
+            Some(v) if v.eq_ignore_ascii_case("full") => Ok(Scale::Full),
+            Some(v) => Err(format!(
+                "unknown HYPERM_SCALE {v:?}; accepted: quick, full (any case) or unset"
+            )),
         }
+    }
+
+    /// Read `HYPERM_SCALE` (see [`Scale::parse`]).
+    pub fn from_env() -> Result<Scale, String> {
+        let value = std::env::var_os("HYPERM_SCALE");
+        Scale::parse(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
     }
 }
 
@@ -185,11 +198,6 @@ impl Table {
         }
     }
 
-    /// Print the text form to stdout.
-    pub fn print(&self) {
-        print!("{self}");
-    }
-
     /// One-line JSON object: `{"title": …, "headers": […], "rows": [[…], …]}`.
     pub fn json(&self) -> String {
         let rows: Vec<String> = self.rows.iter().map(|r| json_strings(r)).collect();
@@ -288,7 +296,20 @@ mod tests {
     }
 
     #[test]
-    fn scale_parses_env_values() {
-        assert_eq!(Scale::from_env(), Scale::Quick); // default in tests
+    fn scale_accepts_quick_full_or_unset_only() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Quick));
+        for (value, scale) in [
+            ("quick", Scale::Quick),
+            ("QUICK", Scale::Quick),
+            ("full", Scale::Full),
+            ("Full", Scale::Full),
+            ("FULL", Scale::Full),
+        ] {
+            assert_eq!(Scale::parse(Some(value)), Ok(scale), "{value}");
+        }
+        for typo in ["", "paper", "fulll", " full", "quick "] {
+            let err = Scale::parse(Some(typo)).unwrap_err();
+            assert!(err.contains("quick, full"), "{typo:?}: {err}");
+        }
     }
 }

@@ -8,8 +8,8 @@
 //! devices' zones, so lookups still route — the candidate just never
 //! responds).
 //!
-//! Two recall notions follow, both exercised by the `churn_failures`
-//! experiment binary:
+//! Two recall notions follow, both exercised by the `churn` figure
+//! (`hyperm_bench::figures::churn`):
 //! * against **all** data: recall degrades roughly with the failed fraction
 //!   (those items are physically gone — no protocol can recover them);
 //! * against **alive** data: Hyper-M's no-false-dismissal property is
@@ -29,7 +29,7 @@
 //!   loop — restores the replicas that lived on the dead zones, so recall
 //!   over alive peers' data returns to 1. With repair disabled the zones
 //!   become routing holes and queries degrade, which is the baseline the
-//!   `churn_failures` experiment quantifies.
+//!   `churn` figure quantifies.
 
 // Panic-free hot path: no unwrap/expect, panic!/unreachable! or
 // unchecked indexing outside tests without a written reason.

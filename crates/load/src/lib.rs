@@ -13,8 +13,7 @@
 //!   flood relays, answered fetches, bytes, retries, exactly-once
 //!   attribution) and [`LoadBalancer::snapshot`] folds it into a
 //!   [`LoadSnapshot`]: max/median/p99 per-peer load, the Gini coefficient,
-//!   per-zone heat and a radio-energy estimate — serialisable like a
-//!   [`hyperm_telemetry::MetricsSnapshot`].
+//!   per-zone heat and a radio-energy estimate.
 //! * **Virtual nodes** — join-time placement carves extra "virtual zones"
 //!   per level (seeded random split points, granted round-robin), so each
 //!   host owns several small scattered zones instead of one big one;

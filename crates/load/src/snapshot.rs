@@ -1,13 +1,12 @@
 //! Point-in-time view of the per-peer load distribution.
 
 use hyperm_sim::{EnergyModel, LoadLedger, PeerLoad};
-use hyperm_telemetry::JsonObj;
 
 /// Aggregated per-peer load statistics over the *alive* peers, computed by
 /// [`crate::LoadBalancer::snapshot`]. "Load" is a peer's total charged
 /// events: served lookups + flood relays + answered fetches (retries and
-/// bytes are reported separately). Serialisable to the `BENCH_*.json`
-/// dialect like a [`hyperm_telemetry::MetricsSnapshot`].
+/// bytes are reported separately). The `load` figure prints one per
+/// relief cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadSnapshot {
     /// Alive peers the distribution was computed over.
@@ -133,43 +132,6 @@ impl LoadSnapshot {
             total_energy_j,
         }
     }
-
-    /// The snapshot as an ordered JSON object (compose into `BENCH_*.json`
-    /// reports or render standalone).
-    pub fn to_json_obj(&self) -> JsonObj {
-        let heat: Vec<String> = self
-            .heat_max_per_level
-            .iter()
-            .zip(&self.heat_total_per_level)
-            .enumerate()
-            .map(|(l, (&mx, &tot))| {
-                JsonObj::new()
-                    .u("level", l as u64)
-                    .u("max", mx)
-                    .u("total", tot)
-                    .render()
-            })
-            .collect();
-        JsonObj::new()
-            .u("peers", self.peers as u64)
-            .u("total_events", self.total_events)
-            .u("total_bytes", self.total_bytes)
-            .u("total_retries", self.total_retries)
-            .u("max", self.max)
-            .u("median", self.median)
-            .u("p99", self.p99)
-            .f("mean", self.mean, 2)
-            .f("gini", self.gini, 4)
-            .f("max_median_ratio", self.max_median_ratio, 3)
-            .f("max_energy_j", self.max_energy_j, 6)
-            .f("total_energy_j", self.total_energy_j, 6)
-            .arr("zone_heat", &heat)
-    }
-
-    /// Single-line JSON rendering.
-    pub fn to_json(&self) -> String {
-        self.to_json_obj().render()
-    }
 }
 
 #[cfg(test)]
@@ -218,22 +180,5 @@ mod tests {
         assert_eq!((s.max, s.median, s.p99, s.total_events), (0, 0, 0, 0));
         assert_eq!(s.gini, 0.0);
         assert_eq!(s.max_median_ratio, 0.0);
-    }
-
-    #[test]
-    fn json_has_the_headline_fields() {
-        let s = LoadSnapshot::compute(&ledger_with(&[4, 2]), |_| true);
-        let j = s.to_json();
-        for key in [
-            "\"peers\"",
-            "\"max\"",
-            "\"median\"",
-            "\"p99\"",
-            "\"gini\"",
-            "\"max_median_ratio\"",
-            "\"zone_heat\"",
-        ] {
-            assert!(j.contains(key), "{key} missing from {j}");
-        }
     }
 }

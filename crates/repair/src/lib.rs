@@ -58,7 +58,7 @@ use rand::{Rng, SeedableRng};
 pub struct RepairConfig {
     /// Master switch: with `false`, crashes leave routing holes (no
     /// takeover) and the refresh loop is off — the paper-faithful baseline
-    /// the `churn_failures` experiment compares against.
+    /// the `churn` figure compares against.
     pub enabled: bool,
     /// Sim-time ticks between two summary refreshes of the same peer. The
     /// soft-state TTL story: every published sphere is re-inserted at this

@@ -1,23 +1,23 @@
 //! A tiny JSON writer and parser.
 //!
-//! The workspace has no serde (no crates.io access), and the bench bins
-//! used to hand-roll their `BENCH_*.json` reports with `format!`. This
-//! module centralises that: a composable object builder with *per-field*
-//! number formatting control, because the bench schemas fix the number of
-//! decimals per key (`"qps": {:.2}`, `"recall": {:.6}`, …) and the ported
-//! bins must stay byte-compatible with the old output.
+//! The workspace has no serde (no crates.io access). This module is its
+//! one JSON path: a composable object builder with *per-field* number
+//! formatting control, because the reports fix the number of decimals
+//! per key (`"qps": {:.2}`, `"recall": {:.6}`, …) and a re-run must
+//! repeat them byte for byte (`FIGURES.json` is diffed against its
+//! committed copy).
 //!
 //! Two render modes:
 //! * [`JsonObj::render`] — single line, `{"k": v, "k2": v2}`;
 //! * [`JsonObj::render_pretty`] — top-level keys one per line at 2-space
-//!   indent, closing `}` and trailing newline, matching the historical
-//!   `BENCH_*.json` layout. Nested objects stay inline; arrays added with
+//!   indent, closing `}` and trailing newline (the `FIGURES.json`
+//!   layout). Nested objects stay inline; arrays added with
 //!   [`JsonObj::arr`] put one element per line at 4-space indent.
 //!
 //! The observability plane (PR 8) added the read side: [`JsonValue`] is a
 //! recursive-descent parser for the documents this workspace itself
 //! produces — telemetry JSONL streams, node stats snapshots, and the
-//! `BENCH_*.json` reports the bench guard validates. Objects preserve key
+//! committed `FIGURES.json` the figure pin tests read. Objects preserve key
 //! order (the JSONL event decoder relies on field order).
 
 /// Escape a string for a JSON string literal (quotes added by caller).

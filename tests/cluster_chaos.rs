@@ -17,12 +17,9 @@
 //!   `req_id`s;
 //! * `Duration::ZERO` timeouts clamp to a minimum tick instead of
 //!   refusing replies that are already queued.
-//!
-//! The three chaos scenarios are emitted as `BENCH_chaos.json`
-//! (validated by `bench_check`).
 
 use hyperm::datagen::{generate_aloi_like, AloiConfig};
-use hyperm::telemetry::{JsonObj, Name, Recorder, TraceCtx};
+use hyperm::telemetry::{Name, Recorder, TraceCtx};
 use hyperm::transport::{MemEndpoint, ServeOutcome, Transport, TransportError};
 use hyperm::{
     Backoff, ChaosConfig, ChaosEndpoint, Client, Dataset, HypermConfig, HypermNetwork, MemHub,
@@ -102,7 +99,6 @@ struct ScenarioOutcome {
     name: &'static str,
     recall_final: f64,
     queries: u64,
-    retries: u64,
     gave_up: u64,
 }
 
@@ -156,7 +152,6 @@ fn scenario_head_drops() -> ScenarioOutcome {
         name: "head_drops",
         recall_final: total_recall / probes.len() as f64,
         queries: probes.len() as u64,
-        retries,
         gave_up,
     }
 }
@@ -229,14 +224,13 @@ fn scenario_member_crash_rejoin() -> ScenarioOutcome {
         name: "member_crash_rejoin",
         recall_final: total_recall / probes.len() as f64,
         queries: probes.len() as u64,
-        retries: 0,
         gave_up: 0,
     }
 }
 
 /// Forced-disconnect storm: every other client→head frame fails with a
 /// truncate-disconnect error; resends absorb all of it.
-fn scenario_disconnect_storm() -> (ScenarioOutcome, u64) {
+fn scenario_disconnect_storm() -> ScenarioOutcome {
     let data: Vec<Dataset> = (0..4).map(collection).collect();
     let (net, _) = HypermNetwork::build(data.clone(), config()).unwrap();
     let hub = MemHub::new(256);
@@ -266,16 +260,12 @@ fn scenario_disconnect_storm() -> (ScenarioOutcome, u64) {
 
     Client::new(hub.endpoint(60), 0).shutdown().unwrap();
     head.join().unwrap().unwrap();
-    (
-        ScenarioOutcome {
-            name: "disconnect_storm",
-            recall_final: total_recall / probes.len() as f64,
-            queries: probes.len() as u64,
-            retries,
-            gave_up: metrics.counter(Name::GaveUp),
-        },
-        disconnects,
-    )
+    ScenarioOutcome {
+        name: "disconnect_storm",
+        recall_final: total_recall / probes.len() as f64,
+        queries: probes.len() as u64,
+        gave_up: metrics.counter(Name::GaveUp),
+    }
 }
 
 /// Drive the timed-out-then-answered race with a scripted responder and
@@ -330,45 +320,30 @@ fn stale_reply_probe() -> (u64, u64) {
     (metrics.counter(Name::StaleReply), stale_returned)
 }
 
-/// The three chaos scenarios, plus the stale-reply probe, emitted as the
-/// `BENCH_chaos.json` artifact `bench_check` validates.
+/// The three chaos scenarios each answer every query with full recall
+/// and no exhausted retry budget, and the stale-reply probe never hands a
+/// late reply to a later request.
 #[test]
-fn chaos_scenarios_recover_full_recall_and_emit_bench() {
-    let drops = scenario_head_drops();
-    let rejoin = scenario_member_crash_rejoin();
-    let (storm, disconnects) = scenario_disconnect_storm();
-    let (stale_discarded, stale_returned) = stale_reply_probe();
-
-    let mut scenarios = Vec::new();
-    for s in [&drops, &rejoin, &storm] {
+fn chaos_scenarios_recover_full_recall() {
+    for s in [
+        scenario_head_drops(),
+        scenario_member_crash_rejoin(),
+        scenario_disconnect_storm(),
+    ] {
+        assert!(s.queries > 0, "scenario {} must run queries", s.name);
         assert_eq!(
             s.recall_final, 1.0,
             "scenario {} must recover full recall",
             s.name
         );
-        let mut row = JsonObj::new()
-            .s("name", s.name)
-            .f("recall_final", s.recall_final, 4)
-            .u("queries", s.queries)
-            .u("retries", s.retries)
-            .u("gave_up", s.gave_up);
-        if s.name == "disconnect_storm" {
-            row = row.u("disconnects", disconnects);
-        }
-        scenarios.push(row.render());
+        assert_eq!(
+            s.gave_up, 0,
+            "scenario {}: no request may exhaust its retry budget",
+            s.name
+        );
     }
-    let workload = JsonObj::new()
-        .u("nodes", 4)
-        .u("dim", DIM as u64)
-        .u("items_per_peer", ITEMS as u64)
-        .u("seed", SEED)
-        .s("transport", "mem+chaos");
-    let json = JsonObj::new()
-        .obj("workload", workload)
-        .arr("scenarios", &scenarios)
-        .u("stale_replies_discarded", stale_discarded)
-        .u("stale_replies_returned", stale_returned);
-    std::fs::write("BENCH_chaos.json", json.render_pretty()).unwrap();
+    let (_, stale_returned) = stale_reply_probe();
+    assert_eq!(stale_returned, 0, "a stale reply was returned");
 }
 
 /// Satellite regression: the reply mis-correlation race in isolation.
