@@ -5,7 +5,8 @@
 //! `HYPERM_TRACE_KIND`), and prints the reconstructed span tree — the
 //! per-level `overlay_lookup` spans with their route hops, floods and
 //! fetches — plus a per-phase cost breakdown folded over the event
-//! stream. Artifacts:
+//! stream and each level's route hops, with how many took a finger
+//! (`hyperm_can::CanNode::fingers`). Artifacts:
 //!
 //! * `TRACE_query.jsonl` — every event of the traced query, one JSON
 //!   object per line (build-phase events included, before the marker
@@ -166,6 +167,19 @@ fn main() {
             phase.count,
             fields.join("  ")
         );
+    }
+
+    // The routing share per level: how many route hops took a finger
+    // (only the 1-d CAN levels keep fingers).
+    println!("== route hops per level ==");
+    println!("{:>6} {:>11} {:>12}", "level", "route hops", "finger hops");
+    for l in 0..LEVELS {
+        let hops: Vec<&Event> = events
+            .iter()
+            .filter(|e| e.name == Name::RouteHop && e.level == Some(l as u8))
+            .collect();
+        let fingers = hops.iter().filter(|e| e.field("finger").is_some()).count();
+        println!("{l:>6} {:>11} {fingers:>12}", hops.len());
     }
 
     let snapshot = rec.metrics().expect("recorder enabled").snapshot();

@@ -100,12 +100,20 @@ pub fn report(scale: Scale, figures: &[(&str, Figure)]) -> String {
         .render_pretty()
 }
 
-/// Hyper-M at the paper's four levels with `clusters` clusters per peer.
+/// Hyper-M at the paper's four levels with `clusters` clusters per peer,
+/// on the library's default substrate (CAN with fingers on its 1-d
+/// levels): the extension experiments' network.
 fn config(dim: usize, clusters: usize, seed: u64) -> HypermConfig {
     HypermConfig::new(dim)
         .with_levels(4)
         .with_clusters_per_peer(clusters)
         .with_seed(seed)
+}
+
+/// [`config`] on the paper's plain CAN (no fingers): the network of the
+/// paper's figures.
+fn paper(dim: usize, clusters: usize, seed: u64) -> HypermConfig {
+    config(dim, clusters, seed).with_fingers(false)
 }
 
 /// Build a network over a copy of `peers`.
@@ -271,8 +279,8 @@ pub fn fig08a(scale: Scale) -> Figure {
     let rows = [5usize, 10, 20, 50, 100]
         .iter()
         .map(|&k| {
-            let (_, rep) = build(&peers, config(w.dim, k, 3).with_replication(true));
-            let (_, no_rep) = build(&peers, config(w.dim, k, 3).with_replication(false));
+            let (_, rep) = build(&peers, paper(w.dim, k, 3).with_replication(true));
+            let (_, no_rep) = build(&peers, paper(w.dim, k, 3).with_replication(false));
             vec![
                 k.to_string(),
                 per_cluster(&rep),
@@ -330,7 +338,7 @@ pub fn fig08b(scale: Scale) -> Figure {
                 })
                 .collect();
             let items: usize = peers.iter().map(Dataset::len).sum();
-            let (_, hyperm) = build(&peers, config(w.dim, 10, 5));
+            let (_, hyperm) = build(&peers, paper(w.dim, 10, 5));
             let can_full = insert_all_items(&peers, &PerItemCanConfig::full_dim(w.nodes, w.dim, 5));
             let can_2d = insert_all_items(&peers, &PerItemCanConfig::two_dim(w.nodes, 5));
             let ours = hyperm.insertion.hops.max(1) as f64;
@@ -382,7 +390,7 @@ pub fn fig08c(scale: Scale) -> Figure {
     let can_2d = insert_all_items(&peers, &PerItemCanConfig::two_dim(w.nodes, 9));
     let rows = (1..=6usize)
         .map(|layers| {
-            let (_, report) = build(&peers, config(w.dim, 10, 17).with_levels(layers));
+            let (_, report) = build(&peers, paper(w.dim, 10, 17).with_levels(layers));
             vec![
                 layers.to_string(),
                 f3(report.avg_hops_per_item()),
@@ -463,7 +471,7 @@ pub fn fig09(scale: Scale) -> Figure {
             for (i, row) in corpus.data.rows().enumerate() {
                 peers[i % nodes].push_row(row);
             }
-            let (net, _) = build(&peers, config(dim, 10, 23));
+            let (net, _) = build(&peers, paper(dim, 10, 23));
             // Per-item CAN in the original space, for the "original" line.
             let can_full = insert_all_items(&peers, &PerItemCanConfig::full_dim(nodes, dim, 23));
 
@@ -523,7 +531,7 @@ pub fn fig09(scale: Scale) -> Figure {
 /// paper's error bars) comes from different query radii.
 pub fn fig10a(scale: Scale) -> Figure {
     let w = RetrievalWorkload::at(scale);
-    let eval = Eval::build(&w.build_peers(31), config(64, 10, 33)).0;
+    let eval = Eval::build(&w.build_peers(31), paper(64, 10, 33)).0;
     let queries = eval.queries(25, 7);
     // Radii per query at the 10th/25th/50th-NN distance (the paper varies
     // radii to produce its error bars).
@@ -584,7 +592,7 @@ pub fn fig10b(scale: Scale) -> Figure {
     let rows = [5usize, 10, 20]
         .iter()
         .map(|&clusters| {
-            let eval = Eval::build(&peers, config(64, clusters, 43)).0;
+            let eval = Eval::build(&peers, paper(64, clusters, 43)).0;
             let run = eval.knn(&eval.queries(20, 11), &[10, 20, 40], KnnOptions::default());
             let mut cells = vec![clusters.to_string(), f3(mean(&run.precisions))];
             cells.extend(spread(&run.recalls));
@@ -639,7 +647,7 @@ pub fn fig10c(scale: Scale) -> Figure {
     let mut baseline_recall = None;
     for policy in [InsertPolicy::StaleSummaries, InsertPolicy::Republish] {
         for frac in [0.0f64, 0.1, 0.2, 0.3, 0.45] {
-            let (mut net, _) = build(&peers, config(64, 10, 53));
+            let (mut net, _) = build(&peers, paper(64, 10, 53));
             let new_docs = ((existing as f64 * frac) as usize).min(extra.len());
             let mut rng = StdRng::seed_from_u64(55);
             for i in 0..new_docs {
@@ -738,7 +746,7 @@ pub fn fig11(scale: Scale) -> Figure {
 /// and subtracts 6.67% from precision."
 pub fn sec61(scale: Scale) -> Figure {
     let w = RetrievalWorkload::at(scale);
-    let eval = Eval::build(&w.build_peers(71), config(64, 10, 73)).0;
+    let eval = Eval::build(&w.build_peers(71), paper(64, 10, 73)).0;
     let queries = eval.queries(25, 17);
     let mut rows = Vec::new();
     let mut prev: Option<(f64, f64)> = None;
@@ -860,22 +868,29 @@ pub fn ablations(scale: Scale) -> Figure {
 /// "could be implemented on top of BATON, VBI-tree, CAN or any peer-to-peer
 /// overlay").
 ///
-/// Builds the same network on all three substrates and compares
-/// dissemination cost, query cost, and retrieval quality. Costs differ by
-/// each overlay's routing geometry (CAN: O(d·n^{1/d}); BATON: O(log n));
-/// answers must not, so the run asserts range recall exactly 1.0 on every
-/// substrate and one k-nn recall for all three.
+/// Builds the same network on all three substrates, CAN both plain (the
+/// paper's) and with fingers on its 1-d levels, and compares dissemination
+/// cost, query cost, and retrieval quality. Costs differ by each overlay's
+/// routing geometry (plain CAN: O(d·n^{1/d}), so O(n) on the 1-d levels;
+/// CAN + fingers and BATON: O(log n) there); answers must not, so the run
+/// asserts range recall exactly 1.0 on every row and plain CAN's k-nn
+/// recall for all four.
 pub fn ablation_overlay(scale: Scale) -> Figure {
     let w = RetrievalWorkload::at(scale);
     let peers = w.build_peers(101);
     let mut rows = Vec::new();
     let mut can_knn_recall = None;
-    for (name, backend) in [
-        ("CAN (paper)", OverlayBackend::Can),
-        ("BATON + Z-order", OverlayBackend::Baton),
-        ("VBI-tree", OverlayBackend::Vbi),
+    let cfg = config(64, 10, 103);
+    for (name, cfg) in [
+        ("CAN (paper)", paper(64, 10, 103)),
+        ("CAN + fingers", cfg.clone()),
+        (
+            "BATON + Z-order",
+            cfg.clone().with_backend(OverlayBackend::Baton),
+        ),
+        ("VBI-tree", cfg.with_backend(OverlayBackend::Vbi)),
     ] {
-        let (eval, report) = Eval::build(&peers, config(64, 10, 103).with_backend(backend));
+        let (eval, report) = Eval::build(&peers, cfg);
         let queries = eval.queries(20, 23);
         let range = eval.range(&queries, &[25], None);
         let knn = eval.knn(&queries, &[20], KnnOptions::default());
@@ -888,7 +903,7 @@ pub fn ablation_overlay(scale: Scale) -> Figure {
         let can = *can_knn_recall.get_or_insert(knn_recall);
         assert_eq!(
             knn_recall, can,
-            "ablation_overlay: {name}: k-nn recall differs from CAN's"
+            "ablation_overlay: {name}: k-nn recall differs from plain CAN's"
         );
         rows.push(vec![
             name.into(),
@@ -902,7 +917,7 @@ pub fn ablation_overlay(scale: Scale) -> Figure {
     }
     Figure {
         heading: format!(
-            "Overlay ablation: CAN vs BATON vs VBI ({} nodes, scale {scale:?})",
+            "Overlay ablation: CAN (plain, + fingers) vs BATON vs VBI ({} nodes, scale {scale:?})",
             w.nodes
         ),
         tables: vec![Table::new(
@@ -919,8 +934,8 @@ pub fn ablation_overlay(scale: Scale) -> Figure {
             rows,
         )],
         expected: "Expected shape: recall identical across substrates (overlay-independence);\n\
-                   BATON's O(log n) routing typically undercuts CAN's O(d·n^(1/d)) for the\n\
-                   low-dimensional subspace overlays at this network size.",
+                   O(log n) routing (CAN + fingers, BATON) undercuts plain CAN's O(d·n^(1/d))\n\
+                   on the low-dimensional subspace overlays at this network size.",
     }
 }
 
@@ -1667,9 +1682,10 @@ pub fn load(scale: Scale) -> Figure {
 /// check that the headline properties are size-stable:
 ///
 /// * insertion hops/item grow with each overlay's routing diameter
-///   (CAN: `O(d·N^{1/d})` — dominated by the 1-d levels' `O(N)`;
-///   BATON: `O(log N)`);
-/// * range recall at full budget stays exactly 1.0 at every size
+///   (plain CAN: `O(d·N^{1/d})`, dominated by the 1-d levels' `O(N)`;
+///   CAN with fingers: `O(log N)` on those levels; BATON: `O(log N)`);
+/// * range recall at full budget stays exactly 1.0 at every size and on
+///   every substrate, plain CAN and CAN + fingers included
 ///   (no-false-dismissal is size-independent; asserted).
 pub fn scalability(scale: Scale) -> Figure {
     let sizes: &[usize] = match scale {
@@ -1677,13 +1693,15 @@ pub fn scalability(scale: Scale) -> Figure {
         Scale::Full => &[25, 50, 100, 200, 400],
     };
     let per_peer = 24usize;
+    let cfg = config(64, 6, 7);
     let tables = [
-        OverlayBackend::Can,
-        OverlayBackend::Baton,
-        OverlayBackend::Vbi,
+        ("Can", paper(64, 6, 7)),
+        ("Can + fingers", cfg.clone()),
+        ("Baton", cfg.clone().with_backend(OverlayBackend::Baton)),
+        ("Vbi", cfg.with_backend(OverlayBackend::Vbi)),
     ]
     .iter()
-    .map(|&backend| {
+    .map(|(substrate, cfg)| {
         let rows = sizes
             .iter()
             .map(|&n| {
@@ -1697,12 +1715,12 @@ pub fn scalability(scale: Scale) -> Figure {
                 let peers: Vec<Dataset> = (0..n)
                     .map(|p| corpus.data.select(&(p * per_peer..(p + 1) * per_peer).collect::<Vec<_>>()))
                     .collect();
-                let (eval, report) = Eval::build(&peers, config(64, 6, 7).with_backend(backend));
+                let (eval, report) = Eval::build(&peers, cfg.clone());
                 let range = eval.range(&eval.queries(10, 11), &[15], None);
                 let recall = mean(&range.recalls);
                 assert_eq!(
                     recall, 1.0,
-                    "scalability: {backend:?} at {n} peers, range recall {recall} (Theorem 4.1: 1.0)"
+                    "scalability: {substrate} at {n} peers, range recall {recall} (Theorem 4.1: 1.0)"
                 );
                 vec![
                     n.to_string(),
@@ -1714,7 +1732,7 @@ pub fn scalability(scale: Scale) -> Figure {
             })
             .collect();
         Table::new(
-            format!("{backend:?} substrate"),
+            format!("{substrate} substrate"),
             &[
                 "peers",
                 "insert hops/item",
@@ -1732,8 +1750,8 @@ pub fn scalability(scale: Scale) -> Figure {
         ),
         tables,
         expected: "Expected shape: recall pinned at 1.000 at every size and substrate;\n\
-                   per-item hops grow sub-linearly on BATON (log N) and faster on CAN\n\
-                   (its 1-d subspace overlays route in O(N)).",
+                   per-item hops grow sub-linearly on BATON and on CAN + fingers (log N on\n\
+                   the 1-d subspace overlays) and faster on plain CAN (O(N) there).",
     }
 }
 
@@ -1742,9 +1760,10 @@ pub fn scalability(scale: Scale) -> Figure {
 ///
 /// The paper measures overlay hops only; this expands each overlay message
 /// across a unit-disk MANET underlay (average physical path length) and
-/// applies the Bluetooth-class radio energy model, comparing Hyper-M
-/// against per-item CAN dissemination. It also reports the parallel
-/// makespan, the paper's implicit "time" axis.
+/// applies the Bluetooth-class radio energy model, comparing Hyper-M, on
+/// the paper's plain CAN and with fingers on its 1-d levels, against
+/// per-item CAN dissemination. It also reports the parallel makespan, the
+/// paper's implicit "time" axis.
 pub fn energy_manet(scale: Scale) -> Figure {
     let w = DisseminationWorkload::at(scale);
     let peers = w.build_peers(81);
@@ -1755,7 +1774,14 @@ pub fn energy_manet(scale: Scale) -> Figure {
         ..Default::default()
     });
     let stretch = underlay.mean_path_hops();
-    let (_, hyperm) = build(&peers, config(w.dim, 10, 85));
+    let (_, hyperm) = build(&peers, paper(w.dim, 10, 85));
+    let (_, fingers) = build(&peers, config(w.dim, 10, 85));
+    // Fingers change routing costs, never what is published.
+    assert_eq!(
+        (hyperm.clusters_published, hyperm.replicas),
+        (fingers.clusters_published, fingers.replicas),
+        "energy_manet: fingers changed the published replicas"
+    );
     let can_full = insert_all_items(&peers, &PerItemCanConfig::full_dim(w.nodes, w.dim, 85));
 
     let mut rows = Vec::new();
@@ -1765,6 +1791,11 @@ pub fn energy_manet(scale: Scale) -> Figure {
             "Hyper-M (4 levels)",
             hyperm.insertion,
             hyperm.makespan_rounds,
+        ),
+        (
+            "Hyper-M (4 levels) + fingers",
+            fingers.insertion,
+            fingers.makespan_rounds,
         ),
         ("CAN 512-d per item", can_full.totals, can_full.totals.hops),
     ] {
@@ -1812,12 +1843,14 @@ pub fn energy_manet(scale: Scale) -> Figure {
                     "radio range (m)",
                     "mean physical path (hops)",
                     "energy ratio (CAN / Hyper-M)",
+                    "energy ratio (CAN / Hyper-M + fingers)",
                 ],
                 vec![vec![
                     underlay.len().to_string(),
                     f1(underlay.config().radio_range),
                     format!("{stretch:.2}"),
-                    format!("{:.1}x", joules[1] / joules[0].max(1e-12)),
+                    format!("{:.1}x", joules[2] / joules[0].max(1e-12)),
+                    format!("{:.1}x", joules[2] / joules[1].max(1e-12)),
                 ]],
             ),
         ],

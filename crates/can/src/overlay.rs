@@ -43,6 +43,10 @@ pub struct CanConfig {
     pub seed: u64,
     /// Safety cap on greedy routing steps (diagnoses broken topologies).
     pub max_route_hops: u64,
+    /// Finger links on a 1-d overlay (see [`CanNode::fingers`]): greedy
+    /// routing then takes O(log n) hops around the ring instead of ≈ n/4.
+    /// On by default; off models the original CAN. No effect at d > 1.
+    pub fingers: bool,
 }
 
 impl CanConfig {
@@ -52,12 +56,19 @@ impl CanConfig {
             dim,
             seed: 0,
             max_route_hops: 4096,
+            fingers: true,
         }
     }
 
     /// Builder-style seed override.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self
+    }
+
+    /// Builder-style finger switch.
+    pub fn with_fingers(mut self, on: bool) -> Self {
+        self.fingers = on;
         self
     }
 }
@@ -79,6 +90,14 @@ pub struct CanNode {
     pub alive: bool,
     /// Nodes whose zones abut any of this node's zones.
     pub neighbours: Vec<NodeId>,
+    /// Long-range links of a 1-d overlay (Chord's finger table, kept in
+    /// both directions): the alive owners of `lo ± 2^-i (mod 1)` for
+    /// i = 1..⌈log₂ n⌉, where `lo` is the lower end of the primary zone
+    /// and n the alive count. Sorted, without duplicates, the node itself
+    /// or its neighbours. Routing only — floods, replication and stores
+    /// stay neighbour-only. Empty at d > 1, with fingers off, and on dead
+    /// nodes.
+    pub fingers: Vec<NodeId>,
     /// Objects stored here (owned or replicated).
     pub store: Vec<StoredObject>,
 }
@@ -206,6 +225,54 @@ pub struct CanOverlay {
     /// [`CanOverlay::set_load_probe`]; charging is strictly observational
     /// and never changes results, costs or telemetry.
     pub(crate) load: LoadProbe,
+    /// The alive fragments of a 1-d overlay as of the last finger
+    /// recompute, sorted by lower end, and ⌈log₂ alive⌉ then: what
+    /// [`CanOverlay::refresh_fingers`] diffs the current zones against to
+    /// find the nodes whose fingers can have moved. Empty without fingers.
+    finger_ring: Vec<RingFragment>,
+    finger_levels: usize,
+}
+
+/// A zone of a 1-d overlay: lower end, upper end, owner.
+type RingFragment = (f64, f64, NodeId);
+
+/// `x` ∈ [−1, 2) back onto the unit ring [0, 1).
+fn wrap(x: f64) -> f64 {
+    if x >= 1.0 {
+        x - 1.0
+    } else if x < 0.0 {
+        x + 1.0
+    } else {
+        x
+    }
+}
+
+/// The key ranges whose owner differs between two sorted fragment lists
+/// (every fragment in one list and not the other), in order, with
+/// overlapping and touching ranges merged.
+fn changed_spans(old: &[RingFragment], new: &[RingFragment]) -> Vec<(f64, f64)> {
+    let (mut old, mut new) = (old.iter().peekable(), new.iter().peekable());
+    let mut spans: Vec<(f64, f64)> = Vec::new();
+    loop {
+        let next = match (old.peek(), new.peek()) {
+            (Some(a), Some(b)) if a == b => {
+                old.next();
+                new.next();
+                continue;
+            }
+            (Some(a), Some(b)) if a.0 <= b.0 => old.next(),
+            (Some(_), None) => old.next(),
+            (_, Some(_)) => new.next(),
+            (None, None) => return spans,
+        };
+        let Some(&(lo, hi, _)) = next else {
+            return spans;
+        };
+        match spans.last_mut() {
+            Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
+            _ => spans.push((lo, hi)),
+        }
+    }
 }
 
 impl CanOverlay {
@@ -214,6 +281,8 @@ impl CanOverlay {
     /// Join routing costs are accumulated into [`CanOverlay::bootstrap_stats`]
     /// (the paper charges data dissemination separately from the one-off
     /// structure construction, which related work [2, 5] parallelises).
+    /// The joins route on neighbours only; fingers are computed once,
+    /// after the last one.
     pub fn bootstrap(config: CanConfig, n: usize) -> Self {
         assert!(n > 0, "need at least one node");
         assert!(config.dim > 0, "dimension must be positive");
@@ -227,6 +296,7 @@ impl CanOverlay {
                 adopted: Vec::new(),
                 alive: true,
                 neighbours: Vec::new(),
+                fingers: Vec::new(),
                 store: Vec::new(),
             }],
             bootstrap_stats: OpStats::zero(),
@@ -237,13 +307,16 @@ impl CanOverlay {
             partition: None,
             telemetry: Recorder::disabled(),
             load: LoadProbe::disabled(),
+            finger_ring: Vec::new(),
+            finger_levels: 0,
         };
         let mut rng = StdRng::seed_from_u64(config.seed);
         for _ in 1..n {
             let point: Vec<f64> = (0..config.dim).map(|_| rng.gen::<f64>()).collect();
             let entry = NodeId(rng.gen_range(0..overlay.nodes.len()));
-            overlay.join(entry, &point);
+            overlay.join_unfingered(entry, &point);
         }
+        overlay.refresh_fingers();
         overlay
     }
 
@@ -409,8 +482,9 @@ impl CanOverlay {
     /// Greedy-route from `from` to the owner of `target`, with an explicit
     /// outcome — never panics on damaged topologies.
     ///
-    /// Follows CAN's rule: forward to the alive neighbour whose zones are
-    /// torus-closest to the target; ties break toward the lower node id.
+    /// Follows CAN's rule: forward to the alive neighbour (or finger, see
+    /// [`CanNode::fingers`]) whose zones are torus-closest to the target;
+    /// ties break toward the lower node id.
     /// With fault injection active, each forwarding hop may be retried
     /// (drops) or abandoned (dead recipient / retry exhaustion) — an
     /// abandoned hop marks the next node as visited and the walk reroutes
@@ -467,21 +541,23 @@ impl CanOverlay {
                     rounds,
                 };
             }
-            let mut best: Option<(f64, NodeId)> = None;
-            for &nb in &node.neighbours {
+            // (distance, candidate, reached through a finger)
+            let mut best: Option<(f64, NodeId, bool)> = None;
+            let links = node.neighbours.iter().map(|&nb| (nb, false));
+            for (nb, finger) in links.chain(node.fingers.iter().map(|&f| (f, true))) {
                 if visited[nb.0] || !self.nodes[nb.0].alive || !self.reachable(current, nb) {
                     continue;
                 }
                 let d = self.nodes[nb.0].torus_dist(target);
                 let better = match best {
                     None => true,
-                    Some((bd, bid)) => d < bd - 1e-15 || (d <= bd + 1e-15 && nb < bid),
+                    Some((bd, bid, _)) => d < bd - 1e-15 || (d <= bd + 1e-15 && nb < bid),
                 };
                 if better {
-                    best = Some((d, nb));
+                    best = Some((d, nb, finger));
                 }
             }
-            let Some((_, next)) = best else {
+            let Some((_, next, finger)) = best else {
                 // Every neighbour visited or dead. Greedy can corner
                 // itself in rare geometries even when the tiling is
                 // complete; without fault injection the historical
@@ -566,11 +642,11 @@ impl CanOverlay {
             }
             stats.hops += 1;
             if traced {
-                tel.event(
-                    tel.scope(),
-                    Name::RouteHop,
-                    vec![("from", current.0.into()), ("to", next.0.into())],
-                );
+                let mut fields = vec![("from", current.0.into()), ("to", next.0.into())];
+                if finger {
+                    fields.push(("finger", true.into()));
+                }
+                tel.event(tel.scope(), Name::RouteHop, fields);
             }
             visited[next.0] = true;
             current = next;
@@ -622,6 +698,13 @@ impl CanOverlay {
     ///
     /// Returns the new node's id.
     pub fn join(&mut self, entry: NodeId, point: &[f64]) -> NodeId {
+        let id = self.join_unfingered(entry, point);
+        self.refresh_fingers();
+        id
+    }
+
+    /// [`CanOverlay::join`] without the finger recompute.
+    fn join_unfingered(&mut self, entry: NodeId, point: &[f64]) -> NodeId {
         // Join request routes like a normal message (small control packet).
         let (owner, stats) = self.route(entry, point, JOIN_MSG_BYTES);
         self.bootstrap_stats += stats;
@@ -706,6 +789,7 @@ impl CanOverlay {
             adopted: Vec::new(),
             alive: true,
             neighbours: Vec::new(),
+            fingers: Vec::new(),
             store: moved,
         });
 
@@ -794,6 +878,117 @@ impl CanOverlay {
             }
             self.nodes[id.0].neighbours = new_list;
         }
+    }
+
+    /// Whether this overlay keeps fingers: switched on and 1-d.
+    pub fn has_fingers(&self) -> bool {
+        self.config.fingers && self.config.dim == 1
+    }
+
+    /// The finger distances on a ring of `alive` nodes: `2^-i` for
+    /// i = 1..⌈log₂ alive⌉.
+    fn finger_steps(alive: usize) -> Vec<f64> {
+        let levels = alive.next_power_of_two().trailing_zeros() as usize;
+        std::iter::successors(Some(0.5f64), |s| Some(s * 0.5))
+            .take(levels)
+            .collect()
+    }
+
+    /// The distinct finger points of a node whose primary zone starts at
+    /// `lo`: `lo ± step (mod 1)` for each of `steps`. The ± points of
+    /// 1/2 coincide (exactly: zone bounds are dyadic), so there are
+    /// 2⌈log₂ n⌉ − 1 of them.
+    fn finger_points(lo: f64, steps: &[f64]) -> impl Iterator<Item = f64> + '_ {
+        steps.iter().enumerate().flat_map(move |(i, &step)| {
+            let minus = (i > 0).then(|| wrap(lo - step));
+            std::iter::once(wrap(lo + step)).chain(minus)
+        })
+    }
+
+    /// Bring every node's fingers up to date with the current zones. Runs
+    /// once at the end of every public structural operation (never
+    /// between its internal steps), so fingers are always exact; a no-op
+    /// unless [`CanOverlay::has_fingers`].
+    ///
+    /// A node's fingers are a function of its primary's lower end, its
+    /// neighbours, ⌈log₂ alive⌉ and the owners of its finger points. So
+    /// only the nodes with a zone in or abutting a key range whose owner
+    /// changed since the last call, or with a finger point inside one, are
+    /// recomputed (all of them when ⌈log₂ alive⌉ moved): one binary search
+    /// over the alive fragments per finger point.
+    pub(crate) fn refresh_fingers(&mut self) {
+        if !self.has_fingers() {
+            return;
+        }
+        let mut ring: Vec<RingFragment> = self
+            .nodes
+            .iter()
+            .flat_map(|n| n.zones().map(move |z| (z.lo()[0], z.hi()[0], n.id)))
+            .collect();
+        ring.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let steps = Self::finger_steps(self.alive_count());
+        let levels = steps.len();
+        let changed = if levels == self.finger_levels {
+            changed_spans(&self.finger_ring, &ring)
+        } else {
+            vec![(0.0, 1.0)]
+        };
+        let in_changed = |p: f64| changed.iter().any(|&(a, b)| a <= p && p < b);
+        // Touching counts, across the 0/1 seam too: a zone abutting a
+        // changed range can have gained or lost a neighbour.
+        let near_changed = |lo: f64, hi: f64| {
+            changed.iter().any(|&(a, b)| {
+                (lo <= b && a <= hi) || (lo == 0.0 && b == 1.0) || (hi == 1.0 && a == 0.0)
+            })
+        };
+        // The owner of `p`: the last fragment starting at or below it, if
+        // `p` is inside (a hole left by an unrepaired crash has none).
+        let owner = |p: f64| {
+            let i = ring.partition_point(|f| f.0 <= p).checked_sub(1)?;
+            let &(_, hi, id) = ring.get(i)?;
+            (p < hi || hi == 1.0).then_some(id)
+        };
+        for n in &mut self.nodes {
+            if !n.alive {
+                n.fingers.clear();
+                continue;
+            }
+            let lo = n.zone.lo()[0];
+            let stale = n.zones().any(|z| near_changed(z.lo()[0], z.hi()[0]))
+                || Self::finger_points(lo, &steps).any(in_changed);
+            if !stale {
+                continue;
+            }
+            let (id, neighbours) = (n.id, &n.neighbours);
+            let owners = Self::finger_points(lo, &steps)
+                .filter_map(owner)
+                .filter(|&f| f != id && !neighbours.contains(&f));
+            n.fingers.clear();
+            n.fingers.extend(owners);
+            n.fingers.sort_unstable();
+            n.fingers.dedup();
+        }
+        self.finger_ring = ring;
+        self.finger_levels = levels;
+    }
+
+    /// What one round of Chord's `fix_fingers` costs `node`: one routed
+    /// lookup per finger point, 2⌈log₂ n⌉ − 1 of them, each a control
+    /// packet on the reliable path (like join traffic). Fingers are
+    /// already recomputed exactly at every structural change, so this
+    /// only charges the upkeep a deployment pays and changes nothing.
+    /// Zero when the overlay keeps no fingers or `node` is dead.
+    pub fn fix_fingers(&self, node: NodeId) -> OpStats {
+        if !self.has_fingers() || !self.nodes[node.0].alive {
+            return OpStats::zero();
+        }
+        let steps = Self::finger_steps(self.alive_count());
+        Self::finger_points(self.nodes[node.0].zone.lo()[0], &steps)
+            .map(|p| {
+                self.route_result_with(node, &[p], JOIN_MSG_BYTES, false)
+                    .stats
+            })
+            .sum()
     }
 
     /// Detach a node from the overlay structure: mark it dead, deregister
@@ -926,8 +1121,8 @@ impl CanOverlay {
     /// Verify structural invariants: the alive nodes' zones (primaries and
     /// adopted fragments) tile the space without overlap, neighbour lists
     /// match the geometric relation and are symmetric, dead nodes are
-    /// fully detached, and the spatial index is exact. Test-support;
-    /// O(F²·d) over the F zone fragments.
+    /// fully detached, the spatial index is exact and every finger list is
+    /// current. Test-support; O(F²·d) over the F zone fragments.
     pub fn check_invariants(&self) {
         // 1. Volume: the alive zones sum to the whole space.
         let total_volume: f64 = self.nodes.iter().map(CanNode::total_volume).sum();
@@ -998,7 +1193,35 @@ impl CanOverlay {
                 "index misses zone of {id} at its centre"
             );
         }
-        // 5. Dead-count bookkeeping.
+        // 5. Fingers: every finger is alive and owns one of its node's
+        //    finger points, and the list equals a recompute by direct scan.
+        let steps = Self::finger_steps(self.alive_count());
+        for n in &self.nodes {
+            let want: Vec<NodeId> = if n.alive && self.has_fingers() {
+                let points: Vec<f64> = Self::finger_points(n.zone.lo()[0], &steps).collect();
+                for &f in &n.fingers {
+                    let fnode = &self.nodes[f.0];
+                    assert!(fnode.alive, "finger {f} of {} is dead", n.id);
+                    assert!(
+                        points.iter().any(|&p| fnode.covers(&[p])),
+                        "finger {f} of {} owns none of its finger points",
+                        n.id
+                    );
+                }
+                let mut want: Vec<NodeId> = points
+                    .iter()
+                    .filter_map(|&p| self.try_owner_of(&[p]))
+                    .filter(|&f| f != n.id && !n.neighbours.contains(&f))
+                    .collect();
+                want.sort_unstable();
+                want.dedup();
+                want
+            } else {
+                Vec::new()
+            };
+            assert_eq!(n.fingers, want, "fingers of {} are stale", n.id);
+        }
+        // 6. Dead-count bookkeeping.
         assert_eq!(
             self.dead,
             self.nodes.iter().filter(|n| !n.alive).count(),
@@ -1164,6 +1387,80 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         overlay.check_invariants();
+    }
+
+    #[test]
+    fn fingers_only_on_1d_and_never_in_bootstrap_cost() {
+        for dim in [1usize, 2, 4] {
+            let on = CanOverlay::bootstrap(CanConfig::new(dim).with_seed(3), 64);
+            let off =
+                CanOverlay::bootstrap(CanConfig::new(dim).with_seed(3).with_fingers(false), 64);
+            on.check_invariants();
+            off.check_invariants();
+            // Bootstrap joins route on neighbours only.
+            assert_eq!(on.bootstrap_stats(), off.bootstrap_stats());
+            assert_eq!(on.has_fingers(), dim == 1);
+            assert!(off.nodes().all(|n| n.fingers.is_empty()));
+            let fingered = on.nodes().filter(|n| !n.fingers.is_empty()).count();
+            assert_eq!(
+                fingered > 0,
+                dim == 1,
+                "dim {dim}: {fingered} nodes with fingers"
+            );
+        }
+    }
+
+    #[test]
+    fn finger_hops_are_traced_as_fingers() {
+        let (rec, ring) = Recorder::ring(1 << 12);
+        let mut overlay = CanOverlay::bootstrap(CanConfig::new(1).with_seed(5), 100);
+        overlay.set_recorder(rec);
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut hops = 0;
+        for _ in 0..50 {
+            let from = NodeId(rng.gen_range(0..overlay.len()));
+            hops += overlay
+                .route_result(from, &[rng.gen::<f64>()], 1)
+                .stats
+                .hops;
+        }
+        let events = ring.events();
+        let route_hops: Vec<_> = events.iter().filter(|e| e.name == Name::RouteHop).collect();
+        assert_eq!(route_hops.len() as u64, hops);
+        let fingers = route_hops
+            .iter()
+            .filter(|e| e.field("finger").is_some())
+            .count();
+        assert!(
+            fingers > 0 && fingers < route_hops.len(),
+            "{fingers} finger hops"
+        );
+    }
+
+    #[test]
+    fn fix_fingers_routes_one_lookup_per_finger_point() {
+        let overlay = CanOverlay::bootstrap(CanConfig::new(1).with_seed(9), 40);
+        // ⌈log₂ 40⌉ = 6: lo ± 2^-i for i = 1..6, the two i = 1 points equal.
+        for node in [NodeId(0), NodeId(17), NodeId(39)] {
+            let lo = overlay.node(node).zone.lo()[0];
+            let mut points: Vec<f64> = (1..=6)
+                .flat_map(|i| {
+                    let step = 0.5f64.powi(i);
+                    [(lo + step).rem_euclid(1.0), (lo - step).rem_euclid(1.0)]
+                })
+                .collect();
+            points.sort_by(f64::total_cmp);
+            points.dedup();
+            assert_eq!(points.len(), 11);
+            let want: OpStats = points
+                .iter()
+                .map(|&p| overlay.route(node, &[p], JOIN_MSG_BYTES).1)
+                .sum();
+            assert_eq!(overlay.fix_fingers(node), want);
+            assert!(want.messages > 0);
+        }
+        let plain = CanOverlay::bootstrap(CanConfig::new(2).with_seed(9), 40);
+        assert_eq!(plain.fix_fingers(NodeId(3)), OpStats::zero());
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!
 //! After `leave`/`fail` (with takeover) and any number of `repair_step`s,
 //! [`CanOverlay::check_invariants`] holds: the alive zones tile the space,
-//! neighbour lists are exact and symmetric, and the spatial index is
-//! current.
+//! neighbour lists are exact and symmetric, and the spatial index and the
+//! finger lists are current. Each public operation here recomputes the
+//! fingers once, after its last zone change.
 
 // Panic-free hot path: no unwrap/expect, panic!/unreachable! or
 // unchecked indexing outside tests without a written reason.
@@ -79,6 +80,7 @@ impl CanOverlay {
         let mut out = self.adopt_zones(id, zones, &old_neighbours, Some(&store));
         // Handoff handshake: request + transfer, no detection delay.
         out.takeover_rounds = 2;
+        self.refresh_fingers();
         self.trace_takeover("leave", id, &out);
         out
     }
@@ -100,6 +102,7 @@ impl CanOverlay {
         let mut out = self.adopt_zones(id, zones, &old_neighbours, None);
         out.stats += detection;
         out.takeover_rounds = DETECT_TICKS + 2;
+        self.refresh_fingers();
         self.trace_takeover("fail", id, &out);
         out
     }
@@ -130,6 +133,7 @@ impl CanOverlay {
         assert!(self.alive_count() > 1, "the last node cannot fail");
         self.node_mut(id).store.clear();
         let (_, old_neighbours) = self.detach(id);
+        self.refresh_fingers();
         OpStats {
             messages: old_neighbours.len() as u64 * DETECT_TICKS,
             bytes: old_neighbours.len() as u64 * DETECT_TICKS * HEARTBEAT_BYTES,
@@ -272,6 +276,15 @@ impl CanOverlay {
     /// sibling is itself a fragment mid-repair) are left for a later pass.
     /// Returns `(fragments_resolved, cost)`.
     pub fn repair_step(&mut self) -> (usize, OpStats) {
+        let out = self.repair_pass();
+        if out.0 > 0 {
+            self.refresh_fingers();
+        }
+        out
+    }
+
+    /// [`CanOverlay::repair_step`] without the finger recompute.
+    fn repair_pass(&mut self) -> (usize, OpStats) {
         let mut stats = OpStats::zero();
         let mut resolved = 0usize;
         let snapshot: Vec<(NodeId, Zone)> = self
@@ -295,15 +308,20 @@ impl CanOverlay {
     /// `max_passes` is hit; returns the total cost.
     pub fn repair_to_quiescence(&mut self, max_passes: usize) -> OpStats {
         let mut stats = OpStats::zero();
+        let mut changed = false;
         for _ in 0..max_passes {
             if self.fragment_count() == 0 {
                 break;
             }
-            let (resolved, s) = self.repair_step();
+            let (resolved, s) = self.repair_pass();
             stats += s;
             if resolved == 0 {
                 break;
             }
+            changed = true;
+        }
+        if changed {
+            self.refresh_fingers();
         }
         stats
     }
@@ -518,6 +536,7 @@ impl CanOverlay {
         affected.push(owner);
         affected.push(to);
         self.refresh_neighbours(&affected);
+        self.refresh_fingers();
         let distinct: std::collections::BTreeSet<NodeId> = affected.into_iter().collect();
         // Split handshake + one neighbour update per affected node.
         stats += OpStats {
@@ -580,6 +599,7 @@ impl CanOverlay {
         affected.push(from);
         affected.push(to);
         self.refresh_neighbours(&affected);
+        self.refresh_fingers();
         let distinct: std::collections::BTreeSet<NodeId> = affected.into_iter().collect();
         stats += OpStats {
             messages: 2 + distinct.len() as u64,

@@ -1,6 +1,6 @@
 //! Property-based tests for the CAN overlay invariants.
 
-use hyperm_can::{CanConfig, CanOverlay, ObjectRef};
+use hyperm_can::{CanConfig, CanOverlay, ObjectRef, RouteOutcome};
 use hyperm_sim::NodeId;
 use proptest::prelude::*;
 
@@ -119,5 +119,130 @@ proptest! {
             let res = overlay.range_query(from, &centre, 0.01);
             prop_assert_eq!(res.matches.len(), 1, "published sphere false-dismissed");
         }
+    }
+}
+
+/// `⌈log₂ n⌉`, the finger count per direction on a ring of `n` nodes.
+fn ceil_log2(n: usize) -> u64 {
+    u64::from(n.next_power_of_two().trailing_zeros())
+}
+
+/// Route from `samples` seeded (start, target) pairs on a 1-d overlay and
+/// its fingerless twin: every route must deliver to the owner, on both.
+/// Returns the fingered routes' hop counts.
+fn finger_routes(on: &CanOverlay, off: &CanOverlay, samples: usize, seed: u64) -> Vec<u64> {
+    let alive = on.alive_ids();
+    let mut x = seed;
+    let mut next = move || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (x >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..samples)
+        .map(|_| {
+            let from = alive[(next() * alive.len() as f64) as usize];
+            let target = [next()];
+            let owner = on
+                .try_owner_of(&target)
+                .expect("a repaired ring has no holes");
+            let with = on.route_result(from, &target, 1);
+            let without = off.route_result(from, &target, 1);
+            assert_eq!(with.outcome, RouteOutcome::Delivered);
+            assert_eq!(without.outcome, RouteOutcome::Delivered);
+            assert_eq!((with.node, without.node), (owner, owner));
+            with.stats.hops
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Fingers on a 1-d ring stay exact (`check_invariants`) through any
+    /// interleaving of joins, graceful leaves, crashes with takeover and
+    /// single repair passes, and routing with them reaches the same owner
+    /// as the fingerless overlay built and changed the same way. Once the
+    /// ring is repaired (no fragments left), routes take at most
+    /// ⌈log₂ n⌉ hops on average and 2⌈log₂ n⌉ + 2 at worst.
+    #[test]
+    fn fingers_route_to_the_same_owner_in_log_hops(
+        n in 2usize..300,
+        seed in any::<u64>(),
+        ops in prop::collection::vec((0u8..4, any::<prop::sample::Index>(), 0.0..1.0f64), 1..10),
+    ) {
+        let mut on = CanOverlay::bootstrap(CanConfig::new(1).with_seed(seed), n);
+        let mut off = CanOverlay::bootstrap(CanConfig::new(1).with_seed(seed).with_fingers(false), n);
+        prop_assert_eq!(on.bootstrap_stats(), off.bootstrap_stats());
+        for (step, (op, pick, x)) in ops.into_iter().enumerate() {
+            let alive = on.alive_ids();
+            let victim = alive[pick.index(alive.len())];
+            match op {
+                0 => {
+                    on.join(victim, &[x]);
+                    off.join(victim, &[x]);
+                }
+                1 if alive.len() > 2 => {
+                    on.leave(victim);
+                    off.leave(victim);
+                }
+                2 if alive.len() > 2 => {
+                    on.fail(victim);
+                    off.fail(victim);
+                }
+                _ => {
+                    on.repair_step();
+                    off.repair_step();
+                }
+            }
+            on.check_invariants();
+            off.check_invariants();
+            prop_assert!(off.nodes().all(|nd| nd.fingers.is_empty()));
+            for (a, b) in on.nodes().zip(off.nodes()) {
+                prop_assert_eq!(a.zones().collect::<Vec<_>>(), b.zones().collect::<Vec<_>>());
+            }
+            let hops = finger_routes(&on, &off, 24, seed ^ step as u64);
+            if on.fragment_count() == 0 {
+                let log = ceil_log2(on.alive_count());
+                let mean = hops.iter().sum::<u64>() as f64 / hops.len() as f64;
+                let max = hops.iter().copied().max().unwrap_or(0);
+                prop_assert!(mean <= log as f64, "mean {} hops > ⌈log₂ n⌉ = {}", mean, log);
+                prop_assert!(max <= 2 * log + 2, "max {} hops > 2⌈log₂ n⌉ + 2 = {}", max, 2 * log + 2);
+            }
+        }
+    }
+}
+
+/// The measured routing cost with and without fingers on bootstrapped
+/// rings (printed with `--nocapture`), held to the same bounds.
+#[test]
+fn finger_hops_are_logarithmic_on_repaired_rings() {
+    for n in [16usize, 100, 256, 300] {
+        let on = CanOverlay::bootstrap(CanConfig::new(1).with_seed(n as u64), n);
+        let off =
+            CanOverlay::bootstrap(CanConfig::new(1).with_seed(n as u64).with_fingers(false), n);
+        let hops = finger_routes(&on, &off, 400, 7);
+        let mean = hops.iter().sum::<u64>() as f64 / hops.len() as f64;
+        let max = hops.iter().copied().max().unwrap_or(0);
+        let plain: Vec<u64> = {
+            let alive = off.alive_ids();
+            (0..400)
+                .map(|i| {
+                    let t = [(i as f64 * 0.618_033_988_749_895) % 1.0];
+                    off.route_result(alive[i % alive.len()], &t, 1).stats.hops
+                })
+                .collect()
+        };
+        let plain_mean = plain.iter().sum::<u64>() as f64 / plain.len() as f64;
+        let log = ceil_log2(n);
+        eprintln!(
+            "n = {n}: fingers mean {mean:.2} max {max} hops (⌈log₂ n⌉ = {log}); plain CAN mean {plain_mean:.2}"
+        );
+        assert!(mean <= log as f64, "n = {n}: mean {mean}");
+        assert!(max <= 2 * log + 2, "n = {n}: max {max}");
+        assert!(
+            mean < plain_mean || n < 32,
+            "n = {n}: fingers do not shorten routes"
+        );
     }
 }

@@ -132,7 +132,27 @@ impl HypermNetwork {
         op.close(|s| vec![("messages", s.messages.into()), ("bytes", s.bytes.into())])
     }
 
-    /// A `repair_step` op: a crash, a departure or a merge pass.
+    /// One round of finger upkeep for `peer`: [`CanOverlay::fix_fingers`]
+    /// on every level that keeps fingers (the 1-d CANs), traced as a
+    /// `repair_step` of kind `fix_fingers`. Zero, and untraced, when no
+    /// level keeps fingers.
+    pub fn fix_fingers(&self, peer: usize) -> OpStats {
+        if !self.cans().any(CanOverlay::has_fingers) {
+            return OpStats::zero();
+        }
+        let mut op = self.repair_op(|| vec![("kind", "fix_fingers".into()), ("peer", peer.into())]);
+        for l in 0..self.levels() {
+            if let Some(can) = self.overlay(l).as_can().filter(|c| c.has_fingers()) {
+                op.level(l, &self.level_recorder(l), None, |lv| {
+                    lv.stats += can.fix_fingers(NodeId(peer));
+                });
+            }
+        }
+        op.close(|s| vec![("messages", s.messages.into()), ("bytes", s.bytes.into())])
+    }
+
+    /// A `repair_step` op: a crash, a departure, a merge pass or a finger
+    /// upkeep round.
     fn repair_op(&self, fields: impl FnOnce() -> Fields) -> Op {
         Op::open(
             self.recorder(),

@@ -56,6 +56,11 @@ pub struct HypermConfig {
     /// Which overlay substrate to build per subspace (CAN in the paper's
     /// evaluation; BATON as the overlay-independence alternative).
     pub overlay_backend: OverlayBackend,
+    /// Finger links on the 1-d CAN levels (`hyperm_can::CanConfig::fingers`):
+    /// levels A and D_0 route in O(log n) instead of ≈ n/4 hops. Answers
+    /// never depend on it, only routing costs. On by default; off models
+    /// the paper's plain CAN.
+    pub fingers: bool,
 }
 
 impl HypermConfig {
@@ -74,6 +79,7 @@ impl HypermConfig {
             kmeans_max_iter: 50,
             seed: 0,
             overlay_backend: OverlayBackend::Can,
+            fingers: true,
         }
     }
 
@@ -110,6 +116,12 @@ impl HypermConfig {
     /// Select the overlay substrate.
     pub fn with_backend(mut self, backend: OverlayBackend) -> Self {
         self.overlay_backend = backend;
+        self
+    }
+
+    /// Set finger links on the 1-d CAN levels on/off.
+    pub fn with_fingers(mut self, on: bool) -> Self {
+        self.fingers = on;
         self
     }
 
@@ -192,6 +204,7 @@ mod tests {
         assert_eq!(c.max_levels(), 10);
         assert_eq!(c.score_policy, ScorePolicy::Min);
         assert!(c.replicate);
+        assert!(c.fingers);
     }
 
     #[test]

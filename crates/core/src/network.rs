@@ -154,11 +154,12 @@ impl HypermNetwork {
         let mut bootstrap = OpStats::zero();
         for (l, &s) in subspaces.iter().enumerate() {
             let dim = config.can_dim(s);
-            let overlay = Overlay::bootstrap(
+            let overlay = Overlay::bootstrap_fingers(
                 config.overlay_backend,
                 dim,
                 config.seed.wrapping_add(l as u64 + 1),
                 n,
+                config.fingers,
             );
             bootstrap += overlay.bootstrap_stats();
             let (lo, hi) = config.subspace_bounds(s);

@@ -60,11 +60,24 @@ macro_rules! each {
 }
 
 impl Overlay {
-    /// Bootstrap an overlay of `n` nodes over a `dim`-dimensional key box.
+    /// Bootstrap an overlay of `n` nodes over a `dim`-dimensional key box
+    /// (a 1-d CAN with fingers, as by default).
     pub fn bootstrap(backend: OverlayBackend, dim: usize, seed: u64, n: usize) -> Overlay {
+        Self::bootstrap_fingers(backend, dim, seed, n, true)
+    }
+
+    /// [`Overlay::bootstrap`] with CAN's finger switch (ignored by the
+    /// trees).
+    pub(crate) fn bootstrap_fingers(
+        backend: OverlayBackend,
+        dim: usize,
+        seed: u64,
+        n: usize,
+        fingers: bool,
+    ) -> Overlay {
         match backend {
             OverlayBackend::Can => Overlay::Can(CanOverlay::bootstrap(
-                CanConfig::new(dim).with_seed(seed),
+                CanConfig::new(dim).with_seed(seed).with_fingers(fingers),
                 n,
             )),
             OverlayBackend::Baton => Overlay::Baton(BatonOverlay::bootstrap(

@@ -142,7 +142,9 @@ pub struct RepairStats {
     /// Repair-protocol message cost: detection, takeover claims, zone and
     /// replica handoffs, background merges, neighbour updates.
     pub repair: OpStats,
-    /// Soft-state republish message cost (invalidations + re-inserts).
+    /// Soft-state republish message cost (invalidations + re-inserts),
+    /// plus each round's finger upkeep on the 1-d CAN levels
+    /// ([`HypermNetwork::fix_fingers`]).
     pub refresh: OpStats,
     /// Worst takeover latency observed, in sim ticks (detection timeout +
     /// handshake; the ISSUE's "takeover latency in sim time").
@@ -330,11 +332,12 @@ impl RepairEngine {
     }
 
     /// Republish one peer's summaries now (restores its replicas
-    /// everywhere, including zones re-owned after a crash). Spheres whose
-    /// fault-aware publish fails are queued for retry on later rounds.
+    /// everywhere, including zones re-owned after a crash) and pay its
+    /// finger upkeep round. Spheres whose fault-aware publish fails are
+    /// queued for retry on later rounds.
     pub fn refresh_peer(&mut self, peer: usize) {
         let report = self.net.refresh_peer_summaries_report(peer);
-        self.stats.refresh += report.stats;
+        self.stats.refresh += report.stats + self.net.fix_fingers(peer);
         self.stats.refreshes += 1;
         self.last_refresh[peer] = self.now;
         // The refresh re-publishes the peer's whole summary set, so it
@@ -639,6 +642,7 @@ impl ChurnSchedule {
 mod tests {
     use super::*;
     use hyperm_core::HypermConfig;
+    use hyperm_sim::NodeId;
 
     fn data(seed: u64, n: usize) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -663,6 +667,36 @@ mod tests {
             .with_clusters_per_peer(3)
             .with_seed(seed);
         HypermNetwork::build(peers, cfg).unwrap().0
+    }
+
+    /// A refresh round charges the republish plus exactly
+    /// `CanOverlay::fix_fingers` on the 1-d levels (A, D_0), and no upkeep
+    /// on the 2-d and 4-d levels or with fingers off.
+    #[test]
+    fn refresh_round_charges_finger_upkeep_on_1d_levels_only() {
+        for fingers in [true, false] {
+            let peers: Vec<Dataset> = (0..24).map(|p| data(900 + p, 20)).collect();
+            let cfg = HypermConfig::new(8)
+                .with_levels(4)
+                .with_clusters_per_peer(3)
+                .with_seed(9)
+                .with_fingers(fingers);
+            let net = HypermNetwork::build(peers, cfg).unwrap().0;
+            let peer = 5;
+            let upkeep: Vec<OpStats> = (0..net.levels())
+                .map(|l| net.overlay(l).as_can().unwrap().fix_fingers(NodeId(peer)))
+                .collect();
+            for (l, u) in upkeep.iter().enumerate() {
+                let charged = fingers && net.overlay(l).dim() == 1;
+                assert_eq!(*u != OpStats::zero(), charged, "level {l}: {u:?}");
+            }
+            let upkeep: OpStats = upkeep.into_iter().sum();
+            assert_eq!(net.fix_fingers(peer), upkeep);
+            let republish = net.clone().refresh_peer_summaries_report(peer).stats;
+            let mut eng = RepairEngine::new(net, RepairConfig::default());
+            eng.refresh_peer(peer);
+            assert_eq!(eng.stats().refresh, republish + upkeep);
+        }
     }
 
     #[test]

@@ -107,12 +107,17 @@ fn digest(norm: Normalization, levels: usize, k: usize) -> u64 {
     h.0
 }
 
-/// `(convention, levels, clusters per peer, digest)`.
+/// `(convention, levels, clusters per peer, digest)`. Re-pinned when the
+/// 1-d CAN levels (A and D_0) gained finger links: route hops on those
+/// levels moved the `BuildReport`'s `insertion`, `per_level` (levels 0
+/// and 1), `makespan_hops` and `makespan_rounds`. The spheres, level
+/// views, replicas and bootstrap cost are unchanged, and
+/// `with_fingers(false)` reproduces the previous digests.
 const PINNED: [(Normalization, usize, usize, u64); 4] = [
-    (Normalization::PaperAverage, 4, 10, 0x4c75_27d8_2fbf_41cc),
-    (Normalization::PaperAverage, 6, 7, 0x903e_c14c_de70_13d5),
-    (Normalization::Orthonormal, 4, 10, 0xbcae_c107_98cd_b761),
-    (Normalization::Orthonormal, 6, 7, 0xe895_4b62_fbd1_64b3),
+    (Normalization::PaperAverage, 4, 10, 0x02e1_3906_685e_bec2),
+    (Normalization::PaperAverage, 6, 7, 0xd05f_8067_e7f4_2457),
+    (Normalization::Orthonormal, 4, 10, 0x5a0c_213a_82d1_316f),
+    (Normalization::Orthonormal, 6, 7, 0xbb64_c438_3541_8e41),
 ];
 
 #[test]
