@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hyperm_baton::{BatonConfig, BatonOverlay};
 use hyperm_can::{CanConfig, CanOverlay, ObjectRef};
 use hyperm_cluster::kmeans::kmeans;
-use hyperm_cluster::{Dataset, KMeansConfig};
+use hyperm_cluster::{spheres_from_clustering, Dataset, KMeansConfig};
 use hyperm_core::{HypermConfig, HypermNetwork, KnnOptions};
 use hyperm_datagen::{generate_markov, MarkovConfig};
 use hyperm_geometry::{
@@ -64,6 +64,32 @@ fn bench_kmeans(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::from_parameter(dim), &view, |b, view| {
             b.iter(|| kmeans(black_box(view), &KMeansConfig::new(10).with_seed(2)))
+        });
+    }
+    group.finish();
+}
+
+/// What publishing one level costs on top of `kmeans_peer_level`: the same
+/// views through k-means, then each cluster's enclosing ball.
+fn bench_spheres(c: &mut Criterion) {
+    let mut group = c.benchmark_group("spheres_peer_level");
+    group.sample_size(20);
+    let data = generate_markov(&MarkovConfig {
+        count: 1000,
+        dim: 64,
+        max_step_cap: 0.05,
+        seed: 1,
+    });
+    for dim in [1usize, 2, 4] {
+        let mut view = Dataset::new(dim);
+        for row in data.rows() {
+            view.push_row(&row[..dim]);
+        }
+        group.bench_with_input(BenchmarkId::from_parameter(dim), &view, |b, view| {
+            b.iter(|| {
+                let result = kmeans(black_box(view), &KMeansConfig::new(10).with_seed(2));
+                spheres_from_clustering(view, &result)
+            })
         });
     }
     group.finish();
@@ -427,6 +453,7 @@ criterion_group!(
     benches,
     bench_dwt,
     bench_kmeans,
+    bench_spheres,
     bench_summarize,
     bench_geometry,
     bench_can,

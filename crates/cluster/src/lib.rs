@@ -2,10 +2,13 @@
 //!
 //! Hyper-M summarises each peer's data by running k-means *independently in
 //! every wavelet subspace* (step *i2* of the paper's Figure 2) and publishing
-//! only the resulting **cluster spheres** — centroid, radius and item count —
+//! only the resulting **cluster spheres** — centre, radius and item count —
 //! into the overlay. The paper picks k-means for its invariance to
 //! translations and orthogonal transformations and because its output maps
-//! directly onto the sphere representation of Section 3.1.
+//! directly onto the sphere representation of Section 3.1. The paper
+//! centres each sphere on the cluster's centroid; here each keeps k-means'
+//! partition but is published as its (near-)minimum enclosing ball, which
+//! still covers every member and is never larger.
 //!
 //! * [`dataset`] — a flat row-major `f64` matrix, the in-memory format for
 //!   all feature vectors in the workspace;
@@ -14,8 +17,10 @@
 //! * [`minibatch`] — a mini-batch k-means variant for peers with large local
 //!   collections (extension; the paper cites speed-oriented k-means
 //!   extensions [18, 19] as related work);
-//! * [`sphere`] — the `ClusterSphere` summary (Section 3.1) and helpers to
-//!   derive sphere sets from a clustering;
+//! * [`sphere`] — the `ClusterSphere` summary (Section 3.1) and
+//!   `spheres_from_clustering`, which publishes each cluster's enclosing
+//!   ball (the exact midrange interval on 1-d levels, Bădoiu–Clarkson
+//!   steps from the centroid on wider ones);
 //! * [`quality`] — cohesion, separation, their ratio (the "goodness" measure
 //!   plotted in Figure 11), SSE and silhouette scores;
 //! * [`kdtree`] — a static kd-tree over a dataset's rows. No library

@@ -12,8 +12,10 @@
 //! 1. every item is decomposed with the Haar DWT ([`hyperm_wavelet`]);
 //! 2. each wavelet subspace is clustered independently with k-means
 //!    ([`hyperm_cluster`]);
-//! 3. only the resulting cluster spheres (centroid, radius, count) are
-//!    inserted — one CAN overlay per subspace ([`hyperm_can`]).
+//! 3. only the resulting cluster spheres (centre, radius, count) are
+//!    inserted — one CAN overlay per subspace ([`hyperm_can`]). Each is its
+//!    cluster's (near-)minimum enclosing ball, not the paper's centroid
+//!    ball, so it meets fewer CAN zones and fewer query floods.
 //!
 //! Retrieval scores peers by the volume fraction of cluster∩query sphere
 //! intersections (Eq. 1), aggregates scores across subspaces (min policy),

@@ -5,11 +5,15 @@
 //! decomposed with the DWT ("this process could be done offline, and it
 //! does not add to the overall time complexity"), the coefficients of each
 //! published subspace are collected into a per-level dataset, and k-means
-//! summarises each level into `K_p` cluster spheres.
+//! summarises each level into `K_p` cluster spheres. Each sphere is its
+//! cluster's (near-)minimum enclosing ball, not the centroid ball
+//! (`hyperm_cluster::spheres_from_clustering`): the same members and
+//! count, a radius that still reaches the farthest member, and so the same
+//! no-false-dismissal argument.
 //!
 //! Summarising costs only the arithmetic its output needs, and every
-//! sphere and level view is bit-identical to the plain per-item
-//! `decompose` followed by the textbook Lloyd loop:
+//! level view and k-means partition is bit-identical to the plain
+//! per-item `decompose` followed by the textbook Lloyd loop:
 //!
 //! * the DWT is `hyperm_wavelet::haar_pyramid` over one scratch buffer per
 //!   peer, asked for the kept subspaces only (below). For a 512-d item and

@@ -78,10 +78,10 @@ impl HypermNetwork {
     /// The publish rule (Figure 2, step *i3*): `peer`'s `c`-th sphere at
     /// level `l` as the overlay object every publication path stores —
     /// centre and radius in key space, plus the payload lookups score by. A
-    /// centroid outside the configured bounds is clamped into key space;
+    /// centre outside the configured bounds is clamped into key space;
     /// widening the radius by the clamp slack keeps the stored sphere
     /// covering the images of all its items, so Theorem 4.1 keeps holding.
-    /// The slack is exactly 0 for an in-bounds centroid.
+    /// The slack is exactly 0 for an in-bounds centre.
     fn sphere_object(&self, peer: usize, l: usize, c: usize) -> (Vec<f64>, f64, ObjectRef) {
         let keymap = self.keymap(l);
         let sphere = &self.peer(peer).summaries[l][c];
