@@ -368,6 +368,12 @@ fn bench_local_range(c: &mut Criterion) {
     c.bench_function("local_knn_coarse_match_k1_1000x512", |b| {
         b.iter(|| peer.local_knn(black_box(&shifted), 1))
     });
+    // The common phase-2 k-nn: the query is a stored row, so the scan
+    // refines a handful of rows and the bound pass and the ordering of
+    // the items are most of its time.
+    c.bench_function("local_knn_near_k10_1000x512", |b| {
+        b.iter(|| peer.local_knn(black_box(&q), 10))
+    });
 }
 
 fn bench_wavelet_variants(c: &mut Criterion) {

@@ -49,6 +49,18 @@
 //! because a k-nn scan bounds every item and refines only a few: a peer far
 //! from the query refines hundreds of rows for one answer, and the guard
 //! skips most of them for the cost of reading 24 coefficients each.
+//!
+//! A k-nn scan has no threshold to filter by until it has k answers, so it
+//! bounds every item — one dense pass per published level, with a kernel
+//! instantiated at the widths 1, 2, 4 and 8 that adds each term in the
+//! range scan's order, so every bound is the same `f64` — and refines them
+//! in ascending `(bound, index)` order until the bound passes the k-th
+//! distance. At paper scale it pops ≈ 56 of ≈ 1,400 items, so it does not
+//! order them all: `select_nth_unstable` moves the next batch (32, then
+//! 128, 512, …) of smallest keys to the front and only that batch is
+//! sorted. The keys are unique, so the hand-out order is a full sort's,
+//! and the refined sequence, distances and answer are bit for bit those
+//! of a heap over every item.
 
 use crate::config::HypermConfig;
 use hyperm_cluster::kmeans::kmeans;
@@ -58,7 +70,6 @@ use hyperm_wavelet::{
     decompose, haar_pyramid, lower_bound_limit, sq_radius_contraction, Decomposition,
     Normalization, Subspace,
 };
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Wavelet coefficients per item the local scans may read: the published
@@ -119,6 +130,15 @@ fn peak(v: &[f64]) -> f64 {
     lanes.iter().chain(rest).fold(0.0, larger)
 }
 
+/// Panics unless every coordinate of the query centre `q` is finite: a
+/// NaN would reach the overlays as a NaN radius, and an infinite one
+/// would match no item at all.
+pub(crate) fn assert_finite_centre(q: &[f64]) {
+    if let Some(i) = q.iter().position(|x| !x.is_finite()) {
+        panic!("query centre must be finite, coordinate {i} is {}", q[i]);
+    }
+}
+
 /// The published subspaces, then the finer ones the refine guard keeps:
 /// whole subspaces while the first `SCAN_COEFFS` coefficients hold them
 /// and the data has them.
@@ -146,6 +166,90 @@ impl Guard<'_> {
             acc + w * sq_dist(view.row(i), coeffs)
         });
         total <= limit
+    }
+}
+
+/// One level's term `w·‖row − coeffs‖²` for each `D`-wide row of `rows`
+/// (or `coeffs.len()`-wide when `D` is 0): written to `bounds[i]` when
+/// `first`, else added to it. The published widths get an instantiation
+/// with the width a constant, so the distance loop unrolls.
+fn add_level<const D: usize>(
+    bounds: &mut [f64],
+    rows: &[f64],
+    coeffs: &[f64],
+    w: f64,
+    first: bool,
+) {
+    let dim = if D == 0 { coeffs.len() } else { D };
+    debug_assert_eq!(dim, coeffs.len(), "add_level: width");
+    // Re-sliced so the compiler sees the constant width and unrolls.
+    let coeffs = &coeffs[..dim];
+    for (bound, row) in bounds.iter_mut().zip(rows.chunks_exact(dim)) {
+        let term = w * sq_dist(row, coeffs);
+        *bound = if first { term } else { *bound + term };
+    }
+}
+
+/// First batch [`Ascending`] sorts, and the factor each later one grows
+/// by: a k-nn scan usually stops inside the first batch, and a far one
+/// that does not reaches the end in a few.
+const FIRST_BATCH: usize = 32;
+const BATCH_GROWTH: usize = 4;
+
+/// The k-nn scan's key of item `i`: `(bound bits, i)` in one integer, so
+/// keys are unique and their order is the pair's.
+fn key(bound: f64, i: usize) -> u128 {
+    (u128::from(bound.to_bits()) << 64) | i as u128
+}
+
+/// `(bound, i)` back from a [`key`].
+fn unkey(key: u128) -> (f64, usize) {
+    (f64::from_bits((key >> 64) as u64), key as u64 as usize)
+}
+
+/// Keys handed out in ascending order, a batch at a time:
+/// `select_nth_unstable` moves the next batch's keys to the front of those
+/// left, and only that batch is sorted. Keys are unique, so every batch
+/// holds exactly the smallest keys left and the sequence is a full sort's
+/// — a min-heap's pop order — for the cost of the batches reached.
+struct Ascending {
+    keys: Vec<u128>,
+    /// Next key to hand out.
+    next: usize,
+    /// `keys[..sorted]` are the smallest, in order.
+    sorted: usize,
+    /// Size of the next batch.
+    batch: usize,
+}
+
+impl Ascending {
+    fn new(keys: Vec<u128>) -> Self {
+        Self {
+            keys,
+            next: 0,
+            sorted: 0,
+            batch: FIRST_BATCH,
+        }
+    }
+}
+
+impl Iterator for Ascending {
+    type Item = u128;
+
+    fn next(&mut self) -> Option<u128> {
+        if self.next == self.sorted {
+            let rest = &mut self.keys[self.sorted..];
+            let take = self.batch.min(rest.len());
+            if take < rest.len() {
+                rest.select_nth_unstable(take);
+            }
+            rest[..take].sort_unstable();
+            self.sorted += take;
+            self.batch = self.batch.saturating_mul(BATCH_GROWTH);
+        }
+        let key = self.keys.get(self.next).copied()?;
+        self.next += 1;
+        Some(key)
     }
 }
 
@@ -287,26 +391,32 @@ impl Peer {
             return Vec::new();
         }
         let magnitude = self.magnitude(q);
-        // Both heaps order `f64`s by their bits: for non-negative floats
-        // that is numeric order. `nearest` hands out items by ascending
-        // lower bound (heapified in O(n); only the few that get refined
-        // are popped); `best` keeps the k smallest `(distance, index)`
-        // with the k-th on top.
-        let mut nearest: BinaryHeap<Reverse<(u64, usize)>> = self
-            .filter(dec, f64::INFINITY)
+        // Every item's published bound, in one dense pass per level.
+        // `nearest` hands them out by ascending `(bound bits, index)` —
+        // for non-negative floats the bits' order is numeric order —
+        // sorting only the batches it reaches, so the few that get refined
+        // cost little more than the pass. Keys are unique, so that is the
+        // order a min-heap of every item would pop them in: the refined
+        // sequence, every distance and `best` are the heap scan's. A NaN
+        // bound, an item `filter(dec, ∞)` drops, has bits above +∞'s: all
+        // of them come last, and the scan stops at the first. `best`
+        // keeps the k smallest `(distance bits, index)` with the k-th on
+        // top.
+        let keys: Vec<u128> = self
+            .bounds(dec)
             .into_iter()
-            .map(|(i, bound)| Reverse((bound.to_bits(), i)))
+            .enumerate()
+            .map(|(i, bound)| key(bound, i))
             .collect();
-        let mut best: BinaryHeap<(u64, usize)> =
-            BinaryHeap::with_capacity(k.min(nearest.len()) + 1);
+        let mut best: BinaryHeap<(u64, usize)> = BinaryHeap::with_capacity(k.min(keys.len()) + 1);
+        let nearest = Ascending::new(keys);
         // A skipped item is worse than the k-th best, so it would have
         // left `best` as it was: the refined sequence, and with it `stop`,
         // is the unguarded one.
         let guard = self.guard(dec);
         let (mut stop, mut guard_stop) = (f64::INFINITY, f64::INFINITY);
-        while let Some(Reverse((bound, i))) = nearest.pop() {
-            let bound = f64::from_bits(bound);
-            if bound > stop {
+        for (bound, i) in nearest.map(unkey) {
+            if bound.is_nan() || bound > stop {
                 break;
             }
             if !guard.admits(i, bound, guard_stop) {
@@ -345,6 +455,7 @@ impl Peer {
     /// Decompose a query the way the items were.
     fn decompose(&self, q: &[f64]) -> Decomposition {
         assert_eq!(q.len(), self.items.dim(), "query dimension mismatch");
+        assert_finite_centre(q);
         decompose(q, self.normalization).expect("power-of-two dim")
     }
 
@@ -426,6 +537,31 @@ impl Peer {
             });
         }
         alive
+    }
+
+    /// Every item's lower bound summed over the published subspaces, in
+    /// index order: the bounds `filter(dec, ∞)` keeps, bit for bit, and
+    /// NaN for the items it drops. One dense pass per level, each term
+    /// added in `filter`'s order.
+    fn bounds(&self, dec: &Decomposition) -> Vec<f64> {
+        self.check_decomposition(dec);
+        debug_assert!(
+            self.views.iter().all(|v| v.len() == self.items.len()),
+            "peer {}: a view is out of step with the items",
+            self.id
+        );
+        let mut bounds = vec![0.0; self.items.len()];
+        for (l, (view, coeffs, w)) in self.levels(dec, 0..self.published).enumerate() {
+            let (rows, first) = (view.as_flat(), l == 0);
+            match view.dim() {
+                1 => add_level::<1>(&mut bounds, rows, coeffs, w, first),
+                2 => add_level::<2>(&mut bounds, rows, coeffs, w, first),
+                4 => add_level::<4>(&mut bounds, rows, coeffs, w, first),
+                8 => add_level::<8>(&mut bounds, rows, coeffs, w, first),
+                _ => add_level::<0>(&mut bounds, rows, coeffs, w, first),
+            }
+        }
+        bounds
     }
 
     /// Total wire bytes of all published summaries (what dissemination
@@ -636,6 +772,138 @@ mod tests {
                 );
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// k-nn answers what a linear scan does when the scan runs through
+        /// several batches: rows of a few groups whose published
+        /// coefficients are the same bit for bit — they differ only by
+        /// zero-mean steps within each block of `dim / 8` coordinates,
+        /// which `D_3` and finer see — so every group's items tie on their
+        /// bound and only the index orders them.
+        #[test]
+        fn knn_across_batches_answers_what_a_linear_scan_does(
+            log_dim in 5u32..8,
+            rows in 100usize..=400,
+            groups in 1usize..=4,
+            seed in any::<u64>(),
+        ) {
+            let dim = 1usize << log_dim;
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Multiples of 1/8 of small size: every pair average and
+            // difference of the pyramid is exact, so the blocks' means
+            // (and with them A, D_0, D_1, D_2) are the base's exactly.
+            let dyadic = |rng: &mut StdRng, range: std::ops::Range<i32>| {
+                f64::from(rng.gen_range(range)) / 8.0
+            };
+            let bases: Vec<Vec<f64>> = (0..groups)
+                .map(|_| (0..dim).map(|_| dyadic(&mut rng, 0..64)).collect())
+                .collect();
+            let member = |rng: &mut StdRng, base: &[f64]| -> Vec<f64> {
+                let mut row = base.to_vec();
+                let mut size = 2;
+                while size <= dim / 8 {
+                    for window in row.chunks_exact_mut(size) {
+                        let step = dyadic(rng, -2..3);
+                        let (up, down) = window.split_at_mut(size / 2);
+                        up.iter_mut().for_each(|x| *x += step);
+                        down.iter_mut().for_each(|x| *x -= step);
+                    }
+                    size *= 2;
+                }
+                row
+            };
+            let mut ds = Dataset::new(dim);
+            for _ in 0..rows {
+                let g = rng.gen_range(0..groups);
+                ds.push_row(&member(&mut rng, &bases[g]));
+            }
+            let cfg = HypermConfig::new(dim).with_levels(4).with_clusters_per_peer(3).with_seed(seed);
+            let peer = Peer::summarize(0, ds, &cfg);
+            let n = peer.len();
+
+            let stored = peer.items.row(rng.gen_range(0..n)).to_vec();
+            let moved = member(&mut rng, &bases[0]);
+            let elsewhere: Vec<f64> = (0..dim).map(|_| dyadic(&mut rng, 0..64)).collect();
+            for q in [stored, bases[0].clone(), moved, elsewhere] {
+                let bounds = peer.bounds(&peer.decompose(&q));
+                let mut distinct: Vec<u64> = bounds.iter().map(|b| b.to_bits()).collect();
+                distinct.sort_unstable();
+                distinct.dedup();
+                prop_assert!(distinct.len() <= groups, "{} bounds", distinct.len());
+
+                let truth = linear_knn(&peer.items, &q, n);
+                for k in [1, 10, 33, n, n + 5] {
+                    let got: Vec<(usize, u64)> = peer
+                        .local_knn(&q, k)
+                        .into_iter()
+                        .map(|(i, d)| (i, d.to_bits()))
+                        .collect();
+                    prop_assert_eq!(&got[..], &truth[..k.min(n)], "k {}", k);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batches_hand_out_a_full_sort() {
+        let values = [0.0, 0.5, 1.0, 1e300, f64::INFINITY, f64::NAN, -f64::NAN];
+        let mut rng = StdRng::seed_from_u64(11);
+        for n in [0, 1, 2, 31, 32, 33, 100, 160, 161, 700, 2000] {
+            // Few distinct bounds, so most keys tie on the bound and
+            // straddle the batch boundaries.
+            let keys: Vec<u128> = (0..n)
+                .map(|i| key(values[rng.gen_range(0..values.len())], i))
+                .collect();
+            let mut sorted = keys.clone();
+            sorted.sort_unstable();
+            let handed: Vec<u128> = Ascending::new(keys).collect();
+            assert_eq!(handed, sorted, "n {n}");
+            // Every NaN bound comes after every number, +∞ included, so a
+            // scan that stops at the first NaN drops exactly the NaNs.
+            let first_nan = handed.iter().position(|&k| unkey(k).0.is_nan());
+            let numbers = handed.iter().filter(|&&k| !unkey(k).0.is_nan()).count();
+            assert_eq!(first_nan.unwrap_or(n), numbers, "n {n}");
+        }
+        assert_eq!(unkey(key(0.25, 7)), (0.25, 7));
+    }
+
+    #[test]
+    fn knn_never_answers_a_nan_row() {
+        let mut peer = Peer::summarize(0, items(40, 16, 7), &config());
+        let mut nan_row = peer.items.row(3).to_vec();
+        nan_row[5] = f64::NAN;
+        let dec = decompose(&nan_row, peer.normalization).unwrap();
+        peer.push_item(&nan_row, &dec);
+        let q = peer.items.row(3).to_vec();
+        let got: Vec<(usize, u64)> = peer
+            .local_knn(&q, 41)
+            .into_iter()
+            .map(|(i, d)| (i, d.to_bits()))
+            .collect();
+        // `total_cmp` sorts the NaN distance last, so the truth is the
+        // 40 finite rows.
+        assert_eq!(got, linear_knn(&peer.items, &q, 40));
+    }
+
+    #[test]
+    #[should_panic(expected = "query centre must be finite, coordinate 4 is NaN")]
+    fn local_knn_rejects_a_nan_centre() {
+        let peer = Peer::summarize(0, items(20, 16, 6), &config());
+        let mut q = [0.5; 16];
+        q[4] = f64::NAN;
+        peer.local_knn(&q, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "query centre must be finite, coordinate 9 is inf")]
+    fn local_range_rejects_an_infinite_centre() {
+        let peer = Peer::summarize(0, items(20, 16, 6), &config());
+        let mut q = [0.5; 16];
+        q[9] = f64::INFINITY;
+        peer.local_range(&q, 0.1);
     }
 
     #[test]

@@ -24,6 +24,7 @@
     reason = "the one slice is `ranked[..target]` with `target = p.min(ranked.len())`"
 )]
 use crate::network::HypermNetwork;
+use crate::peer::assert_finite_centre;
 use crate::query::{QueryBudget, QueryRun, Reply};
 use crate::score::{aggregate, peers_to_cover, LevelScorer, PeerScore};
 use hyperm_geometry::{solve_epsilon_for_k, ClusterView};
@@ -116,6 +117,7 @@ impl HypermNetwork {
         budget: Option<QueryBudget>,
     ) -> KnnResult {
         assert!(k > 0, "k must be positive");
+        assert_finite_centre(q);
         let dec = self.decompose_query(q);
         let kind = OpKind::KnnQuery;
         let mut run = QueryRun::open(self, kind, "knn", from_peer, q.len(), budget, || {
@@ -225,7 +227,7 @@ impl HypermNetwork {
         // Step 10: sort and cut.
         #[expect(
             clippy::unwrap_used,
-            reason = "distances are finite (inputs validated, no NaN can reach the sort key)"
+            reason = "no distance is NaN: the centre is asserted finite, and a local scan drops every item with a NaN coordinate (its approximation coefficient, and so its bound, is NaN)"
         )]
         retrieved.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
         let topk = retrieved.iter().take(k).cloned().collect();
@@ -358,5 +360,23 @@ mod tests {
         let (net, peers) = build(6, 4, 20);
         let q = peers[0].row(0).to_vec();
         net.knn_query(0, &q, 0, KnnOptions::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "query centre must be finite, coordinate 3 is NaN")]
+    fn nan_centre_rejected() {
+        let (net, peers) = build(6, 4, 20);
+        let mut q = peers[0].row(0).to_vec();
+        q[3] = f64::NAN;
+        net.knn_query(0, &q, 1, KnnOptions::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "query centre must be finite, coordinate 0 is inf")]
+    fn infinite_centre_rejected() {
+        let (net, peers) = build(6, 4, 20);
+        let mut q = peers[0].row(0).to_vec();
+        q[0] = f64::INFINITY;
+        net.knn_query(0, &q, 1, KnnOptions::default());
     }
 }

@@ -9,6 +9,7 @@
 //! direct exact-match request settles it.
 
 use crate::network::HypermNetwork;
+use crate::peer::assert_finite_centre;
 use crate::query::{QueryBudget, QueryRun, Reply};
 use hyperm_sim::{NodeId, OpStats};
 use hyperm_telemetry::OpKind;
@@ -55,6 +56,7 @@ impl HypermNetwork {
         q: &[f64],
         budget: Option<QueryBudget>,
     ) -> PointResult {
+        assert_finite_centre(q);
         let dec = self.decompose_query(q);
         let kind = OpKind::PointQuery;
         let mut run = QueryRun::open(self, kind, "point", from_peer, q.len(), budget, Vec::new);
@@ -139,6 +141,24 @@ mod tests {
             let res = net.point_query(1, &q);
             assert!(res.matches.contains(&(p, i)), "missed exact item ({p},{i})");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "query centre must be finite, coordinate 2 is NaN")]
+    fn nan_centre_rejected() {
+        let (net, peers) = build(2);
+        let mut q = peers[0].row(0).to_vec();
+        q[2] = f64::NAN;
+        net.point_query(0, &q);
+    }
+
+    #[test]
+    #[should_panic(expected = "query centre must be finite, coordinate 7 is inf")]
+    fn infinite_centre_rejected() {
+        let (net, peers) = build(2);
+        let mut q = peers[0].row(0).to_vec();
+        q[7] = f64::INFINITY;
+        net.point_query(0, &q);
     }
 
     #[test]

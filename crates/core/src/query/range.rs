@@ -11,6 +11,7 @@
 //! paper plots in Figure 10a.
 
 use crate::network::HypermNetwork;
+use crate::peer::assert_finite_centre;
 use crate::query::{QueryBudget, QueryRun, Reply};
 use crate::score::{aggregate, LevelScorer, PeerScore};
 use hyperm_sim::{NodeId, OpStats};
@@ -77,6 +78,7 @@ impl HypermNetwork {
         target_of: impl FnOnce(&[PeerScore]) -> usize,
     ) -> RangeResult {
         assert!(eps >= 0.0, "negative radius {eps}");
+        assert_finite_centre(q);
         let dec = self.decompose_query(q);
         let tel = self.recorder();
         let kind = OpKind::RangeQuery;
@@ -248,6 +250,24 @@ mod tests {
         let q = peers[3].row(7).to_vec();
         let got = net.range_query(0, &q, 0.0, None);
         assert!(got.items.contains(&(3, 7)));
+    }
+
+    #[test]
+    #[should_panic(expected = "query centre must be finite, coordinate 5 is NaN")]
+    fn nan_centre_rejected() {
+        let (net, peers) = build(4);
+        let mut q = peers[0].row(0).to_vec();
+        q[5] = f64::NAN;
+        net.range_query(0, &q, 0.1, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "query centre must be finite, coordinate 15 is inf")]
+    fn infinite_centre_rejected() {
+        let (net, peers) = build(4);
+        let mut q = peers[0].row(0).to_vec();
+        q[15] = f64::INFINITY;
+        net.range_query(0, &q, 0.1, None);
     }
 
     #[test]
