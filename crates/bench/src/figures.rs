@@ -26,6 +26,7 @@ use hyperm_repair::{ChurnSchedule, RepairConfig, RepairEngine};
 use hyperm_sim::{
     Backoff, EnergyModel, FaultConfig, OpStats, PartitionPlan, Underlay, UnderlayConfig,
 };
+use hyperm_telemetry::json::inline_arr;
 use hyperm_telemetry::JsonObj;
 use hyperm_wavelet::{decompose, Normalization, Subspace};
 use rand::rngs::StdRng;
@@ -85,11 +86,10 @@ pub fn report(scale: Scale, figures: &[(&str, Figure)]) -> String {
     let objects: Vec<String> = figures
         .iter()
         .map(|(id, f)| {
-            let tables: Vec<String> = f.tables.iter().map(Table::json).collect();
             JsonObj::new()
                 .s("id", id)
                 .s("heading", &f.heading)
-                .raw("tables", format!("[{}]", tables.join(", ")))
+                .raw("tables", inline_arr(f.tables.iter().map(Table::json)))
                 .s("expected", f.expected)
                 .render()
         })

@@ -19,7 +19,7 @@ use hyperm_datagen::{
     distribute_by_clusters, generate_aloi_like, generate_markov, AloiConfig, DistributeConfig,
     MarkovConfig,
 };
-use hyperm_telemetry::json::{escape, JsonObj};
+use hyperm_telemetry::json::{escape, inline_arr, JsonObj};
 use std::fmt;
 
 /// Experiment scale, controlled by the `HYPERM_SCALE` env var.
@@ -200,11 +200,13 @@ impl Table {
 
     /// One-line JSON object: `{"title": …, "headers": […], "rows": [[…], …]}`.
     pub fn json(&self) -> String {
-        let rows: Vec<String> = self.rows.iter().map(|r| json_strings(r)).collect();
         JsonObj::new()
             .s("title", &self.title)
             .raw("headers", json_strings(&self.headers))
-            .raw("rows", format!("[{}]", rows.join(", ")))
+            .raw(
+                "rows",
+                inline_arr(self.rows.iter().map(|r| json_strings(r))),
+            )
             .render()
     }
 }
@@ -232,8 +234,7 @@ impl fmt::Display for Table {
 
 /// A JSON array of strings, inline.
 fn json_strings(items: &[String]) -> String {
-    let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
-    format!("[{}]", quoted.join(", "))
+    inline_arr(items.iter().map(|s| format!("\"{}\"", escape(s))))
 }
 
 /// Format a float with 3 decimals.

@@ -29,10 +29,10 @@ use crate::zone::Zone;
 use crate::zoneindex::ZoneIndex;
 use hyperm_sim::underlay::map_connected;
 use hyperm_sim::{FaultConfig, FaultInjector, FaultReport, LoadProbe, NodeId, OpStats};
+use hyperm_telemetry::sync::Mutex;
 use hyperm_telemetry::{Name, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Mutex;
 
 /// Overlay construction parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,8 +142,8 @@ impl CanNode {
 
 /// Interior-mutable slot for the optional fault injector: route/flood take
 /// `&self` yet fault rolls mutate RNG state, and the overlay must stay
-/// `Sync` for the parallel query paths. Cloning an overlay snapshots the
-/// injector state.
+/// `Sync` so callers may query one network from several threads. Cloning
+/// an overlay snapshots the injector state.
 #[derive(Debug, Default)]
 pub(crate) struct FaultSlot(Option<Mutex<FaultInjector>>);
 

@@ -29,9 +29,9 @@
 //! network share the host process), guarded by a `Mutex` over a `BTreeMap`
 //! so iteration order — and therefore eviction — is deterministic.
 
+use hyperm_telemetry::sync::{Guard, Mutex};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// A per-level phase-1 score map: peer → Eq.-1 score.
 pub type LevelScores = BTreeMap<usize, f64>;
@@ -101,7 +101,7 @@ impl SummaryCache {
         clippy::expect_used,
         reason = "cache operations cannot panic while holding the lock, so it is never poisoned"
     )]
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> Guard<'_, Inner> {
         self.inner.lock().expect("summary cache lock poisoned")
     }
 

@@ -17,9 +17,9 @@
 
 use crate::event::{Event, EventClass, SpanId, Value};
 use crate::json::JsonValue;
+use crate::sync::Mutex;
 use crate::taxonomy::Name;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// A reconstructed span: its start record, optional end record, child
 /// spans and attached instant events, in emission order.

@@ -37,6 +37,18 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Single-line array of values in `Display` form: `[a, b, c]`, empty
+/// `[]`. The inline layout of histogram bucket rows, heat and series
+/// (nest it for rows of rows); [`JsonObj::arr`] is the one-per-line one.
+pub fn inline_arr<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
+    let body = items
+        .into_iter()
+        .map(|it| it.to_string())
+        .collect::<Vec<_>>()
+        .join(", ");
+    format!("[{body}]")
+}
+
 /// An ordered JSON object under construction. Values are rendered at
 /// insertion time, so each field picks its own formatting.
 #[derive(Debug, Clone, Default)]

@@ -27,6 +27,8 @@
 //!   quantiles, bytes, retries, per-level heat) cheap enough to stay on
 //!   by default in every node runtime; [`slo`] evaluates declarative
 //!   rules (`p99_ms < 50, failed_routes == 0`) over its snapshots.
+//! * [`sync`] — the workspace's one lock type: a ranked [`sync::Mutex`]
+//!   whose debug builds check lock order and blocking holds.
 //! * [`json`] — the tiny JSON writer (and, for scrape pipelines, a
 //!   bounded-depth reader) shared with the bench bins (the workspace has
 //!   no serde).
@@ -41,6 +43,9 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Seeded replay needs no unordered container, and every lock is the
+// ranked `sync::Mutex` (clippy.toml lists the std types and why).
+#![deny(clippy::disallowed_types)]
 
 pub mod event;
 pub mod forensics;
@@ -48,6 +53,7 @@ pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod slo;
+pub mod sync;
 pub mod taxonomy;
 pub mod window;
 

@@ -10,11 +10,11 @@
 //! overlay work on wavelet level `l` — so the per-level rows do *not* sum
 //! to the whole-op row, which additionally counts fetch traffic.
 
-use crate::json::JsonObj;
+use crate::json::{inline_arr, JsonObj};
+use crate::sync::{Guard, Mutex};
 use crate::taxonomy::Counter;
 use hyperm_sim::{OpKind, OpStats};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Number of histogram buckets: one for zero plus one per possible
 /// `u64` bit length.
@@ -117,14 +117,29 @@ fn level_key(level: Option<usize>) -> LevelKey {
     level.map(|l| l as LevelKey).unwrap_or(WHOLE_OP)
 }
 
-/// Thread-safe metrics registry. Owned by the recorder; all mutation goes
-/// through `&self` so parallel per-level query threads can record
-/// concurrently.
+/// Everything a [`Metrics`] registry records, behind its one lock.
+#[derive(Debug, Default)]
+struct Registry {
+    cells: BTreeMap<(usize, LevelKey), Cell>,
+    /// Keyed by wire string, so snapshots list counters in name order.
+    counters: BTreeMap<&'static str, u64>,
+}
+
+impl Registry {
+    fn cell(&mut self, kind: OpKind, level: Option<usize>) -> &mut Cell {
+        self.cells
+            .entry((kind.index(), level_key(level)))
+            .or_default()
+    }
+}
+
+/// Thread-safe metrics registry. Owned by the recorder, so all mutation
+/// goes through `&self`: the recorder may be shared across threads (see
+/// [`crate::Sink`]). Every method, the snapshot included, takes the one
+/// lock once.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    cells: Mutex<BTreeMap<(usize, LevelKey), Cell>>,
-    /// Keyed by wire string, so snapshots list counters in name order.
-    counters: Mutex<BTreeMap<&'static str, u64>>,
+    registry: Mutex<Registry>,
 }
 
 impl Metrics {
@@ -133,10 +148,14 @@ impl Metrics {
         Self::default()
     }
 
+    fn lock(&self) -> Guard<'_, Registry> {
+        self.registry.lock().expect("metrics poisoned")
+    }
+
     /// Record one operation's cost into the `(kind, level)` cell.
     pub fn record_op(&self, kind: OpKind, level: Option<usize>, stats: OpStats) {
-        let mut cells = self.cells.lock().expect("metrics poisoned");
-        let cell = cells.entry((kind.index(), level_key(level))).or_default();
+        let mut registry = self.lock();
+        let cell = registry.cell(kind, level);
         cell.ops += 1;
         cell.retries += stats.retries;
         cell.failed_routes += stats.failed_routes;
@@ -149,22 +168,22 @@ impl Metrics {
     /// resolution in the histogram).
     pub fn record_latency_s(&self, kind: OpKind, level: Option<usize>, secs: f64) {
         let us = (secs * 1e6).max(0.0).round() as u64;
-        let mut cells = self.cells.lock().expect("metrics poisoned");
-        let cell = cells.entry((kind.index(), level_key(level))).or_default();
-        cell.latency_us.record(us);
+        self.lock().cell(kind, level).latency_us.record(us);
     }
 
     /// Bump a named counter by `v`.
     pub fn add(&self, counter: impl Into<Counter>, v: u64) {
-        let mut counters = self.counters.lock().expect("metrics poisoned");
-        *counters.entry(counter.into().as_str()).or_insert(0) += v;
+        let mut registry = self.lock();
+        *registry
+            .counters
+            .entry(counter.into().as_str())
+            .or_insert(0) += v;
     }
 
     /// Read a named counter (0 when never bumped).
     pub fn counter(&self, counter: impl Into<Counter>) -> u64 {
-        self.counters
-            .lock()
-            .expect("metrics poisoned")
+        self.lock()
+            .counters
             .get(counter.into().as_str())
             .copied()
             .unwrap_or(0)
@@ -172,8 +191,8 @@ impl Metrics {
 
     /// Immutable snapshot of everything recorded so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let cells = self.cells.lock().expect("metrics poisoned");
-        let counters = self.counters.lock().expect("metrics poisoned");
+        let registry = self.lock();
+        let Registry { cells, counters } = &*registry;
         MetricsSnapshot {
             counters: counters.iter().map(|(k, &v)| (k.to_string(), v)).collect(),
             cells: cells
@@ -218,16 +237,15 @@ impl HistSnapshot {
     }
 
     fn to_json(&self) -> JsonObj {
-        let buckets: Vec<String> = self
+        let buckets = self
             .buckets
             .iter()
-            .map(|&(lo, hi, c)| format!("[{lo}, {hi}, {c}]"))
-            .collect();
+            .map(|&(lo, hi, c)| inline_arr([lo, hi, c]));
         JsonObj::new()
             .u("count", self.count)
             .u("sum", self.sum)
             .f("mean", self.mean, 3)
-            .raw("buckets", format!("[{}]", buckets.join(", ")))
+            .raw("buckets", inline_arr(buckets))
     }
 }
 

@@ -24,6 +24,7 @@
 
 use crate::event::{Event, EventClass, Fields, SpanId};
 use crate::metrics::Metrics;
+use crate::sync::{Mutex, Rank};
 use crate::taxonomy::Name;
 use hyperm_sim::{OpKind, OpStats};
 use std::collections::VecDeque;
@@ -31,10 +32,14 @@ use std::fmt;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// Receiver of trace events. Implementations must be `Send`: the
-/// recorder is shared across per-level query threads behind a mutex.
+/// Receiver of trace events. Implementations must be `Send`: a recorder
+/// keeps its sink behind a mutex and may be shared across threads (a
+/// node's serve thread and its TCP reader threads, or callers querying
+/// one network from several threads). `record` runs under the sink
+/// lock, so it may take one leaf lock (the ring buffer's, see
+/// [`crate::sync`]) but must not emit to a recorder.
 pub trait Sink: Send {
     /// Consume one event.
     fn record(&mut self, ev: &Event);
@@ -201,7 +206,7 @@ impl Recorder {
     pub fn with_sink(sink: Box<dyn Sink>) -> Self {
         Self {
             inner: Some(Arc::new(Inner {
-                sink: Mutex::new(sink),
+                sink: Mutex::ranked(Rank::Sink, sink),
                 metrics: Metrics::new(),
                 next_span: AtomicU64::new(1),
                 seq: AtomicU64::new(0),
@@ -355,7 +360,8 @@ impl Recorder {
     /// Flush the sink (file sinks buffer).
     pub fn flush(&self) {
         if let Some(inner) = &self.inner {
-            // hyperm-lint: allow(conc-blocking-hold) — the sink lock exists precisely to serialize sink IO; flush must run under it or it races concurrent record() writes
+            // Under the sink lock: it serializes sink IO, so flushing
+            // outside it would race concurrent `record` writes.
             inner.sink.lock().expect("sink poisoned").flush();
         }
     }

@@ -17,11 +17,11 @@
 //! snapshots into a cluster aggregate (histograms merge bucket-wise, so
 //! cluster p50/p99 stay exact with respect to bucket resolution).
 
-use crate::json::{JsonObj, JsonValue};
+use crate::json::{inline_arr, JsonObj, JsonValue};
 use crate::metrics::Log2Hist;
+use crate::sync::{Guard, Mutex};
 use hyperm_sim::OpStats;
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 /// Window shape: how many buckets the ring keeps, how many clock ticks
 /// each bucket spans, and how many wavelet levels heat is tracked for.
@@ -115,7 +115,7 @@ impl Window {
         self.cfg
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> Guard<'_, Inner> {
         match self.inner.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
@@ -358,17 +358,11 @@ impl WindowSnapshot {
 
     /// Render as a single-line JSON object (what `StatsAck` carries).
     pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = self
+        let buckets = self
             .latency_buckets
             .iter()
-            .map(|&(lo, hi, c)| format!("[{lo}, {hi}, {c}]"))
-            .collect();
-        let heat: Vec<String> = self.heat.iter().map(u64::to_string).collect();
-        let series: Vec<String> = self
-            .series
-            .iter()
-            .map(|&(idx, ops)| format!("[{idx}, {ops}]"))
-            .collect();
+            .map(|&(lo, hi, c)| inline_arr([lo, hi, c]));
+        let series = self.series.iter().map(|&(idx, ops)| inline_arr([idx, ops]));
         JsonObj::new()
             .u("node", self.node)
             .u("seq", self.seq)
@@ -387,9 +381,9 @@ impl WindowSnapshot {
             .u("p99_us", self.p99_us())
             .u("latency_count", self.latency_count)
             .u("latency_sum_us", self.latency_sum_us)
-            .raw("latency_buckets", format!("[{}]", buckets.join(", ")))
-            .raw("heat", format!("[{}]", heat.join(", ")))
-            .raw("series", format!("[{}]", series.join(", ")))
+            .raw("latency_buckets", inline_arr(buckets))
+            .raw("heat", inline_arr(&self.heat))
+            .raw("series", inline_arr(series))
             .render()
     }
 
@@ -536,6 +530,15 @@ mod tests {
         w.record_rejected();
         let snap = w.snapshot(42, 9);
         let json = snap.to_json();
+        // Byte pin: this line is what `StatsAck` carries on the wire.
+        assert_eq!(
+            json,
+            "{\"node\": 42, \"seq\": 9, \"tick\": 5, \"bucket_ticks\": 2, \"capacity\": 4, \
+             \"ops\": 2, \"rejected\": 1, \"retries\": 0, \"failed_routes\": 0, \"hops\": 3, \
+             \"messages\": 5, \"bytes\": 256, \"qps\": 0.667, \"p50_us\": 127, \"p99_us\": 127, \
+             \"latency_count\": 1, \"latency_sum_us\": 120, \"latency_buckets\": [[64, 127, 1]], \
+             \"heat\": [0, 1, 0], \"series\": [[0, 1], [2, 1]]}"
+        );
         let parsed = WindowSnapshot::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
         assert_eq!(parsed, snap);
     }

@@ -20,8 +20,8 @@
 use crate::{Envelope, PeerId, Transport, TransportError};
 use hyperm_can::Message;
 use hyperm_sim::splitmix64;
+use hyperm_telemetry::sync::{assert_unlocked, Guard, Mutex};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// What a [`ChaosEndpoint`] does to outbound frames. All probabilities
@@ -159,7 +159,7 @@ impl<T: Transport> ChaosEndpoint<T> {
         self.lock().stats
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, ChaosState> {
+    fn lock(&self) -> Guard<'_, ChaosState> {
         match self.state.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
@@ -227,6 +227,7 @@ impl<T: Transport> Transport for ChaosEndpoint<T> {
             Fate::Deliver { dup, delay } => {
                 if delay {
                     let ms = roll(cfg.seed, to, n, 3) % cfg.max_delay_ms.max(1) + 1;
+                    assert_unlocked();
                     std::thread::sleep(Duration::from_millis(ms));
                 }
                 self.inner.send_tagged(to, req_id, msg)?;
@@ -333,5 +334,22 @@ mod tests {
         assert!(p.send(2, &Message::Monitor).is_ok());
         assert_eq!(p.stats().partitioned, 2);
         assert_eq!(a.stats().disconnects, 1);
+    }
+
+    #[test]
+    fn delayed_frames_still_arrive_in_order() {
+        // Runs the delay sleep, which must happen after the state lock
+        // is released (debug builds check it).
+        let hub = MemHub::new(64);
+        let a = ChaosEndpoint::new(hub.endpoint(1), ChaosConfig::quiet(0).with_delay(1000, 1));
+        let b = hub.endpoint(2);
+        for seq in 0..4 {
+            a.send_tagged(2, seq + 1, &Message::Ping { seq }).unwrap();
+        }
+        let got: Vec<u64> = (0..4)
+            .map(|_| b.recv_timeout(Duration::from_secs(5)).unwrap().req_id)
+            .collect();
+        assert_eq!(got, vec![1, 2, 3, 4]);
+        assert_eq!(a.stats().delayed, 4);
     }
 }

@@ -29,6 +29,7 @@
 
 use hyperm_can::codec::{decode_message, encode_message, encode_message_into};
 use hyperm_can::Message;
+use hyperm_telemetry::sync::assert_unlocked;
 
 use crate::TransportError;
 use std::io::{Read, Write};
@@ -54,6 +55,7 @@ pub fn write_frame<W: Write>(
     req_id: u64,
     msg: &Message,
 ) -> Result<usize, TransportError> {
+    assert_unlocked();
     let mut frame = vec![0u8; HEADER_LEN];
     encode_message_into(&mut frame, msg).map_err(TransportError::Codec)?;
     let body_len = frame.len() - HEADER_LEN;
@@ -72,6 +74,7 @@ pub fn write_frame<W: Write>(
 /// Read one length-prefixed frame and decode its body. Returns the
 /// header's correlation tag alongside the message.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<(u64, Message), TransportError> {
+    assert_unlocked();
     // Two fixed-width reads instead of one 12-byte buffer split: the
     // arrays carry their lengths in the type, so no slice conversion
     // (and no panic path) is left in the decode; the byte layout on the

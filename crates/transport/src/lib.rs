@@ -34,6 +34,8 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Every lock is the ranked `hyperm_telemetry::sync::Mutex` (clippy.toml).
+#![deny(clippy::disallowed_types)]
 
 pub mod chaos;
 pub mod frame;

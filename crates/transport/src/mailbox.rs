@@ -10,8 +10,9 @@
 //! blocked reader thread additionally stops draining the socket, so the
 //! kernel's flow control extends the backpressure to the remote writer.
 
+use hyperm_telemetry::sync::{assert_unlocked, Guard, Mutex};
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 /// Why a send did not enqueue.
@@ -94,7 +95,7 @@ impl<T> Mailbox<T> {
         self.lock().closed
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
+    fn lock(&self) -> Guard<'_, State<T>> {
         // A poisoned mailbox means a peer thread panicked mid-push; the
         // queue itself is still structurally sound, so keep going.
         match self.shared.state.lock() {
@@ -105,27 +106,7 @@ impl<T> Mailbox<T> {
 
     /// Enqueue, blocking up to `timeout` while the mailbox is full.
     pub fn send_timeout(&self, value: T, timeout: Duration) -> Result<(), SendError> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.lock();
-        loop {
-            if state.closed {
-                return Err(SendError::Closed);
-            }
-            if state.queue.len() < self.shared.capacity {
-                state.queue.push_back(value);
-                self.shared.not_empty.notify_one();
-                return Ok(());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(SendError::Full);
-            }
-            let (g, _) = match self.shared.not_full.wait_timeout(state, deadline - now) {
-                Ok(r) => r,
-                Err(p) => p.into_inner(),
-            };
-            state = g;
-        }
+        self.push(value, Some(Instant::now() + timeout))
     }
 
     /// Enqueue without blocking.
@@ -136,6 +117,12 @@ impl<T> Mailbox<T> {
     /// Enqueue, blocking indefinitely while full (TCP reader threads use
     /// this so socket flow control carries the backpressure).
     pub fn send_blocking(&self, value: T) -> Result<(), SendError> {
+        self.push(value, None)
+    }
+
+    /// Enqueue, blocking while full until `deadline` (`None`: forever).
+    fn push(&self, value: T, deadline: Option<Instant>) -> Result<(), SendError> {
+        assert_unlocked();
         let mut state = self.lock();
         loop {
             if state.closed {
@@ -146,15 +133,25 @@ impl<T> Mailbox<T> {
                 self.shared.not_empty.notify_one();
                 return Ok(());
             }
-            state = match self.shared.not_full.wait(state) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
+            // A `Duration::MAX` wait never times out; the loop re-checks
+            // either way.
+            let left = match deadline {
+                None => Duration::MAX,
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Err(SendError::Full);
+                    }
+                    deadline - now
+                }
             };
+            state = wait(state, &self.shared.not_full, left);
         }
     }
 
     /// Dequeue, blocking up to `timeout` while empty.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvError> {
+        assert_unlocked();
         let deadline = Instant::now() + timeout;
         let mut state = self.lock();
         loop {
@@ -169,11 +166,7 @@ impl<T> Mailbox<T> {
             if now >= deadline {
                 return Err(RecvError::Timeout);
             }
-            let (g, _) = match self.shared.not_empty.wait_timeout(state, deadline - now) {
-                Ok(r) => r,
-                Err(p) => p.into_inner(),
-            };
-            state = g;
+            state = wait(state, &self.shared.not_empty, deadline - now);
         }
     }
 
@@ -198,6 +191,15 @@ impl<T> Mailbox<T> {
         state.closed = true;
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
+    }
+}
+
+/// Sleep on `cv` for up to `dur`, then hold the lock again (poisoning
+/// ignored, as in [`Mailbox::lock`]).
+fn wait<'a, T>(state: Guard<'a, State<T>>, cv: &Condvar, dur: Duration) -> Guard<'a, State<T>> {
+    match state.wait_timeout(cv, dur) {
+        Ok((g, _)) => g,
+        Err(p) => p.into_inner().0,
     }
 }
 

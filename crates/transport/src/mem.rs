@@ -11,9 +11,10 @@ use crate::mailbox::{Mailbox, RecvError, SendError};
 use crate::{Envelope, PeerId, Transport, TransportError};
 use hyperm_can::codec::{decode_message, encode_message};
 use hyperm_can::Message;
+use hyperm_telemetry::sync::{Guard, Mutex};
 use hyperm_telemetry::{Name, Recorder, SpanId};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Default per-endpoint inbox bound.
@@ -53,7 +54,7 @@ impl MemHub {
         self
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HubState> {
+    fn lock(&self) -> Guard<'_, HubState> {
         match self.state.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),

@@ -8,6 +8,7 @@
 use crate::{Envelope, PeerId, Transport, TransportError};
 use hyperm_can::Message;
 use hyperm_sim::Backoff;
+use hyperm_telemetry::sync::assert_unlocked;
 use hyperm_telemetry::{Name, Recorder, SpanId};
 use std::time::{Duration, Instant};
 
@@ -74,6 +75,7 @@ pub(crate) fn retry<T>(
             settled => return settled,
         }
         let gap = u32::try_from(backoff.gap(attempt)).unwrap_or(u32::MAX);
+        assert_unlocked();
         std::thread::sleep(tick.saturating_mul(gap));
         attempt += 1;
         on_retry(attempt);

@@ -19,8 +19,9 @@ use crate::{Envelope, PeerId, Transport, TransportError};
 use hyperm_can::codec::{decode_message, encode_message};
 use hyperm_can::Message;
 use hyperm_sim::OpStats;
+use hyperm_telemetry::sync::{Guard, Mutex};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 struct SimState {
@@ -47,7 +48,7 @@ impl SimHub {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, SimState> {
+    fn lock(&self) -> Guard<'_, SimState> {
         match self.state.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),

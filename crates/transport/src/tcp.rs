@@ -23,12 +23,13 @@ use crate::runtime::request::{retry, Attempt};
 use crate::{Envelope, PeerId, Transport, TransportError};
 use hyperm_can::Message;
 use hyperm_sim::Backoff;
+use hyperm_telemetry::sync::{assert_unlocked, Guard, Mutex};
 use hyperm_telemetry::{Name, Recorder, SpanId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Default inbox bound (frames, not bytes).
@@ -64,21 +65,21 @@ struct Shared {
 }
 
 impl Shared {
-    fn lock_conns(&self) -> std::sync::MutexGuard<'_, BTreeMap<PeerId, Arc<TcpStream>>> {
+    fn lock_conns(&self) -> Guard<'_, BTreeMap<PeerId, Arc<TcpStream>>> {
         match self.conns.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         }
     }
 
-    fn lock_routes(&self) -> std::sync::MutexGuard<'_, BTreeMap<PeerId, SocketAddr>> {
+    fn lock_routes(&self) -> Guard<'_, BTreeMap<PeerId, SocketAddr>> {
         match self.routes.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         }
     }
 
-    fn lock_known(&self) -> std::sync::MutexGuard<'_, BTreeSet<PeerId>> {
+    fn lock_known(&self) -> Guard<'_, BTreeSet<PeerId>> {
         match self.known.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
@@ -301,6 +302,7 @@ impl TcpEndpoint {
     /// One dial + `Hello` handshake to `peer` at `addr`, pooling the
     /// connection and starting its reader thread.
     fn dial(&self, peer: PeerId, addr: SocketAddr) -> Result<Arc<TcpStream>, TransportError> {
+        assert_unlocked();
         let stream = TcpStream::connect(addr).map_err(|e| TransportError::Io(e.to_string()))?;
         write_frame(
             &mut &stream,
@@ -385,6 +387,7 @@ impl Transport for TcpEndpoint {
             let _ = s.shutdown(std::net::Shutdown::Both);
         }
         // Wake the accept thread so it observes `closed` and exits.
+        assert_unlocked();
         let _ = TcpStream::connect(self.local_addr);
         self.shared
             .recorder
