@@ -318,9 +318,9 @@ fn bench_local_index(c: &mut Criterion) {
 }
 
 /// One peer's phase-2 range scan at the shape the harness measures
-/// (`range_wide`: 1000 × 512-d Markov rows, eps 0.5): the wavelet
+/// (1000 × 512-d Markov rows, `range_wide`'s eps 0.5): the wavelet
 /// filter-and-refine `Peer` runs, against the kd-tree it replaced and a
-/// plain linear scan.
+/// plain linear scan; then the same scan at `range_narrow`'s eps 0.05.
 fn bench_local_range(c: &mut Criterion) {
     use hyperm_cluster::KdTree;
     use hyperm_core::Peer;
@@ -338,6 +338,12 @@ fn bench_local_range(c: &mut Criterion) {
     let tree = KdTree::build(data);
     c.bench_function("local_range_wavelet_filter_1000x512", |b| {
         b.iter(|| peer.local_range(black_box(&q), eps))
+    });
+    // The narrow scan, `range_narrow`'s eps 0.05 around a stored row:
+    // the coarse index's window on `A` holds a few rows, so the scan
+    // reads little more than those.
+    c.bench_function("local_range_narrow_1000x512", |b| {
+        b.iter(|| peer.local_range(black_box(&q), 0.05))
     });
     c.bench_function("local_range_kdtree_1000x512", |b| {
         b.iter(|| tree.range(data, black_box(&q), eps))

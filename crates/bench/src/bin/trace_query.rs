@@ -42,6 +42,9 @@ const PEERS: usize = 24;
 const ITEMS: usize = 30;
 const DIM: usize = 16;
 const LEVELS: usize = 4;
+/// `k` of the k-nn mode: large enough that the query's ranking holds a
+/// second peer for the degraded replay's window to slide onto.
+const K: usize = 10;
 
 fn build_peers(seed: u64) -> Vec<Dataset> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -118,9 +121,9 @@ fn main() {
             (OpKind::RangeQuery, victim)
         }
         "knn" => {
-            let res = net.knn_query(0, &q, 5, KnnOptions::default());
+            let res = net.knn_query(0, &q, K, KnnOptions::default());
             println!(
-                "knn query: {} of k=5 items ({} hops, {} messages)",
+                "knn query: {} of k={K} items ({} hops, {} messages)",
                 res.topk.len(),
                 res.stats.hops,
                 res.stats.messages
@@ -230,11 +233,18 @@ fn main() {
                 peer_budget: Some(1),
                 ..KnnOptions::default()
             };
-            let res = net.knn_query_budgeted(from, &q, 5, opts, budget);
+            let res = net.knn_query_budgeted(from, &q, K, opts, budget);
             println!(
-                "\ndegraded knn query (peer {victim} crashed): {} of k=5 items, truncated={}",
+                "\ndegraded knn query (peer {victim} crashed): {} of k={K} items from {} of {} ranked peers, truncated={}",
                 res.topk.len(),
+                res.peers_contacted,
+                res.ranked.len(),
                 res.truncated
+            );
+            assert!(
+                res.ranked.len() >= 2,
+                "the degraded k-nn ranking must hold a peer past the crashed one, got {}",
+                res.ranked.len()
             );
         }
         _ => {

@@ -40,6 +40,21 @@
 //! `hyperm_wavelet::theory::lower_bound_limit`, so rounding never
 //! dismisses a row the refine test would accept.
 //!
+//! The first level, the 1-d approximation `A`, is read through a sorted
+//! index rather than a pass over every item. A peer keeps its items in
+//! `(A, index)` order (`Coarse`: a `u32` index and an `f64` key, 12 bytes
+//! per item, ≈ 1.2 MB at paper scale), built by `summarize` and kept in
+//! order by `push_item`. The term `w·(a − a_q)²` does not grow as `a` nears
+//! `a_q` from either side, in `f64` too: `a − a_q` rounds monotonically in
+//! `a`, and so do squaring and scaling by `w ≥ 0`. So the items whose term
+//! is within the threshold are one run of the sorted keys, and two
+//! `partition_point`s asking the dense pass's own question find exactly
+//! them, with the same bound bits; the run is put back in index order and
+//! the finer levels go on as before. On a narrow query (eps 0.05) the run
+//! holds ≈ 1 % of a peer's items. Items whose `A` is NaN are left out of
+//! the index: the filter never keeps them, and `total_cmp` would sort a
+//! negative NaN first.
+//!
 //! Before each refine, a **guard** extends the item's bound with the next
 //! finer subspaces, which the peer keeps but does not publish (`D_3` and
 //! `D_4` at four levels, so 32 coefficients per item in all). An item the
@@ -51,7 +66,11 @@
 //! skips most of them for the cost of reading 24 coefficients each.
 //!
 //! A k-nn scan has no threshold to filter by until it has k answers, so it
-//! bounds every item — one dense pass per published level, with a kernel
+//! bounds every item. It does not walk the `A` index outward instead: its
+//! stop radius, the k-th distance, spans most of a peer's `A` range, and
+//! two prototypes of such a walk, bit-identical, ran 1.35–1.7× slower on
+//! the benchmark's `knn` (one read 529 → 371 q/s, pinned, seed 1). It
+//! bounds them in one dense pass per published level, with a kernel
 //! instantiated at the widths 1, 2, 4 and 8 that adds each term in the
 //! range scan's order, so every bound is the same `f64` — and refines them
 //! in ascending `(bound, index)` order until the bound passes the k-th
@@ -101,6 +120,70 @@ pub struct Peer {
     /// Largest `|coordinate|` over all items: the scale of the
     /// coefficients' rounding error (see `lower_bound_limit`).
     peak: f64,
+    /// The items sorted by their approximation coefficient: where the
+    /// range and point scans start.
+    coarse: Coarse,
+}
+
+/// The items' approximation coefficients `keys`, ascending, with each
+/// one's item index in `rows`: sorted by `(A, index)`, 12 bytes per item.
+/// Items whose coefficient is NaN are left out — the filter never keeps
+/// them, and `total_cmp` would sort a negative NaN first.
+#[derive(Debug, Clone)]
+struct Coarse {
+    keys: Vec<f64>,
+    rows: Vec<u32>,
+}
+
+/// An item index as [`Coarse`] stores it.
+fn row_index(i: usize) -> u32 {
+    u32::try_from(i).expect("a peer holds fewer than 2^32 items")
+}
+
+impl Coarse {
+    /// The index of a 1-wide view of the items' approximation coefficients.
+    fn build(view: &Dataset) -> Coarse {
+        debug_assert_eq!(view.dim(), 1, "the approximation is one coefficient");
+        let mut pairs: Vec<(f64, u32)> = view
+            .as_flat()
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| !a.is_nan())
+            .map(|(i, &a)| (a, row_index(i)))
+            .collect();
+        pairs.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+        let (keys, rows) = pairs.into_iter().unzip();
+        Coarse { keys, rows }
+    }
+
+    /// Index item `i`, whose coefficient is `a`. `i` is above every index
+    /// held, so it goes after every key not above `a`.
+    fn insert(&mut self, a: f64, i: usize) {
+        if a.is_nan() {
+            return;
+        }
+        let at = self.keys.partition_point(|k| k.total_cmp(&a).is_le());
+        self.keys.insert(at, a);
+        self.rows.insert(at, row_index(i));
+    }
+
+    /// `(coefficient, index)` of every item whose coefficient `keep`
+    /// accepts, ascending by coefficient, given that `keep` accepts one
+    /// contiguous run of the keys: it may reject a prefix of those below
+    /// `centre` and a suffix of those from `centre` up, nothing else. Two
+    /// binary searches find the run.
+    fn window(
+        &self,
+        centre: f64,
+        keep: impl Fn(f64) -> bool,
+    ) -> impl Iterator<Item = (f64, usize)> + '_ {
+        let lo = self.keys.partition_point(|&a| a < centre && !keep(a));
+        let hi = lo + self.keys[lo..].partition_point(|&a| keep(a));
+        self.keys[lo..hi]
+            .iter()
+            .zip(&self.rows[lo..hi])
+            .map(|(&a, &i)| (a, i as usize))
+    }
 }
 
 /// Largest `|coordinate|` of a vector: 0 when empty, NaNs skipped — the
@@ -302,6 +385,7 @@ impl Peer {
             })
             .collect();
 
+        let coarse = Coarse::build(&views[0]);
         Peer {
             id,
             items,
@@ -311,6 +395,7 @@ impl Peer {
             published,
             normalization: config.normalization,
             peak: peak_seen,
+            coarse,
         }
     }
 
@@ -340,6 +425,8 @@ impl Peer {
         for (view, &s) in self.views.iter_mut().zip(&self.subspaces) {
             view.push_row(dec.subspace(s).expect("subspace exists"));
         }
+        let approx = dec.subspace(Subspace::Approx).expect("subspace exists");
+        self.coarse.insert(approx[0], self.items.len() - 1);
         self.peak = self.peak.max(peak(item));
     }
 
@@ -513,6 +600,12 @@ impl Peer {
     /// The filter pass: `(index, lower bound)` of every item whose bound,
     /// summed over the published subspaces coarse to fine, never passed
     /// `limit` — in index order.
+    ///
+    /// The first level reads only the coarse index's window: the term
+    /// `w·(a − a_q)²` does not grow as `a` nears `a_q` from either side, in
+    /// `f64` too (each rounding step is monotone), so the items whose term
+    /// is within `limit` are one run of the sorted coefficients — exactly
+    /// those a pass over every item keeps, with the same bounds.
     fn filter(&self, dec: &Decomposition, limit: f64) -> Vec<(usize, f64)> {
         self.check_decomposition(dec);
         debug_assert!(
@@ -520,16 +613,27 @@ impl Peer {
             "peer {}: a view is out of step with the items",
             self.id
         );
+        debug_assert_eq!(
+            self.coarse.rows.len(),
+            self.views[0]
+                .as_flat()
+                .iter()
+                .filter(|a| !a.is_nan())
+                .count(),
+            "peer {}: the coarse index is out of step with the items",
+            self.id
+        );
         let mut levels = self.levels(dec, 0..self.published);
-        let Some((view, coeffs, w)) = levels.next() else {
+        let Some((_, coeffs, w)) = levels.next() else {
             return Vec::new();
         };
-        let mut alive: Vec<(usize, f64)> = view
-            .rows()
-            .map(|row| w * sq_dist(row, coeffs))
-            .enumerate()
-            .filter(|&(_, bound)| bound <= limit)
+        let term = |a: f64| w * sq_dist(&[a], coeffs);
+        let mut alive: Vec<(usize, f64)> = self
+            .coarse
+            .window(coeffs[0], |a| term(a) <= limit)
+            .map(|(a, i)| (i, term(a)))
             .collect();
+        alive.sort_unstable_by_key(|&(i, _)| i);
         for (view, coeffs, w) in levels {
             alive.retain_mut(|(i, bound)| {
                 *bound += w * sq_dist(view.row(*i), coeffs);
@@ -842,6 +946,127 @@ mod tests {
                         .map(|(i, d)| (i, d.to_bits()))
                         .collect();
                     prop_assert_eq!(&got[..], &truth[..k.min(n)], "k {}", k);
+                }
+            }
+        }
+    }
+
+    /// The filter with a dense first level, as it was before the coarse
+    /// index: every item's `A` term, then the finer levels on the
+    /// survivors. The reference of the windowed filter's property test.
+    fn dense_filter(peer: &Peer, dec: &Decomposition, limit: f64) -> Vec<(usize, u64)> {
+        let mut levels = peer.levels(dec, 0..peer.published);
+        let (view, coeffs, w) = levels.next().unwrap();
+        let mut alive: Vec<(usize, f64)> = view
+            .rows()
+            .map(|row| w * sq_dist(row, coeffs))
+            .enumerate()
+            .filter(|&(_, bound)| bound <= limit)
+            .collect();
+        for (view, coeffs, w) in levels {
+            alive.retain_mut(|(i, bound)| {
+                *bound += w * sq_dist(view.row(*i), coeffs);
+                *bound <= limit
+            });
+        }
+        alive.into_iter().map(|(i, b)| (i, b.to_bits())).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The windowed filter keeps exactly the items, with exactly the
+        /// bound bits, of the dense first-level pass — on corpora of few
+        /// distinct dyadic values (so many items tie on `A`), with rows of
+        /// `+0.0` and of `-0.0`, rows with a NaN coordinate, rows appended
+        /// after `summarize`, queries below the smallest and above the
+        /// largest `A`, and `eps = 0`.
+        #[test]
+        fn windowed_filter_keeps_what_the_dense_pass_does(
+            log_dim in 2u32..6,
+            levels in 1usize..4,
+            orthonormal in any::<bool>(),
+            rows in 1usize..40,
+            appended in 0usize..12,
+            seed in any::<u64>(),
+        ) {
+            let dim = 1usize << log_dim;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut cfg = HypermConfig::new(dim)
+                .with_levels(levels.min(log_dim as usize + 1))
+                .with_clusters_per_peer(3)
+                .with_seed(seed);
+            if orthonormal {
+                cfg.normalization = Normalization::Orthonormal;
+            }
+            // Multiples of 1/8 from a short list: averages are exact, and
+            // rows often share their mean.
+            let row = |rng: &mut StdRng| -> Vec<f64> {
+                match rng.gen_range(0..8) {
+                    0 => vec![0.0; dim],
+                    1 => vec![-0.0; dim],
+                    _ => (0..dim).map(|_| f64::from(rng.gen_range(-4..5)) / 8.0).collect(),
+                }
+            };
+            let mut ds = Dataset::new(dim);
+            for _ in 0..rows {
+                ds.push_row(&row(&mut rng));
+            }
+            let mut peer = Peer::summarize(0, ds, &cfg);
+            for j in 0..appended {
+                let mut item = if j % 3 == 0 {
+                    peer.items.row(rng.gen_range(0..peer.len())).to_vec()
+                } else {
+                    row(&mut rng)
+                };
+                if j % 4 == 1 {
+                    item[rng.gen_range(0..dim)] = f64::NAN;
+                }
+                let dec = decompose(&item, peer.normalization).unwrap();
+                peer.push_item(&item, &dec);
+            }
+            // The index is the one `summarize` would build over every row.
+            let rebuilt = Coarse::build(&peer.views[0]);
+            let bits = |c: &Coarse| c.keys.iter().map(|k| k.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&peer.coarse), bits(&rebuilt));
+            prop_assert_eq!(&peer.coarse.rows, &rebuilt.rows);
+
+            // A stored row, and the same row a hair higher, whose `A` sits
+            // just above that item's.
+            let stored = peer.items.row(rng.gen_range(0..peer.len())).to_vec();
+            let nudged: Vec<f64> = stored.iter().map(|x| x + 1e-12).collect();
+            let queries = [
+                stored,
+                nudged,
+                vec![0.0; dim],
+                vec![-0.0; dim],
+                vec![-1.0; dim],
+                vec![1.0; dim],
+                row(&mut rng),
+            ];
+            for q in queries {
+                if q.iter().any(|x| x.is_nan()) {
+                    continue;
+                }
+                let dec = peer.decompose(&q);
+                let magnitude = peer.magnitude(&q);
+                let mut limits = vec![0.0, f64::INFINITY];
+                for eps in [0.0, 0.05, 0.25, 1.0] {
+                    limits.push(peer.limit(eps * eps + 1e-12, magnitude));
+                    limits.push(peer.limit(eps * eps, magnitude));
+                }
+                // Limits sitting exactly on some item's bound.
+                let on_bound = dense_filter(&peer, &dec, f64::INFINITY);
+                for &(_, b) in on_bound.iter().take(3) {
+                    limits.push(f64::from_bits(b));
+                }
+                for limit in limits {
+                    let got: Vec<(usize, u64)> = peer
+                        .filter(&dec, limit)
+                        .into_iter()
+                        .map(|(i, b)| (i, b.to_bits()))
+                        .collect();
+                    prop_assert_eq!(got, dense_filter(&peer, &dec, limit), "limit {}", limit);
                 }
             }
         }

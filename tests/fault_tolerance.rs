@@ -388,3 +388,49 @@ fn fallback_events_and_counters_are_recorded() {
     assert!(m.counter(Name::FetchTimeout) >= 1);
     assert!(m.counter(Name::FetchFallback) >= 1);
 }
+
+/// The k-nn contact window slides too: with the top-ranked peer crashed
+/// and a peer budget of one, the next-ranked live peer answers in its
+/// place, and the slide is a `fetch_fallback` event naming that peer.
+#[test]
+fn knn_window_slides_past_a_crashed_top_peer() {
+    let mut net = network(83, 14);
+    let q = net.peer(5).items.row(0).to_vec();
+    let k = 10;
+    let probe = net.knn_query(0, &q, k, KnnOptions::default());
+    assert!(
+        probe.ranked.len() >= 2,
+        "seed chosen so the ranking holds a second peer, got {}",
+        probe.ranked.len()
+    );
+    let (victim, next) = (probe.ranked[0].peer, probe.ranked[1].peer);
+    assert_ne!(victim, 0, "seed chosen so the querier is not top-ranked");
+    net.fail_peer(victim);
+    let (rec, ring) = Recorder::ring(1 << 16);
+    net.set_recorder(rec.clone());
+
+    let opts = KnnOptions {
+        peer_budget: Some(1),
+        ..KnnOptions::default()
+    };
+    let res = net.knn_query_budgeted(0, &q, k, opts, QueryBudget::default());
+    assert_eq!(res.peers_contacted, 1);
+    assert!(res.retrieved.iter().all(|&((p, _), _)| p == next));
+    assert!(!res.topk.is_empty());
+    let fallbacks: Vec<_> = ring
+        .events()
+        .into_iter()
+        .filter(|e| e.name == Name::FetchFallback)
+        .collect();
+    assert_eq!(fallbacks.len(), 1, "one slide, onto the next-ranked peer");
+    assert_eq!(
+        fallbacks[0].field("peer").and_then(|v| v.as_u64()),
+        Some(next as u64)
+    );
+    assert_eq!(
+        rec.metrics()
+            .expect("recorder enabled")
+            .counter(Name::FetchFallback),
+        1
+    );
+}
