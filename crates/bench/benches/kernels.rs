@@ -382,24 +382,6 @@ fn bench_local_range(c: &mut Criterion) {
     });
 }
 
-fn bench_wavelet_variants(c: &mut Criterion) {
-    let v: Vec<f64> = (0..512).map(|i| (i as f64 * 0.11).sin()).collect();
-    c.bench_function("cdf53_decompose_512", |b| {
-        b.iter(|| hyperm_wavelet::cdf53_decompose(black_box(&v)))
-    });
-    c.bench_function("d4_decompose_512", |b| {
-        b.iter(|| hyperm_wavelet::d4_decompose(black_box(&v)))
-    });
-    let img = hyperm_wavelet::Image::from_flat(
-        (0..32 * 32).map(|i| (i % 17) as f64 / 17.0).collect(),
-        32,
-        32,
-    );
-    c.bench_function("dwt2_pyramid_32x32_l3", |b| {
-        b.iter(|| hyperm_wavelet::dwt2_pyramid(black_box(&img), 3, Normalization::PaperAverage))
-    });
-}
-
 fn bench_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("hyperm_end_to_end");
     group.sample_size(10);
@@ -473,7 +455,6 @@ criterion_group!(
     bench_alternative_substrates,
     bench_local_index,
     bench_local_range,
-    bench_wavelet_variants,
     bench_end_to_end,
     bench_query_engine
 );

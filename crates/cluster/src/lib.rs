@@ -22,7 +22,7 @@
 //!   ball (the exact midrange interval on 1-d levels, Bădoiu–Clarkson
 //!   steps from the centroid on wider ones);
 //! * [`quality`] — cohesion, separation, their ratio (the "goodness" measure
-//!   plotted in Figure 11), SSE and silhouette scores;
+//!   plotted in Figure 11);
 //! * [`kdtree`] — a static kd-tree over a dataset's rows. No library
 //!   caller: peers answer phase 2 by wavelet filter-and-refine
 //!   (`hyperm_core::Peer`), which at 512 dimensions prunes where a kd-tree
@@ -51,5 +51,5 @@ pub use dataset::Dataset;
 pub use kdtree::KdTree;
 pub use kmeans::{InitMethod, KMeansConfig, KMeansResult};
 pub use minibatch::{minibatch_kmeans, MiniBatchConfig};
-pub use quality::{cohesion, quality_ratio, separation, silhouette_sampled, sse, ClusterQuality};
+pub use quality::{cohesion, quality_ratio, separation, ClusterQuality};
 pub use sphere::{spheres_from_clustering, ClusterSphere};

@@ -5,16 +5,10 @@
 //! of elements within the same cluster and separation measures the average
 //! distance between the centroids of different clusters."* A **lower**
 //! cohesion/separation ratio means tighter, better-separated clusters.
-//!
-//! SSE and a sampled silhouette score are included as standard companions
-//! for the ablation benches.
 
 use crate::dataset::Dataset;
 use crate::kmeans::KMeansResult;
-use hyperm_geometry::vecmath::{dist, sq_dist};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use hyperm_geometry::vecmath::dist;
 
 /// Bundle of quality metrics for one clustering.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,8 +19,6 @@ pub struct ClusterQuality {
     pub separation: f64,
     /// `cohesion / separation` — Figure 11's y-axis (lower is better).
     pub ratio: f64,
-    /// Sum of squared errors (k-means objective).
-    pub sse: f64,
 }
 
 /// Average distance of items to their assigned centroid.
@@ -67,14 +59,6 @@ pub fn separation(result: &KMeansResult) -> f64 {
     total / pairs as f64
 }
 
-/// Sum of squared distances of items to their assigned centroid.
-pub fn sse(data: &Dataset, result: &KMeansResult) -> f64 {
-    data.rows()
-        .zip(&result.assignment)
-        .map(|(row, &c)| sq_dist(row, result.centroids.row(c as usize)))
-        .sum()
-}
-
 /// The cohesion/separation ratio plus its constituents.
 pub fn quality_ratio(data: &Dataset, result: &KMeansResult) -> ClusterQuality {
     let coh = cohesion(data, result);
@@ -84,62 +68,6 @@ pub fn quality_ratio(data: &Dataset, result: &KMeansResult) -> ClusterQuality {
         cohesion: coh,
         separation: sep,
         ratio,
-        sse: sse(data, result),
-    }
-}
-
-/// Mean silhouette coefficient over a random sample of at most
-/// `max_samples` items (exact silhouette is O(n²)).
-///
-/// Values near 1 indicate well-separated clusters, near 0 overlapping ones,
-/// negative values misassigned items. Returns 0 for degenerate clusterings
-/// (single cluster or singleton data).
-pub fn silhouette_sampled(
-    data: &Dataset,
-    result: &KMeansResult,
-    max_samples: usize,
-    seed: u64,
-) -> f64 {
-    let n = data.len();
-    if n < 2 || result.k() < 2 {
-        return 0.0;
-    }
-    let mut idx: Vec<usize> = (0..n).collect();
-    if n > max_samples {
-        let mut rng = StdRng::seed_from_u64(seed);
-        idx.shuffle(&mut rng);
-        idx.truncate(max_samples);
-    }
-    let sizes = result.cluster_sizes();
-    let mut acc = 0.0;
-    let mut counted = 0usize;
-    for &i in &idx {
-        let own = result.assignment[i] as usize;
-        if sizes[own] < 2 {
-            continue; // silhouette undefined for singletons
-        }
-        // Mean distance to every cluster.
-        let mut sums = vec![0.0f64; result.k()];
-        for (j, row) in data.rows().enumerate() {
-            if j == i {
-                continue;
-            }
-            sums[result.assignment[j] as usize] += dist(data.row(i), row);
-        }
-        let a = sums[own] / (sizes[own] - 1) as f64;
-        let b = (0..result.k())
-            .filter(|&c| c != own && sizes[c] > 0)
-            .map(|c| sums[c] / sizes[c] as f64)
-            .fold(f64::INFINITY, f64::min);
-        if b.is_finite() {
-            acc += (b - a) / a.max(b);
-            counted += 1;
-        }
-    }
-    if counted == 0 {
-        0.0
-    } else {
-        acc / counted as f64
     }
 }
 
@@ -147,7 +75,8 @@ pub fn silhouette_sampled(
 mod tests {
     use super::*;
     use crate::kmeans::{kmeans, KMeansConfig};
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn blobs(spread: f64, gap: f64, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -191,47 +120,9 @@ mod tests {
     }
 
     #[test]
-    fn sse_matches_inertia() {
-        let ds = blobs(0.5, 8.0, 4);
-        let res = kmeans(&ds, &KMeansConfig::new(3).with_seed(1));
-        assert!((sse(&ds, &res) - res.inertia).abs() < 1e-9);
-    }
-
-    #[test]
-    fn silhouette_high_for_separated_blobs() {
-        let ds = blobs(0.2, 20.0, 5);
-        let res = kmeans(&ds, &KMeansConfig::new(3).with_seed(2));
-        let s = silhouette_sampled(&ds, &res, 1000, 0);
-        assert!(s > 0.8, "silhouette {s}");
-    }
-
-    #[test]
-    fn silhouette_low_for_overclustered_blob() {
-        // One blob split into 3 clusters → poor silhouette.
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut ds = Dataset::new(2);
-        for _ in 0..60 {
-            ds.push_row(&[rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)]);
-        }
-        let res = kmeans(&ds, &KMeansConfig::new(3).with_seed(2));
-        let s = silhouette_sampled(&ds, &res, 1000, 0);
-        assert!(s < 0.6, "silhouette {s}");
-    }
-
-    #[test]
-    fn silhouette_sampling_is_deterministic() {
-        let ds = blobs(0.4, 10.0, 7);
-        let res = kmeans(&ds, &KMeansConfig::new(3).with_seed(2));
-        let a = silhouette_sampled(&ds, &res, 20, 9);
-        let b = silhouette_sampled(&ds, &res, 20, 9);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn degenerate_inputs() {
         let ds = Dataset::from_rows(&[[1.0, 2.0]]);
         let res = kmeans(&ds, &KMeansConfig::new(1));
-        assert_eq!(silhouette_sampled(&ds, &res, 10, 0), 0.0);
         assert_eq!(cohesion(&ds, &res), 0.0);
     }
 }

@@ -83,7 +83,7 @@ const MEB_STEPS: usize = 16;
 /// * on a 1-d level the centre is the midrange `lo + (hi − lo) / 2`, the
 ///   exact minimum enclosing interval;
 /// * on wider levels the centre starts at the centroid and takes
-///   [`MEB_STEPS`] Bădoiu–Clarkson steps `c += (p − c) / (t + 1)`, `p`
+///   `MEB_STEPS` Bădoiu–Clarkson steps `c += (p − c) / (t + 1)`, `p`
 ///   the member farthest from `c` (a tie goes to the lower row index).
 ///
 /// The radius is always the distance from the chosen centre to its

@@ -102,6 +102,8 @@ pub enum HypermError {
         /// Maximum supported for this dimensionality (`log₂ d + 1`).
         max: usize,
     },
+    /// Zero clusters per peer requested: every level needs at least one.
+    ZeroClusters,
     /// No peers supplied.
     NoPeers,
     /// A peer's data does not match the configured dimensionality.
@@ -125,6 +127,12 @@ impl std::fmt::Display for HypermError {
                 write!(
                     f,
                     "{requested} overlay levels requested but dimensionality supports {max}"
+                )
+            }
+            HypermError::ZeroClusters => {
+                write!(
+                    f,
+                    "0 clusters per peer requested but each level needs at least 1"
                 )
             }
             HypermError::NoPeers => write!(f, "no peers supplied"),

@@ -132,6 +132,9 @@ impl HypermNetwork {
                 max: config.max_levels(),
             });
         }
+        if config.clusters_per_peer == 0 {
+            return Err(HypermError::ZeroClusters);
+        }
         for (i, p) in peers_data.iter().enumerate() {
             if p.is_empty() || p.dim() != config.data_dim {
                 return Err(HypermError::DimensionMismatch {
@@ -705,6 +708,11 @@ mod tests {
             HypermNetwork::build(peers_data(2, 5, 16, 7), bad_levels).unwrap_err(),
             HypermError::TooManyLevels { .. }
         ));
+        let no_clusters = config().with_clusters_per_peer(0);
+        assert_eq!(
+            HypermNetwork::build(peers_data(2, 5, 16, 7), no_clusters).unwrap_err(),
+            HypermError::ZeroClusters
+        );
         let cfg24 = HypermConfig::new(24);
         assert!(matches!(
             HypermNetwork::build(peers_data(2, 5, 24, 8), cfg24).unwrap_err(),

@@ -15,10 +15,7 @@
 //!    substitution #1).
 //!
 //! [`skewed`] adds the deliberately skewed few-cluster datasets of
-//! Section 5.3 (Figure 9), and [`images`] closes the photo-sharing loop:
-//! synthetic raster images whose Hyper-M features come straight from the
-//! 2-D wavelet pyramid (the JPEG2000 connection the paper cites).
-//! [`zipf`] skews the *query* side: a seeded Zipf-ranked query-centre
+//! Section 5.3 (Figure 9). [`zipf`] skews the *query* side: a seeded Zipf-ranked query-centre
 //! generator for the hot-spot load experiments (`hyperm-load`).
 //!
 //! Every generator takes an explicit seed and is bit-for-bit reproducible.
@@ -28,14 +25,12 @@
 
 pub mod aloi;
 pub mod distribute;
-pub mod images;
 pub mod markov;
 pub mod skewed;
 pub mod zipf;
 
 pub use aloi::{generate_aloi_like, AloiConfig};
 pub use distribute::{distribute_by_clusters, DistributeConfig};
-pub use images::{generate_image_features, generate_images, wavelet_features, ImageConfig};
 pub use markov::{generate_markov, MarkovConfig};
 pub use skewed::{generate_skewed, SkewedConfig};
 pub use zipf::{ZipfConfig, ZipfWorkload};

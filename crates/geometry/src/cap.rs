@@ -10,7 +10,7 @@
 //! # The kernel
 //!
 //! Every cap Hyper-M evaluates — Eq. 1 scoring, the Eq. 8 solver and the
-//! public free functions — goes through one kernel, [`CapFraction`], which
+//! public free functions — goes through one kernel, `CapFraction`, which
 //! takes `c = cos α`. The lens formula (Eq. 6) already holds that cosine, and
 //! `s² = sin²α = (1 − c)(1 + c)` follows from it without a `sin`.
 //!
@@ -57,7 +57,7 @@ const CLOSED_FORM_MAX_D: u32 = 8;
 /// Fraction of a d-ball's volume contained in a cap of half-angle `alpha`.
 ///
 /// Valid for all `d ≥ 1` and `alpha ∈ [0, π]`. This is the kernel
-/// ([`CapFraction`]) evaluated at `cos alpha`; it keeps *relative* accuracy
+/// (`CapFraction`) evaluated at `cos alpha`; it keeps *relative* accuracy
 /// for tiny caps, which matters because the lens formula (Eq. 6) multiplies
 /// small caps by `(ε/r)^d`, which can exceed `10^18`.
 pub fn cap_fraction(d: u32, alpha: f64) -> f64 {

@@ -25,8 +25,7 @@
 //!   radio-energy estimate), charged through the disabled-by-default
 //!   [`LoadProbe`] overlay hook;
 //! * [`underlay`] — a static unit-disk random-geometric-graph MANET: overlay
-//!   hops are translated into physical radio hops via BFS path lengths, with
-//!   an optional random-waypoint mobility stepper as an extension.
+//!   hops are translated into physical radio hops via BFS path lengths.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -11,10 +11,7 @@
 //! Substitution note (DESIGN.md #2): the paper used no physical-layer model
 //! at all — its metric is overlay hops. We expose both: overlay statistics
 //! unchanged, plus the optional underlay expansion for the energy analysis.
-//!
-//! A random-waypoint mobility stepper is included as an extension for
-//! "limited mobility" experiments; after moving nodes, call
-//! [`Underlay::rebuild`] to refresh connectivity.
+//! Nodes do not move once placed.
 
 use crate::NodeId;
 use rand::rngs::StdRng;
@@ -144,8 +141,6 @@ pub struct Underlay {
     adjacency: Vec<Vec<usize>>,
     /// `hop_table[a][b]` = radio hops from a to b (`u16::MAX` if unreachable).
     hop_table: Vec<Vec<u16>>,
-    /// Random-waypoint state: target and speed per node.
-    waypoints: Vec<(f64, f64, f64)>,
 }
 
 impl Underlay {
@@ -166,15 +161,6 @@ impl Underlay {
                 )
             })
             .collect();
-        let waypoints: Vec<(f64, f64, f64)> = (0..config.nodes)
-            .map(|_| {
-                (
-                    rng.gen::<f64>() * config.arena_side,
-                    rng.gen::<f64>() * config.arena_side,
-                    0.5 + rng.gen::<f64>() * 1.0, // 0.5–1.5 m/s walking speed
-                )
-            })
-            .collect();
         loop {
             let adjacency = build_adjacency(&positions, config.radio_range);
             let hop_table = all_pairs_bfs(&adjacency);
@@ -185,7 +171,6 @@ impl Underlay {
                     positions,
                     adjacency,
                     hop_table,
-                    waypoints,
                 };
             }
             config.radio_range *= 1.1;
@@ -236,38 +221,6 @@ impl Underlay {
             }
         }
         total as f64 / (n * (n - 1)) as f64
-    }
-
-    /// Advance random-waypoint mobility by `dt` seconds and rebuild
-    /// connectivity. Nodes walk toward their waypoint; on arrival a new
-    /// waypoint is drawn (deterministically from `seed`).
-    pub fn step_mobility(&mut self, dt: f64, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let side = self.config.arena_side;
-        for (i, pos) in self.positions.iter_mut().enumerate() {
-            let (wx, wy, speed) = self.waypoints[i];
-            let (dx, dy) = (wx - pos.0, wy - pos.1);
-            let dist = (dx * dx + dy * dy).sqrt();
-            let step = speed * dt;
-            if dist <= step {
-                *pos = (wx, wy);
-                self.waypoints[i] = (
-                    rng.gen::<f64>() * side,
-                    rng.gen::<f64>() * side,
-                    self.waypoints[i].2,
-                );
-            } else {
-                pos.0 += dx / dist * step;
-                pos.1 += dy / dist * step;
-            }
-        }
-        self.rebuild();
-    }
-
-    /// Recompute adjacency and hop tables after positions changed.
-    pub fn rebuild(&mut self) {
-        self.adjacency = build_adjacency(&self.positions, self.config.radio_range);
-        self.hop_table = all_pairs_bfs(&self.adjacency);
     }
 
     /// Whether every node can currently reach every other node.
@@ -412,20 +365,24 @@ mod tests {
     }
 
     #[test]
-    fn mobility_moves_nodes_and_keeps_tables_fresh() {
-        let mut u = Underlay::random(UnderlayConfig {
-            nodes: 30,
-            seed: 6,
-            ..Default::default()
-        });
-        let before = u.position(NodeId(0));
-        u.step_mobility(5.0, 42);
-        let after = u.position(NodeId(0));
-        assert_ne!(before, after);
-        // Tables were rebuilt: self-distance still zero everywhere.
-        for i in 0..u.len() {
-            assert_eq!(u.hops(NodeId(i), NodeId(i)), 0);
+    fn placement_is_pinned_to_the_seeds_draws() {
+        // Each node takes the seed's next two draws in node order; the
+        // range grows from 5 m in 10 % steps until the graph connects.
+        let cfg = UnderlayConfig {
+            nodes: 12,
+            arena_side: 50.0,
+            radio_range: 5.0,
+            seed: 17,
+        };
+        let u = Underlay::random(cfg);
+        let mut rng = StdRng::seed_from_u64(17);
+        for i in 0..cfg.nodes {
+            let x = rng.gen::<f64>() * cfg.arena_side;
+            let y = rng.gen::<f64>() * cfg.arena_side;
+            assert_eq!(u.position(NodeId(i)), (x, y), "node {i}");
         }
+        assert_eq!(u.mean_path_hops().to_bits(), 0x3ffa_6c9b_26c9_b26d); // 1.6515…
+        assert_eq!(u.config().radio_range.to_bits(), 0x4036_f990_bf88_09e2); // 22.97… m
     }
 
     #[test]

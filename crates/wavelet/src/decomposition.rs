@@ -253,38 +253,6 @@ pub fn reconstruct(dec: &Decomposition) -> Vec<f64> {
     current
 }
 
-/// Lossy reconstruction from only the first `levels` subspaces
-/// (`A, D_0, …, D_{levels−2}`); the remaining detail coefficients are
-/// treated as zero. This is the approximation a Hyper-M node could rebuild
-/// from the published summaries alone.
-pub fn reconstruct_partial(dec: &Decomposition, levels: usize) -> Vec<f64> {
-    assert!(levels >= 1, "need at least the approximation level");
-    let mut current = dec.approx().to_vec();
-    for (l, detail) in dec.details().enumerate() {
-        if l + 2 <= levels {
-            current = haar_inverse_step(current.as_slice(), detail, dec.norm);
-        } else {
-            let zeros = vec![0.0; current.len()];
-            current = haar_inverse_step(current.as_slice(), &zeros, dec.norm);
-        }
-    }
-    current
-}
-
-/// Zero-pad `v` up to the next power of two (identity if already one).
-///
-/// Hyper-M requires power-of-two dimensionality; the paper's datasets
-/// (512-d Markov vectors, 64-bin histograms) already satisfy it, this is for
-/// arbitrary user data.
-pub fn pad_to_power_of_two(v: &[f64]) -> Vec<f64> {
-    let n = v.len().max(1);
-    let target = n.next_power_of_two();
-    let mut out = Vec::with_capacity(target);
-    out.extend_from_slice(v);
-    out.resize(target, 0.0);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,23 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_reconstruction_improves_with_levels() {
-        let v: Vec<f64> = (0..64)
-            .map(|i| ((i as f64) / 7.0).sin() * 3.0 + 0.1 * i as f64)
-            .collect();
-        let dec = decompose(&v, Normalization::PaperAverage).unwrap();
-        let mut prev_err = f64::INFINITY;
-        for levels in 1..=7 {
-            let approx = reconstruct_partial(&dec, levels);
-            let err: f64 = approx.iter().zip(&v).map(|(a, b)| (a - b) * (a - b)).sum();
-            assert!(err <= prev_err + 1e-9, "error grew at {levels} levels");
-            prev_err = err;
-        }
-        // Full depth (log2(64)+1 = 7 levels) is exact.
-        assert!(prev_err < 1e-18);
-    }
-
-    #[test]
     fn rejects_non_power_of_two() {
         assert_eq!(
             decompose(&[1.0, 2.0, 3.0], Normalization::PaperAverage).unwrap_err(),
@@ -417,16 +368,6 @@ mod tests {
     fn missing_subspace_is_an_error() {
         let dec = decompose(&[1.0, 2.0], Normalization::PaperAverage).unwrap();
         assert!(dec.subspace(Subspace::Detail(5)).is_err());
-    }
-
-    #[test]
-    fn padding() {
-        assert_eq!(
-            pad_to_power_of_two(&[1.0, 2.0, 3.0]),
-            vec![1.0, 2.0, 3.0, 0.0]
-        );
-        assert_eq!(pad_to_power_of_two(&[1.0, 2.0]), vec![1.0, 2.0]);
-        assert_eq!(pad_to_power_of_two(&[]), vec![0.0]);
     }
 
     #[test]

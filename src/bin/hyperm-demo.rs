@@ -86,8 +86,17 @@ fn build_network(
         .with_clusters_per_peer(clusters)
         .with_seed(7)
         .with_backend(backend);
-    let (net, report) = HypermNetwork::build(peers.clone(), cfg).expect("build");
-    (net, report, peers)
+    match HypermNetwork::build(peers.clone(), cfg) {
+        Ok((net, report)) => (net, report, peers),
+        Err(e) => {
+            eprintln!("hyperm-demo: build failed: {e}");
+            #[expect(
+                clippy::exit,
+                reason = "CLI usage error (a bad flag value) reported before any work starts"
+            )]
+            std::process::exit(2);
+        }
+    }
 }
 
 fn disseminate(opts: &HashMap<String, String>) {

@@ -30,16 +30,20 @@ use hyperm::telemetry::Recorder;
 use hyperm::transport::{NodeRuntime, Role, TcpEndpoint};
 use hyperm::{Dataset, HypermConfig, HypermNetwork};
 use std::collections::HashMap;
+use std::process::ExitCode;
 use std::time::Duration;
 
-fn main() {
+fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().unwrap_or_else(|| "help".into());
     let opts = parse_flags(args.collect());
     match cmd.as_str() {
         "head" => head(&opts),
         "member" => member(&opts),
-        _ => help(),
+        _ => {
+            help();
+            ExitCode::SUCCESS
+        }
     }
 }
 
@@ -97,7 +101,7 @@ fn collection(slot: usize, items: usize, dim: usize, seed: u64) -> Dataset {
     corpus.data
 }
 
-fn head(opts: &HashMap<String, String>) {
+fn head(opts: &HashMap<String, String>) -> ExitCode {
     let listen = opts
         .get("listen")
         .cloned()
@@ -108,7 +112,9 @@ fn head(opts: &HashMap<String, String>) {
     let levels: usize = get(opts, "levels", 3);
     let clusters: usize = get(opts, "clusters", 4);
     let seed: u64 = get(opts, "seed", 7);
-    let Some(rec) = recorder(opts) else { return };
+    let Some(rec) = recorder(opts) else {
+        return ExitCode::FAILURE;
+    };
 
     let data: Vec<Dataset> = (0..peers)
         .map(|p| collection(p, items, dim, seed))
@@ -121,14 +127,14 @@ fn head(opts: &HashMap<String, String>) {
         Ok(x) => x,
         Err(e) => {
             eprintln!("hyperm-node: build failed: {e}");
-            return;
+            return ExitCode::FAILURE;
         }
     };
     let endpoint = match TcpEndpoint::bind(0, &listen) {
         Ok(ep) => ep,
         Err(e) => {
             eprintln!("hyperm-node: cannot bind {listen}: {e}");
-            return;
+            return ExitCode::FAILURE;
         }
     };
     println!(
@@ -142,20 +148,21 @@ fn head(opts: &HashMap<String, String>) {
         NodeRuntime::new(endpoint, Role::Head(Box::new(net))).with_recorder(rec.clone());
     if let Err(e) = runtime.serve_until_shutdown() {
         eprintln!("hyperm-node: serve loop failed: {e}");
-        return;
+        return ExitCode::FAILURE;
     }
     rec.flush();
     println!("hyperm-node head: shut down cleanly");
+    ExitCode::SUCCESS
 }
 
-fn member(opts: &HashMap<String, String>) {
+fn member(opts: &HashMap<String, String>) -> ExitCode {
     let listen = opts
         .get("listen")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:0".into());
     let Some(head_addr) = opts.get("head") else {
         eprintln!("hyperm-node member: --head ADDR is required");
-        return;
+        return ExitCode::FAILURE;
     };
     let id: u64 = get(opts, "id", 1);
     let items: usize = get(opts, "items", 40);
@@ -163,27 +170,29 @@ fn member(opts: &HashMap<String, String>) {
     let seed: u64 = get(opts, "seed", 7);
     if id == 0 {
         eprintln!("hyperm-node member: --id must be ≥ 1 (0 is the head)");
-        return;
+        return ExitCode::FAILURE;
     }
-    let Some(rec) = recorder(opts) else { return };
+    let Some(rec) = recorder(opts) else {
+        return ExitCode::FAILURE;
+    };
 
     let endpoint = match TcpEndpoint::bind(id, &listen) {
         Ok(ep) => ep,
         Err(e) => {
             eprintln!("hyperm-node: cannot bind {listen}: {e}");
-            return;
+            return ExitCode::FAILURE;
         }
     };
     let head_sock = match head_addr.parse() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("hyperm-node: bad --head address {head_addr}: {e}");
-            return;
+            return ExitCode::FAILURE;
         }
     };
     if let Err(e) = endpoint.connect(0, head_sock) {
         eprintln!("hyperm-node: cannot reach head at {head_addr}: {e}");
-        return;
+        return ExitCode::FAILURE;
     }
     println!(
         "hyperm-node member {id}: listening on {}, head at {head_addr}",
@@ -205,15 +214,16 @@ fn member(opts: &HashMap<String, String>) {
         Ok(peer) => println!("hyperm-node member {id}: joined as overlay peer {peer}"),
         Err(e) => {
             eprintln!("hyperm-node member {id}: join failed: {e}");
-            return;
+            return ExitCode::FAILURE;
         }
     }
     if let Err(e) = runtime.serve_until_shutdown() {
         eprintln!("hyperm-node: serve loop failed: {e}");
-        return;
+        return ExitCode::FAILURE;
     }
     rec.flush();
     println!("hyperm-node member {id}: shut down cleanly");
+    ExitCode::SUCCESS
 }
 
 fn help() {

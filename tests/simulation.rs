@@ -1,6 +1,6 @@
 //! Integration tests of the MANET simulation substrate together with the
-//! overlay stack: underlay expansion, mobility, energy accounting and the
-//! event scheduler.
+//! overlay stack: underlay expansion, energy accounting and the event
+//! scheduler.
 
 use hyperm::sim::{EnergyModel, Scheduler, SimTime, Underlay, UnderlayConfig};
 use hyperm::{Dataset, HypermConfig, HypermNetwork, NodeId, OpStats};
@@ -53,24 +53,6 @@ fn overlay_traffic_expands_onto_the_underlay() {
     let e = EnergyModel::bluetooth_class2();
     assert!(e.op_joules(phys) > e.op_joules(report.insertion));
     assert!(e.op_joules(phys) < e.op_joules(report.insertion) * (stretch + 0.01));
-}
-
-#[test]
-fn mobility_preserves_reachability_in_a_confined_arena() {
-    // "Limited mobility" (paper): people shuffle around a room; the
-    // connectivity tables refresh and everyone stays reachable.
-    let mut underlay = Underlay::random(UnderlayConfig {
-        nodes: 40,
-        arena_side: 25.0,
-        radio_range: 12.0,
-        seed: 3,
-    });
-    for step in 0..10 {
-        underlay.step_mobility(2.0, 100 + step);
-        assert!(underlay.is_connected(), "arena partitioned at step {step}");
-    }
-    // Distances stay small in a confined arena.
-    assert!(underlay.mean_path_hops() < 5.0);
 }
 
 #[test]
