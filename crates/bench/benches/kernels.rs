@@ -219,11 +219,16 @@ fn bench_can(c: &mut Criterion) {
 /// Phase 1 of one level at the harness's shape: a 100-node 4-d CAN holding
 /// 1000 replicated spheres (100 peers × 10 clusters), flooded by a query
 /// ball that matches 316 of them — collected by `range_query` (one clone
-/// per match), and visited by reference; then Eq. 1 on those matches.
+/// per match), and visited as borrowed views; then Eq. 1 on those
+/// matches, and the cross-level fold of four such levels over 100 peers —
+/// from score maps (`aggregate`) and from the dense levels phase 1 keeps
+/// (`rank`).
 fn bench_flood(c: &mut Criterion) {
-    use hyperm_core::score::level_scores;
+    use hyperm_core::score::{aggregate, level_scores, rank, LevelScores};
+    use hyperm_core::ScorePolicy;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
     let mut overlay = CanOverlay::bootstrap(CanConfig::new(4).with_seed(5), 100);
     let mut rng = StdRng::seed_from_u64(5);
     for i in 0..1000 {
@@ -254,6 +259,27 @@ fn bench_flood(c: &mut Criterion) {
     c.bench_function("level_scores_316_d4", |b| {
         b.iter(|| level_scores(black_box(&matches), &q, eps, 4))
     });
+    // Each level scores a random ≈ 80 % of the 100 peers.
+    let maps: Vec<BTreeMap<usize, f64>> = (0..4)
+        .map(|_| {
+            let mut level = BTreeMap::new();
+            for peer in 0..100 {
+                if rng.gen_bool(0.8) {
+                    level.insert(peer, rng.gen::<f64>() * 50.0);
+                }
+            }
+            level
+        })
+        .collect();
+    let dense: Vec<LevelScores> = maps.iter().map(LevelScores::from_map).collect();
+    let mut group = c.benchmark_group("aggregate_4_levels_100_peers");
+    group.bench_function("aggregate", |b| {
+        b.iter(|| aggregate(black_box(&maps), ScorePolicy::Min))
+    });
+    group.bench_function("rank", |b| {
+        b.iter(|| rank(black_box(&dense), ScorePolicy::Min))
+    });
+    group.finish();
 }
 
 fn bench_alternative_substrates(c: &mut Criterion) {

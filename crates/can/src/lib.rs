@@ -23,6 +23,8 @@
 //! * [`ops`] — point/sphere insertion with replication, point lookup, and
 //!   flooding range queries, all returning [`hyperm_sim::OpStats`] cost
 //!   records;
+//! * [`store`] — a node's object store as columns, and the one scan the
+//!   range flood and the point lookup run over it;
 //! * [`repair`] — graceful leave, crash-stop failure takeover and the
 //!   background fragment-merge loop that restores the one-zone-per-node
 //!   partition after churn;
@@ -44,6 +46,7 @@ pub mod keymap;
 pub mod ops;
 pub mod overlay;
 pub mod repair;
+pub mod store;
 pub mod zone;
 pub mod zoneindex;
 
@@ -52,8 +55,9 @@ pub use codec::{
     encode_object, encode_query, object_wire_len, query_wire_len, CodecError, Message,
 };
 pub use keymap::KeyMap;
-pub use ops::{InsertOutcome, ObjectRef, RangeOutcome, StoredObject};
+pub use ops::{InsertOutcome, ObjectRef, ObjectView, RangeOutcome, StoredObject};
 pub use overlay::{CanConfig, CanNode, CanOverlay, RouteOutcome, RouteResult};
 pub use repair::{RepairOutcome, DETECT_TICKS};
+pub use store::ObjectStore;
 pub use zone::Zone;
 pub use zoneindex::ZoneIndex;

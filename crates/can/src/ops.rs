@@ -11,12 +11,18 @@
 //! newly reached node (real gossip would add duplicate-suppression traffic,
 //! which affects constants, not shapes).
 //!
-//! The range flood is [`CanOverlay::range_visit`]: it hands each newly
-//! matched object to a visitor by reference, with the centre distance it
-//! has just computed, so a caller that only folds the matches (Eq. 1
-//! scoring) copies nothing. [`CanOverlay::range_query`] is that flood with
-//! a cloning collector. BATON and VBI floods follow the same contract and
-//! share [`SeenIds`] and [`dist`].
+//! The range flood is [`CanOverlay::range_visit`]: per visited node it
+//! runs the store's one scan ([`crate::store::ObjectStore::scan`], a
+//! branch-free pass over the centre and radius columns), then hands each
+//! newly matched object to a visitor as a borrowed [`ObjectView`] with the
+//! centre distance the scan computed, in slot order. So a caller that only
+//! folds the matches (Eq. 1 scoring) copies nothing, and the scan reads
+//! the bytes the sphere test needs and no others.
+//! [`CanOverlay::point_lookup`] is the same scan at radius 0 on the
+//! owner's store, and [`CanOverlay::range_query`] the flood with a copying
+//! collector. BATON and VBI floods follow the same contract, lend views of
+//! their own objects and share [`SeenIds`] and
+//! [`dist`](hyperm_geometry::vecmath::dist).
 
 // Panic-free hot path: no unwrap/expect, panic!/unreachable! or
 // unchecked indexing outside tests without a written reason.
@@ -33,7 +39,6 @@
 )]
 use crate::overlay::CanOverlay;
 use crate::zone::Zone;
-use hyperm_geometry::vecmath::dist;
 use hyperm_sim::{NodeId, OpStats};
 use hyperm_telemetry::{Name, SpanId};
 #[expect(
@@ -84,7 +89,44 @@ impl StoredObject {
     /// Exact wire size of this object's binary encoding (see
     /// [`crate::codec`]).
     pub fn wire_bytes(&self) -> u64 {
-        crate::codec::object_wire_len(self.centre.len()) as u64
+        object_bytes(self.centre.len())
+    }
+
+    /// This object, borrowed.
+    pub fn view(&self) -> ObjectView<'_> {
+        ObjectView {
+            id: self.id,
+            centre: &self.centre,
+            radius: self.radius,
+            payload: self.payload,
+        }
+    }
+}
+
+/// A stored object lent to a range flood's visitor: the fields of a
+/// [`StoredObject`], with the centre borrowed from wherever the store
+/// keeps it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ObjectView<'a> {
+    /// Globally unique object id.
+    pub id: u64,
+    /// Key-space centre.
+    pub centre: &'a [f64],
+    /// Key-space radius (0 for point objects).
+    pub radius: f64,
+    /// Back-reference to the publisher.
+    pub payload: ObjectRef,
+}
+
+impl ObjectView<'_> {
+    /// An owned copy.
+    pub fn to_stored(self) -> StoredObject {
+        StoredObject {
+            id: self.id,
+            centre: self.centre.to_vec(),
+            radius: self.radius,
+            payload: self.payload,
+        }
     }
 }
 
@@ -140,6 +182,11 @@ impl SeenIds {
     pub fn insert(&mut self, id: u64) -> bool {
         self.0.insert(id)
     }
+
+    /// Make room for `additional` more ids.
+    pub fn reserve(&mut self, additional: usize) {
+        self.0.reserve(additional);
+    }
 }
 
 /// Multiplicative (Fibonacci) hash of an object id. Ids are assigned by
@@ -167,6 +214,13 @@ impl Hasher for IdHasher {
 /// Size of a range-query packet: centre + radius + header.
 fn query_bytes(dim: usize) -> u64 {
     8 * (dim as u64 + 1) + 16
+}
+
+/// Wire size of one `dim`-dimensional object in a reply or a handoff —
+/// what [`StoredObject::wire_bytes`] reports for every object a store
+/// holds.
+pub(crate) fn object_bytes(dim: usize) -> u64 {
+    crate::codec::object_wire_len(dim) as u64
 }
 
 impl CanOverlay {
@@ -284,7 +338,7 @@ impl CanOverlay {
             queue.push_back((owner, 0u64));
             while let Some((n, depth)) = queue.pop_front() {
                 flood_depth = flood_depth.max(depth);
-                self.node_mut(n).store.push(obj.clone());
+                self.node_mut(n).store.push(obj.view());
                 replicas += 1;
                 if traced {
                     tel.event(
@@ -343,7 +397,7 @@ impl CanOverlay {
                 }
             }
         } else {
-            self.node_mut(owner).store.push(obj);
+            self.node_mut(owner).store.push(obj.view());
             replicas = 1;
             if traced {
                 tel.event(
@@ -431,19 +485,18 @@ impl CanOverlay {
                 ],
             );
         }
-        let matches: Vec<StoredObject> = self
-            .node(owner)
-            .store
+        // The flood's scan at radius 0: `radius_c + 0.0 + 1e-12` is
+        // `radius_c + 1e-12`, so a hit is a sphere containing the point.
+        let store = &self.node(owner).store;
+        let mut hits = Vec::new();
+        let matches: Vec<StoredObject> = store
+            .scan(point, 0.0, &mut hits)
             .iter()
-            .filter(|o| dist(&o.centre, point) <= o.radius + 1e-12)
-            .cloned()
+            .filter_map(|&(slot, _)| store.get(slot as usize))
+            .map(ObjectView::to_stored)
             .collect();
         // One response message carrying the matches.
-        let resp_bytes: u64 = matches
-            .iter()
-            .map(StoredObject::wire_bytes)
-            .sum::<u64>()
-            .max(16);
+        let resp_bytes = (matches.len() as u64 * object_bytes(self.dim())).max(16);
         stats += OpStats::one_hop(resp_bytes);
         self.load.flood_visit(owner.0, resp_bytes);
         (matches, stats)
@@ -457,7 +510,7 @@ impl CanOverlay {
     pub fn range_query(&self, from: NodeId, centre: &[f64], radius: f64) -> RangeOutcome {
         let mut matches = Vec::new();
         let (nodes_visited, stats) =
-            self.range_visit(from, centre, radius, |obj, _| matches.push(obj.clone()));
+            self.range_visit(from, centre, radius, |obj, _| matches.push(obj.to_stored()));
         RangeOutcome {
             matches,
             nodes_visited,
@@ -467,10 +520,11 @@ impl CanOverlay {
 
     /// The range flood: hand every stored object whose sphere intersects
     /// the query ball `(centre, radius)` (key space) to `visit` as
-    /// `(object, b)`, once per object id and in first-seen BFS order, where
-    /// `b` is [`dist`] from the object's centre to `centre`. Returns the
-    /// nodes visited and the total message cost (routing + flood +
-    /// responses).
+    /// `(object, b)`, once per object id and in first-seen BFS order (slot
+    /// order within a node), where `b` is
+    /// [`dist`](hyperm_geometry::vecmath::dist) from the object's centre to
+    /// `centre`. Returns the nodes visited and the total message
+    /// cost (routing + flood + responses).
     ///
     /// Routes to the centre's owner, then floods every node whose zone
     /// overlaps the query ball. Thanks to replication this visits exactly
@@ -486,7 +540,7 @@ impl CanOverlay {
         from: NodeId,
         centre: &[f64],
         radius: f64,
-        mut visit: impl FnMut(&StoredObject, f64),
+        mut visit: impl FnMut(ObjectView<'_>, f64),
     ) -> (usize, OpStats) {
         assert_eq!(centre.len(), self.dim(), "centre dimension mismatch");
         assert!(radius >= 0.0, "negative radius {radius}");
@@ -531,27 +585,38 @@ impl CanOverlay {
         visited[start] = true;
         queue.push_back(owner);
         let mut seen = SeenIds::default();
+        let mut hits = Vec::new();
+        let obj_bytes = object_bytes(self.dim());
         let mut matches = 0usize;
+        let (mut scanned, mut hit_count) = (0usize, 0usize);
         let mut nodes_visited = 0usize;
         let mut resp_bytes = 0u64;
 
         while let Some(n) = queue.pop_front() {
             nodes_visited += 1;
             let node = self.node(n);
-            let mut local_bytes = 0u64;
+            let store = &node.store;
+            let found = store.scan(centre, radius, &mut hits);
+            if nodes_visited == 1 {
+                seen.reserve(found.len());
+            }
+            scanned += store.len();
+            hit_count += found.len();
             let before = matches;
-            for obj in &node.store {
-                let b = dist(&obj.centre, centre);
-                if b <= obj.radius + radius + 1e-12 && seen.insert(obj.id) {
-                    local_bytes += obj.wire_bytes();
-                    matches += 1;
-                    visit(obj, b);
+            for &(slot, b) in found {
+                if let Some(obj) = store.get(slot as usize) {
+                    if seen.insert(obj.id) {
+                        matches += 1;
+                        visit(obj, b);
+                    }
                 }
             }
-            resp_bytes += local_bytes.max(16); // every visited node replies
-                                               // Load attribution: the visited node scans its store and
-                                               // transmits the reply — charged once, to it alone.
-            self.load.flood_visit(n.0, local_bytes.max(16));
+            // Every visited node replies; load attribution: the visited
+            // node scans its store and transmits the reply — charged once,
+            // to it alone.
+            let local_bytes = ((matches - before) as u64 * obj_bytes).max(16);
+            resp_bytes += local_bytes;
+            self.load.flood_visit(n.0, local_bytes);
             if traced {
                 tel.event(
                     flood_span,
@@ -622,6 +687,8 @@ impl CanOverlay {
             Name::Flood,
             vec![
                 ("visited", nodes_visited.into()),
+                ("scanned", scanned.into()),
+                ("hits", hit_count.into()),
                 ("matches", matches.into()),
                 ("resp_bytes", resp_bytes.into()),
             ],
@@ -634,6 +701,7 @@ impl CanOverlay {
 mod tests {
     use super::*;
     use crate::overlay::CanConfig;
+    use hyperm_geometry::vecmath::dist;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

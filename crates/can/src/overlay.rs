@@ -24,7 +24,7 @@
     clippy::indexing_slicing,
     reason = "node ids are dense indices into self.nodes by construction, and zone/neighbour offsets come from checked position() hits"
 )]
-use crate::ops::StoredObject;
+use crate::store::ObjectStore;
 use crate::zone::Zone;
 use crate::zoneindex::ZoneIndex;
 use hyperm_sim::underlay::map_connected;
@@ -99,7 +99,7 @@ pub struct CanNode {
     /// nodes.
     pub fingers: Vec<NodeId>,
     /// Objects stored here (owned or replicated).
-    pub store: Vec<StoredObject>,
+    pub store: ObjectStore,
 }
 
 impl CanNode {
@@ -297,7 +297,7 @@ impl CanOverlay {
                 alive: true,
                 neighbours: Vec::new(),
                 fingers: Vec::new(),
-                store: Vec::new(),
+                store: ObjectStore::new(config.dim),
             }],
             bootstrap_stats: OpStats::zero(),
             next_object_id: 0,
@@ -343,6 +343,23 @@ impl CanOverlay {
     /// Mutably borrow a node (used by the ops module).
     pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut CanNode {
         &mut self.nodes[id.0]
+    }
+
+    /// `from`'s store, shared, beside `to`'s, mutable — the two ends of a
+    /// replica transfer (`from != to`).
+    pub(crate) fn store_pair(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+    ) -> (&ObjectStore, &mut ObjectStore) {
+        assert_ne!(from, to, "a store cannot transfer to itself");
+        if from.0 < to.0 {
+            let (lo, hi) = self.nodes.split_at_mut(to.0);
+            (&lo[from.0].store, &mut hi[0].store)
+        } else {
+            let (lo, hi) = self.nodes.split_at_mut(from.0);
+            (&hi[0].store, &mut lo[to.0].store)
+        }
     }
 
     /// Iterate over all nodes.
@@ -748,18 +765,18 @@ impl CanOverlay {
 
         // Re-distribute stored objects by overlap with the new halves
         // (replicas covering the owner's other zones always stay).
-        let old_store = std::mem::take(&mut self.nodes[owner.0].store);
-        let mut keep = Vec::new();
-        let mut moved = Vec::new();
-        for obj in old_store {
-            let in_old = old_zone.intersects_sphere(&obj.centre, obj.radius)
+        let old_store = self.nodes[owner.0].store.take();
+        let mut keep = ObjectStore::new(self.dim());
+        let mut moved = ObjectStore::new(self.dim());
+        for obj in old_store.iter() {
+            let in_old = old_zone.intersects_sphere(obj.centre, obj.radius)
                 || self.nodes[owner.0]
                     .zones()
                     .filter(|z| !z.same_box(&split_zone))
-                    .any(|z| z.intersects_sphere(&obj.centre, obj.radius));
-            let in_new = new_zone.intersects_sphere(&obj.centre, obj.radius);
+                    .any(|z| z.intersects_sphere(obj.centre, obj.radius));
+            let in_new = new_zone.intersects_sphere(obj.centre, obj.radius);
             if in_new {
-                moved.push(obj.clone());
+                moved.push(obj);
             }
             if in_old || !in_new {
                 // `!in_new` can only happen through floating-point edge
@@ -1058,7 +1075,7 @@ impl CanOverlay {
         self.nodes[id.0].store.retain(|o| {
             zones
                 .iter()
-                .any(|z| z.intersects_sphere(&o.centre, o.radius))
+                .any(|z| z.intersects_sphere(o.centre, o.radius))
         });
     }
 
@@ -1121,8 +1138,9 @@ impl CanOverlay {
     /// Verify structural invariants: the alive nodes' zones (primaries and
     /// adopted fragments) tile the space without overlap, neighbour lists
     /// match the geometric relation and are symmetric, dead nodes are
-    /// fully detached, the spatial index is exact and every finger list is
-    /// current. Test-support; O(F²·d) over the F zone fragments.
+    /// fully detached, the spatial index is exact, every finger list is
+    /// current and every store's columns are in step, `dim` wide and free
+    /// of duplicate ids. Test-support; O(F²·d) over the F zone fragments.
     pub fn check_invariants(&self) {
         // 1. Volume: the alive zones sum to the whole space.
         let total_volume: f64 = self.nodes.iter().map(CanNode::total_volume).sum();
@@ -1227,6 +1245,17 @@ impl CanOverlay {
             self.nodes.iter().filter(|n| !n.alive).count(),
             "dead counter out of sync"
         );
+        // 7. Stores: columns of equal length, `dim` coordinates per object,
+        //    no object held twice.
+        for n in &self.nodes {
+            assert_eq!(
+                n.store.dim(),
+                self.dim(),
+                "store of {} has the wrong width",
+                n.id
+            );
+            n.store.check_invariants();
+        }
     }
 
     /// Sorted ids currently registered in the spatial index (test support).

@@ -75,7 +75,7 @@ impl CanOverlay {
     /// that zone, then drops out. No data is lost.
     pub fn leave(&mut self, id: NodeId) -> RepairOutcome {
         assert!(self.alive_count() > 1, "the last node cannot leave");
-        let store = std::mem::take(&mut self.node_mut(id).store);
+        let store = self.node_mut(id).store.take();
         let (zones, old_neighbours) = self.detach(id);
         let mut out = self.adopt_zones(id, zones, &old_neighbours, Some(&store));
         // Handoff handshake: request + transfer, no detection delay.
@@ -150,7 +150,7 @@ impl CanOverlay {
         departed: NodeId,
         zones: Vec<Zone>,
         old_neighbours: &[NodeId],
-        store: Option<&[crate::ops::StoredObject]>,
+        store: Option<&crate::store::ObjectStore>,
     ) -> RepairOutcome {
         let mut stats = OpStats::zero();
         let mut adopters: Vec<NodeId> = Vec::new();
@@ -192,20 +192,17 @@ impl CanOverlay {
                 // store's objects overlapping this zone, deduplicated by
                 // object id.
                 if let Some(objs) = store {
-                    let moved: Vec<_> = objs
-                        .iter()
-                        .filter(|o| z.intersects_sphere(&o.centre, o.radius))
-                        .filter(|o| self.node(adopter).store.iter().all(|h| h.id != o.id))
-                        .cloned()
-                        .collect();
-                    let bytes: u64 = moved.iter().map(|o| o.wire_bytes()).sum();
-                    if !moved.is_empty() {
+                    let obj_bytes = crate::ops::object_bytes(self.dim());
+                    let moved = self
+                        .node_mut(adopter)
+                        .store
+                        .absorb(objs, |o| z.intersects_sphere(o.centre, o.radius));
+                    if moved > 0 {
                         stats += OpStats {
                             messages: 1,
-                            bytes,
+                            bytes: moved as u64 * obj_bytes,
                             ..OpStats::zero()
                         };
-                        self.node_mut(adopter).store.extend(moved);
                     }
                 }
                 if !self.grant_zone(adopter, z) {
@@ -452,22 +449,15 @@ impl CanOverlay {
         if from == to {
             return OpStats::zero();
         }
-        let moved: Vec<_> = self
-            .node(from)
-            .store
-            .iter()
-            .filter(|o| region.intersects_sphere(&o.centre, o.radius))
-            .filter(|o| self.node(to).store.iter().all(|h| h.id != o.id))
-            .cloned()
-            .collect();
-        if moved.is_empty() {
+        let obj_bytes = crate::ops::object_bytes(self.dim());
+        let (src, dst) = self.store_pair(from, to);
+        let moved = dst.absorb(src, |o| region.intersects_sphere(o.centre, o.radius));
+        if moved == 0 {
             return OpStats::zero();
         }
-        let bytes: u64 = moved.iter().map(|o| o.wire_bytes()).sum();
-        self.node_mut(to).store.extend(moved);
         OpStats {
             messages: 1,
-            bytes,
+            bytes: moved as u64 * obj_bytes,
             ..OpStats::zero()
         }
     }

@@ -79,12 +79,12 @@ pub use network::{BuildReport, HypermNetwork};
 pub use overlay::{Overlay, OverlayBackend};
 pub use peer::Peer;
 pub use publish::{PublishReport, SphereRef};
-pub use query::cache::{LevelScores, SummaryCache};
+pub use query::cache::SummaryCache;
 pub use query::knn::{KnnOptions, KnnResult};
 pub use query::point::PointResult;
 pub use query::range::RangeResult;
 pub use query::QueryBudget;
-pub use score::PeerScore;
+pub use score::{LevelScores, PeerScore};
 
 // Telemetry handle, re-exported so downstream code can build traced
 // networks without a direct `hyperm-telemetry` dependency.

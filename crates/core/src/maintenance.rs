@@ -202,7 +202,7 @@ mod invalidation_tests {
             // public store accessors per backend (Can here).
             if let crate::overlay::Overlay::Can(can) = overlay {
                 for node in can.nodes() {
-                    for obj in &node.store {
+                    for obj in node.store.iter() {
                         ids.entry((obj.payload.peer, obj.payload.tag))
                             .or_default()
                             .insert(obj.id);

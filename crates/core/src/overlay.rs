@@ -16,7 +16,9 @@
 //! | overlay tracing | yes | untraced | untraced |
 
 use hyperm_baton::{BatonConfig, BatonOverlay};
-use hyperm_can::{CanConfig, CanOverlay, InsertOutcome, ObjectRef, RangeOutcome, StoredObject};
+use hyperm_can::{
+    CanConfig, CanOverlay, InsertOutcome, ObjectRef, ObjectView, RangeOutcome, StoredObject,
+};
 use hyperm_sim::{NodeId, OpStats};
 use hyperm_vbi::{VbiConfig, VbiOverlay};
 use std::ops::Range;
@@ -146,14 +148,15 @@ impl Overlay {
     }
 
     /// The range flood without the copies: each match goes to `visit` as
-    /// `(object, centre distance)`, in the order [`Overlay::range_query`]
-    /// would list it. Returns the nodes visited and the message cost.
+    /// `(borrowed object, centre distance)`, in the order
+    /// [`Overlay::range_query`] would list it. Returns the nodes visited and
+    /// the message cost.
     pub fn range_visit(
         &self,
         from: NodeId,
         centre: &[f64],
         radius: f64,
-        visit: impl FnMut(&StoredObject, f64),
+        visit: impl FnMut(ObjectView<'_>, f64),
     ) -> (usize, OpStats) {
         each!(self, o => o.range_visit(from, centre, radius, visit))
     }

@@ -3,10 +3,10 @@
 //! Zipf-skewed workloads hammer the overlay nodes whose zones cover the
 //! popular query centres: phase 1 of every repeated query re-floods the
 //! same region and re-charges the same owners. The [`SummaryCache`] lets a
-//! query *entry* peer remember the per-level score map a phase-1 lookup
-//! produced, keyed by the exact `(entry peer, level, key, ε)` tuple, and
-//! answer repeats locally — zero overlay traffic, zero load on the hot
-//! zone's host.
+//! query *entry* peer remember the per-level scores a phase-1 lookup
+//! produced (in the dense form the ranking reads), keyed by the exact
+//! `(entry peer, level, key, ε)` tuple, and answer repeats locally —
+//! zero overlay traffic, zero load on the hot zone's host.
 //!
 //! **Correctness contract (Theorem 4.1 preserved).** A hit replays the
 //! *exact* candidate map the cold path produced, so the cache never prunes
@@ -29,12 +29,10 @@
 //! network share the host process), guarded by a `Mutex` over a `BTreeMap`
 //! so iteration order — and therefore eviction — is deterministic.
 
+use crate::score::LevelScores;
 use hyperm_telemetry::sync::{Guard, Mutex};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// A per-level phase-1 score map: peer → Eq.-1 score.
-pub type LevelScores = BTreeMap<usize, f64>;
 
 /// Exact identity of one cached phase-1 lookup.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -261,7 +259,11 @@ mod tests {
     use super::*;
 
     fn scores(pairs: &[(usize, f64)]) -> LevelScores {
-        pairs.iter().copied().collect()
+        let mut s = LevelScores::default();
+        for &(peer, score) in pairs {
+            s.add(peer, score);
+        }
+        s
     }
 
     #[test]

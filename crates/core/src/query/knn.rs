@@ -26,7 +26,7 @@
 use crate::network::HypermNetwork;
 use crate::peer::assert_finite_centre;
 use crate::query::{QueryBudget, QueryRun, Reply};
-use crate::score::{aggregate, peers_to_cover, LevelScorer, PeerScore};
+use crate::score::{peers_to_cover, rank, LevelScorer, PeerScore};
 use hyperm_geometry::{solve_epsilon_for_k, ClusterView};
 use hyperm_sim::{NodeId, OpStats};
 use hyperm_telemetry::{Name, OpKind};
@@ -169,7 +169,7 @@ impl HypermNetwork {
                 let (_, stats) = overlay.range_visit(from, &key, search, |o, b| scores.add(o, b));
                 lv.stats += stats;
                 let scores = scores.finish();
-                lv.tail(|| vec![("eps_l", eps_l.into()), ("peers", scores.len().into())]);
+                lv.tail(|| vec![("eps_l", eps_l.into()), ("peers", scores.peers().into())]);
                 (eps_l, scores)
             });
             epsilons.push(eps_l);
@@ -177,7 +177,7 @@ impl HypermNetwork {
         }
 
         // Step 4: merge returned results.
-        let ranked = aggregate(&per_level, self.config.score_policy);
+        let ranked = rank(&per_level, self.config.score_policy);
 
         // Steps 5–6: P = peers whose cumulative score covers k.
         let mut p = peers_to_cover(&ranked, k as f64);

@@ -11,9 +11,9 @@
 use crate::network::HypermNetwork;
 use crate::peer::assert_finite_centre;
 use crate::query::{QueryBudget, QueryRun, Reply};
+use crate::score::{rank, LevelScores};
 use hyperm_sim::{NodeId, OpStats};
 use hyperm_telemetry::OpKind;
-use std::collections::BTreeMap;
 
 /// Outcome of a point query.
 #[derive(Debug, Clone)]
@@ -62,22 +62,22 @@ impl HypermNetwork {
         let mut run = QueryRun::open(self, kind, "point", from_peer, q.len(), budget, Vec::new);
 
         // Candidate = sphere containment per level, folded like scores.
-        let mut per_level: Vec<BTreeMap<usize, f64>> = Vec::with_capacity(self.levels());
+        let mut per_level: Vec<LevelScores> = Vec::with_capacity(self.levels());
         for l in 0..self.levels() {
             let key = self.query_key(&dec, l);
             let ltel = self.level_recorder(l);
             per_level.push(run.op.level(l, &ltel, Some(&Vec::new), |lv| {
                 let (hits, op) = self.overlay(l).point_lookup(NodeId(from_peer), &key);
                 lv.stats += op;
-                let mut level: BTreeMap<usize, f64> = BTreeMap::new();
+                let mut level = LevelScores::default();
                 for obj in &hits {
-                    *level.entry(obj.payload.peer).or_insert(0.0) += obj.payload.items as f64;
+                    level.add(obj.payload.peer, obj.payload.items as f64);
                 }
                 lv.tail(|| vec![("hits", hits.len().into())]);
                 level
             }));
         }
-        let ranked = crate::score::aggregate(&per_level, self.config.score_policy);
+        let ranked = rank(&per_level, self.config.score_policy);
         let candidates: Vec<usize> = ranked.iter().map(|p| p.peer).collect();
 
         // Direct exact-match probes of every candidate.

@@ -13,7 +13,7 @@
 use crate::network::HypermNetwork;
 use crate::peer::assert_finite_centre;
 use crate::query::{QueryBudget, QueryRun, Reply};
-use crate::score::{aggregate, LevelScorer, PeerScore};
+use crate::score::{rank, LevelScorer, PeerScore};
 use hyperm_sim::{NodeId, OpStats};
 use hyperm_telemetry::{Name, OpKind};
 
@@ -99,8 +99,8 @@ impl HypermNetwork {
             let ltel = self.level_recorder(l);
             // Popular-summary cache (hot-spot relief): an identical
             // phase-1 lookup seen since the last overlay mutation is
-            // answered from the entry peer's cache — the exact score map
-            // the cold path produced, at zero overlay cost. See
+            // answered from the entry peer's cache — the exact scores the
+            // cold path produced, at zero overlay cost. See
             // `query::cache` for why a hit can never be stale.
             if let Some(cache) = self.summary_cache() {
                 if let Some(scores) = cache.lookup(from_peer, l, &key, key_eps) {
@@ -108,7 +108,7 @@ impl HypermNetwork {
                         ltel.event(
                             qspan,
                             Name::CacheHit,
-                            vec![("level", l.into()), ("peers", scores.len().into())],
+                            vec![("level", l.into()), ("peers", scores.peers().into())],
                         );
                     }
                     per_level.push(scores);
@@ -126,7 +126,7 @@ impl HypermNetwork {
                 });
                 lv.stats += stats;
                 let scores = scores.finish();
-                let peers = scores.len();
+                let peers = scores.peers();
                 lv.tail(|| vec![("matches", matches.into()), ("peers", peers.into())]);
                 scores
             });
@@ -138,7 +138,7 @@ impl HypermNetwork {
             }
             per_level.push(scores);
         }
-        let ranked = aggregate(&per_level, self.config.score_policy);
+        let ranked = rank(&per_level, self.config.score_policy);
         if tel.is_enabled() {
             for ps in &ranked {
                 tel.event(

@@ -10,9 +10,15 @@
 //! property of pruning many candidate peers" and (Section 4.1) yields no
 //! false dismissals for range queries — a peer holding a true answer has a
 //! positive score at *every* level, so its minimum stays positive.
+//!
+//! Phase 1 keeps each level dense up to the ranking: [`LevelScorer`] folds
+//! the flood's matches into [`LevelScores`] (one slot per peer id), the
+//! summary cache stores that same form, and [`rank`] folds the levels into
+//! the ranked list. [`level_scores`] and [`aggregate`] are the map-shaped
+//! entry points, thin adapters over the same fold.
 
 use crate::config::ScorePolicy;
-use hyperm_can::StoredObject;
+use hyperm_can::{ObjectView, StoredObject};
 use hyperm_geometry::vecmath::dist;
 use hyperm_geometry::IntersectionFraction;
 use std::collections::BTreeMap;
@@ -26,6 +32,56 @@ pub struct PeerScore {
     pub score: f64,
 }
 
+/// One level's per-peer scores, dense by peer id: slot `p` holds peer
+/// `p`'s running sum, `None` until a term is added for it. Per peer,
+/// terms are summed in the order they are added.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LevelScores(Vec<Option<f64>>);
+
+impl LevelScores {
+    /// Add `term` to `peer`'s sum.
+    pub fn add(&mut self, peer: usize, term: f64) {
+        if peer >= self.0.len() {
+            self.0.resize(peer + 1, None);
+        }
+        if let Some(sum) = self.0.get_mut(peer) {
+            *sum.get_or_insert(0.0) += term;
+        }
+    }
+
+    /// `peer`'s score; `None` if it has none at this level.
+    pub fn get(&self, peer: usize) -> Option<f64> {
+        self.0.get(peer).copied().flatten()
+    }
+
+    /// How many peers have a score.
+    pub fn peers(&self) -> usize {
+        self.0.iter().filter(|s| s.is_some()).count()
+    }
+
+    /// The scores as an ascending map; a peer without one is absent.
+    pub fn to_map(&self) -> BTreeMap<usize, f64> {
+        let scored = self.0.iter().enumerate();
+        scored.filter_map(|(peer, s)| Some((peer, (*s)?))).collect()
+    }
+
+    /// The dense form of a score map.
+    pub fn from_map(map: &BTreeMap<usize, f64>) -> Self {
+        let slots = map.keys().next_back().map_or(0, |&peer| peer + 1);
+        let mut dense = vec![None; slots];
+        for (&peer, &score) in map {
+            if let Some(slot) = dense.get_mut(peer) {
+                *slot = Some(score);
+            }
+        }
+        LevelScores(dense)
+    }
+
+    fn slots(&self) -> usize {
+        self.0.len()
+    }
+}
+
 /// Eq. 1 for one level: fold the matched cluster spheres into per-peer
 /// scores. `q_key`/`eps_key` are the query centre and radius in the
 /// level's key space; `dim` is that key space's dimensionality.
@@ -37,9 +93,9 @@ pub fn level_scores(
 ) -> BTreeMap<usize, f64> {
     let mut scores = LevelScorer::new(eps_key, dim);
     for obj in matches {
-        scores.add(obj, dist(&obj.centre, q_key));
+        scores.add(obj.view(), dist(&obj.centre, q_key));
     }
-    scores.finish()
+    scores.finish().to_map()
 }
 
 /// Eq. 1 for one level, fed one matched sphere at a time — straight from
@@ -49,9 +105,7 @@ pub fn level_scores(
 pub struct LevelScorer {
     lens: IntersectionFraction,
     eps_key: f64,
-    /// Running score per peer id; `None` until the peer's first positive
-    /// term.
-    sums: Vec<Option<f64>>,
+    sums: LevelScores,
 }
 
 impl LevelScorer {
@@ -61,12 +115,12 @@ impl LevelScorer {
         LevelScorer {
             lens: IntersectionFraction::new(dim),
             eps_key,
-            sums: Vec::new(),
+            sums: LevelScores::default(),
         }
     }
 
     /// Add one matched sphere whose centre lies `b` from the query centre.
-    pub fn add(&mut self, obj: &StoredObject, b: f64) {
+    pub fn add(&mut self, obj: ObjectView<'_>, b: f64) {
         // A zero-radius query degenerates to containment: the volume
         // fraction is 0 but a cluster holding the point is fully relevant.
         let frac = if self.eps_key == 0.0 {
@@ -79,46 +133,40 @@ impl LevelScorer {
             self.lens.eval(obj.radius.max(0.0), self.eps_key, b)
         };
         if frac > 0.0 {
-            let peer = obj.payload.peer;
-            if peer >= self.sums.len() {
-                self.sums.resize(peer + 1, None);
-            }
-            *self.sums[peer].get_or_insert(0.0) += frac * obj.payload.items as f64;
+            let term = frac * obj.payload.items as f64;
+            self.sums.add(obj.payload.peer, term);
         }
     }
 
-    /// The per-peer scores, ascending by peer id; a peer with no positive
-    /// term is absent.
-    pub fn finish(self) -> BTreeMap<usize, f64> {
-        let scored = self.sums.into_iter().enumerate();
-        scored.filter_map(|(peer, s)| Some((peer, s?))).collect()
+    /// The per-peer sums; a peer with no positive term has none.
+    pub fn finish(self) -> LevelScores {
+        self.sums
     }
 }
 
-/// Fold per-level score maps into one ranked list.
+/// Fold per-level score maps into one ranked list: [`rank`] over their
+/// dense forms.
+pub fn aggregate(levels: &[BTreeMap<usize, f64>], policy: ScorePolicy) -> Vec<PeerScore> {
+    let dense: Vec<LevelScores> = levels.iter().map(LevelScores::from_map).collect();
+    rank(&dense, policy)
+}
+
+/// Fold per-level scores into one ranked list.
 ///
-/// With [`ScorePolicy::Min`], a peer must appear with positive score at
+/// With [`ScorePolicy::Min`], a peer must have a positive score at
 /// **every** level to survive (absence ⇒ score 0 ⇒ pruned). `Avg`/`Max`
 /// treat missing levels as 0 but do not prune.
-pub fn aggregate(levels: &[BTreeMap<usize, f64>], policy: ScorePolicy) -> Vec<PeerScore> {
-    if levels.is_empty() {
-        return Vec::new();
-    }
-    // Union of peers seen at any level.
-    let mut all_peers: Vec<usize> = levels.iter().flat_map(|m| m.keys().copied()).collect();
-    all_peers.sort_unstable();
-    all_peers.dedup();
-
-    let mut out = Vec::with_capacity(all_peers.len());
-    for peer in all_peers {
-        let per_level: Vec<f64> = levels
-            .iter()
-            .map(|m| m.get(&peer).copied().unwrap_or(0.0))
-            .collect();
+pub fn rank(levels: &[LevelScores], policy: ScorePolicy) -> Vec<PeerScore> {
+    let slots = levels.iter().map(LevelScores::slots).max().unwrap_or(0);
+    let mut out = Vec::new();
+    // A peer scored at no level scores 0 under every policy and drops
+    // out below, as if it had never been listed.
+    for peer in 0..slots {
+        let per_level = levels.iter().map(|l| l.get(peer).unwrap_or(0.0));
         let score = match policy {
-            ScorePolicy::Min => per_level.iter().copied().fold(f64::INFINITY, f64::min),
-            ScorePolicy::Avg => per_level.iter().sum::<f64>() / per_level.len() as f64,
-            ScorePolicy::Max => per_level.iter().copied().fold(0.0, f64::max),
+            ScorePolicy::Min => per_level.fold(f64::INFINITY, f64::min),
+            ScorePolicy::Avg => per_level.sum::<f64>() / levels.len() as f64,
+            ScorePolicy::Max => per_level.fold(0.0, f64::max),
         };
         if score > 0.0 && score.is_finite() {
             out.push(PeerScore { peer, score });

@@ -1,20 +1,29 @@
-//! Phase 1 at the cost of its matches: each substrate's range flood hands
-//! every match to a visitor by reference, and Eq. 1 folds it there. These
-//! tests pin the two halves of that contract — the visitor sees exactly
-//! what `range_query` collects, and the streaming fold is the map-based
-//! Eq. 1 it replaced, bit for bit — plus the one-pass-per-level refresh.
+//! Phase 1 at the cost of its bytes: each substrate's range flood hands
+//! every match to a visitor as a borrowed view, CAN finds them with one
+//! column scan per visited node, and Eq. 1 folds them into dense per-peer
+//! scores that stay dense up to the ranking. These tests pin that
+//! contract — the visitor sees exactly what `range_query` collects, the
+//! column scan is the per-object loop it replaced, the streaming fold is
+//! the map-based Eq. 1 and the dense ranking the map-based `aggregate`,
+//! bit for bit — plus the one-pass-per-level refresh.
 
-use hyperm_can::{CanConfig, CanOverlay, ObjectRef, StoredObject};
+use hyperm_can::ops::SeenIds;
+use hyperm_can::{
+    CanConfig, CanOverlay, ObjectRef, ObjectStore, ObjectView, RouteOutcome, StoredObject,
+};
 use hyperm_cluster::Dataset;
-use hyperm_core::score::{level_scores, LevelScorer};
-use hyperm_core::{HypermConfig, HypermNetwork, Overlay, OverlayBackend, SphereRef};
+use hyperm_core::score::{aggregate, level_scores, rank, LevelScorer, LevelScores, PeerScore};
+use hyperm_core::{
+    HypermConfig, HypermNetwork, Overlay, OverlayBackend, ScorePolicy, SphereRef, SummaryCache,
+};
 use hyperm_geometry::vecmath::dist;
 use hyperm_geometry::IntersectionFraction;
 use hyperm_sim::{FaultConfig, NodeId, OpStats};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// `spheres` random spheres in `[0,1)^dim`, published from random nodes.
 fn fill(overlay: &mut Overlay, rng: &mut StdRng, spheres: usize) {
@@ -68,7 +77,7 @@ fn visit_all(
 ) -> (Vec<(StoredObject, f64)>, usize, OpStats) {
     let mut seen = Vec::new();
     let (nodes, stats) = overlay.range_visit(from, centre, radius, |obj, b| {
-        seen.push((obj.clone(), b));
+        seen.push((obj.to_stored(), b));
     });
     (seen, nodes, stats)
 }
@@ -141,7 +150,7 @@ proptest! {
             let out = a.range_query(from, &centre, radius);
             let mut seen = Vec::new();
             let (nodes, stats) = b.range_visit(from, &centre, radius, |obj, d| {
-                seen.push((obj.clone(), d));
+                seen.push((obj.to_stored(), d));
             });
             check_flood(
                 &centre,
@@ -242,9 +251,9 @@ fn eq1_fold_is_the_map_fold_bit_for_bit() {
         );
         let mut fold = LevelScorer::new(eps, dim);
         for obj in &matches {
-            fold.add(obj, dist(&obj.centre, &q));
+            fold.add(obj.view(), dist(&obj.centre, &q));
         }
-        assert_eq!(bits(&fold.finish()), want, "case {case}");
+        assert_eq!(bits(&fold.finish().to_map()), want, "case {case}");
     }
 }
 
@@ -271,12 +280,17 @@ fn can_network(seed: u64) -> HypermNetwork {
     HypermNetwork::build(peers, cfg).unwrap().0
 }
 
+/// Owned copies of a CAN store's objects, in slot order.
+fn objects(store: &ObjectStore) -> Vec<StoredObject> {
+    store.iter().map(ObjectView::to_stored).collect()
+}
+
 /// Every level's CAN stores, node by node, in store order.
 fn stores(net: &HypermNetwork) -> Vec<Vec<Vec<StoredObject>>> {
     (0..net.levels())
         .map(|l| {
             let can = net.overlay(l).as_can().expect("CAN substrate");
-            can.nodes().map(|node| node.store.clone()).collect()
+            can.nodes().map(|node| objects(&node.store)).collect()
         })
         .collect()
 }
@@ -319,5 +333,298 @@ fn refresh_is_one_publish_sphere_per_cluster() {
             assert!(stores(&refreshed) == stores(&by_hand), "faults {faults}");
         }
         assert_eq!(refreshed.fault_report(), by_hand.fault_report());
+    }
+}
+
+/// The CAN range flood as it stood before the column store: the BFS over
+/// the zones overlapping the ball, with its per-object loop verbatim, run
+/// over owned `StoredObject` copies of each store. No fault plan or
+/// partition is installed, so every flood edge is delivered on its first
+/// attempt. Returns the `(id, b bits)` sequence, nodes visited and cost.
+fn reference_flood(
+    can: &CanOverlay,
+    from: NodeId,
+    centre: &[f64],
+    radius: f64,
+) -> (Vec<(u64, u64)>, usize, OpStats) {
+    let qb = 8 * (can.dim() as u64 + 1) + 16;
+    let res = can.route_result(from, centre, qb);
+    if res.outcome != RouteOutcome::Delivered {
+        return (Vec::new(), 0, res.stats);
+    }
+    let (owner, mut stats) = (res.node, res.stats);
+    let in_flood = |n: NodeId| {
+        let node = can.node(n);
+        node.alive && node.intersects_sphere(centre, radius)
+    };
+    let mut visited = BTreeSet::from([owner]);
+    let mut queue = VecDeque::from([owner]);
+    let mut seen = SeenIds::default();
+    let mut out = Vec::new();
+    let (mut nodes_visited, mut resp_bytes) = (0u64, 0u64);
+    while let Some(n) = queue.pop_front() {
+        nodes_visited += 1;
+        let node = can.node(n);
+        let store = objects(&node.store);
+        let mut local_bytes = 0u64;
+        for obj in &store {
+            let b = dist(&obj.centre, centre);
+            if b <= obj.radius + radius + 1e-12 && seen.insert(obj.id) {
+                local_bytes += obj.wire_bytes();
+                out.push((obj.id, b.to_bits()));
+            }
+        }
+        resp_bytes += local_bytes.max(16);
+        for &nb in &node.neighbours {
+            if in_flood(nb) && visited.insert(nb) {
+                stats.messages += 1;
+                stats.bytes += qb;
+                stats.hops += 1;
+                queue.push_back(nb);
+            }
+        }
+    }
+    stats += OpStats {
+        hops: nodes_visited,
+        messages: nodes_visited,
+        bytes: resp_bytes,
+        ..OpStats::zero()
+    };
+    (out, nodes_visited as usize, stats)
+}
+
+/// The CAN point lookup as it stood before the column store, its filter
+/// verbatim, over an owned copy of the owner's store.
+fn reference_point(can: &CanOverlay, from: NodeId, point: &[f64]) -> (Vec<StoredObject>, OpStats) {
+    let res = can.route_result(from, point, 8 * (can.dim() as u64 + 1) + 16);
+    if res.outcome != RouteOutcome::Delivered {
+        return (Vec::new(), res.stats);
+    }
+    let (owner, mut stats) = (res.node, res.stats);
+    let matches: Vec<StoredObject> = objects(&can.node(owner).store)
+        .into_iter()
+        .filter(|o| dist(&o.centre, point) <= o.radius + 1e-12)
+        .collect();
+    let resp_bytes: u64 = matches
+        .iter()
+        .map(StoredObject::wire_bytes)
+        .sum::<u64>()
+        .max(16);
+    stats += OpStats::one_hop(resp_bytes);
+    (matches, stats)
+}
+
+/// Query radii that put some stored sphere exactly on the match boundary
+/// for `centre`: `b − r − 1e-12` and one ulp on either side of it.
+fn boundary_radii(can: &CanOverlay, centre: &[f64], rng: &mut StdRng) -> Vec<f64> {
+    let spheres: Vec<StoredObject> = can.nodes().flat_map(|n| objects(&n.store)).collect();
+    let mut radii = Vec::new();
+    for _ in 0..3 {
+        if spheres.is_empty() {
+            break;
+        }
+        let s = &spheres[rng.gen_range(0..spheres.len())];
+        let t = dist(&s.centre, centre) - s.radius - 1e-12;
+        if t > 0.0 {
+            radii.extend([
+                f64::from_bits(t.to_bits() - 1),
+                t,
+                f64::from_bits(t.to_bits() + 1),
+            ]);
+        }
+    }
+    radii
+}
+
+/// `range_visit` and `point_lookup` against the reference flood and
+/// lookup on every alive entry node's view of a handful of balls: radius
+/// 0, random radii, boundary radii, and points on stored centres.
+fn check_against_reference(can: &CanOverlay, rng: &mut StdRng, what: &str) {
+    can.check_invariants();
+    let dim = can.dim();
+    let alive = can.alive_ids();
+    let stored: Vec<StoredObject> = can.nodes().flat_map(|n| objects(&n.store)).collect();
+    for i in 0..12 {
+        let centre: Vec<f64> = if i % 3 == 0 && !stored.is_empty() {
+            stored[rng.gen_range(0..stored.len())].centre.clone()
+        } else {
+            (0..dim).map(|_| rng.gen()).collect()
+        };
+        let mut radii = vec![0.0, rng.gen::<f64>() * 0.05, rng.gen::<f64>() * 0.3];
+        radii.extend(boundary_radii(can, &centre, rng));
+        let from = alive[rng.gen_range(0..alive.len())];
+        for radius in radii {
+            let mut got = Vec::new();
+            let (nodes, stats) = can.range_visit(from, &centre, radius, |obj, b| {
+                got.push((obj.id, b.to_bits()));
+            });
+            let want = reference_flood(can, from, &centre, radius);
+            assert_eq!(
+                (got, nodes, stats),
+                want,
+                "{what}: dim {dim}, ball {centre:?} r {radius:e}"
+            );
+        }
+        assert_eq!(
+            can.point_lookup(from, &centre),
+            reference_point(can, from, &centre),
+            "{what}: dim {dim}, point {centre:?}"
+        );
+    }
+}
+
+/// The column scan behind `range_visit` and `point_lookup` is the
+/// per-object loop it replaced — same matches in the same order, same
+/// `b` bits, nodes and costs — at widths 1, 2, 3, 4 and 8, on stores
+/// shaped by every store mutator: joins (splits move objects), a graceful
+/// leave (handoff), a crash plus repair, `remove_objects` and a republish.
+#[test]
+fn column_scan_is_the_per_object_flood() {
+    for dim in [1usize, 2, 3, 4, 8] {
+        let mut rng = StdRng::seed_from_u64(0xC0 + dim as u64);
+        let mut can = CanOverlay::bootstrap(CanConfig::new(dim).with_seed(dim as u64), 12);
+        let publish = |can: &mut CanOverlay, rng: &mut StdRng, peer: usize, tags: u64| {
+            for tag in 0..tags {
+                let centre: Vec<f64> = (0..dim).map(|_| rng.gen()).collect();
+                let radius = if tag % 5 == 0 {
+                    0.0
+                } else {
+                    rng.gen::<f64>() * 0.25
+                };
+                let payload = ObjectRef {
+                    peer,
+                    tag,
+                    items: rng.gen_range(1..40),
+                };
+                let from = can.alive_ids()[rng.gen_range(0..can.alive_count())];
+                can.insert_sphere(from, centre, radius, payload, true);
+            }
+        };
+        for peer in 0..6 {
+            publish(&mut can, &mut rng, peer, 15);
+        }
+        check_against_reference(&can, &mut rng, "published");
+        for _ in 0..10 {
+            let point: Vec<f64> = (0..dim).map(|_| rng.gen()).collect();
+            let entry = can.alive_ids()[rng.gen_range(0..can.alive_count())];
+            can.join(entry, &point);
+        }
+        check_against_reference(&can, &mut rng, "after joins");
+        can.leave(NodeId(3));
+        check_against_reference(&can, &mut rng, "after a leave");
+        can.fail(NodeId(7));
+        can.repair_to_quiescence(64);
+        check_against_reference(&can, &mut rng, "after a crash and repair");
+        can.remove_objects(2, 0..15);
+        check_against_reference(&can, &mut rng, "after remove_objects");
+        publish(&mut can, &mut rng, 2, 15);
+        check_against_reference(&can, &mut rng, "after a republish");
+    }
+}
+
+/// Eq. 1's cross-level fold as it stood before the dense levels, kept
+/// verbatim as the oracle.
+fn aggregate_reference(levels: &[BTreeMap<usize, f64>], policy: ScorePolicy) -> Vec<PeerScore> {
+    if levels.is_empty() {
+        return Vec::new();
+    }
+    // Union of peers seen at any level.
+    let mut all_peers: Vec<usize> = levels.iter().flat_map(|m| m.keys().copied()).collect();
+    all_peers.sort_unstable();
+    all_peers.dedup();
+
+    let mut out = Vec::with_capacity(all_peers.len());
+    for peer in all_peers {
+        let per_level: Vec<f64> = levels
+            .iter()
+            .map(|m| m.get(&peer).copied().unwrap_or(0.0))
+            .collect();
+        let score = match policy {
+            ScorePolicy::Min => per_level.iter().copied().fold(f64::INFINITY, f64::min),
+            ScorePolicy::Avg => per_level.iter().sum::<f64>() / per_level.len() as f64,
+            ScorePolicy::Max => per_level.iter().copied().fold(0.0, f64::max),
+        };
+        if score > 0.0 && score.is_finite() {
+            out.push(PeerScore { peer, score });
+        }
+    }
+    // Highest score first; ties by peer id for determinism.
+    out.sort_by(|a, b| {
+        b.score
+            .partial_cmp(&a.score)
+            .unwrap()
+            .then(a.peer.cmp(&b.peer))
+    });
+    out
+}
+
+fn ranked_bits(ranked: &[PeerScore]) -> Vec<(usize, u64)> {
+    ranked.iter().map(|p| (p.peer, p.score.to_bits())).collect()
+}
+
+/// The dense ranking, through `aggregate` and through `rank`, against the
+/// map fold for every policy: peers missing at some levels, zero sums,
+/// tied scores, levels whose highest peer id differs (dense vectors of
+/// unequal length), one level and none.
+#[test]
+fn dense_ranking_is_the_map_fold_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0xA66);
+    for case in 0..300 {
+        let levels: Vec<BTreeMap<usize, f64>> = (0..case % 6)
+            .map(|_| {
+                let top = rng.gen_range(0..40);
+                (0..top)
+                    .filter_map(|peer| {
+                        let score = match rng.gen_range(0..10) {
+                            0..=3 => return None,
+                            4 => 0.0,
+                            5 => 2.5,
+                            _ => rng.gen::<f64>() * 100.0,
+                        };
+                        Some((peer, score))
+                    })
+                    .collect()
+            })
+            .collect();
+        let dense: Vec<LevelScores> = levels.iter().map(LevelScores::from_map).collect();
+        for policy in [ScorePolicy::Min, ScorePolicy::Avg, ScorePolicy::Max] {
+            let want = ranked_bits(&aggregate_reference(&levels, policy));
+            assert_eq!(
+                ranked_bits(&aggregate(&levels, policy)),
+                want,
+                "case {case}"
+            );
+            assert_eq!(ranked_bits(&rank(&dense, policy)), want, "case {case}");
+        }
+        for (map, level) in levels.iter().zip(&dense) {
+            assert_eq!(&level.to_map(), map, "case {case}");
+        }
+    }
+}
+
+/// A summary-cache hit replays the dense scores the cold path produced,
+/// so the warm query ranks — and answers — exactly what the cold one and
+/// an uncached network do.
+#[test]
+fn cache_hit_ranks_what_the_cold_path_ranked() {
+    let plain = can_network(5);
+    let mut cached = plain.clone();
+    cached.set_summary_cache(Some(Arc::new(SummaryCache::new(4, 64))));
+    let mut rng = StdRng::seed_from_u64(55);
+    for _ in 0..6 {
+        let peer = rng.gen_range(0..plain.len());
+        let q = plain.peer(peer).items.row(rng.gen_range(0..30)).to_vec();
+        let eps = rng.gen::<f64>() * 0.4;
+        let want = plain.range_query(1, &q, eps, None);
+        let hits = cached.summary_cache().unwrap().hits();
+        for run in ["cold", "warm"] {
+            let got = cached.range_query(1, &q, eps, None);
+            assert_eq!(ranked_bits(&got.ranked), ranked_bits(&want.ranked), "{run}");
+            assert_eq!(got.items, want.items, "{run}");
+        }
+        assert!(
+            cached.summary_cache().unwrap().hits() >= hits + 4,
+            "the warm run hit"
+        );
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::tree::VbiOverlay;
 use hyperm_can::ops::SeenIds;
-use hyperm_can::{InsertOutcome, ObjectRef, RangeOutcome, StoredObject};
+use hyperm_can::{InsertOutcome, ObjectRef, ObjectView, RangeOutcome, StoredObject};
 use hyperm_geometry::vecmath::dist;
 use hyperm_sim::{NodeId, OpStats};
 use std::ops::Range;
@@ -126,7 +126,7 @@ impl VbiOverlay {
     pub fn range_query(&self, from: NodeId, centre: &[f64], radius: f64) -> RangeOutcome {
         let mut matches = Vec::new();
         let (nodes_visited, stats) =
-            self.range_visit(from, centre, radius, |obj, _| matches.push(obj.clone()));
+            self.range_visit(from, centre, radius, |obj, _| matches.push(obj.to_stored()));
         RangeOutcome {
             matches,
             nodes_visited,
@@ -145,7 +145,7 @@ impl VbiOverlay {
         from: NodeId,
         centre: &[f64],
         radius: f64,
-        mut visit: impl FnMut(&StoredObject, f64),
+        mut visit: impl FnMut(ObjectView<'_>, f64),
     ) -> (usize, OpStats) {
         assert_eq!(centre.len(), self.dim(), "centre dimension mismatch");
         assert!(radius >= 0.0, "negative radius {radius}");
@@ -163,7 +163,7 @@ impl VbiOverlay {
                 let b = dist(&obj.centre, centre);
                 if b <= obj.radius + radius + 1e-12 && seen.insert(obj.id) {
                     local += obj.wire_bytes();
-                    visit(obj, b);
+                    visit(obj.view(), b);
                 }
             }
             resp_bytes += local.max(16);

@@ -12,6 +12,9 @@
 //! change that only rounds the geometry differently may move the event
 //! digest, never this one.
 
+mod common;
+
+use common::without_scan_counts;
 use hyperm::telemetry::{Event, HistSnapshot, Recorder, Value};
 use hyperm::{
     Dataset, FaultConfig, HypermConfig, HypermNetwork, KnnOptions, KnnResult, MetricsSnapshot,
@@ -167,6 +170,7 @@ fn scenario() -> (u64, u64, u64) {
     }
     let mut events = Fnv::new();
     for e in stream {
+        let e = without_scan_counts(&e);
         events.bytes(e.to_json_line().as_bytes());
         events.bytes(b"\n");
         free.event_without_floats(&e);

@@ -14,6 +14,9 @@
 //! A change that only rounds the geometry differently moves the first
 //! table and must leave the second alone.
 
+mod common;
+
+use common::without_scan_counts;
 use hyperm::telemetry::{Event, Recorder, Value};
 use hyperm::{Dataset, HypermConfig, HypermNetwork, KnnOptions, OpStats, QueryBudget};
 use rand::rngs::StdRng;
@@ -64,6 +67,7 @@ impl Digests {
         self.free.stats(s);
     }
     fn event(&mut self, e: &Event) {
+        let e = &without_scan_counts(e);
         self.raw.bytes(e.to_json_line().as_bytes());
         self.raw.bytes(b"\n");
         let ints = Event {
