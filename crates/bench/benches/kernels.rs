@@ -282,6 +282,68 @@ fn bench_flood(c: &mut Criterion) {
     group.finish();
 }
 
+/// The write path's two kernels at the harness's shape. One invalidation:
+/// `remove_objects` of one publisher's 10 spheres from a 100-node 4-d CAN
+/// holding 1000 replicated spheres (100 publishers × 10 clusters). And one
+/// soft-state refresh: a peer of a 100-peer network withdraws and
+/// republishes every sphere on every level.
+fn bench_write_path(c: &mut Criterion) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cell::RefCell;
+    let mut overlay = CanOverlay::bootstrap(CanConfig::new(4).with_seed(5), 100);
+    let mut rng = StdRng::seed_from_u64(5);
+    for i in 0..1000 {
+        let centre: Vec<f64> = (0..4).map(|_| rng.gen()).collect();
+        let payload = ObjectRef {
+            peer: i / 10,
+            tag: (i % 10) as u64,
+            items: 100,
+        };
+        let radius = 0.05 + rng.gen::<f64>() * 0.1;
+        overlay.insert_sphere(NodeId(i / 10), centre, radius, payload, true);
+    }
+    // Each iteration invalidates on a fresh clone. The spent clone is
+    // parked and dropped by the next setup, so freeing 100 stores stays
+    // off the clock.
+    let spent = RefCell::new(None);
+    c.bench_function("can_remove_objects_100n_4d", |b| {
+        b.iter_batched(
+            || {
+                drop(spent.take());
+                overlay.clone()
+            },
+            |mut ov: CanOverlay| {
+                let out = ov.remove_objects(42, 0..10);
+                *spent.borrow_mut() = Some(ov);
+                out
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
+
+    let data = generate_markov(&MarkovConfig {
+        count: 5000,
+        dim: 64,
+        max_step_cap: 0.05,
+        seed: 17,
+    });
+    let peers: Vec<Dataset> = (0..100)
+        .map(|p| data.select(&(p * 50..(p + 1) * 50).collect::<Vec<_>>()))
+        .collect();
+    let cfg = HypermConfig::new(64).with_seed(19);
+    let (mut net, _) = HypermNetwork::build(peers, cfg).unwrap();
+    // A refresh leaves the stores as they were (new object ids aside), so
+    // the same network serves every iteration.
+    let mut peer = 0;
+    c.bench_function("refresh_peer_summaries_100p", |b| {
+        b.iter(|| {
+            peer = (peer + 37) % 100;
+            net.refresh_peer_summaries(peer)
+        })
+    });
+}
+
 fn bench_alternative_substrates(c: &mut Criterion) {
     let baton = BatonOverlay::bootstrap(BatonConfig::new(1), 100);
     c.bench_function("baton_route_100n_1d", |b| {
@@ -478,6 +540,7 @@ criterion_group!(
     bench_geometry,
     bench_can,
     bench_flood,
+    bench_write_path,
     bench_alternative_substrates,
     bench_local_index,
     bench_local_range,

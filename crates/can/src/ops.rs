@@ -311,7 +311,7 @@ impl CanOverlay {
             SpanId::NONE
         };
 
-        let mut replicas = 0usize;
+        let replicas;
         let mut targets = 1usize;
         let mut flood_depth = 0u64;
         if replicate && radius > 0.0 {
@@ -328,18 +328,22 @@ impl CanOverlay {
             targets = candidates.len();
             let slot_of = |id: NodeId| candidates.binary_search(&(id.0 as u32)).ok();
             let mut visited = vec![false; candidates.len()];
-            let mut queue = VecDeque::new();
+            // The BFS queue is `order` itself: every node is appended once,
+            // when first reached, and `next` walks it in visit order. The
+            // flood only reads the overlay, so the replicas are stored
+            // after it, in that same order.
+            let mut order: Vec<(NodeId, u64)> = Vec::with_capacity(candidates.len());
             #[expect(
                 clippy::expect_used,
                 reason = "owner's zone overlaps the object it stores, so owner is always in candidates"
             )]
             let start = slot_of(owner).expect("owner zone overlaps its own object");
             visited[start] = true;
-            queue.push_back((owner, 0u64));
-            while let Some((n, depth)) = queue.pop_front() {
+            order.push((owner, 0u64));
+            let mut next = 0;
+            while let Some(&(n, depth)) = order.get(next) {
+                next += 1;
                 flood_depth = flood_depth.max(depth);
-                self.node_mut(n).store.push(obj.view());
-                replicas += 1;
                 if traced {
                     tel.event(
                         flood_span,
@@ -347,8 +351,7 @@ impl CanOverlay {
                         vec![("node", n.0.into()), ("depth", depth.into())],
                     );
                 }
-                let neighbours = self.node(n).neighbours.clone();
-                for nb in neighbours {
+                for &nb in &self.node(n).neighbours {
                     if let Some(slot) = slot_of(nb) {
                         if !visited[slot] && self.reachable(n, nb) {
                             let (delivered, attempts, _ticks) = if with_faults {
@@ -384,7 +387,7 @@ impl CanOverlay {
                                         ],
                                     );
                                 }
-                                queue.push_back((nb, depth + 1));
+                                order.push((nb, depth + 1));
                             } else if traced {
                                 tel.event(
                                     flood_span,
@@ -395,6 +398,10 @@ impl CanOverlay {
                         }
                     }
                 }
+            }
+            replicas = order.len();
+            for (n, _) in order {
+                self.node_mut(n).store.push(obj.view());
             }
         } else {
             self.node_mut(owner).store.push(obj.view());
@@ -436,15 +443,14 @@ impl CanOverlay {
     /// re-publish, in one pass over the stores however many tags it covers.
     ///
     /// Cost model: one invalidation message per removed replica (the
-    /// publisher re-floods the same tree that placed them).
+    /// publisher re-floods the same tree that placed them). Host cost: each
+    /// store reads its publisher column up to the first victim and is
+    /// written only from there on ([`crate::store::ObjectStore::remove_published`]).
     pub fn remove_objects(&mut self, peer: usize, tags: Range<u64>) -> (usize, OpStats) {
-        let mut removed = 0usize;
-        for node in self.nodes_mut() {
-            let before = node.store.len();
-            node.store
-                .retain(|o| !(o.payload.peer == peer && tags.contains(&o.payload.tag)));
-            removed += before - node.store.len();
-        }
+        let removed: usize = self
+            .nodes_mut()
+            .map(|node| node.store.remove_published(peer, &tags))
+            .sum();
         let stats = OpStats {
             hops: removed as u64,
             messages: removed as u64,
@@ -702,6 +708,7 @@ mod tests {
     use super::*;
     use crate::overlay::CanConfig;
     use hyperm_geometry::vecmath::dist;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -837,6 +844,64 @@ mod tests {
                 .map(|(i, _)| u64::MAX - 1_000 + i)
                 .collect();
             assert_eq!(ids, expected, "query {q:?}");
+        }
+    }
+
+    /// `remove_objects` as it was before the publisher column: `retain`
+    /// over every store, costed at one 24-byte message per removed replica.
+    fn remove_objects_by_retain(
+        overlay: &mut CanOverlay,
+        peer: usize,
+        tags: Range<u64>,
+    ) -> (usize, OpStats) {
+        let mut removed = 0usize;
+        for node in overlay.nodes_mut() {
+            let before = node.store.len();
+            node.store
+                .retain(|o| !(o.payload.peer == peer && tags.contains(&o.payload.tag)));
+            removed += before - node.store.len();
+        }
+        let stats = OpStats {
+            hops: removed as u64,
+            messages: removed as u64,
+            bytes: removed as u64 * 24,
+            ..OpStats::zero()
+        };
+        (removed, stats)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Over a replicated overlay where publishers and tags repeat, each
+        /// invalidation removes what the `retain` reference removes, from
+        /// the same stores, leaves every survivor in its slot order, and
+        /// charges the same `OpStats`.
+        #[test]
+        fn remove_objects_matches_the_retain_reference(
+            seed in any::<u64>(),
+            n in 1usize..40,
+            spheres in prop::collection::vec(
+                (0usize..4, 0u64..6, 0.0..1.0f64, 0.0..1.0f64, 0.0..0.3f64),
+                0..60,
+            ),
+            removals in prop::collection::vec((0usize..5, 0u64..7, 0u64..4), 1..6),
+        ) {
+            let mut overlay = overlay_2d(n, seed);
+            for (peer, tag, x, y, r) in spheres {
+                let payload = ObjectRef { peer, tag, items: 1 };
+                overlay.insert_sphere(NodeId(peer % n), vec![x, y], r, payload, true);
+            }
+            let mut reference = overlay.clone();
+            for (peer, lo, width) in removals {
+                let got = overlay.remove_objects(peer, lo..lo + width);
+                let want = remove_objects_by_retain(&mut reference, peer, lo..lo + width);
+                prop_assert_eq!(got, want);
+                for (a, b) in overlay.nodes().zip(reference.nodes()) {
+                    prop_assert_eq!(&a.store, &b.store);
+                }
+            }
+            overlay.check_invariants();
         }
     }
 

@@ -12,6 +12,14 @@
 //! [`crate::StoredObject`] stays the owned and wire form; the store lends
 //! [`ObjectView`]s of its rows and takes them back through
 //! [`ObjectStore::push`].
+//!
+//! Invalidation — a publisher withdrawing its spheres before it republishes
+//! them — reads a fifth column, the publishing peer of each object as a
+//! `u32`. [`ObjectStore::remove_published`] scans that column for the first
+//! victim; a store that holds none is left untouched, and from the first
+//! victim on each run of survivors moves down as one block per column, so
+//! the survivors keep their slot order (and with it the order a flood
+//! returns them in).
 
 // Panic-free hot path: no unwrap/expect, panic!/unreachable! or
 // unchecked indexing outside tests without a written reason.
@@ -28,11 +36,13 @@
 )]
 use crate::ops::{ObjectRef, ObjectView};
 use hyperm_geometry::vecmath::sq_dist;
+use std::ops::Range;
 
-/// The objects one CAN node stores (owned or replicated), as four columns
+/// The objects one CAN node stores (owned or replicated), as five columns
 /// kept in step: `ids`, `centres` (stride = the overlay's dimension),
-/// `radii` and `payloads`. A row's index is its *slot*; slot order is
-/// insertion order, which every mutator preserves.
+/// `radii`, `payloads` and `publishers` (each payload's peer as a `u32`,
+/// saturating). A row's index is its *slot*; slot order is insertion
+/// order, which every mutator preserves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObjectStore {
     dim: usize,
@@ -40,6 +50,14 @@ pub struct ObjectStore {
     centres: Vec<f64>,
     radii: Vec<f64>,
     payloads: Vec<ObjectRef>,
+    publishers: Vec<u32>,
+}
+
+/// A peer id as the publisher column holds it. Peers past `u32::MAX` share
+/// the top key, so a key match only nominates a victim; the payload's own
+/// `peer` decides.
+fn publisher_key(peer: usize) -> u32 {
+    u32::try_from(peer).unwrap_or(u32::MAX)
 }
 
 impl ObjectStore {
@@ -51,6 +69,7 @@ impl ObjectStore {
             centres: Vec::new(),
             radii: Vec::new(),
             payloads: Vec::new(),
+            publishers: Vec::new(),
         }
     }
 
@@ -95,6 +114,7 @@ impl ObjectStore {
         self.centres.extend_from_slice(obj.centre);
         self.radii.push(obj.radius);
         self.payloads.push(obj.payload);
+        self.publishers.push(publisher_key(obj.payload.peer));
     }
 
     /// Whether an object with this id is stored — the dedupe of a replica
@@ -105,25 +125,76 @@ impl ObjectStore {
 
     /// Keep only the objects `keep` accepts, in their order.
     pub fn retain(&mut self, mut keep: impl FnMut(ObjectView<'_>) -> bool) {
-        let dim = self.dim;
-        let mut kept = 0;
-        for slot in 0..self.len() {
-            if !keep(self.view(slot)) {
-                continue;
+        let len = self.len();
+        let (mut kept, mut slot) = (0, 0);
+        while slot < len {
+            let run = slot;
+            while slot < len && keep(self.view(slot)) {
+                slot += 1;
             }
-            if kept != slot {
-                self.ids[kept] = self.ids[slot];
-                self.radii[kept] = self.radii[slot];
-                self.payloads[kept] = self.payloads[slot];
-                self.centres
-                    .copy_within(slot * dim..(slot + 1) * dim, kept * dim);
-            }
-            kept += 1;
+            self.move_rows(run..slot, kept);
+            kept += slot - run;
+            slot += 1;
         }
-        self.ids.truncate(kept);
-        self.centres.truncate(kept * dim);
-        self.radii.truncate(kept);
-        self.payloads.truncate(kept);
+        self.truncate(kept);
+    }
+
+    /// Remove every object `peer` published under a tag in `tags`, keeping
+    /// the survivors in slot order; returns how many went. The publisher
+    /// column is scanned up to the first victim, and a store holding none
+    /// is not written. From there on, each run of survivors between two
+    /// victims moves down as one block per column.
+    pub fn remove_published(&mut self, peer: usize, tags: &Range<u64>) -> usize {
+        let key = publisher_key(peer);
+        let len = self.len();
+        // The first victim at or after `from`, or `len`.
+        let next_victim = |store: &ObjectStore, from: usize| {
+            let mut from = from;
+            while let Some(at) = store.publishers[from..].iter().position(|&p| p == key) {
+                let slot = from + at;
+                let p = store.payloads[slot];
+                if p.peer == peer && tags.contains(&p.tag) {
+                    return slot;
+                }
+                from = slot + 1;
+            }
+            len
+        };
+        let first = next_victim(self, 0);
+        let mut kept = first;
+        let mut victim = first;
+        while victim < len {
+            let next = next_victim(self, victim + 1);
+            self.move_rows(victim + 1..next, kept);
+            kept += next - (victim + 1);
+            victim = next;
+        }
+        self.truncate(kept);
+        len - kept
+    }
+
+    /// Move the rows `from` down to start at row `to` (`to <= from.start`)
+    /// in every column, in order.
+    fn move_rows(&mut self, from: Range<usize>, to: usize) {
+        if from.is_empty() || from.start == to {
+            return;
+        }
+        let dim = self.dim;
+        self.ids.copy_within(from.clone(), to);
+        self.radii.copy_within(from.clone(), to);
+        self.payloads.copy_within(from.clone(), to);
+        self.publishers.copy_within(from.clone(), to);
+        self.centres
+            .copy_within(from.start * dim..from.end * dim, to * dim);
+    }
+
+    /// Cut every column to its first `len` rows.
+    fn truncate(&mut self, len: usize) {
+        self.ids.truncate(len);
+        self.centres.truncate(len * self.dim);
+        self.radii.truncate(len);
+        self.payloads.truncate(len);
+        self.publishers.truncate(len);
     }
 
     /// Absorb a handoff: append, in `from`'s order, every object of `from`
@@ -150,10 +221,7 @@ impl ObjectStore {
 
     /// Drop every object.
     pub fn clear(&mut self) {
-        self.ids.clear();
-        self.centres.clear();
-        self.radii.clear();
-        self.payloads.clear();
+        self.truncate(0);
     }
 
     /// The one store scan: test every object against the ball
@@ -190,11 +258,19 @@ impl ObjectStore {
     }
 
     /// Assert the column invariants: equal lengths, `dim` coordinates per
-    /// object and no id stored twice. Test-support.
+    /// object, a publisher column that matches the payloads and no id
+    /// stored twice. Test-support.
     pub fn check_invariants(&self) {
         let len = self.len();
         assert_eq!(self.radii.len(), len, "radii column out of step");
         assert_eq!(self.payloads.len(), len, "payload column out of step");
+        assert!(
+            self.publishers
+                .iter()
+                .copied()
+                .eq(self.payloads.iter().map(|p| publisher_key(p.peer))),
+            "publisher column out of step with the payloads"
+        );
         assert_eq!(
             self.centres.len(),
             self.dim * len,
@@ -211,6 +287,7 @@ impl ObjectStore {
 mod tests {
     use super::*;
     use crate::ops::StoredObject;
+    use proptest::prelude::*;
 
     fn obj(id: u64, centre: &[f64], radius: f64) -> StoredObject {
         StoredObject {
@@ -292,6 +369,107 @@ mod tests {
                 })
                 .collect();
             assert_eq!(got, want, "dim {dim}");
+        }
+    }
+
+    /// The invalidation as it was before the publisher column: one
+    /// `retain` over every object with the victim predicate.
+    /// [`ObjectStore::remove_published`] must leave what this leaves.
+    fn remove_by_retain(s: &mut ObjectStore, peer: usize, tags: &Range<u64>) -> usize {
+        let before = s.len();
+        s.retain(|o| !(o.payload.peer == peer && tags.contains(&o.payload.tag)));
+        before - s.len()
+    }
+
+    /// Publishers the cases draw from: three small ids, and two past
+    /// `u32::MAX` that share the column's top key, so only the payload
+    /// tells them apart.
+    const PEERS: [usize; 5] = [0, 1, 2, usize::MAX - 1, usize::MAX];
+
+    /// A store of `rows`, each `(publisher, tag, x, radius)`, with ids from
+    /// `first_id` up.
+    fn store_of(rows: &[(usize, u64, f64, f64)], first_id: u64) -> ObjectStore {
+        let mut s = ObjectStore::new(2);
+        for (id, &(p, tag, x, r)) in (first_id..).zip(rows) {
+            s.push(
+                StoredObject {
+                    id,
+                    centre: vec![x, 1.0 - x],
+                    radius: r,
+                    payload: ObjectRef {
+                        peer: PEERS[p],
+                        tag,
+                        items: 1 + id as u32,
+                    },
+                }
+                .view(),
+            );
+        }
+        s
+    }
+
+    fn rows() -> impl Strategy<Value = Vec<(usize, u64, f64, f64)>> {
+        prop::collection::vec((0usize..5, 0u64..5, 0.0..1.0f64, 0.0..0.2f64), 0..40)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `remove_published` leaves exactly what the `retain` reference
+        /// leaves — the same survivors with the same ids, in the same slot
+        /// order, every column included — and counts the same removals, on
+        /// stores with repeated publishers and tags, empty stores, stores
+        /// that are all victims, and stores shaped by `absorb`, `take` and
+        /// `clear`.
+        #[test]
+        fn remove_published_matches_the_retain_reference(
+            shape in 0u8..5,
+            a in rows(),
+            b in rows(),
+            peer in 0usize..5,
+            lo in 0u64..6,
+            width in 0u64..4,
+        ) {
+            let (peer, tags) = (PEERS[peer], lo..lo + width);
+            let mut s = store_of(&a, 0);
+            match shape {
+                // `b`'s rows join `a`'s through a handoff that takes the
+                // even tags only.
+                0 => {
+                    s.absorb(&store_of(&b, 1_000), |o| o.payload.tag % 2 == 0);
+                }
+                // Moved out: the taken store and the emptied one.
+                1 => {
+                    let taken = s.take();
+                    prop_assert!(s.is_empty());
+                    let mut emptied = s.clone();
+                    prop_assert_eq!(emptied.remove_published(peer, &tags), 0);
+                    prop_assert_eq!(&emptied, &s);
+                    s = taken;
+                }
+                // Cleared, then refilled from `b`.
+                2 => {
+                    s.clear();
+                    s.check_invariants();
+                    s.absorb(&store_of(&b, 1_000), |_| true);
+                }
+                // Every object a victim.
+                3 => {
+                    let all: Vec<_> = a.iter().map(|&(_, _, x, r)| (0, lo, x, r)).collect();
+                    s = store_of(&all, 0);
+                }
+                _ => {}
+            }
+            s.check_invariants();
+            let mut got = s.clone();
+            let mut want = s.clone();
+            let removed = got.remove_published(peer, &tags);
+            prop_assert_eq!(removed, remove_by_retain(&mut want, peer, &tags));
+            prop_assert_eq!(&got, &want);
+            got.check_invariants();
+            if shape == 3 && peer == 0 && width > 0 {
+                prop_assert!(got.is_empty());
+            }
         }
     }
 }

@@ -38,6 +38,9 @@ pub struct ZoneIndex {
     res: usize,
     /// `res^dims` buckets of node ids.
     cells: Vec<Vec<u32>>,
+    /// One past the largest id ever inserted: the width of the dedup
+    /// bitmap.
+    id_bound: usize,
 }
 
 impl ZoneIndex {
@@ -50,6 +53,7 @@ impl ZoneIndex {
             dims,
             res,
             cells: vec![Vec::new(); res.pow(dims as u32)],
+            id_bound: 0,
         }
     }
 
@@ -93,6 +97,7 @@ impl ZoneIndex {
 
     /// Register `id` under every cell its zone overlaps.
     pub fn insert(&mut self, id: u32, zone: &Zone) {
+        self.id_bound = self.id_bound.max(id as usize + 1);
         for c in self.zone_cells(zone) {
             self.cells[c].push(id);
         }
@@ -115,21 +120,43 @@ impl ZoneIndex {
     pub fn candidates(&self, centre: &[f64], radius: f64) -> Vec<u32> {
         debug_assert!(centre.len() >= self.dims);
         let (x0, x1) = self.query_cells(centre[0] - radius, centre[0] + radius);
-        let mut out = Vec::new();
-        if self.dims == 1 {
-            for x in x0..=x1 {
-                out.extend_from_slice(&self.cells[x]);
-            }
+        let (y0, y1) = if self.dims == 1 {
+            (0, 0)
         } else {
-            let (y0, y1) = self.query_cells(centre[1] - radius, centre[1] + radius);
-            for x in x0..=x1 {
-                for y in y0..=y1 {
-                    out.extend_from_slice(&self.cells[x * self.res + y]);
-                }
+            self.query_cells(centre[1] - radius, centre[1] + radius)
+        };
+        let stride = self.stride();
+        self.unique_ids((x0..=x1).flat_map(|x| (y0..=y1).map(move |y| x * stride + y)))
+    }
+
+    /// Index step of the first grid coordinate: a cell is `x * stride + y`,
+    /// with `y` always 0 on a 1-d grid.
+    fn stride(&self) -> usize {
+        if self.dims == 1 {
+            1
+        } else {
+            self.res
+        }
+    }
+
+    /// The ids listed in `cells`, sorted and deduplicated. A zone spanning
+    /// several cells is listed in each, so the ids are deduplicated through
+    /// a bitmap over node ids and read back from it in ascending order.
+    fn unique_ids(&self, cells: impl IntoIterator<Item = usize>) -> Vec<u32> {
+        let mut seen = vec![0u64; self.id_bound.div_ceil(64)];
+        for c in cells {
+            for &id in &self.cells[c] {
+                seen[id as usize / 64] |= 1 << (id % 64);
             }
         }
-        out.sort_unstable();
-        out.dedup();
+        let mut out = Vec::new();
+        for (w, &bits) in seen.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                out.push(w as u32 * 64 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
         out
     }
 
@@ -158,16 +185,45 @@ impl ZoneIndex {
     pub fn box_candidates(&self, lo: &[f64], hi: &[f64]) -> Vec<u32> {
         debug_assert!(lo.len() >= self.dims && hi.len() >= self.dims);
         let xs = self.abut_cells(lo[0], hi[0]);
+        let ys = if self.dims == 1 {
+            vec![0]
+        } else {
+            self.abut_cells(lo[1], hi[1])
+        };
+        let stride = self.stride();
+        self.unique_ids(
+            xs.iter()
+                .flat_map(|&x| ys.iter().map(move |&y| x * stride + y)),
+        )
+    }
+
+    /// Every node id currently registered anywhere in the grid, sorted and
+    /// deduplicated — the index's notion of the live membership, used by
+    /// invariant checks to catch staleness.
+    pub fn ids(&self) -> Vec<u32> {
+        self.unique_ids(0..self.cells.len())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The enumeration before the bitmap: every listed id of the cells
+    /// under the ball, concatenated, sorted and deduplicated.
+    fn candidates_by_sort(idx: &ZoneIndex, centre: &[f64], radius: f64) -> Vec<u32> {
+        let (x0, x1) = idx.query_cells(centre[0] - radius, centre[0] + radius);
         let mut out = Vec::new();
-        if self.dims == 1 {
-            for &x in &xs {
-                out.extend_from_slice(&self.cells[x]);
+        if idx.dims == 1 {
+            for x in x0..=x1 {
+                out.extend_from_slice(&idx.cells[x]);
             }
         } else {
-            let ys = self.abut_cells(lo[1], hi[1]);
-            for &x in &xs {
-                for &y in &ys {
-                    out.extend_from_slice(&self.cells[x * self.res + y]);
+            let (y0, y1) = idx.query_cells(centre[1] - radius, centre[1] + radius);
+            for x in x0..=x1 {
+                for y in y0..=y1 {
+                    out.extend_from_slice(&idx.cells[x * idx.res + y]);
                 }
             }
         }
@@ -176,20 +232,83 @@ impl ZoneIndex {
         out
     }
 
-    /// Every node id currently registered anywhere in the grid, sorted and
-    /// deduplicated — the index's notion of the live membership, used by
-    /// invariant checks to catch staleness.
-    pub fn ids(&self) -> Vec<u32> {
-        let mut out: Vec<u32> = self.cells.iter().flatten().copied().collect();
+    /// [`candidates_by_sort`]'s counterpart for [`ZoneIndex::box_candidates`].
+    fn box_candidates_by_sort(idx: &ZoneIndex, lo: &[f64], hi: &[f64]) -> Vec<u32> {
+        let xs = idx.abut_cells(lo[0], hi[0]);
+        let mut out = Vec::new();
+        if idx.dims == 1 {
+            for &x in &xs {
+                out.extend_from_slice(&idx.cells[x]);
+            }
+        } else {
+            let ys = idx.abut_cells(lo[1], hi[1]);
+            for &x in &xs {
+                for &y in &ys {
+                    out.extend_from_slice(&idx.cells[x * idx.res + y]);
+                }
+            }
+        }
         out.sort_unstable();
         out.dedup();
         out
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The bitmap enumeration returns exactly the sorted, deduplicated
+        /// set the old sort returned — for balls, boxes and the whole grid —
+        /// over random split partitions in 1, 2 and 4 dimensions, with ids
+        /// offset past one and two 64-bit words and some zones removed
+        /// again (a dead node deregisters).
+        #[test]
+        fn candidates_equal_the_sorted_enumeration(
+            dim in 1usize..5,
+            splits in 1usize..160,
+            offset in 0usize..4,
+            picks in prop::collection::vec(any::<prop::sample::Index>(), 160),
+            dead in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+            queries in prop::collection::vec((-0.2..1.2f64, -0.2..1.2f64, 0.0..0.4f64), 1..12),
+        ) {
+            let mut zones = vec![Zone::whole(dim)];
+            for pick in &picks[..splits] {
+                let z = zones.swap_remove(pick.index(zones.len()));
+                let (a, b) = z.split(z.longest_dim());
+                zones.push(a);
+                zones.push(b);
+            }
+            let offset = [0u32, 37, 64, 100][offset];
+            let mut idx = ZoneIndex::new(dim);
+            for (i, z) in zones.iter().enumerate() {
+                idx.insert(offset + i as u32, z);
+            }
+            for d in &dead {
+                let i = d.index(zones.len());
+                idx.remove(offset + i as u32, &zones[i]);
+            }
+            let mut all: Vec<u32> = idx.cells.iter().flatten().copied().collect();
+            all.sort_unstable();
+            all.dedup();
+            prop_assert_eq!(idx.ids(), all);
+            for &(x, y, r) in &queries {
+                let mut centre = vec![0.5; dim];
+                centre[0] = x;
+                if dim > 1 {
+                    centre[1] = y;
+                }
+                prop_assert_eq!(
+                    idx.candidates(&centre, r),
+                    candidates_by_sort(&idx, &centre, r)
+                );
+                let lo: Vec<f64> = centre.iter().map(|c| c - r).collect();
+                let hi: Vec<f64> = centre.iter().map(|c| c + r).collect();
+                prop_assert_eq!(
+                    idx.box_candidates(&lo, &hi),
+                    box_candidates_by_sort(&idx, &lo, &hi)
+                );
+            }
+        }
+    }
 
     #[test]
     fn whole_zone_is_everywhere() {

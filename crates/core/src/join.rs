@@ -33,6 +33,14 @@ pub enum JoinError {
     },
     /// The peer brought no items.
     EmptyCollection,
+    /// An item has a NaN or infinite coordinate, which k-means cannot
+    /// cluster.
+    NonFinite {
+        /// Row of the first such item in the joining collection.
+        row: usize,
+        /// Its first non-finite coordinate.
+        coordinate: usize,
+    },
     /// The overlay substrate has no dynamic join (BATON and VBI here).
     UnsupportedBackend,
 }
@@ -47,6 +55,12 @@ impl std::fmt::Display for JoinError {
                 )
             }
             JoinError::EmptyCollection => write!(f, "joining peer has no items"),
+            JoinError::NonFinite { row, coordinate } => {
+                write!(
+                    f,
+                    "joining item {row} has a non-finite coordinate {coordinate}"
+                )
+            }
             JoinError::UnsupportedBackend => {
                 write!(f, "live joins require the CAN substrate")
             }
@@ -87,7 +101,8 @@ impl HypermNetwork {
         }
 
         let peer_id = self.len();
-        let peer = Peer::summarize(peer_id, items, &self.config);
+        let peer = Peer::try_summarize(peer_id, items, &self.config)
+            .map_err(|(row, coordinate)| JoinError::NonFinite { row, coordinate })?;
         let mut rng = StdRng::seed_from_u64(
             self.config
                 .seed
@@ -235,6 +250,27 @@ mod tests {
         }
         assert_eq!(net.len(), 10);
         net.overlay(0).check_invariants();
+    }
+
+    /// A NaN or infinite coordinate is refused before k-means sees it, and
+    /// the network is left as it was.
+    #[test]
+    fn non_finite_rows_are_refused() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut net = build(OverlayBackend::Can);
+            let mut items = data(9, 10);
+            items.row_mut(6)[11] = bad;
+            assert_eq!(
+                net.join_peer(items).unwrap_err(),
+                JoinError::NonFinite {
+                    row: 6,
+                    coordinate: 11
+                },
+                "{bad}"
+            );
+            assert_eq!(net.len(), 6);
+            net.overlay(0).check_invariants();
+        }
     }
 
     #[test]

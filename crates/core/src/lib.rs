@@ -115,6 +115,16 @@ pub enum HypermError {
         /// Configured dimensionality.
         expected: usize,
     },
+    /// A peer's data has a NaN or infinite coordinate, which k-means
+    /// cannot cluster.
+    NonFinite {
+        /// Offending peer index.
+        peer: usize,
+        /// Row of that peer's first such item.
+        row: usize,
+        /// Its first non-finite coordinate.
+        coordinate: usize,
+    },
 }
 
 impl std::fmt::Display for HypermError {
@@ -144,6 +154,16 @@ impl std::fmt::Display for HypermError {
                 write!(
                     f,
                     "peer {peer} has {got}-dimensional data, expected {expected}"
+                )
+            }
+            HypermError::NonFinite {
+                peer,
+                row,
+                coordinate,
+            } => {
+                write!(
+                    f,
+                    "peer {peer}'s item {row} has a non-finite coordinate {coordinate}"
                 )
             }
         }

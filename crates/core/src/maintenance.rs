@@ -16,6 +16,7 @@
 //!   its count) and the updated sphere is re-published, at overlay cost.
 
 use crate::network::HypermNetwork;
+use crate::peer::assert_finite;
 use hyperm_geometry::vecmath::dist;
 use hyperm_sim::OpStats;
 
@@ -32,8 +33,15 @@ pub enum InsertPolicy {
 impl HypermNetwork {
     /// Insert `item` (original space) at `peer` after the network was
     /// built. Returns the message cost (zero for stale summaries).
+    ///
+    /// # Panics
+    /// If `item` is not `data_dim` wide, or a coordinate is not finite
+    /// (under either policy).
     pub fn insert_item(&mut self, peer: usize, item: &[f64], policy: InsertPolicy) -> OpStats {
         assert_eq!(item.len(), self.config.data_dim, "item dimension mismatch");
+        // A NaN has no nearest cluster to join, and an item no query can
+        // return would be stored silently.
+        assert_finite("item", item);
         let dec = self.decompose_query(item);
         let levels = self.levels();
         let mut stats = OpStats::zero();
@@ -115,6 +123,38 @@ mod tests {
         assert_eq!(cost, OpStats::zero());
         assert_eq!(net.peer(2).len(), before + 1);
         assert_eq!(net.peer(2).level_views()[0].len(), before + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "item must be finite, coordinate 3 is NaN")]
+    fn republish_refuses_a_nan_item() {
+        let mut item = vec![0.4; 8];
+        item[3] = f64::NAN;
+        build(5).insert_item(1, &item, InsertPolicy::Republish);
+    }
+
+    #[test]
+    #[should_panic(expected = "item must be finite, coordinate 0 is inf")]
+    fn republish_refuses_an_infinite_item() {
+        let mut item = vec![0.4; 8];
+        item[0] = f64::INFINITY;
+        build(5).insert_item(1, &item, InsertPolicy::Republish);
+    }
+
+    #[test]
+    #[should_panic(expected = "item must be finite, coordinate 7 is NaN")]
+    fn stale_insert_refuses_a_nan_item() {
+        let mut item = vec![0.4; 8];
+        item[7] = f64::NAN;
+        build(5).insert_item(1, &item, InsertPolicy::StaleSummaries);
+    }
+
+    #[test]
+    #[should_panic(expected = "item must be finite, coordinate 5 is -inf")]
+    fn stale_insert_refuses_a_negative_infinite_item() {
+        let mut item = vec![0.4; 8];
+        item[5] = f64::NEG_INFINITY;
+        build(5).insert_item(1, &item, InsertPolicy::StaleSummaries);
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl HypermNetwork {
         }
 
         // ---- Offline phase: summarise every peer (parallel). ----
-        let peers = summarize_all(peers_data, &config);
+        let peers = summarize_all(peers_data, &config)?;
 
         // ---- Overlay construction (one CAN per subspace). ----
         let subspaces = config.subspaces();
@@ -545,8 +545,23 @@ fn simulate_parallel_publication(per_peer_rounds: &[Vec<u64>]) -> u64 {
 }
 
 /// Summarise all peers, in parallel when the corpus is large enough to pay
-/// for thread startup.
-fn summarize_all(peers_data: Vec<Dataset>, config: &HypermConfig) -> Vec<Peer> {
+/// for thread startup. A peer holding a NaN or infinite coordinate is
+/// refused; with several, the lowest peer id is named, whichever thread
+/// met it.
+fn summarize_all(
+    peers_data: Vec<Dataset>,
+    config: &HypermConfig,
+) -> Result<Vec<Peer>, HypermError> {
+    // A refusal is `(peer, row, coordinate)`: the lowest in that order is
+    // the one to name.
+    let summarize = |(id, items): (usize, Dataset)| {
+        Peer::try_summarize(id, items, config).map_err(|(row, coordinate)| (id, row, coordinate))
+    };
+    let refuse = |(peer, row, coordinate)| HypermError::NonFinite {
+        peer,
+        row,
+        coordinate,
+    };
     let total_items: usize = peers_data.iter().map(Dataset::len).sum();
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -555,8 +570,9 @@ fn summarize_all(peers_data: Vec<Dataset>, config: &HypermConfig) -> Vec<Peer> {
         return peers_data
             .into_iter()
             .enumerate()
-            .map(|(id, items)| Peer::summarize(id, items, config))
-            .collect();
+            .map(summarize)
+            .collect::<Result<_, _>>()
+            .map_err(refuse);
     }
     // Scoped threads: deal peers round-robin, collect by index.
     let indexed: Vec<(usize, Dataset)> = peers_data.into_iter().enumerate().collect();
@@ -568,6 +584,7 @@ fn summarize_all(peers_data: Vec<Dataset>, config: &HypermConfig) -> Vec<Peer> {
         cs
     };
     let mut out: Vec<Peer> = Vec::new();
+    let mut refused = None;
     std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .into_iter()
@@ -575,8 +592,8 @@ fn summarize_all(peers_data: Vec<Dataset>, config: &HypermConfig) -> Vec<Peer> {
                 scope.spawn(move || {
                     chunk
                         .into_iter()
-                        .map(|(id, items)| Peer::summarize(id, items, config))
-                        .collect::<Vec<Peer>>()
+                        .map(summarize)
+                        .collect::<Result<Vec<Peer>, _>>()
                 })
             })
             .collect();
@@ -585,11 +602,19 @@ fn summarize_all(peers_data: Vec<Dataset>, config: &HypermConfig) -> Vec<Peer> {
                 clippy::expect_used,
                 reason = "re-raising a worker panic on the coordinator thread is the intended propagation"
             )]
-            out.extend(h.join().expect("summarisation thread panicked"));
+            match h.join().expect("summarisation thread panicked") {
+                Ok(peers) => out.extend(peers),
+                // A chunk stops at its lowest refused peer (peers are dealt
+                // in id order), so the lowest over chunks is the first.
+                Err(e) => refused = Some(refused.map_or(e, |r: (usize, usize, usize)| r.min(e))),
+            }
         }
     });
+    if let Some(r) = refused {
+        return Err(refuse(r));
+    }
     out.sort_by_key(|p| p.id);
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -723,6 +748,30 @@ mod tests {
             HypermNetwork::build(mismatched, config()).unwrap_err(),
             HypermError::DimensionMismatch { .. }
         ));
+    }
+
+    /// A NaN or infinite coordinate anywhere in the corpus is refused
+    /// before k-means sees it, naming the first one — also over 2k items,
+    /// where summarisation may run on several threads.
+    #[test]
+    fn non_finite_data_is_refused() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (peers, items) in [(4, 5), (8, 300)] {
+                let mut data = peers_data(peers, items, 16, 11);
+                data[peers - 1].row_mut(0)[0] = bad;
+                data[2].row_mut(4)[1] = bad;
+                data[2].row_mut(3)[7] = bad;
+                assert_eq!(
+                    HypermNetwork::build(data, config()).unwrap_err(),
+                    HypermError::NonFinite {
+                        peer: 2,
+                        row: 3,
+                        coordinate: 7
+                    },
+                    "{bad} over {peers} peers"
+                );
+            }
+        }
     }
 
     #[test]

@@ -217,8 +217,13 @@ fn peak(v: &[f64]) -> f64 {
 /// NaN would reach the overlays as a NaN radius, and an infinite one
 /// would match no item at all.
 pub(crate) fn assert_finite_centre(q: &[f64]) {
-    if let Some(i) = q.iter().position(|x| !x.is_finite()) {
-        panic!("query centre must be finite, coordinate {i} is {}", q[i]);
+    assert_finite("query centre", q);
+}
+
+/// Panics unless every coordinate of `v` is finite, naming `v` as `what`.
+pub(crate) fn assert_finite(what: &str, v: &[f64]) {
+    if let Some(i) = v.iter().position(|x| !x.is_finite()) {
+        panic!("{what} must be finite, coordinate {i} is {}", v[i]);
     }
 }
 
@@ -341,7 +346,30 @@ impl Peer {
     ///
     /// The k-means seed is derived from `(config.seed, id, level)` so the
     /// whole network build is reproducible while peers stay decorrelated.
+    ///
+    /// # Panics
+    /// If `items` is empty, is not `data_dim` wide, or holds a NaN or
+    /// infinite coordinate (which k-means cannot cluster).
     pub fn summarize(id: usize, items: Dataset, config: &HypermConfig) -> Peer {
+        match Self::try_summarize(id, items, config) {
+            Ok(peer) => peer,
+            Err((row, coordinate)) => {
+                panic!("peer {id}: item {row} has a non-finite coordinate {coordinate}")
+            }
+        }
+    }
+
+    /// [`Peer::summarize`], or `(row, coordinate)` of the first NaN or
+    /// infinite coordinate in `items`. The check rides on what summarising
+    /// reads anyway: a NaN makes an item's approximation coefficient NaN
+    /// (it is a scaled sum of every coordinate) and an infinity makes its
+    /// peak magnitude infinite, so only an item that trips either is
+    /// scanned.
+    pub(crate) fn try_summarize(
+        id: usize,
+        items: Dataset,
+        config: &HypermConfig,
+    ) -> Result<Peer, (usize, usize)> {
         assert!(!items.is_empty(), "peer {id} has no items");
         assert_eq!(items.dim(), config.data_dim, "peer {id} dimension mismatch");
         let subspaces = kept_subspaces(config);
@@ -354,13 +382,19 @@ impl Peer {
             .collect();
         let mut scratch = Vec::new();
         let mut peak_seen = 0.0f64;
-        for row in items.rows() {
+        for (i, row) in items.rows().enumerate() {
             let coeffs = haar_pyramid(row, config.normalization, &subspaces, &mut scratch)
                 .expect("power-of-two dim");
+            let row_peak = peak(row);
+            if !(row_peak.is_finite() && coeffs[0].is_finite()) {
+                if let Some(c) = row.iter().position(|x| !x.is_finite()) {
+                    return Err((i, c));
+                }
+            }
             for (view, &s) in views.iter_mut().zip(&subspaces) {
                 view.push_row(&coeffs[s.range()]);
             }
-            peak_seen = peak_seen.max(peak(row));
+            peak_seen = peak_seen.max(row_peak);
         }
 
         // Cluster each published level independently.
@@ -386,7 +420,7 @@ impl Peer {
             .collect();
 
         let coarse = Coarse::build(&views[0]);
-        Peer {
+        Ok(Peer {
             id,
             items,
             views,
@@ -396,7 +430,7 @@ impl Peer {
             normalization: config.normalization,
             peak: peak_seen,
             coarse,
-        }
+        })
     }
 
     /// Number of local items.
