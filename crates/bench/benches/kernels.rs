@@ -406,9 +406,10 @@ fn bench_local_index(c: &mut Criterion) {
 }
 
 /// One peer's phase-2 range scan at the shape the harness measures
-/// (1000 × 512-d Markov rows, `range_wide`'s eps 0.5): the wavelet
-/// filter-and-refine `Peer` runs, against the kd-tree it replaced and a
-/// plain linear scan; then the same scan at `range_narrow`'s eps 0.05.
+/// (1000 × 512-d Markov rows around stored row 17): the wavelet
+/// filter-and-refine `Peer` runs at `range_wide`'s eps 0.5 and
+/// `range_narrow`'s eps 0.05, against the kd-tree it replaced and a plain
+/// linear scan at eps 0.5.
 fn bench_local_range(c: &mut Criterion) {
     use hyperm_cluster::KdTree;
     use hyperm_core::Peer;
@@ -424,12 +425,13 @@ fn bench_local_range(c: &mut Criterion) {
     let peer = Peer::summarize(0, data, &HypermConfig::new(512).with_seed(9));
     let data = &peer.items;
     let tree = KdTree::build(data);
-    c.bench_function("local_range_wavelet_filter_1000x512", |b| {
+    // The wide scan: the coarse index's window on `A` holds many rows,
+    // refined in coefficient order, and few of them answer.
+    c.bench_function("local_range_wide_1000x512", |b| {
         b.iter(|| peer.local_range(black_box(&q), eps))
     });
-    // The narrow scan, `range_narrow`'s eps 0.05 around a stored row:
-    // the coarse index's window on `A` holds a few rows, so the scan
-    // reads little more than those.
+    // The narrow scan: the window holds a few rows, so the scan reads
+    // little more than those.
     c.bench_function("local_range_narrow_1000x512", |b| {
         b.iter(|| peer.local_range(black_box(&q), 0.05))
     });

@@ -24,7 +24,7 @@
     reason = "the one slice is `ranked[..target]` with `target = p.min(ranked.len())`"
 )]
 use crate::network::HypermNetwork;
-use crate::peer::assert_finite_centre;
+use crate::peer::{assert_finite_centre, peak};
 use crate::query::{QueryBudget, QueryRun, Reply};
 use crate::score::{peers_to_cover, rank, LevelScorer, PeerScore};
 use hyperm_geometry::{solve_epsilon_for_k, ClusterView};
@@ -119,6 +119,7 @@ impl HypermNetwork {
         assert!(k > 0, "k must be positive");
         assert_finite_centre(q);
         let dec = self.decompose_query(q);
+        let q_peak = peak(q);
         let kind = OpKind::KnnQuery;
         let mut run = QueryRun::open(self, kind, "knn", from_peer, q.len(), budget, || {
             vec![("k", k.into()), ("c", opts.c.into())]
@@ -215,7 +216,7 @@ impl HypermNetwork {
                 1.0 / selected.len() as f64
             };
             let want = ((opts.c * k as f64 * share).ceil() as usize).max(1);
-            let local = self.peer(ps.peer).local_knn_with(q, &dec, want);
+            let local = self.peer(ps.peer).local_knn_with(q, &dec, q_peak, want);
             let got = local.len();
             retrieved.extend(local.into_iter().map(|(i, d)| ((ps.peer, i), d)));
             Some(Reply::Items {

@@ -9,7 +9,7 @@
 //! direct exact-match request settles it.
 
 use crate::network::HypermNetwork;
-use crate::peer::assert_finite_centre;
+use crate::peer::{assert_finite_centre, peak};
 use crate::query::{QueryBudget, QueryRun, Reply};
 use crate::score::{rank, LevelScores};
 use hyperm_sim::{NodeId, OpStats};
@@ -58,6 +58,7 @@ impl HypermNetwork {
     ) -> PointResult {
         assert_finite_centre(q);
         let dec = self.decompose_query(q);
+        let q_peak = peak(q);
         let kind = OpKind::PointQuery;
         let mut run = QueryRun::open(self, kind, "point", from_peer, q.len(), budget, Vec::new);
 
@@ -83,7 +84,7 @@ impl HypermNetwork {
         // Direct exact-match probes of every candidate.
         let mut matches = Vec::new();
         run.walk(&ranked, ranked.len(), Reply::Matched(false), |ps| {
-            let hit = self.peer(ps.peer).local_point_with(q, &dec);
+            let hit = self.peer(ps.peer).local_point_with(q, &dec, q_peak);
             matches.extend(hit.map(|idx| (ps.peer, idx)));
             Some(Reply::Matched(hit.is_some()))
         });

@@ -11,7 +11,7 @@
 //! paper plots in Figure 10a.
 
 use crate::network::HypermNetwork;
-use crate::peer::assert_finite_centre;
+use crate::peer::{assert_finite_centre, peak};
 use crate::query::{QueryBudget, QueryRun, Reply};
 use crate::score::{rank, LevelScorer, PeerScore};
 use hyperm_sim::{NodeId, OpStats};
@@ -80,6 +80,7 @@ impl HypermNetwork {
         assert!(eps >= 0.0, "negative radius {eps}");
         assert_finite_centre(q);
         let dec = self.decompose_query(q);
+        let q_peak = peak(q);
         let tel = self.recorder();
         let kind = OpKind::RangeQuery;
         let mut run = QueryRun::open(self, kind, "range", from_peer, q.len(), budget, || {
@@ -154,7 +155,7 @@ impl HypermNetwork {
         let mut items = Vec::new();
         let none = Reply::Items { want: None, got: 0 };
         let contacted = run.walk(&ranked, target, none, |ps| {
-            let local = self.peer(ps.peer).local_range_with(q, &dec, eps);
+            let local = self.peer(ps.peer).local_range_with(q, &dec, q_peak, eps);
             let got = local.len();
             items.extend(local.into_iter().map(|i| (ps.peer, i)));
             Some(Reply::Items { want: None, got })
