@@ -1523,7 +1523,6 @@ impl LoadBench {
             "{cell}: gini {} out of [0, 1]",
             load.gini
         );
-        let (hits, misses) = balancer.cache().map_or((0, 0), |c| (c.hits(), c.misses()));
         let mut heat = vec![s.to_string(), relief.into()];
         for (max, total) in load
             .heat_max_per_level
@@ -1551,8 +1550,6 @@ impl LoadBench {
                 migrations.to_string(),
                 splits.to_string(),
                 merges.to_string(),
-                hits.to_string(),
-                misses.to_string(),
                 format!("{:.6}", load.max_energy_j),
                 format!("{:.6}", load.total_energy_j),
             ],
@@ -1565,12 +1562,11 @@ impl LoadBench {
 /// "Load balancing").
 ///
 /// Sweeps the Zipf exponent s ∈ {0, 0.8, 1.2} against a ladder of relief
-/// mechanisms: none, virtual nodes, then load-triggered zone splits, then
-/// the popular-summary cache. Every cell returns exactly the flat-scan
-/// answers (relief only grows candidate sets, Theorem 4.1) and the
-/// no-relief cell's result sets (the cached path replays the cold one);
-/// at s = 1.2 full relief must cut the max/median per-peer load ratio by
-/// at least 2×. All three are asserted.
+/// mechanisms: none, virtual nodes, then virtual nodes plus load-triggered
+/// zone splits. Every cell returns exactly the flat-scan answers (relief
+/// only grows candidate sets, Theorem 4.1) and the no-relief cell's result
+/// sets; at s = 1.2 full relief must cut the max/median per-peer load
+/// ratio by at least 2×. All three are asserted.
 pub fn load(scale: Scale) -> Figure {
     let w = LoadWorkload::at(scale);
     let peers = w.build_peers(79);
@@ -1590,8 +1586,7 @@ pub fn load(scale: Scale) -> Figure {
     let ladder = [
         ("none", LoadConfig::default()),
         ("vnodes", vnodes),
-        ("vnodes_splits", splits.clone()),
-        ("vnodes_splits_cache", splits.with_cache(true)),
+        ("vnodes_splits", splits),
     ];
     let (mut rows, mut heat, mut headline) = (Vec::new(), Vec::new(), (0.0, 0.0));
     for s in [0.0, 0.8, 1.2] {
@@ -1600,7 +1595,7 @@ pub fn load(scale: Scale) -> Figure {
         for (relief, cfg) in ladder.clone() {
             let cell = bench.cell(s, relief, cfg, none.as_ref().map(|(r, _)| r.as_slice()));
             let (_, ratio_none) = none.get_or_insert((cell.results, cell.ratio));
-            if s == 1.2 && relief == "vnodes_splits_cache" {
+            if s == 1.2 && relief == "vnodes_splits" {
                 headline = (*ratio_none, cell.ratio);
             }
             rows.push(cell.row);
@@ -1647,8 +1642,6 @@ pub fn load(scale: Scale) -> Figure {
                     "migrations",
                     "splits",
                     "merges",
-                    "cache hits",
-                    "cache misses",
                     "max energy (J)",
                     "total energy (J)",
                 ],
@@ -1669,9 +1662,9 @@ pub fn load(scale: Scale) -> Figure {
                 ]],
             ),
         ],
-        expected: "Expected shape: splits and the cache cut the max/median ratio and the Gini\n\
-                   coefficient well below no relief at every skew; at s = 1.2 full relief at\n\
-                   least halves max/median, with every answer unchanged (all asserted).",
+        expected: "Expected shape: virtual nodes plus splits cut the max/median ratio and the\n\
+                   Gini coefficient well below no relief at every skew; at s = 1.2 full relief\n\
+                   at least halves max/median, with every answer unchanged (all asserted).",
     }
 }
 

@@ -224,14 +224,6 @@ impl HypermNetwork {
         for (l, can) in self.cans_mut("a fault plan", cfg.is_some()) {
             can.set_faults(cfg.map(|c| c.with_seed(c.seed.wrapping_add(l as u64))));
         }
-        // The popular-summary cache sits out fault injection: a hit skips
-        // the injector's per-hop RNG draws, which would desynchronise the
-        // fault timeline of every later query. Entries cached before the
-        // change are stale either way.
-        if let Some(cache) = self.summary_cache() {
-            cache.bump_epoch();
-            cache.set_active(cfg.is_none());
-        }
     }
 
     /// Fault counters summed over all levels (`None` when injection is

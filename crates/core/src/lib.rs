@@ -79,7 +79,6 @@ pub use network::{BuildReport, HypermNetwork};
 pub use overlay::{Overlay, OverlayBackend};
 pub use peer::Peer;
 pub use publish::{PublishReport, SphereRef};
-pub use query::cache::SummaryCache;
 pub use query::knn::{KnnOptions, KnnResult};
 pub use query::point::PointResult;
 pub use query::range::RangeResult;

@@ -24,7 +24,6 @@
 use crate::config::HypermConfig;
 use crate::overlay::{Overlay, OverlayBackend};
 use crate::peer::Peer;
-use crate::query::cache::SummaryCache;
 use crate::HypermError;
 use hyperm_can::{CanOverlay, KeyMap};
 use hyperm_cluster::Dataset;
@@ -91,10 +90,6 @@ pub struct HypermNetwork {
     partition: Option<Vec<u32>>,
     /// Telemetry handle (disabled by default; see `hyperm_telemetry`).
     recorder: Recorder,
-    /// Popular-summary cache consulted by phase-1 range lookups (`None` —
-    /// the default — keeps the query path bit-identical to the uncached
-    /// build; see `hyperm-load`). Clones share the cache via the `Arc`.
-    cache: Option<Arc<SummaryCache>>,
     /// Per-peer load ledger (`None` — the default — charges nothing).
     /// Installed via [`HypermNetwork::set_load_ledger`], which also hands
     /// each level's overlay a level-scoped probe. Clones share the ledger.
@@ -180,7 +175,6 @@ impl HypermNetwork {
             failed: vec![false; n],
             partition: None,
             recorder: Recorder::disabled(),
-            cache: None,
             load: None,
         };
         net.set_recorder(recorder);
@@ -295,11 +289,6 @@ impl HypermNetwork {
         for (_, can) in self.cans_mut("a partition", map.is_some()) {
             can.set_partition(map.clone());
         }
-        // Partition install *and* heal change which candidates a flood can
-        // reach — cached phase-1 answers are stale either way.
-        if let Some(c) = &self.cache {
-            c.bump_epoch();
-        }
         self.partition = map;
     }
 
@@ -353,30 +342,9 @@ impl HypermNetwork {
         &self.overlays[level]
     }
 
-    /// Mutably borrow a level's overlay (used by maintenance). Every
-    /// mutable access conservatively invalidates the popular-summary
-    /// cache: publish, refresh, churn and repair all route through here,
-    /// so a cached phase-1 answer can never outlive the overlay state it
-    /// was computed against.
+    /// Mutably borrow a level's overlay (used by maintenance).
     pub(crate) fn overlay_mut(&mut self, level: usize) -> &mut Overlay {
-        if let Some(c) = &self.cache {
-            c.bump_epoch();
-        }
         &mut self.overlays[level]
-    }
-
-    /// Install (or clear) the popular-summary cache consulted by phase-1
-    /// range lookups. `None` (the default) keeps queries bit-identical to
-    /// an uncached network. The cache is shared: clones of this network
-    /// see the same `Arc`, so comparative experiments should install
-    /// separate caches (or `None`) per clone.
-    pub fn set_summary_cache(&mut self, cache: Option<Arc<SummaryCache>>) {
-        self.cache = cache;
-    }
-
-    /// The installed popular-summary cache, if any.
-    pub fn summary_cache(&self) -> Option<&Arc<SummaryCache>> {
-        self.cache.as_ref()
     }
 
     /// Install (or clear) the per-peer load ledger: each level's CAN gets
@@ -403,8 +371,7 @@ impl HypermNetwork {
     /// and grant the half containing it to `to_peer` (replicas are
     /// *copied*, so the candidate set only grows — Theorem 4.1 holds).
     /// `None` when the point is unowned, the beneficiary is dead, or the
-    /// zone is too thin to split; panics on a tree-backed network. The
-    /// overlay mutation invalidates the summary cache like any other.
+    /// zone is too thin to split; panics on a tree-backed network.
     pub fn split_zone(&mut self, level: usize, point: &[f64], to_peer: usize) -> Option<OpStats> {
         if level >= self.levels() || to_peer >= self.len() {
             return None;

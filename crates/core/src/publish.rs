@@ -34,7 +34,7 @@ use crate::network::HypermNetwork;
 use crate::op::{cost_fields, Op};
 use hyperm_can::{InsertOutcome, ObjectRef};
 use hyperm_sim::{NodeId, OpStats};
-use hyperm_telemetry::{Counter, Name, OpKind, SpanId};
+use hyperm_telemetry::{Name, OpKind, SpanId};
 
 /// A published cluster sphere, by position: `peer`'s cluster `cluster` at
 /// wavelet level `level`. The unit of delivery accounting.
@@ -183,23 +183,6 @@ impl HypermNetwork {
                     }
                 }
             });
-        }
-        // One refresh advances the popular-summary cache's TTL clock:
-        // entries older than the configured number of rounds are swept
-        // (epoch bumps above already invalidated everything this refresh
-        // republished — the sweep reclaims the memory and counts it).
-        if let Some(cache) = self.summary_cache() {
-            let evicted = cache.advance_round();
-            if evicted > 0 {
-                let tel = self.recorder();
-                if tel.is_enabled() {
-                    let fields = vec![("evicted", evicted.into())];
-                    tel.event(op.span, Name::CacheEvict, fields);
-                }
-                if let Some(m) = tel.metrics() {
-                    m.add(Counter::CacheEvictions, evicted);
-                }
-            }
         }
         report.stats = op.close(cost_fields);
         report

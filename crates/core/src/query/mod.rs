@@ -12,9 +12,7 @@
 //! * [`range`] — ε-range queries, no false dismissals (Theorem 4.1);
 //! * [`knn`] — the Figure-5 heuristic with the Eq. 8 radius estimation and
 //!   the `C` precision/recall knob;
-//! * [`point`] — exact-match lookups;
-//! * [`cache`] — the popular-summary cache entry peers may consult before
-//!   a phase-1 overlay lookup (hot-spot relief; see `hyperm-load`).
+//! * [`point`] — exact-match lookups.
 //!
 //! Phase 2 is one candidate walk (`QueryRun::walk`) for all three. A
 //! candidate that does not answer — dead, or severed by the active
@@ -40,7 +38,6 @@
     clippy::unreachable,
     clippy::indexing_slicing
 )]
-pub mod cache;
 pub mod knn;
 pub mod point;
 pub mod range;

@@ -98,24 +98,6 @@ impl HypermNetwork {
             let (key, slack) = self.query_key_with_slack(&dec, l);
             let key_eps = self.query_key_radius(eps, l) + slack;
             let ltel = self.level_recorder(l);
-            // Popular-summary cache (hot-spot relief): an identical
-            // phase-1 lookup seen since the last overlay mutation is
-            // answered from the entry peer's cache — the exact scores the
-            // cold path produced, at zero overlay cost. See
-            // `query::cache` for why a hit can never be stale.
-            if let Some(cache) = self.summary_cache() {
-                if let Some(scores) = cache.lookup(from_peer, l, &key, key_eps) {
-                    if ltel.is_enabled() {
-                        ltel.event(
-                            qspan,
-                            Name::CacheHit,
-                            vec![("level", l.into()), ("peers", scores.peers().into())],
-                        );
-                    }
-                    per_level.push(scores);
-                    continue;
-                }
-            }
             let lookup = || vec![("key_eps", key_eps.into())];
             let scores = run.op.level(l, &ltel, Some(&lookup), |lv| {
                 let overlay = self.overlay(l);
@@ -131,12 +113,6 @@ impl HypermNetwork {
                 lv.tail(|| vec![("matches", matches.into()), ("peers", peers.into())]);
                 scores
             });
-            if let Some(cache) = self.summary_cache() {
-                cache.insert(from_peer, l, &key, key_eps, &scores);
-                if ltel.is_enabled() {
-                    ltel.event(qspan, Name::CacheMiss, vec![("level", l.into())]);
-                }
-            }
             per_level.push(scores);
         }
         let ranked = rank(&per_level, self.config.score_policy);

@@ -12,10 +12,10 @@
 //! positive score at *every* level, so its minimum stays positive.
 //!
 //! Phase 1 keeps each level dense up to the ranking: [`LevelScorer`] folds
-//! the flood's matches into [`LevelScores`] (one slot per peer id), the
-//! summary cache stores that same form, and [`rank`] folds the levels into
-//! the ranked list. [`level_scores`] and [`aggregate`] are the map-shaped
-//! entry points, thin adapters over the same fold.
+//! the flood's matches into [`LevelScores`] (one slot per peer id) and
+//! [`rank`] folds the levels into the ranked list. [`level_scores`] and
+//! [`aggregate`] are the map-shaped entry points, thin adapters over the
+//! same fold.
 
 use crate::config::ScorePolicy;
 use hyperm_can::{ObjectView, StoredObject};

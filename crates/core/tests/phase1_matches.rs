@@ -13,9 +13,7 @@ use hyperm_can::{
 };
 use hyperm_cluster::Dataset;
 use hyperm_core::score::{aggregate, level_scores, rank, LevelScorer, LevelScores, PeerScore};
-use hyperm_core::{
-    HypermConfig, HypermNetwork, Overlay, OverlayBackend, ScorePolicy, SphereRef, SummaryCache,
-};
+use hyperm_core::{HypermConfig, HypermNetwork, Overlay, OverlayBackend, ScorePolicy, SphereRef};
 use hyperm_geometry::vecmath::dist;
 use hyperm_geometry::IntersectionFraction;
 use hyperm_sim::{FaultConfig, NodeId, OpStats};
@@ -23,7 +21,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
 
 /// `spheres` random spheres in `[0,1)^dim`, published from random nodes.
 fn fill(overlay: &mut Overlay, rng: &mut StdRng, spheres: usize) {
@@ -599,32 +596,5 @@ fn dense_ranking_is_the_map_fold_bit_for_bit() {
         for (map, level) in levels.iter().zip(&dense) {
             assert_eq!(&level.to_map(), map, "case {case}");
         }
-    }
-}
-
-/// A summary-cache hit replays the dense scores the cold path produced,
-/// so the warm query ranks — and answers — exactly what the cold one and
-/// an uncached network do.
-#[test]
-fn cache_hit_ranks_what_the_cold_path_ranked() {
-    let plain = can_network(5);
-    let mut cached = plain.clone();
-    cached.set_summary_cache(Some(Arc::new(SummaryCache::new(4, 64))));
-    let mut rng = StdRng::seed_from_u64(55);
-    for _ in 0..6 {
-        let peer = rng.gen_range(0..plain.len());
-        let q = plain.peer(peer).items.row(rng.gen_range(0..30)).to_vec();
-        let eps = rng.gen::<f64>() * 0.4;
-        let want = plain.range_query(1, &q, eps, None);
-        let hits = cached.summary_cache().unwrap().hits();
-        for run in ["cold", "warm"] {
-            let got = cached.range_query(1, &q, eps, None);
-            assert_eq!(ranked_bits(&got.ranked), ranked_bits(&want.ranked), "{run}");
-            assert_eq!(got.items, want.items, "{run}");
-        }
-        assert!(
-            cached.summary_cache().unwrap().hits() >= hits + 4,
-            "the warm run hit"
-        );
     }
 }

@@ -2,7 +2,7 @@
 //! relief rounds against a live [`HypermNetwork`].
 
 use crate::{LoadConfig, LoadSnapshot};
-use hyperm_core::{HypermNetwork, SummaryCache};
+use hyperm_core::HypermNetwork;
 use hyperm_sim::{LoadLedger, NodeId, OpStats};
 use hyperm_telemetry::{Counter, Name, SpanId};
 use rand::rngs::StdRng;
@@ -35,7 +35,6 @@ impl ReliefReport {
 pub struct LoadBalancer {
     cfg: LoadConfig,
     ledger: Arc<LoadLedger>,
-    cache: Option<Arc<SummaryCache>>,
     rng: StdRng,
     /// Per-peer event totals at the end of the previous relieve round:
     /// decisions act on the load *since then*, not on all history — a
@@ -47,30 +46,19 @@ pub struct LoadBalancer {
 }
 
 impl LoadBalancer {
-    /// Wire a fresh ledger (and, per `cfg`, the summary cache and virtual
-    /// nodes) into `net`. Measurement alone — `LoadConfig::default()` —
-    /// changes no result and no telemetry byte; the ledger rides the
-    /// overlay hot paths on relaxed atomics.
+    /// Wire a fresh ledger (and, per `cfg`, virtual nodes) into `net`.
+    /// Measurement alone — `LoadConfig::default()` — changes no result
+    /// and no telemetry byte; the ledger rides the overlay hot paths on
+    /// relaxed atomics.
     pub fn install(net: &mut HypermNetwork, cfg: LoadConfig) -> Self {
         let ledger = Arc::new(LoadLedger::new(net.len(), net.levels()));
         net.set_load_ledger(Some(ledger.clone()));
-        let cache = if cfg.cache {
-            let c = Arc::new(SummaryCache::new(
-                cfg.cache_ttl_rounds,
-                cfg.cache_max_entries,
-            ));
-            net.set_summary_cache(Some(c.clone()));
-            Some(c)
-        } else {
-            None
-        };
         let rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0x10AD_BA1A));
         let last_events = vec![0; net.len()];
         let last_heat = vec![vec![0; net.len()]; net.levels()];
         let mut balancer = LoadBalancer {
             cfg,
             ledger,
-            cache,
             rng,
             last_events,
             last_heat,
@@ -81,12 +69,10 @@ impl LoadBalancer {
         balancer
     }
 
-    /// Detach all load machinery from `net`: the ledger stops charging,
-    /// the cache is removed. (The balancer keeps its handles for final
-    /// reporting.)
+    /// Detach the ledger from `net`: it stops charging. (The balancer
+    /// keeps its handle for final reporting.)
     pub fn uninstall(net: &mut HypermNetwork) {
         net.set_load_ledger(None);
-        net.set_summary_cache(None);
     }
 
     /// The active configuration.
@@ -97,11 +83,6 @@ impl LoadBalancer {
     /// The shared per-peer ledger.
     pub fn ledger(&self) -> &Arc<LoadLedger> {
         &self.ledger
-    }
-
-    /// The shared summary cache, when `cfg.cache` enabled it.
-    pub fn cache(&self) -> Option<&Arc<SummaryCache>> {
-        self.cache.as_ref()
     }
 
     /// Current load distribution over `net`'s alive peers.

@@ -20,12 +20,6 @@ pub struct LoadConfig {
     /// Max/median per-peer load ratio that triggers a split (and, at
     /// half of it, the flat-load merge-back). Must be > 1.
     pub split_ratio: f64,
-    /// Install the popular-summary cache on query entry peers.
-    pub cache: bool,
-    /// Cache TTL in refresh rounds (see `hyperm_core::SummaryCache`).
-    pub cache_ttl_rounds: u64,
-    /// Cache capacity in entries (oldest-insertion eviction).
-    pub cache_max_entries: usize,
     /// Seed for the balancer's own placement RNG (virtual-node split
     /// points). Query results never depend on it — only *where* relief
     /// zones land.
@@ -39,9 +33,6 @@ impl Default for LoadConfig {
             rebalance: false,
             splits: false,
             split_ratio: 2.0,
-            cache: false,
-            cache_ttl_rounds: 4,
-            cache_max_entries: 4096,
             seed: 0,
         }
     }
@@ -66,18 +57,6 @@ impl LoadConfig {
     pub fn with_split_ratio(mut self, ratio: f64) -> Self {
         assert!(ratio > 1.0, "split ratio must exceed 1, got {ratio}");
         self.split_ratio = ratio;
-        self
-    }
-
-    /// Enable (or disable) the popular-summary cache.
-    pub fn with_cache(mut self, on: bool) -> Self {
-        self.cache = on;
-        self
-    }
-
-    /// Override the cache TTL (refresh rounds).
-    pub fn with_cache_ttl(mut self, rounds: u64) -> Self {
-        self.cache_ttl_rounds = rounds;
         self
     }
 

@@ -5,7 +5,7 @@
 //! the handful of overlay nodes whose zones cover the popular query
 //! centres, and those hosts burn disproportionate messages, bytes and —
 //! on a MANET — battery. This crate measures that imbalance and relieves
-//! it with three independently toggleable mechanisms, all layered on
+//! it with two independently toggleable mechanisms, both layered on
 //! primitives the repair subsystem already ships:
 //!
 //! * **Measurement** — [`LoadBalancer::install`] wires a
@@ -25,10 +25,6 @@
 //!   set only grows — Theorem 4.1 holds); when load flattens again the
 //!   background dyadic sibling merge (`repair_to_quiescence`) folds the
 //!   fragments back.
-//! * **Popular-summary cache** — entry peers remember phase-1 score maps
-//!   (see `hyperm_core::SummaryCache`) so repeated popular queries never
-//!   touch the hot zones at all; epoch-based invalidation keeps cached
-//!   answers set-identical to cold ones.
 //!
 //! Everything defaults to **off**: a network without an installed balancer
 //! (or with [`LoadConfig::default`]) is bit-identical — results and
@@ -45,5 +41,4 @@ pub use balancer::{LoadBalancer, ReliefReport};
 pub use config::LoadConfig;
 pub use snapshot::LoadSnapshot;
 
-pub use hyperm_core::SummaryCache;
 pub use hyperm_sim::{LoadLedger, PeerLoad};

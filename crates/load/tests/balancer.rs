@@ -1,12 +1,14 @@
 //! End-to-end balancer behaviour against real Hyper-M networks: virtual
 //! nodes, load-triggered splits/merges and migration all preserve the
-//! overlay invariants and the no-false-dismissal guarantee.
+//! overlay invariants and the no-false-dismissal guarantee, with and
+//! without message loss during the relief rounds.
 
 use hyperm_baseline::FlatIndex;
 use hyperm_cluster::Dataset;
 use hyperm_core::{HypermConfig, HypermNetwork};
 use hyperm_datagen::ZipfWorkload;
 use hyperm_load::{LoadBalancer, LoadConfig};
+use hyperm_sim::FaultConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -120,49 +122,63 @@ fn virtual_nodes_place_fragments_and_keep_invariants() {
     assert_eq!(got, want, "virtual-node placement altered query results");
 }
 
+/// Relief on a clean network and on one losing a fifth of its overlay
+/// messages during the adaptation rounds: either way the rounds act and,
+/// once the plan is cleared, recall against the flat scan is exact.
 #[test]
 fn relieve_acts_on_skew_and_preserves_recall() {
-    let (mut net, peers) = build(12, 4);
-    let flat = FlatIndex::from_peers(&peers);
-    // Virtual-node placement already spreads the Zipf head well (the
-    // steady-state max/median events ratio sits near 1.3), so the
-    // trigger is set below that to exercise the relief machinery.
-    let mut balancer = LoadBalancer::install(
-        &mut net,
-        LoadConfig::default()
-            .with_virtual_nodes(3)
-            .with_splits(true)
-            .with_split_ratio(1.25)
-            .with_seed(11),
-    );
-    let mut w = zipf_over(&peers, 1.2, 13);
-    let mut acted = false;
-    for round in 0..6 {
-        for _ in 0..25 {
-            let q = w.next_center();
-            net.range_query(round % net.len(), &q, 0.25, None);
+    for faults in [None, Some(FaultConfig::lossy(0.2).with_seed(19))] {
+        let (mut net, peers) = build(12, 4);
+        let flat = FlatIndex::from_peers(&peers);
+        // Virtual-node placement already spreads the Zipf head well (the
+        // steady-state max/median events ratio sits near 1.3), so the
+        // trigger is set below that to exercise the relief machinery.
+        let mut balancer = LoadBalancer::install(
+            &mut net,
+            LoadConfig::default()
+                .with_virtual_nodes(3)
+                .with_splits(true)
+                .with_split_ratio(1.25)
+                .with_seed(11),
+        );
+        net.set_fault_plan(faults);
+        let mut w = zipf_over(&peers, 1.2, 13);
+        let mut acted = false;
+        for round in 0..6 {
+            for _ in 0..25 {
+                let q = w.next_center();
+                net.range_query(round % net.len(), &q, 0.25, None);
+            }
+            let report = balancer.relieve(&mut net);
+            acted |= report.acted();
+            for l in 0..net.levels() {
+                net.overlay(l).check_invariants();
+            }
         }
-        let report = balancer.relieve(&mut net);
-        acted |= report.acted();
-        for l in 0..net.levels() {
-            net.overlay(l).check_invariants();
+        assert!(
+            acted,
+            "faults {faults:?}: heavy skew must trigger at least one relief action"
+        );
+        if faults.is_some() {
+            let drops = net.fault_report().map_or(0, |r| r.drops);
+            assert!(drops > 0, "the lossy plan dropped nothing");
         }
-    }
-    assert!(acted, "heavy skew must trigger at least one relief action");
-    // Recall stays 1.0 against the flat scan after all that surgery.
-    let mut w2 = zipf_over(&peers, 1.2, 13);
-    for _ in 0..10 {
-        let q = w2.next_center();
-        let truth = flat.range(&q, 0.25);
-        let got = net.range_query(0, &q, 0.25, None);
-        let got_set: std::collections::HashSet<_> = got.items.iter().copied().collect();
-        for t in &truth {
-            assert!(
-                got_set.contains(t),
-                "relief caused a false dismissal: {t:?}"
-            );
+        net.set_fault_plan(None);
+        // Recall stays 1.0 against the flat scan after all that surgery.
+        let mut w2 = zipf_over(&peers, 1.2, 13);
+        for _ in 0..10 {
+            let q = w2.next_center();
+            let truth = flat.range(&q, 0.25);
+            let got = net.range_query(0, &q, 0.25, None);
+            let got_set: std::collections::HashSet<_> = got.items.iter().copied().collect();
+            for t in &truth {
+                assert!(
+                    got_set.contains(t),
+                    "faults {faults:?}: relief caused a false dismissal: {t:?}"
+                );
+            }
+            assert_eq!(got_set.len(), truth.len(), "faults {faults:?}");
         }
-        assert_eq!(got_set.len(), truth.len());
     }
 }
 

@@ -2,7 +2,7 @@
 //! decided.
 //!
 //! The paper's protocol holds no locks; the tooling around it does
-//! (telemetry, transport, the overlay's fault slot, the summary cache).
+//! (telemetry, transport, the overlay's fault slot).
 //! Every one of those locks is a [`Mutex`] from this module and carries
 //! a `Rank`: a thread may take a lock only while every lock it already
 //! holds ranks strictly higher. That allows exactly one nesting, a

@@ -138,12 +138,6 @@ wire_enum! {
         Disconnect = "disconnect",
         /// A node runtime relayed a request/reply on behalf of another peer.
         Forward = "forward",
-        /// A phase-1 level lookup was answered from the popular-summary cache.
-        CacheHit = "cache_hit",
-        /// A phase-1 level lookup missed the popular-summary cache.
-        CacheMiss = "cache_miss",
-        /// Cached summaries were evicted (TTL expiry on a refresh round).
-        CacheEvict = "cache_evict",
         /// A hot zone was split and half granted to a colder host.
         ZoneSplit = "zone_split",
         /// Zone fragments were merged back (load-triggered quiescence pass).
@@ -178,8 +172,6 @@ wire_enum! {
         PublishDeferred = "publish_deferred",
         /// Queries executed (whole-op counter).
         Queries = "queries",
-        /// Summaries evicted from the popular-summary cache (aggregate).
-        CacheEvictions = "cache_evictions",
         /// Virtual-zone migrations executed by the load balancer.
         VnodeMigrations = "vnode_migrations",
         /// Window-stats scrapes served by a node runtime (aggregate).
@@ -219,8 +211,8 @@ mod tests {
             );
             assert!(seen.insert(s), "duplicate wire string {s:?}");
         }
-        assert_eq!(Name::ROWS.len(), 47);
-        assert_eq!(seen.len(), 47 + 5);
+        assert_eq!(Name::ROWS.len(), 44);
+        assert_eq!(seen.len(), 44 + 4);
     }
 
     #[test]

@@ -356,8 +356,15 @@ impl WindowSnapshot {
         out
     }
 
-    /// Render as a single-line JSON object (what `StatsAck` carries).
+    /// Render as a single-line JSON object.
     pub fn to_json(&self) -> String {
+        self.to_json_obj().render()
+    }
+
+    /// The snapshot as a JSON object under construction, so a caller can
+    /// append its own fields before rendering (the node runtime adds its
+    /// liveness verdict for `StatsAck`).
+    pub fn to_json_obj(&self) -> JsonObj {
         let buckets = self
             .latency_buckets
             .iter()
@@ -384,7 +391,6 @@ impl WindowSnapshot {
             .raw("latency_buckets", inline_arr(buckets))
             .raw("heat", inline_arr(&self.heat))
             .raw("series", inline_arr(series))
-            .render()
     }
 
     /// Parse a snapshot back from [`WindowSnapshot::to_json`] output.

@@ -33,6 +33,7 @@ use hyperm_can::Message;
 use hyperm_cluster::Dataset;
 use hyperm_core::{HypermNetwork, InsertPolicy};
 use hyperm_sim::{Backoff, OpStats};
+use hyperm_telemetry::json::inline_arr;
 use hyperm_telemetry::{Counter, JsonObj, Name, Recorder, SpanId, TraceCtx, Window, WindowConfig};
 use request::request;
 use std::collections::{BTreeMap, VecDeque};
@@ -566,16 +567,15 @@ impl<T: Transport> NodeRuntime<T> {
     /// This node's window snapshot as JSON (what `StatsAck` carries):
     /// stamped with the transport peer id, the monotone scrape sequence
     /// and the frame clock for joinability with monitor output.
+    /// The liveness verdict rides along as `degraded`;
+    /// `WindowSnapshot::from_json` ignores unknown keys, so merge tooling
+    /// stays compatible.
     pub fn stats_json(&self) -> String {
-        let snap = self
-            .window
+        self.window
             .snapshot(self.transport.local(), self.scrape_seq)
-            .to_json();
-        // Splice the liveness verdict into the snapshot object;
-        // `WindowSnapshot::from_json` ignores unknown keys, so merge
-        // tooling stays compatible.
-        let body = snap.strip_suffix('}').unwrap_or(&snap);
-        format!("{body},\"degraded\":{}}}", self.degraded)
+            .to_json_obj()
+            .b("degraded", self.degraded)
+            .render()
     }
 
     /// Live overlay state as JSON: role, membership, and per-level zones,
@@ -625,25 +625,17 @@ impl<T: Transport> NodeRuntime<T> {
                         );
                     if let Some(can) = ov.as_can() {
                         level_obj = level_obj.u("alive", can.alive_count() as u64);
+                        let coords = |v: &[f64]| inline_arr(v.iter().map(|x| format!("{x:.6}")));
                         let nodes: Vec<String> = can
                             .nodes()
                             .map(|n| {
+                                let neighbours = inline_arr(n.neighbours.iter().map(|p| p.0));
                                 JsonObj::new()
                                     .u("id", n.id.0 as u64)
                                     .b("alive", n.alive)
-                                    .raw("zone_lo", render_coords(n.zone.lo()))
-                                    .raw("zone_hi", render_coords(n.zone.hi()))
-                                    .raw(
-                                        "neighbours",
-                                        format!(
-                                            "[{}]",
-                                            n.neighbours
-                                                .iter()
-                                                .map(|p| p.0.to_string())
-                                                .collect::<Vec<_>>()
-                                                .join(",")
-                                        ),
-                                    )
+                                    .raw("zone_lo", coords(n.zone.lo()))
+                                    .raw("zone_hi", coords(n.zone.hi()))
+                                    .raw("neighbours", neighbours)
                                     .u("stored", n.store.len() as u64)
                                     .render()
                             })
@@ -736,16 +728,6 @@ fn record_reply(window: &Window, reply: &Message, latency_us: u64) {
         }
         _ => window.record_op(&OpStats::zero(), latency_us),
     }
-}
-
-fn render_coords(v: &[f64]) -> String {
-    format!(
-        "[{}]",
-        v.iter()
-            .map(|x| format!("{x:.6}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    )
 }
 
 /// The first alive peer, for use as routing/query origin when the
@@ -907,5 +889,65 @@ fn handle_on_network(net: &mut HypermNetwork, msg: Message) -> Option<(Message, 
         | Message::MonitorAck { .. }
         | Message::PutAck { .. }
         | Message::StatsAck { .. } => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MemHub;
+    use hyperm_core::HypermConfig;
+    use hyperm_datagen::{generate_aloi_like, AloiConfig};
+    use hyperm_telemetry::JsonValue;
+
+    #[test]
+    fn stats_and_monitor_json_parse_with_their_fields() {
+        let data: Vec<Dataset> = (0..4)
+            .map(|slot| {
+                generate_aloi_like(&AloiConfig {
+                    classes: 1,
+                    views_per_class: 12,
+                    bins: 8,
+                    view_jitter: 0.15,
+                    seed: 3 + slot,
+                })
+                .data
+            })
+            .collect();
+        let cfg = HypermConfig::new(8)
+            .with_levels(2)
+            .with_clusters_per_peer(2)
+            .with_seed(3);
+        let (net, _) = HypermNetwork::build(data, cfg).unwrap();
+        let width = net.overlay(1).dim();
+        let head = NodeRuntime::new(MemHub::new(8).endpoint(0), Role::Head(Box::new(net)));
+
+        let stats = JsonValue::parse(&head.stats_json()).unwrap();
+        assert_eq!(
+            stats.get("degraded").and_then(JsonValue::as_bool),
+            Some(false)
+        );
+        assert_eq!(stats.get("node").and_then(JsonValue::as_u64), Some(0));
+
+        let monitor = JsonValue::parse(&head.monitor_json()).unwrap();
+        assert_eq!(
+            monitor.get("degraded").and_then(JsonValue::as_bool),
+            Some(false)
+        );
+        let overlays = monitor.get("overlays").and_then(JsonValue::as_arr).unwrap();
+        let nodes = overlays[1]
+            .get("nodes")
+            .and_then(JsonValue::as_arr)
+            .unwrap();
+        assert_eq!(nodes.len(), 4);
+        let zone_lo = nodes[0].get("zone_lo").and_then(JsonValue::as_arr).unwrap();
+        assert_eq!(zone_lo.len(), width);
+        assert!(zone_lo.iter().all(|x| x.as_f64().is_some()));
+        let neighbours = nodes[0]
+            .get("neighbours")
+            .and_then(JsonValue::as_arr)
+            .unwrap();
+        assert!(!neighbours.is_empty());
+        assert!(neighbours.iter().all(|p| p.as_u64().is_some_and(|p| p < 4)));
     }
 }

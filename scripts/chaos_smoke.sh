@@ -4,7 +4,7 @@
 # crash-rejoin path end to end: the reborn member re-Joins through the
 # normal join protocol, resolves to the SAME overlay peer id (no
 # duplicate admission), forwarded queries recover recall 1.0, the
-# member's Stats report `"degraded":false`, and a final SLO-checked
+# member's Stats report `"degraded": false`, and a final SLO-checked
 # watch round over every node exits clean.
 #
 # Requires release binaries (cargo build --release). Run from the repo
@@ -92,7 +92,7 @@ case "$OUT" in *'[0,20]'*) ;; *) fail "post-rejoin forwarded query missed the it
 echo "== the reborn member's liveness verdict is healthy"
 STATS=$("$BIN/hyperm-client" stats --node "$M1")
 echo "$STATS" >&2
-case "$STATS" in *'"degraded":false'*) ;; *) fail "member reports degraded after rejoin: $STATS" ;; esac
+case "$STATS" in *'"degraded": false'*) ;; *) fail "member reports degraded after rejoin: $STATS" ;; esac
 
 echo "== final SLO verdict: one watch round over every node, clean"
 "$BIN/hyperm-monitor" --watch --nodes "$HEAD,$M1,$M2" --interval 100 --count 2 \

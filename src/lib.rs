@@ -11,7 +11,7 @@
 //!
 //! * [`core`](mod@core) — the Hyper-M framework (build, range/k-nn/point
 //!   queries, maintenance, evaluation);
-//! * [`wavelet`](mod@wavelet) — Haar/D4 transforms and Theorem 3.1;
+//! * [`wavelet`](mod@wavelet) — the Haar transform and Theorem 3.1;
 //! * [`cluster`](mod@cluster) — k-means and cluster spheres;
 //! * [`geometry`](mod@geometry) — hypersphere intersections and the
 //!   Eq. 8 radius solver;
@@ -23,8 +23,8 @@
 //! * [`repair`](mod@repair) — the overlay repair engine: churn schedules,
 //!   zone takeover and soft-state replica refresh;
 //! * [`load`](mod@load) — per-peer load accounting and hot-spot relief:
-//!   virtual nodes, load-triggered zone splits/merges and the
-//!   popular-summary cache (all off by default);
+//!   virtual nodes and load-triggered zone splits/merges (both off by
+//!   default);
 //! * [`telemetry`](mod@telemetry) — structured event tracing, the
 //!   per-`(op kind, level)` metrics registry, and query forensics
 //!   (disabled by default and provably free for the simulation);
@@ -64,7 +64,7 @@ pub use hyperm_cluster::{
 pub use hyperm_core::{
     BuildReport, ChurnOutcome, EvalHarness, HypermConfig, HypermError, HypermNetwork, InsertPolicy,
     JoinError, JoinReport, KnnOptions, KnnResult, Overlay, OverlayBackend, Peer, PeerScore,
-    PointResult, PublishReport, QueryBudget, RangeResult, ScorePolicy, SphereRef, SummaryCache,
+    PointResult, PublishReport, QueryBudget, RangeResult, ScorePolicy, SphereRef,
 };
 pub use hyperm_datagen::{ZipfConfig, ZipfWorkload};
 pub use hyperm_geometry::{Overlap, SolveError};

@@ -19,7 +19,7 @@
 //!   refusing replies that are already queued.
 
 use hyperm::datagen::{generate_aloi_like, AloiConfig};
-use hyperm::telemetry::{Name, Recorder, TraceCtx};
+use hyperm::telemetry::{JsonValue, Name, Recorder, TraceCtx};
 use hyperm::transport::{MemEndpoint, ServeOutcome, Transport, TransportError};
 use hyperm::{
     Backoff, ChaosConfig, ChaosEndpoint, Client, Dataset, HypermConfig, HypermNetwork, MemHub,
@@ -713,6 +713,14 @@ fn zero_forward_timeout_is_clamped_to_a_live_tick() {
     );
 }
 
+/// The `degraded` verdict a node's stats JSON reports.
+fn degraded<T: Transport>(node: &NodeRuntime<T>) -> Option<bool> {
+    JsonValue::parse(&node.stats_json())
+        .ok()?
+        .get("degraded")?
+        .as_bool()
+}
+
 /// Wire heartbeats: a member whose head goes silent crosses the
 /// missed-ping threshold, reports itself degraded (Stats JSON + fast
 /// client failure), and recovers the moment the head is heard again.
@@ -738,8 +746,9 @@ fn member_detects_dead_head_degrades_and_recovers() {
         );
     }
     assert!(member.degraded(), "3 missed pings over threshold 2");
-    assert!(
-        member.stats_json().contains("\"degraded\":true"),
+    assert_eq!(
+        degraded(&member),
+        Some(true),
         "stats must carry the liveness verdict: {}",
         member.stats_json()
     );
@@ -783,7 +792,7 @@ fn member_detects_dead_head_degrades_and_recovers() {
         ServeOutcome::Handled
     );
     assert!(!member.degraded(), "hearing the head heals the member");
-    assert!(member.stats_json().contains("\"degraded\":false"));
+    assert_eq!(degraded(&member), Some(false));
     assert_eq!(metrics.counter(Name::Rejoin), 1, "recovery is visible");
     assert!(
         member.monitor_json().contains("\"liveness\""),
