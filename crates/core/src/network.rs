@@ -28,7 +28,7 @@ use crate::HypermError;
 use hyperm_can::{CanOverlay, KeyMap};
 use hyperm_cluster::Dataset;
 use hyperm_sim::underlay::map_connected;
-use hyperm_sim::{LoadLedger, LoadProbe, NodeId, OpStats, Scheduler};
+use hyperm_sim::{LoadLedger, LoadProbe, NodeId, OpStats};
 use hyperm_telemetry::Recorder;
 use hyperm_wavelet::{decompose, radius_contraction, Decomposition, Subspace};
 use std::sync::Arc;
@@ -52,10 +52,11 @@ pub struct BuildReport {
     /// Parallel makespan: the maximum cumulative insertion hops any single
     /// peer pays (peers publish concurrently, their own inserts serially).
     pub makespan_hops: u64,
-    /// Parallel makespan in *rounds*, from a discrete-event simulation in
-    /// which each peer publishes its clusters back-to-back while all peers
-    /// run concurrently, and replication floods fan out one depth level per
-    /// round (tighter than `makespan_hops`, which serialises the floods).
+    /// Parallel makespan in *rounds*: each peer publishes its clusters
+    /// back-to-back while all peers run concurrently, so this is the
+    /// largest per-peer sum of insert rounds. Replication floods fan out
+    /// one depth level per round (tighter than `makespan_hops`, which
+    /// serialises the floods).
     pub makespan_rounds: u64,
 }
 
@@ -182,7 +183,7 @@ impl HypermNetwork {
         // ---- Publication phase (step i3). ----
         let mut per_level = vec![OpStats::zero(); net.levels()];
         let mut per_peer_hops = vec![0u64; n];
-        let mut per_peer_insert_rounds: Vec<Vec<u64>> = vec![Vec::new(); n];
+        let mut per_peer_rounds = vec![0u64; n];
         let mut clusters_published = 0u64;
         let mut replicas = 0u64;
         for peer in 0..n {
@@ -191,7 +192,7 @@ impl HypermNetwork {
                     let out = net.place_sphere(peer, level, cluster);
                     *level_stats += out.stats;
                     per_peer_hops[peer] += out.stats.hops;
-                    per_peer_insert_rounds[peer].push(out.rounds);
+                    per_peer_rounds[peer] += out.rounds;
                     clusters_published += 1;
                     replicas += out.replicas as u64;
                 }
@@ -206,7 +207,7 @@ impl HypermNetwork {
             replicas,
             items_total: net.peers().map(|p| p.len() as u64).sum(),
             makespan_hops: per_peer_hops.iter().copied().max().unwrap_or(0),
-            makespan_rounds: simulate_parallel_publication(&per_peer_insert_rounds),
+            makespan_rounds: per_peer_rounds.iter().copied().max().unwrap_or(0),
         };
         Ok((net, report))
     }
@@ -486,29 +487,6 @@ impl HypermNetwork {
         let coeffs = dec.subspace(self.subspaces[level]).expect("level exists");
         self.keymaps[level].to_key_slack(coeffs)
     }
-}
-
-/// Replay the publication schedule on the discrete-event scheduler: every
-/// peer fires its first insert at t = 0 and chains the next one when the
-/// previous completes (`rounds` ticks later), emulating the paper's
-/// "parallel execution is simulated by emptying the queue". The returned
-/// makespan is the time the last insert completes.
-fn simulate_parallel_publication(per_peer_rounds: &[Vec<u64>]) -> u64 {
-    // Payload: (peer, index of the insert that just *completed*).
-    let mut sched: Scheduler<(usize, usize)> = Scheduler::new();
-    for (peer, rounds) in per_peer_rounds.iter().enumerate() {
-        if let Some(&first) = rounds.first() {
-            // An insert of zero rounds (local store only) completes at t=0.
-            sched.schedule_in(first, NodeId(peer), (peer, 0));
-        }
-    }
-    let end = sched.run(u64::MAX, |sched, ev| {
-        let (peer, idx) = ev.payload;
-        if let Some(&next) = per_peer_rounds[peer].get(idx + 1) {
-            sched.schedule_in(next, NodeId(peer), (peer, idx + 1));
-        }
-    });
-    end.0
 }
 
 /// Summarise all peers, in parallel when the corpus is large enough to pay

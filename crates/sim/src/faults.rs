@@ -14,7 +14,7 @@
 //! exponential one with deterministic seeded jitter — and the returned
 //! tick count is the sim-time the hop occupied, so delays and
 //! retries lengthen an operation's *rounds* (critical path) exactly like
-//! any other queued message in the scheduler model.
+//! any other hop.
 //!
 //! The injector is deterministic: a seeded [`StdRng`] drives all rolls, and
 //! queries run their levels serially, so the same seed replays the same
@@ -214,11 +214,6 @@ impl FaultConfig {
     pub fn with_max_retries(mut self, retries: u32) -> Self {
         self.max_retries = retries;
         self
-    }
-
-    /// Whether this configuration can ever perturb a delivery.
-    pub fn is_active(&self) -> bool {
-        self.drop_prob > 0.0 || self.delay_prob > 0.0 || self.dead_prob > 0.0
     }
 }
 
@@ -501,16 +496,17 @@ mod tests {
     }
 
     impl FaultInjector {
-        /// The event-queue timeline `hop` replaced, kept verbatim as the
-        /// reference the attempt loop must reproduce draw for draw.
+        /// The event-queue timeline `hop` replaced, kept as the reference
+        /// the attempt loop must reproduce draw for draw. Only one event
+        /// is ever in flight, so a heap of `(time, attempt)` pops in the
+        /// order the old queue's `(time, sequence)` did.
         fn hop_via_queue(&mut self) -> HopDelivery {
-            use crate::event::{EventQueue, SimTime};
-            use crate::NodeId;
-            // Payload = attempt number; each retransmission is a later event.
-            let mut queue: EventQueue<u32> = EventQueue::new();
-            queue.push(SimTime(0), NodeId(0), 0);
-            while let Some(ev) = queue.pop() {
-                let attempt = ev.payload;
+            use std::cmp::Reverse;
+            use std::collections::BinaryHeap;
+            // (time, attempt); each retransmission is a later event.
+            let mut queue: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+            queue.push(Reverse((0, 0)));
+            while let Some(Reverse((time, attempt))) = queue.pop() {
                 self.report.attempts += 1;
                 if self.rng.gen::<f64>() < self.cfg.dead_prob {
                     // Recipient is down: retrying cannot help, but the sender
@@ -518,26 +514,22 @@ mod tests {
                     self.report.dead_hops += 1;
                     return HopDelivery::Unreachable {
                         attempts: attempt + 1,
-                        ticks: ev.time.0 + self.cfg.backoff.gap(attempt),
+                        ticks: time + self.cfg.backoff.gap(attempt),
                     };
                 }
                 if self.rng.gen::<f64>() < self.cfg.drop_prob {
                     self.report.drops += 1;
                     if attempt < self.cfg.max_retries {
-                        queue.push(
-                            SimTime(ev.time.0 + self.cfg.backoff.gap(attempt)),
-                            NodeId(0),
-                            attempt + 1,
-                        );
+                        queue.push(Reverse((time + self.cfg.backoff.gap(attempt), attempt + 1)));
                         continue;
                     }
                     self.report.exhausted += 1;
                     return HopDelivery::Unreachable {
                         attempts: attempt + 1,
-                        ticks: ev.time.0 + self.cfg.backoff.gap(attempt),
+                        ticks: time + self.cfg.backoff.gap(attempt),
                     };
                 }
-                let mut ticks = ev.time.0 + 1;
+                let mut ticks = time + 1;
                 if self.rng.gen::<f64>() < self.cfg.delay_prob {
                     self.report.delays += 1;
                     ticks += self.rng.gen_range(1..=self.cfg.max_delay.max(1));

@@ -14,12 +14,12 @@
 //! costs or telemetry, and the overlay hooks are behind an
 //! [`Option`]-backed [`LoadProbe`] that is disabled by default — when no
 //! ledger is installed the query paths are bit-identical to an
-//! uninstrumented build (asserted by `tests/load_equivalence.rs`).
+//! uninstrumented build (asserted by
+//! `tests/load_measurement.rs::measurement_only_balancer_is_bit_identical_and_telemetry_byte_equal`).
 //!
-//! Counters are relaxed atomics in the style of [`crate::NetStats`]: the
-//! ledger is shared behind an [`Arc`] and charged from `&self` query
-//! paths without locks. Exact cross-thread ordering is irrelevant — only
-//! the final sums are read.
+//! Counters are relaxed atomics: the ledger is shared behind an [`Arc`]
+//! and charged from `&self` query paths without locks. Exact
+//! cross-thread ordering is irrelevant — only the final sums are read.
 
 use crate::energy::EnergyModel;
 use crate::stats::OpStats;
@@ -105,7 +105,7 @@ impl PeerCell {
 /// and transmits the reply, the owner that admits the query, the peer
 /// that answers the fetch — so sums over the ledger equal the per-query
 /// `OpStats` without double counting (regression-tested in
-/// `tests/load_balancing.rs`).
+/// `crates/load/tests/balancer.rs::measurement_charges_queries_and_fetches`).
 #[derive(Debug)]
 pub struct LoadLedger {
     cells: Vec<PeerCell>,

@@ -3,19 +3,15 @@
 //! Everything above this crate — CAN routing, publication, queries — was
 //! built against a single-process simulator. This crate extracts the
 //! boundary those components actually need as the [`Transport`] trait
-//! (addressed, framed, backpressured message exchange) and provides three
+//! (addressed, framed, backpressured message exchange) and provides two
 //! implementations:
 //!
-//! * [`SimHub`]/[`SimEndpoint`] — the existing simulation underlay as a
-//!   `Transport`: deterministic, instant, single-threaded delivery that
-//!   charges [`hyperm_sim::OpStats`] per frame (one message, one hop).
-//!   The `transport_equivalence` integration test asserts that driving
-//!   the network through this implementation is **bit-identical** to
-//!   calling it directly — results, `OpStats`, and telemetry event
-//!   streams.
 //! * [`MemHub`]/[`MemEndpoint`] — peers as long-lived threads exchanging
 //!   messages over bounded in-memory mailboxes; full backpressure, no
-//!   sockets. The unit-test transport.
+//!   sockets. The unit-test transport. The `transport_equivalence`
+//!   integration test asserts that driving the network through its
+//!   frames is **bit-identical** to calling it directly — results,
+//!   `OpStats`, and telemetry event streams.
 //! * [`TcpEndpoint`] — loopback/LAN TCP with length-prefixed frames
 //!   ([`frame`]), one reader thread per connection, and the same bounded
 //!   inbox. This is what the `hyperm-node` / `hyperm-client` /
@@ -42,14 +38,12 @@ pub mod frame;
 pub mod mailbox;
 pub mod mem;
 pub mod runtime;
-pub mod sim;
 pub mod tcp;
 
 pub use chaos::{ChaosConfig, ChaosEndpoint, ChaosStats};
 pub use frame::{frame_len, read_frame, write_frame, HEADER_LEN, MAX_FRAME};
 pub use mem::{MemEndpoint, MemHub};
 pub use runtime::{Client, NodeRuntime, RequestPolicy, Role, ServeOutcome};
-pub use sim::{SimEndpoint, SimHub};
 pub use tcp::TcpEndpoint;
 
 use hyperm_can::codec::CodecError;

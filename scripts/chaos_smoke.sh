@@ -11,51 +11,13 @@
 # root: bash scripts/chaos_smoke.sh
 set -euo pipefail
 
-BIN=${BIN:-target/release}
 HEAD=127.0.0.1:7461
 M1=127.0.0.1:7462
 M2=127.0.0.1:7463
 DIM=8
-WORK=$(mktemp -d)
-trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$WORK"' EXIT
+source "$(dirname "$0")/cluster_lib.sh" chaos_smoke
 
-fail() { echo "chaos_smoke: FAIL: $1" >&2; exit 1; }
-
-# Poll a log file for a marker line.
-await() { # await <file> <pattern> <what>
-  for _ in $(seq 1 100); do
-    grep -q "$2" "$1" 2>/dev/null && return 0
-    sleep 0.1
-  done
-  echo "--- $1 ---" >&2; cat "$1" >&2 || true
-  fail "timed out waiting for $3"
-}
-
-# One JSON object per client call; every call must report ok:true.
-# Callers capture with $(client ...) and grep the result — never pipe
-# this function into `grep -q` (early-exit SIGPIPE + pipefail = flake).
-client() { # client <args...>
-  local out
-  out=$("$BIN/hyperm-client" "$@")
-  echo "$out"
-  echo "$out" >&2
-  case "$out" in *'"ok": true'*) ;; *) fail "client $* -> $out" ;; esac
-}
-
-echo "== booting head ($HEAD) and members ($M1, $M2)"
-"$BIN/hyperm-node" head --listen "$HEAD" --peers 3 --items 20 --dim $DIM \
-  --levels 3 >"$WORK/head.log" 2>&1 &
-await "$WORK/head.log" "listening on" "head to bind"
-
-"$BIN/hyperm-node" member --listen "$M1" --head "$HEAD" --id 1 --items 20 \
-  --dim $DIM >"$WORK/m1.log" 2>&1 &
-M1_PID=$!
-await "$WORK/m1.log" "joined as overlay peer" "member 1 to join"
-PEER1=$(grep -o 'joined as overlay peer [0-9]*' "$WORK/m1.log" | grep -o '[0-9]*$')
-
-"$BIN/hyperm-node" member --listen "$M2" --head "$HEAD" --id 2 --items 20 \
-  --dim $DIM >"$WORK/m2.log" 2>&1 &
-await "$WORK/m2.log" "joined as overlay peer" "member 2 to join"
+boot_cluster
 
 ITEM="0.3,0.3,0.3,0.3,0.3,0.3,0.3,0.3"
 
@@ -74,10 +36,8 @@ OUT=$(client query --node "$HEAD" --centre "$ITEM" --eps 0.05)
 case "$OUT" in *'[0,20]'*) ;; *) fail "head query failed with a member down" ;; esac
 
 echo "== restart member 1: same id, same listen address, normal join path"
-"$BIN/hyperm-node" member --listen "$M1" --head "$HEAD" --id 1 --items 20 \
-  --dim $DIM >"$WORK/m1b.log" 2>&1 &
-await "$WORK/m1b.log" "joined as overlay peer" "member 1 to rejoin"
-PEER1B=$(grep -o 'joined as overlay peer [0-9]*' "$WORK/m1b.log" | grep -o '[0-9]*$')
+start_member 1 "$M1" m1b
+PEER1B=$MEMBER_PEER
 [ "$PEER1B" = "$PEER1" ] \
   || fail "rejoin changed the overlay peer id ($PEER1 -> $PEER1B)"
 

@@ -15,49 +15,13 @@
 # root: bash scripts/transport_smoke.sh
 set -euo pipefail
 
-BIN=${BIN:-target/release}
 HEAD=127.0.0.1:7451
 M1=127.0.0.1:7452
 M2=127.0.0.1:7453
 DIM=8
-WORK=$(mktemp -d)
-trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$WORK"' EXIT
+source "$(dirname "$0")/cluster_lib.sh" transport_smoke
 
-fail() { echo "transport_smoke: FAIL: $1" >&2; exit 1; }
-
-# Poll a log file for a marker line.
-await() { # await <file> <pattern> <what>
-  for _ in $(seq 1 100); do
-    grep -q "$2" "$1" 2>/dev/null && return 0
-    sleep 0.1
-  done
-  echo "--- $1 ---" >&2; cat "$1" >&2 || true
-  fail "timed out waiting for $3"
-}
-
-# One JSON object per client call; every call must report ok:true.
-# Callers capture with $(client ...) and grep the result — never pipe
-# this function into `grep -q` (early-exit SIGPIPE + pipefail = flake).
-client() { # client <args...>
-  local out
-  out=$("$BIN/hyperm-client" "$@")
-  echo "$out"
-  echo "$out" >&2
-  case "$out" in *'"ok": true'*) ;; *) fail "client $* -> $out" ;; esac
-}
-
-echo "== booting head ($HEAD) and members ($M1, $M2)"
-"$BIN/hyperm-node" head --listen "$HEAD" --peers 3 --items 20 --dim $DIM \
-  --levels 3 --trace "$WORK/trace_head.jsonl" >"$WORK/head.log" 2>&1 &
-await "$WORK/head.log" "listening on" "head to bind"
-
-"$BIN/hyperm-node" member --listen "$M1" --head "$HEAD" --id 1 --items 20 \
-  --dim $DIM --trace "$WORK/trace_member.jsonl" >"$WORK/m1.log" 2>&1 &
-await "$WORK/m1.log" "joined as overlay peer" "member 1 to join"
-
-"$BIN/hyperm-node" member --listen "$M2" --head "$HEAD" --id 2 --items 20 \
-  --dim $DIM >"$WORK/m2.log" 2>&1 &
-await "$WORK/m2.log" "joined as overlay peer" "member 2 to join"
+boot_cluster "$WORK/trace_head.jsonl" "$WORK/trace_member.jsonl"
 
 ITEM="0.3,0.3,0.3,0.3,0.3,0.3,0.3,0.3"
 

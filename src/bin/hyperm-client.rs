@@ -19,7 +19,10 @@
 
 use hyperm::telemetry::{JsonObj, TraceCtx};
 use hyperm::transport::{Client, TcpEndpoint, TransportError};
-use std::collections::HashMap;
+use std::str::FromStr;
+
+mod cli;
+use cli::Flags;
 
 /// Why a subcommand failed: bad flags, or a transport-layer error. The
 /// distinction survives into the output as a typed error object, so a
@@ -45,7 +48,7 @@ impl From<TransportError> for CmdError {
 fn main() {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().unwrap_or_else(|| "help".into());
-    let opts = parse_flags(args.collect());
+    let opts = cli::parse_flags(args.collect());
     if cmd == "help" {
         help();
         return;
@@ -108,37 +111,21 @@ fn fail(cmd: &str, err: &CmdError) {
     );
 }
 
-fn parse_flags(raw: Vec<String>) -> HashMap<String, String> {
-    let mut opts = HashMap::new();
-    let mut it = raw.into_iter().peekable();
-    while let Some(flag) = it.next() {
-        let Some(name) = flag.strip_prefix("--") else {
-            eprintln!("ignoring stray argument {flag:?}");
-            continue;
-        };
-        let value = match it.peek() {
-            Some(v) if !v.starts_with("--") => it.next().unwrap_or_default(),
-            _ => "true".into(),
-        };
-        opts.insert(name.to_string(), value);
-    }
-    opts
-}
-
-fn connect(opts: &HashMap<String, String>) -> Result<Client<TcpEndpoint>, CmdError> {
+fn connect(opts: &Flags) -> Result<Client<TcpEndpoint>, CmdError> {
     let node = opts
         .get("node")
         .ok_or_else(|| "--node ADDR is required".to_string())?;
     let addr = node
         .parse()
         .map_err(|e| format!("bad --node address {node}: {e}"))?;
+    let trace_id: u64 = cli::get(opts, "trace", 0)?;
     // Client transport ids live far above node ids; uniqueness per
     // process is enough for reply routing.
     let id = 1_000_000 + u64::from(std::process::id());
     let endpoint = TcpEndpoint::bind(id, "127.0.0.1:0")?;
     endpoint.connect(0, addr)?;
     let mut client = Client::new(endpoint, 0);
-    if let Some(trace_id) = opts.get("trace").and_then(|v| v.parse().ok()) {
+    if trace_id != 0 {
         client = client.with_trace(TraceCtx {
             trace_id,
             parent_span: 0,
@@ -147,7 +134,7 @@ fn connect(opts: &HashMap<String, String>) -> Result<Client<TcpEndpoint>, CmdErr
     Ok(client)
 }
 
-fn vector(opts: &HashMap<String, String>, key: &str) -> Result<Vec<f64>, String> {
+fn vector(opts: &Flags, key: &str) -> Result<Vec<f64>, String> {
     let raw = opts
         .get(key)
         .ok_or_else(|| format!("--{key} V1,V2,... is required"))?;
@@ -160,14 +147,14 @@ fn vector(opts: &HashMap<String, String>, key: &str) -> Result<Vec<f64>, String>
         .collect()
 }
 
-fn num<T: std::str::FromStr>(opts: &HashMap<String, String>, key: &str) -> Result<T, String> {
-    opts.get(key)
-        .ok_or_else(|| format!("--{key} is required"))?
-        .parse()
-        .map_err(|_| format!("bad --{key} value"))
+fn num<T: FromStr + Default>(opts: &Flags, key: &str) -> Result<T, String> {
+    if !opts.contains_key(key) {
+        return Err(format!("--{key} is required"));
+    }
+    cli::get(opts, key, T::default())
 }
 
-fn put(client: &Client<TcpEndpoint>, opts: &HashMap<String, String>) -> Result<JsonObj, CmdError> {
+fn put(client: &Client<TcpEndpoint>, opts: &Flags) -> Result<JsonObj, CmdError> {
     let peer: u64 = num(opts, "peer")?;
     let item = vector(opts, "item")?;
     let republish = opts.contains_key("republish");
@@ -179,10 +166,7 @@ fn put(client: &Client<TcpEndpoint>, opts: &HashMap<String, String>) -> Result<J
         .b("republished", republish))
 }
 
-fn get_cmd(
-    client: &Client<TcpEndpoint>,
-    opts: &HashMap<String, String>,
-) -> Result<JsonObj, CmdError> {
+fn get_cmd(client: &Client<TcpEndpoint>, opts: &Flags) -> Result<JsonObj, CmdError> {
     let level: u16 = num(opts, "level")?;
     let key = vector(opts, "key")?;
     let objects = client.get(level, &key)?;
@@ -204,13 +188,11 @@ fn get_cmd(
         .arr("objects", &rendered))
 }
 
-fn query(
-    client: &Client<TcpEndpoint>,
-    opts: &HashMap<String, String>,
-) -> Result<JsonObj, CmdError> {
+fn query(client: &Client<TcpEndpoint>, opts: &Flags) -> Result<JsonObj, CmdError> {
     let centre = vector(opts, "centre")?;
     let eps: f64 = num(opts, "eps")?;
-    let budget: Option<u32> = opts.get("budget").and_then(|v| v.parse().ok());
+    // An absent budget is unlimited, as `u32::MAX` is on the wire.
+    let budget = Some(cli::get(opts, "budget", u32::MAX)?);
     let (items, (hops, messages, bytes)) = client.query(&centre, eps, budget)?;
     let rendered: Vec<String> = items.iter().map(|&(p, i)| format!("[{p},{i}]")).collect();
     Ok(JsonObj::new()
@@ -222,10 +204,7 @@ fn query(
         .arr("items", &rendered))
 }
 
-fn fetch(
-    client: &Client<TcpEndpoint>,
-    opts: &HashMap<String, String>,
-) -> Result<JsonObj, CmdError> {
+fn fetch(client: &Client<TcpEndpoint>, opts: &Flags) -> Result<JsonObj, CmdError> {
     let peer: u64 = num(opts, "peer")?;
     let centre = vector(opts, "centre")?;
     let eps: f64 = num(opts, "eps")?;
@@ -238,10 +217,7 @@ fn fetch(
         .arr("indices", &rendered))
 }
 
-fn route(
-    client: &Client<TcpEndpoint>,
-    opts: &HashMap<String, String>,
-) -> Result<JsonObj, CmdError> {
+fn route(client: &Client<TcpEndpoint>, opts: &Flags) -> Result<JsonObj, CmdError> {
     let level: u16 = num(opts, "level")?;
     let key = vector(opts, "key")?;
     let owner = client.route(level, &key)?;

@@ -15,51 +15,47 @@ use hyperm::datagen::{generate_aloi_like, AloiConfig};
 use hyperm::{
     Dataset, EnergyModel, EvalHarness, HypermConfig, HypermNetwork, KnnOptions, OverlayBackend,
 };
-use std::collections::HashMap;
+use std::process::ExitCode;
 
-fn main() {
+mod cli;
+use cli::{get, Flags};
+
+fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().unwrap_or_else(|| "help".into());
-    let opts = parse_flags(args.collect());
-    match cmd.as_str() {
-        "disseminate" => disseminate(&opts),
-        "query" => query(&opts),
-        "energy" => energy(&opts),
-        _ => help(),
+    let opts = cli::parse_flags(args.collect());
+    let run = match cmd.as_str() {
+        "disseminate" => disseminate,
+        "query" => query,
+        "energy" => energy,
+        "help" => {
+            help();
+            return ExitCode::SUCCESS;
+        }
+        other => {
+            help();
+            eprintln!("hyperm-demo: unknown subcommand {other:?}");
+            return ExitCode::from(2);
+        }
+    };
+    match run(&opts) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("hyperm-demo: {e}");
+            ExitCode::from(2)
+        }
     }
 }
 
-fn parse_flags(raw: Vec<String>) -> HashMap<String, String> {
-    let mut opts = HashMap::new();
-    let mut it = raw.into_iter().peekable();
-    while let Some(flag) = it.next() {
-        let Some(name) = flag.strip_prefix("--") else {
-            eprintln!("ignoring stray argument {flag:?}");
-            continue;
-        };
-        // Boolean flags take no value; valued flags consume the next token.
-        let value = match it.peek() {
-            Some(v) if !v.starts_with("--") => it.next().unwrap(),
-            _ => "true".into(),
-        };
-        opts.insert(name.to_string(), value);
-    }
-    opts
-}
-
-fn get<T: std::str::FromStr>(opts: &HashMap<String, String>, key: &str, default: T) -> T {
-    opts.get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
+/// The demo network, or a message for a bad flag value or a failed
+/// build.
 fn build_network(
-    opts: &HashMap<String, String>,
-) -> (HypermNetwork, hyperm::BuildReport, Vec<Dataset>) {
-    let nodes: usize = get(opts, "nodes", 30);
-    let items: usize = get(opts, "items", 60);
-    let levels: usize = get(opts, "levels", 4);
-    let clusters: usize = get(opts, "clusters", 8);
+    opts: &Flags,
+) -> Result<(HypermNetwork, hyperm::BuildReport, Vec<Dataset>), String> {
+    let nodes: usize = get(opts, "nodes", 30)?;
+    let items: usize = get(opts, "items", 60)?;
+    let levels: usize = get(opts, "levels", 4)?;
+    let clusters: usize = get(opts, "clusters", 8)?;
     let backend = if opts.contains_key("baton") {
         OverlayBackend::Baton
     } else {
@@ -86,21 +82,13 @@ fn build_network(
         .with_clusters_per_peer(clusters)
         .with_seed(7)
         .with_backend(backend);
-    match HypermNetwork::build(peers.clone(), cfg) {
-        Ok((net, report)) => (net, report, peers),
-        Err(e) => {
-            eprintln!("hyperm-demo: build failed: {e}");
-            #[expect(
-                clippy::exit,
-                reason = "CLI usage error (a bad flag value) reported before any work starts"
-            )]
-            std::process::exit(2);
-        }
-    }
+    let (net, report) =
+        HypermNetwork::build(peers.clone(), cfg).map_err(|e| format!("build failed: {e}"))?;
+    Ok((net, report, peers))
 }
 
-fn disseminate(opts: &HashMap<String, String>) {
-    let (net, report, _) = build_network(opts);
+fn disseminate(opts: &Flags) -> Result<(), String> {
+    let (net, report, _) = build_network(opts)?;
     println!("Hyper-M network built");
     println!("  peers:              {}", net.len());
     println!("  levels (overlays):  {}", net.levels());
@@ -118,12 +106,13 @@ fn disseminate(opts: &HashMap<String, String>) {
     );
     println!("  parallel makespan:  {} rounds", report.makespan_rounds);
     println!("  overlay bootstrap:  {} hops", report.bootstrap.hops);
+    Ok(())
 }
 
-fn query(opts: &HashMap<String, String>) {
-    let (net, _, _) = build_network(opts);
-    let kind: String = get(opts, "kind", "range".to_string());
-    let queries: usize = get(opts, "queries", 10);
+fn query(opts: &Flags) -> Result<(), String> {
+    let (net, _, _) = build_network(opts)?;
+    let kind: String = get(opts, "kind", "range".to_string())?;
+    let queries: usize = get(opts, "queries", 10)?;
     let harness = EvalHarness::new(&net);
     let probes = harness.sample_queries(&net, queries, 3);
     match kind.as_str() {
@@ -144,7 +133,7 @@ fn query(opts: &HashMap<String, String>) {
             println!("  msgs/query:    {:.1}", msgs as f64 / queries as f64);
         }
         "knn" => {
-            let k: usize = get(opts, "k", 10);
+            let k: usize = get(opts, "k", 10)?;
             let mut p = 0.0;
             let mut r = 0.0;
             let mut msgs = 0u64;
@@ -172,18 +161,16 @@ fn query(opts: &HashMap<String, String>) {
             println!("{queries} point queries at held-in items: {found} exact hits");
         }
         other => {
-            eprintln!("unknown query kind {other:?} (use range|knn|point)");
-            #[expect(
-                clippy::exit,
-                reason = "CLI usage error in a binary's top-level dispatch — the one place an explicit exit code is the right tool"
-            )]
-            std::process::exit(2);
+            return Err(format!(
+                "unknown query kind {other:?} (use range|knn|point)"
+            ))
         }
     }
+    Ok(())
 }
 
-fn energy(opts: &HashMap<String, String>) {
-    let (_, report, peers) = build_network(opts);
+fn energy(opts: &Flags) -> Result<(), String> {
+    let (_, report, peers) = build_network(opts)?;
     let nodes = peers.len();
     let baseline = insert_all_items(&peers, &PerItemCanConfig::full_dim(nodes, 64, 7));
     let model = EnergyModel::bluetooth_class2();
@@ -204,6 +191,7 @@ fn energy(opts: &HashMap<String, String>) {
         "  savings:      {:.1}x",
         model.op_joules(baseline.totals) / model.op_joules(report.insertion).max(1e-12)
     );
+    Ok(())
 }
 
 fn help() {

@@ -29,50 +29,41 @@ use hyperm::datagen::{generate_aloi_like, AloiConfig};
 use hyperm::telemetry::Recorder;
 use hyperm::transport::{NodeRuntime, Role, TcpEndpoint};
 use hyperm::{Dataset, HypermConfig, HypermNetwork};
-use std::collections::HashMap;
 use std::process::ExitCode;
 use std::time::Duration;
+
+mod cli;
+use cli::{get, Flags};
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().unwrap_or_else(|| "help".into());
-    let opts = parse_flags(args.collect());
-    match cmd.as_str() {
-        "head" => head(&opts),
-        "member" => member(&opts),
-        _ => {
+    let opts = cli::parse_flags(args.collect());
+    let run = match cmd.as_str() {
+        "head" => head,
+        "member" => member,
+        "help" => {
             help();
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
+        }
+        other => {
+            help();
+            eprintln!("hyperm-node: unknown subcommand {other:?}");
+            return ExitCode::from(2);
+        }
+    };
+    match run(&opts) {
+        Ok(code) => code,
+        Err(usage) => {
+            eprintln!("hyperm-node: {usage}");
+            ExitCode::from(2)
         }
     }
 }
 
-fn parse_flags(raw: Vec<String>) -> HashMap<String, String> {
-    let mut opts = HashMap::new();
-    let mut it = raw.into_iter().peekable();
-    while let Some(flag) = it.next() {
-        let Some(name) = flag.strip_prefix("--") else {
-            eprintln!("ignoring stray argument {flag:?}");
-            continue;
-        };
-        let value = match it.peek() {
-            Some(v) if !v.starts_with("--") => it.next().unwrap_or_default(),
-            _ => "true".into(),
-        };
-        opts.insert(name.to_string(), value);
-    }
-    opts
-}
-
-fn get<T: std::str::FromStr>(opts: &HashMap<String, String>, key: &str, default: T) -> T {
-    opts.get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// The node's recorder: JSONL-backed when `--trace PATH` is given,
 /// otherwise the free disabled default.
-fn recorder(opts: &HashMap<String, String>) -> Option<Recorder> {
+fn recorder(opts: &Flags) -> Option<Recorder> {
     match opts.get("trace") {
         Some(path) => match Recorder::jsonl(path) {
             Ok(rec) => {
@@ -101,19 +92,21 @@ fn collection(slot: usize, items: usize, dim: usize, seed: u64) -> Dataset {
     corpus.data
 }
 
-fn head(opts: &HashMap<String, String>) -> ExitCode {
+/// Serve as the head until shut down. `Err` is a bad flag value, found
+/// before anything is built or bound.
+fn head(opts: &Flags) -> Result<ExitCode, String> {
     let listen = opts
         .get("listen")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:7401".into());
-    let peers: usize = get(opts, "peers", 3);
-    let items: usize = get(opts, "items", 40);
-    let dim: usize = get(opts, "dim", 16);
-    let levels: usize = get(opts, "levels", 3);
-    let clusters: usize = get(opts, "clusters", 4);
-    let seed: u64 = get(opts, "seed", 7);
+    let peers: usize = get(opts, "peers", 3)?;
+    let items: usize = get(opts, "items", 40)?;
+    let dim: usize = get(opts, "dim", 16)?;
+    let levels: usize = get(opts, "levels", 3)?;
+    let clusters: usize = get(opts, "clusters", 4)?;
+    let seed: u64 = get(opts, "seed", 7)?;
     let Some(rec) = recorder(opts) else {
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
 
     let data: Vec<Dataset> = (0..peers)
@@ -127,14 +120,14 @@ fn head(opts: &HashMap<String, String>) -> ExitCode {
         Ok(x) => x,
         Err(e) => {
             eprintln!("hyperm-node: build failed: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let endpoint = match TcpEndpoint::bind(0, &listen) {
         Ok(ep) => ep,
         Err(e) => {
             eprintln!("hyperm-node: cannot bind {listen}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     println!(
@@ -148,51 +141,53 @@ fn head(opts: &HashMap<String, String>) -> ExitCode {
         NodeRuntime::new(endpoint, Role::Head(Box::new(net))).with_recorder(rec.clone());
     if let Err(e) = runtime.serve_until_shutdown() {
         eprintln!("hyperm-node: serve loop failed: {e}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     rec.flush();
     println!("hyperm-node head: shut down cleanly");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn member(opts: &HashMap<String, String>) -> ExitCode {
+/// Join the head's overlay and relay until shut down. `Err` is a bad
+/// flag value, found before anything is bound.
+fn member(opts: &Flags) -> Result<ExitCode, String> {
     let listen = opts
         .get("listen")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:0".into());
     let Some(head_addr) = opts.get("head") else {
         eprintln!("hyperm-node member: --head ADDR is required");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
-    let id: u64 = get(opts, "id", 1);
-    let items: usize = get(opts, "items", 40);
-    let dim: usize = get(opts, "dim", 16);
-    let seed: u64 = get(opts, "seed", 7);
+    let id: u64 = get(opts, "id", 1)?;
+    let items: usize = get(opts, "items", 40)?;
+    let dim: usize = get(opts, "dim", 16)?;
+    let seed: u64 = get(opts, "seed", 7)?;
     if id == 0 {
         eprintln!("hyperm-node member: --id must be ≥ 1 (0 is the head)");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     let Some(rec) = recorder(opts) else {
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
 
     let endpoint = match TcpEndpoint::bind(id, &listen) {
         Ok(ep) => ep,
         Err(e) => {
             eprintln!("hyperm-node: cannot bind {listen}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let head_sock = match head_addr.parse() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("hyperm-node: bad --head address {head_addr}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     if let Err(e) = endpoint.connect(0, head_sock) {
         eprintln!("hyperm-node: cannot reach head at {head_addr}: {e}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     println!(
         "hyperm-node member {id}: listening on {}, head at {head_addr}",
@@ -214,16 +209,16 @@ fn member(opts: &HashMap<String, String>) -> ExitCode {
         Ok(peer) => println!("hyperm-node member {id}: joined as overlay peer {peer}"),
         Err(e) => {
             eprintln!("hyperm-node member {id}: join failed: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
     if let Err(e) = runtime.serve_until_shutdown() {
         eprintln!("hyperm-node: serve loop failed: {e}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     rec.flush();
     println!("hyperm-node member {id}: shut down cleanly");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn help() {

@@ -74,7 +74,7 @@ pub use hyperm_repair::{
     ScheduleReport,
 };
 pub use hyperm_sim::{
-    Backoff, EnergyModel, FaultConfig, FaultReport, LoadLedger, NetStats, NodeId, OpKind, OpStats,
+    Backoff, EnergyModel, FaultConfig, FaultReport, LoadLedger, NodeId, OpKind, OpStats,
     PartitionPlan, PeerLoad,
 };
 pub use hyperm_telemetry::{
@@ -82,7 +82,6 @@ pub use hyperm_telemetry::{
 };
 pub use hyperm_transport::{
     ChaosConfig, ChaosEndpoint, ChaosStats, Client, Envelope, MemEndpoint, MemHub, NodeRuntime,
-    PeerId, RequestPolicy, Role, ServeOutcome, SimEndpoint, SimHub, TcpEndpoint, Transport,
-    TransportError,
+    PeerId, RequestPolicy, Role, ServeOutcome, TcpEndpoint, Transport, TransportError,
 };
 pub use hyperm_wavelet::{Decomposition, Normalization, Subspace, WaveletError};

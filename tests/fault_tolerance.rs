@@ -18,7 +18,9 @@ use hyperm::{
     RepairConfig, RepairEngine,
 };
 
-fn network(seed: u64, peers: usize) -> HypermNetwork {
+/// The test network; `fingers` sets `HypermConfig::fingers` (on by
+/// default).
+fn network(seed: u64, peers: usize, fingers: bool) -> HypermNetwork {
     let corpus = generate_aloi_like(&AloiConfig {
         classes: 20,
         views_per_class: 15,
@@ -44,7 +46,8 @@ fn network(seed: u64, peers: usize) -> HypermNetwork {
     let cfg = HypermConfig::new(32)
         .with_levels(3)
         .with_clusters_per_peer(6)
-        .with_seed(seed);
+        .with_seed(seed)
+        .with_fingers(fingers);
     HypermNetwork::build(peer_data, cfg).unwrap().0
 }
 
@@ -89,7 +92,7 @@ fn nth_dist(net: &HypermNetwork, q: &[f64], n: usize) -> f64 {
 /// fallback window slides and keeps alive-peer recall at exactly 1.0.
 #[test]
 fn fallback_restores_recall_when_top_scored_peer_crashes() {
-    let net = network(67, 16);
+    let net = network(67, 16, true);
     let mut demonstrated = false;
     for src in 1..net.len() {
         let q = net.peer(src).items.row(0).to_vec();
@@ -152,10 +155,17 @@ fn fallback_restores_recall_when_top_scored_peer_crashes() {
 }
 
 /// The acceptance bar: 30% hop drop, reliable (ack/retransmit + backoff)
-/// publish, fetch fallback on — alive-peer range recall is exactly 1.0.
+/// publish, fetch fallback on — alive-peer range recall is exactly 1.0,
+/// with the 1-d levels' finger links on and off.
 #[test]
 fn thirty_percent_drop_with_reliable_publish_keeps_alive_recall() {
-    let net = network(71, 16);
+    for fingers in [true, false] {
+        thirty_percent_drop_keeps_alive_recall(fingers);
+    }
+}
+
+fn thirty_percent_drop_keeps_alive_recall(fingers: bool) {
+    let net = network(71, 16, fingers);
     // A retransmit budget of 8 makes residual per-hop loss 0.3^9 ~ 2e-5:
     // the ack/retransmit loop, not luck, is what delivers every sphere
     // and every query route despite 30% of raw hops dropping.
@@ -183,7 +193,7 @@ fn thirty_percent_drop_with_reliable_publish_keeps_alive_recall() {
     }
     assert!(
         eng.deferred_publishes().is_empty(),
-        "deferred publishes must drain within a bounded number of retry rounds"
+        "deferred publishes must drain within a bounded number of retry rounds (fingers: {fingers})"
     );
 
     let net = eng.network();
@@ -196,12 +206,15 @@ fn thirty_percent_drop_with_reliable_publish_keeps_alive_recall() {
         let res = net.range_query_budgeted(0, &q, 1e-9, None, budget);
         assert!(
             res.items.contains(&(p, 0)),
-            "alive peer {p}'s item lost under 30% drop"
+            "alive peer {p}'s item lost under 30% drop (fingers: {fingers})"
         );
         assert!(!res.truncated);
     }
     let report = net.fault_report().expect("fault plan installed");
-    assert!(report.drops > 0, "the injector must have been exercised");
+    assert!(
+        report.drops > 0,
+        "the injector must have been exercised (fingers: {fingers})"
+    );
     assert!(
         eng.stats().publishes_deferred > 0 || report.exhausted == 0,
         "lossy publishes either all landed within their retry budget or were deferred"
@@ -214,7 +227,7 @@ fn thirty_percent_drop_with_reliable_publish_keeps_alive_recall() {
 /// recall to 1.0 within one bounded round.
 #[test]
 fn partition_heals_to_full_recall_within_bounded_rounds() {
-    let net = network(73, 14);
+    let net = network(73, 14, true);
     let n = net.len();
     let plan = PartitionPlan::halves(n, 30, 100);
     let cfg = RepairConfig::default()
@@ -264,7 +277,7 @@ fn partition_heals_to_full_recall_within_bounded_rounds() {
 /// one; after the heal the unbudgeted query is back at recall 1.0.
 #[test]
 fn unbudgeted_fetch_does_not_cross_a_partition() {
-    let net = network(73, 14);
+    let net = network(73, 14, true);
     let n = net.len();
     let cfg = RepairConfig::default()
         .with_refresh_interval(25)
@@ -304,7 +317,7 @@ fn unbudgeted_fetch_does_not_cross_a_partition() {
 /// set, and strictly fewer peers contacted than the unbudgeted query.
 #[test]
 fn deadline_budget_truncates_gracefully() {
-    let net = network(79, 14);
+    let net = network(79, 14, true);
     let q = net.peer(3).items.row(0).to_vec();
     let eps = nth_dist(&net, &q, 25);
     let full = net.range_query(0, &q, eps, None);
@@ -394,7 +407,7 @@ fn fallback_events_and_counters_are_recorded() {
 /// place, and the slide is a `fetch_fallback` event naming that peer.
 #[test]
 fn knn_window_slides_past_a_crashed_top_peer() {
-    let mut net = network(83, 14);
+    let mut net = network(83, 14, true);
     let q = net.peer(5).items.row(0).to_vec();
     let k = 10;
     let probe = net.knn_query(0, &q, k, KnnOptions::default());

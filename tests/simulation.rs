@@ -1,9 +1,8 @@
 //! Integration tests of the MANET simulation substrate together with the
-//! overlay stack: underlay expansion, energy accounting and the event
-//! scheduler.
+//! overlay stack: underlay expansion and energy accounting.
 
-use hyperm::sim::{EnergyModel, Scheduler, SimTime, Underlay, UnderlayConfig};
-use hyperm::{Dataset, HypermConfig, HypermNetwork, NodeId, OpStats};
+use hyperm::sim::{EnergyModel, Underlay, UnderlayConfig};
+use hyperm::{Dataset, HypermConfig, HypermNetwork, OpStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,28 +52,6 @@ fn overlay_traffic_expands_onto_the_underlay() {
     let e = EnergyModel::bluetooth_class2();
     assert!(e.op_joules(phys) > e.op_joules(report.insertion));
     assert!(e.op_joules(phys) < e.op_joules(report.insertion) * (stretch + 0.01));
-}
-
-#[test]
-fn scheduler_models_store_and_forward_chains() {
-    // Chain a message across 6 relays with one tick per hop, while a burst
-    // of parallel one-hop messages shares the first round.
-    let mut sched: Scheduler<u32> = Scheduler::new();
-    sched.schedule_in(1, NodeId(0), 6); // the relay chain
-    for _ in 0..50 {
-        sched.schedule_in(1, NodeId(1), 1); // parallel chatter
-    }
-    let end = sched.run(u64::MAX, |s, ev| {
-        if ev.payload > 1 {
-            s.schedule_in(1, ev.target, ev.payload - 1);
-        }
-    });
-    assert_eq!(
-        end,
-        SimTime(6),
-        "makespan = longest chain, not total traffic"
-    );
-    assert_eq!(sched.delivered(), 50 + 6);
 }
 
 #[test]
