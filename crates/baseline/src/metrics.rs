@@ -53,32 +53,6 @@ pub fn precision_recall<T: Eq + Hash + Copy>(retrieved: &[T], relevant: &[T]) ->
     PrecisionRecall { precision, recall }
 }
 
-/// Mean of a slice of precision/recall pairs, with min/max recall bounds —
-/// the error bars of the paper's Figure 10.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrSummary {
-    /// Mean precision.
-    pub precision: f64,
-    /// Mean recall.
-    pub recall: f64,
-    /// Minimum recall observed.
-    pub recall_min: f64,
-    /// Maximum recall observed.
-    pub recall_max: f64,
-}
-
-/// Summarise many query outcomes.
-pub fn summarize(prs: &[PrecisionRecall]) -> PrSummary {
-    assert!(!prs.is_empty(), "no outcomes to summarise");
-    let n = prs.len() as f64;
-    PrSummary {
-        precision: prs.iter().map(|p| p.precision).sum::<f64>() / n,
-        recall: prs.iter().map(|p| p.recall).sum::<f64>() / n,
-        recall_min: prs.iter().map(|p| p.recall).fold(f64::INFINITY, f64::min),
-        recall_max: prs.iter().map(|p| p.recall).fold(0.0, f64::max),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,24 +102,5 @@ mod tests {
         let pr = precision_recall(&[1, 1, 2, 2], &[1, 2]);
         assert_eq!(pr.precision, 1.0);
         assert_eq!(pr.recall, 1.0);
-    }
-
-    #[test]
-    fn summary_bounds() {
-        let prs = [
-            PrecisionRecall {
-                precision: 1.0,
-                recall: 0.5,
-            },
-            PrecisionRecall {
-                precision: 0.5,
-                recall: 1.0,
-            },
-        ];
-        let s = summarize(&prs);
-        assert_eq!(s.precision, 0.75);
-        assert_eq!(s.recall, 0.75);
-        assert_eq!(s.recall_min, 0.5);
-        assert_eq!(s.recall_max, 1.0);
     }
 }

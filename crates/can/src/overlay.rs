@@ -34,6 +34,9 @@ use hyperm_telemetry::{Name, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Safety cap on greedy routing steps (diagnoses broken topologies).
+const MAX_ROUTE_HOPS: u64 = 4096;
+
 /// Overlay construction parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CanConfig {
@@ -41,8 +44,6 @@ pub struct CanConfig {
     pub dim: usize,
     /// RNG seed for join points.
     pub seed: u64,
-    /// Safety cap on greedy routing steps (diagnoses broken topologies).
-    pub max_route_hops: u64,
     /// Finger links on a 1-d overlay (see [`CanNode::fingers`]): greedy
     /// routing then takes O(log n) hops around the ring instead of ≈ n/4.
     /// On by default; off models the original CAN. No effect at d > 1.
@@ -55,7 +56,6 @@ impl CanConfig {
         Self {
             dim,
             seed: 0,
-            max_route_hops: 4096,
             fingers: true,
         }
     }
@@ -548,7 +548,7 @@ impl CanOverlay {
         let mut current = from;
         let mut visited = vec![false; self.nodes.len()];
         visited[current.0] = true;
-        for _ in 0..self.config.max_route_hops {
+        for _ in 0..MAX_ROUTE_HOPS {
             let node = &self.nodes[current.0];
             if node.covers(target) {
                 return RouteResult {
@@ -703,10 +703,9 @@ impl CanOverlay {
                 panic!("route to owner failed: dead end at {}", out.node)
             }
             #[expect(clippy::panic, reason = "same contract as the dead-end arm above")]
-            RouteOutcome::HopLimit => panic!(
-                "routing exceeded {} hops — broken overlay topology",
-                self.config.max_route_hops
-            ),
+            RouteOutcome::HopLimit => {
+                panic!("routing exceeded {MAX_ROUTE_HOPS} hops — broken overlay topology")
+            }
         }
     }
 

@@ -102,11 +102,6 @@ impl Dataset {
         &self.data
     }
 
-    /// Consume into the underlying flat buffer.
-    pub fn into_flat(self) -> Vec<f64> {
-        self.data
-    }
-
     /// A new dataset containing the selected rows (by index, in order).
     pub fn select(&self, indices: &[usize]) -> Dataset {
         let mut out = Dataset::with_capacity(self.dim, indices.len());
@@ -154,7 +149,7 @@ mod tests {
     fn from_flat_roundtrip() {
         let ds = Dataset::from_flat(vec![1.0, 2.0, 3.0, 4.0], 2);
         assert_eq!(ds.len(), 2);
-        assert_eq!(ds.into_flat(), vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(ds.as_flat(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

@@ -17,10 +17,9 @@
 //!
 //! Two churn models coexist:
 //!
-//! * **Flag-only** ([`HypermNetwork::fail_peer`] / `revive_peer`): the
-//!   failed peer stops answering fetches but keeps its overlay routing
-//!   duties — the paper's own model, where substrate maintenance is out of
-//!   scope. Reversible.
+//! * **Flag-only** ([`HypermNetwork::fail_peer`]): the failed peer stops
+//!   answering fetches but keeps its overlay routing duties — the paper's
+//!   own model, where substrate maintenance is out of scope.
 //! * **Overlay-level** ([`HypermNetwork::crash_peer`] /
 //!   [`HypermNetwork::depart_peer`]): the peer's CAN nodes actually die in
 //!   every per-level overlay. With repair enabled the smallest-volume
@@ -243,13 +242,6 @@ impl HypermNetwork {
         merged
     }
 
-    /// Bring a failed peer back (its local data was never lost, merely
-    /// unreachable).
-    pub fn revive_peer(&mut self, peer: usize) {
-        assert!(peer < self.len(), "no such peer {peer}");
-        self.failed_mut()[peer] = false;
-    }
-
     /// Whether a peer currently answers fetches.
     pub fn is_alive(&self, peer: usize) -> bool {
         !self.failed()[peer]
@@ -308,16 +300,6 @@ mod tests {
             after.items.iter().all(|&(p, _)| p != 3),
             "failed peer answered"
         );
-    }
-
-    #[test]
-    fn revival_restores_answers() {
-        let mut net = build(2);
-        let q = net.peer(5).items.row(2).to_vec();
-        net.fail_peer(5);
-        assert!(net.range_query(0, &q, 0.01, None).items.is_empty());
-        net.revive_peer(5);
-        assert!(net.range_query(0, &q, 0.01, None).items.contains(&(5, 2)));
     }
 
     #[test]

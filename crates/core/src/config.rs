@@ -10,6 +10,12 @@
 use crate::overlay::OverlayBackend;
 use hyperm_wavelet::{Normalization, Subspace};
 
+/// Cap on per-overlay CAN dimensionality: subspaces wider than this are
+/// projected onto their leading coordinates for key purposes. The paper's
+/// 4-level configuration uses subspace dims 1,1,2,4 — uncapped. The cap
+/// kernel's closed forms cover every key dimension up to it.
+pub const MAX_CAN_DIM: usize = 8;
+
 /// How per-level peer scores are folded into one global score.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScorePolicy {
@@ -45,10 +51,6 @@ pub struct HypermConfig {
     pub replicate: bool,
     /// Score aggregation policy.
     pub score_policy: ScorePolicy,
-    /// Cap on per-overlay CAN dimensionality (subspaces wider than this are
-    /// projected onto their leading coordinates for key purposes). The
-    /// paper's 4-level configuration uses subspace dims 1,1,2,4 — uncapped.
-    pub max_can_dim: usize,
     /// k-means iteration cap for peer summarisation.
     pub kmeans_max_iter: usize,
     /// Master seed: peers, levels and overlays derive their own from it.
@@ -75,7 +77,6 @@ impl HypermConfig {
             data_bounds: (0.0, 1.0),
             replicate: true,
             score_policy: ScorePolicy::Min,
-            max_can_dim: 8,
             kmeans_max_iter: 50,
             seed: 0,
             overlay_backend: OverlayBackend::Can,
@@ -179,7 +180,7 @@ impl HypermConfig {
 
     /// The CAN key dimensionality used for subspace `s` (capped).
     pub fn can_dim(&self, s: Subspace) -> usize {
-        s.dim().min(self.max_can_dim)
+        s.dim().min(MAX_CAN_DIM)
     }
 }
 
@@ -259,7 +260,6 @@ mod tests {
     fn can_dim_is_capped() {
         let mut c = HypermConfig::new(512);
         c.levels = 8; // subspace dims 1,1,2,4,8,16,32,64
-        c.max_can_dim = 8;
         assert_eq!(c.can_dim(Subspace::Detail(6)), 8); // 64 capped to 8
         assert_eq!(c.can_dim(Subspace::Detail(2)), 4);
     }

@@ -44,7 +44,7 @@ impl HypermNetwork {
         eps: f64,
         peer_budget: Option<usize>,
     ) -> RangeResult {
-        self.range_query_inner(from_peer, q, eps, None, |r| peer_budget.unwrap_or(r.len()))
+        self.range_query_inner(from_peer, q, eps, None, peer_budget)
     }
 
     /// Range query with a failure-tolerance [`QueryBudget`]: unanswered
@@ -61,21 +61,19 @@ impl HypermNetwork {
         peer_budget: Option<usize>,
         budget: QueryBudget,
     ) -> RangeResult {
-        self.range_query_inner(from_peer, q, eps, Some(budget), |r| {
-            peer_budget.unwrap_or(r.len())
-        })
+        self.range_query_inner(from_peer, q, eps, Some(budget), peer_budget)
     }
 
     /// Every entry point lands here. Levels run in order and their stats
-    /// are summed in that order; `target_of` turns the phase-1 ranking into
-    /// the number of peers phase 2 should hear from.
+    /// are summed in that order; phase 2 hears from the `peer_budget` best
+    /// ranked peers, or from all of them.
     fn range_query_inner(
         &self,
         from_peer: usize,
         q: &[f64],
         eps: f64,
         budget: Option<QueryBudget>,
-        target_of: impl FnOnce(&[PeerScore]) -> usize,
+        peer_budget: Option<usize>,
     ) -> RangeResult {
         assert!(eps >= 0.0, "negative radius {eps}");
         assert_finite_centre(q);
@@ -127,7 +125,7 @@ impl HypermNetwork {
         }
 
         // Phase 2: contact the selected peers; they answer exactly.
-        let target = target_of(&ranked);
+        let target = peer_budget.unwrap_or(ranked.len());
         let mut items = Vec::new();
         let none = Reply::Items { want: None, got: 0 };
         let contacted = run.walk(&ranked, target, none, |ps| {
@@ -272,149 +270,5 @@ mod tests {
                 "peer {peer} not even a candidate"
             );
         }
-    }
-}
-
-impl HypermNetwork {
-    /// Range query that picks its own peer budget: contact the fewest
-    /// top-scored peers whose cumulative Eq.-1 score mass reaches
-    /// `target_recall` of the total (0 < target ≤ 1).
-    ///
-    /// The Eq.-1 score of a peer estimates how many relevant items it
-    /// holds, so the cumulative score fraction is an *a-priori* recall
-    /// estimate — the knob Figure 10a sweeps by hand, automated. With
-    /// `target_recall = 1.0` every candidate is contacted and the
-    /// no-false-dismissal guarantee applies unchanged.
-    pub fn range_query_adaptive(
-        &self,
-        from_peer: usize,
-        q: &[f64],
-        eps: f64,
-        target_recall: f64,
-    ) -> RangeResult {
-        assert!(
-            target_recall > 0.0 && target_recall <= 1.0,
-            "target recall must be in (0, 1], got {target_recall}"
-        );
-        self.range_query_inner(from_peer, q, eps, None, |ranked| {
-            let total: f64 = ranked.iter().map(|p| p.score).sum();
-            if total > 0.0 && target_recall < 1.0 {
-                let mut acc = 0.0;
-                for (i, ps) in ranked.iter().enumerate() {
-                    acc += ps.score;
-                    if acc / total >= target_recall {
-                        return i + 1;
-                    }
-                }
-            }
-            ranked.len()
-        })
-    }
-}
-
-#[cfg(test)]
-mod adaptive_tests {
-    use crate::config::HypermConfig;
-    use crate::network::HypermNetwork;
-    use hyperm_cluster::Dataset;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn build(seed: u64) -> HypermNetwork {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let peers: Vec<Dataset> = (0..12)
-            .map(|_| {
-                let centre: f64 = rng.gen();
-                let mut ds = Dataset::new(16);
-                let mut row = [0.0f64; 16];
-                for _ in 0..30 {
-                    for x in row.iter_mut() {
-                        *x = (centre + rng.gen::<f64>() * 0.4).clamp(0.0, 1.0);
-                    }
-                    ds.push_row(&row);
-                }
-                ds
-            })
-            .collect();
-        let cfg = HypermConfig::new(16)
-            .with_levels(4)
-            .with_clusters_per_peer(5)
-            .with_seed(seed);
-        HypermNetwork::build(peers, cfg).unwrap().0
-    }
-
-    #[test]
-    fn full_target_equals_unbudgeted_query() {
-        let net = build(1);
-        let q = net.peer(3).items.row(0).to_vec();
-        let full = net.range_query(0, &q, 0.3, None);
-        let adaptive = net.range_query_adaptive(0, &q, 0.3, 1.0);
-        let mut a = full.items.clone();
-        let mut b = adaptive.items.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn lower_targets_contact_fewer_peers() {
-        let net = build(2);
-        let q = net.peer(5).items.row(1).to_vec();
-        let half = net.range_query_adaptive(0, &q, 0.4, 0.5);
-        let full = net.range_query_adaptive(0, &q, 0.4, 1.0);
-        assert!(half.peers_contacted <= full.peers_contacted);
-        assert!(half.items.len() <= full.items.len());
-        // The achieved recall (vs the full answer) should be near or above
-        // the requested mass fraction on this well-clustered data.
-        if !full.items.is_empty() {
-            let got: std::collections::BTreeSet<_> = half.items.iter().collect();
-            let recall = full.items.iter().filter(|i| got.contains(i)).count() as f64
-                / full.items.len() as f64;
-            assert!(recall >= 0.3, "achieved recall {recall}");
-        }
-    }
-
-    /// One adaptive call is one query: phase 1 runs once, and trace,
-    /// ledger and result are those of `range_query` at the budget it chose.
-    #[test]
-    fn adaptive_pays_phase_one_once() {
-        use hyperm_sim::LoadLedger;
-        use hyperm_telemetry::{EventClass, Name, Recorder};
-        use std::sync::Arc;
-
-        let run = |adaptive: Option<usize>| {
-            let mut net = build(2);
-            let q = net.peer(5).items.row(1).to_vec();
-            let ledger = Arc::new(LoadLedger::new(net.len(), net.levels()));
-            net.set_load_ledger(Some(ledger.clone()));
-            let (rec, ring) = Recorder::ring(1 << 16);
-            net.set_recorder(rec);
-            let res = match adaptive {
-                None => net.range_query_adaptive(0, &q, 0.4, 0.5),
-                Some(budget) => net.range_query(0, &q, 0.4, Some(budget)),
-            };
-            let events = ring.events();
-            let starts = |name: Name| {
-                let opens = events.iter().filter(|e| e.class == EventClass::Start);
-                opens.filter(|e| e.name == name).count()
-            };
-            assert_eq!(starts(Name::Query), 1);
-            assert_eq!(starts(Name::OverlayLookup), net.levels());
-            (res, ledger.per_peer())
-        };
-        let (adaptive, adaptive_load) = run(None);
-        assert!(adaptive.peers_contacted < adaptive.ranked.len());
-        let (fixed, fixed_load) = run(Some(adaptive.peers_contacted));
-        assert_eq!(adaptive.items, fixed.items);
-        assert_eq!(adaptive.stats, fixed.stats);
-        assert_eq!(adaptive_load, fixed_load);
-    }
-
-    #[test]
-    #[should_panic(expected = "target recall")]
-    fn zero_target_rejected() {
-        let net = build(3);
-        let q = net.peer(0).items.row(0).to_vec();
-        net.range_query_adaptive(0, &q, 0.2, 0.0);
     }
 }

@@ -133,11 +133,6 @@ impl ZipfWorkload {
         self.pool.len()
     }
 
-    /// The centre at popularity rank `r` (0 = most popular).
-    pub fn center_of_rank(&self, r: usize) -> &[f64] {
-        &self.pool[r]
-    }
-
     /// Exact probability of drawing rank `r`.
     pub fn pmf(&self, r: usize) -> f64 {
         let lo = if r == 0 { 0.0 } else { self.cdf[r - 1] };
@@ -278,7 +273,7 @@ mod tests {
         let pool = vec![vec![0.1, 0.2], vec![0.3, 0.4], vec![0.5, 0.6]];
         let mut w = ZipfWorkload::from_pool(pool.clone(), 2.0, 9);
         assert_eq!(w.ranks(), 3);
-        assert_eq!(w.center_of_rank(1), &[0.3, 0.4][..]);
+        assert_eq!(w.pool, pool);
         // Heavy skew: the top rank dominates.
         let draws = w.ranks_iter(1000);
         let top = draws.iter().filter(|&&r| r == 0).count();

@@ -30,7 +30,7 @@
 //!   converges in a few steps.
 //! * **`d > 8`** and the small even caps: `½ I_{s²}((d+1)/2, ½)`, reflected
 //!   for `c < 0`, via the Lentz continued fraction ([`crate::special`]).
-//!   8 is the default `max_can_dim`, which bounds every overlay key
+//!   8 is Hyper-M's `MAX_CAN_DIM`, which bounds every overlay key
 //!   dimension, so the query path never reaches this form except for small
 //!   even caps.
 //!

@@ -44,24 +44,6 @@ pub fn scale(a: &mut [f64], s: f64) {
     }
 }
 
-/// Mean of a set of rows given as a flat row-major buffer.
-///
-/// Returns a zero vector when `rows == 0`.
-pub fn mean_rows(flat: &[f64], dim: usize) -> Vec<f64> {
-    assert!(dim > 0, "dim must be positive");
-    assert_eq!(flat.len() % dim, 0, "buffer not a whole number of rows");
-    let rows = flat.len() / dim;
-    let mut out = vec![0.0; dim];
-    if rows == 0 {
-        return out;
-    }
-    for row in flat.chunks_exact(dim) {
-        add_assign(&mut out, row);
-    }
-    scale(&mut out, 1.0 / rows as f64);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,18 +68,5 @@ mod tests {
         assert_eq!(a, vec![1.5, 2.5]);
         scale(&mut a, 2.0);
         assert_eq!(a, vec![3.0, 5.0]);
-    }
-
-    #[test]
-    fn mean_of_rows() {
-        let flat = [0.0, 0.0, 2.0, 4.0];
-        assert_eq!(mean_rows(&flat, 2), vec![1.0, 2.0]);
-        assert_eq!(mean_rows(&[], 3), vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "whole number of rows")]
-    fn mean_rejects_ragged_buffer() {
-        mean_rows(&[1.0, 2.0, 3.0], 2);
     }
 }

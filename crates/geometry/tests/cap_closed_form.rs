@@ -15,7 +15,7 @@ use hyperm_geometry::{
 };
 use std::f64::consts::PI;
 
-/// The closed-form dimensions: every overlay key space (`max_can_dim` 8).
+/// The closed-form dimensions: every overlay key space (`MAX_CAN_DIM` 8).
 const DIMS: std::ops::RangeInclusive<u32> = 1..=8;
 
 /// `n + 1` evenly spaced angles over `[0, π]`.

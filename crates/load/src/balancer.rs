@@ -69,12 +69,6 @@ impl LoadBalancer {
         balancer
     }
 
-    /// Detach the ledger from `net`: it stops charging. (The balancer
-    /// keeps its handle for final reporting.)
-    pub fn uninstall(net: &mut HypermNetwork) {
-        net.set_load_ledger(None);
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &LoadConfig {
         &self.cfg
@@ -125,7 +119,7 @@ impl LoadBalancer {
     /// threshold on, its median is routinely zero). When the ratio
     /// exceeds `cfg.split_ratio`, each level's hottest alive host (by
     /// flood heat) sheds load towards its coldest: migrate a virtual
-    /// zone off it (`cfg.rebalance`) or split its primary
+    /// zone off it (`cfg.virtual_nodes > 0`) or split its primary
     /// (`cfg.splits`). When the ratio has dropped inside the merge
     /// hysteresis and no virtual nodes are in play, fold split
     /// fragments back through the dyadic sibling merge. Overlay
@@ -221,7 +215,7 @@ impl LoadBalancer {
                     // footprint; splitting only stops charging the hot
                     // host for the half it gives away. Prefer the
                     // migration whenever the hot host has one to give.
-                    if self.cfg.rebalance {
+                    if self.cfg.virtual_nodes > 0 {
                         if let Some(stats) = net.migrate_zone(l, hot, cold) {
                             report.migrations += 1;
                             report.stats += stats;

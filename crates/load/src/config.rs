@@ -7,12 +7,10 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadConfig {
     /// Extra virtual zones carved per overlay level at install time
-    /// (join-time placement). `0` disables virtual nodes.
+    /// (join-time placement). `0` disables virtual nodes; any other value
+    /// also makes [`crate::LoadBalancer::relieve`] migrate the hottest
+    /// host's largest virtual zone to the coldest host.
     pub virtual_nodes: usize,
-    /// On [`crate::LoadBalancer::relieve`], migrate the hottest host's
-    /// largest virtual zone to the coldest host (requires fragments to
-    /// exist — i.e. `virtual_nodes > 0` or prior splits).
-    pub rebalance: bool,
     /// On relieve, split the hottest zone when the max/median load ratio
     /// exceeds [`LoadConfig::split_ratio`], granting one half to the
     /// coldest host; merge fragments back when load flattens.
@@ -30,7 +28,6 @@ impl Default for LoadConfig {
     fn default() -> Self {
         Self {
             virtual_nodes: 0,
-            rebalance: false,
             splits: false,
             split_ratio: 2.0,
             seed: 0,
@@ -43,7 +40,6 @@ impl LoadConfig {
     /// rebalancing on relieve.
     pub fn with_virtual_nodes(mut self, n: usize) -> Self {
         self.virtual_nodes = n;
-        self.rebalance = n > 0;
         self
     }
 

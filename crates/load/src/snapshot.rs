@@ -1,6 +1,8 @@
 //! Point-in-time view of the per-peer load distribution.
 
+use hyperm_baseline::distribution_stats;
 use hyperm_sim::{EnergyModel, LoadLedger, PeerLoad};
+use hyperm_telemetry::nearest_rank;
 
 /// Aggregated per-peer load statistics over the *alive* peers, computed by
 /// [`crate::LoadBalancer::snapshot`]. "Load" is a peer's total charged
@@ -65,27 +67,17 @@ impl LoadSnapshot {
         let p99 = if n == 0 {
             0
         } else {
-            // Nearest-rank percentile on the ascending sort.
-            let rank = ((0.99 * n as f64).ceil() as usize).clamp(1, n);
-            loads[rank - 1]
+            loads[nearest_rank(0.99, n) - 1]
         };
         let mean = if n == 0 {
             0.0
         } else {
             total_events as f64 / n as f64
         };
-        // Gini over the ascending sort: (2·Σ i·xᵢ − (n+1)·Σ xᵢ) / (n·Σ xᵢ),
-        // with i = 1..n.
-        let gini = if n == 0 || total_events == 0 {
+        let gini = if n == 0 {
             0.0
         } else {
-            let weighted: f64 = loads
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| (i as f64 + 1.0) * x as f64)
-                .sum();
-            (2.0 * weighted - (n as f64 + 1.0) * total_events as f64)
-                / (n as f64 * total_events as f64)
+            distribution_stats(&loads).gini
         };
         let heat_max_per_level: Vec<u64> = (0..ledger.levels())
             .map(|l| {

@@ -242,7 +242,7 @@ fn uninstall_stops_charging() {
     net.range_query(0, &q, 0.3, None);
     let before = balancer.ledger().total_events();
     assert!(before > 0);
-    LoadBalancer::uninstall(&mut net);
+    net.set_load_ledger(None);
     net.range_query(0, &q, 0.3, None);
     assert_eq!(balancer.ledger().total_events(), before);
 }

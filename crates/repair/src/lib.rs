@@ -53,6 +53,9 @@ use hyperm_telemetry::{Counter, Name, SpanId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Budget of background merge passes run after each churn event.
+const MAX_REPAIR_PASSES: usize = 32;
+
 /// Policy knobs of the repair engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairConfig {
@@ -65,8 +68,6 @@ pub struct RepairConfig {
     /// period, so replicas lost to a crash are absent for at most one
     /// period (plus the takeover detection time).
     pub refresh_interval: u64,
-    /// Budget of background merge passes run after each churn event.
-    pub max_repair_passes: usize,
     /// Per-sphere publish attempt budget: a summary whose reliable publish
     /// keeps failing (route dead-ends under loss or a partition) is retried
     /// on each refresh round up to this many attempts, then abandoned with
@@ -86,7 +87,6 @@ impl Default for RepairConfig {
         Self {
             enabled: true,
             refresh_interval: 50,
-            max_repair_passes: 32,
             max_publish_attempts: 5,
             fault_plan: None,
             partition_plan: None,
@@ -325,7 +325,7 @@ impl RepairEngine {
             );
         }
         if self.cfg.enabled {
-            self.stats.repair += self.net.repair_overlays(self.cfg.max_repair_passes);
+            self.stats.repair += self.net.repair_overlays(MAX_REPAIR_PASSES);
             self.retry_deferred();
             self.refresh_all();
         }
@@ -447,7 +447,7 @@ impl RepairEngine {
         self.stats.repair += out.stats;
         self.stats.max_takeover_rounds = self.stats.max_takeover_rounds.max(out.takeover_rounds);
         if self.cfg.enabled {
-            self.stats.repair += self.net.repair_overlays(self.cfg.max_repair_passes);
+            self.stats.repair += self.net.repair_overlays(MAX_REPAIR_PASSES);
         }
         out
     }
@@ -460,7 +460,7 @@ impl RepairEngine {
         self.stats.departures += 1;
         self.stats.repair += out.stats;
         self.stats.max_takeover_rounds = self.stats.max_takeover_rounds.max(out.takeover_rounds);
-        self.stats.repair += self.net.repair_overlays(self.cfg.max_repair_passes);
+        self.stats.repair += self.net.repair_overlays(MAX_REPAIR_PASSES);
         out
     }
 

@@ -52,12 +52,6 @@ impl EnergyModel {
         }
     }
 
-    /// Energy for one message of `bytes` crossing one radio link
-    /// (sender TX + receiver RX + overhead), in nanojoules.
-    pub fn message_nj(&self, bytes: u64) -> f64 {
-        (self.tx_nj_per_byte + self.rx_nj_per_byte) * bytes as f64 + self.per_message_nj
-    }
-
     /// Total energy for an operation record, in **joules**.
     ///
     /// Charges each message the per-message overhead and each byte the
@@ -72,17 +66,6 @@ impl EnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn message_energy() {
-        let m = EnergyModel {
-            tx_nj_per_byte: 10.0,
-            rx_nj_per_byte: 5.0,
-            per_message_nj: 100.0,
-        };
-        assert_eq!(m.message_nj(4), 160.0);
-        assert_eq!(m.message_nj(0), 100.0);
-    }
 
     #[test]
     fn op_energy_in_joules() {

@@ -175,14 +175,6 @@ impl LoadLedger {
         }
     }
 
-    /// One peer's accumulated load (zeros for out-of-table peers).
-    pub fn peer_load(&self, peer: usize) -> PeerLoad {
-        self.cells
-            .get(peer)
-            .map(PeerCell::snapshot)
-            .unwrap_or_default()
-    }
-
     /// Every peer's accumulated load, indexed by peer id.
     pub fn per_peer(&self) -> Vec<PeerLoad> {
         self.cells.iter().map(PeerCell::snapshot).collect()
@@ -307,7 +299,7 @@ mod tests {
         ledger.charge_fetch_answered(9, 10);
         ledger.charge_retries(9, 1);
         assert_eq!(ledger.total_events(), 0);
-        assert_eq!(ledger.peer_load(9), PeerLoad::default());
+        assert_eq!(ledger.per_peer(), vec![PeerLoad::default(); 2]);
     }
 
     #[test]

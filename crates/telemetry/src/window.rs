@@ -269,6 +269,12 @@ pub struct WindowSnapshot {
     pub series: Vec<(u64, u64)>,
 }
 
+/// One-based nearest-rank position of the `q`-quantile among `n` sorted
+/// samples: `⌈q·n⌉`, at least 1, with `q` clamped to `[0, 1]`.
+pub fn nearest_rank(q: f64, n: usize) -> usize {
+    ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).max(1)
+}
+
 impl WindowSnapshot {
     /// Operations per bucket interval, averaged over the buckets the
     /// series actually spans (0 when empty).
@@ -288,7 +294,7 @@ impl WindowSnapshot {
         if self.latency_count == 0 {
             return 0;
         }
-        let rank = ((q.clamp(0.0, 1.0) * self.latency_count as f64).ceil() as u64).max(1);
+        let rank = nearest_rank(q, self.latency_count as usize) as u64;
         let mut seen = 0;
         for &(_lo, hi, count) in &self.latency_buckets {
             seen += count;

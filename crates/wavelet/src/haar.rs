@@ -28,16 +28,6 @@ impl Normalization {
             Normalization::Orthonormal => std::f64::consts::SQRT_2,
         }
     }
-
-    /// Contraction factor of one transform level: the operator norm of the
-    /// pairwise map restricted to either output half.
-    #[inline]
-    pub fn level_contraction(self) -> f64 {
-        match self {
-            Normalization::PaperAverage => std::f64::consts::SQRT_2,
-            Normalization::Orthonormal => 1.0,
-        }
-    }
 }
 
 /// A [`Normalization`] fixed at compile time, so the pyramid kernel

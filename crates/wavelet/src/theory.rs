@@ -92,18 +92,6 @@ pub fn scaled_radius(r: f64, dim: usize, subspace: Subspace, norm: Normalization
     r / radius_contraction(dim, subspace, norm)
 }
 
-/// Theorem 4.1's reverse bound: a point within the per-level thresholds in
-/// *every* subspace of a depth-`log₂ d` decomposition is within
-/// `R·√(log₂ d + 1)` of the query in the original space.
-pub fn reverse_bound(r_threshold: f64, dim: usize) -> f64 {
-    assert!(
-        dim.is_power_of_two() && dim >= 1,
-        "dim must be a power of two"
-    );
-    let levels = dim.trailing_zeros() as f64;
-    r_threshold * (levels + 1.0).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,13 +132,6 @@ mod tests {
         let r = 3.0;
         let got = scaled_radius(r, 16, Subspace::Detail(1), Normalization::PaperAverage);
         assert!((got - 3.0 / (8f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reverse_bound_matches_paper_example() {
-        // The paper's worked example: d = 4 gives R√3 (log₂4 + 1 = 3).
-        assert!((reverse_bound(1.0, 4) - 3f64.sqrt()).abs() < 1e-12);
-        assert!((reverse_bound(2.0, 512) - 2.0 * 10f64.sqrt()).abs() < 1e-12);
     }
 
     /// Empirical verification of Theorem 3.1: random points inside a sphere

@@ -1,9 +1,11 @@
-//! Flag parsing shared by the `hyperm-node`, `hyperm-demo` and
-//! `hyperm-client` binaries, each of which includes it with `mod cli;`.
-//! It lives in a directory so that cargo does not build it as a binary
-//! of its own.
+//! Flag parsing shared by the `hyperm-node`, `hyperm-demo`,
+//! `hyperm-client` and `hyperm-monitor` binaries, each of which includes
+//! it with `mod cli;`. It lives in a directory so that cargo does not
+//! build it as a binary of its own.
 
 use std::collections::HashMap;
+use std::fmt::{Debug, Display};
+use std::ops::RangeBounds;
 use std::str::FromStr;
 
 /// Parsed flags: `--name value` maps `name` to `value`, and a bare
@@ -32,12 +34,21 @@ pub(crate) fn parse_flags(raw: Vec<String>) -> Flags {
 }
 
 /// The value of `--key` parsed as `T`: `default` when the flag is
-/// absent, and an error naming the flag when its value does not parse.
-pub(crate) fn get<T: FromStr>(opts: &Flags, key: &str, default: T) -> Result<T, String> {
-    match opts.get(key) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("bad --{key} value {v:?}")),
+/// absent, and an error naming the flag when its value does not parse or
+/// lies outside `range` (`..` accepts every value).
+pub(crate) fn get<T, R>(opts: &Flags, key: &str, default: T, range: R) -> Result<T, String>
+where
+    T: FromStr + PartialOrd + Display,
+    R: RangeBounds<T> + Debug,
+{
+    let value = match opts.get(key) {
+        None => default,
+        Some(v) => v.parse().map_err(|_| format!("bad --{key} value {v:?}"))?,
+    };
+    if !range.contains(&value) {
+        return Err(format!("--{key} {value} is out of range {range:?}"));
     }
+    Ok(value)
 }
 
 #[cfg(test)]
@@ -51,8 +62,8 @@ mod tests {
     #[test]
     fn missing_flag_reads_the_default() {
         let opts = flags(&["--items", "40"]);
-        assert_eq!(get(&opts, "nodes", 30usize), Ok(30));
-        assert_eq!(get(&opts, "items", 60usize), Ok(40));
+        assert_eq!(get(&opts, "nodes", 30usize, ..), Ok(30));
+        assert_eq!(get(&opts, "items", 60usize, ..), Ok(40));
     }
 
     #[test]
@@ -60,16 +71,25 @@ mod tests {
         let opts = flags(&["--baton", "--nodes", "5", "--republish"]);
         assert_eq!(opts.get("baton").map(String::as_str), Some("true"));
         assert_eq!(opts.get("republish").map(String::as_str), Some("true"));
-        assert_eq!(get(&opts, "nodes", 0usize), Ok(5));
-        assert_eq!(get(&opts, "baton", false), Ok(true));
+        assert_eq!(get(&opts, "nodes", 0usize, ..), Ok(5));
+        assert_eq!(get(&opts, "baton", false, ..), Ok(true));
     }
 
     #[test]
     fn bad_value_is_an_error_naming_the_flag() {
         let opts = flags(&["--nodes", "abc", "--eps", "0.1"]);
-        let err = get(&opts, "nodes", 30usize).unwrap_err();
+        let err = get(&opts, "nodes", 30usize, ..).unwrap_err();
         assert!(err.contains("--nodes"), "{err}");
         assert!(err.contains("abc"), "{err}");
-        assert_eq!(get(&opts, "eps", 0.0f64), Ok(0.1));
+        assert_eq!(get(&opts, "eps", 0.0f64, ..), Ok(0.1));
+    }
+
+    #[test]
+    fn out_of_range_value_is_an_error_naming_the_flag() {
+        let opts = flags(&["--nodes", "0", "--eps", "NaN"]);
+        let err = get(&opts, "nodes", 30usize, 1..).unwrap_err();
+        assert_eq!(err, "--nodes 0 is out of range 1..");
+        assert!(get(&opts, "eps", 0.0f64, 0.0..).is_err());
+        assert_eq!(get(&opts, "items", 40usize, 1..), Ok(40));
     }
 }

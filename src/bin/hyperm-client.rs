@@ -12,13 +12,17 @@
 //! ```
 //!
 //! Every subcommand prints a single JSON object, so output is scriptable
-//! (the CI transport smoke job parses it). `query --trace T` stamps the
+//! (the CI transport smoke job parses it). A usage error (an unknown
+//! subcommand, a missing or bad flag) exits 2; a transport error or a
+//! node's refusal exits 0 with `"ok": false`. `query --trace T` stamps the
 //! request frame with trace id `T` so nodes running with `--trace PATH`
 //! parent their serve spans into one cross-process trace; `stats` dumps
 //! the node's sliding-window metrics snapshot verbatim.
 
 use hyperm::telemetry::{JsonObj, TraceCtx};
 use hyperm::transport::{Client, TcpEndpoint, TransportError};
+use std::fmt::{Debug, Display};
+use std::process::ExitCode;
 use std::str::FromStr;
 
 mod cli;
@@ -45,58 +49,63 @@ impl From<TransportError> for CmdError {
     }
 }
 
-fn main() {
+/// A subcommand: it checks its flags, then connects to the node and
+/// answers one JSON object.
+type Run = fn(&Flags) -> Result<JsonObj, CmdError>;
+
+fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().unwrap_or_else(|| "help".into());
     let opts = cli::parse_flags(args.collect());
-    if cmd == "help" {
-        help();
-        return;
-    }
-    let client = match connect(&opts) {
-        Ok(c) => c,
-        Err(e) => return fail(&cmd, &e),
-    };
-    let result = match cmd.as_str() {
-        "put" => put(&client, &opts),
-        "get" => get_cmd(&client, &opts),
-        "query" => query(&client, &opts),
-        "fetch" => fetch(&client, &opts),
-        "route" => route(&client, &opts),
+    // Subcommand and flags are checked before any socket is opened.
+    let run: Run = match cmd.as_str() {
+        "put" => put,
+        "get" => get_cmd,
+        "query" => query,
+        "fetch" => fetch,
+        "route" => route,
+        "shutdown" => |opts| {
+            connect(opts)?.shutdown()?;
+            Ok(JsonObj::new().b("ok", true))
+        },
         "stats" => {
             // The snapshot is already one JSON document: print verbatim.
-            match client.stats() {
+            return match connect(&opts).and_then(|c| Ok(c.stats()?)) {
                 Ok(json) => {
                     println!("{json}");
-                    return;
+                    ExitCode::SUCCESS
                 }
-                Err(e) => Err(CmdError::Transport(e)),
-            }
+                Err(e) => fail(&cmd, &e),
+            };
         }
-        "shutdown" => client
-            .shutdown()
-            .map(|()| JsonObj::new().b("ok", true))
-            .map_err(CmdError::Transport),
-        _ => {
+        "help" => {
             help();
-            return;
+            return ExitCode::SUCCESS;
+        }
+        other => {
+            help();
+            let e = CmdError::Usage(format!("unknown subcommand {other:?}"));
+            return fail(&cmd, &e);
         }
     };
-    match result {
-        Ok(obj) => println!("{}", obj.s("cmd", &cmd).render()),
+    match run(&opts) {
+        Ok(obj) => {
+            println!("{}", obj.s("cmd", &cmd).render());
+            ExitCode::SUCCESS
+        }
         Err(e) => fail(&cmd, &e),
     }
 }
 
-/// Failures are still one parseable JSON object (exit code stays 0; the
-/// smoke scripts branch on the `ok` field). The `error` field is itself
-/// an object: `kind` is a stable machine-readable name
+/// Failures are still one parseable JSON object. The `error` field is
+/// itself an object: `kind` is a stable machine-readable name
 /// ([`TransportError::kind_name`], or `"usage"`), `detail` the
-/// human-readable message.
-fn fail(cmd: &str, err: &CmdError) {
-    let (kind, detail) = match err {
-        CmdError::Usage(msg) => ("usage", msg.clone()),
-        CmdError::Transport(e) => (e.kind_name(), e.to_string()),
+/// human-readable message. A usage error exits 2; a transport error
+/// exits 0, because the smoke scripts branch on the `ok` field.
+fn fail(cmd: &str, err: &CmdError) -> ExitCode {
+    let (kind, detail, code) = match err {
+        CmdError::Usage(msg) => ("usage", msg.clone(), ExitCode::from(2)),
+        CmdError::Transport(e) => (e.kind_name(), e.to_string(), ExitCode::SUCCESS),
     };
     println!(
         "{}",
@@ -109,6 +118,7 @@ fn fail(cmd: &str, err: &CmdError) {
             )
             .render()
     );
+    code
 }
 
 fn connect(opts: &Flags) -> Result<Client<TcpEndpoint>, CmdError> {
@@ -118,7 +128,7 @@ fn connect(opts: &Flags) -> Result<Client<TcpEndpoint>, CmdError> {
     let addr = node
         .parse()
         .map_err(|e| format!("bad --node address {node}: {e}"))?;
-    let trace_id: u64 = cli::get(opts, "trace", 0)?;
+    let trace_id: u64 = cli::get(opts, "trace", 0, ..)?;
     // Client transport ids live far above node ids; uniqueness per
     // process is enough for reply routing.
     let id = 1_000_000 + u64::from(std::process::id());
@@ -147,18 +157,22 @@ fn vector(opts: &Flags, key: &str) -> Result<Vec<f64>, String> {
         .collect()
 }
 
-fn num<T: FromStr + Default>(opts: &Flags, key: &str) -> Result<T, String> {
+/// A required numeric flag; every one of them is at least zero.
+fn num<T>(opts: &Flags, key: &str) -> Result<T, String>
+where
+    T: FromStr + Default + PartialOrd + Display + Debug,
+{
     if !opts.contains_key(key) {
         return Err(format!("--{key} is required"));
     }
-    cli::get(opts, key, T::default())
+    cli::get(opts, key, T::default(), T::default()..)
 }
 
-fn put(client: &Client<TcpEndpoint>, opts: &Flags) -> Result<JsonObj, CmdError> {
+fn put(opts: &Flags) -> Result<JsonObj, CmdError> {
     let peer: u64 = num(opts, "peer")?;
     let item = vector(opts, "item")?;
     let republish = opts.contains_key("republish");
-    let index = client.put(peer, &item, republish)?;
+    let index = connect(opts)?.put(peer, &item, republish)?;
     Ok(JsonObj::new()
         .b("ok", true)
         .u("peer", peer)
@@ -166,10 +180,10 @@ fn put(client: &Client<TcpEndpoint>, opts: &Flags) -> Result<JsonObj, CmdError> 
         .b("republished", republish))
 }
 
-fn get_cmd(client: &Client<TcpEndpoint>, opts: &Flags) -> Result<JsonObj, CmdError> {
+fn get_cmd(opts: &Flags) -> Result<JsonObj, CmdError> {
     let level: u16 = num(opts, "level")?;
     let key = vector(opts, "key")?;
-    let objects = client.get(level, &key)?;
+    let objects = connect(opts)?.get(level, &key)?;
     let rendered: Vec<String> = objects
         .iter()
         .map(|o| {
@@ -188,12 +202,12 @@ fn get_cmd(client: &Client<TcpEndpoint>, opts: &Flags) -> Result<JsonObj, CmdErr
         .arr("objects", &rendered))
 }
 
-fn query(client: &Client<TcpEndpoint>, opts: &Flags) -> Result<JsonObj, CmdError> {
+fn query(opts: &Flags) -> Result<JsonObj, CmdError> {
     let centre = vector(opts, "centre")?;
     let eps: f64 = num(opts, "eps")?;
     // An absent budget is unlimited, as `u32::MAX` is on the wire.
-    let budget = Some(cli::get(opts, "budget", u32::MAX)?);
-    let (items, (hops, messages, bytes)) = client.query(&centre, eps, budget)?;
+    let budget = Some(cli::get(opts, "budget", u32::MAX, ..)?);
+    let (items, (hops, messages, bytes)) = connect(opts)?.query(&centre, eps, budget)?;
     let rendered: Vec<String> = items.iter().map(|&(p, i)| format!("[{p},{i}]")).collect();
     Ok(JsonObj::new()
         .b("ok", true)
@@ -204,11 +218,11 @@ fn query(client: &Client<TcpEndpoint>, opts: &Flags) -> Result<JsonObj, CmdError
         .arr("items", &rendered))
 }
 
-fn fetch(client: &Client<TcpEndpoint>, opts: &Flags) -> Result<JsonObj, CmdError> {
+fn fetch(opts: &Flags) -> Result<JsonObj, CmdError> {
     let peer: u64 = num(opts, "peer")?;
     let centre = vector(opts, "centre")?;
     let eps: f64 = num(opts, "eps")?;
-    let indices = client.fetch(peer, &centre, eps)?;
+    let indices = connect(opts)?.fetch(peer, &centre, eps)?;
     let rendered: Vec<String> = indices.iter().map(|i| i.to_string()).collect();
     Ok(JsonObj::new()
         .b("ok", true)
@@ -217,10 +231,10 @@ fn fetch(client: &Client<TcpEndpoint>, opts: &Flags) -> Result<JsonObj, CmdError
         .arr("indices", &rendered))
 }
 
-fn route(client: &Client<TcpEndpoint>, opts: &Flags) -> Result<JsonObj, CmdError> {
+fn route(opts: &Flags) -> Result<JsonObj, CmdError> {
     let level: u16 = num(opts, "level")?;
     let key = vector(opts, "key")?;
-    let owner = client.route(level, &key)?;
+    let owner = connect(opts)?.route(level, &key)?;
     Ok(JsonObj::new()
         .b("ok", true)
         .u("level", u64::from(level))

@@ -52,10 +52,10 @@ fn main() -> ExitCode {
 fn build_network(
     opts: &Flags,
 ) -> Result<(HypermNetwork, hyperm::BuildReport, Vec<Dataset>), String> {
-    let nodes: usize = get(opts, "nodes", 30)?;
-    let items: usize = get(opts, "items", 60)?;
-    let levels: usize = get(opts, "levels", 4)?;
-    let clusters: usize = get(opts, "clusters", 8)?;
+    let nodes: usize = get(opts, "nodes", 30, 1..)?;
+    let items: usize = get(opts, "items", 60, 1..)?;
+    let levels: usize = get(opts, "levels", 4, ..)?;
+    let clusters: usize = get(opts, "clusters", 8, ..)?;
     let backend = if opts.contains_key("baton") {
         OverlayBackend::Baton
     } else {
@@ -110,9 +110,10 @@ fn disseminate(opts: &Flags) -> Result<(), String> {
 }
 
 fn query(opts: &Flags) -> Result<(), String> {
+    let kind: String = get(opts, "kind", "range".to_string(), ..)?;
+    let queries: usize = get(opts, "queries", 10, 1..)?;
+    let k: usize = get(opts, "k", 10, 1..)?;
     let (net, _, _) = build_network(opts)?;
-    let kind: String = get(opts, "kind", "range".to_string())?;
-    let queries: usize = get(opts, "queries", 10)?;
     let harness = EvalHarness::new(&net);
     let probes = harness.sample_queries(&net, queries, 3);
     match kind.as_str() {
@@ -133,7 +134,6 @@ fn query(opts: &Flags) -> Result<(), String> {
             println!("  msgs/query:    {:.1}", msgs as f64 / queries as f64);
         }
         "knn" => {
-            let k: usize = get(opts, "k", 10)?;
             let mut p = 0.0;
             let mut r = 0.0;
             let mut msgs = 0u64;

@@ -22,85 +22,74 @@
 //! 0"`) each round; the process exits non-zero with a structured breach
 //! report if any round violated a rule. `--count N` stops after N
 //! rounds (0 = run until interrupted), which is how CI bounds the loop.
+//!
+//! A missing or bad flag exits 2 before any node is contacted.
 
 use hyperm::telemetry::{JsonObj, JsonValue, SloReport, SloRule, WindowSnapshot};
 use hyperm::transport::{Client, RequestPolicy, TcpEndpoint};
 use std::process::ExitCode;
 use std::time::Duration;
 
+mod cli;
+use cli::{get, Flags};
+
 fn main() -> ExitCode {
-    let mut node = None;
-    let mut nodes = None;
-    let mut watch = false;
-    let mut interval_ms: u64 = 500;
-    let mut count: u64 = 0;
-    let mut slo = String::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--node" => node = args.next(),
-            "--nodes" => nodes = args.next(),
-            "--watch" => watch = true,
-            "--interval" => interval_ms = num_arg(args.next(), "--interval"),
-            "--count" => count = num_arg(args.next(), "--count"),
-            "--slo" => slo = args.next().unwrap_or_default(),
-            "help" | "--help" => {
-                help();
-                return ExitCode::SUCCESS;
-            }
-            other => eprintln!("ignoring stray argument {other:?}"),
+    let mut args = std::env::args().skip(1).peekable();
+    if args.next_if(|a| a == "help").is_some() {
+        help();
+        return ExitCode::SUCCESS;
+    }
+    let opts = cli::parse_flags(args.collect());
+    if opts.contains_key("help") {
+        help();
+        return ExitCode::SUCCESS;
+    }
+    match run(&opts) {
+        Ok(code) => code,
+        Err(usage) => {
+            eprintln!("hyperm-monitor: {usage}");
+            ExitCode::from(2)
         }
     }
+}
 
-    if watch {
-        let list: Vec<String> = nodes
+/// Dump one node or watch several. `Err` is a missing or bad flag, found
+/// before any node is contacted.
+fn run(opts: &Flags) -> Result<ExitCode, String> {
+    let interval_ms: u64 = get(opts, "interval", 500, ..)?;
+    let count: u64 = get(opts, "count", 0, ..)?;
+    let node = opts.get("node");
+    let outcome = if opts.contains_key("watch") {
+        let list: Vec<String> = opts
+            .get("nodes")
             .or(node)
-            .unwrap_or_default()
+            .map_or("", String::as_str)
             .split(',')
             .filter(|s| !s.is_empty())
             .map(str::to_string)
             .collect();
         if list.is_empty() {
-            eprintln!("hyperm-monitor: --watch needs --nodes ADDR1,ADDR2,...");
-            return ExitCode::FAILURE;
+            return Err("--watch needs --nodes ADDR1,ADDR2,...".into());
         }
-        let rules = match SloRule::parse_list(&slo) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("hyperm-monitor: bad --slo rules: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match watch_loop(&list, Duration::from_millis(interval_ms), count, &rules) {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::FAILURE,
-            Err(e) => {
-                println!("{}", JsonObj::new().b("ok", false).s("error", &e).render());
-                ExitCode::FAILURE
-            }
-        }
+        let rules = SloRule::parse_list(opts.get("slo").map_or("", String::as_str))
+            .map_err(|e| format!("bad --slo rules: {e}"))?;
+        watch_loop(&list, Duration::from_millis(interval_ms), count, &rules)
     } else {
-        let Some(node) = node else {
-            eprintln!("hyperm-monitor: --node ADDR is required");
-            return ExitCode::FAILURE;
-        };
-        match connect(&node).and_then(|c| c.monitor().map_err(|e| e.to_string())) {
-            Ok(json) => {
+        let node = node.ok_or("--node ADDR is required")?;
+        connect(node)
+            .and_then(|c| c.monitor().map_err(|e| e.to_string()))
+            .map(|json| {
                 print!("{json}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                println!("{}", JsonObj::new().b("ok", false).s("error", &e).render());
-                ExitCode::FAILURE
-            }
+                true
+            })
+    };
+    Ok(match outcome {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            println!("{}", JsonObj::new().b("ok", false).s("error", &e).render());
+            ExitCode::FAILURE
         }
-    }
-}
-
-fn num_arg(v: Option<String>, flag: &str) -> u64 {
-    v.and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-        eprintln!("hyperm-monitor: {flag} needs a number, using 0");
-        0
     })
 }
 

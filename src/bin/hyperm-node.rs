@@ -92,6 +92,15 @@ fn collection(slot: usize, items: usize, dim: usize, seed: u64) -> Dataset {
     corpus.data
 }
 
+/// `--dim`: the corpus's histogram bins, a power of two of at least 4.
+fn dim_flag(opts: &Flags) -> Result<usize, String> {
+    let dim: usize = get(opts, "dim", 16, 4..)?;
+    if !dim.is_power_of_two() {
+        return Err(format!("--dim {dim} is not a power of two"));
+    }
+    Ok(dim)
+}
+
 /// Serve as the head until shut down. `Err` is a bad flag value, found
 /// before anything is built or bound.
 fn head(opts: &Flags) -> Result<ExitCode, String> {
@@ -99,12 +108,12 @@ fn head(opts: &Flags) -> Result<ExitCode, String> {
         .get("listen")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:7401".into());
-    let peers: usize = get(opts, "peers", 3)?;
-    let items: usize = get(opts, "items", 40)?;
-    let dim: usize = get(opts, "dim", 16)?;
-    let levels: usize = get(opts, "levels", 3)?;
-    let clusters: usize = get(opts, "clusters", 4)?;
-    let seed: u64 = get(opts, "seed", 7)?;
+    let peers: usize = get(opts, "peers", 3, 1..)?;
+    let items: usize = get(opts, "items", 40, 1..)?;
+    let dim = dim_flag(opts)?;
+    let levels: usize = get(opts, "levels", 3, ..)?;
+    let clusters: usize = get(opts, "clusters", 4, ..)?;
+    let seed: u64 = get(opts, "seed", 7, ..)?;
     let Some(rec) = recorder(opts) else {
         return Ok(ExitCode::FAILURE);
     };
@@ -155,18 +164,12 @@ fn member(opts: &Flags) -> Result<ExitCode, String> {
         .get("listen")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:0".into());
-    let Some(head_addr) = opts.get("head") else {
-        eprintln!("hyperm-node member: --head ADDR is required");
-        return Ok(ExitCode::FAILURE);
-    };
-    let id: u64 = get(opts, "id", 1)?;
-    let items: usize = get(opts, "items", 40)?;
-    let dim: usize = get(opts, "dim", 16)?;
-    let seed: u64 = get(opts, "seed", 7)?;
-    if id == 0 {
-        eprintln!("hyperm-node member: --id must be ≥ 1 (0 is the head)");
-        return Ok(ExitCode::FAILURE);
-    }
+    let head_addr = opts.get("head").ok_or("--head ADDR is required")?;
+    // Transport id 0 is the head's.
+    let id: u64 = get(opts, "id", 1, 1..)?;
+    let items: usize = get(opts, "items", 40, 1..)?;
+    let dim = dim_flag(opts)?;
+    let seed: u64 = get(opts, "seed", 7, ..)?;
     let Some(rec) = recorder(opts) else {
         return Ok(ExitCode::FAILURE);
     };

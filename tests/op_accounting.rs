@@ -138,7 +138,7 @@ fn scenario() -> (u64, u64, u64) {
 
     free.knn(net.knn_query(1, &q, 5, KnnOptions::default()));
     free.point(net.point_query(2, &q));
-    free.range(net.range_query_adaptive(3, &q, 0.3, 0.6));
+    free.range(net.range_query(3, &q, 0.3, Some(4)));
 
     net.set_fault_plan(Some(FaultConfig::lossy(0.2).with_seed(9)));
     free.range(net.range_query_budgeted(5, &q, 0.3, None, QueryBudget::default()));
