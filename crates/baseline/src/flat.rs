@@ -35,10 +35,19 @@ impl FlatIndex {
             .find(|p| !p.is_empty())
             .map(Dataset::dim)
             .expect("all peers empty");
+        Self::from_peer_rows(dim, peers.iter().map(Dataset::rows))
+    }
+
+    /// [`FlatIndex::from_peers`] over each peer's `dim`-wide rows, in
+    /// index order, however the peer holds them.
+    pub fn from_peer_rows<'a, R: IntoIterator<Item = &'a [f64]>>(
+        dim: usize,
+        peers: impl IntoIterator<Item = R>,
+    ) -> Self {
         let mut data = Dataset::new(dim);
         let mut ids = Vec::new();
-        for (p, local) in peers.iter().enumerate() {
-            for (i, row) in local.rows().enumerate() {
+        for (p, local) in peers.into_iter().enumerate() {
+            for (i, row) in local.into_iter().enumerate() {
                 data.push_row(row);
                 ids.push((p, i));
             }

@@ -11,7 +11,7 @@ use hyperm_baton::{BatonConfig, BatonOverlay};
 use hyperm_can::{CanConfig, CanOverlay, ObjectRef};
 use hyperm_cluster::kmeans::kmeans;
 use hyperm_cluster::{spheres_from_clustering, Dataset, KMeansConfig};
-use hyperm_core::{HypermConfig, HypermNetwork, KnnOptions};
+use hyperm_core::{HypermConfig, HypermNetwork, InsertPolicy, KnnOptions};
 use hyperm_datagen::{generate_markov, MarkovConfig};
 use hyperm_geometry::{
     cap_fraction, cap_fraction_beta, intersection_fraction, solve_epsilon_for_k, ClusterView,
@@ -342,6 +342,37 @@ fn bench_write_path(c: &mut Criterion) {
             net.refresh_peer_summaries(peer)
         })
     });
+
+    // One republished insert into a fresh clone of a network whose peers
+    // hold 400 × 512-d rows each, as in the benchmark's `churn_mix`: the
+    // first write after a clone, which is where a copied row matrix would
+    // be regrown. Cloning and dropping the spent clone stay off the clock.
+    let data = generate_markov(&MarkovConfig {
+        count: 1600,
+        dim: 512,
+        seed: 23,
+        ..MarkovConfig::default()
+    });
+    let peers: Vec<Dataset> = (0..4)
+        .map(|p| data.select(&(p * 400..(p + 1) * 400).collect::<Vec<_>>()))
+        .collect();
+    let (built, _) = HypermNetwork::build(peers, HypermConfig::new(512).with_seed(23)).unwrap();
+    let item: Vec<f64> = data.row(17).iter().map(|x| x + 0.01).collect();
+    let spent = RefCell::new(None);
+    c.bench_function("insert_item_after_clone", |b| {
+        b.iter_batched(
+            || {
+                drop(spent.take());
+                built.clone()
+            },
+            |mut net: HypermNetwork| {
+                let out = net.insert_item(0, black_box(&item), InsertPolicy::Republish);
+                *spent.borrow_mut() = Some(net);
+                out
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
 }
 
 fn bench_alternative_substrates(c: &mut Criterion) {
@@ -422,8 +453,8 @@ fn bench_local_range(c: &mut Criterion) {
     });
     let q: Vec<f64> = data.row(17).to_vec();
     let eps = 0.5;
-    let peer = Peer::summarize(0, data, &HypermConfig::new(512).with_seed(9));
-    let data = &peer.items;
+    let peer = Peer::summarize(0, data.clone(), &HypermConfig::new(512).with_seed(9));
+    let data = &data;
     let tree = KdTree::build(data);
     // The wide scan: the coarse index's window on `A` holds many rows,
     // refined in coefficient order, and few of them answer.

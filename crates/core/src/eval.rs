@@ -35,9 +35,9 @@ impl EvalHarness {
     /// Build the ground-truth index from the network's current peer
     /// contents.
     pub fn new(net: &HypermNetwork) -> Self {
-        let datasets: Vec<_> = net.peers().map(|p| p.items.clone()).collect();
+        let peers = net.peers().map(|p| p.items.rows());
         Self {
-            flat: FlatIndex::from_peers(&datasets),
+            flat: FlatIndex::from_peer_rows(net.data_dim(), peers),
         }
     }
 

@@ -68,6 +68,7 @@ pub mod overlay;
 pub mod peer;
 pub mod publish;
 pub mod query;
+mod rows;
 pub mod score;
 
 pub use churn::ChurnOutcome;
@@ -83,6 +84,7 @@ pub use query::knn::{KnnOptions, KnnResult};
 pub use query::point::PointResult;
 pub use query::range::RangeResult;
 pub use query::QueryBudget;
+pub use rows::Rows;
 pub use score::{LevelScores, PeerScore};
 
 // Telemetry handle, re-exported so downstream code can build traced

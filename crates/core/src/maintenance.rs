@@ -35,9 +35,12 @@ impl HypermNetwork {
     /// built. Returns the message cost (zero for stale summaries).
     ///
     /// # Panics
-    /// If `item` is not `data_dim` wide, or a coordinate is not finite
-    /// (under either policy).
+    /// If `peer` has crashed or departed, `item` is not `data_dim` wide,
+    /// or a coordinate is not finite (under either policy).
     pub fn insert_item(&mut self, peer: usize, item: &[f64], policy: InsertPolicy) -> OpStats {
+        // A dead peer's rows are reached by no query, and its spheres
+        // cannot be republished.
+        assert!(self.is_alive(peer), "dead peers cannot insert");
         assert_eq!(item.len(), self.config.data_dim, "item dimension mismatch");
         // A NaN has no nearest cluster to join, and an item no query can
         // return would be stored silently.
@@ -155,6 +158,40 @@ mod tests {
         let mut item = vec![0.4; 8];
         item[5] = f64::NEG_INFINITY;
         build(5).insert_item(1, &item, InsertPolicy::StaleSummaries);
+    }
+
+    #[test]
+    #[should_panic(expected = "dead peers cannot insert")]
+    fn republish_refuses_a_dead_peer() {
+        let mut net = build(5);
+        net.crash_peer(2, true);
+        net.insert_item(2, &[0.4; 8], InsertPolicy::Republish);
+    }
+
+    #[test]
+    #[should_panic(expected = "dead peers cannot insert")]
+    fn stale_insert_refuses_a_dead_peer() {
+        let mut net = build(5);
+        net.crash_peer(2, true);
+        net.insert_item(2, &[0.4; 8], InsertPolicy::StaleSummaries);
+    }
+
+    /// A clone shares every peer's summarised rows, and an insert into the
+    /// clone changes nothing the original answers.
+    #[test]
+    fn insert_into_a_clone_leaves_the_original_alone() {
+        let a = build(6);
+        let mut b = a.clone();
+        for p in 0..a.len() {
+            assert!(std::ptr::eq(a.peer(p).items.row(0), b.peer(p).items.row(0)));
+        }
+        let item = vec![0.97; 8];
+        let answer = |net: &HypermNetwork| net.range_query(1, &item, 0.05, None).items;
+        let (lens, before) = (a.peers().map(|p| p.len()).collect::<Vec<_>>(), answer(&a));
+        b.insert_item(0, &item, InsertPolicy::Republish);
+        assert_eq!(a.peers().map(|p| p.len()).collect::<Vec<_>>(), lens);
+        assert_eq!(answer(&a), before);
+        assert!(answer(&b).contains(&(0, lens[0])));
     }
 
     #[test]

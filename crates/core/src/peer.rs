@@ -95,8 +95,18 @@
 //! sorted. The keys are unique, so the hand-out order is a full sort's,
 //! and the refined sequence, distances and answer are bit for bit those
 //! of a heap over every item.
+//!
+//! The rows themselves are a [`Rows`]: the collection `summarize` was
+//! given, moved without a copy into a block shared by every clone of the
+//! peer (and of its network) and never mutated, then an owned tail that
+//! `push_item` appends one row to. A clone copies only the tail, and an
+//! insert neither reallocates nor copies the 512-d matrix. The views and
+//! the coarse index stay contiguous and owned: they are 32 of the 544
+//! `f64` stored per item plus 12 bytes, the k-nn dense pass reads each
+//! view as one slice, and `push_item` grows them by one entry each.
 
 use crate::config::HypermConfig;
+use crate::rows::Rows;
 use hyperm_cluster::kmeans::kmeans;
 use hyperm_cluster::{spheres_from_clustering, ClusterSphere, Dataset, KMeansConfig};
 use hyperm_geometry::vecmath::sq_dist;
@@ -115,10 +125,12 @@ const SCAN_COEFFS: usize = 32;
 pub struct Peer {
     /// Peer index (also its CAN node id in every overlay).
     pub id: usize,
-    /// Original-space items (rows). Append through [`Peer::push_item`]
-    /// only: the local scans are sound while row *i* of every view is
-    /// item *i*.
-    pub items: Dataset,
+    /// Original-space items (rows): the collection `summarize` was given,
+    /// shared with every clone of this peer, then the items inserted
+    /// since, which this peer owns. [`Rows`] has no public push; rows are
+    /// appended through [`Peer::push_item`], which keeps row *i* of every
+    /// view item *i*.
+    pub items: Rows,
     /// Per kept subspace: the items' coefficients in that subspace (row
     /// i ↔ item i). The first `published` are the level views; the rest
     /// are the refine guard's.
@@ -451,7 +463,7 @@ impl Peer {
         let coarse = Coarse::build(&views[0]);
         Ok(Peer {
             id,
-            items,
+            items: Rows::new(items),
             views,
             summaries,
             subspaces,
@@ -840,7 +852,7 @@ mod tests {
 
     /// What a linear scan of the rows answers: the oracle of the scan's
     /// property test, sharing nothing with the filter.
-    fn linear_range(items: &Dataset, q: &[f64], eps: f64) -> Vec<usize> {
+    fn linear_range(items: &Rows, q: &[f64], eps: f64) -> Vec<usize> {
         let rows = items.rows().enumerate();
         rows.filter(|(_, row)| sq_dist(row, q) <= eps * eps + 1e-12)
             .map(|(i, _)| i)
@@ -848,7 +860,7 @@ mod tests {
     }
 
     /// `(index, distance bits)` of the `k` smallest by `(distance, index)`.
-    fn linear_knn(items: &Dataset, q: &[f64], k: usize) -> Vec<(usize, u64)> {
+    fn linear_knn(items: &Rows, q: &[f64], k: usize) -> Vec<(usize, u64)> {
         let mut all: Vec<(usize, f64)> = items
             .rows()
             .map(|row| sq_dist(row, q).sqrt())
@@ -1235,7 +1247,7 @@ mod tests {
         let dec = decompose(&big, peer.normalization).unwrap();
         peer.push_item(&big, &dec);
         let fold = |v: &[f64]| v.iter().fold(0.0, |m: f64, x| m.max(x.abs()));
-        let items_peak = fold(peer.items.as_flat());
+        let items_peak = fold(&peer.items.rows().collect::<Vec<_>>().concat());
         assert_eq!(items_peak, 7.5);
         for q in [vec![0.0; 16], vec![-0.25; 16], vec![3.0; 16]] {
             let magnitude = peer.magnitude(peak(&q));

@@ -74,6 +74,15 @@ pub fn write_frame<W: Write>(
 /// Read one length-prefixed frame and decode its body. Returns the
 /// header's correlation tag alongside the message.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<(u64, Message), TransportError> {
+    let (req_id, body) = read_body(r)?;
+    let msg = decode_message(&body).map_err(TransportError::Codec)?;
+    Ok((req_id, msg))
+}
+
+/// Read one length-prefixed frame, leaving its body undecoded: the
+/// header's correlation tag and the body bytes. A body that then fails
+/// to decode leaves the stream at the next frame's header.
+pub(crate) fn read_body<R: Read>(r: &mut R) -> Result<(u64, Vec<u8>), TransportError> {
     assert_unlocked();
     // Two fixed-width reads instead of one 12-byte buffer split: the
     // arrays carry their lengths in the type, so no slice conversion
@@ -93,8 +102,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<(u64, Message), TransportError> 
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)
         .map_err(|e| TransportError::Io(e.to_string()))?;
-    let msg = decode_message(&body).map_err(TransportError::Codec)?;
-    Ok((req_id, msg))
+    Ok((req_id, body))
 }
 
 /// Encoded frame length (header + body) of a message, for byte

@@ -673,7 +673,7 @@ impl<T: Transport> NodeRuntime<T> {
 }
 
 /// The failure reply to a request whose reply kind is `expected`.
-fn refusal(expected: u8) -> Message {
+pub(crate) fn refusal(expected: u8) -> Message {
     Message::Ack {
         seq: u64::from(expected),
         ok: false,

@@ -10,6 +10,12 @@
 //! sender borrow it, and it has `TCP_NODELAY` set, so each frame (one
 //! `write_all`, see [`crate::frame`]) leaves when it is written.
 //!
+//! A frame whose body does not decode costs that frame, not the
+//! connection: its header was read whole, so the stream is still framed.
+//! A request the runtime would answer gets the runtime's refusal on its
+//! `req_id` from the reader thread; anything else is dropped. Only an
+//! oversized length prefix or a socket error ends a connection.
+//!
 //! Outbound connections open on demand: `send(to, …)` uses a registered
 //! route (`add_route`) when no connection to `to` exists yet, and sends
 //! its own `Hello` first. Backpressure: a reader thread whose inbox is
@@ -17,10 +23,12 @@
 //! window fills and the remote writer stalls — bounded buffering end to
 //! end, no unbounded queues.
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{read_body, read_frame, write_frame};
 use crate::mailbox::{Mailbox, RecvError};
+use crate::runtime::refusal;
 use crate::runtime::request::{retry, Attempt};
 use crate::{Envelope, PeerId, Transport, TransportError};
+use hyperm_can::codec::decode_message;
 use hyperm_can::Message;
 use hyperm_sim::Backoff;
 use hyperm_telemetry::sync::{assert_unlocked, Guard, Mutex};
@@ -129,8 +137,12 @@ impl Shared {
             if self.closed.load(Ordering::SeqCst) {
                 break;
             }
-            match read_frame(&mut r) {
-                Ok((req_id, msg)) => {
+            match read_body(&mut r) {
+                Ok((req_id, body)) => {
+                    let Ok(msg) = decode_message(&body) else {
+                        self.refuse(peer, stream, req_id, &body);
+                        continue;
+                    };
                     self.recorder
                         .event(self.span, Name::FrameRx, vec![("from", peer.into())]);
                     // Blocking push: a full inbox stops this reader, the
@@ -148,8 +160,9 @@ impl Shared {
                         break;
                     }
                 }
-                Err(TransportError::Codec(_)) | Err(TransportError::FrameTooLarge(_)) => {
-                    // Undecodable peer: drop the connection, not the node.
+                Err(TransportError::FrameTooLarge(_)) => {
+                    // A hostile length prefix: the rest of the stream
+                    // cannot be framed, so drop the connection.
                     self.recorder
                         .event(self.span, Name::FrameDrop, vec![("from", peer.into())]);
                     break;
@@ -160,6 +173,24 @@ impl Shared {
         self.evict(peer, stream);
         self.recorder
             .event(self.span, Name::Disconnect, vec![("peer", peer.into())]);
+    }
+
+    /// Answer a frame whose body does not decode, on its `req_id`: with
+    /// the runtime's refusal when the body's kind byte names a request
+    /// that has a reply, so its sender fails at once instead of waiting
+    /// out its timeouts; otherwise the frame is dropped. Its header was
+    /// read whole, so the connection stays framed and is kept.
+    fn refuse(&self, peer: PeerId, stream: &TcpStream, req_id: u64, body: &[u8]) {
+        let expected = body.first().and_then(|&k| Message::reply_kind_of(k));
+        self.recorder.event(
+            self.span,
+            Name::FrameDrop,
+            vec![("from", peer.into()), ("reason", "codec".into())],
+        );
+        if let Some(expected) = expected {
+            // A failed write shows up as the next read's error.
+            let _ = write_frame(&mut &*stream, req_id, &refusal(expected));
+        }
     }
 
     /// Drop `stream` from the pool — unless `peer` has been re-registered

@@ -249,6 +249,61 @@ fn tcp_round_trips_do_not_wait_on_delayed_acks() {
     head.join().unwrap().unwrap();
 }
 
+/// A request whose body does not decode (here a `Query` whose radius
+/// bytes say −1, which the codec refuses) is answered with the runtime's
+/// refusal on its own `req_id`, and the connection is kept: a well-formed
+/// query on the same socket is answered next.
+#[test]
+fn tcp_refuses_an_undecodable_request_and_keeps_the_connection() {
+    use hyperm_can::Message;
+    use hyperm_telemetry::TraceCtx;
+    use hyperm_transport::{read_frame, write_frame, HEADER_LEN};
+    use std::io::Write;
+    use std::net::TcpStream;
+
+    let data: Vec<Dataset> = (0..4).map(collection).collect();
+    let (net, _) = HypermNetwork::build(data.clone(), config()).unwrap();
+    let head_ep = TcpEndpoint::bind(0, "127.0.0.1:0").unwrap();
+    let head_addr = head_ep.local_addr();
+    let mut head_rt = NodeRuntime::new(head_ep, Role::Head(Box::new(net)));
+    let head = std::thread::spawn(move || head_rt.serve_until_shutdown());
+
+    let mut socket = TcpStream::connect(head_addr).unwrap();
+    socket
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    write_frame(&mut socket, 0, &Message::Hello { peer: 77 }).unwrap();
+    let query = Message::Query {
+        centre: data[2].row(0).to_vec(),
+        eps: 0.05,
+        budget: u32::MAX,
+        ctx: TraceCtx::NONE,
+    };
+
+    // header | kind u8 | centre count u16 | DIM coordinates | eps f64 | …
+    let mut frame = Vec::new();
+    write_frame(&mut frame, 41, &query).unwrap();
+    let eps_at = HEADER_LEN + 1 + 2 + 8 * DIM;
+    frame[eps_at..eps_at + 8].copy_from_slice(&(-1.0f64).to_le_bytes());
+    socket.write_all(&frame).unwrap();
+    let refused = Message::Ack {
+        seq: u64::from(kind::QUERY_ACK),
+        ok: false,
+    };
+    assert_eq!(read_frame(&mut socket).unwrap(), (41, refused));
+
+    write_frame(&mut socket, 42, &query).unwrap();
+    let (req_id, reply) = read_frame(&mut socket).unwrap();
+    assert_eq!(req_id, 42);
+    let Message::QueryAck { items, .. } = reply else {
+        panic!("expected a query answer, got {reply:?}");
+    };
+    assert!(items.contains(&(2, 0)), "got {items:?}");
+
+    write_frame(&mut socket, 43, &Message::Shutdown).unwrap();
+    head.join().unwrap().unwrap();
+}
+
 /// Which requests the client resends is the protocol's call
 /// (`kind::IDEMPOTENT`): against a peer that never answers, a `Get`
 /// leaves `policy.attempts` times, a `Put` — whose first copy may have

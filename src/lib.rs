@@ -64,7 +64,7 @@ pub use hyperm_cluster::{
 pub use hyperm_core::{
     BuildReport, ChurnOutcome, EvalHarness, HypermConfig, HypermError, HypermNetwork, InsertPolicy,
     JoinError, JoinReport, KnnOptions, KnnResult, Overlay, OverlayBackend, Peer, PeerScore,
-    PointResult, PublishReport, QueryBudget, RangeResult, ScorePolicy, SphereRef,
+    PointResult, PublishReport, QueryBudget, RangeResult, Rows, ScorePolicy, SphereRef,
 };
 pub use hyperm_datagen::{ZipfConfig, ZipfWorkload};
 pub use hyperm_geometry::{Overlap, SolveError};
