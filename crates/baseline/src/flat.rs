@@ -55,12 +55,6 @@ impl FlatIndex {
         Self { data, ids }
     }
 
-    /// Build from a single dataset (ids become `(0, idx)`).
-    pub fn from_dataset(data: Dataset) -> Self {
-        let ids = (0..data.len()).map(|i| (0, i)).collect();
-        Self { data, ids }
-    }
-
     /// Number of indexed items.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -150,12 +144,13 @@ mod tests {
     use super::*;
 
     fn index() -> FlatIndex {
-        FlatIndex::from_dataset(Dataset::from_rows(&[
+        // One peer, so the ids are `(0, idx)`.
+        FlatIndex::from_peers(&[Dataset::from_rows(&[
             [0.0, 0.0],
             [1.0, 0.0],
             [0.0, 2.0],
             [3.0, 3.0],
-        ]))
+        ])])
     }
 
     #[test]

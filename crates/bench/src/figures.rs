@@ -1839,7 +1839,7 @@ pub fn energy_manet(scale: Scale) -> Figure {
                     "energy ratio (CAN / Hyper-M + fingers)",
                 ],
                 vec![vec![
-                    underlay.len().to_string(),
+                    w.nodes.to_string(),
                     f1(underlay.config().radio_range),
                     format!("{stretch:.2}"),
                     format!("{:.1}x", joules[2] / joules[0].max(1e-12)),

@@ -21,7 +21,7 @@
 //!
 //! | unanswered probe | no budget | budget |
 //! |---|---|---|
-//! | hops | 1 | `fetch_timeout` ticks |
+//! | hops | 1 | 1 (one timeout tick) |
 //! | messages, bytes | 1, request size | 1, request size |
 //! | failed routes | 0 | 1 |
 //! | counts toward `peers_contacted` | yes | no |
@@ -52,7 +52,7 @@ use hyperm_telemetry::{Fields, Name, OpKind};
 ///
 /// The paper assumes selected peers answer; on a lossy or partitioned MANET
 /// they may not. A `QueryBudget` makes the degradation explicit: unanswered
-/// fetches cost `fetch_timeout` ticks instead of hanging, `fallback` slides
+/// fetches cost one timeout tick instead of hanging, `fallback` slides
 /// the contact window to the next-scored candidates so the intended number
 /// of peers still answers, and `deadline` caps the total phase-2 hop spend —
 /// when it runs out the query returns what it has with `truncated = true`.
@@ -60,9 +60,6 @@ use hyperm_telemetry::{Fields, Name, OpKind};
 /// one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryBudget {
-    /// Ticks (charged as hops) burnt waiting on an unanswered direct fetch
-    /// before declaring the peer unreachable. Clamped to ≥ 1.
-    pub fetch_timeout: u64,
     /// Slide the contact window past unreachable peers to the next-scored
     /// candidates, preserving the intended number of answering peers.
     pub fallback: bool,
@@ -74,7 +71,6 @@ pub struct QueryBudget {
 impl Default for QueryBudget {
     fn default() -> Self {
         Self {
-            fetch_timeout: 1,
             fallback: true,
             deadline: None,
         }
@@ -107,11 +103,15 @@ fn direct_fetch_cost(query_bytes: u64, response_bytes: u64) -> OpStats {
     }
 }
 
-/// Cost of a direct fetch that timed out: the request went out, `ticks`
-/// ticks were burnt waiting, no response came back.
-fn timed_out_fetch_cost(query_bytes: u64, ticks: u64) -> OpStats {
+/// Ticks (charged as hops) burnt waiting on an unanswered direct fetch
+/// before the peer is declared unreachable.
+const FETCH_TIMEOUT_TICKS: u64 = 1;
+
+/// Cost of a direct fetch that timed out: the request went out,
+/// [`FETCH_TIMEOUT_TICKS`] were burnt waiting, no response came back.
+fn timed_out_fetch_cost(query_bytes: u64) -> OpStats {
     OpStats {
-        hops: ticks,
+        hops: FETCH_TIMEOUT_TICKS,
         messages: 1,
         bytes: query_bytes,
         failed_routes: 1,
@@ -238,7 +238,7 @@ impl<'a> QueryRun<'a> {
                     None => {
                         self.op.stats += OpStats {
                             failed_routes: 0,
-                            ..timed_out_fetch_cost(q_bytes, 1)
+                            ..timed_out_fetch_cost(q_bytes)
                         };
                         if traced {
                             let fields = silent.fetch_fields(ps.peer, false, q_bytes);
@@ -246,17 +246,16 @@ impl<'a> QueryRun<'a> {
                         }
                         contacted += 1;
                     }
-                    Some(b) => {
-                        let ticks = b.fetch_timeout.max(1);
-                        self.phase2_hops += ticks;
-                        self.op.stats += timed_out_fetch_cost(q_bytes, ticks);
+                    Some(_) => {
+                        self.phase2_hops += FETCH_TIMEOUT_TICKS;
+                        self.op.stats += timed_out_fetch_cost(q_bytes);
                         if traced {
                             tel.count_event(
                                 self.op.span,
                                 Name::FetchTimeout,
                                 vec![
                                     ("peer", ps.peer.into()),
-                                    ("ticks", ticks.into()),
+                                    ("ticks", FETCH_TIMEOUT_TICKS.into()),
                                     ("bytes", q_bytes.into()),
                                 ],
                             );

@@ -37,9 +37,9 @@ impl HypermNetwork {
 
     /// Point query with a failure-tolerance [`QueryBudget`]: probes to
     /// unreachable (dead or partition-severed) candidates time out after
-    /// `budget.fetch_timeout` ticks, and an optional phase-2 hop deadline
-    /// stops probing early with [`PointResult::truncated`] set. Fallback
-    /// does not apply — every candidate is probed anyway.
+    /// one tick, and an optional phase-2 hop deadline stops probing early
+    /// with [`PointResult::truncated`] set. Fallback does not apply —
+    /// every candidate is probed anyway.
     pub fn point_query_budgeted(
         &self,
         from_peer: usize,

@@ -48,9 +48,9 @@ impl HypermNetwork {
     }
 
     /// Range query with a failure-tolerance [`QueryBudget`]: unanswered
-    /// direct fetches time out after `budget.fetch_timeout` ticks, the
-    /// contact window slides past unreachable (dead or partition-severed)
-    /// peers when `budget.fallback` is set, and an optional phase-2 hop
+    /// direct fetches time out after one tick, the contact window slides
+    /// past unreachable (dead or partition-severed) peers when
+    /// `budget.fallback` is set, and an optional phase-2 hop
     /// `deadline` degrades gracefully to a partial answer with
     /// [`RangeResult::truncated`] set.
     pub fn range_query_budgeted(

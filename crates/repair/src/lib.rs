@@ -68,11 +68,6 @@ pub struct RepairConfig {
     /// period, so replicas lost to a crash are absent for at most one
     /// period (plus the takeover detection time).
     pub refresh_interval: u64,
-    /// Per-sphere publish attempt budget: a summary whose reliable publish
-    /// keeps failing (route dead-ends under loss or a partition) is retried
-    /// on each refresh round up to this many attempts, then abandoned with
-    /// a `publish_abandoned` trace event.
-    pub max_publish_attempts: usize,
     /// Optional message-level fault plan installed on query traffic.
     pub fault_plan: Option<FaultConfig>,
     /// Optional network partition: applied when the clock reaches
@@ -87,7 +82,6 @@ impl Default for RepairConfig {
         Self {
             enabled: true,
             refresh_interval: 50,
-            max_publish_attempts: 5,
             fault_plan: None,
             partition_plan: None,
         }
@@ -119,14 +113,13 @@ impl RepairConfig {
         self.partition_plan = Some(plan);
         self
     }
-
-    /// Builder-style publish retry budget.
-    pub fn with_max_publish_attempts(mut self, attempts: usize) -> Self {
-        assert!(attempts > 0, "at least one publish attempt is required");
-        self.max_publish_attempts = attempts;
-        self
-    }
 }
+
+/// Per-sphere publish attempt budget: a summary whose reliable publish
+/// keeps failing (route dead-ends under loss or a partition) is retried on
+/// each refresh round up to this many attempts, then abandoned with a
+/// `publish_abandoned` trace event.
+const MAX_PUBLISH_ATTEMPTS: usize = 5;
 
 /// Aggregate counters of everything the engine did.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -154,8 +147,7 @@ pub struct RepairStats {
     pub publishes_deferred: u64,
     /// Deferred spheres that a later retry or refresh round landed.
     pub publishes_recovered: u64,
-    /// Deferred spheres given up on after
-    /// [`RepairConfig::max_publish_attempts`].
+    /// Deferred spheres given up on after 5 failed publish attempts.
     pub publishes_abandoned: u64,
 }
 
@@ -400,7 +392,7 @@ impl RepairEngine {
     /// Queue `s` for retry with `attempts` already spent, or abandon it if
     /// the budget is gone.
     fn note_deferred(&mut self, s: SphereRef, attempts: usize) {
-        if attempts >= self.cfg.max_publish_attempts {
+        if attempts >= MAX_PUBLISH_ATTEMPTS {
             self.stats.publishes_abandoned += 1;
             let tel = self.net.recorder();
             if tel.is_enabled() {
@@ -821,7 +813,6 @@ mod tests {
     fn total_loss_defers_then_abandons_publishes() {
         let cfg = RepairConfig::default()
             .with_refresh_interval(10)
-            .with_max_publish_attempts(3)
             .with_fault_plan(FaultConfig::lossy(1.0).with_seed(42));
         let mut eng = RepairEngine::new(build(6, 8), cfg);
         eng.advance_to(60);
@@ -832,7 +823,7 @@ mod tests {
         );
         assert!(
             st.publishes_abandoned > 0,
-            "attempt budget of 3 should be spent within 6 refresh rounds"
+            "attempt budget of 5 should be spent within 6 refresh rounds"
         );
         // Every queued sphere is within its attempt budget.
         assert!(eng

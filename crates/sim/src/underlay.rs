@@ -13,7 +13,6 @@
 //! unchanged, plus the optional underlay expansion for the energy analysis.
 //! Nodes do not move once placed.
 
-use crate::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -76,29 +75,6 @@ impl PartitionPlan {
         }
     }
 
-    /// Whether the split is in force at tick `t`.
-    pub fn active_at(&self, t: u64) -> bool {
-        (self.start..self.end).contains(&t)
-    }
-
-    /// The component index of `node`, or `None` if the plan does not name
-    /// it (implicitly its own singleton side).
-    pub fn component_of(&self, node: usize) -> Option<usize> {
-        self.components.iter().position(|c| c.contains(&node))
-    }
-
-    /// Whether `a` and `b` can exchange messages while the split is in
-    /// force. Unnamed nodes are severed from everyone but themselves.
-    pub fn connected(&self, a: usize, b: usize) -> bool {
-        if a == b {
-            return true;
-        }
-        match (self.component_of(a), self.component_of(b)) {
-            (Some(ca), Some(cb)) => ca == cb,
-            _ => false,
-        }
-    }
-
     /// Dense component map for `n` nodes: `map[i]` is the component index
     /// of node `i`, with unnamed nodes assigned fresh singleton indices.
     /// This is the form overlays consume on the routing hot path.
@@ -133,12 +109,12 @@ pub fn map_connected(map: Option<&[u32]>, a: usize, b: usize) -> bool {
     }
 }
 
-/// The physical network: positions, adjacency and all-pairs hop counts.
+/// The physical network: positions and all-pairs hop counts.
 #[derive(Debug, Clone)]
 pub struct Underlay {
+    /// The configuration in effect, radio range grown to connect.
     config: UnderlayConfig,
     positions: Vec<(f64, f64)>,
-    adjacency: Vec<Vec<usize>>,
     /// `hop_table[a][b]` = radio hops from a to b (`u16::MAX` if unreachable).
     hop_table: Vec<Vec<u16>>,
 }
@@ -169,7 +145,6 @@ impl Underlay {
                 return Self {
                     config,
                     positions,
-                    adjacency,
                     hop_table,
                 };
             }
@@ -177,40 +152,15 @@ impl Underlay {
         }
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.positions.len()
-    }
-
-    /// Whether the underlay has no nodes (never true post-construction).
-    pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
-    }
-
     /// The (possibly grown) configuration in effect.
     pub fn config(&self) -> &UnderlayConfig {
         &self.config
     }
 
-    /// Position of a node.
-    pub fn position(&self, n: NodeId) -> (f64, f64) {
-        self.positions[n.0]
-    }
-
-    /// Direct radio neighbours of a node.
-    pub fn neighbours(&self, n: NodeId) -> &[usize] {
-        &self.adjacency[n.0]
-    }
-
-    /// Physical hops between two devices (0 for self).
-    pub fn hops(&self, a: NodeId, b: NodeId) -> u16 {
-        self.hop_table[a.0][b.0]
-    }
-
     /// Mean hop count over all ordered pairs of distinct nodes — the
     /// underlay "stretch" every overlay hop pays on average.
     pub fn mean_path_hops(&self) -> f64 {
-        let n = self.len();
+        let n = self.positions.len();
         if n < 2 {
             return 0.0;
         }
@@ -282,7 +232,7 @@ mod tests {
             ..Default::default()
         });
         assert!(u.is_connected());
-        assert_eq!(u.len(), 50);
+        assert_eq!(u.positions.len(), 50);
     }
 
     #[test]
@@ -292,18 +242,19 @@ mod tests {
             seed: 2,
             ..Default::default()
         });
-        for a in 0..u.len() {
-            assert_eq!(u.hops(NodeId(a), NodeId(a)), 0);
-            for b in 0..u.len() {
+        let hops = &u.hop_table;
+        for (a, row) in hops.iter().enumerate() {
+            assert_eq!(row[a], 0);
+            for (b, &h) in row.iter().enumerate() {
                 // Symmetry.
-                assert_eq!(u.hops(NodeId(a), NodeId(b)), u.hops(NodeId(b), NodeId(a)));
+                assert_eq!(h, hops[b][a]);
             }
         }
         // Triangle inequality on a sample.
         for (a, b, c) in [(0, 1, 2), (3, 10, 20), (5, 15, 35)] {
-            let ab = u.hops(NodeId(a), NodeId(b)) as u32;
-            let bc = u.hops(NodeId(b), NodeId(c)) as u32;
-            let ac = u.hops(NodeId(a), NodeId(c)) as u32;
+            let ab = hops[a][b] as u32;
+            let bc = hops[b][c] as u32;
+            let ac = hops[a][c] as u32;
             assert!(ac <= ab + bc);
         }
     }
@@ -315,13 +266,16 @@ mod tests {
             seed: 3,
             ..Default::default()
         });
-        let range = u.config().radio_range;
-        for i in 0..u.len() {
-            let (xi, yi) = u.position(NodeId(i));
-            for &j in u.neighbours(NodeId(i)) {
-                let (xj, yj) = u.position(NodeId(j));
+        let range = u.config.radio_range;
+        let adjacency = build_adjacency(&u.positions, range);
+        for (i, neighbours) in adjacency.iter().enumerate() {
+            let (xi, yi) = u.positions[i];
+            for &j in neighbours {
+                let (xj, yj) = u.positions[j];
                 let d = ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt();
                 assert!(d <= range + 1e-9);
+                // A radio neighbour is one hop away.
+                assert_eq!(u.hop_table[i][j], 1);
             }
         }
     }
@@ -336,7 +290,7 @@ mod tests {
             seed: 4,
         });
         assert!(u.is_connected());
-        assert!(u.config().radio_range > 1.0);
+        assert!(u.config.radio_range > 1.0);
     }
 
     #[test]
@@ -348,8 +302,8 @@ mod tests {
         };
         let a = Underlay::random(cfg);
         let b = Underlay::random(cfg);
-        assert_eq!(a.position(NodeId(7)), b.position(NodeId(7)));
-        assert_eq!(a.hops(NodeId(0), NodeId(24)), b.hops(NodeId(0), NodeId(24)));
+        assert_eq!(a.positions[7], b.positions[7]);
+        assert_eq!(a.hop_table[0][24], b.hop_table[0][24]);
     }
 
     #[test]
@@ -379,7 +333,7 @@ mod tests {
         for i in 0..cfg.nodes {
             let x = rng.gen::<f64>() * cfg.arena_side;
             let y = rng.gen::<f64>() * cfg.arena_side;
-            assert_eq!(u.position(NodeId(i)), (x, y), "node {i}");
+            assert_eq!(u.positions[i], (x, y), "node {i}");
         }
         assert_eq!(u.mean_path_hops().to_bits(), 0x3ffa_6c9b_26c9_b26d); // 1.6515…
         assert_eq!(u.config().radio_range.to_bits(), 0x4036_f990_bf88_09e2); // 22.97… m
@@ -387,24 +341,27 @@ mod tests {
 
     #[test]
     fn partition_plan_halves_and_heals() {
+        // The predicate CAN routing, floods and phase-2 fetches consult.
         let p = PartitionPlan::halves(10, 5, 20);
-        assert!(!p.active_at(4));
-        assert!(p.active_at(5));
-        assert!(p.active_at(19));
-        assert!(!p.active_at(20));
-        assert!(p.connected(0, 4));
-        assert!(p.connected(5, 9));
-        assert!(!p.connected(4, 5));
-        assert!(p.connected(3, 3));
-        // A latecomer (id 10) is severed from everyone but itself.
-        assert!(!p.connected(0, 10));
-        assert!(p.connected(10, 10));
+        assert_eq!((p.start, p.end), (5, 20));
         let map = p.component_map(12);
-        assert_eq!(map[0], map[4]);
-        assert_eq!(map[5], map[9]);
-        assert_ne!(map[0], map[5]);
-        assert_ne!(map[10], map[11]);
-        assert_ne!(map[10], map[0]);
+        let linked = |a, b| map_connected(Some(&map), a, b);
+        assert!(linked(0, 4));
+        assert!(linked(5, 9));
+        assert!(!linked(4, 5));
+        assert!(linked(3, 3));
+        // Ids 10 and 11 are unnamed: each is a singleton side.
+        assert!(!linked(0, 10));
+        assert!(!linked(10, 11));
+        assert!(linked(10, 10));
+        // A latecomer beyond the map (id 12) is severed from everyone but
+        // itself.
+        assert!(!linked(0, 12));
+        assert!(!linked(11, 12));
+        assert!(linked(12, 12));
+        // No partition in force: everyone reaches everyone.
+        assert!(map_connected(None, 4, 5));
+        assert!(map_connected(None, 0, 12));
     }
 
     #[test]

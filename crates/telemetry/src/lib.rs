@@ -64,7 +64,7 @@ pub use metrics::{CellSnapshot, HistSnapshot, Log2Hist, Metrics, MetricsSnapshot
 pub use recorder::{JsonlSink, Recorder, RingHandle, Sink, TeeSink};
 pub use slo::{CmpOp, SloCheck, SloReport, SloRule};
 pub use taxonomy::{Counter, Name};
-pub use window::{nearest_rank, Window, WindowConfig, WindowSnapshot};
+pub use window::{nearest_rank, Window, WindowSnapshot};
 
 // Re-exported so downstream crates can key metrics without an extra
 // `hyperm-sim` import at the call site.

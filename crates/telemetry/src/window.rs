@@ -9,9 +9,9 @@
 //! plus rejected requests, a log2 latency histogram, and per-level *heat*
 //! — how many overlay operations touched each wavelet level (a range
 //! query's phase 1 touches every level; publish/get/route touch exactly
-//! one). The ring keeps the most recent `buckets` buckets; recording is a
-//! few adds under one mutex, and a [`WindowSnapshot`] serialises to the
-//! JSON the `Stats` protocol request returns.
+//! one). The ring keeps the most recent 64 buckets of one tick each;
+//! recording is a few adds under one mutex, and a [`WindowSnapshot`]
+//! serialises to the JSON the `Stats` protocol request returns.
 //!
 //! Snapshots are **mergeable**: the monitor's `--watch` mode sums per-node
 //! snapshots into a cluster aggregate (histograms merge bucket-wise, so
@@ -23,31 +23,14 @@ use crate::sync::{Guard, Mutex};
 use hyperm_sim::OpStats;
 use std::collections::VecDeque;
 
-/// Window shape: how many buckets the ring keeps, how many clock ticks
-/// each bucket spans, and how many wavelet levels heat is tracked for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowConfig {
-    /// Ring capacity in buckets.
-    pub buckets: usize,
-    /// Clock ticks per bucket (≥ 1).
-    pub bucket_ticks: u64,
-    /// Wavelet levels tracked by the heat series.
-    pub levels: usize,
-}
-
-impl Default for WindowConfig {
-    fn default() -> Self {
-        Self {
-            buckets: 64,
-            bucket_ticks: 1,
-            levels: 8,
-        }
-    }
-}
+/// Ring capacity of every [`Window`], in buckets.
+const BUCKETS: usize = 64;
+/// Clock ticks per bucket.
+const BUCKET_TICKS: u64 = 1;
 
 #[derive(Debug, Clone)]
 struct Bucket {
-    /// Bucket index: `tick / bucket_ticks`.
+    /// Bucket index: `tick / BUCKET_TICKS`.
     index: u64,
     ops: u64,
     rejected: u64,
@@ -85,34 +68,28 @@ struct Inner {
 /// A sliding window of cost buckets. All mutation goes through `&self`;
 /// the runtime shares one window across its serve loop.
 pub struct Window {
-    cfg: WindowConfig,
+    /// Wavelet levels tracked by the heat series.
+    levels: usize,
     inner: Mutex<Inner>,
 }
 
 impl Default for Window {
+    /// An empty window tracking heat for 8 levels.
     fn default() -> Self {
-        Self::new(WindowConfig::default())
+        Self::new(8)
     }
 }
 
 impl Window {
-    /// An empty window with the given shape (`bucket_ticks` clamps to 1,
-    /// `buckets` to ≥ 1).
-    pub fn new(mut cfg: WindowConfig) -> Self {
-        cfg.buckets = cfg.buckets.max(1);
-        cfg.bucket_ticks = cfg.bucket_ticks.max(1);
+    /// An empty window tracking heat for `levels` wavelet levels.
+    pub fn new(levels: usize) -> Self {
         Self {
-            cfg,
+            levels,
             inner: Mutex::new(Inner {
                 tick: 0,
                 ring: VecDeque::new(),
             }),
         }
-    }
-
-    /// The configured shape.
-    pub fn config(&self) -> WindowConfig {
-        self.cfg
     }
 
     fn lock(&self) -> Guard<'_, Inner> {
@@ -132,14 +109,14 @@ impl Window {
     }
 
     fn current<'a>(&self, inner: &'a mut Inner) -> &'a mut Bucket {
-        let index = inner.tick / self.cfg.bucket_ticks;
+        let index = inner.tick / BUCKET_TICKS;
         let fresh = match inner.ring.back() {
             Some(b) => b.index < index,
             None => true,
         };
         if fresh {
-            inner.ring.push_back(Bucket::new(index, self.cfg.levels));
-            while inner.ring.len() > self.cfg.buckets {
+            inner.ring.push_back(Bucket::new(index, self.levels));
+            while inner.ring.len() > BUCKETS {
                 inner.ring.pop_front();
             }
         }
@@ -185,8 +162,8 @@ impl Window {
             node,
             seq,
             tick: inner.tick,
-            bucket_ticks: self.cfg.bucket_ticks,
-            capacity: self.cfg.buckets,
+            bucket_ticks: BUCKET_TICKS,
+            capacity: BUCKETS,
             ops: 0,
             rejected: 0,
             retries: 0,
@@ -197,7 +174,7 @@ impl Window {
             latency_count: 0,
             latency_sum_us: 0,
             latency_buckets: Vec::new(),
-            heat: vec![0; self.cfg.levels],
+            heat: vec![0; self.levels],
             series: Vec::new(),
         };
         let mut latency: std::collections::BTreeMap<u64, (u64, u64)> = Default::default();
@@ -461,28 +438,23 @@ mod tests {
 
     #[test]
     fn buckets_rotate_and_evict() {
-        let w = Window::new(WindowConfig {
-            buckets: 3,
-            bucket_ticks: 10,
-            levels: 2,
-        });
-        for tick in [0u64, 5, 12, 25, 38, 41] {
+        let w = Window::new(2);
+        for tick in (0..=BUCKETS as u64 + 2).chain([BUCKETS as u64 + 2]) {
             w.advance(tick);
             w.record_op(&op(2, 3, 100), 50);
         }
         let snap = w.snapshot(7, 1);
-        // Ticks 0 and 5 share bucket 0; buckets 0 and 1 were evicted when
-        // buckets 3 and 4 arrived — the ring keeps the 3 newest.
-        assert_eq!(
-            snap.series,
-            vec![(2, 1), (3, 1), (4, 1)],
-            "oldest buckets evicted"
-        );
-        assert_eq!(snap.ops, 3);
-        assert_eq!(snap.hops, 6);
+        // The two records at tick 66 share its bucket; buckets 0..=2 were
+        // evicted when buckets 64..=66 arrived — the ring keeps the 64
+        // newest.
+        assert_eq!(snap.series.len(), BUCKETS);
+        assert_eq!(snap.series.first(), Some(&(3, 1)), "oldest buckets evicted");
+        assert_eq!(snap.series.last(), Some(&(66, 2)));
+        assert_eq!(snap.ops, 65);
+        assert_eq!(snap.hops, 130);
         assert_eq!(snap.node, 7);
         assert_eq!(snap.seq, 1);
-        assert_eq!(snap.tick, 41);
+        assert_eq!(snap.tick, 66);
     }
 
     #[test]
@@ -498,11 +470,7 @@ mod tests {
 
     #[test]
     fn quantiles_and_rates() {
-        let w = Window::new(WindowConfig {
-            buckets: 8,
-            bucket_ticks: 1,
-            levels: 4,
-        });
+        let w = Window::new(4);
         for i in 0..100u64 {
             w.advance(i / 25);
             // 99 fast ops and one slow one.
@@ -530,26 +498,22 @@ mod tests {
 
     #[test]
     fn snapshot_json_roundtrip() {
-        let w = Window::new(WindowConfig {
-            buckets: 4,
-            bucket_ticks: 2,
-            levels: 3,
-        });
+        let w = Window::new(3);
         w.advance(1);
         w.record_op(&op(3, 5, 256), 120);
         w.record_level(1);
-        w.advance(5);
+        w.advance(3);
         w.record_rejected();
         let snap = w.snapshot(42, 9);
         let json = snap.to_json();
         // Byte pin: this line is what `StatsAck` carries on the wire.
         assert_eq!(
             json,
-            "{\"node\": 42, \"seq\": 9, \"tick\": 5, \"bucket_ticks\": 2, \"capacity\": 4, \
+            "{\"node\": 42, \"seq\": 9, \"tick\": 3, \"bucket_ticks\": 1, \"capacity\": 64, \
              \"ops\": 2, \"rejected\": 1, \"retries\": 0, \"failed_routes\": 0, \"hops\": 3, \
              \"messages\": 5, \"bytes\": 256, \"qps\": 0.667, \"p50_us\": 127, \"p99_us\": 127, \
              \"latency_count\": 1, \"latency_sum_us\": 120, \"latency_buckets\": [[64, 127, 1]], \
-             \"heat\": [0, 1, 0], \"series\": [[0, 1], [2, 1]]}"
+             \"heat\": [0, 1, 0], \"series\": [[1, 1], [3, 1]]}"
         );
         let parsed = WindowSnapshot::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
         assert_eq!(parsed, snap);

@@ -34,7 +34,7 @@ use hyperm_cluster::Dataset;
 use hyperm_core::{HypermNetwork, InsertPolicy};
 use hyperm_sim::{Backoff, OpStats};
 use hyperm_telemetry::json::inline_arr;
-use hyperm_telemetry::{Counter, JsonObj, Name, Recorder, SpanId, TraceCtx, Window, WindowConfig};
+use hyperm_telemetry::{Counter, JsonObj, Name, Recorder, SpanId, TraceCtx, Window};
 use request::request;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -112,13 +112,10 @@ pub struct NodeRuntime<T: Transport> {
 impl<T: Transport> NodeRuntime<T> {
     /// A runtime serving `role` over `transport`.
     pub fn new(transport: T, role: Role) -> Self {
-        let window = Window::new(WindowConfig {
-            levels: match &role {
-                Role::Head(net) => net.levels(),
-                Role::Member { .. } => WindowConfig::default().levels,
-            },
-            ..WindowConfig::default()
-        });
+        let window = match &role {
+            Role::Head(net) => Window::new(net.levels()),
+            Role::Member { .. } => Window::default(),
+        };
         Self {
             transport,
             role,
@@ -928,6 +925,11 @@ mod tests {
             Some(false)
         );
         assert_eq!(stats.get("node").and_then(JsonValue::as_u64), Some(0));
+        assert_eq!(stats.get("capacity").and_then(JsonValue::as_u64), Some(64));
+        assert_eq!(
+            stats.get("bucket_ticks").and_then(JsonValue::as_u64),
+            Some(1)
+        );
 
         let monitor = JsonValue::parse(&head.monitor_json()).unwrap();
         assert_eq!(
