@@ -209,9 +209,9 @@ impl HypermNetwork {
     ///
     /// Refreshes route through the fault injector like any other data
     /// traffic (see the `publish` module); use
-    /// [`HypermNetwork::refresh_peer_summaries_report`] to observe which
-    /// spheres were deferred under loss. With faults off the two paths are
-    /// bit-identical.
+    /// [`HypermNetwork::refresh_peer_summaries_report`] to count the
+    /// spheres that failed to land under loss. With faults off the two
+    /// paths are bit-identical.
     pub fn refresh_peer_summaries(&mut self, peer: usize) -> OpStats {
         self.refresh_peer_summaries_report(peer).stats
     }

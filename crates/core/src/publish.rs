@@ -8,9 +8,11 @@
 //! can therefore fail: routing can dead-end under loss or a partition, and
 //! flood edges can exhaust their retries and leave coverage holes. Instead
 //! of silently degrading, every publish round returns a [`PublishReport`]
-//! recording which spheres were *delivered* (full replica coverage),
-//! *deferred* (route failed or coverage incomplete — re-queued into the
-//! next `RepairEngine` refresh round) or *abandoned* (retry budget spent).
+//! counting the spheres *delivered* (full replica coverage) and *failed*
+//! (route failed or coverage incomplete). Published spheres are soft
+//! state: a failed sphere is republished with the rest of its peer's set
+//! by that peer's next `RepairEngine` refresh, at most one refresh
+//! interval later.
 //!
 //! With no fault injector and no partition installed, every path here is
 //! bit-identical to the legacy unconditional republish — asserted by the
@@ -49,29 +51,16 @@ pub struct SphereRef {
 }
 
 /// Delivery accounting for one reliable publish round.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PublishReport {
     /// Spheres fully delivered (owner reached, every overlapping zone got
     /// its replica).
     pub delivered: u64,
-    /// Spheres whose publish failed or landed incompletely — re-queued for
-    /// the next refresh round.
-    pub deferred: Vec<SphereRef>,
-    /// Spheres given up on after the per-sphere retry budget was spent
-    /// (populated by the repair engine's deferred-queue bookkeeping).
-    pub abandoned: Vec<SphereRef>,
+    /// Spheres whose publish failed or landed incompletely; the peer's
+    /// next refresh republishes them.
+    pub failed: u64,
     /// Total message cost of the round, including failed attempts.
     pub stats: OpStats,
-}
-
-impl PublishReport {
-    /// Fold another round's accounting into this one.
-    pub fn merge(&mut self, other: PublishReport) {
-        self.delivered += other.delivered;
-        self.deferred.extend(other.deferred);
-        self.abandoned.extend(other.abandoned);
-        self.stats += other.stats;
-    }
 }
 
 impl HypermNetwork {
@@ -146,8 +135,9 @@ impl HypermNetwork {
 
     /// Fault-aware soft-state republish of every cluster sphere `peer` has
     /// published, with per-sphere delivery accounting: spheres that fail
-    /// to route or land incompletely are reported as deferred instead of
-    /// silently assumed placed.
+    /// to route or land incompletely are counted as failed instead of
+    /// silently assumed placed, and stay missing until the peer's next
+    /// refresh.
     pub fn refresh_peer_summaries_report(&mut self, peer: usize) -> PublishReport {
         assert!(self.is_alive(peer), "dead peers cannot refresh");
         let mut op = Op::open(
@@ -179,7 +169,7 @@ impl HypermNetwork {
                     if delivered {
                         report.delivered += 1;
                     } else {
-                        report.deferred.push(sphere);
+                        report.failed += 1;
                     }
                 }
             });

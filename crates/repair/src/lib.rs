@@ -47,9 +47,9 @@
 )]
 
 use hyperm_cluster::Dataset;
-use hyperm_core::{ChurnOutcome, HypermNetwork, JoinError, SphereRef};
+use hyperm_core::{ChurnOutcome, HypermNetwork, JoinError};
 use hyperm_sim::{FaultConfig, OpStats, PartitionPlan};
-use hyperm_telemetry::{Counter, Name, SpanId};
+use hyperm_telemetry::{Name, SpanId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -66,7 +66,8 @@ pub struct RepairConfig {
     /// Sim-time ticks between two summary refreshes of the same peer. The
     /// soft-state TTL story: every published sphere is re-inserted at this
     /// period, so replicas lost to a crash are absent for at most one
-    /// period (plus the takeover detection time).
+    /// period (plus the takeover detection time), and a sphere whose
+    /// publish failed is absent for at most one period.
     pub refresh_interval: u64,
     /// Optional message-level fault plan installed on query traffic.
     pub fault_plan: Option<FaultConfig>,
@@ -115,12 +116,6 @@ impl RepairConfig {
     }
 }
 
-/// Per-sphere publish attempt budget: a summary whose reliable publish
-/// keeps failing (route dead-ends under loss or a partition) is retried on
-/// each refresh round up to this many attempts, then abandoned with a
-/// `publish_abandoned` trace event.
-const MAX_PUBLISH_ATTEMPTS: usize = 5;
-
 /// Aggregate counters of everything the engine did.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RepairStats {
@@ -142,13 +137,9 @@ pub struct RepairStats {
     /// Worst takeover latency observed, in sim ticks (detection timeout +
     /// handshake; the ISSUE's "takeover latency in sim time").
     pub max_takeover_rounds: u64,
-    /// Spheres whose reliable publish failed and were queued for retry
-    /// (counted once per sphere entering the queue).
-    pub publishes_deferred: u64,
-    /// Deferred spheres that a later retry or refresh round landed.
-    pub publishes_recovered: u64,
-    /// Deferred spheres given up on after 5 failed publish attempts.
-    pub publishes_abandoned: u64,
+    /// Sphere publishes that a refresh round could not land fully (route
+    /// dead-ended or coverage incomplete), summed over every round.
+    pub publishes_failed: u64,
 }
 
 impl RepairStats {
@@ -166,8 +157,6 @@ pub struct RepairEngine {
     now: u64,
     /// Per peer: when its summaries were last (re)published.
     last_refresh: Vec<u64>,
-    /// Spheres whose reliable publish failed, with attempts spent so far.
-    deferred: Vec<(SphereRef, usize)>,
     /// Partition lifecycle: applied at `plan.start`, healed at `plan.end`.
     partition_applied: bool,
     partition_healed: bool,
@@ -188,7 +177,6 @@ impl RepairEngine {
             cfg,
             now: 0,
             last_refresh: vec![0; n],
-            deferred: Vec::new(),
             partition_applied: false,
             partition_healed: false,
             partition_span: SpanId::NONE,
@@ -296,10 +284,9 @@ impl RepairEngine {
         }
     }
 
-    /// Heal the partition and reconcile: background merges, then a retry
-    /// of every deferred publish and a full re-publication round, so
-    /// summaries that could not cross the split land again (repair
-    /// enabled only).
+    /// Heal the partition and reconcile: background merges, then one full
+    /// re-publication round, so summaries that could not cross the split
+    /// land again (repair enabled only).
     fn heal_partition(&mut self) {
         self.net.set_partition(None);
         self.partition_healed = true;
@@ -318,7 +305,6 @@ impl RepairEngine {
         }
         if self.cfg.enabled {
             self.stats.repair += self.net.repair_overlays(MAX_REPAIR_PASSES);
-            self.retry_deferred();
             self.refresh_all();
         }
     }
@@ -326,98 +312,13 @@ impl RepairEngine {
     /// Republish one peer's summaries now (restores its replicas
     /// everywhere, including zones re-owned after a crash) and pay its
     /// finger upkeep round. Spheres whose fault-aware publish fails are
-    /// queued for retry on later rounds.
+    /// counted; the peer's next refresh republishes them with the rest.
     pub fn refresh_peer(&mut self, peer: usize) {
         let report = self.net.refresh_peer_summaries_report(peer);
         self.stats.refresh += report.stats + self.net.fix_fingers(peer);
         self.stats.refreshes += 1;
+        self.stats.publishes_failed += report.failed;
         self.last_refresh[peer] = self.now;
-        // The refresh re-publishes the peer's whole summary set, so it
-        // supersedes that peer's queue entries: whatever still failed is
-        // in `report.deferred`, everything else landed.
-        let carried: Vec<(SphereRef, usize)> = self
-            .deferred
-            .iter()
-            .filter(|(d, _)| d.peer == peer)
-            .copied()
-            .collect();
-        self.deferred.retain(|(d, _)| d.peer != peer);
-        self.stats.publishes_recovered += carried
-            .iter()
-            .filter(|(d, _)| !report.deferred.contains(d))
-            .count() as u64;
-        for s in report.deferred {
-            let prev = carried.iter().find(|(d, _)| *d == s).map_or(0, |&(_, a)| a);
-            self.note_deferred(s, prev + 1);
-        }
-    }
-
-    /// Retry every queued publish once, through the fault-aware path.
-    /// Spheres that land leave the queue; the rest burn one more attempt
-    /// and are abandoned past the budget.
-    pub fn retry_deferred(&mut self) {
-        let queue = std::mem::take(&mut self.deferred);
-        for (s, attempts) in queue {
-            if !self.net.is_alive(s.peer) {
-                continue; // the publisher is gone, and so is its data
-            }
-            let tel = self.net.recorder().clone();
-            if tel.is_enabled() {
-                tel.count_event(
-                    SpanId::NONE,
-                    Name::PublishRetry,
-                    vec![
-                        ("peer", s.peer.into()),
-                        ("level", s.level.into()),
-                        ("cluster", s.cluster.into()),
-                        ("attempt", (attempts + 1).into()),
-                    ],
-                );
-            }
-            let (ok, stats) = self.net.publish_sphere(s);
-            self.stats.refresh += stats;
-            if ok {
-                self.stats.publishes_recovered += 1;
-            } else {
-                self.note_deferred(s, attempts + 1);
-            }
-        }
-    }
-
-    /// Spheres currently awaiting a publish retry.
-    pub fn deferred_publishes(&self) -> Vec<SphereRef> {
-        self.deferred.iter().map(|&(s, _)| s).collect()
-    }
-
-    /// Queue `s` for retry with `attempts` already spent, or abandon it if
-    /// the budget is gone.
-    fn note_deferred(&mut self, s: SphereRef, attempts: usize) {
-        if attempts >= MAX_PUBLISH_ATTEMPTS {
-            self.stats.publishes_abandoned += 1;
-            let tel = self.net.recorder();
-            if tel.is_enabled() {
-                tel.count_event(
-                    SpanId::NONE,
-                    Name::PublishAbandoned,
-                    vec![
-                        ("peer", s.peer.into()),
-                        ("level", s.level.into()),
-                        ("cluster", s.cluster.into()),
-                        ("attempts", attempts.into()),
-                    ],
-                );
-            }
-            return;
-        }
-        if let Some(e) = self.deferred.iter_mut().find(|(d, _)| *d == s) {
-            e.1 = e.1.max(attempts);
-        } else {
-            self.deferred.push((s, attempts));
-            self.stats.publishes_deferred += 1;
-            if let Some(m) = self.net.recorder().metrics() {
-                m.add(Counter::PublishDeferred, 1);
-            }
-        }
     }
 
     /// Republish every alive peer's summaries now — the "one full refresh
@@ -635,6 +536,7 @@ mod tests {
     use super::*;
     use hyperm_core::HypermConfig;
     use hyperm_sim::NodeId;
+    use hyperm_telemetry::Recorder;
 
     fn data(seed: u64, n: usize) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -771,7 +673,7 @@ mod tests {
         let mut eng = RepairEngine::new(net, cfg);
 
         // Mid-window the split is in force: cross-component fetches are
-        // severed and refreshes from either side defer the spheres whose
+        // severed and refreshes from either side fail the spheres whose
         // owner zone sits across the divide.
         eng.advance_to(60);
         assert!(eng.network().partition_active(), "split not applied");
@@ -784,10 +686,7 @@ mod tests {
         // refresh period).
         eng.advance_to(200);
         assert!(!eng.network().partition_active(), "partition never healed");
-        assert!(
-            eng.deferred_publishes().is_empty(),
-            "deferred queue should drain after healing"
-        );
+        assert!(eng.stats().publishes_failed > 0, "the split failed nothing");
         let net = eng.network();
         for p in 0..net.len() {
             let q = net.peer(p).items.row(0).to_vec();
@@ -809,27 +708,57 @@ mod tests {
         assert_eq!(eng.stats().refreshes, 0, "refresh loop must stay off");
     }
 
+    /// The heal round republishes each sphere once: every `replica` event
+    /// it emits is a replica the stores hold afterwards, none superseded
+    /// within the tick.
     #[test]
-    fn total_loss_defers_then_abandons_publishes() {
+    fn heal_places_each_sphere_once() {
+        let mut net = build(10, 6);
+        let (rec, ring) = Recorder::ring(1 << 16);
+        net.set_recorder(rec);
+        let cfg = RepairConfig::default()
+            .with_refresh_interval(25)
+            .with_partition_plan(PartitionPlan::halves(10, 20, 120));
+        let mut eng = RepairEngine::new(net, cfg);
+        eng.advance_to(119);
+        ring.drain();
+        // The heal fires at 120; no periodic refresh is due before 125.
+        eng.advance_to(120);
+        assert!(!eng.network().partition_active(), "partition never healed");
+        assert_eq!(ring.dropped(), 0, "ring too small for the heal round");
+        let placed = ring
+            .drain()
+            .iter()
+            .filter(|e| e.name == Name::Replica)
+            .count();
+        let net = eng.network();
+        let stored: usize = (0..net.levels())
+            .map(|l| {
+                let can = net.overlay(l).as_can().unwrap();
+                can.nodes().map(|node| node.store.len()).sum::<usize>()
+            })
+            .sum();
+        assert_eq!(placed, stored, "the heal placed some sphere twice");
+    }
+
+    #[test]
+    fn total_loss_counts_failed_publishes() {
         let cfg = RepairConfig::default()
             .with_refresh_interval(10)
             .with_fault_plan(FaultConfig::lossy(1.0).with_seed(42));
-        let mut eng = RepairEngine::new(build(6, 8), cfg);
+        let net = build(6, 8);
+        let spheres: usize = (0..net.len())
+            .flat_map(|p| net.peer(p).summaries.iter().map(Vec::len))
+            .sum();
+        let mut eng = RepairEngine::new(net, cfg);
         eng.advance_to(60);
         let st = eng.stats();
+        assert_eq!(st.refreshes, 36, "6 peers x 6 due periods");
+        assert!(st.publishes_failed > 0, "nothing failed under 100% loss");
         assert!(
-            st.publishes_deferred > 0,
-            "nothing deferred under 100% loss"
+            st.publishes_failed <= 6 * spheres as u64,
+            "a round fails each sphere at most once"
         );
-        assert!(
-            st.publishes_abandoned > 0,
-            "attempt budget of 5 should be spent within 6 refresh rounds"
-        );
-        // Every queued sphere is within its attempt budget.
-        assert!(eng
-            .deferred_publishes()
-            .iter()
-            .all(|s| s.peer < eng.network().len()));
     }
 
     #[test]

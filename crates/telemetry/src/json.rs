@@ -38,8 +38,8 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Single-line array of values in `Display` form: `[a, b, c]`, empty
-/// `[]`. The inline layout of histogram bucket rows, heat and series
-/// (nest it for rows of rows); [`JsonObj::arr`] is the one-per-line one.
+/// `[]`. The inline layout of histogram bucket rows and heat (nest it
+/// for rows of rows); [`JsonObj::arr`] is the one-per-line one.
 pub fn inline_arr<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
     let body = items
         .into_iter()

@@ -23,10 +23,11 @@
 //!   [`forensics::merge_streams`] it also stitches per-node JSONL streams
 //!   from a live cluster into one cross-process tree, joined on the
 //!   [`TraceCtx`] carried inside wire frames.
-//! * [`window`] — fixed-size sliding-window time series (qps, latency
-//!   quantiles, bytes, retries, per-level heat) cheap enough to stay on
-//!   by default in every node runtime; [`slo`] evaluates declarative
-//!   rules (`p99_ms < 50, failed_routes == 0`) over its snapshots.
+//! * [`window`] — sliding-window totals over a node's last 64 served
+//!   frames (latency quantiles, bytes, retries, per-level heat) cheap
+//!   enough to stay on by default in every node runtime; [`slo`]
+//!   evaluates declarative rules (`p99_ms < 50, failed_routes == 0`) over
+//!   its snapshots.
 //! * [`sync`] — the workspace's one lock type: a ranked [`sync::Mutex`]
 //!   whose debug builds check lock order and blocking holds.
 //! * [`json`] — the tiny JSON writer (and, for scrape pipelines, a

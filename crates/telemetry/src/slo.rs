@@ -11,19 +11,21 @@
 //! rules  := rule ("," rule)*
 //! rule   := metric op value
 //! op     := "<" | "<=" | ">" | ">=" | "==" | "!="
-//! metric := qps | p50_us | p99_us | p50_ms | p99_ms | ops | rejected
+//! metric := p50_us | p99_us | p50_ms | p99_ms | ops | rejected
 //!         | retries | failed_routes | hops | messages | bytes | heat_max
 //! value  := decimal literal
 //! ```
 //!
-//! Example: `p99_ms < 50, failed_routes == 0, qps > 1`.
+//! Example: `p99_ms < 50, failed_routes == 0, ops > 1`.
+//!
+//! Every metric is read over the snapshot's window, which for a node
+//! runtime is its last 64 served frames.
 
 use crate::json::JsonObj;
 use crate::window::WindowSnapshot;
 
 /// Metric names a rule may reference (matching [`metric_of`]).
 pub const METRICS: &[&str] = &[
-    "qps",
     "p50_us",
     "p99_us",
     "p50_ms",
@@ -41,7 +43,6 @@ pub const METRICS: &[&str] = &[
 /// Read `metric` off a snapshot (`None` for unknown names).
 pub fn metric_of(snap: &WindowSnapshot, metric: &str) -> Option<f64> {
     Some(match metric {
-        "qps" => snap.qps(),
         "p50_us" => snap.p50_us() as f64,
         "p99_us" => snap.p99_us() as f64,
         "p50_ms" => snap.p50_us() as f64 / 1000.0,
@@ -242,7 +243,6 @@ mod tests {
         WindowSnapshot {
             ops,
             rejected,
-            series: vec![(0, ops)],
             latency_count: 1,
             latency_sum_us: 100,
             latency_buckets: vec![(64, 127, 1)],
@@ -257,7 +257,7 @@ mod tests {
         assert_eq!(r.op, CmpOp::Le);
         assert_eq!(r.value, 50.0);
         assert_eq!(r.render(), "p99_ms <= 50");
-        let list = SloRule::parse_list("qps > 0.5, failed_routes == 0, rejected != 1").unwrap();
+        let list = SloRule::parse_list("ops > 0.5, failed_routes == 0, rejected != 1").unwrap();
         assert_eq!(list.len(), 3);
         assert_eq!(list[1].op, CmpOp::Eq);
         assert_eq!(list[2].op, CmpOp::Ne);
@@ -269,9 +269,9 @@ mod tests {
     fn bad_rules_are_errors() {
         assert!(SloRule::parse("p99_ms").is_err());
         assert!(SloRule::parse("bogus_metric < 1").is_err());
-        assert!(SloRule::parse("qps < banana").is_err());
-        assert!(SloRule::parse("qps < inf").is_err());
-        assert!(SloRule::parse_list("qps > 1, nope < 2").is_err());
+        assert!(SloRule::parse("ops < banana").is_err());
+        assert!(SloRule::parse("ops < inf").is_err());
+        assert!(SloRule::parse_list("ops > 1, nope < 2").is_err());
     }
 
     #[test]

@@ -120,10 +120,6 @@ wire_enum! {
         Join = "join",
         /// An injected partition healed.
         Heal = "heal",
-        /// An unacked publish was re-queued for the next refresh round.
-        PublishRetry = "publish_retry",
-        /// A publish exceeded its attempt budget and was abandoned.
-        PublishAbandoned = "publish_abandoned",
         /// A frame was sent by a transport endpoint.
         FrameTx = "frame_tx",
         /// A frame was received by a transport endpoint.
@@ -168,8 +164,6 @@ wire_enum! {
     /// A metrics-registry counter: an event's own [`Name`] (e.g.
     /// `fetch_timeout`, via `Counter::from`) or a counter-only aggregate.
     pub enum Counter wraps Event(Name) "A counter named after the event it counts." {
-        /// Publishes deferred to the next refresh round (unacked spheres).
-        PublishDeferred = "publish_deferred",
         /// Queries executed (whole-op counter).
         Queries = "queries",
         /// Virtual-zone migrations executed by the load balancer.
@@ -211,8 +205,8 @@ mod tests {
             );
             assert!(seen.insert(s), "duplicate wire string {s:?}");
         }
-        assert_eq!(Name::ROWS.len(), 44);
-        assert_eq!(seen.len(), 44 + 4);
+        assert_eq!(Name::ROWS.len(), 42);
+        assert_eq!(seen.len(), 42 + 3);
     }
 
     #[test]

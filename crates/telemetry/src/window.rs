@@ -1,16 +1,16 @@
-//! Sliding-window node metrics: fixed-size ring time-series cheap enough
-//! to stay on by default in the node runtime.
+//! Sliding-window node metrics: a fixed-size ring of cost buckets cheap
+//! enough to stay on by default in the node runtime.
 //!
 //! A [`Window`] buckets cost observations by a caller-supplied monotone
-//! **tick** — the node runtime uses its frame counter, the simulators can
-//! use the sim clock; wall time is never read, so window contents are as
-//! deterministic as the clock driving them. Each bucket accumulates the
-//! paper's cost axes (ops, hops, messages, bytes, retries, failed routes)
-//! plus rejected requests, a log2 latency histogram, and per-level *heat*
-//! — how many overlay operations touched each wavelet level (a range
-//! query's phase 1 touches every level; publish/get/route touch exactly
-//! one). The ring keeps the most recent 64 buckets of one tick each;
-//! recording is a few adds under one mutex, and a [`WindowSnapshot`]
+//! **tick**. The node runtime advances it once per served frame, so its
+//! window is the last 64 served frames, not a time span; wall time is
+//! never read, so window contents are as deterministic as the clock
+//! driving them. Each bucket accumulates the paper's cost axes (ops, hops,
+//! messages, bytes, retries, failed routes) plus rejected requests, a log2
+//! latency histogram, and per-level *heat* — how many overlay operations
+//! touched each wavelet level (a range query's phase 1 touches every
+//! level; publish/get/route touch exactly one). The ring keeps the most
+//! recent 64 buckets of one tick each; recording is a few adds under one mutex, and a [`WindowSnapshot`]
 //! serialises to the JSON the `Stats` protocol request returns.
 //!
 //! Snapshots are **mergeable**: the monitor's `--watch` mode sums per-node
@@ -68,7 +68,7 @@ struct Inner {
 /// A sliding window of cost buckets. All mutation goes through `&self`;
 /// the runtime shares one window across its serve loop.
 pub struct Window {
-    /// Wavelet levels tracked by the heat series.
+    /// Wavelet levels tracked by the heat counters.
     levels: usize,
     inner: Mutex<Inner>,
 }
@@ -175,7 +175,6 @@ impl Window {
             latency_sum_us: 0,
             latency_buckets: Vec::new(),
             heat: vec![0; self.levels],
-            series: Vec::new(),
         };
         let mut latency: std::collections::BTreeMap<u64, (u64, u64)> = Default::default();
         for b in &inner.ring {
@@ -194,7 +193,6 @@ impl Window {
             for (lo, hi, count) in b.latency_us.nonzero_buckets() {
                 latency.entry(lo).or_insert((hi, 0)).1 += count;
             }
-            snap.series.push((b.index, b.ops));
         }
         snap.latency_buckets = latency
             .into_iter()
@@ -206,8 +204,7 @@ impl Window {
 
 /// Serialisable view of a [`Window`]: totals over the retained buckets,
 /// the merged latency histogram (as non-empty `[lo, hi, count]` rows, so
-/// snapshots merge exactly), the per-level heat totals and the per-bucket
-/// ops series.
+/// snapshots merge exactly) and the per-level heat totals.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WindowSnapshot {
     /// Transport peer id of the scraped node (0 = unknown/aggregate).
@@ -242,8 +239,6 @@ pub struct WindowSnapshot {
     pub latency_buckets: Vec<(u64, u64, u64)>,
     /// Overlay operations per wavelet level.
     pub heat: Vec<u64>,
-    /// Per-bucket `(bucket index, ops)` series, oldest first.
-    pub series: Vec<(u64, u64)>,
 }
 
 /// One-based nearest-rank position of the `q`-quantile among `n` sorted
@@ -253,18 +248,6 @@ pub fn nearest_rank(q: f64, n: usize) -> usize {
 }
 
 impl WindowSnapshot {
-    /// Operations per bucket interval, averaged over the buckets the
-    /// series actually spans (0 when empty).
-    pub fn qps(&self) -> f64 {
-        match (self.series.first(), self.series.last()) {
-            (Some(&(first, _)), Some(&(last, _))) => {
-                let span = last - first + 1;
-                self.ops as f64 / span as f64
-            }
-            _ => 0.0,
-        }
-    }
-
     /// Latency quantile in microseconds: upper bound of the log2 bucket
     /// containing the `q`-quantile sample (0 when no samples).
     pub fn latency_quantile_us(&self, q: f64) -> u64 {
@@ -298,12 +281,10 @@ impl WindowSnapshot {
     }
 
     /// Merge per-node snapshots into a cluster aggregate: totals and
-    /// histograms sum; `tick` takes the maximum; per-bucket series are
-    /// joined on bucket index; `node`/`seq` reset to 0.
+    /// histograms sum; `tick` takes the maximum; `node`/`seq` reset to 0.
     pub fn merge(snaps: &[WindowSnapshot]) -> WindowSnapshot {
         let mut out = WindowSnapshot::default();
         let mut latency: std::collections::BTreeMap<u64, (u64, u64)> = Default::default();
-        let mut series: std::collections::BTreeMap<u64, u64> = Default::default();
         for s in snaps {
             out.tick = out.tick.max(s.tick);
             out.bucket_ticks = out.bucket_ticks.max(s.bucket_ticks);
@@ -327,15 +308,11 @@ impl WindowSnapshot {
                 let e = latency.entry(lo).or_insert((hi, 0));
                 e.1 += count;
             }
-            for &(idx, ops) in &s.series {
-                *series.entry(idx).or_insert(0) += ops;
-            }
         }
         out.latency_buckets = latency
             .into_iter()
             .map(|(lo, (hi, count))| (lo, hi, count))
             .collect();
-        out.series = series.into_iter().collect();
         out
     }
 
@@ -352,7 +329,6 @@ impl WindowSnapshot {
             .latency_buckets
             .iter()
             .map(|&(lo, hi, c)| inline_arr([lo, hi, c]));
-        let series = self.series.iter().map(|&(idx, ops)| inline_arr([idx, ops]));
         JsonObj::new()
             .u("node", self.node)
             .u("seq", self.seq)
@@ -366,19 +342,17 @@ impl WindowSnapshot {
             .u("hops", self.hops)
             .u("messages", self.messages)
             .u("bytes", self.bytes)
-            .f("qps", self.qps(), 3)
             .u("p50_us", self.p50_us())
             .u("p99_us", self.p99_us())
             .u("latency_count", self.latency_count)
             .u("latency_sum_us", self.latency_sum_us)
             .raw("latency_buckets", inline_arr(buckets))
             .raw("heat", inline_arr(&self.heat))
-            .raw("series", inline_arr(series))
     }
 
     /// Parse a snapshot back from [`WindowSnapshot::to_json`] output.
     /// `None` when required fields are missing or ill-typed (derived
-    /// fields like `qps`/`p50_us` are recomputed, not trusted).
+    /// fields like `p50_us` are recomputed, not trusted).
     pub fn from_json(v: &JsonValue) -> Option<WindowSnapshot> {
         let u = |key: &str| v.get(key).and_then(JsonValue::as_u64);
         let mut snap = WindowSnapshot {
@@ -398,7 +372,6 @@ impl WindowSnapshot {
             latency_sum_us: u("latency_sum_us")?,
             latency_buckets: Vec::new(),
             heat: Vec::new(),
-            series: Vec::new(),
         };
         for row in v.get("latency_buckets")?.as_arr()? {
             let row = row.as_arr()?;
@@ -410,13 +383,6 @@ impl WindowSnapshot {
         }
         for h in v.get("heat")?.as_arr()? {
             snap.heat.push(h.as_u64()?);
-        }
-        for row in v.get("series")?.as_arr()? {
-            let row = row.as_arr()?;
-            if row.len() != 2 {
-                return None;
-            }
-            snap.series.push((row[0].as_u64()?, row[1].as_u64()?));
         }
         Some(snap)
     }
@@ -446,15 +412,16 @@ mod tests {
         let snap = w.snapshot(7, 1);
         // The two records at tick 66 share its bucket; buckets 0..=2 were
         // evicted when buckets 64..=66 arrived — the ring keeps the 64
-        // newest.
-        assert_eq!(snap.series.len(), BUCKETS);
-        assert_eq!(snap.series.first(), Some(&(3, 1)), "oldest buckets evicted");
-        assert_eq!(snap.series.last(), Some(&(66, 2)));
+        // newest, 3..=66, holding 63 + 2 records.
         assert_eq!(snap.ops, 65);
         assert_eq!(snap.hops, 130);
         assert_eq!(snap.node, 7);
         assert_eq!(snap.seq, 1);
         assert_eq!(snap.tick, 66);
+        // One more bucket evicts the oldest, bucket 3, and its one record.
+        w.advance(67);
+        w.record_op(&op(2, 3, 100), 50);
+        assert_eq!(w.snapshot(7, 2).ops, 65, "oldest bucket evicted");
     }
 
     #[test]
@@ -465,7 +432,20 @@ mod tests {
         w.record_op(&op(1, 1, 1), 10);
         let snap = w.snapshot(0, 0);
         assert_eq!(snap.tick, 10);
-        assert_eq!(snap.series, vec![(10, 1)]);
+        assert_eq!(snap.ops, 1);
+        // The record sits in bucket 10, not 3: a second record at tick 10
+        // shares it, so 63 newer buckets evict nothing and the 64th
+        // evicts both records at once.
+        w.advance(10);
+        w.record_op(&op(1, 1, 1), 10);
+        for tick in 11..10 + BUCKETS as u64 {
+            w.advance(tick);
+            w.record_op(&op(1, 1, 1), 10);
+        }
+        assert_eq!(w.snapshot(0, 1).ops, 65);
+        w.advance(10 + BUCKETS as u64);
+        w.record_op(&op(1, 1, 1), 10);
+        assert_eq!(w.snapshot(0, 2).ops, 64);
     }
 
     #[test]
@@ -492,8 +472,6 @@ mod tests {
         assert_eq!(snap.latency_quantile_us(1.0), 131071);
         assert_eq!(snap.heat, vec![2, 0, 0, 1]);
         assert_eq!(snap.heat_max(), 2);
-        // 101 ops over buckets 0..=3 → ~25/bucket.
-        assert!((snap.qps() - 101.0 / 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -511,9 +489,9 @@ mod tests {
             json,
             "{\"node\": 42, \"seq\": 9, \"tick\": 3, \"bucket_ticks\": 1, \"capacity\": 64, \
              \"ops\": 2, \"rejected\": 1, \"retries\": 0, \"failed_routes\": 0, \"hops\": 3, \
-             \"messages\": 5, \"bytes\": 256, \"qps\": 0.667, \"p50_us\": 127, \"p99_us\": 127, \
+             \"messages\": 5, \"bytes\": 256, \"p50_us\": 127, \"p99_us\": 127, \
              \"latency_count\": 1, \"latency_sum_us\": 120, \"latency_buckets\": [[64, 127, 1]], \
-             \"heat\": [0, 1, 0], \"series\": [[1, 1], [3, 1]]}"
+             \"heat\": [0, 1, 0]}"
         );
         let parsed = WindowSnapshot::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
         assert_eq!(parsed, snap);
@@ -540,7 +518,6 @@ mod tests {
         // Half the cluster's samples are slow: p99 must see them.
         assert!(merged.p99_us() >= 65536);
         assert_eq!(merged.p50_us(), a.p50_us());
-        assert_eq!(merged.series, vec![(1, 10), (2, 10)]);
         assert_eq!(WindowSnapshot::merge(&[]), WindowSnapshot::default());
     }
 }

@@ -110,8 +110,8 @@ fn connect(node: &str) -> Result<Client<TcpEndpoint>, String> {
     }))
 }
 
-/// Scrape every node `count` times (0 = forever), printing windowed
-/// series and evaluating `rules` against the cluster aggregate. Returns
+/// Scrape every node `count` times (0 = forever), printing each node's
+/// window and evaluating `rules` against the cluster aggregate. Returns
 /// `Ok(true)` when no round breached.
 ///
 /// An unreachable node does not abort the round: it is reported as a

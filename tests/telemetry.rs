@@ -185,7 +185,7 @@ fn budgeted_event_stream_identical_without_faults() {
 fn reliable_refresh_reports_full_delivery_without_faults() {
     // The report-returning refresh is the same code path the legacy
     // wrapper drives; with no faults every sphere must land completely
-    // (delivered == published clusters, nothing deferred or abandoned)
+    // (delivered == published clusters, nothing failed)
     // and the wrapper must return exactly the report's stats.
     let seed = 31;
     let (mut a, _) = HypermNetwork::build(peers(seed), config(seed)).unwrap();
@@ -194,11 +194,7 @@ fn reliable_refresh_reports_full_delivery_without_faults() {
     let legacy = a.refresh_peer_summaries(peer);
     let report = b.refresh_peer_summaries_report(peer);
     assert_eq!(legacy, report.stats, "wrapper and report paths diverged");
-    assert!(
-        report.deferred.is_empty(),
-        "nothing can defer without faults"
-    );
-    assert!(report.abandoned.is_empty());
+    assert_eq!(report.failed, 0, "nothing can fail without faults");
     let clusters: u64 = (0..b.levels())
         .map(|l| b.peer(peer).summaries[l].len() as u64)
         .sum();
